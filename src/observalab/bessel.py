@@ -84,6 +84,19 @@ def _bessel_miller(m_wanted: int, x: np.ndarray, extra_orders: int = 0) -> np.nd
     return result[0] if extra_orders == 0 else result
 
 
+def _bessel_eval(m: int, x) -> np.ndarray | float:
+    """J_m(x) by series or Miller recurrence, without range checks."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    ser = _series_region(m, arr)
+    if np.any(ser):
+        out[ser] = _bessel_series(m, arr[ser])
+    rec = ~ser
+    if np.any(rec):
+        out[rec] = _bessel_miller(m, arr[rec])
+    return float(out[0]) if np.ndim(x) == 0 else out
+
+
 def bessel_j(m: int, x) -> np.ndarray | float:
     """J_m(x) for integer order 0 <= m <= 60 and 0 <= x <= 500.
 
@@ -93,40 +106,19 @@ def bessel_j(m: int, x) -> np.ndarray | float:
     if not (0 <= m <= MAX_ORDER):
         raise ConfigurationError(f"Bessel order {m} outside supported range [0, {MAX_ORDER}]")
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if np.any(arr < 0) or np.any(arr > MAX_ARG):
         raise ConfigurationError("Bessel argument outside supported range [0, 500]")
-    out = np.empty_like(arr)
-    ser = _series_region(m, arr)
-    if np.any(ser):
-        out[ser] = _bessel_series(m, arr[ser])
-    rec = ~ser
-    if np.any(rec):
-        out[rec] = _bessel_miller(m, arr[rec])
-    return float(out[0]) if scalar else out
+    return _bessel_eval(m, arr)
 
 
 def bessel_jp(m: int, x) -> np.ndarray | float:
     """Derivative J_m'(x) via J_m' = (J_{m-1} - J_{m+1})/2, J_0' = -J_1."""
     if m == 0:
-        res = bessel_j(1, x)
-        return -res
+        return -bessel_j(1, x)
     lo = bessel_j(m - 1, x)
-    hi = bessel_j(m + 1, x) if m + 1 <= MAX_ORDER else _bessel_any(m + 1, x)
+    # bessel_j(m - 1, x) has checked x; order MAX_ORDER + 1 is needed here
+    hi = bessel_j(m + 1, x) if m + 1 <= MAX_ORDER else _bessel_eval(m + 1, x)
     return 0.5 * (lo - hi)
-
-
-def _bessel_any(m: int, x) -> np.ndarray | float:
-    """Internal: evaluate one order past MAX_ORDER for derivative formulas."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    ser = _series_region(m, arr)
-    if np.any(ser):
-        out[ser] = _bessel_series(m, arr[ser])
-    if np.any(~ser):
-        out[~ser] = _bessel_miller(m, arr[~ser])
-    return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
 def _mcmahon_guess(m: int, k: int) -> float:
@@ -196,11 +188,6 @@ def _refine_zero_row(m: int, lo: np.ndarray, hi: np.ndarray,
     if np.max(np.abs(bessel_j(m, x))) > 1e-12:
         raise NumericalError(f"Bessel zero iteration failed for order m={m}")
     return x
-
-
-def _refine_zero(m: int, lo: float, hi: float, guess: float) -> float:
-    return float(_refine_zero_row(m, np.array([lo]), np.array([hi]),
-                                  np.array([guess]))[0])
 
 
 class BesselZeroTable:

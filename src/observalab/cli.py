@@ -5,7 +5,7 @@ Every command writes its machine-readable artifacts before deciding the
 exit code, so a failing run still leaves a full summary on disk.
 
 Exit codes: 0 all asserted checks passed, 2 a check failed, 64 bad
-configuration or missing prerequisite, 70 numerical breakdown.
+configuration, usage error or missing prerequisite, 70 numerical breakdown.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
         summaries.append({k: exp[k] for k in
                           ("T", "draws", "c_lower", "lambda_min", "lambda_max",
                            "min_ratio", "median_ratio", "adversarial_ratio",
-                           "passed")})
+                           "flux_gram_rel_errors", "passed")})
     csv_path = write_csv(out / "observe.csv", ["T", "draw", "ratio"], rows)
     write_json(out / "observe_summary.json",
                {"domain": {"kind": domain.kind, "params": list(domain.params)},
@@ -337,8 +337,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64 like any other configuration error, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="observalab",
         description="boundary observability certification suites",
     )
@@ -350,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--strict", action="store_true",
                        help="outside-hypothesis results become failures")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker hint (computations are vectorized in-process)")
         if name == "control":
             p.add_argument("--problem", help="JSON steering problem file")
     return parser
@@ -367,10 +373,8 @@ def _resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigurationError("--jobs must be at least 1")
+        args = build_parser().parse_args(argv)
         config = _resolve_config(args)
         _apply_tolerance_overrides(config)
         out = Path(config.out_dir)

@@ -3,7 +3,8 @@
 Exit-code contract (used by the CLI):
     0   every asserted check passed
     2   an asserted check failed (CheckFailure)
-    64  configuration problem: bad schema, unknown keys, missing prerequisite
+    64  configuration problem: bad schema, unknown keys, command-line usage,
+        missing prerequisite
     70  numerical breakdown: non-convergence, under-resolved grids, NaNs
 """
 
@@ -39,11 +40,9 @@ TOLERANCES = {
     "rellich_disk": 1e-5,       # relaxed on the disk (Bessel evaluation noise)
     "antisymmetry": 1e-8,
     "quasi_orthogonality": 1e-8,
-    "orthonormality": 1e-8,
     "riesz_margin": 1e-6,       # lambda_min >= c_lower - this
     "flux_gram_rel": 1e-6,
     "gram_hermitian": 1e-10,
-    "eigen_residual": 1e-8,
     "pcg_rel_residual": 1e-10,
     "steering_rel_error": 1e-3,
     "visco_terminal": 1e-8,
@@ -107,13 +106,6 @@ CONFIG_SCHEMA = {
         },
         "out_dir": {"type": "string"},
         "cache_path": {"type": "string"},
-        "lambda_range": {
-            "type": "array",
-            "items": {"type": "number", "exclusiveMinimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-            "description": "frequency window for the memory-closeness study",
-        },
     },
     "required": ["domain", "N"],
 }
@@ -140,7 +132,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "observalab_out"
     cache_path: str | None = None
-    lambda_range: tuple[float, float] = (5.0, 80.0)
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, TOLERANCES[name]))
@@ -149,21 +140,6 @@ class RunConfig:
         if self.T_values is not None:
             return [float(t) for t in self.T_values]
         return [factor * two_R for factor in self.T_factors]
-
-    def canonical_dict(self) -> dict:
-        data = {
-            "domain": self.domain,
-            "N": self.N,
-            "T_values": self.T_values,
-            "T_factors": self.T_factors,
-            "quadrature_q": self.quadrature_q,
-            "kernels": self.kernels,
-            "draws": self.draws,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "lambda_range": list(self.lambda_range),
-        }
-        return data
 
 
 def validate_config_dict(raw: dict) -> dict:
@@ -184,10 +160,7 @@ def validate_config_dict(raw: dict) -> dict:
 
 def config_from_dict(raw: dict) -> RunConfig:
     validate_config_dict(raw)
-    kwargs = dict(raw)
-    if "lambda_range" in kwargs:
-        kwargs["lambda_range"] = tuple(kwargs["lambda_range"])
-    return RunConfig(**kwargs)
+    return RunConfig(**raw)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -1,9 +1,9 @@
-"""Dense Hermitian eigensolver (cyclic Jacobi) and a PCG linear solver.
+"""Dense Hermitian eigensolves through LAPACK, and a PCG linear solver.
 
-Desk-scale by design (orders <= 256).  The Jacobi sweep annihilates each
-off-diagonal entry with a complex plane rotation; convergence is quadratic
-once the off-diagonal mass is small.  Eigenvalues come out real; optional
-eigenvectors are accumulated as the product of rotations.
+jacobi_eigh checks its input (square, finite, Hermitian) and hands it to
+LAPACK (numpy.linalg.eigh / eigvalsh); a LAPACK failure becomes a
+NumericalError.  extreme_eigen_report gates the residuals of the extreme
+eigenpairs at EIGEN_RESIDUAL_GATE times the matrix norm.
 
 The conjugate-gradient solver targets the Hermitian positive definite Gram
 systems of the control synthesis, with a Jacobi (diagonal) preconditioner.
@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import NumericalError
 
-_MAX_SWEEPS = 100
+# extreme eigenpair residuals must stay below this fraction of ||G||
+EIGEN_RESIDUAL_GATE = 1e-8
 
 
 def _check_hermitian(a: np.ndarray, tol: float = 1e-10) -> None:
@@ -25,84 +26,46 @@ def _check_hermitian(a: np.ndarray, tol: float = 1e-10) -> None:
         raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
-def jacobi_eigh(matrix: np.ndarray, need_vectors: bool = True,
-                tol: float = 1e-14) -> tuple[np.ndarray, np.ndarray | None]:
-    """Full spectrum of a Hermitian matrix by cyclic Jacobi rotations.
+# The name outlives the Jacobi loop: the benchmark tracer counts solves by it.
+def jacobi_eigh(matrix: np.ndarray,
+                need_vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Full spectrum of a Hermitian matrix by LAPACK.
 
-    Returns (eigenvalues ascending, eigenvector columns or None).  The
-    rotations make ||A v - w v|| <= ~1e-14 ||A|| for every pair.
+    Returns (eigenvalues ascending, eigenvector columns or None).  Raises
+    NumericalError for a non-square, non-finite or non-Hermitian input and
+    when LAPACK does not converge.
     """
-    a = np.array(matrix, dtype=complex)
+    a = np.asarray(matrix, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise NumericalError("eigensolver expects a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("eigensolver input has non-finite entries")
     _check_hermitian(a)
-    v = np.eye(n, dtype=complex) if need_vectors else None
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    gate = 1e-300
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                ab = abs(beta)
-                if ab <= gate * fro:
-                    continue
-                u = beta / ab
-                d = (a[q, q] - a[p, p]).real
-                s_hyp = np.hypot(d, 2.0 * ab)
-                if d == 0.0:
-                    t = 1.0
-                else:
-                    t = -np.sign(d) * 2.0 * ab / (abs(d) + s_hyp)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                su = s * u
-                # column update: A <- A R
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + np.conj(su) * col_q
-                a[:, q] = -su * col_p + c * col_q
-                # row update: A <- R^H A
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + su * row_q
-                a[q, :] = -np.conj(su) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                if v is not None:
-                    vcol_p = v[:, p].copy()
-                    vcol_q = v[:, q].copy()
-                    v[:, p] = c * vcol_p + np.conj(su) * vcol_q
-                    v[:, q] = -su * vcol_p + c * vcol_q
-    else:
-        raise NumericalError(f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps")
-    w = np.real(np.diagonal(a)).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        v = v[:, order]
-    return w, v
+    try:
+        if need_vectors:
+            w, v = np.linalg.eigh(a)
+            return w, v
+        return np.linalg.eigvalsh(a), None
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"LAPACK eigensolver failed: {err}") from err
 
 
 def extreme_eigen_report(matrix: np.ndarray) -> dict:
-    """lambda_min / lambda_max with residual checks on the extreme pairs."""
+    """lambda_min / lambda_max with residual checks on the extreme pairs.
+
+    residual_rel is the larger extreme-pair residual over ||matrix||; it
+    must not exceed EIGEN_RESIDUAL_GATE.
+    """
     w, v = jacobi_eigh(matrix)
     norm = max(float(np.linalg.norm(matrix, 2) if matrix.size < 4 else np.linalg.norm(matrix)), 1e-300)
     res_min = float(np.linalg.norm(matrix @ v[:, 0] - w[0] * v[:, 0]))
     res_max = float(np.linalg.norm(matrix @ v[:, -1] - w[-1] * v[:, -1]))
-    if max(res_min, res_max) > 1e-8 * norm:
+    residual_rel = max(res_min, res_max) / norm
+    if residual_rel > EIGEN_RESIDUAL_GATE:
         raise NumericalError(
             f"eigenpair residual too large ({max(res_min, res_max):.3e} vs "
-            f"1e-8 * {norm:.3e})"
+            f"{EIGEN_RESIDUAL_GATE:g} * {norm:.3e})"
         )
     return {
         "lambda_min": float(w[0]),
@@ -112,6 +75,7 @@ def extreme_eigen_report(matrix: np.ndarray) -> dict:
         "vec_max": v[:, -1],
         "residual_min": res_min,
         "residual_max": res_max,
+        "residual_rel": residual_rel,
     }
 
 

@@ -42,21 +42,9 @@ class DomainSpec:
             return self.params[0] * self.params[1]
         return np.pi * self.params[0] ** 2
 
-    @property
-    def boundary_measure(self) -> float:
-        if self.kind == "interval":
-            return 2.0  # counting measure on the two endpoints
-        if self.kind == "rectangle":
-            return 2.0 * (self.params[0] + self.params[1])
-        return 2.0 * np.pi * self.params[0]
-
     def key(self) -> str:
         par = ",".join(f"{p:.17g}" for p in self.params)
         return f"{self.kind}:{par}"
-
-    def multiplier(self, points: np.ndarray) -> np.ndarray:
-        """m(x) = x - x0 at the given points, shape (k, d)."""
-        return np.atleast_2d(points) - self.x0
 
     def normal_at(self, points: np.ndarray) -> np.ndarray:
         """Outward unit normal at boundary points (classified by coordinates)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, NumericalError, TOLERANCES
-from .eigen import extreme_eigen_report
+from .eigen import EIGEN_RESIDUAL_GATE, extreme_eigen_report
 from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
 
@@ -240,6 +240,7 @@ class RieszReport:
     margin: float
     in_hypothesis: bool       # T > 2R
     passed: bool | None       # None when outside the hypothesis window
+    eigen_residual_rel: float  # extreme eigenpair residual / ||G||
 
     def row(self) -> dict:
         return {
@@ -252,6 +253,8 @@ class RieszReport:
             "margin": self.margin,
             "in_hypothesis": self.in_hypothesis,
             "pass": "" if self.passed is None else self.passed,
+            "eigen_residual_rel": self.eigen_residual_rel,
+            "eigen_residual_gate": EIGEN_RESIDUAL_GATE,
         }
 
 
@@ -274,4 +277,5 @@ def riesz_bounds_report(table: ModeTable, brule: QuadratureRule, T: float,
     if in_hyp:
         passed = margin >= -margin_tol * max(1.0, c_low)
     return RieszReport(dom.kind, table.N, T, spec["lambda_min"],
-                       spec["lambda_max"], c_low, margin, in_hyp, passed)
+                       spec["lambda_max"], c_low, margin, in_hyp, passed,
+                       spec["residual_rel"])

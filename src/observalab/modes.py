@@ -162,14 +162,6 @@ class ModeTable:
 
     # -- boundary traces -----------------------------------------------------
 
-    def eval_psi(self, n: int, points: np.ndarray) -> np.ndarray:
-        """psi_n = (1/lambda_n) dphi_{|n|}/dnu at boundary points; odd in n."""
-        self._check_index(n)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        nu = self.domain.normal_at(pts)  # raises if not on the boundary
-        grad = self._grad_phi(self.modes[abs(n) - 1], pts)
-        return np.sum(grad * nu, axis=1) / self.lam_signed(n)
-
     def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
         """Signed trace stack on a boundary rule, shape (2N, k): rows follow
         signed_indices() order, so row N+j is the mirror of row j."""

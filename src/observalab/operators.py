@@ -166,48 +166,6 @@ def boundary_identity_check(table: ModeTable, brule: QuadratureRule,
     return reports
 
 
-def a_inner(table: ModeTable, irule: QuadratureRule, j: int, k: int) -> float:
-    """Interior pairing integral((m . grad phi_|j|) phi_|k|); needs |j| != |k|."""
-    if abs(j) == abs(k):
-        raise ConfigurationError("interior pairing is defined for distinct |indices|")
-    aphi = apply_A_mode(table, j, irule.nodes)
-    phik = table.eval_phi(abs(k), irule.nodes)
-    return float(irule.integrate(aphi * phik))
-
-
-def a_diagonal(table: ModeTable, irule: QuadratureRule, n: int) -> float:
-    """Diagonal pairing integral((m . grad phi_n) phi_n); equals -d/2."""
-    aphi = apply_A_mode(table, n, irule.nodes)
-    phin = table.eval_phi(abs(n), irule.nodes)
-    return float(irule.integrate(aphi * phin))
-
-
-def rellich_pairing(table: ModeTable, irule: QuadratureRule,
-                    brule: QuadratureRule, j: int, k: int,
-                    tol: float | None = None) -> IdentityReport:
-    """Boundary pairing of two normalized traces against its interior value.
-
-    lhs = integral_boundary (m . nu) psi_j psi_k dS
-    rhs = 2 (j = k), -2 (j = -k),
-          ((lam_j^2 - lam_k^2)/(lam_j lam_k)) * integral (A phi_|j|) phi_|k|
-          otherwise (signed eigenvalues).
-    """
-    if tol is None:
-        tol = 1e-5 if table.domain.kind == "disk" else 1e-6
-    m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
-    psi_j = table.eval_psi(j, brule.nodes)
-    psi_k = table.eval_psi(k, brule.nodes)
-    lhs = float(brule.integrate(m_dot_nu * psi_j * psi_k))
-    if j == k:
-        rhs = 2.0
-    elif j == -k:
-        rhs = -2.0
-    else:
-        lam_j, lam_k = table.lam_signed(j), table.lam_signed(k)
-        rhs = (lam_j**2 - lam_k**2) / (lam_j * lam_k) * a_inner(table, irule, j, k)
-    return _report(f"rellich_{j}_{k}", lhs, rhs, tol)
-
-
 def rellich_suite(table: ModeTable, irule: QuadratureRule,
                   brule: QuadratureRule, max_index: int | None = None,
                   tol: float | None = None) -> list[IdentityReport]:

@@ -74,6 +74,14 @@ def test_full_pipeline_interval_exit_zero(tmp_path):
     summary = json.loads((out / "riesz_summary.json").read_text())
     assert summary["passed"] is True
     assert summary["outside_hypothesis"]          # the 0.9 * 2R horizon
+    for row in summary["rows"]:
+        assert 0.0 <= row["eigen_residual_rel"] <= row["eigen_residual_gate"]
+    header = (out / "riesz.csv").read_text().splitlines()[1]
+    assert "eigen_residual" not in header
+    observe = json.loads((out / "observe_summary.json").read_text())
+    for exp in observe["experiments"]:
+        errors = exp["flux_gram_rel_errors"]
+        assert len(errors) == 3 and max(errors) <= 1e-6
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):
@@ -114,6 +122,16 @@ def test_malformed_config_exit_64(tmp_path):
     assert _run("spectrum", "--config", str(bad)) == 64
     bad.write_text("{not json")
     assert _run("spectrum", "--config", str(bad)) == 64
+
+
+@pytest.mark.parametrize("removed", [
+    {"lambda_range": [5.0, 80.0]},
+    {"tolerances": {"eigen_residual": 1e-8}},
+    {"tolerances": {"orthonormality": 1e-8}},
+], ids=["lambda_range", "eigen_residual", "orthonormality"])
+def test_removed_config_knobs_exit_64(tmp_path, removed):
+    cfg = _write_config(tmp_path, N=3, **removed)
+    assert _run("spectrum", "--config", str(cfg)) == 64
 
 
 def test_control_requires_riesz_artifact(tmp_path, capsys):
@@ -217,7 +235,21 @@ def test_visco_summary_written_even_when_a_kernel_cannot_fit(tmp_path):
     assert any("error" in c for c in summary["certificates"])
 
 
-def test_jobs_flag_validated(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("riesz", "--bogus"),
+    ("nosuch",),
+    ("riesz", "--seed", "abc"),
+    ("spectrum", "--jobs", "2"),
+], ids=["unknown-flag", "unknown-command", "bad-seed", "removed-jobs"])
+def test_usage_errors_exit_64(tmp_path, argv, capsys):
     cfg = _write_config(tmp_path, N=3)
-    assert _run("spectrum", "--config", str(cfg), "--jobs", "0") == 64
-    assert _run("spectrum", "--config", str(cfg), "--jobs", "2") == 0
+    assert _run(*argv, "--config", str(cfg)) == 64
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("riesz", "--help")
+    assert exc.value.code == 0
+    assert "--jobs" not in capsys.readouterr().out

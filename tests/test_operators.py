@@ -72,12 +72,17 @@ def test_boundary_collapse(dom):
         assert rep.passed, rep.label
 
 
+def _by_label(reports):
+    return {rep.label: rep for rep in reports}
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_rellich_diagonals(dom):
     table, irule, brule = _setup(dom)
-    rep = ops.rellich_pairing(table, irule, brule, 5, 5)
+    reports = _by_label(ops.rellich_suite(table, irule, brule))
+    rep = reports["rellich_5_5"]
     assert rep.rhs == 2.0 and rep.passed
-    rep = ops.rellich_pairing(table, irule, brule, 5, -5)
+    rep = reports["rellich_5_-5"]
     assert rep.rhs == -2.0 and rep.passed
 
 
@@ -96,24 +101,19 @@ def test_rellich_rectangle_specific_pair():
     table, irule, brule = _setup(dom, N=6)
     idx = {m.multi_index: i + 1 for i, m in enumerate(table.modes)}
     j, k = idx[(1, 1)], idx[(1, 2)]
-    rep = ops.rellich_pairing(table, irule, brule, j, k)
+    rep = _by_label(ops.rellich_suite(table, irule, brule))[f"rellich_{j}_{k}"]
     assert rep.abs_error <= 1e-6
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_pairing_antisymmetry_and_diagonal(dom):
     table, irule, _ = _setup(dom)
-    for rep in ops.antisymmetry_suite(table, irule):
+    reports = ops.antisymmetry_suite(table, irule)
+    for rep in reports:
         assert rep.passed, f"{rep.label}: {rep.abs_error:.3e}"
-    # spot-check the diagonal value -d/2 directly
-    val = ops.a_diagonal(table, irule, 3)
-    assert val == pytest.approx(-table.domain.dim / 2, abs=1e-8)
-
-
-def test_a_inner_rejects_equal_indices():
-    table, irule, _ = _setup(interval(np.pi), N=4)
-    with pytest.raises(ConfigurationError):
-        ops.a_inner(table, irule, 2, -2)
+    # spot-check the diagonal value -d/2: the row holds twice the pairing
+    rep = _by_label(reports)["pairing_diag_3"]
+    assert rep.lhs / 2 == pytest.approx(-table.domain.dim / 2, abs=1e-8)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
