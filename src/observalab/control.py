@@ -171,9 +171,9 @@ class BoundaryControl:
     def trace_samples(self, table: ModeTable, brule: QuadratureRule,
                       tgrid: np.ndarray) -> np.ndarray:
         """Boundary samples of the control, nodes x times."""
-        lam_signed = np.concatenate([table.lambdas, -table.lambdas])
+        lams = table.lambdas_signed()
         waves = self.coefficients[:, None] * np.exp(
-            1j * np.outer(lam_signed, tgrid))
+            1j * np.outer(lams, tgrid))
         return table.psi_matrix(brule).T @ waves
 
     def sampled_norm_sq(self, table: ModeTable, brule: QuadratureRule,
@@ -201,14 +201,14 @@ def transposition_rhs(table: ModeTable, problem: ControlProblem) -> np.ndarray:
         raise ConfigurationError(
             f"problem truncation {problem.N} does not match the table ({table.N})"
         )
-    lam_signed = np.concatenate([table.lambdas, -table.lambdas])
+    lams = table.lambdas_signed()
     p0 = np.concatenate([problem.position0] * 2)
     q0 = np.concatenate([problem.velocity0] * 2)
     pT = np.concatenate([problem.target_position] * 2)
     qT = np.concatenate([problem.target_velocity] * 2)
-    phase = np.exp(-1j * lam_signed * problem.T)
-    return -(phase * (qT + 1j * lam_signed * pT)
-             - (q0 + 1j * lam_signed * p0)) / lam_signed
+    phase = np.exp(-1j * lams * problem.T)
+    return -(phase * (qT + 1j * lams * pT)
+             - (q0 + 1j * lams * p0)) / lams
 
 
 def solve_control(table: ModeTable, problem: ControlProblem, G: GramMatrix,
@@ -294,12 +294,12 @@ def forward_simulate_controlled(table: ModeTable, brule: QuadratureRule,
     if control.N != table.N or problem.N != table.N:
         raise ConfigurationError("control, problem, and table truncations differ")
     lam = table.lambdas
-    lam_signed = np.concatenate([lam, -lam])
+    lams = table.lambdas_signed()
     T = problem.T
     B = boundary_trace_gram(table, brule)
     forcing = lam[:, None] * control.coefficients[None, :] * B[:table.N, :]
-    Kp = duhamel_position(lam, lam_signed, T)
-    Kv = duhamel_velocity(lam, lam_signed, T)
+    Kp = duhamel_position(lam, lams, T)
+    Kv = duhamel_velocity(lam, lams, T)
     cosT, sinT = np.cos(lam * T), np.sin(lam * T)
     final_p = (problem.position0 * cosT + problem.velocity0 * sinT / lam
                - np.sum(forcing * Kp, axis=1))

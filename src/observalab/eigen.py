@@ -20,6 +20,9 @@ EIGEN_RESIDUAL_GATE = 1e-8
 
 
 def _check_hermitian(a: np.ndarray, tol: float = 1e-10) -> None:
+    # NaN would slip through the deviation test below (nan > tol is False)
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("solver input has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))
     scale = max(1.0, float(np.max(np.abs(a))))
     if dev > tol * scale:
@@ -39,8 +42,6 @@ def jacobi_eigh(matrix: np.ndarray,
     n = a.shape[0]
     if a.shape != (n, n):
         raise NumericalError("eigensolver expects a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("eigensolver input has non-finite entries")
     _check_hermitian(a)
     try:
         if need_vectors:
@@ -84,7 +85,8 @@ def pcg_solve(a: np.ndarray, b: np.ndarray, rtol: float = 1e-10,
     """Jacobi-preconditioned conjugate gradients for Hermitian PD systems.
 
     Returns (x, info) with info = {iterations, rel_residual}.  Raises
-    NumericalError on stagnation, attaching a condition-number estimate.
+    NumericalError for a non-finite or non-Hermitian matrix before iterating,
+    and on stagnation, attaching a condition-number estimate.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -20,8 +20,6 @@ import numpy as np
 
 from .config import ConfigurationError
 
-_BOUNDARY_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
@@ -45,43 +43,6 @@ class DomainSpec:
     def key(self) -> str:
         par = ",".join(f"{p:.17g}" for p in self.params)
         return f"{self.kind}:{par}"
-
-    def normal_at(self, points: np.ndarray) -> np.ndarray:
-        """Outward unit normal at boundary points (classified by coordinates)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scale = max(self.R, 1.0)
-        if self.kind == "interval":
-            (L,) = self.params
-            nu = np.zeros_like(pts)
-            left = np.abs(pts[:, 0]) <= _BOUNDARY_TOL * scale
-            right = np.abs(pts[:, 0] - L) <= _BOUNDARY_TOL * scale
-            if not np.all(left | right):
-                raise ConfigurationError("point is not on the interval boundary")
-            nu[left, 0] = -1.0
-            nu[right, 0] = 1.0
-            return nu
-        if self.kind == "rectangle":
-            a, b = self.params
-            nu = np.zeros_like(pts)
-            tol = _BOUNDARY_TOL * scale
-            on_x0 = np.abs(pts[:, 0]) <= tol
-            on_x1 = np.abs(pts[:, 0] - a) <= tol
-            on_y0 = np.abs(pts[:, 1]) <= tol
-            on_y1 = np.abs(pts[:, 1] - b) <= tol
-            if not np.all(on_x0 | on_x1 | on_y0 | on_y1):
-                raise ConfigurationError("point is not on the rectangle boundary")
-            # corners resolve to the face listed first; they carry no measure
-            nu[on_y0] = (0.0, -1.0)
-            nu[on_y1] = (0.0, 1.0)
-            nu[on_x0] = (-1.0, 0.0)
-            nu[on_x1] = (1.0, 0.0)
-            return nu
-        (rho,) = self.params
-        rel = pts - self.x0
-        r = np.linalg.norm(rel, axis=1)
-        if np.any(np.abs(r - rho) > _BOUNDARY_TOL * scale):
-            raise ConfigurationError("point is not on the disk boundary")
-        return rel / r[:, None]
 
     def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

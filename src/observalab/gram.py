@@ -3,11 +3,11 @@
 The signed family { psi_n(x) e^{i lam_n t} : n = +-1..+-N } spans a subspace
 of L^2(boundary x [0,T]).  Its Gram matrix factors as
 
-    G_{jk} = time_overlap(lam_j, lam_k, T) * B_{jk},
+    G_{jk} = integral_0^T e^{i (lam_j - lam_k) t} dt * B_{jk},
     B_{jk} = integral_boundary psi_j psi_k dS,
 
-so assembly is a boundary quadrature (closed forms cross-check it on the
-interval and rectangle) Hadamard-multiplied with an analytic time integral.
+so assembly is a boundary quadrature (closed forms cross-check it on all
+three geometries) Hadamard-multiplied with an analytic time integral.
 The certified lower bound is lambda_min(G) >= 2(T - 2R)/C_Omega whenever
 T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
 
@@ -28,17 +28,11 @@ from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
 
 
-def time_overlap(lam_j: float, lam_k: float, T: float) -> complex:
-    """integral_0^T e^{i (lam_j - lam_k) t} dt, with the coincidence limit."""
+def time_overlap_matrix(lams: np.ndarray, T: float) -> np.ndarray:
+    """integral_0^T e^{i (lam_j - lam_k) t} dt for every pair, with the
+    coincidence limit T where the frequencies agree."""
     if T <= 0:
         raise ConfigurationError("time horizon must be positive")
-    delta = lam_j - lam_k
-    if abs(delta) < 1e-12:
-        return complex(T)
-    return (np.exp(1j * delta * T) - 1.0) / (1j * delta)
-
-
-def time_overlap_matrix(lams: np.ndarray, T: float) -> np.ndarray:
     delta = lams[:, None] - lams[None, :]
     small = np.abs(delta) < 1e-12
     safe = np.where(small, 1.0, delta)
@@ -53,8 +47,13 @@ def boundary_trace_gram(table: ModeTable, brule: QuadratureRule) -> np.ndarray:
     return (psi * brule.weights) @ psi.T
 
 
-def boundary_trace_gram_closed(table: ModeTable) -> np.ndarray | None:
-    """Closed-form B for separable geometries; None on the disk."""
+def boundary_trace_gram_closed(table: ModeTable) -> np.ndarray:
+    """Closed-form B on all three geometries.
+
+    On the disk psi_n = sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho
+    {cos, sin}(m theta) on the boundary circle, and J_m'(j_{m,k}) has the
+    sign (-1)^k, so B couples only modes of equal order and branch.
+    """
     dom = table.domain
     N = table.N
     if dom.kind == "interval":
@@ -75,9 +74,11 @@ def boundary_trace_gram_closed(table: ModeTable) -> np.ndarray | None:
             + (2.0 * np.pi**2 / b**3) * q[:, None] * q[None, :] * par_q * same_p
         pos /= lam[:, None] * lam[None, :]
     else:
-        return None
-    block = np.block([[pos, -pos], [-pos, pos]])
-    return block
+        (rho,) = dom.params
+        m, k, branch = np.array([mode.multi_index for mode in table.modes]).T
+        same = (m[:, None] == m[None, :]) & (branch[:, None] == branch[None, :])
+        pos = (2.0 / rho) * (-1.0) ** (k[:, None] + k[None, :]) * same
+    return np.block([[pos, -pos], [-pos, pos]])
 
 
 @dataclass(eq=False)
@@ -127,20 +128,18 @@ class GramMatrix:
 
 def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
                               T: float, cross_check: bool = True) -> GramMatrix:
-    """G = time_overlap (Hadamard) B for the pure exponential family.
+    """G = time overlap (Hadamard) B for the pure exponential family.
 
-    On the interval and rectangle the boundary factor B is also computed in
-    closed form; the two paths must agree to 1e-8 or assembly aborts.
+    The boundary factor B is also computed in closed form; the two paths
+    must agree to 1e-8 or assembly aborts.
     """
     B = boundary_trace_gram(table, brule)
     if cross_check:
-        closed = boundary_trace_gram_closed(table)
-        if closed is not None:
-            dev = float(np.max(np.abs(B - closed)))
-            if dev > 1e-8:
-                raise NumericalError(
-                    f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
-                )
+        dev = float(np.max(np.abs(B - boundary_trace_gram_closed(table))))
+        if dev > 1e-8:
+            raise NumericalError(
+                f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
+            )
     lams = table.lambdas_signed()
     G = time_overlap_matrix(lams, T) * B
     return GramMatrix(G, T, table.N, "analytic-time")

@@ -11,7 +11,13 @@ For each geometry the eigenfunctions phi_k are closed-form:
 
 Signed indices extend the positive family: lambda_{-n} = -lambda_n and the
 normalized boundary trace psi_n = (1/lambda_n) dphi_{|n|}/dnu flips sign,
-psi_{-n} = -psi_n.  Evaluators are vectorized over point arrays and pure.
+psi_{-n} = -psi_n.
+
+ModeTable has three pure evaluators, each over all N modes at once:
+phi_matrix (N, k) and grad_phi_matrix (N, k, d) at interior points, and
+psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
+with the mirror rows appended.  On the interval and rectangle they broadcast
+over the multi-index; on the disk they evaluate J_m (and J_m') once per mode.
 """
 
 from __future__ import annotations
@@ -40,9 +46,9 @@ class Mode:
 class ModeTable:
     """The N smallest-frequency Dirichlet modes of a model domain.
 
-    Provides vectorized evaluators for phi (interior), grad phi, and the
-    signed boundary traces psi_n.  Immutable after construction; safe to
-    share across workers.
+    Evaluates phi, grad phi and the signed boundary traces psi_n for the
+    whole table at once.  Immutable after construction; safe to share
+    across workers.
     """
 
     def __init__(self, domain: DomainSpec, modes: list[Mode],
@@ -53,43 +59,85 @@ class ModeTable:
         self.lambdas = np.array([m.lam for m in modes])
         self._zeros = zero_table
 
-    # -- index bookkeeping -------------------------------------------------
-
-    def signed_indices(self) -> np.ndarray:
-        """All 2N signed indices, negatives first mirror: [-N..-1, 1..N]... in
-        the fixed order [1..N, -1..-N] used by every matrix in the package."""
-        n = np.arange(1, self.N + 1)
-        return np.concatenate([n, -n])
-
-    def lam_signed(self, n: int) -> float:
-        self._check_index(n)
-        return float(np.sign(n) * self.lambdas[abs(n) - 1])
-
     def lambdas_signed(self) -> np.ndarray:
+        """Frequencies on the signed index order [1..N, -1..-N]."""
         return np.concatenate([self.lambdas, -self.lambdas])
 
-    def _check_index(self, n: int) -> None:
-        if n == 0 or abs(n) > self.N:
-            raise ConfigurationError(f"signed index {n} outside table (N={self.N})")
-
-    # -- interior evaluators -----------------------------------------------
-
-    def eval_phi(self, n: int, points: np.ndarray) -> np.ndarray:
-        """phi_{|n|} at interior points (independent of the sign of n)."""
-        self._check_index(n)
-        pts = self._interior_points(points)
-        return self._phi(self.modes[abs(n) - 1], pts)
-
-    def eval_grad_phi(self, n: int, points: np.ndarray) -> np.ndarray:
-        """Analytic gradient of phi_{|n|}, shape (k, d)."""
-        self._check_index(n)
-        pts = self._interior_points(points)
-        return self._grad_phi(self.modes[abs(n) - 1], pts)
+    # -- whole-table evaluators ----------------------------------------------
 
     def phi_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Stack of phi_k over all positive modes, shape (N, k)."""
+        """phi_n for every mode at the points, shape (N, k)."""
         pts = self._interior_points(points)
-        return np.vstack([self._phi(m, pts) for m in self.modes])
+        norm = np.array([m.norm_const for m in self.modes])
+        kind = self.domain.kind
+        if kind == "interval":
+            (L,) = self.domain.params
+            k = self._index_column(0)
+            return norm[:, None] * np.sin(k * np.pi * pts[:, 0] / L)
+        if kind == "rectangle":
+            a, b = self.domain.params
+            p, q = self._index_column(0), self._index_column(1)
+            return (norm[:, None]
+                    * np.sin(p * np.pi * pts[:, 0] / a)
+                    * np.sin(q * np.pi * pts[:, 1] / b))
+        r, theta = self._polar(pts)
+        out = np.empty((self.N, len(pts)))
+        for i, mode in enumerate(self.modes):
+            m, _, branch = mode.multi_index
+            angular = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
+            out[i] = norm[i] * bessel.bessel_j(m, mode.lam * r) * angular
+        return out
+
+    def grad_phi_matrix(self, points: np.ndarray) -> np.ndarray:
+        """Analytic gradients of every phi_n at the points, shape (N, k, d)."""
+        pts = self._interior_points(points)
+        norm = np.array([m.norm_const for m in self.modes])
+        kind = self.domain.kind
+        if kind == "interval":
+            (L,) = self.domain.params
+            k = self._index_column(0)
+            g = (norm[:, None] * (k * np.pi / L)) * np.cos(k * np.pi * pts[:, 0] / L)
+            return g[:, :, None]
+        if kind == "rectangle":
+            a, b = self.domain.params
+            p, q = self._index_column(0), self._index_column(1)
+            sx = np.sin(p * np.pi * pts[:, 0] / a)
+            cx = np.cos(p * np.pi * pts[:, 0] / a)
+            sy = np.sin(q * np.pi * pts[:, 1] / b)
+            cy = np.cos(q * np.pi * pts[:, 1] / b)
+            gx = (norm[:, None] * (p * np.pi / a)) * cx * sy
+            gy = (norm[:, None] * (q * np.pi / b)) * sx * cy
+            return np.stack([gx, gy], axis=-1)
+        r, theta = self._polar(pts)
+        safe_r = np.where(r > 1e-300, r, 1.0)
+        ct, st = np.cos(theta), np.sin(theta)
+        out = np.empty((self.N, len(pts), 2))
+        for i, mode in enumerate(self.modes):
+            m, _, branch = mode.multi_index
+            jm = bessel.bessel_j(m, mode.lam * r)
+            jmp = bessel.bessel_jp(m, mode.lam * r)
+            ang = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
+            dang = -m * np.sin(m * theta) if branch == _COS else m * np.cos(m * theta)
+            dr = norm[i] * mode.lam * jmp * ang
+            dth_over_r = norm[i] * jm * dang / safe_r
+            if m >= 1:
+                # at the center J_m(0)=0 so the angular term is 0/0; its limit is
+                # finite only for m=1 and the quadrature never samples r=0 exactly
+                dth_over_r = np.where(r > 1e-300, dth_over_r, 0.0)
+            out[i, :, 0] = dr * ct - dth_over_r * st
+            out[i, :, 1] = dr * st + dth_over_r * ct
+        return out
+
+    def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
+        """Signed traces on a boundary rule, shape (2N, k): rows follow the
+        order [1..N, -1..-N], so row N+j is the mirror of row j."""
+        grad = self.grad_phi_matrix(rule.nodes)
+        pos = np.sum(grad * rule.normals, axis=2) / self.lambdas[:, None]
+        return np.vstack([pos, -pos])
+
+    def _index_column(self, c: int) -> np.ndarray:
+        """Column c of the multi-indices as an (N, 1) array."""
+        return np.array([[m.multi_index[c]] for m in self.modes])
 
     def _interior_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -101,77 +149,9 @@ class ModeTable:
             raise ConfigurationError("point outside the closure of the domain")
         return pts
 
-    def _phi(self, mode: Mode, pts: np.ndarray) -> np.ndarray:
-        kind = self.domain.kind
-        if kind == "interval":
-            (L,) = self.domain.params
-            (k,) = mode.multi_index
-            return mode.norm_const * np.sin(k * np.pi * pts[:, 0] / L)
-        if kind == "rectangle":
-            a, b = self.domain.params
-            p, q = mode.multi_index
-            return (
-                mode.norm_const
-                * np.sin(p * np.pi * pts[:, 0] / a)
-                * np.sin(q * np.pi * pts[:, 1] / b)
-            )
-        m, _, branch = mode.multi_index
-        r, theta = self._polar(pts)
-        radial = bessel.bessel_j(m, mode.lam * r)
-        angular = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
-        return mode.norm_const * radial * angular
-
-    def _grad_phi(self, mode: Mode, pts: np.ndarray) -> np.ndarray:
-        kind = self.domain.kind
-        if kind == "interval":
-            (L,) = self.domain.params
-            (k,) = mode.multi_index
-            g = mode.norm_const * (k * np.pi / L) * np.cos(k * np.pi * pts[:, 0] / L)
-            return g[:, None]
-        if kind == "rectangle":
-            a, b = self.domain.params
-            p, q = mode.multi_index
-            sx = np.sin(p * np.pi * pts[:, 0] / a)
-            cx = np.cos(p * np.pi * pts[:, 0] / a)
-            sy = np.sin(q * np.pi * pts[:, 1] / b)
-            cy = np.cos(q * np.pi * pts[:, 1] / b)
-            gx = mode.norm_const * (p * np.pi / a) * cx * sy
-            gy = mode.norm_const * (q * np.pi / b) * sx * cy
-            return np.column_stack([gx, gy])
-        m, _, branch = mode.multi_index
-        r, theta = self._polar(pts)
-        safe_r = np.where(r > 1e-300, r, 1.0)
-        jm = bessel.bessel_j(m, mode.lam * r)
-        jmp = bessel.bessel_jp(m, mode.lam * r)
-        ang = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
-        dang = -m * np.sin(m * theta) if branch == _COS else m * np.cos(m * theta)
-        dr = mode.norm_const * mode.lam * jmp * ang
-        dth_over_r = mode.norm_const * jm * dang / safe_r
-        if m >= 1:
-            # at the center J_m(0)=0 so the angular term is 0/0; its limit is
-            # finite only for m=1 and the quadrature never samples r=0 exactly
-            dth_over_r = np.where(r > 1e-300, dth_over_r, 0.0)
-        ct, st = np.cos(theta), np.sin(theta)
-        gx = dr * ct - dth_over_r * st
-        gy = dr * st + dth_over_r * ct
-        return np.column_stack([gx, gy])
-
     def _polar(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rel = pts - self.domain.x0
         return np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])
-
-    # -- boundary traces -----------------------------------------------------
-
-    def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
-        """Signed trace stack on a boundary rule, shape (2N, k): rows follow
-        signed_indices() order, so row N+j is the mirror of row j."""
-        pos = np.vstack(
-            [
-                np.sum(self._grad_phi(m, rule.nodes) * rule.normals, axis=1) / m.lam
-                for m in self.modes
-            ]
-        )
-        return np.vstack([pos, -pos])
 
     # -- serialization -------------------------------------------------------
 

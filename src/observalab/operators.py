@@ -1,9 +1,8 @@
-"""Multiplier vector fields and the interior/boundary identity suite.
+"""The radial multiplier and the interior/boundary identity suite.
 
-Two first-order operators act on the eigenfunctions: the radial multiplier
-(x - x0) . grad and an auxiliary linear field alpha . grad whose normal trace
-is constant (= 2) on the boundary.  The identities certified here connect
-boundary traces of eigenfunction pairs to interior pairings:
+The multiplier m(x) = x - x0 acts on the eigenfunctions as the first-order
+operator A = m . grad.  The identities certified here connect boundary
+traces of eigenfunction pairs to interior pairings:
 
 * a Rellich-type pairing: the (m . nu)-weighted boundary product of two
   normalized traces equals 2 on the diagonal, -2 on the mirror diagonal,
@@ -15,7 +14,9 @@ boundary traces of eigenfunction pairs to interior pairings:
 * boundedness of the normalized boundary traces (running-supremum estimate
   of the trace constant over random coefficient draws).
 
-All checks are pure quadrature evaluations returning IdentityReport rows.
+All checks are quadrature evaluations over the whole mode table; the
+Monte-Carlo checks take a (draws, 2N) array of coefficient rows and build
+their basis matrices once for all rows.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _one_sided_report(label: str, lhs: float, rhs: float, slack: float) -> Ident
 
 
 # ----------------------------------------------------------------------
-# multiplier fields
+# the multiplier
 
 
 def multiplier_field(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
@@ -75,95 +76,14 @@ def multiplier_field(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=float) - domain.x0
 
 
-def alpha_field(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
-    """Linear field with constant normal trace 2 on the boundary.
-
-    interval:  4 (x - x0) / L          rectangle: (4 (x1-x01)/a, 4 (x2-x02)/b)
-    disk:      2 (x - x0) / rho
-    Linear in x, so all of its second derivatives vanish.
-    """
-    rel = np.asarray(points, dtype=float) - domain.x0
-    if domain.kind == "interval":
-        return 4.0 * rel / domain.params[0]
-    if domain.kind == "rectangle":
-        a, b = domain.params
-        return rel * np.array([4.0 / a, 4.0 / b])
-    return 2.0 * rel / domain.params[0]
-
-
-@dataclass(eq=False)
-class FieldOperator:
-    """First-order operator u -> field . grad(u) for one of the two fields."""
-
-    kind: str                 # "A" (radial multiplier) or "V" (alpha field)
-    domain: DomainSpec
-
-    def __post_init__(self):
-        if self.kind not in ("A", "V"):
-            raise ConfigurationError(f"unknown field operator kind {self.kind!r}")
-
-    def field(self, points: np.ndarray) -> np.ndarray:
-        if self.kind == "A":
-            return multiplier_field(self.domain, points)
-        return alpha_field(self.domain, points)
-
-    def apply_mode(self, table: ModeTable, n: int, points: np.ndarray) -> np.ndarray:
-        """(field . grad phi_|n|)(points); points must lie in closure(Omega)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if not np.all(self.domain.contains(points, slack=1e-9)):
-            raise ConfigurationError("operator evaluation point outside the closed domain")
-        grad = table.eval_grad_phi(abs(n), points)
-        return np.sum(self.field(points) * grad, axis=1)
-
-    def validate_boundary(self, rule: QuadratureRule) -> float:
-        """For kind V: check field . nu >= 1 on every boundary node.
-
-        Returns the minimal normal component (should be 2 for these fields).
-        """
-        fn = np.sum(self.field(rule.nodes) * rule.normals, axis=1)
-        low = float(np.min(fn))
-        if self.kind == "V" and low < 1.0:
-            raise ConfigurationError(
-                f"auxiliary field has normal trace {low:.6f} < 1 on the boundary"
-            )
-        return low
-
-
-def apply_A_mode(table: ModeTable, n: int, points: np.ndarray) -> np.ndarray:
-    """((x - x0) . grad phi_|n|) at the given points."""
-    return FieldOperator("A", table.domain).apply_mode(table, n, points)
-
-
 # ----------------------------------------------------------------------
 # identity suite
 
 
-def _a_phi_matrix(table: ModeTable, rule: QuadratureRule) -> np.ndarray:
-    """Rows: (m . grad phi_n)(interior nodes) for n = 1..N."""
-    m = multiplier_field(table.domain, rule.nodes)
-    out = np.empty((table.N, len(rule.nodes)))
-    for i, mode in enumerate(table.modes):
-        grad = table.eval_grad_phi(i + 1, rule.nodes)
-        out[i] = np.sum(m * grad, axis=1)
-    return out
-
-
-def boundary_identity_check(table: ModeTable, brule: QuadratureRule,
-                            tol: float = 1e-8) -> list[IdentityReport]:
-    """On the boundary the multiplier image collapses to (m . nu) d_nu phi.
-
-    (The tangential gradient of a Dirichlet eigenfunction vanishes there.)
-    """
-    m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
-    reports = []
-    for n in range(1, table.N + 1):
-        lhs = apply_A_mode(table, n, brule.nodes)
-        grad = table.eval_grad_phi(n, brule.nodes)
-        dnu = np.sum(grad * brule.normals, axis=1)
-        err = float(np.max(np.abs(lhs - m_dot_nu * dnu)))
-        reports.append(IdentityReport(
-            f"boundary_collapse_n={n}", err, 0.0, err, err, tol, err <= tol))
-    return reports
+def _a_phi_matrix(table: ModeTable, points: np.ndarray) -> np.ndarray:
+    """(m . grad phi_n)(points) for n = 1..N, shape (N, k)."""
+    m = multiplier_field(table.domain, points)
+    return np.einsum("kd,nkd->nk", m, table.grad_phi_matrix(points))
 
 
 def rellich_suite(table: ModeTable, irule: QuadratureRule,
@@ -176,7 +96,7 @@ def rellich_suite(table: ModeTable, irule: QuadratureRule,
     m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
     psi = table.psi_matrix(brule)[:nmax]
     lhs_pos = (psi * (m_dot_nu * brule.weights)) @ psi.T          # (nmax, nmax)
-    aphi = _a_phi_matrix(table, irule)[:nmax]
+    aphi = _a_phi_matrix(table, irule.nodes)[:nmax]
     phi = table.phi_matrix(irule.nodes)[:nmax]
     pairing = (aphi * irule.weights) @ phi.T                       # P_jk = <A phi_j, phi_k>
     lam = table.lambdas[:nmax]
@@ -203,7 +123,7 @@ def antisymmetry_suite(table: ModeTable, irule: QuadratureRule,
                        tol: float = 1e-8) -> list[IdentityReport]:
     """Pairing antisymmetry off the diagonal and value -d/2 on it."""
     nmax = table.N if max_index is None else min(max_index, table.N)
-    aphi = _a_phi_matrix(table, irule)[:nmax]
+    aphi = _a_phi_matrix(table, irule.nodes)[:nmax]
     phi = table.phi_matrix(irule.nodes)[:nmax]
     pairing = (aphi * irule.weights) @ phi.T
     d = table.domain.dim
@@ -220,48 +140,67 @@ def antisymmetry_suite(table: ModeTable, irule: QuadratureRule,
     return reports
 
 
+def complex_gaussian_rows(rng: np.random.Generator, rows: int,
+                          size: int) -> np.ndarray:
+    """Rows of standard complex Gaussians, shape (rows, size).
+
+    Each row draws its real part, then its imaginary part, so the stream
+    matches calling rng.normal(size=size) twice per row.
+    """
+    z = rng.normal(size=(rows, 2, size))
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def quasi_orthogonality_check(table: ModeTable, irule: QuadratureRule,
                               u: np.ndarray, slack: float = 1e-8,
-                              label: str = "quasi_orth") -> IdentityReport:
+                              label: str = "quasi_orth") -> list[IdentityReport]:
     """Interior energy of the lambda-normalized multiplier combination.
 
-    u is a complex vector on the signed index order [1..N, -1..-N].
+    u holds complex coefficient rows on the signed index order
+    [1..N, -1..-N], shape (draws, 2N).  For each row
     lhs = integral |sum_j u_j (A phi_|j|) / lam_j|^2  (signed lam)
     rhs = R^2 * (sum |u_j|^2 - sum u_j conj(u_{-j}))
-    The inequality lhs <= rhs is certified with additive slack.
+    and lhs <= rhs is certified with additive slack.  The lhs is the
+    quadratic form c^H M c with c_n = (u_n - u_{-n}) / lam_n and the
+    quadrature Gram M of the multiplier images.  Row i is labelled
+    f"{label}_{i}".
     """
     u = np.asarray(u, dtype=complex)
     N = table.N
-    if u.shape != (2 * N,):
-        raise ConfigurationError(f"coefficient vector must have length {2 * N}")
-    aphi = _a_phi_matrix(table, irule)
-    coeff = (u[:N] - u[N:]) / table.lambdas       # (u_n - u_{-n}) / lam_n
-    g = coeff @ aphi
-    lhs = float(irule.integrate(np.abs(g) ** 2))
-    mirror = np.concatenate([u[N:], u[:N]])
-    rhs = table.domain.R ** 2 * float(np.sum(np.abs(u) ** 2)
-                                      - np.real(np.sum(u * np.conj(mirror))))
-    return _one_sided_report(label, lhs, rhs, slack)
+    if u.ndim != 2 or u.shape[1] != 2 * N:
+        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * N})")
+    aphi = _a_phi_matrix(table, irule.nodes)
+    M = (aphi * irule.weights) @ aphi.T
+    c = (u[:, :N] - u[:, N:]) / table.lambdas     # (u_n - u_{-n}) / lam_n
+    lhs = np.real(np.sum(np.conj(c) * (c @ M), axis=1))
+    mirror = np.concatenate([u[:, N:], u[:, :N]], axis=1)
+    rhs = table.domain.R ** 2 * (np.sum(np.abs(u) ** 2, axis=1)
+                                 - np.real(np.sum(u * np.conj(mirror), axis=1)))
+    return [_one_sided_report(f"{label}_{i}", float(lhs[i]), float(rhs[i]), slack)
+            for i in range(len(u))]
 
 
-def psib_ratio(table: ModeTable, brule: QuadratureRule, a: np.ndarray) -> float:
-    """Normalized boundary energy of a signed trace combination.
+def psib_ratio(table: ModeTable, brule: QuadratureRule, a: np.ndarray) -> np.ndarray:
+    """Normalized boundary energy of signed trace combinations, one per row.
 
+    For each row a of the (rows, 2N) array
     ratio = integral_boundary |sum a_n psi_n|^2 dS
-            / ( (sum |a_n|^2)^{1/2} (sum |lam_n a_n|^2)^{1/2} )
-
-    Scale-invariant; its supremum over coefficient draws estimates the
-    boundary trace constant of the system.
+            / ( (sum |a_n|^2)^{1/2} (sum |lam_n a_n|^2)^{1/2} ).
+    The numerator integrates the sampled field, not a quadratic form of the
+    boundary Gram: the traces are linearly dependent (psi_{-n} = -psi_n),
+    so that form would lose the relative accuracy of a nearly cancelling
+    combination.  Scale-invariant; its supremum over coefficient draws
+    estimates the boundary trace constant of the system.
     """
     a = np.asarray(a, dtype=complex)
-    norm0 = float(np.sum(np.abs(a) ** 2))
-    if norm0 == 0.0:
+    if a.ndim != 2 or a.shape[1] != 2 * table.N:
+        raise ConfigurationError(f"coefficient rows must have shape (rows, {2 * table.N})")
+    norm0 = np.sum(np.abs(a) ** 2, axis=1)
+    if np.any(norm0 == 0.0):
         raise ConfigurationError("trace ratio undefined for the zero vector")
-    psi = table.psi_matrix(brule)
-    field = a @ psi.astype(complex)
-    num = float(brule.integrate(np.abs(field) ** 2))
-    lam = np.abs(table.lambdas_signed())
-    norm1 = float(np.sum(np.abs(lam * a) ** 2))
+    field = a @ table.psi_matrix(brule)
+    num = brule.integrate(np.abs(field) ** 2)
+    norm1 = np.sum(np.abs(table.lambdas_signed() * a) ** 2, axis=1)
     return num / np.sqrt(norm0 * norm1)
 
 
@@ -274,14 +213,7 @@ def estimate_trace_constant(table: ModeTable, brule: QuadratureRule,
     mode frequency), so scanning them keeps the estimate from undershooting
     the supremum when random draws spread mass across many modes.
     """
-    sup = 0.0
-    samples = np.empty(draws)
-    for i in range(draws):
-        a = rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
-        samples[i] = psib_ratio(table, brule, a)
-        sup = max(sup, samples[i])
-    for m in range(2 * table.N):
-        basis = np.zeros(2 * table.N)
-        basis[m] = 1.0
-        sup = max(sup, psib_ratio(table, brule, basis))
+    samples = psib_ratio(table, brule, complex_gaussian_rows(rng, draws, 2 * table.N))
+    single = psib_ratio(table, brule, np.eye(2 * table.N))
+    sup = float(max(np.max(samples, initial=0.0), np.max(single)))
     return {"sup": sup, "samples": samples, "draws": draws, "N": table.N}

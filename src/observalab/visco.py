@@ -633,14 +633,10 @@ def shifted_reference_factors(lams_signed: np.ndarray, gamma: complex,
     return np.exp(gamma * base)[None, :] * np.exp(1j * np.outer(lams_signed, base))
 
 
-def _signed_lambdas(table: ModeTable) -> np.ndarray:
-    return np.concatenate([table.lambdas, -table.lambdas])
-
-
 def shifted_system_bounds(table: ModeTable, brule: QuadratureRule,
                           gamma: complex, tgrid: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of the shifted-exponential trace Gram."""
-    refs = shifted_reference_factors(_signed_lambdas(table), gamma, tgrid)
+    refs = shifted_reference_factors(table.lambdas_signed(), gamma, tgrid)
     E = sampled_gram_matrix(table, brule, refs, tgrid)
     evals, _ = jacobi_eigh(E, need_vectors=False)
     return float(evals[0]), float(evals[-1])
@@ -670,7 +666,7 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, solutions,
     flattering q.
     """
     tgrid = _shared_grid(solutions)
-    lams_signed = _signed_lambdas(table)
+    lams_signed = table.lambdas_signed()
     Z = signed_time_factors(solutions, table)
     refs = shifted_reference_factors(lams_signed, gamma, tgrid)
     diff = Z - refs

@@ -67,11 +67,15 @@ def ode_solutions(lam: float, T: float, t) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), np.sin(theta)
 
 
+def _check_fits(table: ModeTable, state: WaveState) -> None:
+    if state.N > table.N:
+        raise ConfigurationError("state has more modes than the table")
+
+
 def evolve_wave(table: ModeTable, state: WaveState, T: float, t: float,
                 points: np.ndarray) -> np.ndarray:
     """w(x, t) by eigenexpansion (exact in time)."""
-    if state.N > table.N:
-        raise ConfigurationError("state has more modes than the table")
+    _check_fits(table, state)
     theta = table.lambdas[: state.N] * (T - t)
     weights = (state.xi_tilde * np.cos(theta) - state.eta * np.sin(theta)) \
         / table.lambdas[: state.N]
@@ -82,6 +86,7 @@ def evolve_wave(table: ModeTable, state: WaveState, T: float, t: float,
 def evolve_wave_dt(table: ModeTable, state: WaveState, T: float, t: float,
                    points: np.ndarray) -> np.ndarray:
     """Time derivative of the evolved wave."""
+    _check_fits(table, state)
     theta = table.lambdas[: state.N] * (T - t)
     weights = state.xi_tilde * np.sin(theta) + state.eta * np.cos(theta)
     phi = table.phi_matrix(points)[: state.N]
@@ -104,10 +109,9 @@ def quadrature_energy(table: ModeTable, irule: QuadratureRule,
     Independent of the coefficient shortcut; used to certify the energy
     convention on WaveState.
     """
-    grad = np.zeros((len(irule.nodes), table.domain.dim), dtype=complex)
-    for n in range(1, state.N + 1):
-        grad += (state.xi_tilde[n - 1] / table.lambdas[n - 1]) \
-            * table.eval_grad_phi(n, irule.nodes).astype(complex)
+    _check_fits(table, state)
+    coeff = state.xi_tilde / table.lambdas[: state.N]
+    grad = np.einsum("n,nkd->kd", coeff, table.grad_phi_matrix(irule.nodes)[: state.N])
     vel = evolve_wave_dt(table, state, T, T, irule.nodes)
     dens = np.sum(np.abs(grad) ** 2, axis=1) + np.abs(vel) ** 2
     return float(irule.integrate(dens))
@@ -183,8 +187,8 @@ def boundary_flux(table: ModeTable, brule: QuadratureRule, state: WaveState,
         tgrid = default_time_grid(T, lam_max)
     dt = _check_nyquist(tgrid, lam_max)
     a = coeffs_to_a(state)
-    lams = np.concatenate([table.lambdas[: state.N], -table.lambdas[: state.N]])
     idx = np.concatenate([np.arange(state.N), table.N + np.arange(state.N)])
+    lams = table.lambdas_signed()[idx]
     psi = table.psi_matrix(brule)[idx]
     phases = np.exp(1j * np.outer(lams, tgrid))
     samples = psi.T.astype(complex) @ (a[:, None] * phases)

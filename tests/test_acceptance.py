@@ -69,9 +69,11 @@ def test_criterion_01_rellich_identities_three_geometries(geometries):
 def test_criterion_02_quasi_orthogonality_and_antisymmetry(geometries):
     for kind, (dom, table, brule, irule) in geometries.items():
         rng = np.random.default_rng(101)
-        for i in range(200):
-            u = rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
-            rep = quasi_orthogonality_check(table, irule, u, slack=1e-8)
+        u = np.array([rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
+                      for _ in range(200)])
+        reports = quasi_orthogonality_check(table, irule, u, slack=1e-8)
+        assert len(reports) == 200, kind
+        for i, rep in enumerate(reports):
             assert rep.passed, f"{kind} draw {i}: {rep.lhs} > {rep.rhs} + 1e-8"
         anti = antisymmetry_suite(table, irule, max_index=15, tol=1e-8)
         bad = [r for r in anti if not r.passed]

@@ -9,6 +9,7 @@ from observalab import cli
 from observalab.bessel import bessel_zero
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
 from observalab.geometry import disk, interval
+from observalab.modes import ModeTable
 from observalab.reports import strip_timestamp
 
 
@@ -82,6 +83,29 @@ def test_full_pipeline_interval_exit_zero(tmp_path):
     for exp in observe["experiments"]:
         errors = exp["flux_gram_rel_errors"]
         assert len(errors) == 3 and max(errors) <= 1e-6
+
+
+def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
+    """verify-identities evaluates grad phi a fixed number of times, however
+    many quasi-orthogonality draws it certifies."""
+    calls = []
+    original = ModeTable.grad_phi_matrix
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(ModeTable, "grad_phi_matrix", counted)
+    counts = {}
+    for draws in (1, 50):
+        run_dir = tmp_path / f"draws{draws}"
+        run_dir.mkdir()
+        cfg = _write_config(run_dir, N=4, draws=draws,
+                            domain={"kind": "disk", "radius": 1.0})
+        calls.clear()
+        assert _run("verify-identities", "--config", str(cfg)) == 0
+        counts[draws] = len(calls)
+    assert counts[1] == counts[50] > 0
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):

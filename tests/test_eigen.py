@@ -68,6 +68,11 @@ def test_rejects_non_finite(bad, need_vectors):
     a[0, 2] = a[2, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
         jacobi_eigh(a, need_vectors=need_vectors)
+    # PCG shares the input check, so it fails before its first iteration
+    a = 2.0 * np.eye(2, dtype=complex)
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        pcg_solve(a, np.ones(2))
 
 
 _entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)

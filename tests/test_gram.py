@@ -17,11 +17,13 @@ def _setup(dom, N, q=32):
 # ---------------------------------------------------------------- time factor
 
 def test_time_overlap_coincident():
-    assert gr.time_overlap(3.7, 3.7, 2.5) == 2.5
+    M = gr.time_overlap_matrix(np.array([3.7, 3.7]), 2.5)
+    assert np.all(M == 2.5)
 
 
 def test_time_overlap_full_period():
-    assert abs(gr.time_overlap(1.0, -1.0, np.pi)) < 1e-14
+    M = gr.time_overlap_matrix(np.array([1.0, -1.0]), np.pi)
+    assert abs(M[0, 1]) < 1e-14 and abs(M[1, 0]) < 1e-14
 
 
 def test_time_overlap_against_simpson():
@@ -30,15 +32,25 @@ def test_time_overlap_against_simpson():
     t = np.linspace(0, T, 20001)
     vals = np.exp(1j * (lj - lk) * t)
     w = gr.simpson_weights(len(t), t[1] - t[0])
-    assert abs(np.sum(w * vals) - gr.time_overlap(lj, lk, T)) < 1e-10
+    M = gr.time_overlap_matrix(np.array([lj, lk]), T)
+    assert abs(np.sum(w * vals) - M[0, 1]) < 1e-10
 
 
 def test_time_overlap_matrix_consistent():
+    """Hermitian, T on the diagonal, the closed form off it."""
     lams = np.array([1.0, 2.0, -1.0, -2.0])
-    M = gr.time_overlap_matrix(lams, 1.7)
-    for i, lj in enumerate(lams):
-        for k, lk in enumerate(lams):
-            assert M[i, k] == pytest.approx(gr.time_overlap(lj, lk, 1.7), abs=1e-14)
+    T = 1.7
+    M = gr.time_overlap_matrix(lams, T)
+    assert np.allclose(M, M.conj().T, atol=1e-15)
+    assert np.all(np.diagonal(M) == T)
+    delta = lams[0] - lams[3]
+    assert M[0, 3] == pytest.approx((np.exp(1j * delta * T) - 1) / (1j * delta), abs=1e-14)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0])
+def test_time_overlap_rejects_non_positive_horizon(T):
+    with pytest.raises(ConfigurationError):
+        gr.time_overlap_matrix(np.array([1.0, 2.0]), T)
 
 
 # ---------------------------------------------------------------- assembly
@@ -67,18 +79,14 @@ def test_gram_is_hermitian_and_psd():
     assert spec["lambda_min"] > -1e-8 * np.real(np.trace(m))
 
 
-@pytest.mark.parametrize("dom", [interval(np.pi), rectangle(np.pi, np.pi / 2)],
-                         ids=lambda d: d.kind)
+@pytest.mark.parametrize("dom", [interval(np.pi), rectangle(np.pi, np.pi / 2),
+                                 disk(1.0), disk(2.3)],
+                         ids=["interval", "rectangle", "disk", "disk-rho2.3"])
 def test_boundary_factor_closed_form_vs_quadrature(dom):
-    table, brule = _setup(dom, 10)
+    table, brule = _setup(dom, 20 if dom.kind == "disk" else 10)
     quad = gr.boundary_trace_gram(table, brule)
     closed = gr.boundary_trace_gram_closed(table)
     assert np.max(np.abs(quad - closed)) < 1e-10
-
-
-def test_disk_has_no_closed_form():
-    table = enumerate_modes(disk(1.0), 3)
-    assert gr.boundary_trace_gram_closed(table) is None
 
 
 def test_quad_form_homogeneity():

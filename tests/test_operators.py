@@ -1,7 +1,12 @@
 """Multiplier operators and the interior/boundary identity suite."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from observalab.config import ConfigurationError
 from observalab.geometry import (
@@ -28,16 +33,16 @@ def _setup(dom, N=10, q=32):
 def test_apply_A_center_of_interval_is_zero():
     dom = interval(np.pi)
     table = enumerate_modes(dom, 3)
-    val = ops.apply_A_mode(table, 1, np.array([[np.pi / 2]]))
-    assert abs(val[0]) < 1e-14
+    val = ops._a_phi_matrix(table, np.array([[np.pi / 2]]))
+    assert np.max(np.abs(val[:, 0])) < 1e-14
 
 
 def test_apply_A_interval_endpoint_closed_form():
     # d/dx of sqrt(2/pi) sin(x) at x=pi is -sqrt(2/pi); m(pi) = pi/2
     dom = interval(np.pi)
     table = enumerate_modes(dom, 3)
-    val = ops.apply_A_mode(table, 1, np.array([[np.pi]]))
-    assert val[0] == pytest.approx(-(np.pi / 2) * np.sqrt(2 / np.pi), rel=1e-12)
+    val = ops._a_phi_matrix(table, np.array([[np.pi]]))
+    assert val[0, 0] == pytest.approx(-(np.pi / 2) * np.sqrt(2 / np.pi), rel=1e-12)
 
 
 def test_apply_A_matches_finite_differences():
@@ -47,29 +52,31 @@ def test_apply_A_matches_finite_differences():
     pts = np.column_stack([rng.uniform(0.05, 0.95, 20), rng.uniform(0.1, 1.9, 20)])
     h = 1e-6
     m = pts - dom.x0
-    for n in [1, 4]:
-        fd = np.zeros(20)
-        for d in range(2):
-            shift = np.zeros(2)
-            shift[d] = h
-            fd += m[:, d] * (table.eval_phi(n, pts + shift)
-                             - table.eval_phi(n, pts - shift)) / (2 * h)
-        assert np.max(np.abs(ops.apply_A_mode(table, n, pts) - fd)) < 1e-7
+    fd = np.zeros((6, 20))
+    for d in range(2):
+        shift = np.zeros(2)
+        shift[d] = h
+        fd += m[:, d] * (table.phi_matrix(pts + shift)
+                         - table.phi_matrix(pts - shift)) / (2 * h)
+    assert np.max(np.abs(ops._a_phi_matrix(table, pts) - fd)) < 1e-7
 
 
 def test_apply_A_rejects_outside_points():
     dom = disk(1.0)
     table = enumerate_modes(dom, 2)
     with pytest.raises(ConfigurationError):
-        ops.apply_A_mode(table, 1, np.array([[1.2, 0.0]]))
+        ops._a_phi_matrix(table, np.array([[1.2, 0.0]]))
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_boundary_collapse(dom):
-    """On the boundary A phi equals (m . nu) times the normal derivative."""
+    """On the boundary A phi equals (m . nu) times the normal derivative:
+    the tangential gradient of a Dirichlet eigenfunction vanishes there."""
     table, _, brule = _setup(dom)
-    for rep in ops.boundary_identity_check(table, brule):
-        assert rep.passed, rep.label
+    m_dot_nu = np.sum(ops.multiplier_field(dom, brule.nodes) * brule.normals, axis=1)
+    d_nu = np.sum(table.grad_phi_matrix(brule.nodes) * brule.normals, axis=2)
+    err = np.abs(ops._a_phi_matrix(table, brule.nodes) - m_dot_nu * d_nu)
+    assert np.max(err) <= 1e-8
 
 
 def _by_label(reports):
@@ -119,18 +126,25 @@ def test_pairing_antisymmetry_and_diagonal(dom):
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_quasi_orthogonality_random_draws(dom):
     table, irule, _ = _setup(dom)
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        u = rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
-        rep = ops.quasi_orthogonality_check(table, irule, u)
+    u = ops.complex_gaussian_rows(np.random.default_rng(17), 20, 2 * table.N)
+    reports = ops.quasi_orthogonality_check(table, irule, u)
+    assert [rep.label for rep in reports] == [f"quasi_orth_{i}" for i in range(20)]
+    for rep in reports:
         assert rep.passed, f"violation {rep.abs_error:.3e}"
+
+
+def test_complex_gaussian_rows_follow_the_per_row_stream():
+    rows = ops.complex_gaussian_rows(np.random.default_rng(4), 5, 6)
+    rng = np.random.default_rng(4)
+    for row in rows:
+        assert np.array_equal(row, rng.normal(size=6) + 1j * rng.normal(size=6))
 
 
 def test_quasi_orthogonality_single_mode():
     table, irule, _ = _setup(interval(np.pi), N=5)
-    u = np.zeros(10, dtype=complex)
-    u[2] = 1.0
-    rep = ops.quasi_orthogonality_check(table, irule, u)
+    u = np.zeros((1, 10), dtype=complex)
+    u[0, 2] = 1.0
+    (rep,) = ops.quasi_orthogonality_check(table, irule, u)
     assert rep.lhs <= table.domain.R ** 2 + 1e-8
     assert rep.rhs == pytest.approx(table.domain.R ** 2)
 
@@ -138,44 +152,81 @@ def test_quasi_orthogonality_single_mode():
 def test_quasi_orthogonality_mirror_cancellation():
     # u_j = u_{-j} real makes the combination vanish identically
     table, irule, _ = _setup(rectangle(1.0, 1.0), N=4)
-    u = np.concatenate([np.ones(4), np.ones(4)]).astype(complex)
-    rep = ops.quasi_orthogonality_check(table, irule, u)
+    u = np.ones((1, 8), dtype=complex)
+    (rep,) = ops.quasi_orthogonality_check(table, irule, u)
     assert abs(rep.rhs) < 1e-12
     assert rep.lhs < 1e-12
-
-
-@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
-def test_alpha_field_normal_trace(dom):
-    brule = boundary_quadrature(dom, q=16, lam_max=5.0)
-    alpha = ops.alpha_field(dom, brule.nodes)
-    trace = np.sum(alpha * brule.normals, axis=1)
-    assert np.allclose(trace, 2.0, atol=1e-12)
-    assert ops.FieldOperator("V", dom).validate_boundary(brule) == pytest.approx(2.0)
 
 
 def test_psib_ratio_single_mode_interval():
     dom = interval(np.pi)
     table, _, brule = _setup(dom, N=6, q=8)
-    for n in [1, 4]:
-        a = np.zeros(12, dtype=complex)
-        a[n - 1] = 1.0
-        ratio = ops.psib_ratio(table, brule, a)
-        assert ratio == pytest.approx((4 / np.pi) / table.lambdas[n - 1], rel=1e-12)
+    ratios = ops.psib_ratio(table, brule, np.eye(12)[[0, 3]])
+    want = (4 / np.pi) / table.lambdas[[0, 3]]
+    assert ratios == pytest.approx(want, rel=1e-12)
 
 
 def test_psib_ratio_scale_invariant():
     table, _, brule = _setup(disk(1.0), N=6)
     rng = np.random.default_rng(3)
     a = rng.normal(size=12) + 1j * rng.normal(size=12)
-    r1 = ops.psib_ratio(table, brule, a)
-    r2 = ops.psib_ratio(table, brule, 7.3j * a)
+    r1, r2 = ops.psib_ratio(table, brule, np.array([a, 7.3j * a]))
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_psib_ratio_rejects_zero():
     table, _, brule = _setup(interval(np.pi), N=2, q=8)
     with pytest.raises(ConfigurationError):
-        ops.psib_ratio(table, brule, np.zeros(4))
+        ops.psib_ratio(table, brule, np.zeros((1, 4)))
+    with pytest.raises(ConfigurationError):
+        ops.psib_ratio(table, brule, np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+
+
+def test_monte_carlo_checks_take_coefficient_rows():
+    table, irule, brule = _setup(interval(np.pi), N=2, q=8)
+    for bad in (np.ones(4), np.ones((2, 3))):
+        with pytest.raises(ConfigurationError):
+            ops.quasi_orthogonality_check(table, irule, bad)
+        with pytest.raises(ConfigurationError):
+            ops.psib_ratio(table, brule, bad)
+
+
+_coefficients = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_setup(kind):
+    dom = {d.kind: d for d in DOMAINS}[kind]
+    return _setup(dom, N=5, q=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from([d.kind for d in DOMAINS]), data=st.data())
+def test_batched_rows_match_the_one_row_formulas(kind, data):
+    """Each row of the batched checks equals its direct quadrature."""
+    table, irule, brule = _small_setup(kind)
+    N = table.N
+    shape = (data.draw(st.integers(1, 4)), 2 * N)
+    u = (data.draw(hnp.arrays(float, shape, elements=_coefficients))
+         + 1j * data.draw(hnp.arrays(float, shape, elements=_coefficients)))
+    aphi = ops._a_phi_matrix(table, irule.nodes)
+    for row, rep in zip(u, ops.quasi_orthogonality_check(table, irule, u)):
+        coeff = (row[:N] - row[N:]) / table.lambdas
+        direct = irule.integrate(np.abs(coeff @ aphi) ** 2)
+        assert abs(rep.lhs - direct) <= 1e-12 * direct
+    if np.any(np.all(u == 0, axis=1)):
+        with pytest.raises(ConfigurationError):
+            ops.psib_ratio(table, brule, u)
+        return
+    psi = table.psi_matrix(brule)
+    lam = np.abs(table.lambdas_signed())
+    for row, ratio in zip(u, ops.psib_ratio(table, brule, u)):
+        norms = np.sqrt(np.sum(np.abs(row) ** 2) * np.sum(np.abs(lam * row) ** 2))
+        direct = brule.integrate(np.abs(row @ psi) ** 2) / norms
+        # the ratio without cancellation between modes; a mirror-symmetric
+        # row cancels to rounding noise, which is all the two may differ by
+        scale = brule.integrate((np.abs(row) @ np.abs(psi)) ** 2) / norms
+        assert abs(ratio - direct) <= 1e-12 * scale
 
 
 def test_trace_constant_estimate_bounded_in_N():

@@ -71,6 +71,18 @@ def test_wave_equation_residual_single_mode():
     assert np.max(np.abs(wtt - lap)) < 1e-4
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda table, irule, state: wv.evolve_wave(table, state, 2.0, 1.0, irule.nodes),
+    lambda table, irule, state: wv.evolve_wave_dt(table, state, 2.0, 1.0, irule.nodes),
+    lambda table, irule, state: wv.quadrature_energy(table, irule, state, 2.0),
+], ids=["evolve_wave", "evolve_wave_dt", "quadrature_energy"])
+def test_evolution_rejects_state_longer_than_table(evaluate):
+    table, irule, _ = _setup(interval(np.pi), 3, q=8)
+    state = wv.random_state(5, np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="more modes"):
+        evaluate(table, irule, state)
+
+
 def test_energy_convention_against_quadrature():
     for dom in [interval(np.pi), rectangle(np.pi, np.pi / 2), disk(1.0)]:
         table, irule, _ = _setup(dom, 8)
