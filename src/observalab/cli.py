@@ -24,8 +24,7 @@ from .config import (CheckFailure, ConfigurationError, NumericalError,
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
-from .operators import (antisymmetry_suite, complex_gaussian_rows,
-                        quasi_orthogonality_check, rellich_suite)
+from .operators import antisymmetry_suite, quasi_orthogonality_draws, rellich_suite
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
                     polynomial_kernel, zero_kernel)
@@ -100,8 +99,7 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
                                   max_index=min(table.N, 15),
                                   tol=config.tol("antisymmetry"))
     rng = np.random.default_rng(config.seed)
-    u = complex_gaussian_rows(rng, config.draws, 2 * table.N)
-    reports += quasi_orthogonality_check(table, irule, u,
+    reports += quasi_orthogonality_draws(table, irule, config.draws, rng,
                                          slack=config.tol("quasi_orthogonality"))
     header = ["label", "lhs", "rhs", "abs_error", "rel_error", "tolerance", "pass"]
     path = write_csv(out / "identities.csv", header, [r.row() for r in reports])

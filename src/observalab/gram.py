@@ -63,16 +63,14 @@ def boundary_trace_gram_closed(table: ModeTable) -> np.ndarray:
         pos = (2.0 / L) * parity
     elif dom.kind == "rectangle":
         a, b = dom.params
-        p = np.array([m.multi_index[0] for m in table.modes], dtype=float)
-        q = np.array([m.multi_index[1] for m in table.modes], dtype=float)
-        lam = table.lambdas
+        p, q = np.array([mode.multi_index for mode in table.modes], dtype=float).T
         same_q = (q[:, None] == q[None, :]).astype(float)
         same_p = (p[:, None] == p[None, :]).astype(float)
         par_p = 1.0 + (-1.0) ** (p[:, None] + p[None, :])
         par_q = 1.0 + (-1.0) ** (q[:, None] + q[None, :])
         pos = (2.0 * np.pi**2 / a**3) * p[:, None] * p[None, :] * par_p * same_q \
             + (2.0 * np.pi**2 / b**3) * q[:, None] * q[None, :] * par_q * same_p
-        pos /= lam[:, None] * lam[None, :]
+        pos /= np.outer(table.lambdas, table.lambdas)
     else:
         (rho,) = dom.params
         m, k, branch = np.array([mode.multi_index for mode in table.modes]).T

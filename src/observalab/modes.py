@@ -68,35 +68,33 @@ class ModeTable:
     def phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """phi_n for every mode at the points, shape (N, k)."""
         pts = self._interior_points(points)
-        norm = np.array([m.norm_const for m in self.modes])
+        norm = np.array([[m.norm_const] for m in self.modes])
         kind = self.domain.kind
         if kind == "interval":
             (L,) = self.domain.params
             k = self._index_column(0)
-            return norm[:, None] * np.sin(k * np.pi * pts[:, 0] / L)
+            return norm * np.sin(k * np.pi * pts[:, 0] / L)
         if kind == "rectangle":
             a, b = self.domain.params
             p, q = self._index_column(0), self._index_column(1)
-            return (norm[:, None]
+            return (norm
                     * np.sin(p * np.pi * pts[:, 0] / a)
                     * np.sin(q * np.pi * pts[:, 1] / b))
         r, theta = self._polar(pts)
-        out = np.empty((self.N, len(pts)))
-        for i, mode in enumerate(self.modes):
-            m, _, branch = mode.multi_index
-            angular = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
-            out[i] = norm[i] * bessel.bessel_j(m, mode.lam * r) * angular
-        return out
+        angular, _ = self._disk_angular(theta)
+        jm = np.array([bessel.bessel_j(mode.multi_index[0], mode.lam * r)
+                       for mode in self.modes])
+        return norm * jm * angular
 
     def grad_phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradients of every phi_n at the points, shape (N, k, d)."""
         pts = self._interior_points(points)
-        norm = np.array([m.norm_const for m in self.modes])
+        norm = np.array([[m.norm_const] for m in self.modes])
         kind = self.domain.kind
         if kind == "interval":
             (L,) = self.domain.params
             k = self._index_column(0)
-            g = (norm[:, None] * (k * np.pi / L)) * np.cos(k * np.pi * pts[:, 0] / L)
+            g = (norm * (k * np.pi / L)) * np.cos(k * np.pi * pts[:, 0] / L)
             return g[:, :, None]
         if kind == "rectangle":
             a, b = self.domain.params
@@ -105,21 +103,20 @@ class ModeTable:
             cx = np.cos(p * np.pi * pts[:, 0] / a)
             sy = np.sin(q * np.pi * pts[:, 1] / b)
             cy = np.cos(q * np.pi * pts[:, 1] / b)
-            gx = (norm[:, None] * (p * np.pi / a)) * cx * sy
-            gy = (norm[:, None] * (q * np.pi / b)) * sx * cy
+            gx = (norm * (p * np.pi / a)) * cx * sy
+            gy = (norm * (q * np.pi / b)) * sx * cy
             return np.stack([gx, gy], axis=-1)
         r, theta = self._polar(pts)
         safe_r = np.where(r > 1e-300, r, 1.0)
         ct, st = np.cos(theta), np.sin(theta)
+        angular, d_angular = self._disk_angular(theta)
         out = np.empty((self.N, len(pts), 2))
         for i, mode in enumerate(self.modes):
-            m, _, branch = mode.multi_index
+            m = mode.multi_index[0]
             jm = bessel.bessel_j(m, mode.lam * r)
             jmp = bessel.bessel_jp(m, mode.lam * r)
-            ang = np.cos(m * theta) if branch == _COS else np.sin(m * theta)
-            dang = -m * np.sin(m * theta) if branch == _COS else m * np.cos(m * theta)
-            dr = norm[i] * mode.lam * jmp * ang
-            dth_over_r = norm[i] * jm * dang / safe_r
+            dr = norm[i, 0] * mode.lam * jmp * angular[i]
+            dth_over_r = norm[i, 0] * jm * d_angular[i] / safe_r
             if m >= 1:
                 # at the center J_m(0)=0 so the angular term is 0/0; its limit is
                 # finite only for m=1 and the quadrature never samples r=0 exactly
@@ -138,6 +135,14 @@ class ModeTable:
     def _index_column(self, c: int) -> np.ndarray:
         """Column c of the multi-indices as an (N, 1) array."""
         return np.array([[m.multi_index[c]] for m in self.modes])
+
+    def _disk_angular(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The disk's angular factor {cos, sin}(m theta) of every mode and its
+        theta-derivative, each (N, k)."""
+        m = self._index_column(0)
+        cos_branch = self._index_column(2) == _COS
+        c, s = np.cos(m * theta), np.sin(m * theta)
+        return np.where(cos_branch, c, s), np.where(cos_branch, -m * s, m * c)
 
     def _interior_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -16,7 +16,8 @@ traces of eigenfunction pairs to interior pairings:
 
 All checks are quadrature evaluations over the whole mode table; the
 Monte-Carlo checks take a (draws, 2N) array of coefficient rows and build
-their basis matrices once for all rows.
+their basis matrices once for all rows; quasi_orthogonality_draws draws
+and checks its rows in fixed-size blocks against one Gram.
 """
 
 from __future__ import annotations
@@ -151,33 +152,56 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int,
     return z[:, 0] + 1j * z[:, 1]
 
 
+_ROW_BLOCK = 256  # rows drawn and checked at once by quasi_orthogonality_draws
+
+
+def _multiplier_image_gram(table: ModeTable, irule: QuadratureRule) -> np.ndarray:
+    aphi = _a_phi_matrix(table, irule.nodes)
+    return (aphi * irule.weights) @ aphi.T
+
+
+def _quasi_orthogonality_reports(table: ModeTable, M: np.ndarray, u: np.ndarray,
+                                 slack: float, first: int) -> list[IdentityReport]:
+    d = u[:, :table.N] - u[:, table.N:]           # u_n - u_{-n}
+    c = d / table.lambdas
+    lhs = np.real(np.sum(np.conj(c) * (c @ M), axis=1))
+    rhs = table.domain.R ** 2 * np.sum(np.abs(d) ** 2, axis=1)
+    return [_one_sided_report(f"quasi_orth_{first + i}", float(lhs[i]), float(rhs[i]), slack)
+            for i in range(len(u))]
+
+
 def quasi_orthogonality_check(table: ModeTable, irule: QuadratureRule,
-                              u: np.ndarray, slack: float = 1e-8,
-                              label: str = "quasi_orth") -> list[IdentityReport]:
+                              u: np.ndarray, slack: float = 1e-8) -> list[IdentityReport]:
     """Interior energy of the lambda-normalized multiplier combination.
 
     u holds complex coefficient rows on the signed index order
     [1..N, -1..-N], shape (draws, 2N).  For each row
     lhs = integral |sum_j u_j (A phi_|j|) / lam_j|^2  (signed lam)
     rhs = R^2 * (sum |u_j|^2 - sum u_j conj(u_{-j}))
+        = R^2 * sum_n |u_n - u_{-n}|^2
     and lhs <= rhs is certified with additive slack.  The lhs is the
     quadratic form c^H M c with c_n = (u_n - u_{-n}) / lam_n and the
     quadrature Gram M of the multiplier images.  Row i is labelled
-    f"{label}_{i}".
+    f"quasi_orth_{i}".
     """
     u = np.asarray(u, dtype=complex)
-    N = table.N
-    if u.ndim != 2 or u.shape[1] != 2 * N:
-        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * N})")
-    aphi = _a_phi_matrix(table, irule.nodes)
-    M = (aphi * irule.weights) @ aphi.T
-    c = (u[:, :N] - u[:, N:]) / table.lambdas     # (u_n - u_{-n}) / lam_n
-    lhs = np.real(np.sum(np.conj(c) * (c @ M), axis=1))
-    mirror = np.concatenate([u[:, N:], u[:, :N]], axis=1)
-    rhs = table.domain.R ** 2 * (np.sum(np.abs(u) ** 2, axis=1)
-                                 - np.real(np.sum(u * np.conj(mirror), axis=1)))
-    return [_one_sided_report(f"{label}_{i}", float(lhs[i]), float(rhs[i]), slack)
-            for i in range(len(u))]
+    if u.ndim != 2 or u.shape[1] != 2 * table.N:
+        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * table.N})")
+    return _quasi_orthogonality_reports(table, _multiplier_image_gram(table, irule),
+                                        u, slack, 0)
+
+
+def quasi_orthogonality_draws(table: ModeTable, irule: QuadratureRule, draws: int,
+                              rng: np.random.Generator, slack: float) -> list[IdentityReport]:
+    """quasi_orthogonality_check on complex_gaussian_rows(rng, draws, 2N),
+    drawn and checked in blocks against one Gram: same stream and labels,
+    but working arrays that do not grow with the draw count."""
+    M = _multiplier_image_gram(table, irule)
+    reports: list[IdentityReport] = []
+    for first in range(0, draws, _ROW_BLOCK):
+        u = complex_gaussian_rows(rng, min(_ROW_BLOCK, draws - first), 2 * table.N)
+        reports += _quasi_orthogonality_reports(table, M, u, slack, first)
+    return reports
 
 
 def psib_ratio(table: ModeTable, brule: QuadratureRule, a: np.ndarray) -> np.ndarray:

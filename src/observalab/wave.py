@@ -154,7 +154,14 @@ class FluxTrace:
     norm_sq: float
 
 
-def _check_nyquist(tgrid: np.ndarray, lam_max: float) -> float:
+def _flux_grid(table: ModeTable, state: WaveState, T: float,
+               tgrid: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """The time grid of a flux trace (default or given) and its uniform step,
+    which must resolve the state's highest frequency."""
+    _check_fits(table, state)
+    lam_max = float(table.lambdas[state.N - 1])
+    if tgrid is None:
+        tgrid = default_time_grid(T, lam_max)
     steps = np.diff(tgrid)
     dt = float(steps[0])
     if np.max(np.abs(steps - dt)) > 1e-10 * dt:
@@ -164,13 +171,16 @@ def _check_nyquist(tgrid: np.ndarray, lam_max: float) -> float:
             f"flux grid under-resolved: dt = {dt:.3e} > pi / (10 lam_max) = "
             f"{np.pi / (10 * lam_max):.3e}"
         )
-    return dt
+    return tgrid, dt
 
 
-def _trace_norm_sq(samples: np.ndarray, brule: QuadratureRule,
-                   tgrid: np.ndarray, dt: float) -> float:
+def _flux_trace(psi: np.ndarray, time_coeffs: np.ndarray, brule: QuadratureRule,
+                tgrid: np.ndarray, dt: float) -> FluxTrace:
+    """Samples psi^T time_coeffs (nodes x times) with their space-time norm."""
+    samples = psi.T.astype(complex) @ time_coeffs
     space = brule.weights @ (np.abs(samples) ** 2)
-    return float(np.sum(simpson_weights(len(tgrid), dt) * space))
+    norm_sq = float(np.sum(simpson_weights(len(tgrid), dt) * space))
+    return FluxTrace(tgrid, brule.nodes, samples, norm_sq)
 
 
 def boundary_flux(table: ModeTable, brule: QuadratureRule, state: WaveState,
@@ -182,18 +192,13 @@ def boundary_flux(table: ModeTable, brule: QuadratureRule, state: WaveState,
     same inner product), which is the identity the observability reduction
     rests on.  The physical normal derivative is `normal_derivative_trace`.
     """
-    lam_max = float(table.lambdas[state.N - 1])
-    if tgrid is None:
-        tgrid = default_time_grid(T, lam_max)
-    dt = _check_nyquist(tgrid, lam_max)
+    tgrid, dt = _flux_grid(table, state, T, tgrid)
     a = coeffs_to_a(state)
     idx = np.concatenate([np.arange(state.N), table.N + np.arange(state.N)])
     lams = table.lambdas_signed()[idx]
     psi = table.psi_matrix(brule)[idx]
     phases = np.exp(1j * np.outer(lams, tgrid))
-    samples = psi.T.astype(complex) @ (a[:, None] * phases)
-    norm_sq = _trace_norm_sq(samples, brule, tgrid, dt)
-    return FluxTrace(tgrid, brule.nodes, samples, norm_sq)
+    return _flux_trace(psi, a[:, None] * phases, brule, tgrid, dt)
 
 
 def physical_flux_coefficients(table: ModeTable, state: WaveState,
@@ -202,6 +207,7 @@ def physical_flux_coefficients(table: ModeTable, state: WaveState,
 
     c_{+n} = (a_{-n}/2) e^{-i lam_n T},  c_{-n} = -(a_{+n}/2) e^{i lam_n T}.
     """
+    _check_fits(table, state)
     a = coeffs_to_a(state)
     N = state.N
     lam = table.lambdas[:N]
@@ -219,16 +225,11 @@ def normal_derivative_trace(table: ModeTable, brule: QuadratureRule,
     dw/dnu(x, t) = sum_n [xi_tilde_n cos(lam_n (T-t)) - eta_n sin(lam_n (T-t))]
                    * psi_n(x)
     """
-    lam_max = float(table.lambdas[state.N - 1])
-    if tgrid is None:
-        tgrid = default_time_grid(T, lam_max)
-    dt = _check_nyquist(tgrid, lam_max)
+    tgrid, dt = _flux_grid(table, state, T, tgrid)
     psi = table.psi_matrix(brule)[: state.N]
     theta = np.outer(table.lambdas[: state.N], T - tgrid)
     weights = state.xi_tilde[:, None] * np.cos(theta) - state.eta[:, None] * np.sin(theta)
-    samples = psi.T.astype(complex) @ weights
-    norm_sq = _trace_norm_sq(samples, brule, tgrid, dt)
-    return FluxTrace(tgrid, brule.nodes, samples, norm_sq)
+    return _flux_trace(psi, weights, brule, tgrid, dt)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from observalab import cli
+from observalab import operators as ops
 from observalab.bessel import bessel_zero
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
 from observalab.geometry import disk, interval
@@ -87,7 +88,7 @@ def test_full_pipeline_interval_exit_zero(tmp_path):
 
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
     """verify-identities evaluates grad phi a fixed number of times, however
-    many quasi-orthogonality draws it certifies."""
+    many quasi-orthogonality draws it certifies, in one block or several."""
     calls = []
     original = ModeTable.grad_phi_matrix
 
@@ -97,7 +98,7 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ModeTable, "grad_phi_matrix", counted)
     counts = {}
-    for draws in (1, 50):
+    for draws in (1, 50, ops._ROW_BLOCK + 1):
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws,
@@ -105,7 +106,7 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
         calls.clear()
         assert _run("verify-identities", "--config", str(cfg)) == 0
         counts[draws] = len(calls)
-    assert counts[1] == counts[50] > 0
+    assert counts[1] == counts[50] == counts[ops._ROW_BLOCK + 1] > 0
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):

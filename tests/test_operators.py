@@ -140,6 +140,18 @@ def test_complex_gaussian_rows_follow_the_per_row_stream():
         assert np.array_equal(row, rng.normal(size=6) + 1j * rng.normal(size=6))
 
 
+def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch):
+    table, irule, _ = _setup(disk(1.0), N=4)
+    whole = ops.quasi_orthogonality_check(
+        table, irule, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
+    monkeypatch.setattr(ops, "_ROW_BLOCK", 7)
+    blocked = ops.quasi_orthogonality_draws(table, irule, 20, np.random.default_rng(9), 1e-8)
+    assert [rep.label for rep in blocked] == [rep.label for rep in whole]
+    for got, want in zip(blocked, whole):
+        assert got.lhs == pytest.approx(want.lhs, rel=1e-14)
+        assert got.rhs == want.rhs
+
+
 def test_quasi_orthogonality_single_mode():
     table, irule, _ = _setup(interval(np.pi), N=5)
     u = np.zeros((1, 10), dtype=complex)
@@ -210,10 +222,14 @@ def test_batched_rows_match_the_one_row_formulas(kind, data):
     u = (data.draw(hnp.arrays(float, shape, elements=_coefficients))
          + 1j * data.draw(hnp.arrays(float, shape, elements=_coefficients)))
     aphi = ops._a_phi_matrix(table, irule.nodes)
+    R2 = table.domain.R ** 2
     for row, rep in zip(u, ops.quasi_orthogonality_check(table, irule, u)):
         coeff = (row[:N] - row[N:]) / table.lambdas
         direct = irule.integrate(np.abs(coeff @ aphi) ** 2)
         assert abs(rep.lhs - direct) <= 1e-12 * direct
+        mirror = np.concatenate([row[N:], row[:N]])
+        signed_sum = R2 * (np.sum(np.abs(row) ** 2) - np.real(np.sum(row * np.conj(mirror))))
+        assert abs(rep.rhs - signed_sum) <= 1e-12 * R2 * 2 * np.sum(np.abs(row) ** 2)
     if np.any(np.all(u == 0, axis=1)):
         with pytest.raises(ConfigurationError):
             ops.psib_ratio(table, brule, u)

@@ -72,15 +72,19 @@ def test_wave_equation_residual_single_mode():
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda table, irule, state: wv.evolve_wave(table, state, 2.0, 1.0, irule.nodes),
-    lambda table, irule, state: wv.evolve_wave_dt(table, state, 2.0, 1.0, irule.nodes),
-    lambda table, irule, state: wv.quadrature_energy(table, irule, state, 2.0),
-], ids=["evolve_wave", "evolve_wave_dt", "quadrature_energy"])
+    lambda table, irule, brule, state: wv.evolve_wave(table, state, 2.0, 1.0, irule.nodes),
+    lambda table, irule, brule, state: wv.evolve_wave_dt(table, state, 2.0, 1.0, irule.nodes),
+    lambda table, irule, brule, state: wv.quadrature_energy(table, irule, state, 2.0),
+    lambda table, irule, brule, state: wv.boundary_flux(table, brule, state, 2.0),
+    lambda table, irule, brule, state: wv.normal_derivative_trace(table, brule, state, 2.0),
+    lambda table, irule, brule, state: wv.physical_flux_coefficients(table, state, 2.0),
+], ids=["evolve_wave", "evolve_wave_dt", "quadrature_energy", "boundary_flux",
+        "normal_derivative_trace", "physical_flux_coefficients"])
 def test_evolution_rejects_state_longer_than_table(evaluate):
-    table, irule, _ = _setup(interval(np.pi), 3, q=8)
+    table, irule, brule = _setup(interval(np.pi), 3, q=8)
     state = wv.random_state(5, np.random.default_rng(0))
     with pytest.raises(ConfigurationError, match="more modes"):
-        evaluate(table, irule, state)
+        evaluate(table, irule, brule, state)
 
 
 def test_energy_convention_against_quadrature():
