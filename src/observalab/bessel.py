@@ -1,17 +1,24 @@
 """Self-contained Bessel-function engine: J_m evaluation and positive zeros.
 
-Only what the disk eigenpairs need: integer orders m <= 60, arguments
-x <= 500, zeros j_{m,k} for k <= 200.  Two evaluation branches:
+Only what the disk eigenpairs need: integer orders 0 <= m <= MAX_ORDER (60)
+and arguments 0 <= x <= MAX_ARG (500).  Two evaluation branches:
 
 * ascending power series where its terms are monotone or nearly so
   (x <= max(12, 2*sqrt(m+1))), so float64 cancellation stays below ~5 digits;
 * Miller's backward recurrence with the even-order normalization
   J_0 + 2*sum_k J_{2k} = 1 everywhere else.
 
-Zeros come from Newton iteration safeguarded by a bisection bracket.  For
-m = 0 the initial guesses are McMahon's expansion; for m >= 1 brackets are
-the classical interlacing intervals (j_{m-1,k}, j_{m-1,k+1}), built row by
-row, which makes every Newton run start inside a sign-change interval.
+Zeros j_{m,k} come from Newton iteration safeguarded by a bisection bracket.
+Row m = 0 starts from McMahon's expansion (DLMF 10.21.19); each row m >= 1
+is bracketed by the interlacing intervals (j_{m-1,k}, j_{m-1,k+1}), so row
+m - 1 must hold one zero more than row m, and row 0 of a table up to order
+m and rank k holds m + k zeros of J_0.  Only 159 of them lie below MAX_ARG
+(j_{0,159} = 498.73, j_{0,160} = 501.87), hence m + k <= MAX_RANK = 159.
+
+A zero stops iterating once a Newton step falls to the evaluation noise of
+J_m (|step| <= 64 eps x; the iterates then wander at ~2e-15 relative) or
+its bracket collapses.  A row that has not stopped after 100 iterations is
+accepted only if |J_m| <= 1e-12 at every zero.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from .config import ConfigurationError, NumericalError
 
 MAX_ORDER = 60
 MAX_ARG = 500.0
-MAX_RANK = 200
+MAX_RANK = 159     # zeros of J_0 below MAX_ARG; a table needs m + k <= MAX_RANK
+
+_STEP_FLOOR = 64.0 * np.finfo(float).eps
+_MAX_NEWTON = 100
 
 _SERIES_TERMS = 80
 
@@ -165,48 +175,60 @@ def _j_and_jp(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine_zero_row(m: int, lo: np.ndarray, hi: np.ndarray,
-                     guess: np.ndarray) -> np.ndarray:
-    """Newton clamped to sign-change brackets, vectorized over a row."""
+                     guess: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton clamped to sign-change brackets, vectorized over a row.
+
+    Returns the zeros and the number of Newton iterations the row took.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     flo = bessel_j(m, lo)
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    for _ in range(100):
+    done = np.zeros(x.shape, dtype=bool)
+    for iteration in range(1, _MAX_NEWTON + 1):
         f, fp = _j_and_jp(m, x)
         same = (f > 0) == (flo > 0)
         lo = np.where(same, x, lo)
         flo = np.where(same, f, flo)
         hi = np.where(same, hi, x)
         step = np.where(fp != 0.0, f / np.where(fp == 0.0, 1.0, fp), hi - lo)
-        xn = x - step
-        inside = (lo < xn) & (xn < hi)
-        xn = np.where(inside, xn, 0.5 * (lo + hi))
-        done = np.abs(xn - x) <= 1e-15 * x
-        x = xn
+        newton = x - step
+        # x is now a bracket end, so a step at the noise floor may leave the
+        # bracket by an ulp; bisecting then would throw the zero away
+        small = np.abs(step) <= _STEP_FLOOR * x
+        inside = small | ((lo <= newton) & (newton <= hi))
+        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        done |= small | (hi - lo <= _STEP_FLOOR * x)
         if np.all(done):
-            return x
+            return x, iteration
     if np.max(np.abs(bessel_j(m, x))) > 1e-12:
         raise NumericalError(f"Bessel zero iteration failed for order m={m}")
-    return x
+    return x, _MAX_NEWTON
 
 
 class BesselZeroTable:
-    """Positive zeros j_{m,k} of J_m, built row by row through interlacing.
+    """Positive zeros j_{m,k} of J_m for m <= max_order and k <= max_rank.
 
-    Row m = 0 comes from McMahon guesses bracketed by a local sign scan; each
-    later row m uses the brackets (j_{m-1,k}, j_{m-1,k+1}).  Strict increase
-    in k and the interlacing inequalities hold by construction.
+    Built row by row through interlacing: row 0 from McMahon guesses
+    bracketed by a local sign scan, each later row m from the brackets
+    (j_{m-1,k}, j_{m-1,k+1}), so row m holds max_rank + max_order - m zeros.
+    newton_iterations[m] is the Newton iteration count of row m.
     """
 
     def __init__(self, max_order: int, max_rank: int):
-        if not (0 <= max_order <= MAX_ORDER) or not (1 <= max_rank <= MAX_RANK + MAX_ORDER):
+        if not (0 <= max_order <= MAX_ORDER):
             raise ConfigurationError(
-                f"zero table limits (m <= {MAX_ORDER}, k <= {MAX_RANK}) exceeded"
+                f"Bessel order {max_order} outside supported range [0, {MAX_ORDER}]")
+        if not (1 <= max_rank <= MAX_RANK - max_order):
+            raise ConfigurationError(
+                f"Bessel zero rank {max_rank} outside [1, {MAX_RANK - max_order}] for order "
+                f"{max_order}: order + rank <= {MAX_RANK}, the number of zeros of J_0 "
+                f"below {MAX_ARG:g}"
             )
         self.max_order = max_order
         self.max_rank = max_rank
         self._rows: list[np.ndarray] = []
-        # row m needs one more rank than row m+1 to provide brackets
+        self.newton_iterations: list[int] = []
         ranks0 = max_rank + max_order
         guess = _mcmahon_guess(0, np.arange(1, ranks0 + 1, dtype=float))
         lo, hi = guess - 1.0, guess + 1.0
@@ -217,11 +239,16 @@ class BesselZeroTable:
             hi = np.where(bad, hi + 0.5, hi)
         else:
             raise NumericalError("could not bracket the zeros of J_0")
-        self._rows.append(_refine_zero_row(0, lo, hi, guess))
+        self._add_row(0, lo, hi, guess)
         for m in range(1, max_order + 1):
             prev = self._rows[m - 1]
             lo, hi = prev[:-1], prev[1:]
-            self._rows.append(_refine_zero_row(m, lo, hi, 0.5 * (lo + hi)))
+            self._add_row(m, lo, hi, 0.5 * (lo + hi))
+
+    def _add_row(self, m: int, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> None:
+        row, iterations = _refine_zero_row(m, lo, hi, guess)
+        self._rows.append(row)
+        self.newton_iterations.append(iterations)
 
     def zero(self, m: int, k: int) -> float:
         if not (0 <= m <= self.max_order):
@@ -233,36 +260,20 @@ class BesselZeroTable:
     def row(self, m: int) -> np.ndarray:
         return self._rows[m][: self.max_rank].copy()
 
-    def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "max_rank": self.max_rank,
-            "rows": [row.tolist() for row in self._rows],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BesselZeroTable":
-        table = cls.__new__(cls)
-        table.max_order = int(data["max_order"])
-        table.max_rank = int(data["max_rank"])
-        table._rows = [np.asarray(row, dtype=float) for row in data["rows"]]
-        return table
-
-
-_default_table: BesselZeroTable | None = None
+    def interlaced(self) -> bool:
+        """Whether every stored zero obeys j_{m,k} < j_{m,k+1} and
+        j_{m,k} < j_{m+1,k} < j_{m,k+1}, as the true zeros do."""
+        rows = self._rows
+        return (all(np.all(np.diff(row) > 0) for row in rows)
+                and all(np.all(a[:-1] < b) and np.all(b < a[1:])
+                        for a, b in zip(rows, rows[1:])))
 
 
 def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
-    """k-th positive zero of J_m (m <= 60, k <= 200)."""
-    if not (0 <= m <= MAX_ORDER):
-        raise ConfigurationError(f"Bessel order {m} outside supported range [0, {MAX_ORDER}]")
-    if not (1 <= k <= MAX_RANK):
-        raise ConfigurationError(f"Bessel zero rank {k} outside supported range [1, {MAX_RANK}]")
-    if table is not None:
-        return table.zero(m, k)
-    global _default_table
-    if _default_table is None or _default_table.max_order < m or _default_table.max_rank < k:
-        order = max(m, _default_table.max_order if _default_table else 8)
-        rank = max(k, _default_table.max_rank if _default_table else 24)
-        _default_table = BesselZeroTable(order, rank)
-    return _default_table.zero(m, k)
+    """k-th positive zero of J_m, for 0 <= m <= 60 and 1 <= k <= 159 - m.
+
+    Without a table, builds the smallest one that holds (m, k).
+    """
+    if table is None:
+        table = BesselZeroTable(m, k)
+    return table.zero(m, k)

@@ -1,4 +1,4 @@
-"""On-disk cache for Bessel zeros and enumerated mode tables.
+"""On-disk cache for enumerated mode tables.
 
 Single JSON file, schema-versioned.  A version mismatch or any parse
 problem discards the whole file and rebuilds from scratch -- a cache is
@@ -12,11 +12,12 @@ import json
 import os
 from pathlib import Path
 
-from . import bessel
 from .geometry import DomainSpec
 from .modes import ModeTable, enumerate_modes, table_from_dict
 
-SCHEMA_VERSION = 1
+# 2: disk zeros changed in their last bits and the Bessel zero table left
+# the file (it is rebuilt with the mode table it serves)
+SCHEMA_VERSION = 2
 DEFAULT_CACHE_NAME = "observalab_cache.json"
 
 __all__ = ["SCHEMA_VERSION", "ModeCache", "resolve_cache_path", "cached_modes"]
@@ -43,7 +44,6 @@ class ModeCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._tables: dict[str, dict] = {}
-        self._zeros: dict | None = None
 
     @classmethod
     def load(cls, path: str | Path) -> "ModeCache":
@@ -53,7 +53,6 @@ class ModeCache:
             if data.get("schema_version") != SCHEMA_VERSION:
                 return cache          # stale schema: rebuild everything
             cache._tables = dict(data.get("tables", {}))
-            cache._zeros = data.get("bessel_zeros")
         except (OSError, ValueError):
             return cls(path)          # unreadable or corrupt: start fresh
         return cache
@@ -72,29 +71,12 @@ class ModeCache:
     def put_table(self, table: ModeTable) -> None:
         self._tables[_table_key(table.domain, table.N)] = table.to_dict()
 
-    # -- Bessel zeros ----------------------------------------------------
-
-    def get_zero_table(self, min_order: int, min_rank: int):
-        if self._zeros is None:
-            return None
-        try:
-            zt = bessel.BesselZeroTable.from_dict(self._zeros)
-        except (KeyError, TypeError, ValueError):
-            return None
-        if zt.max_order < min_order or zt.max_rank < min_rank:
-            return None
-        return zt
-
-    def put_zero_table(self, zt) -> None:
-        self._zeros = zt.to_dict()
-
     # -- persistence -----------------------------------------------------
 
     def save(self) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "tables": self._tables,
-            "bessel_zeros": self._zeros,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -109,14 +91,7 @@ def cached_modes(domain: DomainSpec, N: int,
         hit = cache.get_table(domain, N)
         if hit is not None:
             return hit
-    zeros = None
-    if cache is not None and domain.kind == "disk":
-        need = N + 3
-        zeros = cache.get_zero_table(min(need, bessel.MAX_ORDER),
-                                     min(need, bessel.MAX_RANK))
-    table = enumerate_modes(domain, N, zero_table=zeros)
+    table = enumerate_modes(domain, N)
     if cache is not None:
         cache.put_table(table)
-        if table._zeros is not None:
-            cache.put_zero_table(table._zeros)
     return table

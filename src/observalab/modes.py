@@ -17,7 +17,11 @@ ModeTable has three pure evaluators, each over all N modes at once:
 phi_matrix (N, k) and grad_phi_matrix (N, k, d) at interior points, and
 psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
 with the mirror rows appended.  On the interval and rectangle they broadcast
-over the multi-index; on the disk they evaluate J_m (and J_m') once per mode.
+over the multi-index; on the disk phi and grad phi evaluate J_m (and J_m')
+once per mode, and psi needs no Bessel evaluation at all.
+
+The disk's modes come from a Bessel zero table sized by the Weyl law and
+then proven to hold the N smallest zeros (see _proven_smallest_zeros).
 """
 
 from __future__ import annotations
@@ -51,13 +55,11 @@ class ModeTable:
     across workers.
     """
 
-    def __init__(self, domain: DomainSpec, modes: list[Mode],
-                 zero_table: bessel.BesselZeroTable | None = None):
+    def __init__(self, domain: DomainSpec, modes: list[Mode]):
         self.domain = domain
         self.modes = modes
         self.N = len(modes)
         self.lambdas = np.array([m.lam for m in modes])
-        self._zeros = zero_table
 
     def lambdas_signed(self) -> np.ndarray:
         """Frequencies on the signed index order [1..N, -1..-N]."""
@@ -128,9 +130,25 @@ class ModeTable:
     def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
         """Signed traces on a boundary rule, shape (2N, k): rows follow the
         order [1..N, -1..-N], so row N+j is the mirror of row j."""
-        grad = self.grad_phi_matrix(rule.nodes)
-        pos = np.sum(grad * rule.normals, axis=2) / self.lambdas[:, None]
+        if self.domain.kind == "disk":
+            pos = self._disk_trace(rule.nodes)
+        else:
+            grad = self.grad_phi_matrix(rule.nodes)
+            pos = np.sum(grad * rule.normals, axis=2) / self.lambdas[:, None]
         return np.vstack([pos, -pos])
+
+    def _disk_trace(self, nodes: np.ndarray) -> np.ndarray:
+        """psi_n on the boundary circle, (N, k), without evaluating J_m:
+        N_n lambda_n |J_m'(j_{m,k})| = sqrt(2/angular_measure)/rho and
+        J_m'(j_{m,k}) has the sign (-1)^k."""
+        (rho,) = self.domain.params
+        r, theta = self._polar(self._interior_points(nodes))
+        if np.any(np.abs(r - rho) > 1e-9 * rho):
+            raise ConfigurationError("boundary rule has nodes off the disk's circle")
+        m, k = self._index_column(0), self._index_column(1)
+        angular_measure = np.where(m == 0, 2.0 * np.pi, np.pi)
+        angular, _ = self._disk_angular(theta)
+        return (-1.0) ** k * np.sqrt(2.0 / angular_measure) / rho * angular
 
     def _index_column(self, c: int) -> np.ndarray:
         """Column c of the multi-indices as an (N, 1) array."""
@@ -172,28 +190,67 @@ class ModeTable:
         }
 
 
-def _disk_candidates(rho: float, count: int,
-                     table: bessel.BesselZeroTable) -> list[tuple[float, tuple]]:
-    """Sorted (lambda, multi_index) candidates for the disk, cos branch before
-    sin within each (m, k) pair (lexicographic tie-break)."""
-    cand: list[tuple[float, tuple]] = []
-    # enough orders/ranks that the first `count` modes are surely covered
-    max_m = min(table.max_order, count + 2)
-    max_k = min(table.max_rank, count + 2)
-    for m in range(0, max_m + 1):
-        for k in range(1, max_k + 1):
-            lam = table.zero(m, k) / rho
-            if m == 0:
-                cand.append((lam, (0, k, _COS)))
-            else:
-                cand.append((lam, (m, k, _COS)))
-                cand.append((lam, (m, k, _SIN)))
-    cand.sort(key=lambda item: (item[0], item[1]))
-    return cand[: 2 * count + 4]
+def _zero_table_shape(reach: float) -> tuple[int, int]:
+    """The smallest (max_order, max_rank) whose zeros j_{max_order,1} and
+    j_{0,max_rank} should both exceed reach, by the DLMF 10.21 asymptotics:
+    McMahon's expansion for order 0 and j_{m,1} ~ m + 1.8557571 m^(1/3)
+    + 1.033150 m^(-1/3) (10.21.40)."""
+    max_order = 1
+    while max_order + 1.8557571 * max_order ** (1 / 3) + 1.033150 * max_order ** (-1 / 3) <= reach:
+        max_order += 1
+    max_rank = 1
+    while bessel._mcmahon_guess(0, max_rank) <= reach:
+        max_rank += 1
+    return max_order, max_rank
 
 
-def enumerate_modes(domain: DomainSpec, N: int,
-                    zero_table: bessel.BesselZeroTable | None = None) -> ModeTable:
+def _proven_smallest_zeros(table: bessel.BesselZeroTable,
+                           count: int) -> list[tuple[float, tuple]] | None:
+    """The `count` smallest disk zeros in the table as sorted (j_{m,k}, (m, k,
+    branch)) pairs, the cos branch before the sin one; None unless no zero
+    outside the table can be among them.
+
+    Outside the table lie orders above max_order, whose zeros all exceed
+    j_{max_order,1} because j_{m,1} increases in m, and ranks above max_rank,
+    whose zeros exceed j_{0,max_rank} by j_{m,k} < j_{m+1,k} < j_{m,k+1}.  So
+    the table is complete when those two zeros exceed the count-th one and
+    the stored zeros obey the same inequalities.
+    """
+    cand = [
+        (table.zero(m, k), (m, k, branch))
+        for m in range(table.max_order + 1)
+        for k in range(1, table.max_rank + 1)
+        for branch in ((_COS,) if m == 0 else (_COS, _SIN))
+    ]
+    if len(cand) < count:
+        return None
+    cand.sort()
+    top = cand[count - 1][0]
+    if (table.zero(table.max_order, 1) > top and table.zero(0, table.max_rank) > top
+            and table.interlaced()):
+        return cand[:count]
+    return None
+
+
+def _smallest_disk_zeros(count: int) -> list[tuple[float, tuple]]:
+    """The `count` smallest zeros j_{m,k} of the disk, one per angular branch.
+
+    The table is sized from the Weyl law of the unit disk, N(x) ~ x^2/4 - x/2
+    modes below frequency x, so the count-th zero is near 1 + sqrt(1 + 4
+    count); one unit of margin makes the first table suffice for every
+    count <= 128.  A table that cannot be proven complete is replaced by a
+    larger one, up to the limits of BesselZeroTable.
+    """
+    reach = 2.0 + np.sqrt(1.0 + 4.0 * count)
+    while True:
+        table = bessel.BesselZeroTable(*_zero_table_shape(reach))
+        found = _proven_smallest_zeros(table, count)
+        if found is not None:
+            return found
+        reach += np.pi
+
+
+def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
     """The N smallest-frequency positive modes (ties broken lexicographically
     by multi-index) together with their signed mirrors."""
     if N < 1:
@@ -222,19 +279,17 @@ def enumerate_modes(domain: DomainSpec, N: int,
         return ModeTable(domain, modes)
     if kind == "disk":
         (rho,) = domain.params
-        if zero_table is None:
-            need = N + 3
-            zero_table = bessel.BesselZeroTable(max_order=min(need, bessel.MAX_ORDER),
-                                                max_rank=min(need, bessel.MAX_RANK))
-        cand = _disk_candidates(rho, N, zero_table)
-        for rank, (lam, mi) in enumerate(cand[:N], start=1):
-            m, k, branch = mi
-            jmk = lam * rho
-            angular_measure = 2.0 * np.pi if m == 0 else np.pi
-            jp = bessel.bessel_jp(m, jmk)
-            norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
-            modes.append(Mode(index=rank, multi_index=mi, lam=lam, norm_const=float(norm)))
-        return ModeTable(domain, modes, zero_table)
+        zeros = _smallest_disk_zeros(N)
+        jmk = np.array([z for z, _ in zeros])
+        order = np.array([mi[0] for _, mi in zeros])
+        jp = np.empty(N)
+        for m in set(order.tolist()):     # np.unique would import numpy.ma (1 MB)
+            jp[order == m] = bessel.bessel_jp(m, jmk[order == m])
+        angular_measure = np.where(order == 0, 2.0 * np.pi, np.pi)
+        norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
+        for rank, ((z, mi), c) in enumerate(zip(zeros, norm), start=1):
+            modes.append(Mode(index=rank, multi_index=mi, lam=z / rho, norm_const=float(c)))
+        return ModeTable(domain, modes)
     raise ConfigurationError(f"unsupported geometry kind '{kind}'")
 
 

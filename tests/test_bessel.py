@@ -5,6 +5,8 @@ import pytest
 import scipy.special as sp
 
 from observalab.bessel import (
+    MAX_ARG,
+    MAX_RANK,
     BesselZeroTable,
     bessel_j,
     bessel_jp,
@@ -82,16 +84,38 @@ def test_zero_function_is_actually_zero():
             assert abs(bessel_j(m, np.array([z]))[0]) < 1e-12
 
 
-def test_table_roundtrip():
-    table = BesselZeroTable(max_order=5, max_rank=6)
-    data = table.to_dict()
-    back = BesselZeroTable.from_dict(data)
-    for m in range(6):
-        assert np.array_equal(table.row(m), back.row(m))
+def test_interlacing_check_sees_a_misplaced_zero():
+    table = BesselZeroTable(max_order=3, max_rank=4)
+    assert table.interlaced()
+    table._rows[2][1] = table._rows[1][2] + 1e-9   # past j_{1,3}, below j_{2,3}
+    assert not table.interlaced()
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (6, 3), (12, 4), (25, 9)])
+def test_newton_stops_when_converged(shape):
+    table = BesselZeroTable(*shape)
+    assert len(table.newton_iterations) == shape[0] + 1
+    assert max(table.newton_iterations) <= 12, table.newton_iterations
+    for m in range(shape[0] + 1):
+        ref = sp.jn_zeros(m, shape[1])
+        assert np.max(np.abs(table.row(m) - ref) / ref) < 1e-13
 
 
 def test_default_table_path():
     assert abs(bessel_zero(0, 1) - 2.404825557695773) < 1e-12
+    assert abs(bessel_zero(4, 3) - sp.jn_zeros(4, 3)[-1]) < 1e-12
+
+
+def test_zero_limits_match_the_argument_range():
+    # a table to order m and rank k needs m + k zeros of J_0 below MAX_ARG
+    last, first_beyond = sp.jn_zeros(0, MAX_RANK + 1)[-2:]
+    assert last < MAX_ARG < first_beyond
+    assert abs(bessel_zero(0, MAX_RANK) - sp.jn_zeros(0, MAX_RANK)[-1]) < 1e-11
+    for m, k in [(0, MAX_RANK + 1), (60, MAX_RANK - 59), (61, 1), (0, 0)]:
+        with pytest.raises(ConfigurationError, match="outside"):
+            bessel_zero(m, k)
+    with pytest.raises(ConfigurationError, match=f"order \\+ rank <= {MAX_RANK}"):
+        BesselZeroTable(max_order=2, max_rank=MAX_RANK - 1)
 
 
 def test_domain_errors():

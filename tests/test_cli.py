@@ -63,6 +63,36 @@ def test_disk_spectrum_consistent_with_zero_table(tmp_path):
         assert abs(float(lam) - bessel_zero(m, k)) < 1e-10
 
 
+def test_disk_spectrum_cached_and_fresh_byte_identical(tmp_path):
+    disk_cfg = {"domain": {"kind": "disk", "radius": 1.7}, "N": 40}
+    cfg = _write_config(tmp_path, **disk_cfg)
+    assert _run("spectrum", "--config", str(cfg)) == 0      # fresh, fills the cache
+    spectrum = tmp_path / "out" / "spectrum.csv"
+    fresh = strip_timestamp(spectrum.read_text())
+    assert _run("spectrum", "--config", str(cfg)) == 0      # from the cache
+    assert strip_timestamp(spectrum.read_text()) == fresh
+    other = tmp_path / "other"
+    other.mkdir()
+    cfg = _write_config(other, **disk_cfg)                   # fresh, its own cache
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    assert strip_timestamp((other / "out" / "spectrum.csv").read_text()) == fresh
+
+
+def test_disk_spectrum_at_n100_exits_0(tmp_path):
+    cfg = _write_config(tmp_path, domain={"kind": "disk", "radius": 1.0}, N=100)
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 100 + 2
+
+
+def test_disk_suite_at_schema_max_exits_0(tmp_path):
+    cfg = _write_config(tmp_path, domain={"kind": "disk", "radius": 1.0}, N=128, draws=2)
+    for cmd in ("spectrum", "verify-identities", "riesz", "observe", "control"):
+        assert _run(cmd, "--config", str(cfg)) == 0, cmd
+    lines = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 128 + 2
+
+
 def test_full_pipeline_interval_exit_zero(tmp_path):
     cfg = _write_config(tmp_path)
     for cmd in ("spectrum", "verify-identities", "riesz", "observe",

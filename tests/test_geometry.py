@@ -8,9 +8,14 @@ finite differences, which is an independent route through the code.
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from observalab import modes
+from observalab.bessel import BesselZeroTable
 from observalab.config import ConfigurationError
 from observalab.geometry import (
+    QuadratureRule,
     boundary_quadrature,
     disk,
     interior_quadrature,
@@ -167,6 +172,73 @@ def test_disk_spectrum_matches_scipy_zeros():
                 ref.append(z / rho)   # cosine and sine branches
     ref = np.sort(ref)[:15]
     assert np.max(np.abs(np.sort(table.lambdas) - ref)) < 1e-12
+
+
+def _scipy_disk_zeros(count):
+    """Brute force: every j_{m,k} below the count-th, one per branch, sorted
+    like the mode table (cos branch before sin)."""
+    cand = [(z, (m, k, branch))
+            for m in range(30)
+            for k, z in enumerate(sp.jn_zeros(m, 12), start=1)
+            for branch in ((0,) if m == 0 else (0, 1))]
+    return sorted(cand)[:count]
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(1, 128), rho=st.floats(0.1, 10.0))
+def test_disk_modes_match_brute_force(N, rho):
+    table = enumerate_modes(disk(rho), N)
+    ref = _scipy_disk_zeros(N)
+    assert [m.multi_index for m in table.modes] == [mi for _, mi in ref]
+    lam_ref = np.array([z for z, _ in ref]) / rho
+    assert np.max(np.abs(table.lambdas - lam_ref) / lam_ref) < 1e-12
+
+
+def test_weyl_sized_table_is_complete_up_to_n128():
+    """For every N <= 128 the first table is large enough: the true zeros
+    j_{max_order,1} and j_{0,max_rank} of its shape exceed the N-th zero."""
+    ref = _scipy_disk_zeros(128)
+    for N in range(1, 129):
+        max_order, max_rank = modes._zero_table_shape(2.0 + np.sqrt(1.0 + 4.0 * N))
+        top = ref[N - 1][0]
+        assert sp.jn_zeros(max_order, 1)[0] > top and sp.jn_zeros(0, max_rank)[-1] > top, N
+
+
+def test_incomplete_zero_table_is_grown(monkeypatch):
+    # the 20th disk zero is j_{6,1}: a table must reach past it in order and rank
+    assert modes._proven_smallest_zeros(BesselZeroTable(7, 4), 20) is not None
+    assert modes._proven_smallest_zeros(BesselZeroTable(6, 4), 20) is None
+    assert modes._proven_smallest_zeros(BesselZeroTable(7, 3), 20) is None
+    shapes = []
+    sizing = modes._zero_table_shape
+
+    def too_small_first(reach):
+        shapes.append((1, 1) if not shapes else sizing(reach))
+        return shapes[-1]
+
+    monkeypatch.setattr(modes, "_zero_table_shape", too_small_first)
+    table = enumerate_modes(disk(1.0), 20)
+    assert len(shapes) == 2
+    assert [m.multi_index for m in table.modes] == [mi for _, mi in _scipy_disk_zeros(20)]
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.3])
+def test_disk_trace_closed_form(rho):
+    """psi_matrix on the disk, which evaluates no Bessel function, equals
+    grad phi . nu / lambda on the boundary circle."""
+    dom = disk(rho)
+    table = enumerate_modes(dom, 30)
+    rule = boundary_quadrature(dom, q=16, lam_max=table.lambdas[-1])
+    assert np.allclose(np.hypot(*(rule.nodes - dom.x0).T), rho, rtol=1e-15, atol=0)
+    grad = table.grad_phi_matrix(rule.nodes)
+    ref = np.sum(grad * rule.normals, axis=2) / table.lambdas[:, None]
+    scale = np.sqrt(2.0 / np.pi) / rho
+    psi = table.psi_matrix(rule)
+    assert np.max(np.abs(psi[: table.N] - ref)) < 1e-12 * scale
+    off = QuadratureRule(nodes=dom.x0 + 0.99 * (rule.nodes - dom.x0), weights=rule.weights,
+                         q=rule.q, normals=rule.normals)
+    with pytest.raises(ConfigurationError, match="off the disk"):
+        table.psi_matrix(off)
 
 
 def test_domain_validation():
