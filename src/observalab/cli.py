@@ -24,7 +24,8 @@ from .config import (CheckFailure, ConfigurationError, NumericalError,
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
-from .operators import antisymmetry_suite, quasi_orthogonality_draws, rellich_suite
+from .operators import (antisymmetry_suite, multiplier_pairings,
+                        quasi_orthogonality_draws, rellich_suite)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
                     polynomial_kernel, zero_kernel)
@@ -92,14 +93,15 @@ def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
 def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
     domain, table, brule, irule = _build_tables(config, need_interior=True)
     tol_name = "rellich_disk" if domain.kind == "disk" else "rellich"
-    reports = rellich_suite(table, irule, brule,
+    pairings = multiplier_pairings(table, irule)
+    reports = rellich_suite(pairings, brule,
                             max_index=min(table.N, 20),
                             tol=config.tol(tol_name))
-    reports += antisymmetry_suite(table, irule,
+    reports += antisymmetry_suite(pairings,
                                   max_index=min(table.N, 15),
                                   tol=config.tol("antisymmetry"))
     rng = np.random.default_rng(config.seed)
-    reports += quasi_orthogonality_draws(table, irule, config.draws, rng,
+    reports += quasi_orthogonality_draws(pairings, config.draws, rng,
                                          slack=config.tol("quasi_orthogonality"))
     header = ["label", "lhs", "rhs", "abs_error", "rel_error", "tolerance", "pass"]
     path = write_csv(out / "identities.csv", header, [r.row() for r in reports])

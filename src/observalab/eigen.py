@@ -80,11 +80,12 @@ def extreme_eigen_report(matrix: np.ndarray) -> dict:
     }
 
 
-def pcg_solve(a: np.ndarray, b: np.ndarray, rtol: float = 1e-10,
-              max_iter: int | None = None) -> tuple[np.ndarray, dict]:
+def pcg_solve(a: np.ndarray, b: np.ndarray,
+              rtol: float = 1e-10) -> tuple[np.ndarray, dict]:
     """Jacobi-preconditioned conjugate gradients for Hermitian PD systems.
 
-    Returns (x, info) with info = {iterations, rel_residual}.  Raises
+    Returns (x, info) with info = {iterations, rel_residual} after at most
+    max(200, 20n) iterations.  Raises
     NumericalError for a non-finite or non-Hermitian matrix before iterating,
     and on stagnation, attaching a condition-number estimate.
     """
@@ -103,11 +104,9 @@ def pcg_solve(a: np.ndarray, b: np.ndarray, rtol: float = 1e-10,
     z = r / diag
     p = z.copy()
     rz = np.vdot(r, z).real
-    if max_iter is None:
-        max_iter = max(200, 20 * n)
     best = np.inf
     stagnant = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, max(200, 20 * n) + 1):
         ap = a @ p
         denom = np.vdot(p, ap).real
         if denom <= 0:

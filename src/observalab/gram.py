@@ -125,19 +125,18 @@ class GramMatrix:
 
 
 def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
-                              T: float, cross_check: bool = True) -> GramMatrix:
+                              T: float) -> GramMatrix:
     """G = time overlap (Hadamard) B for the pure exponential family.
 
     The boundary factor B is also computed in closed form; the two paths
     must agree to 1e-8 or assembly aborts.
     """
     B = boundary_trace_gram(table, brule)
-    if cross_check:
-        dev = float(np.max(np.abs(B - boundary_trace_gram_closed(table))))
-        if dev > 1e-8:
-            raise NumericalError(
-                f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
-            )
+    dev = float(np.max(np.abs(B - boundary_trace_gram_closed(table))))
+    if dev > 1e-8:
+        raise NumericalError(
+            f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
+        )
     lams = table.lambdas_signed()
     G = time_overlap_matrix(lams, T) * B
     return GramMatrix(G, T, table.N, "analytic-time")
@@ -156,15 +155,15 @@ def simpson_weights(n_samples: int, dt: float) -> np.ndarray:
     return w * (dt / 3.0)
 
 
-def default_time_grid(T: float, lam_max: float, target: float = 1e-7) -> np.ndarray:
+def default_time_grid(T: float, lam_max: float) -> np.ndarray:
     """Uniform grid resolving products of traces with frequencies <= lam_max.
 
     Composite-Simpson error for e^{i w t} scales like T h^4 w^4 / 180 with
-    w up to 2 lam_max; the step is chosen to push that below `target`, and
+    w up to 2 lam_max; the step is chosen to push that below 1e-7, and
     never coarser than 20 samples per shortest period.
     """
     w = 2.0 * max(lam_max, 1.0)
-    h_accuracy = (180.0 * target / (max(T, 1.0) * w**4)) ** 0.25
+    h_accuracy = (180.0 * 1e-7 / (max(T, 1.0) * w**4)) ** 0.25
     h_nyquist = np.pi / (10.0 * max(lam_max, 1e-12))
     h = min(h_accuracy, h_nyquist)
     n_int = int(np.ceil(T / h))
@@ -173,8 +172,7 @@ def default_time_grid(T: float, lam_max: float, target: float = 1e-7) -> np.ndar
 
 
 def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
-                        traces: np.ndarray, tgrid: np.ndarray,
-                        lam_max: float | None = None) -> np.ndarray:
+                        traces: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
     """Raw Gram matrix of { z_n(t) psi_n(x) } from time samples z_n.
 
     traces: complex (2N, n_samples) in the signed index order.  Time goes by
@@ -190,7 +188,7 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > 1e-10 * max(dt, 1e-300):
         raise ConfigurationError("sampled Gram needs a uniform time grid")
-    lam = float(np.max(table.lambdas)) if lam_max is None else lam_max
+    lam = float(np.max(table.lambdas))
     # hard resolution floor: 20 samples per shortest oscillation period
     if dt > 2.0 * np.pi / (20.0 * lam) * (1.0 + 1e-12):
         raise NumericalError(
@@ -207,10 +205,9 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
 
 
 def assemble_sampled_gram(table: ModeTable, brule: QuadratureRule,
-                          traces: np.ndarray, tgrid: np.ndarray,
-                          lam_max: float | None = None) -> GramMatrix:
+                          traces: np.ndarray, tgrid: np.ndarray) -> GramMatrix:
     """Gram of { z_n(t) psi_n(x) } from time samples, with the usual gates."""
-    G = sampled_gram_matrix(table, brule, traces, tgrid, lam_max=lam_max)
+    G = sampled_gram_matrix(table, brule, traces, tgrid)
     tgrid = np.asarray(tgrid, dtype=float)
     return GramMatrix(G, float(tgrid[-1] - tgrid[0]), table.N, "sampled")
 

@@ -14,10 +14,11 @@ traces of eigenfunction pairs to interior pairings:
 * boundedness of the normalized boundary traces (running-supremum estimate
   of the trace constant over random coefficient draws).
 
-All checks are quadrature evaluations over the whole mode table; the
-Monte-Carlo checks take a (draws, 2N) array of coefficient rows and build
-their basis matrices once for all rows; quasi_orthogonality_draws draws
-and checks its rows in fixed-size blocks against one Gram.
+All checks are quadrature evaluations over the whole mode table.  The
+interior ones read a MultiplierPairings, which evaluates A phi and phi on
+the interior rule once and holds the two pairings derived from them; the
+Monte-Carlo checks take a (draws, 2N) array of coefficient rows, and
+quasi_orthogonality_draws draws and checks its rows in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -87,19 +88,39 @@ def _a_phi_matrix(table: ModeTable, points: np.ndarray) -> np.ndarray:
     return np.einsum("kd,nkd->nk", m, table.grad_phi_matrix(points))
 
 
-def rellich_suite(table: ModeTable, irule: QuadratureRule,
-                  brule: QuadratureRule, max_index: int | None = None,
+@dataclass(frozen=True, eq=False)
+class MultiplierPairings:
+    """Interior pairings of the multiplier images A phi_n, n = 1..N.
+
+    pairing P_jk = <A phi_j, phi_k> and gram M_jk = <A phi_j, A phi_k>, both
+    by the interior rule from one evaluation of A phi and phi on its nodes.
+    """
+
+    table: ModeTable
+    pairing: np.ndarray
+    gram: np.ndarray
+
+
+def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPairings:
+    """Evaluate A phi and phi on the interior rule once; derive P and M."""
+    aphi = _a_phi_matrix(table, irule.nodes)
+    weighted = aphi * irule.weights
+    return MultiplierPairings(table, weighted @ table.phi_matrix(irule.nodes).T,
+                              weighted @ aphi.T)
+
+
+def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule,
+                  max_index: int | None = None,
                   tol: float | None = None) -> list[IdentityReport]:
     """All signed pairs |j|,|k| <= max_index, evaluated as matrix products."""
+    table = pairings.table
     if tol is None:
         tol = 1e-5 if table.domain.kind == "disk" else 1e-6
     nmax = table.N if max_index is None else min(max_index, table.N)
     m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
     psi = table.psi_matrix(brule)[:nmax]
     lhs_pos = (psi * (m_dot_nu * brule.weights)) @ psi.T          # (nmax, nmax)
-    aphi = _a_phi_matrix(table, irule.nodes)[:nmax]
-    phi = table.phi_matrix(irule.nodes)[:nmax]
-    pairing = (aphi * irule.weights) @ phi.T                       # P_jk = <A phi_j, phi_k>
+    pairing = pairings.pairing                                      # P_jk = <A phi_j, phi_k>
     lam = table.lambdas[:nmax]
     factor = (lam[:, None] ** 2 - lam[None, :] ** 2) / (lam[:, None] * lam[None, :])
     reports = []
@@ -119,14 +140,11 @@ def rellich_suite(table: ModeTable, irule: QuadratureRule,
     return reports
 
 
-def antisymmetry_suite(table: ModeTable, irule: QuadratureRule,
-                       max_index: int | None = None,
+def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = None,
                        tol: float = 1e-8) -> list[IdentityReport]:
     """Pairing antisymmetry off the diagonal and value -d/2 on it."""
+    table, pairing = pairings.table, pairings.pairing
     nmax = table.N if max_index is None else min(max_index, table.N)
-    aphi = _a_phi_matrix(table, irule.nodes)[:nmax]
-    phi = table.phi_matrix(irule.nodes)[:nmax]
-    pairing = (aphi * irule.weights) @ phi.T
     d = table.domain.dim
     reports = []
     for j in range(nmax):
@@ -155,23 +173,19 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int,
 _ROW_BLOCK = 256  # rows drawn and checked at once by quasi_orthogonality_draws
 
 
-def _multiplier_image_gram(table: ModeTable, irule: QuadratureRule) -> np.ndarray:
-    aphi = _a_phi_matrix(table, irule.nodes)
-    return (aphi * irule.weights) @ aphi.T
-
-
-def _quasi_orthogonality_reports(table: ModeTable, M: np.ndarray, u: np.ndarray,
+def _quasi_orthogonality_reports(pairings: MultiplierPairings, u: np.ndarray,
                                  slack: float, first: int) -> list[IdentityReport]:
+    table = pairings.table
     d = u[:, :table.N] - u[:, table.N:]           # u_n - u_{-n}
     c = d / table.lambdas
-    lhs = np.real(np.sum(np.conj(c) * (c @ M), axis=1))
+    lhs = np.real(np.sum(np.conj(c) * (c @ pairings.gram), axis=1))
     rhs = table.domain.R ** 2 * np.sum(np.abs(d) ** 2, axis=1)
     return [_one_sided_report(f"quasi_orth_{first + i}", float(lhs[i]), float(rhs[i]), slack)
             for i in range(len(u))]
 
 
-def quasi_orthogonality_check(table: ModeTable, irule: QuadratureRule,
-                              u: np.ndarray, slack: float = 1e-8) -> list[IdentityReport]:
+def quasi_orthogonality_check(pairings: MultiplierPairings, u: np.ndarray,
+                              slack: float = 1e-8) -> list[IdentityReport]:
     """Interior energy of the lambda-normalized multiplier combination.
 
     u holds complex coefficient rows on the signed index order
@@ -181,26 +195,25 @@ def quasi_orthogonality_check(table: ModeTable, irule: QuadratureRule,
         = R^2 * sum_n |u_n - u_{-n}|^2
     and lhs <= rhs is certified with additive slack.  The lhs is the
     quadratic form c^H M c with c_n = (u_n - u_{-n}) / lam_n and the
-    quadrature Gram M of the multiplier images.  Row i is labelled
-    f"quasi_orth_{i}".
+    quadrature Gram M = pairings.gram of the multiplier images.  Row i is
+    labelled f"quasi_orth_{i}".
     """
+    N = pairings.table.N
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[1] != 2 * table.N:
-        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * table.N})")
-    return _quasi_orthogonality_reports(table, _multiplier_image_gram(table, irule),
-                                        u, slack, 0)
+    if u.ndim != 2 or u.shape[1] != 2 * N:
+        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * N})")
+    return _quasi_orthogonality_reports(pairings, u, slack, 0)
 
 
-def quasi_orthogonality_draws(table: ModeTable, irule: QuadratureRule, draws: int,
+def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
                               rng: np.random.Generator, slack: float) -> list[IdentityReport]:
     """quasi_orthogonality_check on complex_gaussian_rows(rng, draws, 2N),
-    drawn and checked in blocks against one Gram: same stream and labels,
-    but working arrays that do not grow with the draw count."""
-    M = _multiplier_image_gram(table, irule)
+    drawn and checked in blocks: same stream and labels, but working arrays
+    that do not grow with the draw count."""
     reports: list[IdentityReport] = []
     for first in range(0, draws, _ROW_BLOCK):
-        u = complex_gaussian_rows(rng, min(_ROW_BLOCK, draws - first), 2 * table.N)
-        reports += _quasi_orthogonality_reports(table, M, u, slack, first)
+        u = complex_gaussian_rows(rng, min(_ROW_BLOCK, draws - first), 2 * pairings.table.N)
+        reports += _quasi_orthogonality_reports(pairings, u, slack, first)
     return reports
 
 

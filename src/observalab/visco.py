@@ -6,31 +6,38 @@ force is convolved with a scalar memory kernel.  Substituting tau = T - t
 turns it into a forward problem
 
     v''(tau) + lam^2 v(tau) = -lam^2 * int_0^tau M(tau - s) v(s) ds,
-    v(0) = 1,   v'(0) = -i*lam,
+    v(0) = 1,   v'(0) = -i*lam.
 
-which this module integrates two ways:
+solve_memory_modes solves it for all positive frequencies of one kernel in
+one call, on one uniform time grid, and picks the method from the kernel:
 
-* a marching scheme that propagates the oscillatory part with the exact
-  cosine/sine rotation over each step and treats the memory forcing by
-  linear interpolation plus composite-trapezoid history (second order in
-  the step, with error constants that do not grow with lam*h phase error);
-* a closed form for exponential kernels M(s) = M0*exp(-delta*s), where the
-  solution is a sum of three exponentials whose rates are the roots of
-  (mu^2 + lam^2)(mu + delta) + lam^2*M0 = 0.
+* a zero kernel: the exact rotation exp(i*lam*(t - T));
+* an exponential kernel M(s) = M0*exp(-delta*s): a closed form, a sum of
+  three exponentials whose rates are the roots of
+  (mu^2 + lam^2)(mu + delta) + lam^2*M0 = 0;
+* any other kernel: one marching loop over time for all modes, which
+  propagates the oscillatory part with the exact cosine/sine rotation over
+  each step and treats the memory forcing by linear interpolation plus
+  composite-trapezoid history (second order in the step, with error
+  constants that do not grow with lam*h phase error).  Each step's history
+  is one matrix-vector product across the modes.
 
-On top of the solver sit the diagnostics that certify the memory-perturbed
-boundary trace system: a fitted complex decay rate gamma, per-mode L2
-distances to the shifted exponential references, a finite-section
-Paley-Wiener quotient, and a sampled-Gram Riesz certificate.
+The result is a MemoryModes array of N modes x time samples.  The
+negative-frequency partners are the complex conjugates of the positive
+ones, which is exact for the real kernels built here.  On top of it sit the
+diagnostics that certify the memory-perturbed boundary trace system: a
+fitted complex decay rate gamma, the L2 distances of the modes to their
+shifted exponential references, a finite-section Paley-Wiener quotient,
+and a sampled-Gram Riesz certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CheckFailure, ConfigurationError, NumericalError, TOLERANCES
+from .config import ConfigurationError, NumericalError, TOLERANCES
 from .eigen import jacobi_eigh
 from .geometry import QuadratureRule
 from .gram import (
@@ -43,20 +50,17 @@ from .modes import ModeTable
 
 __all__ = [
     "MemoryKernel",
-    "ViscoModeSolution",
+    "MemoryModes",
     "ClosenessReport",
     "exponential_kernel",
     "polynomial_kernel",
     "zero_kernel",
     "sampled_kernel",
-    "default_kernel_catalog",
-    "default_step",
     "visco_time_grid",
-    "solve_visco_mode",
+    "solve_memory_modes",
     "fit_gamma",
     "mode_distances",
     "closeness_spectrum",
-    "signed_time_factors",
     "shifted_reference_factors",
     "shifted_system_bounds",
     "paley_wiener_q",
@@ -146,13 +150,6 @@ class MemoryKernel:
             return self.m0 == 0.0
         return bool(np.all(self.values == 0.0))
 
-    def signature(self) -> tuple:
-        """Hashable identity used to gate 'same kernel' preconditions."""
-        if self.family == "sampled":
-            return ("sampled", self.grid.size, float(self.grid[-1]),
-                    float(self.values.sum()), float(np.abs(self.values).sum()))
-        return (self.family, self.m0, self.delta, self.p)
-
     def describe(self) -> str:
         if self.family == "exponential":
             return f"{self.m0:g}*exp(-{self.delta:g} s)"
@@ -180,143 +177,97 @@ def sampled_kernel(grid, values) -> MemoryKernel:
                         values=np.asarray(values, dtype=float))
 
 
-def default_kernel_catalog() -> list[MemoryKernel]:
-    """Zero / weak / moderate exponential memory with unit decay rate."""
-    return [zero_kernel(), exponential_kernel(0.2, 1.0), exponential_kernel(0.5, 1.0)]
-
-
 # ----------------------------------------------------------------------
 # Mode solutions
 
 
-@dataclass(eq=False)
-class ViscoModeSolution:
-    """One mode amplitude z_n(t) on a uniform grid over [0, T].
+@dataclass(frozen=True, eq=False)
+class MemoryModes:
+    """Mode amplitudes z_n(t) of one kernel, n = 1..N, on one uniform grid.
 
-    samples are the forward-time values; dsamples the time derivative.
-    Terminal residuals measure |z(T) - 1| and |z'(T) - i*lam| and must sit
-    at solver tolerance by construction.
+    samples has shape (N, len(tgrid)); row n belongs to lambdas[n].  The
+    terminal residuals |z_n(T) - 1| and |z_n'(T) - i*lam_n| sit at solver
+    rounding by construction; solve_memory_modes checks them.
     """
 
-    n: int
-    lam: float
+    lambdas: np.ndarray
     tgrid: np.ndarray
     samples: np.ndarray
-    dsamples: np.ndarray
     kernel: MemoryKernel
-    method: str = "march"
-    terminal_residual: float = field(init=False)
-    terminal_slope_residual: float = field(init=False)
+    terminal_residuals: np.ndarray
+    terminal_slope_residuals: np.ndarray
 
-    def __post_init__(self):
-        if self.lam == 0.0:
-            raise ConfigurationError("mode frequency must be nonzero")
-        if self.samples.shape != self.tgrid.shape or self.dsamples.shape != self.tgrid.shape:
-            raise ConfigurationError("sample arrays do not match the time grid")
-        if not (np.all(np.isfinite(self.samples.view(float)))
-                and np.all(np.isfinite(self.dsamples.view(float)))):
-            raise NumericalError(f"non-finite mode samples at lam = {self.lam:g}")
-        self.terminal_residual = float(abs(self.samples[-1] - 1.0))
-        self.terminal_slope_residual = float(abs(self.dsamples[-1] - 1j * self.lam))
-        if self.terminal_residual > 1e-10:
-            raise NumericalError(
-                f"terminal value off by {self.terminal_residual:.3e} at lam = {self.lam:g}"
-            )
-        if self.terminal_slope_residual > TOLERANCES["visco_terminal"] * abs(self.lam):
-            raise NumericalError(
-                f"terminal slope off by {self.terminal_slope_residual:.3e} "
-                f"at lam = {self.lam:g}"
-            )
-
-    @property
-    def T(self) -> float:
-        return float(self.tgrid[-1])
-
-    @property
-    def h(self) -> float:
-        return float(self.tgrid[1] - self.tgrid[0])
-
-    def reference(self, gamma: complex) -> np.ndarray:
-        """Shifted exponential exp((gamma + i*lam)(t - T)) on the grid."""
-        return np.exp((gamma + 1j * self.lam) * (self.tgrid - self.T))
-
-    def mirror(self) -> "ViscoModeSolution":
-        """The partner mode at -lam (complex conjugate for real kernels)."""
-        return ViscoModeSolution(-self.n, -self.lam, self.tgrid,
-                                 np.conj(self.samples), np.conj(self.dsamples),
-                                 self.kernel, method=self.method)
+    def signed(self) -> np.ndarray:
+        """Time factors in the signed order [1..N, -1..-N]: [Z; conj Z]."""
+        return np.vstack([self.samples, np.conj(self.samples)])
 
 
-def default_step(lam: float, T: float) -> float:
-    """Marching step policy: bounded phase per step and per horizon."""
-    return min(T / 256.0, 0.25 / abs(lam))
+def visco_time_grid(T: float, lam_max: float) -> np.ndarray:
+    """Uniform odd-count grid fine enough for both marching and Simpson.
 
-
-def visco_time_grid(T: float, lam_max: float, target: float = 1e-7) -> np.ndarray:
-    """Uniform odd-count grid fine enough for both marching and Simpson."""
-    base = default_time_grid(T, lam_max, target=target)
-    n_policy = int(np.ceil(T / default_step(lam_max, T))) + 1
+    It refines the Simpson grid default_time_grid(T, lam_max) until the
+    step is at most min(T/256, 0.25/lam_max), which bounds the phase per
+    step and the number of steps per horizon.
+    """
+    base = default_time_grid(T, lam_max)
+    n_policy = int(np.ceil(T / min(T / 256.0, 0.25 / lam_max))) + 1
     n = max(len(base), n_policy)
     if n % 2 == 0:
         n += 1
     return np.linspace(0.0, T, n)
 
 
-def _duhamel_weights(lam: float, h: float) -> tuple[float, float, float, float]:
+def _duhamel_weights(lams: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     """Exact step responses of v'' + lam^2 v = f for constant/linear f.
 
-    Returns (p0, p1, q0, q1) with
+    Returns per-mode arrays (p0, p1, q0, q1) with
       position += p0*f0 + p1*(f1 - f0)/h,   slope += q0*f0 + q1*(f1 - f0)/h.
-    Series branch guards the small-phase cancellation in p1.
+    The series branch, taken where |lam*h| < 1e-2, guards the small-phase
+    cancellation in p1.
     """
-    x = lam * h
+    x = lams * h
     c, s = np.cos(x), np.sin(x)
-    if abs(x) < 1e-2:
-        x2 = x * x
-        p0 = 0.5 * h * h * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0))
-        p1 = h**3 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
-        q0 = h * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0))
-    else:
-        p0 = (1.0 - c) / lam**2
-        p1 = (h - s / lam) / lam**2
-        q0 = s / lam
-    q1 = p0
-    return p0, p1, q0, q1
+    x2 = x * x
+    series = np.abs(x) < 1e-2
+    p0 = np.where(series, 0.5 * h * h * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0)),
+                  (1.0 - c) / lams**2)
+    p1 = np.where(series, h**3 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)),
+                  (h - s / lams) / lams**2)
+    q0 = np.where(series, h * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)), s / lams)
+    return p0, p1, q0, p0
 
 
-def _march_memory(lam: float, kernel: MemoryKernel, tau: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """March v, v' forward on the uniform grid tau with trapezoid history.
+def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np.ndarray:
+    """March v for every mode forward on the uniform grid tau; shape (N, len(tau)).
 
     The current unknown enters the memory trapezoid linearly through the
-    endpoint weight h/2*M(0), so each step is a scalar solve.  Cost is
-    quadratic in the number of steps (full history each step).
+    endpoint weight h/2*M(0), so each step is a division per mode.  One
+    time loop serves all modes: a step's trapezoid history is a single
+    product of the kernel samples with the real view of the (steps x N)
+    history, so the cost is quadratic in the number of steps.
     """
     n = tau.size
     h = float(tau[1] - tau[0])
     mker = np.asarray(kernel(tau), dtype=float)
-    c, s = np.cos(lam * h), np.sin(lam * h)
-    p0, p1, q0, q1 = _duhamel_weights(lam, h)
-    beta = -(lam**2) * 0.5 * h * mker[0]
+    c, s = np.cos(lams * h), np.sin(lams * h)
+    p0, p1, q0, q1 = _duhamel_weights(lams, h)
+    beta = -(lams**2) * 0.5 * h * mker[0]
     denom = 1.0 - (p1 / h) * beta
-    v = np.empty(n, dtype=complex)
-    vp = np.empty(n, dtype=complex)
-    f = np.empty(n, dtype=complex)
+    v = np.empty((n, lams.size), dtype=complex)
+    history = v.view(float)                      # (n, 2N): real, imaginary
     v[0] = 1.0
-    vp[0] = -1j * lam
-    f[0] = 0.0
+    vp = -1j * lams
+    f = np.zeros(lams.size, dtype=complex)
     for i in range(n - 1):
         hist = mker[i + 1:0:-1]
-        conv = h * (np.dot(hist, v[:i + 1]) - 0.5 * hist[0] * v[0])
-        f_known = -(lam**2) * conv
-        rhs = c * v[i] + (s / lam) * vp[i] + p0 * f[i] + (p1 / h) * (f_known - f[i])
+        conv = h * ((hist @ history[:i + 1]).view(complex) - 0.5 * hist[0] * v[0])
+        f_known = -(lams**2) * conv
+        rhs = c * v[i] + (s / lams) * vp + p0 * f + (p1 / h) * (f_known - f)
         v[i + 1] = rhs / denom
-        f[i + 1] = f_known + beta * v[i + 1]
-        vp[i + 1] = (-lam * s * v[i] + c * vp[i]
-                     + q0 * f[i] + (q1 / h) * (f[i + 1] - f[i]))
-    if not (np.all(np.isfinite(v.view(float))) and np.all(np.isfinite(vp.view(float)))):
-        raise NumericalError(f"marching produced non-finite samples at lam = {lam:g}")
-    return v, vp
+        f_next = f_known + beta * v[i + 1]
+        vp = -lams * s * v[i] + c * vp + q0 * f + (q1 / h) * (f_next - f)
+        f = f_next
+    return v.T
 
 
 def _exponential_rates(lam: float, m0: float, delta: float) -> np.ndarray:
@@ -331,116 +282,64 @@ def _exponential_rates(lam: float, m0: float, delta: float) -> np.ndarray:
     return roots
 
 
-def _exact_exponential(lam: float, kernel: MemoryKernel, tgrid: np.ndarray
+def _exact_exponential(lams: np.ndarray, kernel: MemoryKernel, tgrid: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form z, z' on the forward grid for an exponential kernel.
+    """Closed-form z_n on the forward grid for an exponential kernel, and z_n'(T).
 
     v(tau) = sum_j c_j exp(mu_j tau) with the c_j pinned by the initial
     data and by cancellation of the kernel's own exp(-delta*tau) response.
     """
-    T = float(tgrid[-1])
-    if kernel.is_zero:
-        z = np.exp(1j * lam * (tgrid - T))
-        return z, 1j * lam * z
-    mu = _exponential_rates(lam, kernel.m0, kernel.delta)
-    rows = np.vstack([np.ones(3, dtype=complex), mu, 1.0 / (mu + kernel.delta)])
-    rhs = np.array([1.0, -1j * lam, 0.0], dtype=complex)
-    coef = np.linalg.solve(rows, rhs)
-    tau = T - tgrid
-    expo = np.exp(np.outer(mu, tau))
-    v = coef @ expo
-    vp = (coef * mu) @ expo
-    return v, -vp
+    tau = tgrid[-1] - tgrid
+    z = np.empty((len(lams), tau.size), dtype=complex)
+    slopes = np.empty(len(lams), dtype=complex)
+    for n, lam in enumerate(lams):
+        mu = _exponential_rates(lam, kernel.m0, kernel.delta)
+        rows = np.vstack([np.ones(3, dtype=complex), mu, 1.0 / (mu + kernel.delta)])
+        coef = np.linalg.solve(rows, np.array([1.0, -1j * lam, 0.0], dtype=complex))
+        z[n] = coef @ np.exp(np.outer(mu, tau))
+        slopes[n] = -np.sum(coef * mu)
+    return z, slopes
 
 
-def solve_visco_mode(lam: float, kernel: MemoryKernel, T: float,
-                     h: float | None = None, tgrid: np.ndarray | None = None,
-                     method: str = "auto") -> ViscoModeSolution:
-    """Solve one memory mode backwards from unit terminal data.
+def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
+    """Solve every positive frequency backwards from unit terminal data.
 
-    method: "march" (generic kernels), "exact" (exponential/zero family
-    closed form), or "auto" (exact when available).  The grid is uniform
-    over [0, T]; pass tgrid to share it across modes, else it is built
-    from the step policy (h overrides the default step).
+    All modes share the grid visco_time_grid(T, max lambda).  The kernel
+    picks the method: the exact rotation for a zero kernel, the closed form
+    for an exponential kernel, and one batched march for any other.
     """
-    if lam == 0.0:
-        raise ConfigurationError("mode frequency must be nonzero")
+    lams = np.asarray(lambdas, dtype=float)
+    if lams.ndim != 1 or lams.size == 0 or np.any(lams <= 0.0):
+        raise ConfigurationError("need strictly positive mode frequencies")
     if T <= 0.0:
         raise ConfigurationError("horizon must be positive")
-    if tgrid is None:
-        step = default_step(lam, T) if h is None else float(h)
-        n = int(np.ceil(T / step)) + 1
-        if n % 2 == 0:
-            n += 1
-        tgrid = np.linspace(0.0, T, n)
+    tgrid = visco_time_grid(T, float(lams.max()))
+    # the rotation and the march start from v'(0) = -i*lam, so z'(T) = i*lam
+    slopes = 1j * lams
+    if kernel.is_zero:
+        samples = np.exp(1j * np.outer(lams, tgrid - T))
+    elif kernel.family == "exponential":
+        samples, slopes = _exact_exponential(lams, kernel, tgrid)
     else:
-        tgrid = np.asarray(tgrid, dtype=float)
-        steps = np.diff(tgrid)
-        if (tgrid[0] != 0.0 or abs(tgrid[-1] - T) > 1e-12 * max(T, 1.0)
-                or np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]):
-            raise ConfigurationError("tgrid must be uniform over [0, T]")
-    dt = float(tgrid[1] - tgrid[0])
-    if dt > min(T / 64.0, 0.3 / abs(lam)) * (1.0 + 1e-12):
-        raise NumericalError(
-            f"resolution: step {dt:.3e} exceeds min(T/64, 0.3/|lam|) "
-            f"= {min(T / 64.0, 0.3 / abs(lam)):.3e} at lam = {lam:g}"
-        )
-    if method == "auto":
-        method = "exact" if kernel.family in ("exponential", "zero") else "march"
-    if method == "exact":
-        if kernel.family not in ("exponential", "zero"):
-            raise ConfigurationError(
-                f"no closed form for kernel family {kernel.family!r}"
-            )
-        z, dz = _exact_exponential(lam, kernel, tgrid)
-    elif method == "march":
-        tau = tgrid[-1] - tgrid[::-1]
-        v, vp = _march_memory(lam, kernel, tau)
-        z = v[::-1].copy()
-        dz = -vp[::-1]
-    else:
-        raise ConfigurationError(f"unknown solver method {method!r}")
-    n_index = int(round(abs(lam)))
-    return ViscoModeSolution(n=n_index if lam > 0 else -n_index, lam=float(lam),
-                             tgrid=tgrid, samples=z, dsamples=dz,
-                             kernel=kernel, method=method)
-
-
-def build_mode_solutions(lambdas, kernel: MemoryKernel, T: float,
-                         tgrid: np.ndarray | None = None,
-                         method: str = "auto") -> list[ViscoModeSolution]:
-    """Solve every positive frequency in lambdas on one shared grid."""
-    lams = np.asarray(lambdas, dtype=float)
-    if lams.size == 0 or np.any(lams <= 0.0):
-        raise ConfigurationError("need strictly positive mode frequencies")
-    if tgrid is None:
-        tgrid = visco_time_grid(T, float(lams.max()))
-    out = []
-    for i, lam in enumerate(lams):
-        sol = solve_visco_mode(lam, kernel, T, tgrid=tgrid, method=method)
-        sol.n = i + 1
-        out.append(sol)
-    return out
+        samples = _march_memory(lams, kernel, tgrid[-1] - tgrid[::-1])[:, ::-1]
+    finite = np.all(np.isfinite(samples), axis=1)
+    if not finite.all():
+        raise NumericalError(f"non-finite mode samples at lam = {lams[~finite][0]:g}")
+    residuals = np.abs(samples[:, -1] - 1.0)
+    slope_residuals = np.abs(slopes - 1j * lams)
+    for lam, value, slope in zip(lams, residuals, slope_residuals):
+        if value > 1e-10:
+            raise NumericalError(f"terminal value off by {value:.3e} at lam = {lam:g}")
+        if slope > TOLERANCES["visco_terminal"] * lam:
+            raise NumericalError(f"terminal slope off by {slope:.3e} at lam = {lam:g}")
+    return MemoryModes(lams, tgrid, samples, kernel, residuals, slope_residuals)
 
 
 # ----------------------------------------------------------------------
 # Decay rate fit and closeness spectrum
 
 
-def _shared_grid(solutions) -> np.ndarray:
-    if len(solutions) == 0:
-        raise ConfigurationError("no mode solutions given")
-    tgrid = solutions[0].tgrid
-    sig = solutions[0].kernel.signature()
-    for sol in solutions[1:]:
-        if sol.tgrid.shape != tgrid.shape or not np.array_equal(sol.tgrid, tgrid):
-            raise ConfigurationError("mode solutions do not share a time grid")
-        if sol.kernel.signature() != sig:
-            raise ConfigurationError("mode solutions do not share a kernel")
-    return tgrid
-
-
-def fit_gamma(solutions) -> tuple[complex, dict]:
+def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     """Fit the complex decay rate of the shifted exponential references.
 
     Minimizes sum_n lam_n^2 * d_n(gamma) over the signed system (the
@@ -452,21 +351,18 @@ def fit_gamma(solutions) -> tuple[complex, dict]:
     per-mode phase drift.  Seeded at -M(0)/2; the seed carries no
     authority, the decay diagnostics downstream validate the fit.
     """
-    tgrid = _shared_grid(solutions)
-    lams = np.array([sol.lam for sol in solutions], dtype=float)
-    if np.any(lams <= 0.0):
-        raise ConfigurationError("fit takes the positive-frequency solutions")
+    lams = modes.lambdas
     if lams.size < 5 or lams.max() < 4.0 * lams.min():
         raise ConfigurationError(
             "need >= 5 modes spanning a >= 4x frequency range to fit gamma"
         )
+    tgrid = modes.tgrid
     T = float(tgrid[-1])
     dt = float(tgrid[1] - tgrid[0])
     w = simpson_weights(len(tgrid), dt)
     sqw = np.sqrt(w)
     base = tgrid - T
-    Zpos = np.vstack([sol.samples for sol in solutions])
-    Z = np.vstack([Zpos, np.conj(Zpos)])
+    Z = modes.signed()
     lams_signed = np.concatenate([lams, -lams])
     osc = np.exp(1j * np.outer(lams_signed, base))
     scale = np.abs(lams_signed)[:, None] * sqw[None, :]
@@ -476,7 +372,7 @@ def fit_gamma(solutions) -> tuple[complex, dict]:
         r = scale * (Z - ref)
         return float(np.vdot(r, r).real), ref
 
-    gamma = complex(-solutions[0].kernel.at_zero() / 2.0)
+    gamma = complex(-modes.kernel.at_zero() / 2.0)
     seed = gamma
     obj, ref = objective(gamma)
     obj_seed = obj
@@ -523,17 +419,12 @@ def fit_gamma(solutions) -> tuple[complex, dict]:
     return gamma, info
 
 
-def mode_distances(solutions, gamma: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Simpson L2 distances of each mode to its shifted reference."""
-    tgrid = _shared_grid(solutions)
-    dt = float(tgrid[1] - tgrid[0])
-    w = simpson_weights(len(tgrid), dt)
-    lams = np.array([sol.lam for sol in solutions], dtype=float)
-    dist = np.empty(lams.size, dtype=float)
-    for i, sol in enumerate(solutions):
-        diff = sol.samples - sol.reference(gamma)
-        dist[i] = float(np.dot(w, np.abs(diff) ** 2))
-    return lams, dist
+def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
+    """Simpson L2 distance of each mode to exp((gamma + i*lam)(t - T))."""
+    tgrid = modes.tgrid
+    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    refs = np.exp(np.outer(gamma + 1j * modes.lambdas, tgrid - tgrid[-1]))
+    return np.abs(modes.samples - refs) ** 2 @ w
 
 
 @dataclass(eq=False)
@@ -565,18 +456,17 @@ class ClosenessReport:
         return out
 
 
-def closeness_spectrum(solutions, gamma: complex) -> ClosenessReport:
+def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
     """Fit the decay law distance ~ C * lambda^slope across the modes.
 
     Pass requires slope <= -1.8 on the upper half of the frequency range;
     an all-tiny distance spectrum (no memory) degenerates to a trivial
     pass with the slope fields left unset.
     """
-    lams, dist = mode_distances(solutions, gamma)
-    order = np.argsort(lams)
-    lams, dist = lams[order], dist[order]
-    terminal = np.array([solutions[int(i)].terminal_residual for i in order])
-    T = float(solutions[0].tgrid[-1])
+    order = np.argsort(modes.lambdas)
+    lams, dist = modes.lambdas[order], mode_distances(modes, gamma)[order]
+    terminal = modes.terminal_residuals[order]
+    T = float(modes.tgrid[-1])
     c1_max = float(np.max(dist * lams**2))
     if float(np.max(dist)) <= 1e-16 * T:
         return ClosenessReport(gamma, T, lams, dist, terminal, None, None, None,
@@ -607,25 +497,6 @@ def closeness_spectrum(solutions, gamma: complex) -> ClosenessReport:
 # Signed trace systems and the Paley-Wiener finite section
 
 
-def signed_time_factors(solutions, table: ModeTable) -> np.ndarray:
-    """Stack z_n time factors in the signed order [1..N, -1..-N].
-
-    The negative-index factors are the conjugates of the positive ones,
-    which is exact for the real-valued kernels this module builds.
-    """
-    if len(solutions) != table.N:
-        raise ConfigurationError(
-            f"need one solution per table mode ({table.N}), got {len(solutions)}"
-        )
-    tgrid = _shared_grid(solutions)
-    lams = np.array([sol.lam for sol in solutions], dtype=float)
-    if np.max(np.abs(lams - table.lambdas)) > 1e-9 * np.max(table.lambdas):
-        raise ConfigurationError("solution frequencies do not match the mode table")
-    Z = np.vstack([sol.samples for sol in solutions])
-    del tgrid
-    return np.vstack([Z, np.conj(Z)])
-
-
 def shifted_reference_factors(lams_signed: np.ndarray, gamma: complex,
                               tgrid: np.ndarray) -> np.ndarray:
     """exp((gamma + i*lam)(t - T)) rows for the signed frequencies."""
@@ -652,7 +523,7 @@ def _excluded_rows(table: ModeTable, excluded) -> np.ndarray:
     return np.array(sorted(set(rows)), dtype=int)
 
 
-def paley_wiener_q(table: ModeTable, brule: QuadratureRule, solutions,
+def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
                    gamma: complex, excluded=()) -> float:
     """Finite-section relative bound of the memory perturbation.
 
@@ -663,18 +534,21 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, solutions,
     Gram.  If any reference direction carries eigenvalue below
     1e-10 * trace the whole quotient is rejected as ill-posed: projecting
     the dead directions away could swallow difference energy and report a
-    flattering q.
+    flattering q.  The modes must be solved for the table's frequencies.
     """
-    tgrid = _shared_grid(solutions)
-    lams_signed = table.lambdas_signed()
-    Z = signed_time_factors(solutions, table)
-    refs = shifted_reference_factors(lams_signed, gamma, tgrid)
-    diff = Z - refs
+    if (modes.lambdas.shape != table.lambdas.shape
+            or np.max(np.abs(modes.lambdas - table.lambdas)) > 1e-9 * np.max(table.lambdas)):
+        raise ConfigurationError(
+            f"{modes.lambdas.size} mode frequencies do not match the "
+            f"{table.N}-mode table"
+        )
+    refs = shifted_reference_factors(table.lambdas_signed(), gamma, modes.tgrid)
+    diff = modes.signed() - refs
     drop = _excluded_rows(table, excluded)
     if drop.size:
         diff[drop, :] = 0.0
-    D = sampled_gram_matrix(table, brule, diff, tgrid)
-    E = sampled_gram_matrix(table, brule, refs, tgrid)
+    D = sampled_gram_matrix(table, brule, diff, modes.tgrid)
+    E = sampled_gram_matrix(table, brule, refs, modes.tgrid)
     evals, vecs = jacobi_eigh(E)
     cutoff = 1e-10 * float(np.trace(E).real)
     dead = int(np.count_nonzero(evals <= cutoff))
@@ -725,9 +599,7 @@ def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
 
 
 def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
-                             kernel: MemoryKernel, T: float,
-                             tgrid: np.ndarray | None = None,
-                             method: str = "auto") -> dict:
+                             kernel: MemoryKernel, T: float) -> dict:
     """Certify the lower/upper Riesz bounds of the memory trace system.
 
     Assembles the sampled Gram of { z_n(t) psi_n(x) } over the signed
@@ -742,19 +614,14 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
         raise ConfigurationError(
             f"horizon {T:g} does not exceed the escape time {2 * domain.R:g}"
         )
-    lam_max_tab = float(np.max(table.lambdas))
-    if tgrid is None:
-        tgrid = visco_time_grid(T, lam_max_tab)
-    solutions = build_mode_solutions(table.lambdas, kernel, T,
-                                     tgrid=tgrid, method=method)
+    modes = solve_memory_modes(table.lambdas, kernel, T)
     if kernel.is_zero:
         gamma, fit_info = 0.0 + 0.0j, {"objective": 0.0, "skipped": "zero kernel"}
     else:
-        gamma, fit_info = fit_gamma(solutions)
-    closeness = closeness_spectrum(solutions, gamma)
+        gamma, fit_info = fit_gamma(modes)
+    closeness = closeness_spectrum(modes, gamma)
 
-    Z = signed_time_factors(solutions, table)
-    G = sampled_gram_matrix(table, brule, Z, tgrid)
+    G = sampled_gram_matrix(table, brule, modes.signed(), modes.tgrid)
     evals, _ = jacobi_eigh(G, need_vectors=False)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     margin_factor = TOLERANCES["memory_margin_factor"]
@@ -778,8 +645,8 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
     ]
     independence_ok = all(entry["lambda_min"] > 0.0 for entry in independence)
 
-    terminal_max = max(sol.terminal_residual for sol in solutions)
-    slope_max = max(sol.terminal_slope_residual / abs(sol.lam) for sol in solutions)
+    terminal_max = np.max(modes.terminal_residuals)
+    slope_max = np.max(modes.terminal_slope_residuals / modes.lambdas)
 
     return {
         "domain": domain.kind,

@@ -235,16 +235,18 @@ def normal_derivative_trace(table: ModeTable, brule: QuadratureRule,
 # ----------------------------------------------------------------------
 # the Monte-Carlo observability certificate
 
+_SAMPLED_FLUX_CHECKS = 3  # draws whose flux is also sampled directly
+
 
 def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
                              draws: int, rng: np.random.Generator,
-                             margin_tol: float | None = None,
-                             sampled_checks: int = 3) -> dict:
+                             margin_tol: float | None = None) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
-    Ratios use the Gram quadratic form (exact); for the first few draws the
-    directly sampled flux norm is compared against it within the configured
-    relative tolerance, tying the closed form to an independent Simpson route.
+    Ratios use the Gram quadratic form (exact); for the first
+    _SAMPLED_FLUX_CHECKS draws the directly sampled flux norm is compared
+    against it within the configured relative tolerance, tying the closed
+    form to an independent Simpson route.
     The minimizing eigenvector is always included as the adversarial draw.
     """
     if margin_tol is None:
@@ -264,7 +266,7 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
         a = coeffs_to_a(state)
         norm_a = float(np.sum(np.abs(a) ** 2))
         flux_sq = gram.quad_form(a)
-        if i < sampled_checks:
+        if i < _SAMPLED_FLUX_CHECKS:
             direct = boundary_flux(table, brule, state, T).norm_sq
             rel = abs(direct - flux_sq) / flux_sq
             cross_errors.append(rel)

@@ -20,13 +20,14 @@ from observalab.geometry import (boundary_quadrature, disk, interior_quadrature,
 from observalab.gram import assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
 from observalab.operators import (antisymmetry_suite, estimate_trace_constant,
-                                  quasi_orthogonality_check, rellich_suite)
+                                  multiplier_pairings, quasi_orthogonality_check,
+                                  rellich_suite)
 from observalab.reports import strip_timestamp
-from observalab.visco import (build_mode_solutions, closeness_spectrum,
+from observalab.visco import (_exact_exponential, _march_memory, closeness_spectrum,
                               exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
-                              solve_visco_mode, visco_time_grid, zero_kernel)
+                              solve_memory_modes, zero_kernel)
 from observalab.wave import (boundary_flux, coeffs_to_a, observability_experiment,
                              random_state)
 
@@ -52,7 +53,7 @@ def test_criterion_01_rellich_identities_three_geometries(geometries):
     start = time.monotonic()
     for kind, (dom, table, brule, irule) in geometries.items():
         tol = 1e-5 if kind == "disk" else 1e-6
-        reports = rellich_suite(table, irule, brule, max_index=20, tol=tol)
+        reports = rellich_suite(multiplier_pairings(table, irule), brule, max_index=20, tol=tol)
         assert len(reports) == (2 * 20) ** 2, kind
         bad = [r for r in reports if not r.passed]
         assert not bad, f"{kind}: {len(bad)} residuals above {tol:g}, " \
@@ -69,13 +70,14 @@ def test_criterion_01_rellich_identities_three_geometries(geometries):
 def test_criterion_02_quasi_orthogonality_and_antisymmetry(geometries):
     for kind, (dom, table, brule, irule) in geometries.items():
         rng = np.random.default_rng(101)
+        pairings = multiplier_pairings(table, irule)
         u = np.array([rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
                       for _ in range(200)])
-        reports = quasi_orthogonality_check(table, irule, u, slack=1e-8)
+        reports = quasi_orthogonality_check(pairings, u, slack=1e-8)
         assert len(reports) == 200, kind
         for i, rep in enumerate(reports):
             assert rep.passed, f"{kind} draw {i}: {rep.lhs} > {rep.rhs} + 1e-8"
-        anti = antisymmetry_suite(table, irule, max_index=15, tol=1e-8)
+        anti = antisymmetry_suite(pairings, max_index=15, tol=1e-8)
         bad = [r for r in anti if not r.passed]
         assert not bad, f"{kind}: antisymmetry violated at {bad[0].label}"
 
@@ -142,20 +144,22 @@ def test_criterion_05_flux_norm_equals_gram_form(geometries):
 def test_criterion_06_memory_solver_reduction_and_order():
     T = 3.0
     # memoryless reduction: marched solution against the exact rotation
-    for lam in (5.0, 20.0, 80.0):
-        sol = solve_visco_mode(lam, zero_kernel(), T, method="march")
-        ref = np.exp((0.0 + 1j * lam) * (sol.tgrid - T))
-        err = float(np.max(np.abs(sol.samples - ref)))
-        assert err <= 10.0 * sol.h ** 2 * T * lam ** 2
-        assert sol.terminal_residual <= 1e-8
-        assert sol.terminal_slope_residual <= 1e-8 * lam
+    # (grids of min(T/256, 0.25/lam) steps, odd sample counts)
+    for lam, n in ((5.0, 257), (20.0, 257), (80.0, 961)):
+        tgrid = np.linspace(0.0, T, n)
+        z = _march_memory(np.array([lam]), zero_kernel(), T - tgrid[::-1])[0, ::-1]
+        ref = np.exp((0.0 + 1j * lam) * (tgrid - T))
+        err = float(np.max(np.abs(z - ref)))
+        assert err <= 10.0 * tgrid[1] ** 2 * T * lam ** 2
+        assert abs(z[-1] - 1.0) <= 1e-8
     # empirical order against the closed form, evaluated on the march grid
     lam, kernel = 10.0, exponential_kernel(0.5, 1.0)
     errs = []
-    for h in (T / 512, T / 1024):
-        sol = solve_visco_mode(lam, kernel, T, h=h, method="march")
-        ref = solve_visco_mode(lam, kernel, T, tgrid=sol.tgrid, method="exact")
-        errs.append(float(np.max(np.abs(sol.samples - ref.samples))))
+    for n in (513, 1025):
+        tgrid = np.linspace(0.0, T, n)
+        z = _march_memory(np.array([lam]), kernel, T - tgrid[::-1])[0, ::-1]
+        ref = _exact_exponential(np.array([lam]), kernel, tgrid)[0][0]
+        errs.append(float(np.max(np.abs(z - ref))))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2, f"empirical order {order:.3f}"
 
@@ -164,9 +168,9 @@ def test_criterion_07_memory_distance_decay_law():
     # lam in [5, 80] on the interval; decay of the per-mode distances
     T = 2.5 * np.pi
     lams = np.arange(5.0, 81.0)
-    sols = build_mode_solutions(lams, exponential_kernel(0.5, 1.0), T)
-    gamma, _ = fit_gamma(sols)
-    report = closeness_spectrum(sols, gamma)
+    modes = solve_memory_modes(lams, exponential_kernel(0.5, 1.0), T)
+    gamma, _ = fit_gamma(modes)
+    report = closeness_spectrum(modes, gamma)
     assert report.slope is not None
     assert report.slope <= -1.8, f"slope {report.slope:.3f}"
     assert report.r_squared >= 0.9, f"R^2 {report.r_squared:.3f}"
@@ -179,25 +183,23 @@ def test_criterion_08_perturbation_section_below_one():
     brule = boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
     T = 2.5 * np.pi
     kernel = exponential_kernel(0.5, 1.0)
-    tgrid = visco_time_grid(T, float(table.lambdas[-1]))
-    sols = build_mode_solutions(table.lambdas, kernel, T, tgrid=tgrid)
-    gamma, _ = fit_gamma(sols)
-    report = closeness_spectrum(sols, gamma)
+    modes = solve_memory_modes(table.lambdas, kernel, T)
+    gamma, _ = fit_gamma(modes)
+    report = closeness_spectrum(modes, gamma)
     c_alpha = estimate_trace_constant(table, brule, 200,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = shifted_system_bounds(table, brule, gamma, tgrid)
+    c_gamma, _ = shifted_system_bounds(table, brule, gamma, modes.tgrid)
     k, excluded = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma,
                                          table.lambdas)
-    q_hat = paley_wiener_q(table, brule, sols, gamma, excluded=excluded)
+    q_hat = paley_wiener_q(table, brule, modes, gamma, excluded=excluded)
     assert q_hat < 1.0, f"q at the proof-guided cutoff k={k} is {q_hat:.3f}"
 
     # a memoryless system is its own reference: q must vanish identically
-    zero_sols = build_mode_solutions(table.lambdas, zero_kernel(), T,
-                                     tgrid=tgrid)
-    assert paley_wiener_q(table, brule, zero_sols, 0.0) == 0.0
+    zero_modes = solve_memory_modes(table.lambdas, zero_kernel(), T)
+    assert paley_wiener_q(table, brule, zero_modes, 0.0) == 0.0
 
     # growing the excluded set never increases the section norm
-    qs = [paley_wiener_q(table, brule, sols, gamma,
+    qs = [paley_wiener_q(table, brule, modes, gamma,
                          excluded=[s * j for j in range(1, width + 1)
                                    for s in (1, -1)])
           for width in (1, 4, 8, 12)]

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from observalab import cli
+from observalab import cli, visco
 from observalab import operators as ops
 from observalab.bessel import bessel_zero
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
@@ -117,17 +117,19 @@ def test_full_pipeline_interval_exit_zero(tmp_path):
 
 
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
-    """verify-identities evaluates grad phi a fixed number of times, however
-    many quasi-orthogonality draws it certifies, in one block or several."""
+    """verify-identities evaluates phi and grad phi on the interior rule once,
+    however many quasi-orthogonality draws it certifies, in one block or
+    several (the disk's boundary traces are closed form, so those are all
+    the calls)."""
     calls = []
-    original = ModeTable.grad_phi_matrix
+    for name in ("phi_matrix", "grad_phi_matrix"):
+        original = getattr(ModeTable, name)
 
-    def counted(self, points):
-        calls.append(len(points))
-        return original(self, points)
+        def counted(self, points, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, points)
 
-    monkeypatch.setattr(ModeTable, "grad_phi_matrix", counted)
-    counts = {}
+        monkeypatch.setattr(ModeTable, name, counted)
     for draws in (1, 50, ops._ROW_BLOCK + 1):
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
@@ -135,8 +137,26 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
                             domain={"kind": "disk", "radius": 1.0})
         calls.clear()
         assert _run("verify-identities", "--config", str(cfg)) == 0
-        counts[draws] = len(calls)
-    assert counts[1] == counts[50] == counts[ops._ROW_BLOCK + 1] > 0
+        assert sorted(calls) == ["grad_phi_matrix", "phi_matrix"], draws
+
+
+def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
+    """One batched march for the polynomial kernel; the zero and exponential
+    kernels go through the rotation and the closed form."""
+    calls = []
+    original = visco._march_memory
+
+    def counted(lams, kernel, tau):
+        calls.append((kernel.family, len(lams)))
+        return original(lams, kernel, tau)
+
+    monkeypatch.setattr(visco, "_march_memory", counted)
+    cfg = _write_config(tmp_path, kernels=[
+        {"family": "zero"},
+        {"family": "exponential", "M0": 0.5, "delta": 1.0},
+        {"family": "polynomial", "M0": 0.2, "p": 2.0}])
+    assert _run("visco", "--config", str(cfg)) == 0
+    assert calls == [("polynomial", 6)]
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):

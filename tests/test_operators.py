@@ -86,7 +86,7 @@ def _by_label(reports):
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_rellich_diagonals(dom):
     table, irule, brule = _setup(dom)
-    reports = _by_label(ops.rellich_suite(table, irule, brule))
+    reports = _by_label(ops.rellich_suite(ops.multiplier_pairings(table, irule), brule))
     rep = reports["rellich_5_5"]
     assert rep.rhs == 2.0 and rep.passed
     rep = reports["rellich_5_-5"]
@@ -96,7 +96,7 @@ def test_rellich_diagonals(dom):
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_rellich_suite_all_pairs(dom):
     table, irule, brule = _setup(dom)
-    reports = ops.rellich_suite(table, irule, brule)
+    reports = ops.rellich_suite(ops.multiplier_pairings(table, irule), brule)
     assert len(reports) == (2 * table.N) ** 2
     worst = max(r.abs_error for r in reports)
     assert all(r.passed for r in reports), f"worst error {worst:.3e}"
@@ -108,14 +108,15 @@ def test_rellich_rectangle_specific_pair():
     table, irule, brule = _setup(dom, N=6)
     idx = {m.multi_index: i + 1 for i, m in enumerate(table.modes)}
     j, k = idx[(1, 1)], idx[(1, 2)]
-    rep = _by_label(ops.rellich_suite(table, irule, brule))[f"rellich_{j}_{k}"]
+    reports = ops.rellich_suite(ops.multiplier_pairings(table, irule), brule)
+    rep = _by_label(reports)[f"rellich_{j}_{k}"]
     assert rep.abs_error <= 1e-6
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_pairing_antisymmetry_and_diagonal(dom):
     table, irule, _ = _setup(dom)
-    reports = ops.antisymmetry_suite(table, irule)
+    reports = ops.antisymmetry_suite(ops.multiplier_pairings(table, irule))
     for rep in reports:
         assert rep.passed, f"{rep.label}: {rep.abs_error:.3e}"
     # spot-check the diagonal value -d/2: the row holds twice the pairing
@@ -127,7 +128,7 @@ def test_pairing_antisymmetry_and_diagonal(dom):
 def test_quasi_orthogonality_random_draws(dom):
     table, irule, _ = _setup(dom)
     u = ops.complex_gaussian_rows(np.random.default_rng(17), 20, 2 * table.N)
-    reports = ops.quasi_orthogonality_check(table, irule, u)
+    reports = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
     assert [rep.label for rep in reports] == [f"quasi_orth_{i}" for i in range(20)]
     for rep in reports:
         assert rep.passed, f"violation {rep.abs_error:.3e}"
@@ -142,10 +143,11 @@ def test_complex_gaussian_rows_follow_the_per_row_stream():
 
 def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch):
     table, irule, _ = _setup(disk(1.0), N=4)
+    pairings = ops.multiplier_pairings(table, irule)
     whole = ops.quasi_orthogonality_check(
-        table, irule, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
+        pairings, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
     monkeypatch.setattr(ops, "_ROW_BLOCK", 7)
-    blocked = ops.quasi_orthogonality_draws(table, irule, 20, np.random.default_rng(9), 1e-8)
+    blocked = ops.quasi_orthogonality_draws(pairings, 20, np.random.default_rng(9), 1e-8)
     assert [rep.label for rep in blocked] == [rep.label for rep in whole]
     for got, want in zip(blocked, whole):
         assert got.lhs == pytest.approx(want.lhs, rel=1e-14)
@@ -156,7 +158,7 @@ def test_quasi_orthogonality_single_mode():
     table, irule, _ = _setup(interval(np.pi), N=5)
     u = np.zeros((1, 10), dtype=complex)
     u[0, 2] = 1.0
-    (rep,) = ops.quasi_orthogonality_check(table, irule, u)
+    (rep,) = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
     assert rep.lhs <= table.domain.R ** 2 + 1e-8
     assert rep.rhs == pytest.approx(table.domain.R ** 2)
 
@@ -165,7 +167,7 @@ def test_quasi_orthogonality_mirror_cancellation():
     # u_j = u_{-j} real makes the combination vanish identically
     table, irule, _ = _setup(rectangle(1.0, 1.0), N=4)
     u = np.ones((1, 8), dtype=complex)
-    (rep,) = ops.quasi_orthogonality_check(table, irule, u)
+    (rep,) = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
     assert abs(rep.rhs) < 1e-12
     assert rep.lhs < 1e-12
 
@@ -198,7 +200,7 @@ def test_monte_carlo_checks_take_coefficient_rows():
     table, irule, brule = _setup(interval(np.pi), N=2, q=8)
     for bad in (np.ones(4), np.ones((2, 3))):
         with pytest.raises(ConfigurationError):
-            ops.quasi_orthogonality_check(table, irule, bad)
+            ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), bad)
         with pytest.raises(ConfigurationError):
             ops.psib_ratio(table, brule, bad)
 
@@ -223,7 +225,7 @@ def test_batched_rows_match_the_one_row_formulas(kind, data):
          + 1j * data.draw(hnp.arrays(float, shape, elements=_coefficients)))
     aphi = ops._a_phi_matrix(table, irule.nodes)
     R2 = table.domain.R ** 2
-    for row, rep in zip(u, ops.quasi_orthogonality_check(table, irule, u)):
+    for row, rep in zip(u, ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)):
         coeff = (row[:N] - row[N:]) / table.lambdas
         direct = irule.integrate(np.abs(coeff @ aphi) ** 2)
         assert abs(rep.lhs - direct) <= 1e-12 * direct

@@ -17,6 +17,16 @@ def interval_setup(N):
     return dom, table, brule
 
 
+def march(lam, kernel, tgrid):
+    """One-mode march of z on the forward grid tgrid."""
+    return visco._march_memory(np.array([lam]), kernel, tgrid[-1] - tgrid[::-1])[0, ::-1]
+
+
+def exact(lam, kernel, tgrid):
+    """One-mode closed form of z on the forward grid tgrid."""
+    return visco._exact_exponential(np.array([lam]), kernel, tgrid)[0][0]
+
+
 # ----------------------------------------------------------------------
 # solver against independent references
 
@@ -24,10 +34,9 @@ def interval_setup(N):
 def test_zero_kernel_march_is_exact():
     """With no forcing the exact-rotation march reproduces the plane phase."""
     T, lam = 4.0, 5.0
-    sol = visco.solve_visco_mode(lam, visco.zero_kernel(), T, method="march")
-    ref = np.exp(1j * lam * (sol.tgrid - T))
-    assert np.max(np.abs(sol.samples - ref)) <= 1e-12
-    assert np.max(np.abs(sol.dsamples - 1j * lam * ref)) <= 1e-12 * lam
+    tgrid = np.linspace(0.0, T, 257)
+    ref = np.exp(1j * lam * (tgrid - T))
+    assert np.max(np.abs(march(lam, visco.zero_kernel(), tgrid) - ref)) <= 1e-12
 
 
 def test_exact_path_matches_expm_oracle():
@@ -56,10 +65,9 @@ def test_exact_path_matches_expm_oracle():
 def test_march_matches_exact_within_scheme_bound():
     lam, T = 5.0, 4.0
     ker = visco.exponential_kernel(0.4, 1.0)
-    exact = visco.solve_visco_mode(lam, ker, T, method="exact")
-    march = visco.solve_visco_mode(lam, ker, T, tgrid=exact.tgrid, method="march")
-    err = np.max(np.abs(march.samples - exact.samples))
-    h = exact.h
+    tgrid = np.linspace(0.0, T, 257)
+    err = np.max(np.abs(march(lam, ker, tgrid) - exact(lam, ker, tgrid)))
+    h = tgrid[1]
     assert err <= 10.0 * h**2 * T * lam**2
     assert err > 0.0
 
@@ -72,67 +80,93 @@ def test_march_second_order(kernel):
     """Step halving shrinks the error by x4 (within 20 percent)."""
     lam, T = 6.0, 3.0
     grids = [np.linspace(0.0, T, 6 * 128 * f + 1) for f in (1, 2, 4)]
-    sols = [visco.solve_visco_mode(lam, kernel, T, tgrid=g, method="march")
-            for g in grids]
-    e1 = np.max(np.abs(sols[0].samples - sols[1].samples[::2]))
-    e2 = np.max(np.abs(sols[1].samples - sols[2].samples[::2]))
+    z = [march(lam, kernel, g) for g in grids]
+    e1 = np.max(np.abs(z[0] - z[1][::2]))
+    e2 = np.max(np.abs(z[1] - z[2][::2]))
     order = np.log2(e1 / e2)
     assert 1.8 <= order <= 2.2
 
 
 def test_terminal_residuals_at_tolerance():
-    ker = visco.exponential_kernel(0.5, 1.0)
-    for method in ("exact", "march"):
-        sol = visco.solve_visco_mode(7.0, ker, 3.0, method=method)
-        assert sol.terminal_residual <= 1e-10
-        assert sol.terminal_slope_residual <= 1e-8 * 7.0
+    # closed form, march and rotation
+    for kernel in (visco.exponential_kernel(0.5, 1.0), visco.polynomial_kernel(0.3, 2.5),
+                   visco.zero_kernel()):
+        modes = visco.solve_memory_modes([2.0, 7.0], kernel, 3.0)
+        assert modes.samples.shape == (2, modes.tgrid.size)
+        assert np.all(modes.terminal_residuals <= 1e-10)
+        assert np.all(modes.terminal_slope_residuals <= 1e-8 * modes.lambdas)
 
 
 def test_envelope_decays_at_fitted_rate():
     """|z| should follow exp(Re(gamma)(t-T)) once gamma is fitted."""
     ker = visco.exponential_kernel(0.4, 1.0)
     T = 4.0
-    sols = visco.build_mode_solutions(np.arange(2.0, 11.0), ker, T)
-    gamma, _ = visco.fit_gamma(sols)
-    sol = next(s for s in sols if s.lam == 5.0)
-    base = sol.tgrid - T
-    slope, icpt = np.polyfit(base, np.log(np.abs(sol.samples)), 1)
-    resid = np.log(np.abs(sol.samples)) - (slope * base + icpt)
+    modes = visco.solve_memory_modes(np.arange(2.0, 11.0), ker, T)
+    gamma, _ = visco.fit_gamma(modes)
+    z = modes.samples[list(modes.lambdas).index(5.0)]
+    base = modes.tgrid - T
+    slope, icpt = np.polyfit(base, np.log(np.abs(z)), 1)
+    resid = np.log(np.abs(z)) - (slope * base + icpt)
     assert abs(slope - gamma.real) <= 0.1 * abs(gamma.real) + 0.02
     assert np.max(np.abs(resid)) <= 0.2
 
 
-def test_resolution_precondition_rejected():
-    ker = visco.polynomial_kernel(0.3, 2.5)
-    with pytest.raises(NumericalError):
-        visco.solve_visco_mode(40.0, ker, 4.0, tgrid=np.linspace(0.0, 4.0, 129))
-
-
 def test_solver_input_validation():
     ker = visco.exponential_kernel(0.2, 1.0)
+    for lams in ([0.0], [3.0, -3.0], [], [[3.0]]):
+        with pytest.raises(ConfigurationError):
+            visco.solve_memory_modes(lams, ker, 4.0)
     with pytest.raises(ConfigurationError):
-        visco.solve_visco_mode(0.0, ker, 4.0)
-    with pytest.raises(ConfigurationError):
-        visco.solve_visco_mode(3.0, ker, -1.0)
-    with pytest.raises(ConfigurationError):
-        visco.solve_visco_mode(3.0, ker, 4.0, method="rk4")
-    with pytest.raises(ConfigurationError):
-        visco.solve_visco_mode(3.0, visco.polynomial_kernel(0.3, 2.5), 4.0,
-                               method="exact")
-    bad = np.concatenate([np.linspace(0.0, 2.0, 101), np.linspace(2.1, 4.0, 50)])
-    with pytest.raises(ConfigurationError):
-        visco.solve_visco_mode(3.0, ker, 4.0, tgrid=bad)
+        visco.solve_memory_modes([3.0], ker, -1.0)
 
 
 def test_mirror_solution_is_conjugate():
+    """The signed rows [Z; conj Z] hold the negative-frequency solutions."""
     ker = visco.exponential_kernel(0.3, 1.0)
-    sol = visco.solve_visco_mode(4.0, ker, 3.0)
-    mir = sol.mirror()
-    assert mir.lam == -4.0 and mir.n == -sol.n
-    assert np.array_equal(mir.samples, np.conj(sol.samples))
+    modes = visco.solve_memory_modes([4.0], ker, 3.0)
+    signed = modes.signed()
+    assert np.array_equal(signed[0], modes.samples[0])
+    assert np.array_equal(signed[1], np.conj(modes.samples[0]))
     # the conjugate really does solve the negative-frequency problem
-    direct = visco.solve_visco_mode(-4.0, ker, 3.0, tgrid=sol.tgrid)
-    assert np.max(np.abs(mir.samples - direct.samples)) <= 1e-12
+    direct = exact(-4.0, ker, modes.tgrid)
+    assert np.max(np.abs(signed[1] - direct)) <= 1e-12
+
+
+def _decouple_grid():
+    """A grid whose step puts lam*h = 1e-3 ... 4e-2 for lam = 1, 5, 20, 40."""
+    return np.linspace(0.0, 3.0, 3001), np.array([1.0, 5.0, 20.0, 40.0])
+
+
+@pytest.mark.parametrize("kernel", [
+    visco.polynomial_kernel(0.2, 2.0),
+    visco.exponential_kernel(0.5, 1.0),
+], ids=["polynomial", "exponential"])
+def test_batched_march_does_not_couple_modes(kernel):
+    """Each row of one batched march equals the one-mode march."""
+    tau, lams = _decouple_grid()
+    phase = lams * tau[1]
+    assert np.any(phase < 1e-2) and np.any(phase > 1e-2)   # both weight branches
+    batched = visco._march_memory(lams, kernel, tau)
+    for lam, row in zip(lams, batched):
+        alone = visco._march_memory(np.array([lam]), kernel, tau)[0]
+        assert np.max(np.abs(row - alone)) <= 1e-13
+
+
+def test_duhamel_weight_branches_agree_at_the_switch():
+    """Either side of lam*h = 1e-2 each branch is taken, and the two agree there."""
+    h = 1e-3
+    lams = np.array([9.99, 10.01])
+    x = lams * h
+    x2 = x * x
+    series = (0.5 * h * h * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0)),
+              h**3 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)),
+              h * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)))
+    trig = ((1.0 - np.cos(x)) / lams**2, (h - np.sin(x) / lams) / lams**2, np.sin(x) / lams)
+    p0, p1, q0, q1 = visco._duhamel_weights(lams, h)
+    assert np.array_equal(q1, p0)
+    for got, ser, tri in zip((p0, p1, q0), series, trig):
+        assert got[0] == ser[0] and got[1] == tri[1]
+        assert np.allclose(ser, tri, rtol=1e-9, atol=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -180,27 +214,21 @@ def test_kernel_validation_errors():
         visco.sampled_kernel(np.linspace(0.5, 1, 20), np.ones(20))
 
 
-def test_default_kernel_catalog():
-    cat = visco.default_kernel_catalog()
-    assert len(cat) == 3 and cat[0].is_zero
-    assert [k.m0 for k in cat[1:]] == [0.2, 0.5]
-
-
 # ----------------------------------------------------------------------
 # decay-rate fit
 
 
 def test_fit_gamma_zero_kernel_is_zero():
-    sols = visco.build_mode_solutions(np.arange(1.0, 9.0), visco.zero_kernel(), 2.0)
-    gamma, info = visco.fit_gamma(sols)
+    modes = visco.solve_memory_modes(np.arange(1.0, 9.0), visco.zero_kernel(), 2.0)
+    gamma, info = visco.fit_gamma(modes)
     assert abs(gamma) <= 1e-8
     assert info["objective"] <= 1e-20
 
 
 def test_fit_gamma_descent_and_dissipative_sign():
     ker = visco.exponential_kernel(0.5, 1.0)
-    sols = visco.build_mode_solutions(np.arange(2.0, 17.0), ker, 3.0)
-    gamma, info = visco.fit_gamma(sols)
+    modes = visco.solve_memory_modes(np.arange(2.0, 17.0), ker, 3.0)
+    gamma, info = visco.fit_gamma(modes)
     assert info["objective"] <= info["objective_at_seed"]
     assert gamma.real < 0.0
     # real kernel: the signed-system objective pins the rate to the real axis
@@ -209,17 +237,12 @@ def test_fit_gamma_descent_and_dissipative_sign():
 
 def test_fit_gamma_preconditions():
     ker = visco.exponential_kernel(0.2, 1.0)
-    few = visco.build_mode_solutions([2.0, 3.0, 9.0, 10.0], ker, 2.0)
+    few = visco.solve_memory_modes([2.0, 3.0, 9.0, 10.0], ker, 2.0)
     with pytest.raises(ConfigurationError):
         visco.fit_gamma(few)
-    narrow = visco.build_mode_solutions([4.0, 5.0, 6.0, 7.0, 8.0], ker, 2.0)
+    narrow = visco.solve_memory_modes([4.0, 5.0, 6.0, 7.0, 8.0], ker, 2.0)
     with pytest.raises(ConfigurationError):
         visco.fit_gamma(narrow)
-    # mixed grids are rejected
-    a = visco.build_mode_solutions(np.arange(1.0, 9.0), ker, 2.0)
-    b = visco.build_mode_solutions(np.arange(9.0, 12.0), ker, 2.0)
-    with pytest.raises(ConfigurationError):
-        visco.fit_gamma(a + b)
 
 
 # ----------------------------------------------------------------------
@@ -230,9 +253,9 @@ def test_closeness_decay_slope():
     """Exponential memory: reference distances decay like lambda^-2."""
     T = 2.5 * np.pi
     ker = visco.exponential_kernel(0.5, 1.0)
-    sols = visco.build_mode_solutions(np.arange(5.0, 41.0), ker, T)
-    gamma, _ = visco.fit_gamma(sols)
-    rep = visco.closeness_spectrum(sols, gamma)
+    modes = visco.solve_memory_modes(np.arange(5.0, 41.0), ker, T)
+    gamma, _ = visco.fit_gamma(modes)
+    rep = visco.closeness_spectrum(modes, gamma)
     assert rep.slope <= -1.8
     assert rep.r_squared >= 0.9
     assert rep.slope_upper <= -1.8 and rep.passed
@@ -241,8 +264,8 @@ def test_closeness_decay_slope():
 
 
 def test_closeness_zero_kernel_degenerates():
-    sols = visco.build_mode_solutions(np.arange(1.0, 9.0), visco.zero_kernel(), 2.0)
-    rep = visco.closeness_spectrum(sols, 0.0 + 0.0j)
+    modes = visco.solve_memory_modes(np.arange(1.0, 9.0), visco.zero_kernel(), 2.0)
+    rep = visco.closeness_spectrum(modes, 0.0 + 0.0j)
     assert rep.degenerate and rep.passed
     assert rep.slope is None and rep.r_squared is None
 
@@ -252,16 +275,16 @@ def test_closeness_distance_monotone_in_horizon():
     ker = visco.exponential_kernel(0.5, 1.0)
     lams = np.arange(2.0, 12.0)
     gamma = -0.25 + 0.0j
-    _, d1 = visco.mode_distances(visco.build_mode_solutions(lams, ker, 3.0), gamma)
-    _, d2 = visco.mode_distances(visco.build_mode_solutions(lams, ker, 6.0), gamma)
+    d1 = visco.mode_distances(visco.solve_memory_modes(lams, ker, 3.0), gamma)
+    d2 = visco.mode_distances(visco.solve_memory_modes(lams, ker, 6.0), gamma)
     assert np.all(d2 > d1)
 
 
 def test_closeness_needs_five_usable_modes():
     ker = visco.exponential_kernel(0.3, 1.0)
-    sols = visco.build_mode_solutions([2.0, 4.0, 6.0, 9.0], ker, 2.0)
+    modes = visco.solve_memory_modes([2.0, 4.0, 6.0, 9.0], ker, 2.0)
     with pytest.raises(ConfigurationError):
-        visco.closeness_spectrum(sols, -0.15 + 0.0j)
+        visco.closeness_spectrum(modes, -0.15 + 0.0j)
 
 
 # ----------------------------------------------------------------------
@@ -271,24 +294,22 @@ def test_closeness_needs_five_usable_modes():
 def pw_setup(N, m0, T):
     dom, table, brule = interval_setup(N)
     ker = visco.exponential_kernel(m0, 1.0) if m0 > 0 else visco.zero_kernel()
-    tgrid = visco.visco_time_grid(T, float(table.lambdas[-1]))
-    sols = visco.build_mode_solutions(table.lambdas, ker, T, tgrid=tgrid)
-    return table, brule, sols
+    return table, brule, visco.solve_memory_modes(table.lambdas, ker, T)
 
 
 def test_q_zero_for_zero_kernel():
-    table, brule, sols = pw_setup(8, 0.0, 2.5 * np.pi)
-    assert visco.paley_wiener_q(table, brule, sols, 0.0, ()) == 0.0
-    assert visco.paley_wiener_q(table, brule, sols, 0.0, (1, -1, 2, -2)) == 0.0
+    table, brule, modes = pw_setup(8, 0.0, 2.5 * np.pi)
+    assert visco.paley_wiener_q(table, brule, modes, 0.0, ()) == 0.0
+    assert visco.paley_wiener_q(table, brule, modes, 0.0, (1, -1, 2, -2)) == 0.0
 
 
 def test_q_monotone_in_excluded_set():
-    table, brule, sols = pw_setup(12, 0.5, 2.5 * np.pi)
-    gamma, _ = visco.fit_gamma(sols)
+    table, brule, modes = pw_setup(12, 0.5, 2.5 * np.pi)
+    gamma, _ = visco.fit_gamma(modes)
     qs = []
     for k in (1, 4, 8, 12):
         excl = [s * n for n in range(1, k) for s in (1, -1)]
-        qs.append(visco.paley_wiener_q(table, brule, sols, gamma, excl))
+        qs.append(visco.paley_wiener_q(table, brule, modes, gamma, excl))
     for a, b in zip(qs, qs[1:]):
         assert b <= a + 1e-12
     assert qs[0] > qs[-1]
@@ -297,33 +318,33 @@ def test_q_monotone_in_excluded_set():
 def test_q_below_one_at_proof_guided_cutoff():
     from observalab.operators import estimate_trace_constant
 
-    table, brule, sols = pw_setup(16, 0.5, 2.5 * np.pi)
-    gamma, _ = visco.fit_gamma(sols)
-    rep = visco.closeness_spectrum(sols, gamma)
+    table, brule, modes = pw_setup(16, 0.5, 2.5 * np.pi)
+    gamma, _ = visco.fit_gamma(modes)
+    rep = visco.closeness_spectrum(modes, gamma)
     c_alpha = estimate_trace_constant(table, brule, 100,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, sols[0].tgrid)
+    c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, modes.tgrid)
     k, excl = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma,
                                            table.lambdas)
     assert 1 <= k <= table.N
-    q = visco.paley_wiener_q(table, brule, sols, gamma, excl)
+    q = visco.paley_wiener_q(table, brule, modes, gamma, excl)
     assert 0.0 <= q < 1.0
 
 
 def test_q_ill_posed_reference_system():
     """A huge decay rate collapses every reference onto the final sample."""
-    table, brule, sols = pw_setup(6, 0.0, np.pi)
+    table, brule, modes = pw_setup(6, 0.0, np.pi)
     with pytest.raises(NumericalError):
-        visco.paley_wiener_q(table, brule, sols, 1e6, ())
+        visco.paley_wiener_q(table, brule, modes, 1e6, ())
 
 
 def test_excluded_index_validation():
-    table, brule, sols = pw_setup(4, 0.2, 2.5 * np.pi)
+    table, brule, modes = pw_setup(4, 0.2, 2.5 * np.pi)
     gamma = -0.1 + 0.0j
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, sols, gamma, (0,))
+        visco.paley_wiener_q(table, brule, modes, gamma, (0,))
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, sols, gamma, (5,))
+        visco.paley_wiener_q(table, brule, modes, gamma, (5,))
 
 
 def test_proof_guided_exclusion_basics():
@@ -339,10 +360,13 @@ def test_proof_guided_exclusion_basics():
         visco.proof_guided_exclusion(-1.0, 1.0, 1.0, lams)
 
 
-def test_signed_factor_validation():
-    table, brule, sols = pw_setup(6, 0.2, 2.5 * np.pi)
-    with pytest.raises(ConfigurationError):
-        visco.signed_time_factors(sols[:-1], table)
+def test_paley_wiener_rejects_modes_off_the_table():
+    table, brule, modes = pw_setup(6, 0.2, 2.5 * np.pi)
+    ker = visco.exponential_kernel(0.2, 1.0)
+    for lams in (table.lambdas[:-1], table.lambdas * (1.0 + 1e-6)):
+        other = visco.solve_memory_modes(lams, ker, 2.5 * np.pi)
+        with pytest.raises(ConfigurationError):
+            visco.paley_wiener_q(table, brule, other, -0.1 + 0.0j, ())
 
 
 # ----------------------------------------------------------------------
