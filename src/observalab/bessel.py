@@ -268,12 +268,3 @@ class BesselZeroTable:
                 and all(np.all(a[:-1] < b) and np.all(b < a[1:])
                         for a, b in zip(rows, rows[1:])))
 
-
-def bessel_zero(m: int, k: int, table: BesselZeroTable | None = None) -> float:
-    """k-th positive zero of J_m, for 0 <= m <= 60 and 1 <= k <= 159 - m.
-
-    Without a table, builds the smallest one that holds (m, k).
-    """
-    if table is None:
-        table = BesselZeroTable(m, k)
-    return table.zero(m, k)

@@ -32,9 +32,8 @@ from .gram import (
     GramMatrix,
     assemble_exponential_gram,
     boundary_trace_gram,
-    default_time_grid,
     lower_bound_constant,
-    simpson_weights,
+    phase_integral,
 )
 from .modes import ModeTable
 
@@ -102,15 +101,9 @@ class ControlProblem:
                              + np.sum(np.abs(q) ** 2)))
 
 
-def random_problem(N: int, T: float, rng: np.random.Generator,
-                   complex_data: bool = False) -> ControlProblem:
-    """Standard-normal steering task (real by default)."""
-    def draw():
-        x = rng.normal(size=N)
-        if complex_data:
-            return x + 1j * rng.normal(size=N)
-        return x.astype(complex)
-    return ControlProblem(draw(), draw(), draw(), draw(), T)
+def random_problem(N: int, T: float, rng: np.random.Generator) -> ControlProblem:
+    """Real standard-normal steering task."""
+    return ControlProblem(*(rng.normal(size=N).astype(complex) for _ in range(4)), T)
 
 
 def _coeff_array(values, name: str) -> np.ndarray:
@@ -168,23 +161,6 @@ class BoundaryControl:
     def N(self) -> int:
         return self.coefficients.size // 2
 
-    def trace_samples(self, table: ModeTable, brule: QuadratureRule,
-                      tgrid: np.ndarray) -> np.ndarray:
-        """Boundary samples of the control, nodes x times."""
-        lams = table.lambdas_signed()
-        waves = self.coefficients[:, None] * np.exp(
-            1j * np.outer(lams, tgrid))
-        return table.psi_matrix(brule).T @ waves
-
-    def sampled_norm_sq(self, table: ModeTable, brule: QuadratureRule,
-                        tgrid: np.ndarray | None = None) -> float:
-        """Simpson cross-check of the Gram-form control norm."""
-        if tgrid is None:
-            tgrid = default_time_grid(self.T, float(np.max(table.lambdas)))
-        samples = self.trace_samples(table, brule, tgrid)
-        w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-        return float(np.dot(brule.weights @ (np.abs(samples) ** 2), w))
-
 
 # ----------------------------------------------------------------------
 # Transposition right-hand side and the Gram solve
@@ -212,15 +188,10 @@ def transposition_rhs(table: ModeTable, problem: ControlProblem) -> np.ndarray:
 
 
 def solve_control(table: ModeTable, problem: ControlProblem, G: GramMatrix,
-                  rtol: float | None = None,
-                  enforce_real: bool = False) -> BoundaryControl:
+                  rtol: float | None = None) -> BoundaryControl:
     """Solve G^T a = b through the preconditioned conjugate gradient.
 
-    The Hermitian solve runs on G c = conj(b) with a = conj(c).  With
-    enforce_real the result is projected onto the realness subspace
-    a_{-n} = -conj(a_n); for conjugate-symmetric data the projection is a
-    no-op up to solver roundoff, otherwise it trades steering accuracy
-    for a real-valued trace.
+    The Hermitian solve runs on G c = conj(b) with a = conj(c).
     """
     if rtol is None:
         rtol = TOLERANCES["pcg_rel_residual"]
@@ -242,10 +213,6 @@ def solve_control(table: ModeTable, problem: ControlProblem, G: GramMatrix,
             f"control solve failed: {err}; Gram condition estimate {cond:.3e}"
         ) from err
     a = np.conj(c)
-    if enforce_real:
-        N = table.N
-        flipped = np.concatenate([a[N:], a[:N]])
-        a = 0.5 * (a - np.conj(flipped))
     return BoundaryControl(a, problem.T, G.quad_form(a), b, dict(info))
 
 
@@ -253,22 +220,12 @@ def solve_control(table: ModeTable, problem: ControlProblem, G: GramMatrix,
 # Closed-form forward simulation
 
 
-def _phase_integral(nu: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t exp(i nu s) ds, cancellation-free for every nu.
-
-    Written as t * sinc(nu t / 2pi) * exp(i nu t / 2): the resonant limit
-    nu -> 0 needs no branch and small nu loses no digits.
-    """
-    nu = np.asarray(nu, dtype=float)
-    return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
-
-
 def duhamel_position(lam: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
     """int_0^t sin(lam (t-s))/lam * exp(i mu s) ds, lam rows x mu columns."""
     lam = np.asarray(lam, dtype=float)[:, None]
     mu = np.asarray(mu, dtype=float)[None, :]
-    up = np.exp(1j * lam * t) * _phase_integral(mu - lam, t)
-    dn = np.exp(-1j * lam * t) * _phase_integral(mu + lam, t)
+    up = np.exp(1j * lam * t) * phase_integral(mu - lam, t)
+    dn = np.exp(-1j * lam * t) * phase_integral(mu + lam, t)
     return (up - dn) / (2j * lam)
 
 
@@ -276,8 +233,8 @@ def duhamel_velocity(lam: np.ndarray, mu: np.ndarray, t: float) -> np.ndarray:
     """int_0^t cos(lam (t-s)) * exp(i mu s) ds, lam rows x mu columns."""
     lam = np.asarray(lam, dtype=float)[:, None]
     mu = np.asarray(mu, dtype=float)[None, :]
-    up = np.exp(1j * lam * t) * _phase_integral(mu - lam, t)
-    dn = np.exp(-1j * lam * t) * _phase_integral(mu + lam, t)
+    up = np.exp(1j * lam * t) * phase_integral(mu - lam, t)
+    dn = np.exp(-1j * lam * t) * phase_integral(mu + lam, t)
     return 0.5 * (up + dn)
 
 
@@ -326,8 +283,7 @@ def forward_simulate_controlled(table: ModeTable, brule: QuadratureRule,
 
 
 def control_pipeline(table: ModeTable, brule: QuadratureRule,
-                     problem: ControlProblem, rtol: float | None = None,
-                     enforce_real: bool = False) -> dict:
+                     problem: ControlProblem, rtol: float | None = None) -> dict:
     """Assemble the Gram, synthesize the control, verify the steering.
 
     Reports the control norm against the certified ceiling |b|^2 / c_lower
@@ -337,8 +293,7 @@ def control_pipeline(table: ModeTable, brule: QuadratureRule,
     domain = table.domain
     G = assemble_exponential_gram(table, brule, problem.T)
     spectrum = G.spectrum()
-    control = solve_control(table, problem, G, rtol=rtol,
-                            enforce_real=enforce_real)
+    control = solve_control(table, problem, G, rtol=rtol)
     sim = forward_simulate_controlled(table, brule, control, problem)
     c_lower = lower_bound_constant(domain, problem.T)
     b_norm_sq = float(np.vdot(control.rhs, control.rhs).real)

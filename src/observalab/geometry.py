@@ -32,18 +32,6 @@ class DomainSpec:
     C_Omega: float = 0.0       # max over the boundary of m.nu
     dim: int = 1
 
-    @property
-    def volume(self) -> float:
-        if self.kind == "interval":
-            return self.params[0]
-        if self.kind == "rectangle":
-            return self.params[0] * self.params[1]
-        return np.pi * self.params[0] ** 2
-
-    def key(self) -> str:
-        par = ",".join(f"{p:.17g}" for p in self.params)
-        return f"{self.kind}:{par}"
-
     def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "interval":
@@ -119,10 +107,6 @@ class QuadratureRule:
     weights: np.ndarray          # (k,)
     q: int                       # points per panel direction
     normals: np.ndarray | None = None  # (k, d) for boundary rules
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
 
     def integrate(self, values: np.ndarray) -> complex | float:
         """Weighted sum along the last axis."""

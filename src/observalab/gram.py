@@ -28,17 +28,17 @@ from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
 
 
-def time_overlap_matrix(lams: np.ndarray, T: float) -> np.ndarray:
-    """integral_0^T e^{i (lam_j - lam_k) t} dt for every pair, with the
-    coincidence limit T where the frequencies agree."""
-    if T <= 0:
+def phase_integral(nu, t: float) -> np.ndarray:
+    """integral_0^t e^{i nu s} ds, elementwise and cancellation-free for every nu.
+
+    Written as t * sinc(nu t / 2pi) * e^{i nu t / 2}: the coincidence limit
+    nu -> 0 needs no branch and small nu loses no digits.  With nu the
+    frequency gaps lam_j - lam_k it is the time factor of the Gram.
+    """
+    if t <= 0:
         raise ConfigurationError("time horizon must be positive")
-    delta = lams[:, None] - lams[None, :]
-    small = np.abs(delta) < 1e-12
-    safe = np.where(small, 1.0, delta)
-    out = (np.exp(1j * safe * T) - 1.0) / (1j * safe)
-    out[small] = T
-    return out
+    nu = np.asarray(nu, dtype=float)
+    return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
 
 
 def boundary_trace_gram(table: ModeTable, brule: QuadratureRule) -> np.ndarray:
@@ -86,7 +86,6 @@ class GramMatrix:
     matrix: np.ndarray
     T: float
     N: int
-    provenance: str          # "analytic-time" or "sampled"
 
     def __post_init__(self):
         m = self.matrix
@@ -97,10 +96,6 @@ class GramMatrix:
         diag = np.real(np.diagonal(m))
         if np.any(diag <= 0):
             raise NumericalError("Gram diagonal must be positive")
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
 
     def quad_form(self, a: np.ndarray) -> float:
         """||sum a_n f_n||^2 = sum_jk a_j G_{jk} conj(a_k); real for Hermitian G."""
@@ -115,13 +110,6 @@ class GramMatrix:
                 f"Gram matrix not PSD: lambda_min = {rep['lambda_min']:.3e}"
             )
         return rep
-
-    def principal(self, n: int) -> "GramMatrix":
-        """Signed principal sub-Gram keeping indices |j| <= n."""
-        if not (1 <= n <= self.N):
-            raise ConfigurationError(f"principal order {n} out of range")
-        idx = np.concatenate([np.arange(n), self.N + np.arange(n)])
-        return GramMatrix(self.matrix[np.ix_(idx, idx)], self.T, n, self.provenance)
 
 
 def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
@@ -138,8 +126,8 @@ def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
             f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
         )
     lams = table.lambdas_signed()
-    G = time_overlap_matrix(lams, T) * B
-    return GramMatrix(G, T, table.N, "analytic-time")
+    G = phase_integral(lams[:, None] - lams[None, :], T) * B
+    return GramMatrix(G, T, table.N)
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +165,7 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
 
     traces: complex (2N, n_samples) in the signed index order.  Time goes by
     composite Simpson, space by the boundary quadrature factor B.  Returns
-    the bare (possibly singular) Hermitian matrix; use assemble_sampled_gram
-    when the positive-diagonal GramMatrix gates should apply.
+    the bare (possibly singular) Hermitian matrix.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     traces = np.asarray(traces, dtype=complex)
@@ -202,14 +189,6 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
     G = B * time_gram
     # symmetrize away Simpson round-off so the Hermiticity gate stays honest
     return 0.5 * (G + G.conj().T)
-
-
-def assemble_sampled_gram(table: ModeTable, brule: QuadratureRule,
-                          traces: np.ndarray, tgrid: np.ndarray) -> GramMatrix:
-    """Gram of { z_n(t) psi_n(x) } from time samples, with the usual gates."""
-    G = sampled_gram_matrix(table, brule, traces, tgrid)
-    tgrid = np.asarray(tgrid, dtype=float)
-    return GramMatrix(G, float(tgrid[-1] - tgrid[0]), table.N, "sampled")
 
 
 # ----------------------------------------------------------------------

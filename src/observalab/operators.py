@@ -110,12 +110,9 @@ def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPa
 
 
 def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule,
-                  max_index: int | None = None,
-                  tol: float | None = None) -> list[IdentityReport]:
+                  max_index: int | None = None, *, tol: float) -> list[IdentityReport]:
     """All signed pairs |j|,|k| <= max_index, evaluated as matrix products."""
     table = pairings.table
-    if tol is None:
-        tol = 1e-5 if table.domain.kind == "disk" else 1e-6
     nmax = table.N if max_index is None else min(max_index, table.N)
     m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
     psi = table.psi_matrix(brule)[:nmax]
@@ -141,7 +138,7 @@ def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule,
 
 
 def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = None,
-                       tol: float = 1e-8) -> list[IdentityReport]:
+                       *, tol: float) -> list[IdentityReport]:
     """Pairing antisymmetry off the diagonal and value -d/2 on it."""
     table, pairing = pairings.table, pairings.pairing
     nmax = table.N if max_index is None else min(max_index, table.N)
@@ -185,7 +182,7 @@ def _quasi_orthogonality_reports(pairings: MultiplierPairings, u: np.ndarray,
 
 
 def quasi_orthogonality_check(pairings: MultiplierPairings, u: np.ndarray,
-                              slack: float = 1e-8) -> list[IdentityReport]:
+                              slack: float) -> list[IdentityReport]:
     """Interior energy of the lambda-normalized multiplier combination.
 
     u holds complex coefficient rows on the signed index order

@@ -55,7 +55,6 @@ __all__ = [
     "exponential_kernel",
     "polynomial_kernel",
     "zero_kernel",
-    "sampled_kernel",
     "visco_time_grid",
     "solve_memory_modes",
     "fit_gamma",
@@ -78,20 +77,16 @@ class MemoryKernel:
     """Scalar memory kernel M(s) on s >= 0.
 
     Families: "exponential" M0*exp(-delta*s), "polynomial" M0*(1+s)^(-p),
-    "zero", and "sampled" (values on a uniform grid, linearly interpolated).
-    Sampled kernels pass a finite-difference smoothness screen so that the
-    marching scheme's second-order error analysis stays meaningful.
+    and "zero".
     """
 
     family: str
     m0: float = 0.0
     delta: float = 1.0
     p: float = 2.0
-    grid: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family not in ("exponential", "polynomial", "zero", "sampled"):
+        if self.family not in ("exponential", "polynomial", "zero"):
             raise ConfigurationError(f"unknown kernel family {self.family!r}")
         if self.family in ("exponential", "polynomial"):
             if not np.isfinite(self.m0) or self.m0 < 0.0:
@@ -100,29 +95,6 @@ class MemoryKernel:
             raise ConfigurationError("exponential kernel needs delta > 0")
         if self.family == "polynomial" and self.p <= 0.0:
             raise ConfigurationError("polynomial kernel needs p > 0")
-        if self.family == "sampled":
-            if self.grid is None or self.values is None:
-                raise ConfigurationError("sampled kernel needs grid and values")
-            g = np.asarray(self.grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if g.ndim != 1 or g.shape != v.shape or g.size < 9:
-                raise ConfigurationError("sampled kernel needs >= 9 matching samples")
-            steps = np.diff(g)
-            if g[0] != 0.0 or np.any(steps <= 0.0):
-                raise ConfigurationError("sampled kernel grid must ascend from 0")
-            if np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]:
-                raise ConfigurationError("sampled kernel grid must be uniform")
-            if not np.all(np.isfinite(v)):
-                raise ConfigurationError("sampled kernel has non-finite values")
-            h = steps[0]
-            second = np.diff(v, 2) / h**2
-            scale = max(1.0, float(np.max(np.abs(v))))
-            if second.size and np.max(np.abs(second)) > 1e6 * scale:
-                raise ConfigurationError(
-                    "sampled kernel fails the finite-difference smoothness check"
-                )
-            object.__setattr__(self, "grid", g)
-            object.__setattr__(self, "values", v)
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -130,34 +102,21 @@ class MemoryKernel:
             return np.zeros_like(s)
         if self.family == "exponential":
             return self.m0 * np.exp(-self.delta * s)
-        if self.family == "polynomial":
-            return self.m0 * (1.0 + s) ** (-self.p)
-        horizon = float(self.grid[-1])
-        if np.any(s > horizon * (1.0 + 1e-12)) or np.any(s < 0.0):
-            raise ConfigurationError(
-                f"sampled kernel queried outside [0, {horizon:.6g}]"
-            )
-        return np.interp(s, self.grid, self.values)
+        return self.m0 * (1.0 + s) ** (-self.p)
 
     def at_zero(self) -> float:
         return float(np.atleast_1d(self(0.0))[0])
 
     @property
     def is_zero(self) -> bool:
-        if self.family == "zero":
-            return True
-        if self.family in ("exponential", "polynomial"):
-            return self.m0 == 0.0
-        return bool(np.all(self.values == 0.0))
+        return self.family == "zero" or self.m0 == 0.0
 
     def describe(self) -> str:
         if self.family == "exponential":
             return f"{self.m0:g}*exp(-{self.delta:g} s)"
         if self.family == "polynomial":
             return f"{self.m0:g}*(1+s)^(-{self.p:g})"
-        if self.family == "zero":
-            return "0"
-        return f"sampled[{self.grid.size}]"
+        return "0"
 
 
 def exponential_kernel(m0: float, delta: float = 1.0) -> MemoryKernel:
@@ -170,11 +129,6 @@ def polynomial_kernel(m0: float, p: float) -> MemoryKernel:
 
 def zero_kernel() -> MemoryKernel:
     return MemoryKernel("zero")
-
-
-def sampled_kernel(grid, values) -> MemoryKernel:
-    return MemoryKernel("sampled", grid=np.asarray(grid, dtype=float),
-                        values=np.asarray(values, dtype=float))
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from observalab.bessel import (
     BesselZeroTable,
     bessel_j,
     bessel_jp,
-    bessel_zero,
 )
 from observalab.config import ConfigurationError
 
@@ -102,18 +101,20 @@ def test_newton_stops_when_converged(shape):
 
 
 def test_default_table_path():
-    assert abs(bessel_zero(0, 1) - 2.404825557695773) < 1e-12
-    assert abs(bessel_zero(4, 3) - sp.jn_zeros(4, 3)[-1]) < 1e-12
+    """The smallest table that holds (m, k) has j_{m,k} as its last entry."""
+    assert abs(BesselZeroTable(0, 1).zero(0, 1) - 2.404825557695773) < 1e-12
+    assert abs(BesselZeroTable(4, 3).zero(4, 3) - sp.jn_zeros(4, 3)[-1]) < 1e-12
 
 
 def test_zero_limits_match_the_argument_range():
     # a table to order m and rank k needs m + k zeros of J_0 below MAX_ARG
     last, first_beyond = sp.jn_zeros(0, MAX_RANK + 1)[-2:]
     assert last < MAX_ARG < first_beyond
-    assert abs(bessel_zero(0, MAX_RANK) - sp.jn_zeros(0, MAX_RANK)[-1]) < 1e-11
+    zero = BesselZeroTable(0, MAX_RANK).zero(0, MAX_RANK)
+    assert abs(zero - sp.jn_zeros(0, MAX_RANK)[-1]) < 1e-11
     for m, k in [(0, MAX_RANK + 1), (60, MAX_RANK - 59), (61, 1), (0, 0)]:
         with pytest.raises(ConfigurationError, match="outside"):
-            bessel_zero(m, k)
+            BesselZeroTable(m, k)
     with pytest.raises(ConfigurationError, match=f"order \\+ rank <= {MAX_RANK}"):
         BesselZeroTable(max_order=2, max_rank=MAX_RANK - 1)
 

@@ -1,5 +1,6 @@
 """CLI layer: artifacts, exit codes, determinism, cache, lock, prerequisites."""
 
+import importlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from observalab import cli, visco
 from observalab import operators as ops
-from observalab.bessel import bessel_zero
+from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
 from observalab.geometry import disk, interval
 from observalab.modes import ModeTable
@@ -60,7 +61,7 @@ def test_disk_spectrum_consistent_with_zero_table(tmp_path):
     for line in lines[2:]:
         _, multi, lam = line.split(",")
         m, k = int(multi.split("|")[0]), int(multi.split("|")[1])
-        assert abs(float(lam) - bessel_zero(m, k)) < 1e-10
+        assert abs(float(lam) - BesselZeroTable(m, k).zero(m, k)) < 1e-10
 
 
 def test_disk_spectrum_cached_and_fresh_byte_identical(tmp_path):
@@ -328,3 +329,11 @@ def test_help_exits_0(capsys):
         _run("riesz", "--help")
     assert exc.value.code == 0
     assert "--jobs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["observalab", "observalab.control", "observalab.visco",
+                                    "observalab.cache", "observalab.reports"])
+def test_every_exported_name_resolves(module):
+    """A deletion must take its name out of __all__ too."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -8,6 +8,7 @@ from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, interval
 from observalab.gram import assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
+from observalab.wave import WaveState, boundary_flux
 from observalab import control as C
 
 
@@ -100,7 +101,9 @@ def test_single_mode_task_activates_one_signed_pair():
 def test_solve_matches_dense_linear_algebra():
     dom, table, brule = _setup(8)
     T = 2.3 * np.pi
-    prob = C.random_problem(8, T, np.random.default_rng(17), complex_data=True)
+    rng = np.random.default_rng(17)
+    prob = C.ControlProblem(*(rng.normal(size=8) + 1j * rng.normal(size=8)
+                              for _ in range(4)), T)
     G = assemble_exponential_gram(table, brule, T)
     ctl = C.solve_control(table, prob, G)
     b = C.transposition_rhs(table, prob)
@@ -191,30 +194,26 @@ def test_real_data_yields_real_control():
     ctl = C.solve_control(table, prob, G)
     assert ctl.realness_defect < 1e-10
     tgrid = np.linspace(0.0, T, 257)
-    samples = ctl.trace_samples(table, brule, tgrid)
+    samples = table.psi_matrix(brule).T @ (
+        ctl.coefficients[:, None] * np.exp(1j * np.outer(table.lambdas_signed(), tgrid)))
     assert float(np.max(np.abs(samples.imag))) < 1e-10
-    # projecting onto the realness subspace is then a no-op
-    forced = C.solve_control(table, prob, G, enforce_real=True)
-    assert np.max(np.abs(forced.coefficients - ctl.coefficients)) < 1e-10
-
-
-def test_enforce_real_projects_complex_data():
-    dom, table, brule = _setup(6)
-    T = 2.3 * np.pi
-    prob = C.random_problem(6, T, np.random.default_rng(5), complex_data=True)
-    G = assemble_exponential_gram(table, brule, T)
-    free = C.solve_control(table, prob, G)
-    forced = C.solve_control(table, prob, G, enforce_real=True)
-    assert free.realness_defect > 1e-3
-    assert forced.realness_defect < 1e-14
+    # complex data steers with a complex control, and the defect shows it
+    rng = np.random.default_rng(5)
+    complex_prob = C.ControlProblem(*(rng.normal(size=10) + 1j * rng.normal(size=10)
+                                      for _ in range(4)), T)
+    assert C.solve_control(table, complex_prob, G).realness_defect > 1e-3
 
 
 def test_sampled_norm_agrees_with_gram_form():
+    """The control is a signed boundary combination, so boundary_flux samples
+    its norm by Simpson independently of the Gram form."""
     dom, table, brule = _setup(10)
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(13))
     G = assemble_exponential_gram(table, brule, prob.T)
     ctl = C.solve_control(table, prob, G)
-    sampled = ctl.sampled_norm_sq(table, brule)
+    a, N = ctl.coefficients, table.N
+    state = WaveState(0.5 * (a[:N] + a[N:]), (a[:N] - a[N:]) / 2j)
+    sampled = boundary_flux(table, brule, state, prob.T).norm_sq
     assert abs(sampled - ctl.norm_sq) <= 1e-6 * ctl.norm_sq
 
 

@@ -1,11 +1,16 @@
 """Gram assembly, spectral bounds, and the sampled-trace path."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle
 from observalab.modes import enumerate_modes
+from observalab.visco import _principal_lambda_min
 from observalab import gram as gr
 
 
@@ -16,13 +21,17 @@ def _setup(dom, N, q=32):
 
 # ---------------------------------------------------------------- time factor
 
+def _overlap(lams, T):
+    return gr.phase_integral(lams[:, None] - lams[None, :], T)
+
+
 def test_time_overlap_coincident():
-    M = gr.time_overlap_matrix(np.array([3.7, 3.7]), 2.5)
+    M = _overlap(np.array([3.7, 3.7]), 2.5)
     assert np.all(M == 2.5)
 
 
 def test_time_overlap_full_period():
-    M = gr.time_overlap_matrix(np.array([1.0, -1.0]), np.pi)
+    M = _overlap(np.array([1.0, -1.0]), np.pi)
     assert abs(M[0, 1]) < 1e-14 and abs(M[1, 0]) < 1e-14
 
 
@@ -32,7 +41,7 @@ def test_time_overlap_against_simpson():
     t = np.linspace(0, T, 20001)
     vals = np.exp(1j * (lj - lk) * t)
     w = gr.simpson_weights(len(t), t[1] - t[0])
-    M = gr.time_overlap_matrix(np.array([lj, lk]), T)
+    M = _overlap(np.array([lj, lk]), T)
     assert abs(np.sum(w * vals) - M[0, 1]) < 1e-10
 
 
@@ -40,7 +49,7 @@ def test_time_overlap_matrix_consistent():
     """Hermitian, T on the diagonal, the closed form off it."""
     lams = np.array([1.0, 2.0, -1.0, -2.0])
     T = 1.7
-    M = gr.time_overlap_matrix(lams, T)
+    M = _overlap(lams, T)
     assert np.allclose(M, M.conj().T, atol=1e-15)
     assert np.all(np.diagonal(M) == T)
     delta = lams[0] - lams[3]
@@ -50,7 +59,7 @@ def test_time_overlap_matrix_consistent():
 @pytest.mark.parametrize("T", [0.0, -1.0])
 def test_time_overlap_rejects_non_positive_horizon(T):
     with pytest.raises(ConfigurationError):
-        gr.time_overlap_matrix(np.array([1.0, 2.0]), T)
+        _overlap(np.array([1.0, 2.0]), T)
 
 
 # ---------------------------------------------------------------- assembly
@@ -98,12 +107,39 @@ def test_quad_form_homogeneity():
 
 
 def test_principal_submatrix_ordering():
+    """The signed principal sub-Gram |j| <= n that the memory certificate's
+    independence check reads is the Gram of the first n modes."""
     table, brule = _setup(interval(np.pi), 6, q=8)
     G = gr.assemble_exponential_gram(table, brule, 4.0)
-    sub = G.principal(3)
     small_table, _ = _setup(interval(np.pi), 3)
     G3 = gr.assemble_exponential_gram(small_table, brule, 4.0)
-    assert np.allclose(sub.matrix, G3.matrix, atol=1e-12)
+    idx = np.concatenate([np.arange(3), 6 + np.arange(3)])
+    assert np.allclose(G.matrix[np.ix_(idx, idx)], G3.matrix, atol=1e-12)
+    expect = np.linalg.eigvalsh(G3.matrix)[0]
+    assert _principal_lambda_min(G.matrix, 6, 3) == pytest.approx(expect, abs=1e-12)
+
+
+GEOMETRIES = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
+              "disk": disk(1.0)}
+
+
+@lru_cache(maxsize=None)
+def _cached_setup(kind, N):
+    return _setup(GEOMETRIES[kind], N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(GEOMETRIES)), N=st.integers(1, 24),
+       fraction=st.floats(1e-12, 1.0))
+def test_gram_signed_conjugate_symmetry(kind, N, fraction):
+    """G_{-j,-k} = conj(G_jk) and G = G^H for T in [1e-12, 1] * 4 * 2R."""
+    table, brule = _cached_setup(kind, N)
+    T = fraction * 8.0 * GEOMETRIES[kind].R
+    G = gr.assemble_exponential_gram(table, brule, T).matrix
+    tol = 1e-14 * np.max(np.abs(G))
+    flip = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
+    assert np.max(np.abs(G[np.ix_(flip, flip)] - np.conj(G))) <= tol
+    assert np.max(np.abs(G - G.conj().T)) <= tol
 
 
 # ---------------------------------------------------------------- bounds
@@ -157,10 +193,9 @@ def test_sampled_gram_reproduces_analytic():
     tg = gr.default_time_grid(T, table.lambdas[-1])
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, tg))
-    Gs = gr.assemble_sampled_gram(table, brule, traces, tg)
+    Gs = gr.sampled_gram_matrix(table, brule, traces, tg)
     Ga = gr.assemble_exponential_gram(table, brule, T)
-    assert np.max(np.abs(Gs.matrix - Ga.matrix)) < 1e-6
-    assert Gs.provenance == "sampled"
+    assert np.max(np.abs(Gs - Ga.matrix)) < 1e-6
 
 
 def test_sampled_gram_unimodular_shift_keeps_spectrum():
@@ -172,7 +207,7 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     tg = gr.default_time_grid(T, table.lambdas[-1])
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, tg - T))
-    Gs = gr.assemble_sampled_gram(table, brule, traces, tg)
+    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, brule, traces, tg), T, table.N)
     Ga = gr.assemble_exponential_gram(table, brule, T)
     ws = Gs.spectrum()["eigenvalues"]
     wa = Ga.spectrum()["eigenvalues"]
@@ -184,7 +219,7 @@ def test_sampled_gram_rejects_coarse_grid():
     tg = np.linspace(0, 4.0, 41)   # far below 20 samples/period at lam = 8
     traces = np.exp(1j * np.outer(table.lambdas_signed(), tg))
     with pytest.raises(NumericalError):
-        gr.assemble_sampled_gram(table, brule, traces, tg)
+        gr.sampled_gram_matrix(table, brule, traces, tg)
 
 
 def test_sampled_gram_rejects_nonuniform_grid():
@@ -192,7 +227,7 @@ def test_sampled_gram_rejects_nonuniform_grid():
     tg = np.concatenate([np.linspace(0, 1, 200), np.linspace(1.01, 2, 201)])
     traces = np.exp(1j * np.outer(table.lambdas_signed(), tg))
     with pytest.raises(ConfigurationError):
-        gr.assemble_sampled_gram(table, brule, traces, tg)
+        gr.sampled_gram_matrix(table, brule, traces, tg)
 
 
 def test_simpson_weights_validation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from observalab.config import ConfigurationError
+from observalab.config import TOLERANCES, ConfigurationError
 from observalab.geometry import (
     boundary_quadrature,
     disk,
@@ -83,10 +83,19 @@ def _by_label(reports):
     return {rep.label: rep for rep in reports}
 
 
+def _rellich(table, irule, brule):
+    name = "rellich_disk" if table.domain.kind == "disk" else "rellich"
+    return ops.rellich_suite(ops.multiplier_pairings(table, irule), brule, tol=TOLERANCES[name])
+
+
+def _quasi(pairings, u):
+    return ops.quasi_orthogonality_check(pairings, u, TOLERANCES["quasi_orthogonality"])
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_rellich_diagonals(dom):
     table, irule, brule = _setup(dom)
-    reports = _by_label(ops.rellich_suite(ops.multiplier_pairings(table, irule), brule))
+    reports = _by_label(_rellich(table, irule, brule))
     rep = reports["rellich_5_5"]
     assert rep.rhs == 2.0 and rep.passed
     rep = reports["rellich_5_-5"]
@@ -96,7 +105,7 @@ def test_rellich_diagonals(dom):
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_rellich_suite_all_pairs(dom):
     table, irule, brule = _setup(dom)
-    reports = ops.rellich_suite(ops.multiplier_pairings(table, irule), brule)
+    reports = _rellich(table, irule, brule)
     assert len(reports) == (2 * table.N) ** 2
     worst = max(r.abs_error for r in reports)
     assert all(r.passed for r in reports), f"worst error {worst:.3e}"
@@ -108,7 +117,7 @@ def test_rellich_rectangle_specific_pair():
     table, irule, brule = _setup(dom, N=6)
     idx = {m.multi_index: i + 1 for i, m in enumerate(table.modes)}
     j, k = idx[(1, 1)], idx[(1, 2)]
-    reports = ops.rellich_suite(ops.multiplier_pairings(table, irule), brule)
+    reports = _rellich(table, irule, brule)
     rep = _by_label(reports)[f"rellich_{j}_{k}"]
     assert rep.abs_error <= 1e-6
 
@@ -116,7 +125,8 @@ def test_rellich_rectangle_specific_pair():
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_pairing_antisymmetry_and_diagonal(dom):
     table, irule, _ = _setup(dom)
-    reports = ops.antisymmetry_suite(ops.multiplier_pairings(table, irule))
+    reports = ops.antisymmetry_suite(ops.multiplier_pairings(table, irule),
+                                   tol=TOLERANCES["antisymmetry"])
     for rep in reports:
         assert rep.passed, f"{rep.label}: {rep.abs_error:.3e}"
     # spot-check the diagonal value -d/2: the row holds twice the pairing
@@ -128,7 +138,7 @@ def test_pairing_antisymmetry_and_diagonal(dom):
 def test_quasi_orthogonality_random_draws(dom):
     table, irule, _ = _setup(dom)
     u = ops.complex_gaussian_rows(np.random.default_rng(17), 20, 2 * table.N)
-    reports = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
+    reports = _quasi(ops.multiplier_pairings(table, irule), u)
     assert [rep.label for rep in reports] == [f"quasi_orth_{i}" for i in range(20)]
     for rep in reports:
         assert rep.passed, f"violation {rep.abs_error:.3e}"
@@ -144,8 +154,7 @@ def test_complex_gaussian_rows_follow_the_per_row_stream():
 def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch):
     table, irule, _ = _setup(disk(1.0), N=4)
     pairings = ops.multiplier_pairings(table, irule)
-    whole = ops.quasi_orthogonality_check(
-        pairings, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
+    whole = _quasi(pairings, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
     monkeypatch.setattr(ops, "_ROW_BLOCK", 7)
     blocked = ops.quasi_orthogonality_draws(pairings, 20, np.random.default_rng(9), 1e-8)
     assert [rep.label for rep in blocked] == [rep.label for rep in whole]
@@ -158,7 +167,7 @@ def test_quasi_orthogonality_single_mode():
     table, irule, _ = _setup(interval(np.pi), N=5)
     u = np.zeros((1, 10), dtype=complex)
     u[0, 2] = 1.0
-    (rep,) = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
+    (rep,) = _quasi(ops.multiplier_pairings(table, irule), u)
     assert rep.lhs <= table.domain.R ** 2 + 1e-8
     assert rep.rhs == pytest.approx(table.domain.R ** 2)
 
@@ -167,7 +176,7 @@ def test_quasi_orthogonality_mirror_cancellation():
     # u_j = u_{-j} real makes the combination vanish identically
     table, irule, _ = _setup(rectangle(1.0, 1.0), N=4)
     u = np.ones((1, 8), dtype=complex)
-    (rep,) = ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)
+    (rep,) = _quasi(ops.multiplier_pairings(table, irule), u)
     assert abs(rep.rhs) < 1e-12
     assert rep.lhs < 1e-12
 
@@ -200,7 +209,7 @@ def test_monte_carlo_checks_take_coefficient_rows():
     table, irule, brule = _setup(interval(np.pi), N=2, q=8)
     for bad in (np.ones(4), np.ones((2, 3))):
         with pytest.raises(ConfigurationError):
-            ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), bad)
+            _quasi(ops.multiplier_pairings(table, irule), bad)
         with pytest.raises(ConfigurationError):
             ops.psib_ratio(table, brule, bad)
 
@@ -225,7 +234,7 @@ def test_batched_rows_match_the_one_row_formulas(kind, data):
          + 1j * data.draw(hnp.arrays(float, shape, elements=_coefficients)))
     aphi = ops._a_phi_matrix(table, irule.nodes)
     R2 = table.domain.R ** 2
-    for row, rep in zip(u, ops.quasi_orthogonality_check(ops.multiplier_pairings(table, irule), u)):
+    for row, rep in zip(u, _quasi(ops.multiplier_pairings(table, irule), u)):
         coeff = (row[:N] - row[N:]) / table.lambdas
         direct = irule.integrate(np.abs(coeff @ aphi) ** 2)
         assert abs(rep.lhs - direct) <= 1e-12 * direct

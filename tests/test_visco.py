@@ -186,19 +186,6 @@ def test_kernel_families_evaluate():
     assert not ker.is_zero
 
 
-def test_sampled_kernel_roundtrip_and_screen():
-    grid = np.linspace(0.0, 5.0, 501)
-    ker = visco.sampled_kernel(grid, 0.4 * np.exp(-grid))
-    probe = np.linspace(0.0, 5.0, 77)
-    assert np.max(np.abs(ker(probe) - 0.4 * np.exp(-probe))) <= 1e-4
-    with pytest.raises(ConfigurationError):
-        ker(np.array([5.5]))  # outside the sampled horizon
-    rng = np.random.default_rng(0)
-    rough = np.linspace(0.0, 1.0, 2001)
-    with pytest.raises(ConfigurationError):
-        visco.sampled_kernel(rough, rng.normal(size=rough.size))
-
-
 def test_kernel_validation_errors():
     with pytest.raises(ConfigurationError):
         visco.MemoryKernel("gaussian")
@@ -209,9 +196,7 @@ def test_kernel_validation_errors():
     with pytest.raises(ConfigurationError):
         visco.polynomial_kernel(0.1, p=-2.0)
     with pytest.raises(ConfigurationError):
-        visco.sampled_kernel(np.linspace(0, 1, 5), np.ones(5))
-    with pytest.raises(ConfigurationError):
-        visco.sampled_kernel(np.linspace(0.5, 1, 20), np.ones(20))
+        visco.MemoryKernel("sampled")
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Wave evolution, coefficient bookkeeping, flux traces, observability."""
+"""Coefficient bookkeeping, flux traces, observability."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from observalab.config import ConfigurationError, NumericalError
+from observalab.config import ConfigurationError
 from observalab.geometry import (
     boundary_quadrature,
     disk,
@@ -11,7 +14,7 @@ from observalab.geometry import (
     interval,
     rectangle,
 )
-from observalab.gram import assemble_exponential_gram
+from observalab.gram import assemble_exponential_gram, default_time_grid, simpson_weights
 from observalab.modes import enumerate_modes
 from observalab import wave as wv
 
@@ -24,62 +27,49 @@ def _setup(dom, N, q=32):
             boundary_quadrature(dom, q=q, lam_max=lam))
 
 
-def test_ode_solutions_terminal_data():
-    z1, z2 = wv.ode_solutions(3.0, 2.0, 2.0)
-    assert z1 == 1.0 and z2 == 0.0
-    # z2'(T) = -lambda via finite difference
-    h = 1e-7
-    _, z2p = wv.ode_solutions(3.0, 2.0, 2.0 - h)
-    assert (0.0 - z2p) / h == pytest.approx(-3.0, abs=1e-5)
+# Independent routes that tie the CLI paths to the physics: the energy
+# convention behind observe's ratio, and the physical normal derivative
+# behind the signed flux.
 
 
-def test_ode_solutions_wronskian_constant():
-    lam, T = 2.5, 4.0
-    t = np.linspace(0, T, 50)
-    z1, z2 = wv.ode_solutions(lam, T, t)
-    # derivatives in closed form
-    z1p = lam * np.sin(lam * (T - t))
-    z2p = -lam * np.cos(lam * (T - t))
-    w = z1 * z2p - z2 * z1p
-    assert np.allclose(w, -lam, atol=1e-12)
+def _a_to_coeffs(a):
+    """Inverse of coeffs_to_a."""
+    N = len(a) // 2
+    return wv.WaveState(0.5 * (a[:N] + a[N:]), (a[:N] - a[N:]) / 2j)
 
 
-def test_terminal_conditions_of_evolution():
-    dom = interval(np.pi)
-    table, irule, _ = _setup(dom, 6)
-    rng = np.random.default_rng(0)
-    state = wv.random_state(6, rng)
-    T = 2.2
-    w0 = wv.evolve_wave(table, state, T, T, irule.nodes)
-    phi = table.phi_matrix(irule.nodes).astype(complex)
-    assert np.allclose(w0, (state.xi_tilde / table.lambdas) @ phi, atol=1e-12)
-    w1 = wv.evolve_wave_dt(table, state, T, T, irule.nodes)
-    assert np.allclose(w1, state.eta @ phi, atol=1e-12)
+def _quadrature_energy(table, irule, state):
+    """integral |grad w|^2 + |dw/dt|^2 at the terminal time by interior quadrature."""
+    coeff = state.xi_tilde / table.lambdas[: state.N]
+    grad = np.einsum("n,nkd->kd", coeff, table.grad_phi_matrix(irule.nodes)[: state.N])
+    vel = state.eta @ table.phi_matrix(irule.nodes)[: state.N]
+    return float(irule.integrate(np.sum(np.abs(grad) ** 2, axis=1) + np.abs(vel) ** 2))
 
 
-def test_wave_equation_residual_single_mode():
-    """Finite-difference d^2/dt^2 against the eigen-relation Laplacian."""
-    dom = rectangle(np.pi, np.pi / 2)
-    table, irule, _ = _setup(dom, 5)
-    state = wv.WaveState(np.array([0, 0, 1.0, 0, 0]), np.zeros(5))
-    T, t, h = 3.0, 1.3, 1e-4
-    pts = irule.nodes[::50]
-    wtt = (wv.evolve_wave(table, state, T, t + h, pts)
-           - 2 * wv.evolve_wave(table, state, T, t, pts)
-           + wv.evolve_wave(table, state, T, t - h, pts)) / h**2
-    lap = -table.lambdas[2] ** 2 * wv.evolve_wave(table, state, T, t, pts)
-    assert np.max(np.abs(wtt - lap)) < 1e-4
+def _physical_flux_coefficients(table, state, T):
+    """Signed c with dw/dnu = sum c_n psi_n e^{i lam_n t}:
+    c_{+n} = (a_{-n}/2) e^{-i lam_n T},  c_{-n} = -(a_{+n}/2) e^{i lam_n T}."""
+    a = wv.coeffs_to_a(state)
+    N = state.N
+    lam = table.lambdas[:N]
+    return np.concatenate([0.5 * a[N:] * np.exp(-1j * lam * T),
+                           -0.5 * a[:N] * np.exp(1j * lam * T)])
+
+
+def _normal_derivative_trace(table, brule, state, T):
+    """Samples of the physical dw/dnu on boundary_flux's grid, and their norm:
+    dw/dnu(x, t) = sum_n [xi_tilde_n cos(lam_n (T-t)) - eta_n sin(lam_n (T-t))] psi_n(x)."""
+    tgrid = default_time_grid(T, float(table.lambdas[state.N - 1]))
+    theta = np.outer(table.lambdas[: state.N], T - tgrid)
+    weights = state.xi_tilde[:, None] * np.cos(theta) - state.eta[:, None] * np.sin(theta)
+    samples = table.psi_matrix(brule)[: state.N].T @ weights
+    space = brule.weights @ (np.abs(samples) ** 2)
+    return samples, float(simpson_weights(len(tgrid), tgrid[1] - tgrid[0]) @ space)
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda table, irule, brule, state: wv.evolve_wave(table, state, 2.0, 1.0, irule.nodes),
-    lambda table, irule, brule, state: wv.evolve_wave_dt(table, state, 2.0, 1.0, irule.nodes),
-    lambda table, irule, brule, state: wv.quadrature_energy(table, irule, state, 2.0),
     lambda table, irule, brule, state: wv.boundary_flux(table, brule, state, 2.0),
-    lambda table, irule, brule, state: wv.normal_derivative_trace(table, brule, state, 2.0),
-    lambda table, irule, brule, state: wv.physical_flux_coefficients(table, state, 2.0),
-], ids=["evolve_wave", "evolve_wave_dt", "quadrature_energy", "boundary_flux",
-        "normal_derivative_trace", "physical_flux_coefficients"])
+], ids=["boundary_flux"])
 def test_evolution_rejects_state_longer_than_table(evaluate):
     table, irule, brule = _setup(interval(np.pi), 3, q=8)
     state = wv.random_state(5, np.random.default_rng(0))
@@ -91,20 +81,8 @@ def test_energy_convention_against_quadrature():
     for dom in [interval(np.pi), rectangle(np.pi, np.pi / 2), disk(1.0)]:
         table, irule, _ = _setup(dom, 8)
         state = wv.random_state(8, np.random.default_rng(1))
-        e_quad = wv.quadrature_energy(table, irule, state, 2.0)
+        e_quad = _quadrature_energy(table, irule, state)
         assert e_quad == pytest.approx(state.energy(), rel=1e-6)
-
-
-def test_energy_conserved_under_evolution():
-    dom = disk(1.0)
-    table, irule, _ = _setup(dom, 8)
-    state = wv.random_state(8, np.random.default_rng(2))
-    T = 3.7
-    for t in [0.0, 0.9, 2.4]:
-        w = wv.evolve_wave(table, state, T, t, irule.nodes)
-        dw = wv.evolve_wave_dt(table, state, T, t, irule.nodes)
-        again = wv.reexpand(table, irule, w, dw)
-        assert again.energy() == pytest.approx(state.energy(), rel=1e-8)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -118,19 +96,22 @@ def test_coeffs_to_a_basis_cases():
     assert np.allclose(a, [1j, 0, -1j, 0])
 
 
-def test_coefficient_roundtrip_and_norm():
-    rng = np.random.default_rng(3)
-    state = wv.random_state(7, rng)
+# Entries are 0 or of magnitude in [1e-100, 1e6]: below about 1.5e-154 the
+# squares in energy() and sum |a|^2 are subnormal, so their relative precision
+# is lost and a relative bound on the norm identity says nothing.
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda N: hnp.arrays(np.float64, (4, N), elements=_ENTRY)))
+def test_coefficient_roundtrip_and_norm(parts):
+    state = wv.WaveState(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
     a = wv.coeffs_to_a(state)
-    back = wv.a_to_coeffs(a)
-    assert np.allclose(back.xi_tilde, state.xi_tilde, atol=1e-14)
-    assert np.allclose(back.eta, state.eta, atol=1e-14)
-    assert np.sum(np.abs(a) ** 2) == pytest.approx(2 * state.energy(), rel=1e-14)
-
-
-def test_a_to_coeffs_rejects_odd_length():
-    with pytest.raises(ConfigurationError):
-        wv.a_to_coeffs(np.ones(5))
+    back = _a_to_coeffs(a)
+    scale = max(np.max(np.abs(state.xi_tilde)), np.max(np.abs(state.eta)))
+    assert np.max(np.abs(back.xi_tilde - state.xi_tilde)) <= 1e-15 * scale
+    assert np.max(np.abs(back.eta - state.eta)) <= 1e-15 * scale
+    assert abs(np.sum(np.abs(a) ** 2) - 2 * state.energy()) <= 1e-14 * state.energy()
 
 
 # ---------------------------------------------------------------- flux traces
@@ -163,25 +144,6 @@ def test_flux_single_mode_matches_block():
     assert flux.norm_sq == pytest.approx(G.quad_form(a), rel=1e-8)
 
 
-def test_flux_grid_convergence():
-    dom = rectangle(np.pi, np.pi / 2)
-    table, _, brule = _setup(dom, 6)
-    T = 2.1 * 2 * dom.R
-    state = wv.random_state(6, np.random.default_rng(5))
-    f1 = wv.boundary_flux(table, brule, state, T)
-    t2 = np.linspace(0, T, 2 * (len(f1.tgrid) - 1) + 1)
-    f2 = wv.boundary_flux(table, brule, state, T, t2)
-    assert abs(f2.norm_sq - f1.norm_sq) <= 1e-4 * f1.norm_sq
-
-
-def test_flux_rejects_coarse_grid():
-    table, _, brule = _setup(interval(np.pi), 8, q=8)
-    state = wv.random_state(8, np.random.default_rng(6))
-    tg = np.linspace(0, 4.0, 31)
-    with pytest.raises(NumericalError):
-        wv.boundary_flux(table, brule, state, 4.0, tg)
-
-
 def test_physical_trace_identities():
     """dw/dnu sampled two ways: real formula vs mapped signed coefficients;
     its norm through the Gram form at the mapped coefficients."""
@@ -189,19 +151,19 @@ def test_physical_trace_identities():
     table, _, brule = _setup(dom, 6, q=8)
     T = 2.4 * np.pi
     state = wv.random_state(6, np.random.default_rng(7))
-    nd = wv.normal_derivative_trace(table, brule, state, T)
-    c = wv.physical_flux_coefficients(table, state, T)
-    combo = wv.boundary_flux(table, brule, wv.a_to_coeffs(c), T, nd.tgrid)
-    assert np.max(np.abs(combo.samples - nd.samples)) < 1e-10
+    samples, norm_sq = _normal_derivative_trace(table, brule, state, T)
+    c = _physical_flux_coefficients(table, state, T)
+    combo = wv.boundary_flux(table, brule, _a_to_coeffs(c), T)
+    assert np.max(np.abs(combo.samples - samples)) < 1e-10
     G = assemble_exponential_gram(table, brule, T)
-    assert nd.norm_sq == pytest.approx(G.quad_form(c), rel=1e-8)
+    assert norm_sq == pytest.approx(G.quad_form(c), rel=1e-8)
 
 
 def test_physical_trace_real_for_real_states():
     table, _, brule = _setup(rectangle(np.pi, np.pi), 5)
     state = wv.WaveState(np.arange(1.0, 6.0), np.ones(5))
-    nd = wv.normal_derivative_trace(table, brule, state, 5.0)
-    assert np.max(np.abs(nd.samples.imag)) < 1e-12
+    samples, _ = _normal_derivative_trace(table, brule, state, 5.0)
+    assert np.max(np.abs(samples.imag)) < 1e-12
 
 
 # ---------------------------------------------------------------- experiment
