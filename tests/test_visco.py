@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from observalab import visco
@@ -25,6 +27,37 @@ def march(lam, kernel, tgrid):
 def exact(lam, kernel, tgrid):
     """One-mode closed form of z on the forward grid tgrid."""
     return visco._exact_exponential(np.array([lam]), kernel, tgrid)[0][0]
+
+
+def _march_memory_direct(lams, kernel, tau):
+    """Reference march: each step's trapezoid history as one direct sum.
+
+    The same scheme as visco._march_memory, with the history at step i
+    recomputed as the full product M(tau_{i+1..1}) @ v[0..i], which costs
+    O(n^2) for n steps.
+    """
+    n = tau.size
+    h = float(tau[1] - tau[0])
+    mker = np.asarray(kernel(tau), dtype=float)
+    c, s = np.cos(lams * h), np.sin(lams * h)
+    p0, p1, q0, q1 = visco._duhamel_weights(lams, h)
+    beta = -(lams**2) * 0.5 * h * mker[0]
+    denom = 1.0 - (p1 / h) * beta
+    v = np.empty((n, lams.size), dtype=complex)
+    history = v.view(float)
+    v[0] = 1.0
+    vp = -1j * lams
+    f = np.zeros(lams.size, dtype=complex)
+    for i in range(n - 1):
+        hist = mker[i + 1:0:-1]
+        conv = h * ((hist @ history[:i + 1]).view(complex) - 0.5 * hist[0] * v[0])
+        f_known = -(lams**2) * conv
+        rhs = c * v[i] + (s / lams) * vp + p0 * f + (p1 / h) * (f_known - f)
+        v[i + 1] = rhs / denom
+        f_next = f_known + beta * v[i + 1]
+        vp = -lams * s * v[i] + c * vp + q0 * f + (q1 / h) * (f_next - f)
+        f = f_next
+    return v.T
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +144,12 @@ def test_envelope_decays_at_fitted_rate():
     assert np.max(np.abs(resid)) <= 0.2
 
 
+def test_exponential_rates_too_close_for_the_closed_form():
+    """At lam = 1e-9 two rates sit 2.4e-9 apart, under the 1e-8 separation."""
+    with pytest.raises(NumericalError, match="closed form needs memory rates at least"):
+        visco.solve_memory_modes([1e-9], visco.exponential_kernel(0.5, 1.0), 1.0)
+
+
 def test_solver_input_validation():
     ker = visco.exponential_kernel(0.2, 1.0)
     for lams in ([0.0], [3.0, -3.0], [], [[3.0]]):
@@ -150,6 +189,47 @@ def test_batched_march_does_not_couple_modes(kernel):
     for lam, row in zip(lams, batched):
         alone = visco._march_memory(np.array([lam]), kernel, tau)[0]
         assert np.max(np.abs(row - alone)) <= 1e-13
+
+
+_KERNELS = st.one_of(
+    st.builds(visco.polynomial_kernel, st.floats(0.01, 1.0), st.floats(0.5, 3.0)),
+    st.builds(visco.exponential_kernel, st.floats(0.01, 1.0), st.floats(0.2, 3.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=_KERNELS,
+       # below, at and just above the 64-step leaf, and counts that are not
+       # powers of two, so the split leaves uneven halves
+       steps=st.one_of(st.sampled_from([1, 33, 63, 64, 65, 128, 129, 257, 1025]),
+                       st.integers(2, 600)),
+       T=st.floats(0.5, 8.0),
+       # lam*h on both sides of the Duhamel-weight switch at 1e-2; up to 23
+       # modes, so the FFT products run over more than one column batch
+       small=st.lists(st.floats(1e-4, 9.9e-3), min_size=1, max_size=3),
+       large=st.lists(st.floats(1.01e-2, 0.25), min_size=1, max_size=20))
+def test_fast_history_matches_direct_sum(kernel, steps, T, small, large):
+    """The divide-and-conquer history changes the direct march only by rounding."""
+    tau = np.linspace(0.0, T, steps + 1)
+    lams = np.array(small + large) / tau[1]
+    fast = visco._march_memory(lams, kernel, tau)
+    direct = _march_memory_direct(lams, kernel, tau)
+    assert fast.shape == direct.shape == (lams.size, steps + 1)
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_march_scales_to_64_modes():
+    """64 interval modes at T = 2.5*pi: 25,838 steps in about a second.
+
+    The direct O(n^2) history needs minutes for them.  Wall time is not
+    asserted: a slow tier-1 run is what shows a quadratic history's return.
+    """
+    lams = np.arange(1.0, 65.0)
+    modes = visco.solve_memory_modes(lams, visco.polynomial_kernel(0.2, 2.0), 2.5 * np.pi)
+    assert modes.tgrid.size == 25839
+    assert np.all(np.isfinite(modes.samples))
+    assert np.all(modes.terminal_residuals <= 1e-10)
+    assert np.all(modes.terminal_slope_residuals <= 1e-8 * lams)
 
 
 def test_duhamel_weight_branches_agree_at_the_switch():
