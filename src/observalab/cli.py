@@ -39,9 +39,9 @@ LOCK_NAME = ".observalab.lock"
 
 
 def _apply_tolerance_overrides(config: RunConfig) -> None:
-    # modules read the shared table at call time; a CLI process runs one
-    # command, so installing the overrides globally is safe and makes them
-    # effective everywhere (not just in CLI-level assertions)
+    # modules read the shared table at call time, so installing the
+    # overrides there makes them effective everywhere (not just in CLI-level
+    # assertions); main puts the table back as it found it
     for name, value in config.tolerances.items():
         TOLERANCES[name] = float(value)
 
@@ -372,6 +372,7 @@ def _resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    tolerances = dict(TOLERANCES)
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
@@ -404,6 +405,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 70
+    finally:
+        TOLERANCES.clear()
+        TOLERANCES.update(tolerances)
     return 0
 
 

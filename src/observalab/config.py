@@ -143,14 +143,19 @@ class RunConfig:
 
 
 def validate_config_dict(raw: dict) -> dict:
-    """Schema-validate a raw config dict; unknown keys are rejected."""
-    import jsonschema
+    """Schema-validate a raw config dict; unknown keys are rejected.
 
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigurationError(f"config schema violation at {path}: {exc.message}") from exc
+    The error reported is jsonschema's best match, as jsonschema.validate
+    would raise it; the constant schema itself is checked by a unit test,
+    not on every run.
+    """
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    error = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigurationError(f"config schema violation at {path}: {error.message}")
     kind = raw["domain"]["kind"]
     needed = {"interval": "length", "rectangle": "widths", "disk": "radius"}[kind]
     if needed not in raw["domain"]:

@@ -213,7 +213,7 @@ def solve_control(table: ModeTable, problem: ControlProblem, G: GramMatrix,
             f"control solve failed: {err}; Gram condition estimate {cond:.3e}"
         ) from err
     a = np.conj(c)
-    return BoundaryControl(a, problem.T, G.quad_form(a), b, dict(info))
+    return BoundaryControl(a, problem.T, float(G.quad_form(a)), b, dict(info))
 
 
 # ----------------------------------------------------------------------

@@ -167,7 +167,7 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int,
     return z[:, 0] + 1j * z[:, 1]
 
 
-_ROW_BLOCK = 256  # rows drawn and checked at once by quasi_orthogonality_draws
+_ROW_BLOCK = 256  # rows drawn and checked at once here and by observe
 
 
 def _quasi_orthogonality_reports(pairings: MultiplierPairings, u: np.ndarray,

@@ -282,6 +282,16 @@ def _exponential_rates(lam: float, m0: float, delta: float) -> np.ndarray:
             f"{tol:.3e} apart; at lam = {lam:g} (m0 = {m0:g}, delta = {delta:g}) "
             f"two are {sep:.3e} apart"
         )
+    # the rate near -delta sits lam^2*m0/delta^2 from it; once that is below
+    # delta's rounding the closed form's 1/(mu + delta) divides by zero
+    gap = float(np.min(np.abs(roots + delta)))
+    if gap <= np.spacing(delta):
+        raise NumericalError(
+            f"the exponential-kernel closed form needs every memory rate apart "
+            f"from the kernel rate -delta by more than delta's rounding "
+            f"{np.spacing(delta):.3e}; at lam = {lam:g} (m0 = {m0:g}, "
+            f"delta = {delta:g}) one is {gap:.3e} from it"
+        )
     return roots
 
 

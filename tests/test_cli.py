@@ -5,11 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
-from observalab import cli, visco
+from observalab import cli, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
+from observalab.config import CONFIG_SCHEMA, TOLERANCES
 from observalab.geometry import disk, interval
 from observalab.modes import ModeTable
 from observalab.reports import strip_timestamp
@@ -139,6 +141,52 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
         calls.clear()
         assert _run("verify-identities", "--config", str(cfg)) == 0
         assert sorted(calls) == ["grad_phi_matrix", "phi_matrix"], draws
+
+
+def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
+    """observe evaluates psi as often and builds one sampled Gram per
+    horizon however many draws it certifies, in one block or several."""
+    calls = []
+    original_psi = ModeTable.psi_matrix
+    original_sampled = wave.sampled_gram_matrix
+
+    def counted_psi(self, rule):
+        calls.append("psi_matrix")
+        return original_psi(self, rule)
+
+    def counted_sampled(*args):
+        calls.append("sampled_gram_matrix")
+        return original_sampled(*args)
+
+    monkeypatch.setattr(ModeTable, "psi_matrix", counted_psi)
+    monkeypatch.setattr(wave, "sampled_gram_matrix", counted_sampled)
+    psi_calls = set()
+    for draws in (1, 50, ops._ROW_BLOCK + 1):
+        run_dir = tmp_path / f"draws{draws}"
+        run_dir.mkdir()
+        cfg = _write_config(run_dir, N=4, draws=draws, T_factors=[1.5, 2.0])
+        calls.clear()
+        assert _run("observe", "--config", str(cfg)) == 0
+        assert calls.count("sampled_gram_matrix") == 2, draws
+        psi_calls.add(calls.count("psi_matrix"))
+    assert len(psi_calls) == 1
+
+
+def test_tolerance_overrides_reach_observe_and_are_undone(tmp_path):
+    """A flux_gram_rel far below rounding fails observe's sampled-flux check
+    (exit 70), and main leaves the shared table as it found it."""
+    defaults = dict(TOLERANCES)
+    cfg = _write_config(tmp_path, tolerances={"flux_gram_rel": 1e-300})
+    try:
+        assert _run("observe", "--config", str(cfg)) == 70
+        assert TOLERANCES == defaults
+    finally:
+        TOLERANCES.clear()
+        TOLERANCES.update(defaults)
+
+
+def test_config_schema_is_valid():
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Memory-mode solver, decay diagnostics, and the perturbed-trace certificate."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,18 @@ def test_exponential_rates_too_close_for_the_closed_form():
     """At lam = 1e-9 two rates sit 2.4e-9 apart, under the 1e-8 separation."""
     with pytest.raises(NumericalError, match="closed form needs memory rates at least"):
         visco.solve_memory_modes([1e-9], visco.exponential_kernel(0.5, 1.0), 1.0)
+
+
+def test_memory_rate_at_the_kernel_rate_is_rejected_before_dividing():
+    """At lam = 1e-8 the rate near -delta sits 5e-17 from it, below delta's
+    rounding, so mu + delta rounds to 0: a named error, and no divide warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="apart from the kernel rate -delta"):
+            visco.solve_memory_modes([1e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
+    # two rounding steps away (lam = 3e-8) the closed form still holds
+    modes = visco.solve_memory_modes([3e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
+    assert np.all(np.isfinite(modes.samples))
 
 
 def test_solver_input_validation():

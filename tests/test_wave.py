@@ -14,9 +14,12 @@ from observalab.geometry import (
     interval,
     rectangle,
 )
-from observalab.gram import assemble_exponential_gram, default_time_grid, simpson_weights
+from observalab.gram import (assemble_exponential_gram, default_time_grid,
+                             lower_bound_constant, simpson_weights)
 from observalab.modes import enumerate_modes
 from observalab import wave as wv
+
+from flux_sampling import boundary_flux
 
 
 def _setup(dom, N, q=32):
@@ -32,68 +35,67 @@ def _setup(dom, N, q=32):
 # behind the signed flux.
 
 
+def _random_state(N, rng):
+    """(xi_tilde, eta) drawn as Re xi, Im xi, Re eta, Im eta: observe's per-draw stream."""
+    xi = rng.normal(size=N) + 1j * rng.normal(size=N)
+    return xi, rng.normal(size=N) + 1j * rng.normal(size=N)
+
+
+def _energy(xi, eta):
+    return float(np.sum(np.abs(xi) ** 2 + np.abs(eta) ** 2))
+
+
 def _a_to_coeffs(a):
     """Inverse of coeffs_to_a."""
     N = len(a) // 2
-    return wv.WaveState(0.5 * (a[:N] + a[N:]), (a[:N] - a[N:]) / 2j)
+    return 0.5 * (a[:N] + a[N:]), (a[:N] - a[N:]) / 2j
 
 
-def _quadrature_energy(table, irule, state):
+def _quadrature_energy(table, irule, xi, eta):
     """integral |grad w|^2 + |dw/dt|^2 at the terminal time by interior quadrature."""
-    coeff = state.xi_tilde / table.lambdas[: state.N]
-    grad = np.einsum("n,nkd->kd", coeff, table.grad_phi_matrix(irule.nodes)[: state.N])
-    vel = state.eta @ table.phi_matrix(irule.nodes)[: state.N]
+    grad = np.einsum("n,nkd->kd", xi / table.lambdas, table.grad_phi_matrix(irule.nodes))
+    vel = eta @ table.phi_matrix(irule.nodes)
     return float(irule.integrate(np.sum(np.abs(grad) ** 2, axis=1) + np.abs(vel) ** 2))
 
 
-def _physical_flux_coefficients(table, state, T):
+def _physical_flux_coefficients(table, xi, eta, T):
     """Signed c with dw/dnu = sum c_n psi_n e^{i lam_n t}:
     c_{+n} = (a_{-n}/2) e^{-i lam_n T},  c_{-n} = -(a_{+n}/2) e^{i lam_n T}."""
-    a = wv.coeffs_to_a(state)
-    N = state.N
-    lam = table.lambdas[:N]
+    a = wv.coeffs_to_a(xi, eta)
+    N = table.N
+    lam = table.lambdas
     return np.concatenate([0.5 * a[N:] * np.exp(-1j * lam * T),
                            -0.5 * a[:N] * np.exp(1j * lam * T)])
 
 
-def _normal_derivative_trace(table, brule, state, T):
+def _normal_derivative_trace(table, brule, xi, eta, T):
     """Samples of the physical dw/dnu on boundary_flux's grid, and their norm:
     dw/dnu(x, t) = sum_n [xi_tilde_n cos(lam_n (T-t)) - eta_n sin(lam_n (T-t))] psi_n(x)."""
-    tgrid = default_time_grid(T, float(table.lambdas[state.N - 1]))
-    theta = np.outer(table.lambdas[: state.N], T - tgrid)
-    weights = state.xi_tilde[:, None] * np.cos(theta) - state.eta[:, None] * np.sin(theta)
-    samples = table.psi_matrix(brule)[: state.N].T @ weights
+    tgrid = default_time_grid(T, float(np.max(table.lambdas)))
+    theta = np.outer(table.lambdas, T - tgrid)
+    weights = xi[:, None] * np.cos(theta) - eta[:, None] * np.sin(theta)
+    samples = table.psi_matrix(brule)[: table.N].T @ weights
     space = brule.weights @ (np.abs(samples) ** 2)
     return samples, float(simpson_weights(len(tgrid), tgrid[1] - tgrid[0]) @ space)
-
-
-@pytest.mark.parametrize("evaluate", [
-    lambda table, irule, brule, state: wv.boundary_flux(table, brule, state, 2.0),
-], ids=["boundary_flux"])
-def test_evolution_rejects_state_longer_than_table(evaluate):
-    table, irule, brule = _setup(interval(np.pi), 3, q=8)
-    state = wv.random_state(5, np.random.default_rng(0))
-    with pytest.raises(ConfigurationError, match="more modes"):
-        evaluate(table, irule, brule, state)
 
 
 def test_energy_convention_against_quadrature():
     for dom in [interval(np.pi), rectangle(np.pi, np.pi / 2), disk(1.0)]:
         table, irule, _ = _setup(dom, 8)
-        state = wv.random_state(8, np.random.default_rng(1))
-        e_quad = _quadrature_energy(table, irule, state)
-        assert e_quad == pytest.approx(state.energy(), rel=1e-6)
+        xi, eta = _random_state(8, np.random.default_rng(1))
+        e_quad = _quadrature_energy(table, irule, xi, eta)
+        assert e_quad == pytest.approx(_energy(xi, eta), rel=1e-6)
 
 
 # ---------------------------------------------------------------- coefficients
 
 def test_coeffs_to_a_basis_cases():
-    state = wv.WaveState(np.array([1.0, 0]), np.array([0.0, 0]))
-    a = wv.coeffs_to_a(state)
+    a = wv.coeffs_to_a(np.array([1.0, 0]), np.array([0.0, 0]))
     assert np.allclose(a, [1, 0, 1, 0])
-    state = wv.WaveState(np.array([0.0, 0]), np.array([1.0, 0]))
-    a = wv.coeffs_to_a(state)
+    a = wv.coeffs_to_a(np.array([0.0, 0]), np.array([1.0, 0]))
     assert np.allclose(a, [1j, 0, -1j, 0])
+    rows = wv.coeffs_to_a(np.eye(2), np.zeros((2, 2)))
+    assert np.allclose(rows, [[1, 0, 1, 0], [0, 1, 0, 1]])
 
 
 # Entries are 0 or of magnitude in [1e-100, 1e6]: below about 1.5e-154 the
@@ -105,13 +107,14 @@ _ENTRY = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 24).flatmap(lambda N: hnp.arrays(np.float64, (4, N), elements=_ENTRY)))
 def test_coefficient_roundtrip_and_norm(parts):
-    state = wv.WaveState(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
-    a = wv.coeffs_to_a(state)
-    back = _a_to_coeffs(a)
-    scale = max(np.max(np.abs(state.xi_tilde)), np.max(np.abs(state.eta)))
-    assert np.max(np.abs(back.xi_tilde - state.xi_tilde)) <= 1e-15 * scale
-    assert np.max(np.abs(back.eta - state.eta)) <= 1e-15 * scale
-    assert abs(np.sum(np.abs(a) ** 2) - 2 * state.energy()) <= 1e-14 * state.energy()
+    xi, eta = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    a = wv.coeffs_to_a(xi, eta)
+    back_xi, back_eta = _a_to_coeffs(a)
+    scale = max(np.max(np.abs(xi)), np.max(np.abs(eta)))
+    assert np.max(np.abs(back_xi - xi)) <= 1e-15 * scale
+    assert np.max(np.abs(back_eta - eta)) <= 1e-15 * scale
+    energy = _energy(xi, eta)
+    assert abs(np.sum(np.abs(a) ** 2) - 2 * energy) <= 1e-14 * energy
 
 
 # ---------------------------------------------------------------- flux traces
@@ -121,27 +124,25 @@ def test_flux_norm_equals_gram_form():
         table, _, brule = _setup(dom, 8)
         T = 2.3 * 2 * dom.R
         G = assemble_exponential_gram(table, brule, T)
-        state = wv.random_state(8, np.random.default_rng(4))
-        flux = wv.boundary_flux(table, brule, state, T)
-        qf = G.quad_form(wv.coeffs_to_a(state))
-        assert abs(flux.norm_sq - qf) <= 1e-6 * qf
+        a = wv.coeffs_to_a(*_random_state(8, np.random.default_rng(4)))
+        _, norm_sq = boundary_flux(table, brule, a, T)
+        qf = G.quad_form(a)
+        assert abs(norm_sq - qf) <= 1e-6 * qf
 
 
 def test_flux_zero_state():
     table, _, brule = _setup(interval(np.pi), 3, q=8)
-    state = wv.WaveState(np.zeros(3), np.zeros(3))
-    flux = wv.boundary_flux(table, brule, state, 4.0)
-    assert flux.norm_sq == 0.0
+    _, norm_sq = boundary_flux(table, brule, np.zeros(6), 4.0)
+    assert norm_sq == 0.0
 
 
 def test_flux_single_mode_matches_block():
     table, _, brule = _setup(interval(np.pi), 4, q=8)
     T = 2.6 * np.pi
     G = assemble_exponential_gram(table, brule, T)
-    state = wv.WaveState(np.array([0, 2.0, 0, 0]), np.array([0, -1.0j, 0, 0]))
-    a = wv.coeffs_to_a(state)
-    flux = wv.boundary_flux(table, brule, state, T)
-    assert flux.norm_sq == pytest.approx(G.quad_form(a), rel=1e-8)
+    a = wv.coeffs_to_a(np.array([0, 2.0, 0, 0]), np.array([0, -1.0j, 0, 0]))
+    _, norm_sq = boundary_flux(table, brule, a, T)
+    assert norm_sq == pytest.approx(G.quad_form(a), rel=1e-8)
 
 
 def test_physical_trace_identities():
@@ -150,19 +151,18 @@ def test_physical_trace_identities():
     dom = interval(np.pi)
     table, _, brule = _setup(dom, 6, q=8)
     T = 2.4 * np.pi
-    state = wv.random_state(6, np.random.default_rng(7))
-    samples, norm_sq = _normal_derivative_trace(table, brule, state, T)
-    c = _physical_flux_coefficients(table, state, T)
-    combo = wv.boundary_flux(table, brule, _a_to_coeffs(c), T)
-    assert np.max(np.abs(combo.samples - samples)) < 1e-10
+    xi, eta = _random_state(6, np.random.default_rng(7))
+    samples, norm_sq = _normal_derivative_trace(table, brule, xi, eta, T)
+    c = _physical_flux_coefficients(table, xi, eta, T)
+    combo, _ = boundary_flux(table, brule, c, T)
+    assert np.max(np.abs(combo - samples)) < 1e-10
     G = assemble_exponential_gram(table, brule, T)
     assert norm_sq == pytest.approx(G.quad_form(c), rel=1e-8)
 
 
 def test_physical_trace_real_for_real_states():
     table, _, brule = _setup(rectangle(np.pi, np.pi), 5)
-    state = wv.WaveState(np.arange(1.0, 6.0), np.ones(5))
-    samples, _ = _normal_derivative_trace(table, brule, state, 5.0)
+    samples, _ = _normal_derivative_trace(table, brule, np.arange(1.0, 6.0), np.ones(5), 5.0)
     assert np.max(np.abs(samples.imag)) < 1e-12
 
 
@@ -182,8 +182,7 @@ def test_observability_ratio_scale_invariant():
     table, _, brule = _setup(interval(np.pi), 4, q=8)
     T = 2.5 * np.pi
     G = assemble_exponential_gram(table, brule, T)
-    state = wv.random_state(4, np.random.default_rng(9))
-    a = wv.coeffs_to_a(state)
+    a = wv.coeffs_to_a(*_random_state(4, np.random.default_rng(9)))
     r1 = G.quad_form(a) / np.sum(np.abs(a) ** 2)
     r2 = G.quad_form(10 * a) / np.sum(np.abs(10 * a) ** 2)
     assert r1 == pytest.approx(r2, rel=1e-12)
@@ -194,3 +193,40 @@ def test_observability_rejects_short_horizon():
     with pytest.raises(ConfigurationError):
         wv.observability_experiment(table, brule, 0.5 * np.pi, 5,
                                     np.random.default_rng(0))
+
+
+_SMALL_DOMAINS = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
+                  "disk": disk(1.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(draws=st.sampled_from([1, 2, 3, 255, 256, 257, 600]),
+       kind=st.sampled_from(sorted(_SMALL_DOMAINS)),
+       seed=st.integers(0, 2**32 - 1),
+       cut=st.floats(0.2, 0.8))
+def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
+    """Rows drawn and checked _ROW_BLOCK at a time give the per-draw loop's
+    stream, ratios and failure labels (the threshold is set inside the
+    ratio range, so both labels occur)."""
+    dom = _SMALL_DOMAINS[kind]
+    table, _, brule = _setup(dom, 4, q=8)
+    T = 2.5 * 2 * dom.R
+    G = assemble_exponential_gram(table, brule, T)
+    spec = G.spectrum()
+    threshold = spec["lambda_min"] + cut * (spec["lambda_max"] - spec["lambda_min"])
+    margin_tol = lower_bound_constant(dom, T) - threshold
+    rng = np.random.default_rng(seed)
+    rep = wv.observability_experiment(table, brule, T, draws, rng, margin_tol=margin_tol)
+    loop_rng = np.random.default_rng(seed)
+    expected = np.empty(draws)
+    for i in range(draws):
+        xi, eta = _random_state(table.N, loop_rng)
+        a = np.concatenate([xi + 1j * eta, xi - 1j * eta])
+        expected[i] = np.real(a @ G.matrix @ np.conj(a)) / np.sum(np.abs(a) ** 2)
+    assert np.max(np.abs(rep["ratios"] - expected) / expected) <= 1e-14
+    failed = np.flatnonzero(expected < threshold)
+    assert [f["draw"] for f in rep["failures"]] == failed.tolist()
+    assert np.allclose([f["ratio"] for f in rep["failures"]], expected[failed],
+                       rtol=1e-14, atol=0.0)
+    assert rng.normal() == loop_rng.normal()   # the same stream was consumed
+    assert len(rep["flux_gram_rel_errors"]) == min(draws, 3)
