@@ -129,6 +129,27 @@ def _panel_count(lam_max: float, length: float, q: int) -> int:
     return max(1, int(np.ceil(1.2732395447351628 * max(lam_max, 1.0) * length / q)))
 
 
+# Nodes one quadrature rule may hold, so that the (2N x nodes) basis
+# matrices stay within a few hundred MB at N = 128.  Only an elongated
+# rectangle reaches it: its panels resolve the top frequency along both sides.
+MAX_RULE_NODES = 1 << 17
+
+
+def _rectangle_panels(a: float, b: float, f: float, q: int,
+                      interior: bool) -> tuple[int, int]:
+    """Panel counts along the sides a and b, refused past MAX_RULE_NODES nodes."""
+    pa, pb = _panel_count(f, a, q), _panel_count(f, b, q)
+    nodes = q * q * pa * pb if interior else 2 * q * (pa + pb)
+    if nodes > MAX_RULE_NODES:
+        kind = "interior" if interior else "boundary"
+        raise ConfigurationError(
+            f"the {kind} quadrature of the {a:g} x {b:g} rectangle would need "
+            f"{nodes} nodes for modes up to frequency {f / 2:g} (limit "
+            f"{MAX_RULE_NODES}); use a less elongated rectangle or fewer modes"
+        )
+    return pa, pb
+
+
 def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -> QuadratureRule:
     """Tensor Gauss-Legendre rule on the domain (polar tensor on the disk).
 
@@ -145,8 +166,9 @@ def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
         return QuadratureRule(nodes=x[:, None], weights=w, q=q)
     if domain.kind == "rectangle":
         a, b = domain.params
-        x, wx = _gl_panels(0.0, a, _panel_count(f, a, q), q)
-        y, wy = _gl_panels(0.0, b, _panel_count(f, b, q), q)
+        pa, pb = _rectangle_panels(a, b, f, q, interior=True)
+        x, wx = _gl_panels(0.0, a, pa, q)
+        y, wy = _gl_panels(0.0, b, pb, q)
         X, Y = np.meshgrid(x, y, indexing="ij")
         W = np.outer(wx, wy)
         nodes = np.column_stack([X.ravel(), Y.ravel()])
@@ -183,8 +205,9 @@ def boundary_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
     f = 2.0 * lam_max
     if domain.kind == "rectangle":
         a, b = domain.params
-        xs, wxs = _gl_panels(0.0, a, _panel_count(f, a, q), q)
-        ys, wys = _gl_panels(0.0, b, _panel_count(f, b, q), q)
+        pa, pb = _rectangle_panels(a, b, f, q, interior=False)
+        xs, wxs = _gl_panels(0.0, a, pa, q)
+        ys, wys = _gl_panels(0.0, b, pb, q)
         pieces = []
         for coord, w, normal in (
             (np.column_stack([xs, np.zeros_like(xs)]), wxs, (0.0, -1.0)),   # y=0

@@ -161,6 +161,11 @@ def default_time_grid(T: float, lam_max: float) -> np.ndarray:
     return np.linspace(0.0, T, n_int + 1)
 
 
+# Time samples per block of the sampled Gram's sum: the weighted copy of a
+# block is (2N x 4096), 17 MB at N = 128, whatever the horizon.
+_TIME_BLOCK = 4096
+
+
 def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
                         traces: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
     """Raw Gram matrix of { z_n(t) psi_n(x) } from time samples z_n.
@@ -168,18 +173,24 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
     traces: complex (2N, n_samples) in the signed index order.  Time goes by
     composite Simpson on tgrid, which must be uniform and resolve the traces
     (default_time_grid and visco_time_grid are, by construction), space by
-    the boundary quadrature factor B.  Returns the bare (possibly singular)
-    Hermitian matrix.
+    the boundary quadrature factor B.  The time sum runs over blocks of
+    _TIME_BLOCK samples.  Returns the bare (possibly singular) Hermitian
+    matrix.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     traces = np.asarray(traces, dtype=complex)
     if traces.shape != (2 * table.N, len(tgrid)):
         raise ConfigurationError("trace array does not match (2N, len(tgrid))")
-    # conj(z w) z^T is the conjugate of the time Gram (z w) z^H: one working
-    # copy of the traces instead of two
-    weighted = traces * simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-    np.conj(weighted, out=weighted)
-    time_gram = np.conj(weighted @ traces.T)
+    # conj(z w) z^T is the conjugate of the time Gram (z w) z^H; summed over
+    # _TIME_BLOCK samples at a time, so the weighted copy stays one block
+    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    conj_gram = np.zeros((traces.shape[0], traces.shape[0]), dtype=complex)
+    for lo in range(0, len(tgrid), _TIME_BLOCK):
+        block = traces[:, lo:lo + _TIME_BLOCK]
+        weighted = block * w[lo:lo + _TIME_BLOCK]
+        np.conj(weighted, out=weighted)
+        conj_gram += weighted @ block.T
+    time_gram = np.conj(conj_gram)
     B = boundary_trace_gram(table, brule)
     G = B * time_gram
     # symmetrize away Simpson round-off so the Hermiticity gate stays honest

@@ -266,12 +266,12 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
     if kind == "rectangle":
         a, b = domain.params
         norm = 2.0 / np.sqrt(a * b)
-        # enumerate a generous index box, then sort
-        box = int(np.ceil(np.sqrt(N) * max(a, b) / min(a, b))) + N
+        # lam grows in p and in q, so the p*q - 1 modes (p', q') <= (p, q)
+        # all come before (p, q): the N smallest have p*q <= N
         cand = [
             (np.pi * np.hypot(p / a, q / b), (p, q))
-            for p in range(1, box + 1)
-            for q in range(1, box + 1)
+            for p in range(1, N + 1)
+            for q in range(1, N // p + 1)
         ]
         cand.sort(key=lambda item: (item[0], item[1]))
         for rank, (lam, mi) in enumerate(cand[:N], start=1):

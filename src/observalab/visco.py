@@ -32,6 +32,17 @@ diagnostics that certify the memory-perturbed boundary trace system: a
 fitted complex decay rate gamma, the L2 distances of the modes to their
 shifted exponential references, a finite-section Paley-Wiener quotient,
 and a sampled-Gram Riesz certificate.
+
+fit_gamma reduces the modes to sums over the time grid before it
+iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
+objective sum_n lam_n^2 * sum_t w_t |Z_nt - exp((gamma + i*lam_n) b_t)|^2
+(b = t - T) depends on the modes only through alpha = sum lam^2 w |Z|^2 and
+one real series C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i*lam_n*b_t)), so
+one blocked pass over the modes makes every Gauss-Newton step O(samples).
+A step is halved only against a rise above the objective's rounding scale,
+and the fit stops when the step falls to 1e-13 * max(1, |gamma|) or the
+objective's drop falls below that scale; so its iterations do not depend
+on the last digits of the samples.
 """
 
 from __future__ import annotations
@@ -352,71 +363,160 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
 # Decay rate fit and closeness spectrum
 
 
+# Mode rows per block of the fit's pass over the samples, as a count of
+# (rows x samples) elements: the block's work arrays stay a few MB whatever
+# N and the horizon are.
+_FIT_BLOCK = 1 << 18
+# Changes of the fit objective below this many roundings of its expanded
+# terms are noise: the line search does not halve for them, and the
+# iteration stops on them.
+_FIT_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class _FitSums:
+    """What the decay-rate fit needs of the modes: sums over the time grid.
+
+    mean is y_t = sum_n lam_n^2 Z_nt exp(-i lam_n b_t) / sum_n lam_n^2,
+    the lam^2-weighted mean of the demodulated modes (b = t - T), and
+    seed_objective the fit objective F at the real seed, summed directly.
+    """
+
+    base: np.ndarray
+    w: np.ndarray
+    mean: np.ndarray
+    L: float
+    seed: float
+    seed_objective: float
+
+    def far(self, gamma: complex) -> float:
+        """R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2), e = exp(gamma b).
+
+        F - R is a sum of squares free of gamma, so R changes as F does.
+        """
+        e = np.exp(gamma * self.base)
+        gaps = np.abs(self.mean - e) ** 2 + np.abs(self.mean - np.conj(e)) ** 2
+        return 0.5 * self.L * float(self.w @ gaps)
+
+    def objective(self, gamma: complex) -> float:
+        """F(gamma) as F(seed) plus the change of R."""
+        return self.seed_objective + self.far(gamma) - self.far(self.seed)
+
+    @property
+    def alpha(self) -> float:
+        """F's constant sum_signed lam^2 sum_t w_t |Z|^2 = F - R + L sum_t w_t |y_t|^2."""
+        return (self.seed_objective - self.far(self.seed)
+                + self.L * float(self.w @ np.abs(self.mean) ** 2))
+
+
+def _fit_sums(modes: MemoryModes) -> _FitSums:
+    """One blocked pass over the positive modes, _FIT_BLOCK elements at a time.
+
+    The direct sum at the seed -M(0)/2 counts each mode twice: its
+    conjugate partner lies as far from its own reference.
+    """
+    lams, Z, tgrid = modes.lambdas, modes.samples, modes.tgrid
+    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    base = tgrid - tgrid[-1]
+    seed = -modes.kernel.at_zero() / 2.0
+    seed_shift = np.exp(seed * base)
+    mean = np.zeros(base.size, dtype=complex)
+    direct = 0.0
+    rows = max(1, _FIT_BLOCK // base.size)
+    for lo in range(0, lams.size, rows):
+        lam, z = lams[lo:lo + rows], Z[lo:lo + rows]
+        lam2 = lam**2
+        # exp(i lam b) as cos + i sin, a third faster than np.exp's complex path
+        phase = np.outer(lam, base)
+        osc = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=osc.real)
+        np.sin(phase, out=osc.imag)
+        direct += float(lam2 @ (np.abs(z - seed_shift * osc) ** 2 @ w))
+        np.conj(osc, out=osc)
+        osc *= z
+        mean += lam2 @ osc
+    L = 2.0 * float(np.sum(lams**2))
+    return _FitSums(base, w, 2.0 * mean / L, L, seed, 2.0 * direct)
+
+
 def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     """Fit the complex decay rate of the shifted exponential references.
 
-    Minimizes sum_n lam_n^2 * d_n(gamma) over the signed system (the
-    negative-frequency partners are the conjugate modes) by damped
+    Minimizes F(gamma) = sum_n lam_n^2 * d_n(gamma) over the signed system
+    (the negative-frequency partners are the conjugate modes) by damped
     Gauss-Newton, where d_n is the Simpson L2 distance between the mode
     and exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps the
     objective symmetric under gamma -> conj(gamma) for real kernels, so
     the fit cannot trade a spurious global frequency shift against the
     per-mode phase drift.  Seeded at -M(0)/2; the seed carries no
     authority, the decay diagnostics downstream validate the fit.
+
+    The modes enter only through sums over the time grid.  With b = t - T,
+    Simpson weights w, e_t = exp(gamma b_t), |exp(i lam b)| = 1 and the
+    partners conjugate,
+
+        F(gamma) = alpha - 2 sum_t w_t C_t Re e_t + L sum_t w_t |e_t|^2,
+        J^H J = L sum_t w_t b_t^2 |e_t|^2,
+        J^H r = -sum_t w_t b_t (C_t conj(e_t) - L |e_t|^2),
+
+    where alpha = sum_signed lam^2 sum_t w_t |Z|^2, L = 2 sum_n lam_n^2 and
+    C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i lam_n b_t)) = L Re y_t, with y
+    the lam^2-weighted mean of the demodulated modes.  One blocked pass over
+    the positive modes forms y and F at the seed (_fit_sums), so an
+    iteration costs O(samples) and no (2N x samples) array is built.  The
+    iteration sums the changes of F, in which alpha cancels exactly, as
+    changes of R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2)
+    (_FitSums.far), and J^H r as -L sum_t w_t b_t conj(e_t) (Re y_t - e_t):
+    neither cancels against alpha.  A step is halved only when F rises by
+    more than its rounding scale _FIT_ROUNDING * (alpha + L sum_t w_t |e_t|^2),
+    and the iteration stops when the step is at most 1e-13 * max(1, |gamma|)
+    or F drops by less than that scale.  objective_at_seed is summed
+    directly, and objective is it plus the change of R from the seed; a
+    seed whose direct objective is exactly 0 (a zero kernel) is returned
+    as it is.  halvings counts the steps halved against a real rise.
     """
     lams = modes.lambdas
     if lams.size < 5 or lams.max() < 4.0 * lams.min():
         raise ConfigurationError(
             "need >= 5 modes spanning a >= 4x frequency range to fit gamma"
         )
-    tgrid = modes.tgrid
-    T = float(tgrid[-1])
-    dt = float(tgrid[1] - tgrid[0])
-    w = simpson_weights(len(tgrid), dt)
-    sqw = np.sqrt(w)
-    base = tgrid - T
-    Z = modes.signed()
-    lams_signed = np.concatenate([lams, -lams])
-    osc = np.exp(1j * np.outer(lams_signed, base))
-    scale = np.abs(lams_signed)[:, None] * sqw[None, :]
-
-    def objective(g: complex) -> tuple[float, np.ndarray]:
-        ref = np.exp(g * base)[None, :] * osc
-        r = scale * (Z - ref)
-        return float(np.vdot(r, r).real), ref
-
-    gamma = complex(-modes.kernel.at_zero() / 2.0)
-    seed = gamma
-    obj, ref = objective(gamma)
-    obj_seed = obj
-    converged = obj == 0.0
-    iterations = 0
+    sums = _fit_sums(modes)
+    base, w, L, alpha = sums.base, sums.w, sums.L, sums.alpha
+    wb = w * base
+    wb2 = wb * base
+    gamma = complex(sums.seed)
+    value = sums.far(gamma)
+    converged = sums.seed_objective == 0.0
+    iterations = halvings = 0
     while not converged and iterations < 200:
         iterations += 1
-        jac = -scale * base[None, :] * ref
-        jtj = float(np.vdot(jac, jac).real)
-        jtr = complex(np.vdot(jac, scale * (Z - ref)))
+        e = np.exp(gamma * base)
+        e2 = np.exp(2.0 * gamma.real * base)
+        jtj = L * float(wb2 @ e2)
         if jtj == 0.0:
             raise NumericalError("degenerate decay-rate fit (zero Jacobian)")
+        jtr = -L * complex(wb @ (np.conj(e) * (sums.mean.real - e)))
         step = -jtr / jtj
-        # damped acceptance: halve until the objective actually drops
-        new_obj, new_ref = objective(gamma + step)
-        halvings = 0
-        while new_obj > obj and halvings < 40:
+        noise = _FIT_ROUNDING * (alpha + L * float(w @ e2))
+        # damped acceptance: halve only against a real rise
+        trial = sums.far(gamma + step)
+        tries = 0
+        while trial - value > noise and tries < 40:
             step *= 0.5
-            halvings += 1
-            new_obj, new_ref = objective(gamma + step)
-        if new_obj > obj:
+            tries += 1
+            trial = sums.far(gamma + step)
+        if trial - value > noise:
             raise NumericalError(
                 f"decay-rate fit stalled at iteration {iterations}: "
-                f"objective {obj:.6e}, gamma {gamma:.6g}"
+                f"objective {sums.objective(gamma):.6e}, gamma {gamma:.6g}"
             )
+        halvings += tries
         gamma += step
-        obj_drop = obj - new_obj
-        obj, ref = new_obj, new_ref
-        if (abs(step) <= 1e-13 * max(1.0, abs(gamma))
-                or obj_drop <= 1e-14 * max(obj, 1e-300)):
+        drop = value - trial
+        value = trial
+        if abs(step) <= 1e-13 * max(1.0, abs(gamma)) or drop <= noise:
             converged = True
+    obj = sums.objective(gamma)
     if not converged:
         raise NumericalError(
             f"decay-rate fit did not converge in 200 iterations "
@@ -424,9 +524,10 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
         )
     info = {
         "objective": obj,
-        "objective_at_seed": obj_seed,
+        "objective_at_seed": sums.seed_objective,
         "iterations": iterations,
-        "seed": seed,
+        "halvings": halvings,
+        "seed": complex(sums.seed),
         "modes": int(lams.size),
     }
     return gamma, info

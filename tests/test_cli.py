@@ -2,9 +2,13 @@
 
 import importlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from observalab import cli, visco, wave
@@ -183,6 +187,40 @@ def test_tolerance_overrides_reach_observe_and_are_undone(tmp_path):
     finally:
         TOLERANCES.clear()
         TOLERANCES.update(defaults)
+
+
+_SIZES = st.floats(1e-3, 1e3)
+_HORIZONS = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4)
+_DOMAINS = st.one_of(
+    st.builds(lambda length: {"kind": "interval", "length": length}, _SIZES),
+    st.builds(lambda a, b: {"kind": "rectangle", "widths": [a, b]}, _SIZES, _SIZES),
+    st.builds(lambda radius: {"kind": "disk", "radius": radius}, _SIZES),
+)
+_CONFIGS = st.fixed_dictionaries(
+    {"domain": _DOMAINS, "N": st.integers(1, 12)},
+    optional={
+        "T_factors": _HORIZONS,
+        "T_values": _HORIZONS,
+        "quadrature_q": st.integers(4, 128),
+        "draws": st.integers(1, 50),
+        "seed": st.integers(0, 2**32),
+        "tolerances": st.dictionaries(st.sampled_from(sorted(TOLERANCES)),
+                                      st.floats(1e-12, 1e3), max_size=3),
+    },
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(raw=_CONFIGS)
+def test_schema_valid_configs_exit_with_a_documented_code(raw):
+    """spectrum and riesz on any schema-valid config exit 0, 2, 64 or 70."""
+    assert not list(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({**raw, "out_dir": str(Path(tmp) / "out"),
+                                   "cache_path": str(Path(tmp) / "cache.json")}))
+        for cmd in ("spectrum", "riesz"):
+            assert _run(cmd, "--config", str(cfg)) in (0, 2, 64, 70), (cmd, raw)
 
 
 def test_config_schema_is_valid():

@@ -249,3 +249,15 @@ def test_domain_validation():
         rectangle(0.0, 1.0)
     with pytest.raises(ConfigurationError):
         disk(-2.0)
+
+
+def test_elongated_rectangle_rules_are_refused_before_they_are_built():
+    """Resolving modes up to lam = 40 along a side of 1000 takes ~2e5 boundary
+    nodes, and along a side of 100 ~1.3e6 interior nodes: a named error
+    instead of the arrays."""
+    with pytest.raises(ConfigurationError, match="boundary quadrature .* 204032 nodes"):
+        boundary_quadrature(rectangle(1.0, 1000.0), lam_max=40.0)
+    with pytest.raises(ConfigurationError, match="interior quadrature"):
+        interior_quadrature(rectangle(1.0, 100.0), lam_max=40.0)
+    # the boundary of the second rectangle stays under the limit
+    assert boundary_quadrature(rectangle(1.0, 100.0), lam_max=40.0).weights.size == 20672

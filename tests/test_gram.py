@@ -214,6 +214,19 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     assert np.max(np.abs(ws - wa)) < 1e-6
 
 
+def test_sampled_gram_blocks_match_one_whole_grid_product():
+    """Summing the time Gram over blocks of the grid changes it only by rounding."""
+    table, brule = _setup(interval(np.pi), 4, q=8)
+    tg = np.linspace(0.0, 3.0, 3 * gr._TIME_BLOCK + 1001)     # 3.2 blocks
+    rng = np.random.default_rng(5)
+    traces = rng.normal(size=(8, tg.size)) + 1j * rng.normal(size=(8, tg.size))
+    w = gr.simpson_weights(tg.size, float(tg[1] - tg[0]))
+    whole = gr.boundary_trace_gram(table, brule) * ((traces * w) @ traces.conj().T)
+    whole = 0.5 * (whole + whole.conj().T)
+    blocked = gr.sampled_gram_matrix(table, brule, traces, tg)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
 def test_sampled_gram_rejects_mismatched_traces():
     table, brule = _setup(interval(np.pi), 2, q=8)
     tg = gr.default_time_grid(2.0, table.lambdas[-1])

@@ -1,6 +1,9 @@
 """Memory-mode solver, decay diagnostics, and the perturbed-trace certificate."""
 
+import dataclasses
+import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.linalg import expm
 from observalab import visco
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, interval
+from observalab.gram import simpson_weights
 from observalab.modes import enumerate_modes
 
 
@@ -60,6 +64,58 @@ def _march_memory_direct(lams, kernel, tau):
         vp = -lams * s * v[i] + c * vp + q0 * f + (q1 / h) * (f_next - f)
         f = f_next
     return v.T
+
+
+def _fit_gamma_dense(modes):
+    """Reference fit: every Gauss-Newton quantity summed over the signed modes.
+
+    The scheme of visco.fit_gamma before its reduction to sums over the time
+    grid: the residual, Jacobian and objective are full (2N x samples)
+    arrays, and the line search halves while the direct objective rises by
+    more than 1e-14 relative.  It stops on the step size alone: a stop on
+    the objective's drop leaves the rate up to ~1e-9 short of the minimum
+    where Gauss-Newton converges slowly, because the drop of the last steps
+    is below the objective's rounding.
+    """
+    lams = modes.lambdas
+    tgrid = modes.tgrid
+    T = float(tgrid[-1])
+    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    base = tgrid - T
+    Z = modes.signed()
+    lams_signed = np.concatenate([lams, -lams])
+    osc = np.exp(1j * np.outer(lams_signed, base))
+    scale = np.abs(lams_signed)[:, None] * np.sqrt(w)[None, :]
+
+    def objective(g):
+        ref = np.exp(g * base)[None, :] * osc
+        r = scale * (Z - ref)
+        return float(np.vdot(r, r).real), ref
+
+    gamma = complex(-modes.kernel.at_zero() / 2.0)
+    obj, ref = objective(gamma)
+    obj_seed = obj
+    converged = obj == 0.0
+    iterations = 0
+    while not converged and iterations < 200:
+        iterations += 1
+        jac = -scale * base[None, :] * ref
+        jtj = float(np.vdot(jac, jac).real)
+        jtr = complex(np.vdot(jac, scale * (Z - ref)))
+        step = -jtr / jtj
+        new_obj, new_ref = objective(gamma + step)
+        halvings = 0
+        while new_obj > obj * (1.0 + 1e-14) and halvings < 40:
+            step *= 0.5
+            halvings += 1
+            new_obj, new_ref = objective(gamma + step)
+        assert new_obj <= obj * (1.0 + 1e-14), "dense fit stalled"
+        gamma += step
+        obj, ref = new_obj, new_ref
+        converged = abs(step) <= 1e-13 * max(1.0, abs(gamma))
+    assert converged, "dense fit did not converge"
+    return gamma, {"objective": obj, "objective_at_seed": obj_seed,
+                   "iterations": iterations}
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +288,14 @@ def test_fast_history_matches_direct_sum(kernel, steps, T, small, large):
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+@lru_cache(maxsize=None)
+def interval_64_modes(family):
+    """The 64 interval modes at T = 2.5*pi for polynomial(0.2, 2) or exponential(0.5, 1)."""
+    kernel = (visco.polynomial_kernel(0.2, 2.0) if family == "polynomial"
+              else visco.exponential_kernel(0.5, 1.0))
+    return visco.solve_memory_modes(np.arange(1.0, 65.0), kernel, 2.5 * np.pi)
+
+
 def test_march_scales_to_64_modes():
     """64 interval modes at T = 2.5*pi: 25,838 steps in about a second.
 
@@ -239,7 +303,7 @@ def test_march_scales_to_64_modes():
     asserted: a slow tier-1 run is what shows a quadratic history's return.
     """
     lams = np.arange(1.0, 65.0)
-    modes = visco.solve_memory_modes(lams, visco.polynomial_kernel(0.2, 2.0), 2.5 * np.pi)
+    modes = interval_64_modes("polynomial")
     assert modes.tgrid.size == 25839
     assert np.all(np.isfinite(modes.samples))
     assert np.all(modes.terminal_residuals <= 1e-10)
@@ -322,6 +386,79 @@ def test_fit_gamma_preconditions():
     narrow = visco.solve_memory_modes([4.0, 5.0, 6.0, 7.0, 8.0], ker, 2.0)
     with pytest.raises(ConfigurationError):
         visco.fit_gamma(narrow)
+
+
+def _dense_objective(modes, gamma):
+    """sum over the signed modes of lam^2 times the Simpson distance to the reference."""
+    tgrid = modes.tgrid
+    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    base = tgrid - tgrid[-1]
+    lams_signed = np.concatenate([modes.lambdas, -modes.lambdas])
+    ref = np.exp(np.outer(gamma + 1j * lams_signed, base))
+    return float((lams_signed**2) @ (np.abs(modes.signed() - ref) ** 2 @ w))
+
+
+_FIT_KERNELS = st.one_of(
+    st.builds(visco.polynomial_kernel, st.floats(0.05, 0.8), st.floats(0.5, 3.0)),
+    st.builds(visco.exponential_kernel, st.floats(0.05, 0.8), st.floats(0.2, 3.0)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel=_FIT_KERNELS, count=st.integers(5, 40), low=st.floats(0.5, 2.0),
+       span=st.floats(4.0, 8.0), T=st.floats(2.0, 10.0),
+       probes=st.lists(st.tuples(st.floats(-1.5, 0.5), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=3))
+def test_fit_gamma_matches_dense_oracle(kernel, count, low, span, T, probes):
+    """The fit on grid sums finds the dense fit's rate and objectives.
+
+    The reduced objective also equals the direct sum at rates off the
+    real axis, where a dropped conjugate partner would show, to 1e-12 of
+    alpha or, where the references outgrow the modes, of the sum itself.
+    """
+    lams = np.linspace(low, span * low, count)
+    modes = visco.solve_memory_modes(lams, kernel, T)
+    gamma, info = visco.fit_gamma(modes)
+    dense_gamma, dense = _fit_gamma_dense(modes)
+    assert abs(gamma - dense_gamma) <= 1e-9 * max(1.0, abs(dense_gamma))
+    for key in ("objective", "objective_at_seed"):
+        assert abs(info[key] - dense[key]) <= 1e-12 * dense[key], key
+    sums = visco._fit_sums(modes)
+    w = simpson_weights(len(modes.tgrid), float(modes.tgrid[1] - modes.tgrid[0]))
+    alpha = 2.0 * float(lams**2 @ (np.abs(modes.samples) ** 2 @ w))
+    assert abs(sums.alpha - alpha) <= 1e-12 * alpha
+    for re, im in probes:
+        probe = complex(re, im)
+        direct = _dense_objective(modes, probe)
+        assert abs(sums.objective(probe) - direct) <= 1e-12 * max(alpha, direct), probe
+
+
+def test_fit_gamma_traced_peak_stays_below_twice_the_samples():
+    """No (2N x samples) array: numpy reports its allocations to tracemalloc."""
+    modes = interval_64_modes("exponential")
+    tracemalloc.start()
+    try:
+        visco.fit_gamma(modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * modes.samples.nbytes
+
+
+def test_fit_gamma_does_not_follow_the_last_digits_of_the_samples():
+    """No halvings at rounding level, so rounding-sized noise moves nothing.
+
+    On these modes the former fit halved its third step 14 times while the
+    objective differences sat at rounding level.
+    """
+    modes = interval_64_modes("polynomial")
+    gamma, info = visco.fit_gamma(modes)
+    assert info["halvings"] == 0
+    u = np.random.default_rng(11).uniform(-1.0, 1.0, modes.samples.shape)
+    nudged = dataclasses.replace(modes, samples=modes.samples * (1.0 + 1e-15 * u))
+    nudged_gamma, nudged_info = visco.fit_gamma(nudged)
+    assert abs(nudged_gamma - gamma) <= 1e-12 * abs(gamma)
+    assert abs(nudged_info["iterations"] - info["iterations"]) <= 1
 
 
 # ----------------------------------------------------------------------
