@@ -21,7 +21,8 @@ import numpy as np
 from .cache import ModeCache, cached_modes, resolve_cache_path
 from .config import (CheckFailure, ConfigurationError, NumericalError,
                      RunConfig, TOLERANCES, default_config, load_config)
-from .control import control_pipeline, problem_from_dict, random_problem
+from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
+                      random_problem)
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
 from .operators import (antisymmetry_suite, multiplier_pairings,
@@ -294,8 +295,7 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         problem = random_problem(table.N, max(horizons),
                                  np.random.default_rng(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
-    rep = control_pipeline(table, brule, problem,
-                           rtol=config.tol("pcg_rel_residual"))
+    rep = control_pipeline(table, brule, problem)
     result = {
         "domain": {"kind": domain.kind, "params": list(domain.params)},
         "N": table.N,
@@ -309,7 +309,8 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         "norm_bound": rep["norm_bound"],
         "bound_ok": rep["bound_ok"],
         "realness_defect": rep["control"].realness_defect,
-        "pcg": rep["control"].solve_info,
+        "solve_residual_rel": rep["control"].solve_residual_rel,
+        "solve_residual_gate": SOLVE_RESIDUAL_GATE,
         "passed": rep["passed"],
     }
     path = write_json(out / "control_result.json", result)

@@ -43,7 +43,6 @@ TOLERANCES = {
     "riesz_margin": 1e-6,       # lambda_min >= c_lower - this
     "flux_gram_rel": 1e-6,
     "gram_hermitian": 1e-10,
-    "pcg_rel_residual": 1e-10,
     "steering_rel_error": 1e-3,
     "visco_terminal": 1e-8,
     "memory_margin_factor": 1e-3,  # lambda_min >= factor * lambda_max

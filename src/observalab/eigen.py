@@ -1,12 +1,9 @@
-"""Dense Hermitian eigensolves through LAPACK, and a PCG linear solver.
+"""Dense Hermitian eigensolves through LAPACK.
 
 jacobi_eigh checks its input (square, finite, Hermitian) and hands it to
 LAPACK (numpy.linalg.eigh / eigvalsh); a LAPACK failure becomes a
 NumericalError.  extreme_eigen_report gates the residuals of the extreme
 eigenpairs at EIGEN_RESIDUAL_GATE times the matrix norm.
-
-The conjugate-gradient solver targets the Hermitian positive definite Gram
-systems of the control synthesis, with a Jacobi (diagonal) preconditioner.
 """
 
 from __future__ import annotations
@@ -79,57 +76,3 @@ def extreme_eigen_report(matrix: np.ndarray) -> dict:
         "residual_rel": residual_rel,
     }
 
-
-def pcg_solve(a: np.ndarray, b: np.ndarray,
-              rtol: float = 1e-10) -> tuple[np.ndarray, dict]:
-    """Jacobi-preconditioned conjugate gradients for Hermitian PD systems.
-
-    Returns (x, info) with info = {iterations, rel_residual} after at most
-    max(200, 20n) iterations.  Raises
-    NumericalError for a non-finite or non-Hermitian matrix before iterating,
-    and on stagnation, attaching a condition-number estimate.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = len(b)
-    _check_hermitian(a)
-    diag = np.real(np.diagonal(a)).copy()
-    if np.any(diag <= 0):
-        raise NumericalError("PCG needs a positive diagonal (matrix not PD?)")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n, dtype=complex), {"iterations": 0, "rel_residual": 0.0}
-    x = np.zeros(n, dtype=complex)
-    r = b.copy()
-    z = r / diag
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    best = np.inf
-    stagnant = 0
-    for it in range(1, max(200, 20 * n) + 1):
-        ap = a @ p
-        denom = np.vdot(p, ap).real
-        if denom <= 0:
-            raise NumericalError("PCG breakdown: matrix is not positive definite")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        rel = float(np.linalg.norm(r)) / bnorm
-        if rel <= rtol:
-            return x, {"iterations": it, "rel_residual": rel}
-        if rel < best * 0.999:
-            best = rel
-            stagnant = 0
-        else:
-            stagnant += 1
-            if stagnant > 60:
-                break
-        z = r / diag
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    cond = float(np.max(diag) / np.min(diag))
-    raise NumericalError(
-        f"PCG stagnated at relative residual {best:.3e} (target {rtol:.1e}); "
-        f"diagonal condition estimate {cond:.3e}"
-    )

@@ -90,6 +90,9 @@ class GramMatrix:
 
     def __post_init__(self):
         m = self.matrix
+        # NaN would pass both gates below (comparisons with NaN are False)
+        if not np.all(np.isfinite(m)):
+            raise NumericalError("Gram matrix has non-finite entries")
         herm = float(np.max(np.abs(m - m.conj().T)))
         scale = max(1.0, float(np.max(np.abs(m))))
         if herm > TOLERANCES["gram_hermitian"] * scale:
@@ -238,14 +241,12 @@ class RieszReport:
 
 
 def riesz_bounds_report(table: ModeTable, brule: QuadratureRule, T: float,
-                        margin_tol: float | None = None) -> RieszReport:
+                        *, margin_tol: float) -> RieszReport:
     """Assemble, eigensolve, and compare lambda_min with 2(T-2R)/C_Omega.
 
     For T <= 2R the constant is non-positive and the bound is outside its
     hypothesis: the spectrum is still reported, pass stays None.
     """
-    if margin_tol is None:
-        margin_tol = TOLERANCES["riesz_margin"]
     dom = table.domain
     gram = assemble_exponential_gram(table, brule, T)
     spec = gram.spectrum()

@@ -469,11 +469,12 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     (_FitSums.far), and J^H r as -L sum_t w_t b_t conj(e_t) (Re y_t - e_t):
     neither cancels against alpha.  A step is halved only when F rises by
     more than its rounding scale _FIT_ROUNDING * (alpha + L sum_t w_t |e_t|^2),
-    and the iteration stops when the step is at most 1e-13 * max(1, |gamma|)
-    or F drops by less than that scale.  objective_at_seed is summed
-    directly, and objective is it plus the change of R from the seed; a
-    seed whose direct objective is exactly 0 (a zero kernel) is returned
-    as it is.  halvings counts the steps halved against a real rise.
+    and the iteration stops on the step size alone, at most
+    1e-13 * max(1, |gamma|): where Gauss-Newton converges slowly, F drops by
+    less than its rounding scale while gamma is still up to ~1e-9 from the
+    minimum.  objective_at_seed is summed directly, and objective is it plus
+    the change of R from the seed; a seed whose direct objective is exactly
+    0 (a zero kernel) is returned as it is.  halvings counts the steps halved against a real rise.
     """
     lams = modes.lambdas
     if lams.size < 5 or lams.max() < 4.0 * lams.min():
@@ -512,9 +513,8 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
             )
         halvings += tries
         gamma += step
-        drop = value - trial
         value = trial
-        if abs(step) <= 1e-13 * max(1.0, abs(gamma)) or drop <= noise:
+        if abs(step) <= 1e-13 * max(1.0, abs(gamma)):
             converged = True
     obj = sums.objective(gamma)
     if not converged:
@@ -627,29 +627,23 @@ def shifted_system_bounds(table: ModeTable, brule: QuadratureRule,
     return float(evals[0]), float(evals[-1])
 
 
-def _excluded_rows(table: ModeTable, excluded) -> np.ndarray:
-    rows = []
-    for n in excluded:
-        n = int(n)
-        if n == 0 or abs(n) > table.N:
-            raise ConfigurationError(f"excluded index {n} outside the signed range")
-        rows.append(n - 1 if n > 0 else table.N + (-n) - 1)
-    return np.array(sorted(set(rows)), dtype=int)
-
-
 def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
-                   gamma: complex, excluded=()) -> float:
+                   gamma: complex, k: int) -> float:
     """Finite-section relative bound of the memory perturbation.
 
     q_hat = max over coefficient vectors of
-        ||sum_{n not excluded} a_n psi_n (z_n - ref_n)||^2
+        ||sum_{|n| >= k} a_n psi_n (z_n - ref_n)||^2
         / ||sum_n a_n psi_n ref_n||^2,
     computed as the top eigenvalue of the reference-whitened difference
     Gram.  If any reference direction carries eigenvalue below
     1e-10 * trace the whole quotient is rejected as ill-posed: projecting
     the dead directions away could swallow difference energy and report a
-    flattering q.  The modes must be solved for the table's frequencies.
+    flattering q.  The cutoff k is 1-based into the ascending frequencies
+    (k = 1 keeps every mode).  The modes must be solved for the table's
+    frequencies.
     """
+    if not 1 <= k <= table.N:
+        raise ConfigurationError(f"cutoff k={k} outside [1, {table.N}]")
     if (modes.lambdas.shape != table.lambdas.shape
             or np.max(np.abs(modes.lambdas - table.lambdas)) > 1e-9 * np.max(table.lambdas)):
         raise ConfigurationError(
@@ -658,9 +652,8 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
         )
     refs = shifted_reference_factors(table.lambdas_signed(), gamma, modes.tgrid)
     diff = modes.signed() - refs
-    drop = _excluded_rows(table, excluded)
-    if drop.size:
-        diff[drop, :] = 0.0
+    diff[:k - 1] = 0.0
+    diff[table.N:table.N + k - 1] = 0.0
     D = sampled_gram_matrix(table, brule, diff, modes.tgrid)
     E = sampled_gram_matrix(table, brule, refs, modes.tgrid)
     evals, vecs = jacobi_eigh(E)
@@ -680,11 +673,11 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
 
 
 def proof_guided_exclusion(c_alpha: float, c1: float, c_gamma: float,
-                           lambdas: np.ndarray) -> tuple[int, list[int]]:
+                           lambdas: np.ndarray) -> int:
     """Smallest retained index k with c_alpha*c1/(c_gamma*lambda_k) < 1.
 
-    Returns (k, excluded signed indices below k).  k is 1-based into the
-    ascending frequency list; k = 1 means nothing needs excluding.
+    k is 1-based into the ascending frequency list, the cutoff of
+    paley_wiener_q; k = 1 means nothing needs excluding.
     """
     if c_alpha <= 0.0 or c1 < 0.0 or c_gamma <= 0.0:
         raise ConfigurationError("cutoff needs positive constants")
@@ -696,9 +689,7 @@ def proof_guided_exclusion(c_alpha: float, c1: float, c_gamma: float,
             f"no retained frequency clears the cutoff {threshold:.6g}; "
             "extend the mode table"
         )
-    k = int(hit[0]) + 1
-    excluded = [s * n for n in range(1, k) for s in (+1, -1)]
-    return k, excluded
+    return int(hit[0]) + 1
 
 
 # ----------------------------------------------------------------------

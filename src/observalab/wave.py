@@ -69,7 +69,7 @@ def _sampled_flux_errors(table: ModeTable, brule: QuadratureRule, T: float,
 
 def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
                              draws: int, rng: np.random.Generator,
-                             margin_tol: float | None = None) -> dict:
+                             *, margin_tol: float) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
     Draws come _ROW_BLOCK rows at a time as rng.normal(size=(rows, 4, N))
@@ -80,8 +80,6 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
     the closed form to an independent time discretization.
     The minimizing eigenvector is always included as the adversarial draw.
     """
-    if margin_tol is None:
-        margin_tol = TOLERANCES["riesz_margin"]
     dom = table.domain
     if T <= 2.0 * dom.R:
         raise ConfigurationError("observability horizon must exceed 2R")

@@ -190,20 +190,16 @@ def test_criterion_08_perturbation_section_below_one():
     c_alpha = estimate_trace_constant(table, brule, 200,
                                       np.random.default_rng(3))["sup"]
     c_gamma, _ = shifted_system_bounds(table, brule, gamma, modes.tgrid)
-    k, excluded = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma,
-                                         table.lambdas)
-    q_hat = paley_wiener_q(table, brule, modes, gamma, excluded=excluded)
+    k = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma, table.lambdas)
+    q_hat = paley_wiener_q(table, brule, modes, gamma, k)
     assert q_hat < 1.0, f"q at the proof-guided cutoff k={k} is {q_hat:.3f}"
 
     # a memoryless system is its own reference: q must vanish identically
     zero_modes = solve_memory_modes(table.lambdas, zero_kernel(), T)
-    assert paley_wiener_q(table, brule, zero_modes, 0.0) == 0.0
+    assert paley_wiener_q(table, brule, zero_modes, 0.0, 1) == 0.0
 
-    # growing the excluded set never increases the section norm
-    qs = [paley_wiener_q(table, brule, modes, gamma,
-                         excluded=[s * j for j in range(1, width + 1)
-                                   for s in (1, -1)])
-          for width in (1, 4, 8, 12)]
+    # raising the cutoff never increases the section norm
+    qs = [paley_wiener_q(table, brule, modes, gamma, k) for k in (2, 5, 9, 13)]
     assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:])), qs
 
 

@@ -290,7 +290,8 @@ def test_malformed_config_exit_64(tmp_path):
     {"lambda_range": [5.0, 80.0]},
     {"tolerances": {"eigen_residual": 1e-8}},
     {"tolerances": {"orthonormality": 1e-8}},
-], ids=["lambda_range", "eigen_residual", "orthonormality"])
+    {"tolerances": {"pcg_rel_residual": 1e-10}},
+], ids=["lambda_range", "eigen_residual", "orthonormality", "pcg_rel_residual"])
 def test_removed_config_knobs_exit_64(tmp_path, removed):
     cfg = _write_config(tmp_path, N=3, **removed)
     assert _run("spectrum", "--config", str(cfg)) == 64

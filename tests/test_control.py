@@ -6,7 +6,7 @@ from scipy.integrate import simpson
 
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, interval
-from observalab.gram import assemble_exponential_gram, lower_bound_constant
+from observalab.gram import GramMatrix, assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
 from observalab import control as C
 
@@ -112,6 +112,15 @@ def test_solve_matches_dense_linear_algebra():
     assert np.max(np.abs(ctl.coefficients - direct)) < 1e-8
 
 
+def test_zero_data_gives_zero_control():
+    dom, table, brule = _setup(6)
+    T = 2.3 * np.pi
+    prob = C.ControlProblem(*(np.zeros(6) for _ in range(4)), T)
+    ctl = C.solve_control(table, prob, assemble_exponential_gram(table, brule, T))
+    assert np.all(ctl.coefficients == 0.0)
+    assert ctl.solve_residual_rel == 0.0 and ctl.norm_sq == 0.0
+
+
 # ----------------------------------------------------------------------
 # closed-form Duhamel integrals vs high-resolution quadrature
 
@@ -137,7 +146,7 @@ def test_zero_control_gives_free_rotation():
     T = 1.7
     prob = C.random_problem(5, T, np.random.default_rng(2))
     null = C.BoundaryControl(np.zeros(10, dtype=complex), T, 0.0,
-                             np.zeros(10, dtype=complex), {})
+                             np.zeros(10, dtype=complex), 0.0)
     sim = C.forward_simulate_controlled(table, brule, null, prob)
     lam = table.lambdas
     p_free = prob.position0 * np.cos(lam * T) + prob.velocity0 * np.sin(lam * T) / lam
@@ -161,7 +170,7 @@ def test_steering_interval_ten_modes():
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-3
     assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
-    assert rep["control"].solve_info["rel_residual"] <= 1e-10
+    assert rep["control"].solve_residual_rel <= C.SOLVE_RESIDUAL_GATE
 
 
 def test_steering_nonorthogonal_horizon():
@@ -171,20 +180,6 @@ def test_steering_nonorthogonal_horizon():
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-6
     assert rep["bound_ok"]
-
-
-def test_tighter_solver_tolerance_never_hurts_steering():
-    dom, table, brule = _setup(10)
-    T = 2.3 * np.pi
-    G = assemble_exponential_gram(table, brule, T)
-    for seed in (3, 11, 29):
-        prob = C.random_problem(10, T, np.random.default_rng(seed))
-        errs = {}
-        for rtol in (1e-6, 1e-10):
-            ctl = C.solve_control(table, prob, G, rtol=rtol)
-            errs[rtol] = C.forward_simulate_controlled(
-                table, brule, ctl, prob)["rel_error"]
-        assert errs[1e-10] <= errs[1e-6] + 1e-15
 
 
 def test_real_data_yields_real_control():
@@ -237,6 +232,15 @@ def test_sub_horizon_solve_fails_with_condition_estimate():
     G = assemble_exponential_gram(table, brule, T)
     prob = C.random_problem(20, T, np.random.default_rng(11))
     with pytest.raises(NumericalError, match="condition estimate"):
+        C.solve_control(table, prob, G)
+
+
+def test_exactly_singular_gram_fails_with_condition_estimate():
+    dom, table, brule = _setup(1)
+    T = 2 * np.pi
+    G = GramMatrix(np.ones((2, 2), dtype=complex), T, 1)
+    prob = C.random_problem(1, T, np.random.default_rng(4))
+    with pytest.raises(NumericalError, match="residual inf .*condition estimate"):
         C.solve_control(table, prob, G)
 
 

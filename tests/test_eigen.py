@@ -1,4 +1,4 @@
-"""LAPACK eigensolve wrapper and CG solver against scipy.linalg as oracle.
+"""LAPACK eigensolve wrapper against scipy.linalg as oracle.
 
 The oracle is scipy's eigh on the MRRR routine ?heevr, a different LAPACK
 routine from the ?heevd that numpy.linalg calls.
@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from observalab.config import NumericalError
-from observalab.eigen import extreme_eigen_report, jacobi_eigh, pcg_solve
+from observalab.eigen import extreme_eigen_report, jacobi_eigh
 
 
-def _random_hpd(rng, n, shift=0.1):
+def _random_hpd(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return z @ z.conj().T + shift * np.eye(n)
+    return z @ z.conj().T + 0.1 * np.eye(n)
 
 
 def _oracle(a):
@@ -68,11 +68,6 @@ def test_rejects_non_finite(bad, need_vectors):
     a[0, 2] = a[2, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
         jacobi_eigh(a, need_vectors=need_vectors)
-    # PCG shares the input check, so it fails before its first iteration
-    a = 2.0 * np.eye(2, dtype=complex)
-    a[0, 1] = a[1, 0] = bad
-    with pytest.raises(NumericalError, match="non-finite"):
-        pcg_solve(a, np.ones(2))
 
 
 _entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -109,25 +104,3 @@ def test_extreme_report_residuals():
     assert rep["lambda_max"] == pytest.approx(ref[-1], rel=1e-10)
     assert rep["residual_min"] < 1e-8 * np.linalg.norm(a)
 
-
-@pytest.mark.parametrize("n", [2, 15, 60])
-def test_pcg_matches_direct_solve(n):
-    rng = np.random.default_rng(100 + n)
-    a = _random_hpd(rng, n, shift=0.5)
-    b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x, info = pcg_solve(a, b, rtol=1e-12)
-    ref = np.linalg.solve(a, b)
-    assert np.linalg.norm(x - ref) < 1e-9 * np.linalg.norm(ref)
-    assert info["rel_residual"] <= 1e-12
-
-
-def test_pcg_zero_rhs():
-    a = np.eye(4)
-    x, info = pcg_solve(a, np.zeros(4))
-    assert np.all(x == 0) and info["iterations"] == 0
-
-
-def test_pcg_rejects_indefinite():
-    a = np.diag([1.0, -1.0])
-    with pytest.raises(NumericalError):
-        pcg_solve(a, np.array([1.0, 1.0]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from observalab.config import ConfigurationError
+from observalab.config import TOLERANCES, ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle
 from observalab.modes import enumerate_modes
 from observalab.visco import _principal_lambda_min
@@ -88,6 +88,16 @@ def test_gram_is_hermitian_and_psd():
     assert spec["lambda_min"] > -1e-8 * np.real(np.trace(m))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_gram_rejects_non_finite(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        gr.GramMatrix(np.full((2, 2), bad, dtype=complex), 1.0, 1)
+    m = 2.0 * np.eye(2, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        gr.GramMatrix(m, 1.0, 1)
+
+
 @pytest.mark.parametrize("dom", [interval(np.pi), rectangle(np.pi, np.pi / 2),
                                  disk(1.0), disk(2.3)],
                          ids=["interval", "rectangle", "disk", "disk-rho2.3"])
@@ -147,7 +157,8 @@ def test_gram_signed_conjugate_symmetry(kind, N, fraction):
 def test_riesz_interval_reference_horizon():
     """L = pi: R = C_Omega = pi/2, T = 2pi gives the bound 4."""
     table, brule = _setup(interval(np.pi), 10, q=8)
-    rep = gr.riesz_bounds_report(table, brule, 2 * np.pi)
+    rep = gr.riesz_bounds_report(table, brule, 2 * np.pi,
+                                 margin_tol=TOLERANCES["riesz_margin"])
     assert rep.c_lower == pytest.approx(4.0)
     assert rep.lambda_min >= 4.0 - 1e-6
     assert rep.passed
@@ -161,14 +172,16 @@ def test_riesz_single_mode_block():
         G = gr.assemble_exponential_gram(table, brule, T)
         off = abs(G.matrix[0, 1])
         lo = T * 4 / np.pi - off
-        rep = gr.riesz_bounds_report(table, brule, T)
+        rep = gr.riesz_bounds_report(table, brule, T,
+                                     margin_tol=TOLERANCES["riesz_margin"])
         assert rep.lambda_min == pytest.approx(lo, rel=1e-10)
         assert rep.lambda_min >= rep.c_lower - 1e-6
 
 
 def test_riesz_outside_hypothesis_reports_only():
     table, brule = _setup(interval(np.pi), 4, q=8)
-    rep = gr.riesz_bounds_report(table, brule, 0.8 * np.pi)
+    rep = gr.riesz_bounds_report(table, brule, 0.8 * np.pi,
+                                 margin_tol=TOLERANCES["riesz_margin"])
     assert not rep.in_hypothesis and rep.passed is None
     assert np.isfinite(rep.lambda_min)
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -405,6 +405,9 @@ _FIT_KERNELS = st.one_of(
 
 
 @settings(max_examples=30, deadline=None)
+# slow Gauss-Newton convergence: a stop on the objective's drop ended 1.3e-9 short
+@example(kernel=visco.polynomial_kernel(0.625, 0.5), count=5, low=0.5, span=4.0,
+         T=2.0, probes=[(-0.5, 0.5)])
 @given(kernel=_FIT_KERNELS, count=st.integers(5, 40), low=st.floats(0.5, 2.0),
        span=st.floats(4.0, 8.0), T=st.floats(2.0, 10.0),
        probes=st.lists(st.tuples(st.floats(-1.5, 0.5), st.floats(-1.0, 1.0)),
@@ -515,8 +518,8 @@ def pw_setup(N, m0, T):
 
 def test_q_zero_for_zero_kernel():
     table, brule, modes = pw_setup(8, 0.0, 2.5 * np.pi)
-    assert visco.paley_wiener_q(table, brule, modes, 0.0, ()) == 0.0
-    assert visco.paley_wiener_q(table, brule, modes, 0.0, (1, -1, 2, -2)) == 0.0
+    assert visco.paley_wiener_q(table, brule, modes, 0.0, 1) == 0.0
+    assert visco.paley_wiener_q(table, brule, modes, 0.0, 3) == 0.0
 
 
 def test_q_monotone_in_excluded_set():
@@ -524,8 +527,7 @@ def test_q_monotone_in_excluded_set():
     gamma, _ = visco.fit_gamma(modes)
     qs = []
     for k in (1, 4, 8, 12):
-        excl = [s * n for n in range(1, k) for s in (1, -1)]
-        qs.append(visco.paley_wiener_q(table, brule, modes, gamma, excl))
+        qs.append(visco.paley_wiener_q(table, brule, modes, gamma, k))
     for a, b in zip(qs, qs[1:]):
         assert b <= a + 1e-12
     assert qs[0] > qs[-1]
@@ -540,10 +542,9 @@ def test_q_below_one_at_proof_guided_cutoff():
     c_alpha = estimate_trace_constant(table, brule, 100,
                                       np.random.default_rng(3))["sup"]
     c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, modes.tgrid)
-    k, excl = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma,
-                                           table.lambdas)
+    k = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma, table.lambdas)
     assert 1 <= k <= table.N
-    q = visco.paley_wiener_q(table, brule, modes, gamma, excl)
+    q = visco.paley_wiener_q(table, brule, modes, gamma, k)
     assert 0.0 <= q < 1.0
 
 
@@ -551,25 +552,23 @@ def test_q_ill_posed_reference_system():
     """A huge decay rate collapses every reference onto the final sample."""
     table, brule, modes = pw_setup(6, 0.0, np.pi)
     with pytest.raises(NumericalError):
-        visco.paley_wiener_q(table, brule, modes, 1e6, ())
+        visco.paley_wiener_q(table, brule, modes, 1e6, 1)
 
 
 def test_excluded_index_validation():
     table, brule, modes = pw_setup(4, 0.2, 2.5 * np.pi)
     gamma = -0.1 + 0.0j
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, modes, gamma, (0,))
+        visco.paley_wiener_q(table, brule, modes, gamma, 0)
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, modes, gamma, (5,))
+        visco.paley_wiener_q(table, brule, modes, gamma, table.N + 1)
 
 
 def test_proof_guided_exclusion_basics():
     lams = np.arange(1.0, 11.0)
-    k, excl = visco.proof_guided_exclusion(1.0, 0.5, 1.0, lams)
-    assert k == 1 and excl == []
-    k, excl = visco.proof_guided_exclusion(2.0, 3.0, 1.5, lams)
-    assert lams[k - 1] > 2.0 * 3.0 / 1.5
-    assert set(excl) == {s * n for n in range(1, k) for s in (1, -1)}
+    assert visco.proof_guided_exclusion(1.0, 0.5, 1.0, lams) == 1
+    k = visco.proof_guided_exclusion(2.0, 3.0, 1.5, lams)
+    assert lams[k - 1] > 2.0 * 3.0 / 1.5 >= lams[k - 2]
     with pytest.raises(ConfigurationError):
         visco.proof_guided_exclusion(10.0, 10.0, 1.0, lams)
     with pytest.raises(ConfigurationError):
@@ -582,7 +581,7 @@ def test_paley_wiener_rejects_modes_off_the_table():
     for lams in (table.lambdas[:-1], table.lambdas * (1.0 + 1e-6)):
         other = visco.solve_memory_modes(lams, ker, 2.5 * np.pi)
         with pytest.raises(ConfigurationError):
-            visco.paley_wiener_q(table, brule, other, -0.1 + 0.0j, ())
+            visco.paley_wiener_q(table, brule, other, -0.1 + 0.0j, 1)
 
 
 # ----------------------------------------------------------------------

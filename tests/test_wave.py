@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from observalab.config import ConfigurationError
+from observalab.config import TOLERANCES, ConfigurationError
 from observalab.geometry import (
     boundary_quadrature,
     disk,
@@ -171,7 +171,8 @@ def test_physical_trace_real_for_real_states():
 def test_observability_experiment_interval():
     table, _, brule = _setup(interval(np.pi), 10, q=8)
     rep = wv.observability_experiment(table, brule, 2 * np.pi, 50,
-                                      np.random.default_rng(8))
+                                      np.random.default_rng(8),
+                                      margin_tol=TOLERANCES["riesz_margin"])
     assert rep["passed"]
     assert rep["min_ratio"] >= 4.0 - 1e-6
     assert rep["adversarial_ratio"] == pytest.approx(rep["lambda_min"], abs=1e-6)
@@ -192,7 +193,8 @@ def test_observability_rejects_short_horizon():
     table, _, brule = _setup(interval(np.pi), 3, q=8)
     with pytest.raises(ConfigurationError):
         wv.observability_experiment(table, brule, 0.5 * np.pi, 5,
-                                    np.random.default_rng(0))
+                                    np.random.default_rng(0),
+                                    margin_tol=TOLERANCES["riesz_margin"])
 
 
 _SMALL_DOMAINS = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
