@@ -56,7 +56,7 @@ def extreme_eigen_report(matrix: np.ndarray) -> dict:
     must not exceed EIGEN_RESIDUAL_GATE.
     """
     w, v = jacobi_eigh(matrix)
-    norm = max(float(np.linalg.norm(matrix, 2) if matrix.size < 4 else np.linalg.norm(matrix)), 1e-300)
+    norm = max(float(np.linalg.norm(matrix)), 1e-300)
     res_min = float(np.linalg.norm(matrix @ v[:, 0] - w[0] * v[:, 0]))
     res_max = float(np.linalg.norm(matrix @ v[:, -1] - w[-1] * v[:, -1]))
     residual_rel = max(res_min, res_max) / norm

@@ -1,4 +1,4 @@
-"""Model domains (interval, rectangle, disk) and quadrature on them.
+"""Model domains (interval, rectangle, disk), quadrature on them, and in time.
 
 Every domain is centered: the multiplier field m(x) = x - x0 uses the
 centroid, which makes the circumradius R and the boundary constant
@@ -9,7 +9,8 @@ C_Omega = max_{boundary} m(x).nu(x) closed-form:
     disk |x| < rho:        R = rho,            C_Omega = rho
 
 Points are arrays of shape (k, d); quadrature rules hold nodes, positive
-weights, and (for boundary rules) outward normals.
+weights, and (for boundary rules) outward normals.  time_rule is the one
+rule for every time integral: composite Gauss-Legendre on [0, T].
 """
 
 from __future__ import annotations
@@ -125,14 +126,37 @@ def _gl_panels(a: float, b: float, panels: int, q: int) -> tuple[np.ndarray, np.
 
 
 def _panel_count(lam_max: float, length: float, q: int) -> int:
-    """Enough panels that each holds <= q/8 wavelengths of frequency lam_max."""
-    return max(1, int(np.ceil(1.2732395447351628 * max(lam_max, 1.0) * length / q)))
+    """Enough panels that each holds <= q/8 wavelengths of frequency lam_max
+    (capped far past MAX_RULE_NODES, so that a huge length cannot overflow)."""
+    panels = np.ceil(1.2732395447351628 * max(lam_max, 1.0) * length / q)
+    return max(1, int(min(panels, 2.0**62)))
 
 
-# Nodes one quadrature rule may hold, so that the (2N x nodes) basis
-# matrices stay within a few hundred MB at N = 128.  Only an elongated
-# rectangle reaches it: its panels resolve the top frequency along both sides.
+# Nodes one quadrature rule may hold, so that the (2N x nodes) basis and
+# time-sample matrices stay within a few hundred MB at N = 128.  An elongated
+# rectangle reaches it (its panels resolve the top frequency along both
+# sides), and so does a horizon of many periods of the top frequency.
 MAX_RULE_NODES = 1 << 17
+
+
+def time_rule(T: float, lam_max: float) -> QuadratureRule:
+    """16-point Gauss-Legendre panels on [0, T], nodes of shape (k, 1), for
+    products of time traces with frequencies up to lam_max.
+
+    Each panel holds at most two periods of 2 * lam_max, which puts the
+    error on a time Gram at rounding level.  No node sits at t = T.  A rule
+    past MAX_RULE_NODES nodes is refused before it is built.
+    """
+    q = 16
+    nodes = q * _panel_count(2.0 * lam_max, T, q)
+    if nodes > MAX_RULE_NODES:
+        raise ConfigurationError(
+            f"the time quadrature on [0, {T:g}] would need {nodes} nodes for "
+            f"modes up to frequency {lam_max:g} (limit {MAX_RULE_NODES}); use "
+            "a shorter horizon or fewer modes"
+        )
+    t, w = _gl_panels(0.0, T, nodes // q, q)
+    return QuadratureRule(nodes=t[:, None], weights=w, q=q)
 
 
 def _rectangle_panels(a: float, b: float, f: float, q: int,

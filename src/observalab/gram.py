@@ -13,8 +13,8 @@ T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
 
 A sampled assembly path takes arbitrary complex time traces per signed mode
 (used by the memory-kernel experiments, and by the observability check to
-cross-check the closed form) and integrates time by composite Simpson on a
-uniform grid.
+cross-check the closed form) and integrates time by the Gauss-Legendre
+rule geometry.time_rule.
 """
 
 from __future__ import annotations
@@ -139,56 +139,29 @@ def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
 # sampled (trace-driven) assembly
 
 
-def simpson_weights(n_samples: int, dt: float) -> np.ndarray:
-    if n_samples < 3 or n_samples % 2 == 0:
-        raise ConfigurationError("composite Simpson needs an odd sample count >= 3")
-    w = np.ones(n_samples)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (dt / 3.0)
-
-
-def default_time_grid(T: float, lam_max: float) -> np.ndarray:
-    """Uniform grid resolving products of traces with frequencies <= lam_max.
-
-    Composite-Simpson error for e^{i w t} scales like T h^4 w^4 / 180 with
-    w up to 2 lam_max; the step is chosen to push that below 1e-7, and
-    never coarser than 20 samples per shortest period.
-    """
-    w = 2.0 * max(lam_max, 1.0)
-    h_accuracy = (180.0 * 1e-7 / (max(T, 1.0) * w**4)) ** 0.25
-    h_nyquist = np.pi / (10.0 * max(lam_max, 1e-12))
-    h = min(h_accuracy, h_nyquist)
-    n_int = int(np.ceil(T / h))
-    n_int += n_int % 2
-    return np.linspace(0.0, T, n_int + 1)
-
-
-# Time samples per block of the sampled Gram's sum: the weighted copy of a
+# Time nodes per block of the sampled Gram's sum: the weighted copy of a
 # block is (2N x 4096), 17 MB at N = 128, whatever the horizon.
 _TIME_BLOCK = 4096
 
 
 def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
-                        traces: np.ndarray, tgrid: np.ndarray) -> np.ndarray:
+                        traces: np.ndarray, trule: QuadratureRule) -> np.ndarray:
     """Raw Gram matrix of { z_n(t) psi_n(x) } from time samples z_n.
 
-    traces: complex (2N, n_samples) in the signed index order.  Time goes by
-    composite Simpson on tgrid, which must be uniform and resolve the traces
-    (default_time_grid and visco_time_grid are, by construction), space by
-    the boundary quadrature factor B.  The time sum runs over blocks of
-    _TIME_BLOCK samples.  Returns the bare (possibly singular) Hermitian
-    matrix.
+    traces: complex (2N, nodes) in the signed index order, sampled at the
+    nodes of the time rule trule, which must resolve them (geometry.time_rule
+    does for traces up to its frequency); space goes by the boundary
+    quadrature factor B.  The time sum runs over blocks of _TIME_BLOCK
+    nodes.  Returns the bare (possibly singular) Hermitian matrix.
     """
-    tgrid = np.asarray(tgrid, dtype=float)
+    w = trule.weights
     traces = np.asarray(traces, dtype=complex)
-    if traces.shape != (2 * table.N, len(tgrid)):
-        raise ConfigurationError("trace array does not match (2N, len(tgrid))")
+    if traces.shape != (2 * table.N, w.size):
+        raise ConfigurationError("trace array does not match (2N, time nodes)")
     # conj(z w) z^T is the conjugate of the time Gram (z w) z^H; summed over
-    # _TIME_BLOCK samples at a time, so the weighted copy stays one block
-    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
+    # _TIME_BLOCK nodes at a time, so the weighted copy stays one block
     conj_gram = np.zeros((traces.shape[0], traces.shape[0]), dtype=complex)
-    for lo in range(0, len(tgrid), _TIME_BLOCK):
+    for lo in range(0, w.size, _TIME_BLOCK):
         block = traces[:, lo:lo + _TIME_BLOCK]
         weighted = block * w[lo:lo + _TIME_BLOCK]
         np.conj(weighted, out=weighted)
@@ -196,7 +169,7 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
     time_gram = np.conj(conj_gram)
     B = boundary_trace_gram(table, brule)
     G = B * time_gram
-    # symmetrize away Simpson round-off so the Hermiticity gate stays honest
+    # symmetrize away the sum's round-off so the Hermiticity gate stays honest
     return 0.5 * (G + G.conj().T)
 
 

@@ -9,23 +9,16 @@ turns it into a forward problem
     v(0) = 1,   v'(0) = -i*lam.
 
 solve_memory_modes solves it for all positive frequencies of one kernel in
-one call, on one uniform time grid, and picks the method from the kernel:
+one call, on the Gauss-Legendre time rule geometry.time_rule that every
+time integral here uses.  A zero kernel is the exact rotation
+exp(i*lam*(t - T)); any other is written as a sum of exponentials
+M(s) = sum_j w_j exp(-x_j s) (_exponential_sum), so that with
+m_j' = -x_j m_j + v each mode is the linear system (v, v', m_1..m_K), in
+closed form by one batched eigendecomposition (_mode_exponents).
+_march_memory, a second-order march on a uniform grid, checks that closed
+form independently.
 
-* a zero kernel: the exact rotation exp(i*lam*(t - T));
-* an exponential kernel M(s) = M0*exp(-delta*s): a closed form, a sum of
-  three exponentials whose rates are the roots of
-  (mu^2 + lam^2)(mu + delta) + lam^2*M0 = 0;
-* any other kernel: one marching loop over time for all modes, which
-  propagates the oscillatory part with the exact cosine/sine rotation over
-  each step and treats the memory forcing by linear interpolation plus
-  composite-trapezoid history (second order in the step, with error
-  constants that do not grow with lam*h phase error).  The history is a
-  causal convolution: a divide-and-conquer split sends the far field of
-  each block of steps ahead by FFT products across the modes and leaves
-  only a near field of at most 64 steps to direct sums, so n steps cost
-  O(n log^2 n) per mode instead of O(n^2).
-
-The result is a MemoryModes array of N modes x time samples.  The
+The result is a MemoryModes array of N modes x time nodes.  The
 negative-frequency partners are the complex conjugates of the positive
 ones, which is exact for the real kernels built here.  On top of it sit the
 diagnostics that certify the memory-perturbed boundary trace system: a
@@ -33,16 +26,15 @@ fitted complex decay rate gamma, the L2 distances of the modes to their
 shifted exponential references, a finite-section Paley-Wiener quotient,
 and a sampled-Gram Riesz certificate.
 
-fit_gamma reduces the modes to sums over the time grid before it
+fit_gamma reduces the modes to sums over the time nodes before it
 iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
 objective sum_n lam_n^2 * sum_t w_t |Z_nt - exp((gamma + i*lam_n) b_t)|^2
 (b = t - T) depends on the modes only through alpha = sum lam^2 w |Z|^2 and
 one real series C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i*lam_n*b_t)), so
-one blocked pass over the modes makes every Gauss-Newton step O(samples).
+one blocked pass over the modes makes every Gauss-Newton step O(nodes).
 A step is halved only against a rise above the objective's rounding scale,
-and the fit stops when the step falls to 1e-13 * max(1, |gamma|) or the
-objective's drop falls below that scale; so its iterations do not depend
-on the last digits of the samples.
+and the fit stops when the step falls to 1e-13 * max(1, |gamma|); so its
+iterations do not depend on the last digits of the samples.
 """
 
 from __future__ import annotations
@@ -53,13 +45,8 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError, TOLERANCES
 from .eigen import jacobi_eigh
-from .geometry import QuadratureRule
-from .gram import (
-    assemble_exponential_gram,
-    default_time_grid,
-    sampled_gram_matrix,
-    simpson_weights,
-)
+from .geometry import QuadratureRule, time_rule
+from .gram import assemble_exponential_gram, sampled_gram_matrix
 from .modes import ModeTable
 
 __all__ = [
@@ -69,7 +56,6 @@ __all__ = [
     "exponential_kernel",
     "polynomial_kernel",
     "zero_kernel",
-    "visco_time_grid",
     "solve_memory_modes",
     "fit_gamma",
     "mode_distances",
@@ -145,21 +131,139 @@ def zero_kernel() -> MemoryKernel:
     return MemoryKernel("zero")
 
 
-# ----------------------------------------------------------------------
-# Mode solutions
+# Terms a kernel's sum of exponentials may hold (each mode's system has
+# K + 2 states); every p > 0 fits on horizons up to 1e6.
+K_MAX = 192
+# Sup error on [0, T] of a polynomial kernel's sum, relative to M0, checked
+# at run time; the sizing aims at ~1e-14.
+_KERNEL_ERROR = 1e-12
+# Weight, relative to the peak node, that the rate-0 term may misplace.
+_LUMP_ERROR = 1e-14
+
+
+def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w_j and rates x_j >= 0 with M(s) = sum_j w_j exp(-x_j s) on [0, T].
+
+    The exponential kernel is its own one term.  M0*(1+s)^(-p) is
+    M0/Gamma(p) int exp(p u - (1+s) e^u) du, summed by the trapezoid rule in
+    u (Trefethen & Weideman, SIAM Review 56, 2014) with step
+    h = 1/sqrt(16 + 1.8 p), which keeps its Poisson-summation error
+    2|Gamma(p - 2 pi i/h)|/Gamma(p) near 1e-14 of M0 for every p.  On the
+    nodes u = log p + k*h = log p + v the weights are exp(-p (e^v - 1 - v))
+    of the peak and the rates p e^v.  The nodes below v_lo form one rate-0
+    term, a geometric sum; where the weights fall below e^-40 first (past
+    v_cut, or v_hi above), the nodes are dropped.  The weights are scaled
+    to sum to M0, which makes M(0) exact.
+    """
+    if kernel.family == "exponential":
+        return np.array([kernel.m0]), np.array([kernel.delta])
+    p = kernel.p
+    h = 1.0 / np.sqrt(16.0 + 1.8 * p)
+    # the nodes below v_lo carry (1 + T) sum_v p exp(p + (p + 1) v) of rate
+    # times weight: at most _LUMP_ERROR of the peak node, or of their own
+    # weight sum_v exp(p (1 + v)), whichever bound reaches higher
+    log_lump = (np.log(_LUMP_ERROR) - np.log(p) - np.log1p(T)
+                + np.log(-np.expm1(-(p + 1.0) * h)))
+    v_lo = max((log_lump + (p + 1.0) * h - p) / (p + 1.0),
+               log_lump + h - np.log(-np.expm1(-p * h)))
+    v_cut = -(10.0 / np.sqrt(p) + 40.0 / p)
+    v_hi = np.log1p(40.0 / p + 10.0 / np.sqrt(p))
+    hi = int(np.ceil(v_hi / h))
+    lo = int(np.floor(min(max(v_lo, v_cut), v_hi) / h))
+    if hi - lo + 2 > K_MAX:
+        raise ConfigurationError(
+            f"the polynomial kernel with p = {p:g} needs {hi - lo + 2} exponential "
+            f"terms on [0, {T:g}] (limit K_MAX = {K_MAX}); use a shorter "
+            "horizon or another p"
+        )
+    v = h * np.arange(lo, hi + 1)
+    tail = p * (1.0 + v[0] - h) - np.log(-np.expm1(-p * h)) if v_lo >= v_cut else -np.inf
+    log_weights = np.concatenate([[tail], -p * (np.expm1(v) - v)])
+    weights = np.exp(log_weights - np.max(log_weights))
+    weights *= kernel.m0 / np.sum(weights)
+    rates = np.concatenate([[0.0], p * np.exp(v)])
+    # the trapezoid error oscillates with period h in log(1 + s); past
+    # log(1 + s) = 40/p the kernel is below e^-40 * M0
+    top = min(np.log1p(T), 40.0 / p)
+    s = np.expm1(np.linspace(0.0, top, int(8.0 * top / h) + 2))
+    error = np.max(np.abs(np.exp(-np.outer(s, rates)) @ weights
+                          - kernel.m0 * np.exp(-p * np.log1p(s))))
+    if not error <= _KERNEL_ERROR * kernel.m0:
+        raise NumericalError(
+            f"the sum of {rates.size} exponentials for the polynomial kernel "
+            f"with p = {p:g} is off by {error:.3e} on [0, {T:g}] (gate "
+            f"{_KERNEL_ERROR:g} * M0)"
+        )
+    return weights, rates
+
+
+# The closed form amplifies rounding in the eigenvectors by up to their
+# condition number; past this many digits lost a mode is refused.
+_CONDITION_GATE = 1e8
+# Elements per block of a pass over a (rows x time nodes) array: the
+# block's work arrays stay a few MB whatever N and the horizon are.
+_BLOCK = 1 << 18
+
+
+def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """Closed form of every mode for the kernel sum_j w_j exp(-x_j s).
+
+    The state (v, v'/lam, sqrt(lam w_j) m_j), scaled so that the
+    eigenvectors stay well conditioned at any lam, evolves by one constant
+    matrix per mode.  Returns mu and a, both (N, K + 2), with
+    v_n(tau) = sum_k a_nk exp(mu_nk tau), and z_n(T) = v_n(0) and
+    z_n'(T) = -v_n'(0) from the decomposition.
+    """
+    n, k = lams.size, weights.size + 2
+    root = np.sqrt(np.outer(lams, weights))
+    A = np.zeros((n, k, k))
+    A[:, 0, 1] = lams
+    A[:, 1, 0] = -lams
+    A[:, 1, 2:] = -root
+    A[:, 2:, 0] = root
+    A[:, range(2, k), range(2, k)] = -rates
+    try:
+        mu, vecs = np.linalg.eig(A)
+        condition = np.linalg.cond(vecs)
+        bad = ~(condition <= _CONDITION_GATE)
+        if bad.any():
+            raise NumericalError(
+                f"memory-mode eigenvectors with condition {condition[bad][0]:.3e} "
+                f"(gate {_CONDITION_GATE:g}) at lam = {lams[bad][0]:g}"
+            )
+        start = np.zeros((n, k, 1), dtype=complex)
+        start[:, 0], start[:, 1] = 1.0, -1j
+        coef = np.linalg.solve(vecs, start)[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"memory-mode eigendecomposition failed: {err}") from err
+    values = np.sum(vecs[:, 0] * coef, axis=1)
+    slopes = -lams * np.sum(vecs[:, 1] * coef, axis=1)
+    return mu, vecs[:, 0] * coef, values, slopes
+
+
+def _evaluate(mu: np.ndarray, amp: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k amp_nk exp(mu_nk tau) for every mode n at every tau, in blocks."""
+    out = np.empty((mu.shape[0], tau.size), dtype=complex)
+    cols = max(1, _BLOCK // mu.shape[1])
+    for n in range(mu.shape[0]):
+        for lo in range(0, tau.size, cols):
+            out[n, lo:lo + cols] = amp[n] @ np.exp(np.outer(mu[n], tau[lo:lo + cols]))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class MemoryModes:
-    """Mode amplitudes z_n(t) of one kernel, n = 1..N, on one uniform grid.
+    """Mode amplitudes z_n(t) of one kernel, n = 1..N, at the nodes of trule.
 
-    samples has shape (N, len(tgrid)); row n belongs to lambdas[n].  The
-    terminal residuals |z_n(T) - 1| and |z_n'(T) - i*lam_n| sit at solver
-    rounding by construction; solve_memory_modes checks them.
+    samples has shape (N, nodes); row n belongs to lambdas[n].  No node is
+    T itself.  The terminal residuals |z_n(T) - 1| and |z_n'(T) - i*lam_n|
+    sit at solver rounding; solve_memory_modes checks them.
     """
 
     lambdas: np.ndarray
-    tgrid: np.ndarray
+    T: float
+    trule: QuadratureRule
     samples: np.ndarray
     kernel: MemoryKernel
     terminal_residuals: np.ndarray
@@ -168,21 +272,6 @@ class MemoryModes:
     def signed(self) -> np.ndarray:
         """Time factors in the signed order [1..N, -1..-N]: [Z; conj Z]."""
         return np.vstack([self.samples, np.conj(self.samples)])
-
-
-def visco_time_grid(T: float, lam_max: float) -> np.ndarray:
-    """Uniform odd-count grid fine enough for both marching and Simpson.
-
-    It refines the Simpson grid default_time_grid(T, lam_max) until the
-    step is at most min(T/256, 0.25/lam_max), which bounds the phase per
-    step and the number of steps per horizon.
-    """
-    base = default_time_grid(T, lam_max)
-    n_policy = int(np.ceil(T / min(T / 256.0, 0.25 / lam_max))) + 1
-    n = max(len(base), n_policy)
-    if n % 2 == 0:
-        n += 1
-    return np.linspace(0.0, T, n)
 
 
 def _duhamel_weights(lams: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
@@ -206,31 +295,14 @@ def _duhamel_weights(lams: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     return p0, p1, q0, p0
 
 
-# Steps per leaf of the divide-and-conquer history, where the near field is
-# summed directly: of 16..256, 64 marched fastest at N = 20 and N = 128.
-_LEAF_STEPS = 64
-# Real history columns per FFT product: keeps the transforms' work arrays at
-# (steps x 32) whatever the mode count (at N = 128 a whole-width product
-# doubled the march's peak memory and was no faster).
-_FFT_COLUMNS = 32
-
-
 def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np.ndarray:
     """March v for every mode forward on the uniform grid tau; shape (N, len(tau)).
 
-    The current unknown enters the memory trapezoid linearly through the
-    endpoint weight h/2*M(0), so each step is a division per mode.  One
-    time loop serves all modes.  Step i needs the trapezoid history
-    S_i = sum_{j<=i} M(tau_{i+1-j}) v_j, an exact causal convolution, which
-    is split by online divide and conquer (Hairer, Lubich & Schlichte,
-    SIAM J. Sci. Stat. Comput. 6, 1985): once the steps [lo, mid) are
-    done, their sources reach the targets [mid, hi) by rfft products over
-    the real view of the (steps x N) history, _FFT_COLUMNS columns at a
-    time.  The far-field sum of step i waits in the not-yet-written row
-    v[i+1]; a leaf of at most _LEAF_STEPS steps adds the near field
-    directly.  The cost is O(n log^2 n) per mode for n steps, and the
-    discretisation is the direct sum's, so the samples differ from it
-    only by rounding.
+    Exact cosine/sine rotation over each step, with the memory forcing
+    linear in the step and its history S_i = sum_{j<=i} M(tau_{i+1-j}) v_j a
+    direct trapezoid sum: second order in the step, O(n^2) for n steps.  The
+    current unknown enters through the endpoint weight h/2*M(0), so each
+    step is a division per mode.
     """
     n = tau.size
     h = float(tau[1] - tau[0])
@@ -241,141 +313,70 @@ def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np
     s_lam, p1_h, q1_h, minus_lam_s = s / lams, p1 / h, q1 / h, -lams * s
     beta = -lam2 * 0.5 * h * mker[0]
     denom = 1.0 - p1_h * beta
-    v = np.zeros((n, lams.size), dtype=complex)
+    v = np.empty((n, lams.size), dtype=complex)
     history = v.view(float)                      # (n, 2N): real, imaginary
     v[0] = 1.0
     vp = -1j * lams
     f = np.zeros(lams.size, dtype=complex)
-
-    def leaf(lo: int, hi: int) -> None:
-        nonlocal vp, f
-        for i in range(lo, hi):
-            hist = mker[i + 1 - lo:0:-1]
-            near = (hist @ history[lo:i + 1]).view(complex)
-            conv = h * (v[i + 1] + near - 0.5 * mker[i + 1] * v[0])
-            f_known = -lam2 * conv
-            rhs = c * v[i] + s_lam * vp + p0 * f + p1_h * (f_known - f)
-            v[i + 1] = rhs / denom
-            f_next = f_known + beta * v[i + 1]
-            vp = minus_lam_s * v[i] + c * vp + q0 * f + q1_h * (f_next - f)
-            f = f_next
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _LEAF_STEPS:
-            leaf(lo, hi)
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        # targets i in [mid, hi) gain sum_{lo<=j<mid} M(tau_{i+1-j}) v_j:
-        # lags 1..hi-lo, so a transform of length >= hi-lo does not wrap;
-        # a power of two, since pocketfft is slow on large prime factors
-        size = 1 << (hi - lo - 1).bit_length()
-        lags = np.fft.rfft(mker[1:hi - lo + 1], n=size)[:, None]
-        for col in range(0, history.shape[1], _FFT_COLUMNS):
-            cols = slice(col, col + _FFT_COLUMNS)
-            spectrum = np.fft.rfft(history[lo:mid, cols], n=size, axis=0)
-            spectrum *= lags
-            history[mid + 1:hi + 1, cols] += np.fft.irfft(spectrum, n=size, axis=0)[mid - lo:hi - lo]
-        solve(mid, hi)
-
-    solve(0, n - 1)
+    for i in range(n - 1):
+        hist = mker[i + 1:0:-1]
+        conv = h * ((hist @ history[:i + 1]).view(complex) - 0.5 * hist[0] * v[0])
+        f_known = -lam2 * conv
+        rhs = c * v[i] + s_lam * vp + p0 * f + p1_h * (f_known - f)
+        v[i + 1] = rhs / denom
+        f_next = f_known + beta * v[i + 1]
+        vp = minus_lam_s * v[i] + c * vp + q0 * f + q1_h * (f_next - f)
+        f = f_next
     return v.T
-
-
-def _exponential_rates(lam: float, m0: float, delta: float) -> np.ndarray:
-    """Roots of (mu^2 + lam^2)(mu + delta) + lam^2*m0 = 0."""
-    roots = np.roots([1.0, delta, lam**2, lam**2 * (delta + m0)])
-    sep = min(abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3))
-    tol = 1e-8 * max(1.0, abs(lam))
-    if sep < tol:
-        raise NumericalError(
-            f"the exponential-kernel closed form needs memory rates at least "
-            f"{tol:.3e} apart; at lam = {lam:g} (m0 = {m0:g}, delta = {delta:g}) "
-            f"two are {sep:.3e} apart"
-        )
-    # the rate near -delta sits lam^2*m0/delta^2 from it; once that is below
-    # delta's rounding the closed form's 1/(mu + delta) divides by zero
-    gap = float(np.min(np.abs(roots + delta)))
-    if gap <= np.spacing(delta):
-        raise NumericalError(
-            f"the exponential-kernel closed form needs every memory rate apart "
-            f"from the kernel rate -delta by more than delta's rounding "
-            f"{np.spacing(delta):.3e}; at lam = {lam:g} (m0 = {m0:g}, "
-            f"delta = {delta:g}) one is {gap:.3e} from it"
-        )
-    return roots
-
-
-def _exact_exponential(lams: np.ndarray, kernel: MemoryKernel, tgrid: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form z_n on the forward grid for an exponential kernel, and z_n'(T).
-
-    v(tau) = sum_j c_j exp(mu_j tau) with the c_j pinned by the initial
-    data and by cancellation of the kernel's own exp(-delta*tau) response.
-    """
-    tau = tgrid[-1] - tgrid
-    z = np.empty((len(lams), tau.size), dtype=complex)
-    slopes = np.empty(len(lams), dtype=complex)
-    for n, lam in enumerate(lams):
-        mu = _exponential_rates(lam, kernel.m0, kernel.delta)
-        rows = np.vstack([np.ones(3, dtype=complex), mu, 1.0 / (mu + kernel.delta)])
-        coef = np.linalg.solve(rows, np.array([1.0, -1j * lam, 0.0], dtype=complex))
-        z[n] = coef @ np.exp(np.outer(mu, tau))
-        slopes[n] = -np.sum(coef * mu)
-    return z, slopes
 
 
 def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
     """Solve every positive frequency backwards from unit terminal data.
 
-    All modes share the grid visco_time_grid(T, max lambda).  The kernel
-    picks the method: the exact rotation for a zero kernel, the closed form
-    for an exponential kernel, and one batched march for any other.
+    The zero kernel is the exact rotation; any other goes through its sum of
+    exponentials and one batched closed form (_mode_exponents).  The modes
+    are sampled on time_rule(T, f), with f the largest of the mode
+    frequencies and the oscillation rates |Im mu| the memory gives them.
     """
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0 or np.any(lams <= 0.0):
         raise ConfigurationError("need strictly positive mode frequencies")
     if T <= 0.0:
         raise ConfigurationError("horizon must be positive")
-    tgrid = visco_time_grid(T, float(lams.max()))
-    # the rotation and the march start from v'(0) = -i*lam, so z'(T) = i*lam
-    slopes = 1j * lams
+    lam_max = float(lams.max())
     if kernel.is_zero:
-        samples = np.exp(1j * np.outer(lams, tgrid - T))
-    elif kernel.family == "exponential":
-        samples, slopes = _exact_exponential(lams, kernel, tgrid)
+        trule = time_rule(T, lam_max)
+        samples = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
+        values, slopes = np.ones(lams.size), 1j * lams
     else:
-        samples = _march_memory(lams, kernel, tgrid[-1] - tgrid[::-1])[:, ::-1]
+        mu, amp, values, slopes = _mode_exponents(lams, *_exponential_sum(kernel, T))
+        trule = time_rule(T, max(lam_max, float(np.max(np.abs(mu.imag)))))
+        samples = _evaluate(mu, amp, T - trule.nodes[:, 0])
     finite = np.all(np.isfinite(samples), axis=1)
     if not finite.all():
         raise NumericalError(f"non-finite mode samples at lam = {lams[~finite][0]:g}")
-    residuals = np.abs(samples[:, -1] - 1.0)
+    residuals = np.abs(values - 1.0)
     slope_residuals = np.abs(slopes - 1j * lams)
     for lam, value, slope in zip(lams, residuals, slope_residuals):
         if value > 1e-10:
             raise NumericalError(f"terminal value off by {value:.3e} at lam = {lam:g}")
         if slope > TOLERANCES["visco_terminal"] * lam:
             raise NumericalError(f"terminal slope off by {slope:.3e} at lam = {lam:g}")
-    return MemoryModes(lams, tgrid, samples, kernel, residuals, slope_residuals)
+    return MemoryModes(lams, float(T), trule, samples, kernel, residuals, slope_residuals)
 
 
 # ----------------------------------------------------------------------
 # Decay rate fit and closeness spectrum
 
 
-# Mode rows per block of the fit's pass over the samples, as a count of
-# (rows x samples) elements: the block's work arrays stay a few MB whatever
-# N and the horizon are.
-_FIT_BLOCK = 1 << 18
-# Changes of the fit objective below this many roundings of its expanded
-# terms are noise: the line search does not halve for them, and the
-# iteration stops on them.
+# A rise of the fit objective below this many roundings of its expanded
+# terms is noise: the line search does not halve for it.
 _FIT_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
 class _FitSums:
-    """What the decay-rate fit needs of the modes: sums over the time grid.
+    """What the decay-rate fit needs of the modes: sums over the time nodes.
 
     mean is y_t = sum_n lam_n^2 Z_nt exp(-i lam_n b_t) / sum_n lam_n^2,
     the lam^2-weighted mean of the demodulated modes (b = t - T), and
@@ -410,19 +411,18 @@ class _FitSums:
 
 
 def _fit_sums(modes: MemoryModes) -> _FitSums:
-    """One blocked pass over the positive modes, _FIT_BLOCK elements at a time.
+    """One blocked pass over the positive modes, _BLOCK elements at a time.
 
     The direct sum at the seed -M(0)/2 counts each mode twice: its
     conjugate partner lies as far from its own reference.
     """
-    lams, Z, tgrid = modes.lambdas, modes.samples, modes.tgrid
-    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-    base = tgrid - tgrid[-1]
+    lams, Z, w = modes.lambdas, modes.samples, modes.trule.weights
+    base = modes.trule.nodes[:, 0] - modes.T
     seed = -modes.kernel.at_zero() / 2.0
     seed_shift = np.exp(seed * base)
     mean = np.zeros(base.size, dtype=complex)
     direct = 0.0
-    rows = max(1, _FIT_BLOCK // base.size)
+    rows = max(1, _BLOCK // base.size)
     for lo in range(0, lams.size, rows):
         lam, z = lams[lo:lo + rows], Z[lo:lo + rows]
         lam2 = lam**2
@@ -444,15 +444,15 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
     Minimizes F(gamma) = sum_n lam_n^2 * d_n(gamma) over the signed system
     (the negative-frequency partners are the conjugate modes) by damped
-    Gauss-Newton, where d_n is the Simpson L2 distance between the mode
+    Gauss-Newton, where d_n is the L2 distance on the time rule between the mode
     and exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps the
     objective symmetric under gamma -> conj(gamma) for real kernels, so
     the fit cannot trade a spurious global frequency shift against the
     per-mode phase drift.  Seeded at -M(0)/2; the seed carries no
     authority, the decay diagnostics downstream validate the fit.
 
-    The modes enter only through sums over the time grid.  With b = t - T,
-    Simpson weights w, e_t = exp(gamma b_t), |exp(i lam b)| = 1 and the
+    The modes enter only through sums over the time nodes.  With b = t - T,
+    the rule's weights w, e_t = exp(gamma b_t), |exp(i lam b)| = 1 and the
     partners conjugate,
 
         F(gamma) = alpha - 2 sum_t w_t C_t Re e_t + L sum_t w_t |e_t|^2,
@@ -463,7 +463,7 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i lam_n b_t)) = L Re y_t, with y
     the lam^2-weighted mean of the demodulated modes.  One blocked pass over
     the positive modes forms y and F at the seed (_fit_sums), so an
-    iteration costs O(samples) and no (2N x samples) array is built.  The
+    iteration costs O(nodes) and no (2N x nodes) array is built.  The
     iteration sums the changes of F, in which alpha cancels exactly, as
     changes of R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2)
     (_FitSums.far), and J^H r as -L sum_t w_t b_t conj(e_t) (Re y_t - e_t):
@@ -534,11 +534,10 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
 
 def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
-    """Simpson L2 distance of each mode to exp((gamma + i*lam)(t - T))."""
-    tgrid = modes.tgrid
-    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-    refs = np.exp(np.outer(gamma + 1j * modes.lambdas, tgrid - tgrid[-1]))
-    return np.abs(modes.samples - refs) ** 2 @ w
+    """L2 distance on the time rule of each mode to exp((gamma + i*lam)(t - T))."""
+    base = modes.trule.nodes[:, 0] - modes.T
+    refs = np.exp(np.outer(gamma + 1j * modes.lambdas, base))
+    return np.abs(modes.samples - refs) ** 2 @ modes.trule.weights
 
 
 @dataclass(eq=False)
@@ -580,7 +579,7 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
     order = np.argsort(modes.lambdas)
     lams, dist = modes.lambdas[order], mode_distances(modes, gamma)[order]
     terminal = modes.terminal_residuals[order]
-    T = float(modes.tgrid[-1])
+    T = modes.T
     c1_max = float(np.max(dist * lams**2))
     if float(np.max(dist)) <= 1e-16 * T:
         return ClosenessReport(gamma, T, lams, dist, terminal, None, None, None,
@@ -612,17 +611,18 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
 
 
 def shifted_reference_factors(lams_signed: np.ndarray, gamma: complex,
-                              tgrid: np.ndarray) -> np.ndarray:
-    """exp((gamma + i*lam)(t - T)) rows for the signed frequencies."""
-    base = tgrid - tgrid[-1]
+                              t: np.ndarray, T: float) -> np.ndarray:
+    """exp((gamma + i*lam)(t - T)) rows for the signed frequencies at times t."""
+    base = t - T
     return np.exp(gamma * base)[None, :] * np.exp(1j * np.outer(lams_signed, base))
 
 
-def shifted_system_bounds(table: ModeTable, brule: QuadratureRule,
-                          gamma: complex, tgrid: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of the shifted-exponential trace Gram."""
-    refs = shifted_reference_factors(table.lambdas_signed(), gamma, tgrid)
-    E = sampled_gram_matrix(table, brule, refs, tgrid)
+def shifted_system_bounds(table: ModeTable, brule: QuadratureRule, gamma: complex,
+                          trule: QuadratureRule, T: float) -> tuple[float, float]:
+    """Extreme eigenvalues of the shifted-exponential trace Gram on [0, T],
+    sampled on the time rule trule."""
+    refs = shifted_reference_factors(table.lambdas_signed(), gamma, trule.nodes[:, 0], T)
+    E = sampled_gram_matrix(table, brule, refs, trule)
     evals, _ = jacobi_eigh(E, need_vectors=False)
     return float(evals[0]), float(evals[-1])
 
@@ -650,12 +650,13 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
             f"{modes.lambdas.size} mode frequencies do not match the "
             f"{table.N}-mode table"
         )
-    refs = shifted_reference_factors(table.lambdas_signed(), gamma, modes.tgrid)
+    refs = shifted_reference_factors(table.lambdas_signed(), gamma,
+                                     modes.trule.nodes[:, 0], modes.T)
     diff = modes.signed() - refs
     diff[:k - 1] = 0.0
     diff[table.N:table.N + k - 1] = 0.0
-    D = sampled_gram_matrix(table, brule, diff, modes.tgrid)
-    E = sampled_gram_matrix(table, brule, refs, modes.tgrid)
+    D = sampled_gram_matrix(table, brule, diff, modes.trule)
+    E = sampled_gram_matrix(table, brule, refs, modes.trule)
     evals, vecs = jacobi_eigh(E)
     cutoff = 1e-10 * float(np.trace(E).real)
     dead = int(np.count_nonzero(evals <= cutoff))
@@ -726,7 +727,7 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
         gamma, fit_info = fit_gamma(modes)
     closeness = closeness_spectrum(modes, gamma)
 
-    G = sampled_gram_matrix(table, brule, modes.signed(), modes.tgrid)
+    G = sampled_gram_matrix(table, brule, modes.signed(), modes.trule)
     evals, _ = jacobi_eigh(G, need_vectors=False)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     margin_factor = TOLERANCES["memory_margin_factor"]

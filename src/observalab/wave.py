@@ -13,8 +13,9 @@ and certifies
 
 on every draw, with the minimizing eigenvector of the Gram matrix fed back
 in as the adversarial direction.  The closed Gram form is cross-checked on
-the first draws against the Simpson-sampled Gram of the same family, the
-only time discretization here.
+the first draws against the Gram of the same family sampled on the
+Gauss-Legendre time rule geometry.time_rule, the only time discretization
+here.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigurationError, NumericalError, TOLERANCES
-from .geometry import QuadratureRule
+from .geometry import QuadratureRule, time_rule
 from .gram import (
     GramMatrix,
     assemble_exponential_gram,
-    default_time_grid,
     lower_bound_constant,
     sampled_gram_matrix,
 )
@@ -52,12 +52,12 @@ _SAMPLED_FLUX_CHECKS = 3  # draws whose flux norm is also sampled in time
 
 def _sampled_flux_errors(table: ModeTable, brule: QuadratureRule, T: float,
                          a: np.ndarray, flux_sq: np.ndarray) -> list[float]:
-    """Relative gaps between the closed Gram form and the Simpson-sampled
-    flux norm of the rows a, from one sampled Gram of the signed family."""
-    tgrid = default_time_grid(T, float(np.max(table.lambdas)))
-    phases = np.outer(1j * table.lambdas_signed(), tgrid)
+    """Relative gaps between the closed Gram form and the time-sampled flux
+    norm of the rows a, from one sampled Gram of the signed family."""
+    trule = time_rule(T, float(np.max(table.lambdas)))
+    phases = np.outer(1j * table.lambdas_signed(), trule.nodes[:, 0])
     np.exp(phases, out=phases)
-    sampled = GramMatrix(sampled_gram_matrix(table, brule, phases, tgrid), T, table.N)
+    sampled = GramMatrix(sampled_gram_matrix(table, brule, phases, trule), T, table.N)
     errors = np.abs(sampled.quad_form(a) - flux_sq) / flux_sq
     for rel in errors:
         if rel > TOLERANCES["flux_gram_rel"]:
@@ -75,7 +75,7 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
     Draws come _ROW_BLOCK rows at a time as rng.normal(size=(rows, 4, N))
     (Re xi_tilde, Im xi_tilde, Re eta, Im eta per row, the per-draw stream),
     and each block's ratios from one row-wise Gram quadratic form (exact).
-    For the first _SAMPLED_FLUX_CHECKS draws the Simpson-sampled flux norm
+    For the first _SAMPLED_FLUX_CHECKS draws the time-sampled flux norm
     is compared against it within the configured relative tolerance, tying
     the closed form to an independent time discretization.
     The minimizing eigenvector is always included as the adversarial draw.

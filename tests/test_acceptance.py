@@ -23,7 +23,8 @@ from observalab.operators import (antisymmetry_suite, estimate_trace_constant,
                                   multiplier_pairings, quasi_orthogonality_check,
                                   rellich_suite)
 from observalab.reports import strip_timestamp
-from observalab.visco import (_exact_exponential, _march_memory, closeness_spectrum,
+from observalab.visco import (_evaluate, _exponential_sum, _march_memory,
+                              _mode_exponents, closeness_spectrum,
                               exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
@@ -155,11 +156,12 @@ def test_criterion_06_memory_solver_reduction_and_order():
         assert abs(z[-1] - 1.0) <= 1e-8
     # empirical order against the closed form, evaluated on the march grid
     lam, kernel = 10.0, exponential_kernel(0.5, 1.0)
+    mu, amp, _, _ = _mode_exponents(np.array([lam]), *_exponential_sum(kernel, T))
     errs = []
     for n in (513, 1025):
         tgrid = np.linspace(0.0, T, n)
         z = _march_memory(np.array([lam]), kernel, T - tgrid[::-1])[0, ::-1]
-        ref = _exact_exponential(np.array([lam]), kernel, tgrid)[0][0]
+        ref = _evaluate(mu, amp, T - tgrid)[0]
         errs.append(float(np.max(np.abs(z - ref))))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2, f"empirical order {order:.3f}"
@@ -189,7 +191,7 @@ def test_criterion_08_perturbation_section_below_one():
     report = closeness_spectrum(modes, gamma)
     c_alpha = estimate_trace_constant(table, brule, 200,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = shifted_system_bounds(table, brule, gamma, modes.tgrid)
+    c_gamma, _ = shifted_system_bounds(table, brule, gamma, modes.trule, T)
     k = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma, table.lambdas)
     q_hat = paley_wiener_q(table, brule, modes, gamma, k)
     assert q_hat < 1.0, f"q at the proof-guided cutoff k={k} is {q_hat:.3f}"

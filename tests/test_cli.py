@@ -210,17 +210,48 @@ _CONFIGS = st.fixed_dictionaries(
 )
 
 
+# every family, M0 in [0, 1e3], delta over six decades, and p below 0.1,
+# between 0.1 and 100, and above 100
+_KERNELS = st.lists(st.one_of(
+    st.just({"family": "zero"}),
+    st.builds(lambda m0, delta: {"family": "exponential", "M0": m0, "delta": delta},
+              st.floats(0.0, 1e3), st.floats(1e-3, 1e3)),
+    st.builds(lambda m0, p: {"family": "polynomial", "M0": m0, "p": p},
+              st.floats(0.0, 1e3),
+              st.one_of(st.floats(1e-4, 0.1), st.floats(0.1, 100.0), st.floats(100.0, 1e4))),
+), min_size=1, max_size=3)
+
+
 @settings(max_examples=30, deadline=None)
-@given(raw=_CONFIGS)
-def test_schema_valid_configs_exit_with_a_documented_code(raw):
-    """spectrum and riesz on any schema-valid config exit 0, 2, 64 or 70."""
-    assert not list(Draft202012Validator(CONFIG_SCHEMA).iter_errors(raw))
+@given(raw=_CONFIGS, kernels=_KERNELS,
+       # observe and visco sample time: horizons of at most 10 escape times
+       # keep their rules to a few thousand nodes at N <= 12
+       factors=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=2))
+def test_schema_valid_configs_exit_with_a_documented_code(raw, kernels, factors):
+    """spectrum, riesz, observe and visco on any schema-valid config exit
+    0, 2, 64 or 70."""
+    timed = {key: value for key, value in raw.items() if key != "T_values"}
+    timed.update(kernels=kernels, T_factors=factors)
+    for config in (raw, timed):
+        assert not list(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))
     with tempfile.TemporaryDirectory() as tmp:
+        paths = {"out_dir": str(Path(tmp) / "out"), "cache_path": str(Path(tmp) / "cache.json")}
         cfg = Path(tmp) / "config.json"
-        cfg.write_text(json.dumps({**raw, "out_dir": str(Path(tmp) / "out"),
-                                   "cache_path": str(Path(tmp) / "cache.json")}))
+        cfg.write_text(json.dumps({**raw, **paths}))
         for cmd in ("spectrum", "riesz"):
             assert _run(cmd, "--config", str(cfg)) in (0, 2, 64, 70), (cmd, raw)
+        cfg.write_text(json.dumps({**timed, **paths}))
+        for cmd in ("observe", "visco"):
+            assert _run(cmd, "--config", str(cfg)) in (0, 2, 64, 70), (cmd, timed)
+
+
+def test_long_horizon_exits_64_before_sampling_time(tmp_path, capsys):
+    """At N = 128 on the interval a horizon of 1000 needs 325,952 time nodes,
+    past geometry.MAX_RULE_NODES: observe and visco refuse it with the count."""
+    cfg = _write_config(tmp_path, N=128, T_values=[1000.0], draws=2)
+    for cmd in ("observe", "visco"):
+        assert _run(cmd, "--config", str(cfg)) == 64, cmd
+        assert "would need 325952 nodes" in capsys.readouterr().err, cmd
 
 
 def test_config_schema_is_valid():
@@ -228,22 +259,28 @@ def test_config_schema_is_valid():
 
 
 def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
-    """One batched march for the polynomial kernel; the zero and exponential
-    kernels go through the rotation and the closed form."""
+    """One batched closed form per nonzero kernel, with one term for the
+    exponential kernel and many for the polynomial one; the zero kernel is
+    the rotation, and no kernel is marched."""
     calls = []
-    original = visco._march_memory
+    original_exponents = visco._mode_exponents
 
-    def counted(lams, kernel, tau):
-        calls.append((kernel.family, len(lams)))
-        return original(lams, kernel, tau)
+    def counted_exponents(lams, weights, rates):
+        calls.append((len(lams), len(weights)))
+        return original_exponents(lams, weights, rates)
 
-    monkeypatch.setattr(visco, "_march_memory", counted)
+    def no_march(*args):
+        raise AssertionError("visco marched a kernel")
+
+    monkeypatch.setattr(visco, "_mode_exponents", counted_exponents)
+    monkeypatch.setattr(visco, "_march_memory", no_march)
     cfg = _write_config(tmp_path, kernels=[
         {"family": "zero"},
         {"family": "exponential", "M0": 0.5, "delta": 1.0},
         {"family": "polynomial", "M0": 0.2, "p": 2.0}])
     assert _run("visco", "--config", str(cfg)) == 0
-    assert calls == [("polynomial", 6)]
+    assert [count for count, _ in calls] == [6, 6]
+    assert calls[0][1] == 1 and calls[1][1] > 1
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from observalab.config import TOLERANCES, ConfigurationError, NumericalError
-from observalab.geometry import boundary_quadrature, disk, interval, rectangle
+from observalab.geometry import boundary_quadrature, disk, interval, rectangle, time_rule
 from observalab.modes import enumerate_modes
 from observalab.visco import _principal_lambda_min
 from observalab import gram as gr
+
+from flux_sampling import simpson_weights
 
 
 def _setup(dom, N, q=32):
@@ -40,7 +42,7 @@ def test_time_overlap_against_simpson():
     T, lj, lk = 1.0, 2.0, 1.0
     t = np.linspace(0, T, 20001)
     vals = np.exp(1j * (lj - lk) * t)
-    w = gr.simpson_weights(len(t), t[1] - t[0])
+    w = simpson_weights(len(t), t[1] - t[0])
     M = _overlap(np.array([lj, lk]), T)
     assert abs(np.sum(w * vals) - M[0, 1]) < 1e-10
 
@@ -203,10 +205,10 @@ def test_sampled_gram_reproduces_analytic():
     dom = rectangle(np.pi, np.pi / 2)
     table, brule = _setup(dom, 6)
     T = 2.5 * 2 * dom.R
-    tg = gr.default_time_grid(T, table.lambdas[-1])
+    trule = time_rule(T, table.lambdas[-1])
     lams = table.lambdas_signed()
-    traces = np.exp(1j * np.outer(lams, tg))
-    Gs = gr.sampled_gram_matrix(table, brule, traces, tg)
+    traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0]))
+    Gs = gr.sampled_gram_matrix(table, brule, traces, trule)
     Ga = gr.assemble_exponential_gram(table, brule, T)
     assert np.max(np.abs(Gs - Ga.matrix)) < 1e-6
 
@@ -217,10 +219,10 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     dom = interval(np.pi)
     table, brule = _setup(dom, 5, q=8)
     T = 2.5 * np.pi
-    tg = gr.default_time_grid(T, table.lambdas[-1])
+    trule = time_rule(T, table.lambdas[-1])
     lams = table.lambdas_signed()
-    traces = np.exp(1j * np.outer(lams, tg - T))
-    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, brule, traces, tg), T, table.N)
+    traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
+    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, brule, traces, trule), T, table.N)
     Ga = gr.assemble_exponential_gram(table, brule, T)
     ws = Gs.spectrum()["eigenvalues"]
     wa = Ga.spectrum()["eigenvalues"]
@@ -228,29 +230,31 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
 
 
 def test_sampled_gram_blocks_match_one_whole_grid_product():
-    """Summing the time Gram over blocks of the grid changes it only by rounding."""
+    """Summing the time Gram over blocks of the nodes changes it only by rounding."""
     table, brule = _setup(interval(np.pi), 4, q=8)
-    tg = np.linspace(0.0, 3.0, 3 * gr._TIME_BLOCK + 1001)     # 3.2 blocks
+    trule = time_rule(3.0, 1750.0)
+    n = trule.weights.size
+    assert 3 * gr._TIME_BLOCK < n < 4 * gr._TIME_BLOCK          # 3.3 blocks
     rng = np.random.default_rng(5)
-    traces = rng.normal(size=(8, tg.size)) + 1j * rng.normal(size=(8, tg.size))
-    w = gr.simpson_weights(tg.size, float(tg[1] - tg[0]))
-    whole = gr.boundary_trace_gram(table, brule) * ((traces * w) @ traces.conj().T)
+    traces = rng.normal(size=(8, n)) + 1j * rng.normal(size=(8, n))
+    whole = gr.boundary_trace_gram(table, brule) * ((traces * trule.weights) @ traces.conj().T)
     whole = 0.5 * (whole + whole.conj().T)
-    blocked = gr.sampled_gram_matrix(table, brule, traces, tg)
+    blocked = gr.sampled_gram_matrix(table, brule, traces, trule)
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
 def test_sampled_gram_rejects_mismatched_traces():
     table, brule = _setup(interval(np.pi), 2, q=8)
-    tg = gr.default_time_grid(2.0, table.lambdas[-1])
-    traces = np.exp(1j * np.outer(table.lambdas_signed(), tg))
+    trule = time_rule(2.0, table.lambdas[-1])
+    traces = np.exp(1j * np.outer(table.lambdas_signed(), trule.nodes[:, 0]))
     for bad in (traces[:-1], traces[:, :-1]):
         with pytest.raises(ConfigurationError, match="does not match"):
-            gr.sampled_gram_matrix(table, brule, bad, tg)
+            gr.sampled_gram_matrix(table, brule, bad, trule)
 
 
 def test_simpson_weights_validation():
-    with pytest.raises(ConfigurationError):
-        gr.simpson_weights(4, 0.1)
-    w = gr.simpson_weights(5, 0.5)
+    """The Simpson rule of the tests' flux oracle."""
+    with pytest.raises(ValueError):
+        simpson_weights(4, 0.1)
+    w = simpson_weights(5, 0.5)
     assert abs(np.sum(w) - 2.0) < 1e-14

@@ -3,7 +3,6 @@
 import dataclasses
 import tracemalloc
 import warnings
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from scipy.linalg import expm
 from observalab import visco
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, interval
-from observalab.gram import simpson_weights
 from observalab.modes import enumerate_modes
 
 
@@ -31,46 +29,35 @@ def march(lam, kernel, tgrid):
 
 
 def exact(lam, kernel, tgrid):
-    """One-mode closed form of z on the forward grid tgrid."""
-    return visco._exact_exponential(np.array([lam]), kernel, tgrid)[0][0]
+    """One-mode closed form of z on the forward grid tgrid, with T = tgrid[-1]."""
+    T = tgrid[-1]
+    mu, amp, _, _ = visco._mode_exponents(np.array([lam]), *visco._exponential_sum(kernel, T))
+    return visco._evaluate(mu, amp, T - tgrid)[0]
 
 
-def _march_memory_direct(lams, kernel, tau):
-    """Reference march: each step's trapezoid history as one direct sum.
+def _exact_exponential_oracle(lams, kernel, t, T):
+    """z_n(t) for an exponential kernel by the three-exponential formula.
 
-    The same scheme as visco._march_memory, with the history at step i
-    recomputed as the full product M(tau_{i+1..1}) @ v[0..i], which costs
-    O(n^2) for n steps.
+    The rates are the roots of (mu^2 + lam^2)(mu + delta) + lam^2*M0 = 0,
+    and the coefficients are pinned by the initial data and by cancellation
+    of the kernel's own exp(-delta*tau) response.  It takes any real lam,
+    negative ones included.
     """
-    n = tau.size
-    h = float(tau[1] - tau[0])
-    mker = np.asarray(kernel(tau), dtype=float)
-    c, s = np.cos(lams * h), np.sin(lams * h)
-    p0, p1, q0, q1 = visco._duhamel_weights(lams, h)
-    beta = -(lams**2) * 0.5 * h * mker[0]
-    denom = 1.0 - (p1 / h) * beta
-    v = np.empty((n, lams.size), dtype=complex)
-    history = v.view(float)
-    v[0] = 1.0
-    vp = -1j * lams
-    f = np.zeros(lams.size, dtype=complex)
-    for i in range(n - 1):
-        hist = mker[i + 1:0:-1]
-        conv = h * ((hist @ history[:i + 1]).view(complex) - 0.5 * hist[0] * v[0])
-        f_known = -(lams**2) * conv
-        rhs = c * v[i] + (s / lams) * vp + p0 * f + (p1 / h) * (f_known - f)
-        v[i + 1] = rhs / denom
-        f_next = f_known + beta * v[i + 1]
-        vp = -lams * s * v[i] + c * vp + q0 * f + (q1 / h) * (f_next - f)
-        f = f_next
-    return v.T
+    tau = T - np.asarray(t)
+    z = np.empty((len(lams), tau.size), dtype=complex)
+    for n, lam in enumerate(lams):
+        mu = np.roots([1.0, kernel.delta, lam**2, lam**2 * (kernel.delta + kernel.m0)])
+        rows = np.vstack([np.ones(3, dtype=complex), mu, 1.0 / (mu + kernel.delta)])
+        coef = np.linalg.solve(rows, np.array([1.0, -1j * lam, 0.0], dtype=complex))
+        z[n] = coef @ np.exp(np.outer(mu, tau))
+    return z
 
 
 def _fit_gamma_dense(modes):
     """Reference fit: every Gauss-Newton quantity summed over the signed modes.
 
     The scheme of visco.fit_gamma before its reduction to sums over the time
-    grid: the residual, Jacobian and objective are full (2N x samples)
+    nodes: the residual, Jacobian and objective are full (2N x samples)
     arrays, and the line search halves while the direct objective rises by
     more than 1e-14 relative.  It stops on the step size alone: a stop on
     the objective's drop leaves the rate up to ~1e-9 short of the minimum
@@ -78,10 +65,8 @@ def _fit_gamma_dense(modes):
     is below the objective's rounding.
     """
     lams = modes.lambdas
-    tgrid = modes.tgrid
-    T = float(tgrid[-1])
-    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-    base = tgrid - T
+    w = modes.trule.weights
+    base = modes.trule.nodes[:, 0] - modes.T
     Z = modes.signed()
     lams_signed = np.concatenate([lams, -lams])
     osc = np.exp(1j * np.outer(lams_signed, base))
@@ -131,26 +116,61 @@ def test_zero_kernel_march_is_exact():
 
 
 def test_exact_path_matches_expm_oracle():
-    """Closed-form exponential-kernel solution vs the 3x3 matrix exponential.
+    """Closed-form modes vs the matrix exponential of the unscaled system.
 
-    The memory integral of an exponential kernel obeys I' = v - delta*I,
-    so (v, v', I) evolves by a constant-coefficient linear system that
-    scipy can exponentiate independently.
+    With M = sum_j w_j exp(-x_j s) each memory integral obeys
+    I_j' = v - x_j I_j, so (v, v', I_1..I_K) evolves by a constant-coefficient
+    linear system that scipy can exponentiate independently of the
+    eigendecomposition: one term for the exponential kernel, the whole sum
+    for the polynomial one.
     """
-    lam, m0, delta, T = 5.0, 0.4, 1.0, 4.0
-    A = np.array([[0.0, 1.0, 0.0],
-                  [-lam**2, 0.0, -lam**2 * m0],
-                  [1.0, 0.0, -delta]], dtype=complex)
-    y0 = np.array([1.0, -1j * lam, 0.0])
-    mu = visco._exponential_rates(lam, m0, delta)
-    rows = np.vstack([np.ones(3, complex), mu, 1.0 / (mu + delta)])
-    coef = np.linalg.solve(rows, np.array([1.0, -1j * lam, 0.0], dtype=complex))
-    for tau in [0.0, 0.3, 1.1, 2.7, 4.0]:
-        y = expm(A * tau) @ y0
-        v = coef @ np.exp(mu * tau)
-        vp = (coef * mu) @ np.exp(mu * tau)
-        assert abs(v - y[0]) <= 1e-12 * max(1.0, abs(y[0]))
-        assert abs(vp - y[1]) <= 1e-11 * max(lam, abs(y[1]))
+    lam, T = 5.0, 4.0
+    for kernel in (visco.exponential_kernel(0.4, 1.0), visco.polynomial_kernel(0.3, 2.5)):
+        w, x = visco._exponential_sum(kernel, T)
+        k = w.size + 2
+        A = np.zeros((k, k))
+        A[0, 1] = 1.0
+        A[1, 0] = -lam**2
+        A[1, 2:] = -lam**2 * w
+        A[2:, 0] = 1.0
+        A[range(2, k), range(2, k)] = -x
+        y0 = np.zeros(k, dtype=complex)
+        y0[:2] = 1.0, -1j * lam
+        mu, amp, _, _ = visco._mode_exponents(np.array([lam]), w, x)
+        for tau in [0.0, 0.3, 1.1, 2.7, 4.0]:
+            y = expm(A * tau) @ y0
+            v = visco._evaluate(mu, amp, np.array([tau]))[0, 0]
+            vp = visco._evaluate(mu, amp * mu, np.array([tau]))[0, 0]
+            assert abs(v - y[0]) <= 1e-12 * max(1.0, abs(y[0])), kernel.family
+            assert abs(vp - y[1]) <= 1e-11 * max(lam, abs(y[1])), kernel.family
+
+
+@settings(max_examples=40, deadline=None)
+@given(m0=st.floats(0.01, 2.0), delta=st.floats(0.1, 5.0), T=st.floats(1.0, 10.0),
+       lams=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=8))
+def test_closed_form_matches_the_three_exponential_formula(m0, delta, T, lams):
+    """With K = 1 the eigendecomposition reproduces the exponential kernel's
+    three-exponential formula on the time rule's nodes."""
+    kernel = visco.exponential_kernel(m0, delta)
+    modes = visco.solve_memory_modes(lams, kernel, T)
+    ref = _exact_exponential_oracle(lams, kernel, modes.trule.nodes[:, 0], T)
+    assert np.max(np.abs(modes.samples - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 2.0, 20.0, 200.0])
+def test_polynomial_closed_form_matches_the_extrapolated_march(p):
+    """Three modes of M0*(1+s)^-p against the direct march at h and h/2,
+    Richardson-extrapolated: the march's h^2 error term cancels, and what
+    is left sits far below the unextrapolated error."""
+    kernel, T = visco.polynomial_kernel(0.3, p), 2.0
+    lams = np.array([1.0, 2.5, 4.0])
+    coarse, fine = np.linspace(0.0, T, 513), np.linspace(0.0, T, 1025)
+    closed = np.array([exact(lam, kernel, coarse) for lam in lams])
+    for lam, ref in zip(lams, closed):
+        zc, zf = march(lam, kernel, coarse), march(lam, kernel, fine)[::2]
+        extrapolated = (4.0 * zf - zc) / 3.0
+        assert np.max(np.abs(extrapolated - ref)) <= 1e-6
+        assert np.max(np.abs(extrapolated - ref)) <= 2e-2 * np.max(np.abs(zf - ref))
 
 
 def test_march_matches_exact_within_scheme_bound():
@@ -179,11 +199,11 @@ def test_march_second_order(kernel):
 
 
 def test_terminal_residuals_at_tolerance():
-    # closed form, march and rotation
+    # the closed form with one and with many terms, and the rotation
     for kernel in (visco.exponential_kernel(0.5, 1.0), visco.polynomial_kernel(0.3, 2.5),
                    visco.zero_kernel()):
         modes = visco.solve_memory_modes([2.0, 7.0], kernel, 3.0)
-        assert modes.samples.shape == (2, modes.tgrid.size)
+        assert modes.samples.shape == (2, modes.trule.weights.size)
         assert np.all(modes.terminal_residuals <= 1e-10)
         assert np.all(modes.terminal_slope_residuals <= 1e-8 * modes.lambdas)
 
@@ -195,7 +215,7 @@ def test_envelope_decays_at_fitted_rate():
     modes = visco.solve_memory_modes(np.arange(2.0, 11.0), ker, T)
     gamma, _ = visco.fit_gamma(modes)
     z = modes.samples[list(modes.lambdas).index(5.0)]
-    base = modes.tgrid - T
+    base = modes.trule.nodes[:, 0] - T
     slope, icpt = np.polyfit(base, np.log(np.abs(z)), 1)
     resid = np.log(np.abs(z)) - (slope * base + icpt)
     assert abs(slope - gamma.real) <= 0.1 * abs(gamma.real) + 0.02
@@ -203,21 +223,50 @@ def test_envelope_decays_at_fitted_rate():
 
 
 def test_exponential_rates_too_close_for_the_closed_form():
-    """At lam = 1e-9 two rates sit 2.4e-9 apart, under the 1e-8 separation."""
-    with pytest.raises(NumericalError, match="closed form needs memory rates at least"):
-        visco.solve_memory_modes([1e-9], visco.exponential_kernel(0.5, 1.0), 1.0)
+    """A kernel rate 1e17 times the mode frequency: the oscillation's two
+    eigenvectors coincide to rounding, a named error that gives lam."""
+    with pytest.raises(NumericalError, match=r"eigenvectors with condition .* at lam = 1$"):
+        visco.solve_memory_modes([1.0], visco.exponential_kernel(0.5, 1e17), 1.0)
 
 
-def test_memory_rate_at_the_kernel_rate_is_rejected_before_dividing():
-    """At lam = 1e-8 the rate near -delta sits 5e-17 from it, below delta's
-    rounding, so mu + delta rounds to 0: a named error, and no divide warning."""
+def test_tiny_frequencies_solve_without_dividing_by_a_rate_gap():
+    """At lam = 1e-9 two memory rates sit 2.4e-9 apart, and at lam = 1e-8 the
+    rate near -delta sits 5e-17 from it; the three-exponential formula
+    divided by such gaps.  The scaled eigendecomposition divides by none:
+    both modes solve, with no warning and at the terminal data."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match="apart from the kernel rate -delta"):
-            visco.solve_memory_modes([1e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
-    # two rounding steps away (lam = 3e-8) the closed form still holds
-    modes = visco.solve_memory_modes([3e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
+        modes = visco.solve_memory_modes([1e-9, 1e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
     assert np.all(np.isfinite(modes.samples))
+    assert np.all(modes.terminal_residuals <= 1e-15)
+    assert np.all(modes.terminal_slope_residuals <= 1e-15 * modes.lambdas)
+
+
+def test_polynomial_kernel_needs_at_most_k_max_terms():
+    """A horizon past what K_MAX terms cover is a configuration error that
+    names p and the count it needs."""
+    with pytest.raises(ConfigurationError, match=r"p = 0\.05 needs 209 exponential terms"):
+        visco._exponential_sum(visco.polynomial_kernel(0.5, 0.05), 1e8)
+    assert visco._exponential_sum(visco.polynomial_kernel(0.5, 0.05), 1e5)[0].size <= visco.K_MAX
+
+
+@settings(max_examples=40, deadline=None)
+@given(m0=st.floats(0.01, 10.0), log_p=st.floats(-4.0, 4.0), log_T=st.floats(0.0, 5.0))
+def test_polynomial_kernel_sum_of_exponentials_is_within_1e_12(m0, log_p, log_T):
+    """Sup error of the sum of exponentials on [0, T], on a grid of its own
+    (uniform in s and in log s), below 1e-12 * M0, with positive weights."""
+    p, T = 10.0**log_p, 10.0**log_T
+    kernel = visco.polynomial_kernel(m0, p)
+    w, x = visco._exponential_sum(kernel, T)
+    assert np.all(w >= 0.0) and np.all(x >= 0.0) and w.size <= visco.K_MAX
+    s = np.concatenate([np.linspace(0.0, T, 3001), np.geomspace(1e-4, T, 3001)])
+    assert np.max(np.abs(np.exp(-np.outer(s, x)) @ w - kernel(s))) <= 1e-12 * m0
+
+
+def test_polynomial_kernel_sum_checks_its_error_at_run_time(monkeypatch):
+    monkeypatch.setattr(visco, "_KERNEL_ERROR", 1e-18)
+    with pytest.raises(NumericalError, match="polynomial kernel with p = 2 is off"):
+        visco.solve_memory_modes([1.0], visco.polynomial_kernel(0.5, 2.0), 3.0)
 
 
 def test_solver_input_validation():
@@ -237,7 +286,7 @@ def test_mirror_solution_is_conjugate():
     assert np.array_equal(signed[0], modes.samples[0])
     assert np.array_equal(signed[1], np.conj(modes.samples[0]))
     # the conjugate really does solve the negative-frequency problem
-    direct = exact(-4.0, ker, modes.tgrid)
+    direct = _exact_exponential_oracle([-4.0], ker, modes.trule.nodes[:, 0], 3.0)[0]
     assert np.max(np.abs(signed[1] - direct)) <= 1e-12
 
 
@@ -261,50 +310,12 @@ def test_batched_march_does_not_couple_modes(kernel):
         assert np.max(np.abs(row - alone)) <= 1e-13
 
 
-_KERNELS = st.one_of(
-    st.builds(visco.polynomial_kernel, st.floats(0.01, 1.0), st.floats(0.5, 3.0)),
-    st.builds(visco.exponential_kernel, st.floats(0.01, 1.0), st.floats(0.2, 3.0)),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(kernel=_KERNELS,
-       # below, at and just above the 64-step leaf, and counts that are not
-       # powers of two, so the split leaves uneven halves
-       steps=st.one_of(st.sampled_from([1, 33, 63, 64, 65, 128, 129, 257, 1025]),
-                       st.integers(2, 600)),
-       T=st.floats(0.5, 8.0),
-       # lam*h on both sides of the Duhamel-weight switch at 1e-2; up to 23
-       # modes, so the FFT products run over more than one column batch
-       small=st.lists(st.floats(1e-4, 9.9e-3), min_size=1, max_size=3),
-       large=st.lists(st.floats(1.01e-2, 0.25), min_size=1, max_size=20))
-def test_fast_history_matches_direct_sum(kernel, steps, T, small, large):
-    """The divide-and-conquer history changes the direct march only by rounding."""
-    tau = np.linspace(0.0, T, steps + 1)
-    lams = np.array(small + large) / tau[1]
-    fast = visco._march_memory(lams, kernel, tau)
-    direct = _march_memory_direct(lams, kernel, tau)
-    assert fast.shape == direct.shape == (lams.size, steps + 1)
-    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-@lru_cache(maxsize=None)
-def interval_64_modes(family):
-    """The 64 interval modes at T = 2.5*pi for polynomial(0.2, 2) or exponential(0.5, 1)."""
-    kernel = (visco.polynomial_kernel(0.2, 2.0) if family == "polynomial"
-              else visco.exponential_kernel(0.5, 1.0))
-    return visco.solve_memory_modes(np.arange(1.0, 65.0), kernel, 2.5 * np.pi)
-
-
-def test_march_scales_to_64_modes():
-    """64 interval modes at T = 2.5*pi: 25,838 steps in about a second.
-
-    The direct O(n^2) history needs minutes for them.  Wall time is not
-    asserted: a slow tier-1 run is what shows a quadratic history's return.
-    """
-    lams = np.arange(1.0, 65.0)
-    modes = interval_64_modes("polynomial")
-    assert modes.tgrid.size == 25839
+def test_closed_form_scales_to_128_modes():
+    """128 interval modes of polynomial(0.2, 2) at T = 2.5*pi: one batched
+    eigendecomposition, sampled on about 2,560 time nodes."""
+    lams = np.arange(1.0, 129.0)
+    modes = visco.solve_memory_modes(lams, visco.polynomial_kernel(0.2, 2.0), 2.5 * np.pi)
+    assert 2560 <= modes.trule.weights.size <= 2592
     assert np.all(np.isfinite(modes.samples))
     assert np.all(modes.terminal_residuals <= 1e-10)
     assert np.all(modes.terminal_slope_residuals <= 1e-8 * lams)
@@ -389,10 +400,9 @@ def test_fit_gamma_preconditions():
 
 
 def _dense_objective(modes, gamma):
-    """sum over the signed modes of lam^2 times the Simpson distance to the reference."""
-    tgrid = modes.tgrid
-    w = simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0]))
-    base = tgrid - tgrid[-1]
+    """sum over the signed modes of lam^2 times the distance on the time rule to the reference."""
+    w = modes.trule.weights
+    base = modes.trule.nodes[:, 0] - modes.T
     lams_signed = np.concatenate([modes.lambdas, -modes.lambdas])
     ref = np.exp(np.outer(gamma + 1j * lams_signed, base))
     return float((lams_signed**2) @ (np.abs(modes.signed() - ref) ** 2 @ w))
@@ -427,7 +437,7 @@ def test_fit_gamma_matches_dense_oracle(kernel, count, low, span, T, probes):
     for key in ("objective", "objective_at_seed"):
         assert abs(info[key] - dense[key]) <= 1e-12 * dense[key], key
     sums = visco._fit_sums(modes)
-    w = simpson_weights(len(modes.tgrid), float(modes.tgrid[1] - modes.tgrid[0]))
+    w = modes.trule.weights
     alpha = 2.0 * float(lams**2 @ (np.abs(modes.samples) ** 2 @ w))
     assert abs(sums.alpha - alpha) <= 1e-12 * alpha
     for re, im in probes:
@@ -437,8 +447,16 @@ def test_fit_gamma_matches_dense_oracle(kernel, count, low, span, T, probes):
 
 
 def test_fit_gamma_traced_peak_stays_below_twice_the_samples():
-    """No (2N x samples) array: numpy reports its allocations to tracemalloc."""
-    modes = interval_64_modes("exponential")
+    """No (2N x nodes) array: numpy reports its allocations to tracemalloc.
+
+    At T = 25*pi the 64 modes hold 12,960 nodes, several blocks of the
+    fit's pass (visco._BLOCK elements), so an array over all of them shows;
+    at T = 2.5*pi one block holds every mode, and the block's own work
+    arrays, about 3.5 times its samples, would exceed the bound.
+    """
+    modes = visco.solve_memory_modes(np.arange(1.0, 65.0),
+                                     visco.exponential_kernel(0.5, 1.0), 25.0 * np.pi)
+    assert modes.samples.size >= 3 * visco._BLOCK
     tracemalloc.start()
     try:
         visco.fit_gamma(modes)
@@ -454,7 +472,8 @@ def test_fit_gamma_does_not_follow_the_last_digits_of_the_samples():
     On these modes the former fit halved its third step 14 times while the
     objective differences sat at rounding level.
     """
-    modes = interval_64_modes("polynomial")
+    modes = visco.solve_memory_modes(np.arange(1.0, 65.0),
+                                     visco.polynomial_kernel(0.2, 2.0), 2.5 * np.pi)
     gamma, info = visco.fit_gamma(modes)
     assert info["halvings"] == 0
     u = np.random.default_rng(11).uniform(-1.0, 1.0, modes.samples.shape)
@@ -541,7 +560,7 @@ def test_q_below_one_at_proof_guided_cutoff():
     rep = visco.closeness_spectrum(modes, gamma)
     c_alpha = estimate_trace_constant(table, brule, 100,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, modes.tgrid)
+    c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, modes.trule, modes.T)
     k = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma, table.lambdas)
     assert 1 <= k <= table.N
     q = visco.paley_wiener_q(table, brule, modes, gamma, k)

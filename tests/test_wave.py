@@ -14,12 +14,11 @@ from observalab.geometry import (
     interval,
     rectangle,
 )
-from observalab.gram import (assemble_exponential_gram, default_time_grid,
-                             lower_bound_constant, simpson_weights)
+from observalab.gram import assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
 from observalab import wave as wv
 
-from flux_sampling import boundary_flux
+from flux_sampling import boundary_flux, simpson_grid, simpson_weights
 
 
 def _setup(dom, N, q=32):
@@ -71,7 +70,7 @@ def _physical_flux_coefficients(table, xi, eta, T):
 def _normal_derivative_trace(table, brule, xi, eta, T):
     """Samples of the physical dw/dnu on boundary_flux's grid, and their norm:
     dw/dnu(x, t) = sum_n [xi_tilde_n cos(lam_n (T-t)) - eta_n sin(lam_n (T-t))] psi_n(x)."""
-    tgrid = default_time_grid(T, float(np.max(table.lambdas)))
+    tgrid = simpson_grid(T, float(np.max(table.lambdas)))
     theta = np.outer(table.lambdas, T - tgrid)
     weights = xi[:, None] * np.cos(theta) - eta[:, None] * np.sin(theta)
     samples = table.psi_matrix(brule)[: table.N].T @ weights
