@@ -20,7 +20,7 @@ import numpy as np
 
 from .cache import ModeCache, cached_modes, resolve_cache_path
 from .config import (CheckFailure, ConfigurationError, NumericalError,
-                     RunConfig, TOLERANCES, default_config, load_config)
+                     RunConfig, default_config, load_config)
 from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
                       random_problem)
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
@@ -37,14 +37,6 @@ LOCK_NAME = ".observalab.lock"
 
 # ----------------------------------------------------------------------
 # shared setup
-
-
-def _apply_tolerance_overrides(config: RunConfig) -> None:
-    # modules read the shared table at call time, so installing the
-    # overrides there makes them effective everywhere (not just in CLI-level
-    # assertions); main puts the table back as it found it
-    for name, value in config.tolerances.items():
-        TOLERANCES[name] = float(value)
 
 
 def _build_tables(config: RunConfig, need_interior: bool = False):
@@ -93,17 +85,17 @@ def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
 
 def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
     domain, table, brule, irule = _build_tables(config, need_interior=True)
-    tol_name = "rellich_disk" if domain.kind == "disk" else "rellich"
+    tol = config.tolerances
     pairings = multiplier_pairings(table, irule)
     reports = rellich_suite(pairings, brule,
                             max_index=min(table.N, 20),
-                            tol=config.tol(tol_name))
+                            tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"])
     reports += antisymmetry_suite(pairings,
                                   max_index=min(table.N, 15),
-                                  tol=config.tol("antisymmetry"))
+                                  tol=tol["antisymmetry"])
     rng = np.random.default_rng(config.seed)
     reports += quasi_orthogonality_draws(pairings, config.draws, rng,
-                                         slack=config.tol("quasi_orthogonality"))
+                                         slack=tol["quasi_orthogonality"])
     header = ["label", "lhs", "rhs", "abs_error", "rel_error", "tolerance", "pass"]
     path = write_csv(out / "identities.csv", header, [r.row() for r in reports])
     failed = [r.label for r in reports if not r.passed]
@@ -116,7 +108,7 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
 
 def cmd_riesz(config: RunConfig, out: Path, args) -> None:
     domain, table, brule, _ = _build_tables(config)
-    margin_tol = config.tol("riesz_margin")
+    margin_tol = config.tolerances["riesz_margin"]
     reports = [riesz_bounds_report(table, brule, T, margin_tol=margin_tol)
                for T in config.horizons(2.0 * domain.R)]
     rows = [r.row() for r in reports]
@@ -157,7 +149,7 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
     rows, summaries = [], []
     for T in horizons:
         exp = observability_experiment(table, brule, T, config.draws, rng,
-                                       margin_tol=config.tol("riesz_margin"))
+                                       margin_tol=config.tolerances["riesz_margin"])
         rows += [{"T": T, "draw": i, "ratio": r}
                  for i, r in enumerate(exp["ratios"])]
         summaries.append({k: exp[k] for k in
@@ -204,7 +196,9 @@ def cmd_visco(config: RunConfig, out: Path, args) -> None:
     for spec in config.kernels:
         kernel = _kernel_from_spec(spec)
         try:
-            cert = memory_riesz_certificate(table, brule, kernel, T)
+            cert = memory_riesz_certificate(
+                table, brule, kernel, T,
+                margin_factor=config.tolerances["memory_margin_factor"])
             cert["closeness"] = _closeness_payload(cert["closeness"])
         except (ConfigurationError, NumericalError) as err:
             # keep what already certified; the summary records the breakage
@@ -295,7 +289,8 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         problem = random_problem(table.N, max(horizons),
                                  np.random.default_rng(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
-    rep = control_pipeline(table, brule, problem)
+    rep = control_pipeline(table, brule, problem,
+                           steering_tol=config.tolerances["steering_rel_error"])
     result = {
         "domain": {"kind": domain.kind, "params": list(domain.params)},
         "N": table.N,
@@ -356,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", help="output directory (default from config)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--strict", action="store_true",
-                       help="outside-hypothesis results become failures")
+        if name == "riesz":
+            p.add_argument("--strict", action="store_true",
+                           help="outside-hypothesis results become failures")
         if name == "control":
             p.add_argument("--problem", help="JSON steering problem file")
     return parser
@@ -373,11 +369,9 @@ def _resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    tolerances = dict(TOLERANCES)
     try:
         args = build_parser().parse_args(argv)
         config = _resolve_config(args)
-        _apply_tolerance_overrides(config)
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         lock_path = out / LOCK_NAME
@@ -406,9 +400,6 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 70
-    finally:
-        TOLERANCES.clear()
-        TOLERANCES.update(tolerances)
     return 0
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 
 class ConfigurationError(Exception):
@@ -34,19 +36,17 @@ class CheckFailure(Exception):
     exit_code = 2
 
 
-# Default tolerances; overridable per run through the config file.
-TOLERANCES = {
+# Read-only table of the policy gates' defaults; a run's config file
+# overrides them, and RunConfig.tolerances holds the merged read-only table.
+TOLERANCES = MappingProxyType({
     "rellich": 1e-6,            # identity residual, interval/rectangle
     "rellich_disk": 1e-5,       # relaxed on the disk (Bessel evaluation noise)
     "antisymmetry": 1e-8,
     "quasi_orthogonality": 1e-8,
     "riesz_margin": 1e-6,       # lambda_min >= c_lower - this
-    "flux_gram_rel": 1e-6,
-    "gram_hermitian": 1e-10,
     "steering_rel_error": 1e-3,
-    "visco_terminal": 1e-8,
     "memory_margin_factor": 1e-3,  # lambda_min >= factor * lambda_max
-}
+})
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -128,12 +128,13 @@ class RunConfig:
     )
     draws: int = 200
     seed: int = 1234
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping[str, float] = field(default_factory=dict)
     out_dir: str = "observalab_out"
     cache_path: str | None = None
 
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, TOLERANCES[name]))
+    def __post_init__(self):
+        overrides = {name: float(value) for name, value in self.tolerances.items()}
+        self.tolerances = MappingProxyType({**TOLERANCES, **overrides})
 
     def horizons(self, two_R: float) -> list[float]:
         if self.T_values is not None:

@@ -14,15 +14,18 @@ from .config import NumericalError
 
 # extreme eigenpair residuals must stay below this fraction of ||G||
 EIGEN_RESIDUAL_GATE = 1e-8
+# max |A - A^H| must stay below this fraction of max(1, max |A|)
+HERMITIAN_GATE = 1e-10
 
 
-def _check_hermitian(a: np.ndarray, tol: float = 1e-10) -> None:
-    # NaN would slip through the deviation test below (nan > tol is False)
+def _check_hermitian(a: np.ndarray) -> None:
+    """The finite-and-Hermitian gate of every Gram and eigensolver input."""
+    # NaN would slip through the deviation test below (nan > gate is False)
     if not np.all(np.isfinite(a)):
-        raise NumericalError("solver input has non-finite entries")
+        raise NumericalError("matrix has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))
     scale = max(1.0, float(np.max(np.abs(a))))
-    if dev > tol * scale:
+    if dev > HERMITIAN_GATE * scale:
         raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 

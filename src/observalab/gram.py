@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigurationError, NumericalError, TOLERANCES
-from .eigen import EIGEN_RESIDUAL_GATE, extreme_eigen_report
+from .config import ConfigurationError, NumericalError
+from .eigen import EIGEN_RESIDUAL_GATE, _check_hermitian, extreme_eigen_report
 from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
 
@@ -89,16 +89,8 @@ class GramMatrix:
     N: int
 
     def __post_init__(self):
-        m = self.matrix
-        # NaN would pass both gates below (comparisons with NaN are False)
-        if not np.all(np.isfinite(m)):
-            raise NumericalError("Gram matrix has non-finite entries")
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if herm > TOLERANCES["gram_hermitian"] * scale:
-            raise NumericalError(f"Gram matrix not Hermitian (deviation {herm:.3e})")
-        diag = np.real(np.diagonal(m))
-        if np.any(diag <= 0):
+        _check_hermitian(self.matrix)
+        if np.any(np.real(np.diagonal(self.matrix)) <= 0):
             raise NumericalError("Gram diagonal must be positive")
 
     def quad_form(self, a: np.ndarray) -> np.ndarray:

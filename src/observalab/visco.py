@@ -31,7 +31,7 @@ iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
 objective sum_n lam_n^2 * sum_t w_t |Z_nt - exp((gamma + i*lam_n) b_t)|^2
 (b = t - T) depends on the modes only through alpha = sum lam^2 w |Z|^2 and
 one real series C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i*lam_n*b_t)), so
-one blocked pass over the modes makes every Gauss-Newton step O(nodes).
+one blocked pass over the modes makes every Newton step O(nodes).
 A step is halved only against a rise above the objective's rounding scale,
 and the fit stops when the step falls to 1e-13 * max(1, |gamma|); so its
 iterations do not depend on the last digits of the samples.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigurationError, NumericalError, TOLERANCES
+from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
 from .geometry import QuadratureRule, time_rule
 from .gram import assemble_exponential_gram, sampled_gram_matrix
@@ -103,9 +103,6 @@ class MemoryKernel:
         if self.family == "exponential":
             return self.m0 * np.exp(-self.delta * s)
         return self.m0 * (1.0 + s) ** (-self.p)
-
-    def at_zero(self) -> float:
-        return float(np.atleast_1d(self(0.0))[0])
 
     @property
     def is_zero(self) -> bool:
@@ -330,6 +327,11 @@ def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np
     return v.T
 
 
+# gates on each mode's terminal data: |v(T) - 1| and |v'(T) - i lam| / lam
+TERMINAL_VALUE_GATE = 1e-10
+TERMINAL_SLOPE_GATE = 1e-8
+
+
 def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
     """Solve every positive frequency backwards from unit terminal data.
 
@@ -358,9 +360,9 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
     residuals = np.abs(values - 1.0)
     slope_residuals = np.abs(slopes - 1j * lams)
     for lam, value, slope in zip(lams, residuals, slope_residuals):
-        if value > 1e-10:
+        if value > TERMINAL_VALUE_GATE:
             raise NumericalError(f"terminal value off by {value:.3e} at lam = {lam:g}")
-        if slope > TOLERANCES["visco_terminal"] * lam:
+        if slope > TERMINAL_SLOPE_GATE * lam:
             raise NumericalError(f"terminal slope off by {slope:.3e} at lam = {lam:g}")
     return MemoryModes(lams, float(T), trule, samples, kernel, residuals, slope_residuals)
 
@@ -418,7 +420,7 @@ def _fit_sums(modes: MemoryModes) -> _FitSums:
     """
     lams, Z, w = modes.lambdas, modes.samples, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    seed = -modes.kernel.at_zero() / 2.0
+    seed = -modes.kernel.m0 / 2.0
     seed_shift = np.exp(seed * base)
     mean = np.zeros(base.size, dtype=complex)
     direct = 0.0
@@ -444,7 +446,7 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
     Minimizes F(gamma) = sum_n lam_n^2 * d_n(gamma) over the signed system
     (the negative-frequency partners are the conjugate modes) by damped
-    Gauss-Newton, where d_n is the L2 distance on the time rule between the mode
+    Newton steps, where d_n is the L2 distance on the time rule between the mode
     and exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps the
     objective symmetric under gamma -> conj(gamma) for real kernels, so
     the fit cannot trade a spurious global frequency shift against the
@@ -467,12 +469,15 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     iteration sums the changes of F, in which alpha cancels exactly, as
     changes of R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2)
     (_FitSums.far), and J^H r as -L sum_t w_t b_t conj(e_t) (Re y_t - e_t):
-    neither cancels against alpha.  A step is halved only when F rises by
+    neither cancels against alpha.  gamma stays real (so are the seed and
+    every step), where J^H r = R'/2 and c = L sum_t w_t b_t^2 e_t (2 e_t -
+    Re y_t) = R''/2: the step is Newton's, -J^H r / c, while c > 0, else
+    -J^H r / J^H J; Gauss-Newton alone crawls on large-residual fits.
+    A step is halved only when F rises by
     more than its rounding scale _FIT_ROUNDING * (alpha + L sum_t w_t |e_t|^2),
     and the iteration stops on the step size alone, at most
-    1e-13 * max(1, |gamma|): where Gauss-Newton converges slowly, F drops by
-    less than its rounding scale while gamma is still up to ~1e-9 from the
-    minimum.  objective_at_seed is summed directly, and objective is it plus
+    1e-13 * max(1, |gamma|): near the minimum F drops by less than its
+    rounding scale while gamma may still be up to ~1e-9 from it.  objective_at_seed is summed directly, and objective is it plus
     the change of R from the seed; a seed whose direct objective is exactly
     0 (a zero kernel) is returned as it is.  halvings counts the steps halved against a real rise.
     """
@@ -497,7 +502,8 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
         if jtj == 0.0:
             raise NumericalError("degenerate decay-rate fit (zero Jacobian)")
         jtr = -L * complex(wb @ (np.conj(e) * (sums.mean.real - e)))
-        step = -jtr / jtj
+        curvature = L * float(np.real(wb2 @ (e * (2.0 * e - sums.mean.real))))
+        step = -jtr / (curvature if curvature > 0.0 else jtj)
         noise = _FIT_ROUNDING * (alpha + L * float(w @ e2))
         # damped acceptance: halve only against a real rise
         trial = sums.far(gamma + step)
@@ -705,7 +711,8 @@ def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
 
 
 def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
-                             kernel: MemoryKernel, T: float) -> dict:
+                             kernel: MemoryKernel, T: float, *,
+                             margin_factor: float) -> dict:
     """Certify the lower/upper Riesz bounds of the memory trace system.
 
     Assembles the sampled Gram of { z_n(t) psi_n(x) } over the signed
@@ -730,7 +737,6 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
     G = sampled_gram_matrix(table, brule, modes.signed(), modes.trule)
     evals, _ = jacobi_eigh(G, need_vectors=False)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
-    margin_factor = TOLERANCES["memory_margin_factor"]
     margin_ok = lam_min >= margin_factor * lam_max
 
     wave = assemble_exponential_gram(table, brule, T)

@@ -15,7 +15,7 @@ from observalab import cli, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
-from observalab.config import CONFIG_SCHEMA, TOLERANCES
+from observalab.config import CONFIG_SCHEMA, TOLERANCES, config_from_dict
 from observalab.geometry import disk, interval
 from observalab.modes import ModeTable
 from observalab.reports import strip_timestamp
@@ -176,17 +176,33 @@ def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
     assert len(psi_calls) == 1
 
 
-def test_tolerance_overrides_reach_observe_and_are_undone(tmp_path):
-    """A flux_gram_rel far below rounding fails observe's sampled-flux check
-    (exit 70), and main leaves the shared table as it found it."""
-    defaults = dict(TOLERANCES)
-    cfg = _write_config(tmp_path, tolerances={"flux_gram_rel": 1e-300})
-    try:
-        assert _run("observe", "--config", str(cfg)) == 70
-        assert TOLERANCES == defaults
-    finally:
-        TOLERANCES.clear()
-        TOLERANCES.update(defaults)
+def test_tolerance_overrides_reach_control_and_visco_and_end_with_the_run(tmp_path):
+    """A steering_rel_error far below rounding fails control's steering check
+    and a memory_margin_factor above any lambda_min / lambda_max fails the
+    memory certificate (exit 2); a default run in the same process passes."""
+    cfg = _write_config(tmp_path)
+    assert _run("riesz", "--config", str(cfg)) == 0
+    for cmd, override in (("control", {"steering_rel_error": 1e-300}),
+                          ("visco", {"memory_margin_factor": 2.0})):
+        _write_config(tmp_path, tolerances=override)
+        assert _run(cmd, "--config", str(cfg)) == 2, cmd
+        _write_config(tmp_path)
+        assert _run(cmd, "--config", str(cfg)) == 0, cmd
+
+
+def test_tolerances_are_read_only_policy_defaults():
+    assert dict(TOLERANCES) == {
+        "rellich": 1e-6, "rellich_disk": 1e-5, "antisymmetry": 1e-8,
+        "quasi_orthogonality": 1e-8, "riesz_margin": 1e-6,
+        "steering_rel_error": 1e-3, "memory_margin_factor": 1e-3}
+    with pytest.raises(TypeError):
+        TOLERANCES["rellich"] = 1.0
+    config = config_from_dict({"domain": {"kind": "interval", "length": 1.0}, "N": 3,
+                               "tolerances": {"rellich": 1e-3}})
+    assert config.tolerances == {**TOLERANCES, "rellich": 1e-3}
+    with pytest.raises(TypeError):
+        config.tolerances["rellich"] = 1.0
+    assert TOLERANCES["rellich"] == 1e-6
 
 
 _SIZES = st.floats(1e-3, 1e3)
@@ -228,7 +244,8 @@ _KERNELS = st.lists(st.one_of(
        # keep their rules to a few thousand nodes at N <= 12
        factors=st.lists(st.floats(0.5, 10.0), min_size=1, max_size=2))
 def test_schema_valid_configs_exit_with_a_documented_code(raw, kernels, factors):
-    """spectrum, riesz, observe and visco on any schema-valid config exit
+    """spectrum, verify-identities, riesz, control (after riesz, in the same
+    output directory), observe and visco on any schema-valid config exit
     0, 2, 64 or 70."""
     timed = {key: value for key, value in raw.items() if key != "T_values"}
     timed.update(kernels=kernels, T_factors=factors)
@@ -238,7 +255,7 @@ def test_schema_valid_configs_exit_with_a_documented_code(raw, kernels, factors)
         paths = {"out_dir": str(Path(tmp) / "out"), "cache_path": str(Path(tmp) / "cache.json")}
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps({**raw, **paths}))
-        for cmd in ("spectrum", "riesz"):
+        for cmd in ("spectrum", "verify-identities", "riesz", "control"):
             assert _run(cmd, "--config", str(cfg)) in (0, 2, 64, 70), (cmd, raw)
         cfg.write_text(json.dumps({**timed, **paths}))
         for cmd in ("observe", "visco"):
@@ -328,7 +345,11 @@ def test_malformed_config_exit_64(tmp_path):
     {"tolerances": {"eigen_residual": 1e-8}},
     {"tolerances": {"orthonormality": 1e-8}},
     {"tolerances": {"pcg_rel_residual": 1e-10}},
-], ids=["lambda_range", "eigen_residual", "orthonormality", "pcg_rel_residual"])
+    {"tolerances": {"gram_hermitian": 1e-10}},
+    {"tolerances": {"flux_gram_rel": 1e-6}},
+    {"tolerances": {"visco_terminal": 1e-8}},
+], ids=["lambda_range", "eigen_residual", "orthonormality", "pcg_rel_residual",
+        "gram_hermitian", "flux_gram_rel", "visco_terminal"])
 def test_removed_config_knobs_exit_64(tmp_path, removed):
     cfg = _write_config(tmp_path, N=3, **removed)
     assert _run("spectrum", "--config", str(cfg)) == 64
@@ -440,7 +461,8 @@ def test_visco_summary_written_even_when_a_kernel_cannot_fit(tmp_path):
     ("nosuch",),
     ("riesz", "--seed", "abc"),
     ("spectrum", "--jobs", "2"),
-], ids=["unknown-flag", "unknown-command", "bad-seed", "removed-jobs"])
+    ("observe", "--strict"),
+], ids=["unknown-flag", "unknown-command", "bad-seed", "removed-jobs", "strict-off-riesz"])
 def test_usage_errors_exit_64(tmp_path, argv, capsys):
     cfg = _write_config(tmp_path, N=3)
     assert _run(*argv, "--config", str(cfg)) == 64

@@ -131,8 +131,7 @@ def test_duhamel_kernels_match_quadrature():
     # mu = lam and mu = -lam rows hit both resonant denominators exactly
     mu = np.array([1.0, -3.0, 2.2, 7.5])
     s = np.linspace(0.0, T, 20001)
-    Kp = C.duhamel_position(lam, mu, T)
-    Kv = C.duhamel_velocity(lam, mu, T)
+    Kp, Kv = C.duhamel_kernels(lam, mu, T)
     for i, l in enumerate(lam):
         for j, m in enumerate(mu):
             ip = simpson(np.sin(l * (T - s)) / l * np.exp(1j * m * s), x=s)
@@ -166,7 +165,7 @@ def test_zero_control_gives_free_rotation():
 def test_steering_interval_ten_modes():
     dom, table, brule = _setup(10)
     prob = C.random_problem(10, 2 * np.pi, np.random.default_rng(42))
-    rep = C.control_pipeline(table, brule, prob)
+    rep = C.control_pipeline(table, brule, prob, steering_tol=1e-3)
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-3
     assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
@@ -176,7 +175,7 @@ def test_steering_interval_ten_modes():
 def test_steering_nonorthogonal_horizon():
     dom, table, brule = _setup(10)
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(3))
-    rep = C.control_pipeline(table, brule, prob)
+    rep = C.control_pipeline(table, brule, prob, steering_tol=1e-3)
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-6
     assert rep["bound_ok"]
@@ -218,8 +217,8 @@ def test_longer_horizon_strengthens_certificate():
     double = C.ControlProblem(base.position0, base.velocity0,
                               base.target_position, base.target_velocity,
                               2 * base.T)
-    r1 = C.control_pipeline(table, brule, base)
-    r2 = C.control_pipeline(table, brule, double)
+    r1 = C.control_pipeline(table, brule, base, steering_tol=1e-3)
+    r2 = C.control_pipeline(table, brule, double, steering_tol=1e-3)
     assert r2["c_lower"] > r1["c_lower"]
     assert r1["bound_ok"] and r2["bound_ok"]
 
