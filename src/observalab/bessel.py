@@ -1,12 +1,14 @@
 """Self-contained Bessel-function engine: J_m evaluation and positive zeros.
 
 Only what the disk eigenpairs need: integer orders 0 <= m <= MAX_ORDER (60)
-and arguments 0 <= x <= MAX_ARG (500).  Two evaluation branches:
+and arguments 0 <= x <= MAX_ARG (500); the order may be an integer array
+that broadcasts against x.  A call makes one series sweep and one backward
+sweep over all of its entries, each entry with its own order:
 
 * ascending power series where its terms are monotone or nearly so
   (x <= max(12, 2*sqrt(m+1))), so float64 cancellation stays below ~5 digits;
-* Miller's backward recurrence with the even-order normalization
-  J_0 + 2*sum_k J_{2k} = 1 everywhere else.
+* Miller's backward recurrence (Gautschi, SIAM Review 9, 1967) with the
+  even-order normalization J_0 + 2*sum_k J_{2k} = 1 everywhere else.
 
 Zeros j_{m,k} come from Newton iteration safeguarded by a bisection bracket.
 Row m = 0 starts from McMahon's expansion (DLMF 10.21.19); each row m >= 1
@@ -35,100 +37,116 @@ _STEP_FLOOR = 64.0 * np.finfo(float).eps
 _MAX_NEWTON = 100
 
 _SERIES_TERMS = 80
+_BLOCK = 8          # series terms / recurrence steps between convergence or overflow checks
+# A step at x > 12 grows a trial value < 2 * 563 / 12 + 1 < 2^7-fold, so one checked
+# below _HUGE stays finite for _BLOCK steps; scaling by 1/_HUGE = 2^-830 is exact.
+_HUGE = 2.0 ** 830
 
 
-def _series_region(m: int, x: np.ndarray) -> np.ndarray:
-    return x <= max(12.0, 2.0 * np.sqrt(m + 1.0))
+def _bessel(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_m(x) entrywise for integer orders m >= 0 and arguments x >= 0 of one
+    shape, without range checks: one series sweep and one Miller sweep, each
+    over all of its entries with every entry's own order."""
+    out = np.empty(x.shape)
+    ser = x <= np.maximum(12.0, 2.0 * np.sqrt(m + 1.0))
+    if np.any(ser):
+        out[ser] = _series(m[ser], x[ser])
+    rec = ~ser
+    if np.any(rec):
+        out[rec] = _miller(m[rec], x[rec])
+    return out
 
 
-def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
+def _series(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ascending series sum_j (-1)^j (x/2)^{m+2j} / (j! (m+j)!)."""
-    x = np.asarray(x, dtype=float)
     half = 0.5 * x
     # term_0 = (x/2)^m / m!, accumulated in log-free form to avoid overflow
-    # (region limits keep (x/2)^m / m! finite for m <= 60).
+    # (region limits keep (x/2)^m / m! finite for m <= 61).
     term = np.ones_like(half)
-    for i in range(1, m + 1):
-        term = term * half / i
+    for i in range(1, int(np.max(m)) + 1):
+        term = np.where(i <= m, term * half / i, term)
     total = term.copy()
+    minus_half_sq = -(half * half)
     for j in range(1, _SERIES_TERMS):
-        term = term * (-(half * half) / (j * (m + j)))
+        term = term * (minus_half_sq / (j * (m + j)))
         total += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
+        # a converged entry's later terms are below half an ulp of its total
+        if j % _BLOCK == 0 and np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
             break
     return total
 
 
-def _bessel_miller(m_wanted: int, x: np.ndarray, extra_orders: int = 0) -> np.ndarray:
-    """Backward recurrence normalized by J_0 + 2*sum J_{2k} = 1.
+def _miller(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Backward recurrence normalized by J_0 + 2*sum J_{2k} = 1, all entries
+    (x > 0) in one sweep started above the largest order and argument.
 
-    Vectorized over x (all entries must be positive).  Returns J_{m_wanted}(x);
-    with extra_orders > 0 the caller gets a stacked array of orders
-    m_wanted .. m_wanted+extra_orders (used for derivative formulas).
+    Entries are sorted by order, so each step records its order as a slice.
+    Far above a small argument the trial values grow by ~2 nu / x per step
+    (e^1854 from nu = 563 down to x = 15.6), so every _BLOCK steps the
+    entries past _HUGE are scaled down.
     """
-    x = np.asarray(x, dtype=float)
-    top = int(max(m_wanted + extra_orders, np.ceil(np.max(x))))
+    by_order = np.argsort(m, kind="stable")
+    m, x = m[by_order], x[by_order]
+    top = int(max(m[-1], np.ceil(np.max(x))))
     start = top + 18 + int(np.ceil(2.0 * np.sqrt(top + 1.0)))
+    bounds = np.searchsorted(m, np.arange(start + 1)).tolist()   # order o: [o]:[o + 1]
     jp = np.zeros_like(x)          # J_{nu+1} trial
     jc = np.full_like(x, 1e-30)    # J_{nu} trial
     norm = np.zeros_like(x)
-    wanted = np.zeros((extra_orders + 1,) + x.shape)
+    wanted = np.zeros_like(x)
     for nu in range(start, 0, -1):
-        jm = (2.0 * nu / x) * jc - jp
-        jp, jc = jc, jm
-        # rescale to dodge overflow of the unnormalized recurrence
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            jc = np.where(big, jc * 1e-250, jc)
-            jp = np.where(big, jp * 1e-250, jp)
-            norm = np.where(big, norm * 1e-250, norm)
-            sel = (nu - 1) <= np.arange(m_wanted, m_wanted + extra_orders + 1)
-            wanted[sel] *= np.where(big, 1e-250, 1.0)
+        jp, jc = jc, (2.0 * nu / x) * jc - jp
         order = nu - 1
         if order % 2 == 0 and order > 0:
             norm += 2.0 * jc
-        if m_wanted <= order <= m_wanted + extra_orders:
-            wanted[order - m_wanted] = jc
+        span = slice(bounds[order], bounds[nu])
+        wanted[span] = jc[span]
+        if nu % _BLOCK == 0:
+            big = np.abs(jc) + np.abs(jp) > _HUGE
+            if np.any(big):
+                scale = np.where(big, 1.0 / _HUGE, 1.0)
+                jc, jp, norm, wanted = jc * scale, jp * scale, norm * scale, wanted * scale
     norm += jc  # J_0 contribution
-    result = wanted / norm
-    return result[0] if extra_orders == 0 else result
+    out = np.empty_like(x)
+    out[by_order] = wanted / norm
+    return out
 
 
-def _bessel_eval(m: int, x) -> np.ndarray | float:
-    """J_m(x) by series or Miller recurrence, without range checks."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    ser = _series_region(m, arr)
-    if np.any(ser):
-        out[ser] = _bessel_series(m, arr[ser])
-    rec = ~ser
-    if np.any(rec):
-        out[rec] = _bessel_miller(m, arr[rec])
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def bessel_j(m: int, x) -> np.ndarray | float:
-    """J_m(x) for integer order 0 <= m <= 60 and 0 <= x <= 500.
-
-    Relative accuracy ~1e-10 away from zeros (absolute near zeros).
-    Accepts scalars or arrays.
-    """
-    if not (0 <= m <= MAX_ORDER):
-        raise ConfigurationError(f"Bessel order {m} outside supported range [0, {MAX_ORDER}]")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > MAX_ARG):
+def _checked(m, x) -> tuple[np.ndarray, np.ndarray]:
+    m = np.asarray(m)
+    x = np.asarray(x, dtype=float)
+    if m.dtype.kind not in "iu" or np.any(m < 0) or np.any(m > MAX_ORDER):
+        raise ConfigurationError(
+            f"Bessel order {m} outside supported range [0, {MAX_ORDER}] of integers")
+    if np.any(x < 0) or np.any(x > MAX_ARG):
         raise ConfigurationError("Bessel argument outside supported range [0, 500]")
-    return _bessel_eval(m, arr)
+    return np.broadcast_arrays(m, x)
 
 
-def bessel_jp(m: int, x) -> np.ndarray | float:
-    """Derivative J_m'(x) via J_m' = (J_{m-1} - J_{m+1})/2, J_0' = -J_1."""
-    if m == 0:
-        return -bessel_j(1, x)
-    lo = bessel_j(m - 1, x)
-    # bessel_j(m - 1, x) has checked x; order MAX_ORDER + 1 is needed here
-    hi = bessel_j(m + 1, x) if m + 1 <= MAX_ORDER else _bessel_eval(m + 1, x)
-    return 0.5 * (lo - hi)
+def bessel_j(m, x) -> np.ndarray | float:
+    """J_m(x) for integer orders 0 <= m <= 60 and arguments 0 <= x <= 500.
+
+    m is an int or an integer array that broadcasts against x, so one call
+    evaluates many orders at once.  Relative accuracy ~1e-10 away from zeros
+    (absolute near zeros).  A float when m and x are both scalars.
+    """
+    out = _bessel(*_checked(m, x))
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_j_and_jp(m, x) -> tuple:
+    """J_m(x) and J_m'(x) = (J_{m-1}(x) - J_{m+1}(x))/2, with J_{-1} = -J_1,
+    from one evaluation over the orders (|m-1|, m, m+1); m and x as in
+    bessel_j."""
+    m, x = _checked(m, x)
+    lo, j, hi = _bessel(np.stack([np.abs(m - 1), m, m + 1]), np.stack([x, x, x]))
+    jp = 0.5 * (np.where(m == 0, -lo, lo) - hi)
+    return (float(j), float(jp)) if x.ndim == 0 else (j, jp)
+
+
+def bessel_jp(m, x) -> np.ndarray | float:
+    """Derivative J_m'(x); m and x as in bessel_j."""
+    return bessel_j_and_jp(m, x)[1]
 
 
 def _mcmahon_guess(m: int, k: int) -> float:
@@ -144,36 +162,6 @@ def _mcmahon_guess(m: int, k: int) -> float:
     )
 
 
-def _j_and_jp(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J_m and J_m' in one pass (one shared backward recurrence)."""
-    x = np.asarray(x, dtype=float)
-    j = np.empty_like(x)
-    jp = np.empty_like(x)
-    ser = _series_region(max(m - 1, 0), x)
-    if np.any(ser):
-        xs = x[ser]
-        if m == 0:
-            j[ser] = _bessel_series(0, xs)
-            jp[ser] = -_bessel_series(1, xs)
-        else:
-            lo = _bessel_series(m - 1, xs)
-            hi = _bessel_series(m + 1, xs)
-            j[ser] = _bessel_series(m, xs)
-            jp[ser] = 0.5 * (lo - hi)
-    rec = ~ser
-    if np.any(rec):
-        xr = x[rec]
-        if m == 0:
-            stack = _bessel_miller(0, xr, extra_orders=1)
-            j[rec] = stack[0]
-            jp[rec] = -stack[1]
-        else:
-            stack = _bessel_miller(m - 1, xr, extra_orders=2)
-            j[rec] = stack[1]
-            jp[rec] = 0.5 * (stack[0] - stack[2])
-    return j, jp
-
-
 def _refine_zero_row(m: int, lo: np.ndarray, hi: np.ndarray,
                      guess: np.ndarray) -> tuple[np.ndarray, int]:
     """Newton clamped to sign-change brackets, vectorized over a row.
@@ -186,7 +174,7 @@ def _refine_zero_row(m: int, lo: np.ndarray, hi: np.ndarray,
     x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     done = np.zeros(x.shape, dtype=bool)
     for iteration in range(1, _MAX_NEWTON + 1):
-        f, fp = _j_and_jp(m, x)
+        f, fp = bessel_j_and_jp(m, x)
         same = (f > 0) == (flo > 0)
         lo = np.where(same, x, lo)
         flo = np.where(same, f, flo)

@@ -17,7 +17,9 @@ from .modes import ModeTable, enumerate_modes, table_from_dict
 
 # 2: disk zeros changed in their last bits and the Bessel zero table left
 # the file (it is rebuilt with the mode table it serves)
-SCHEMA_VERSION = 2
+# 3: disk norm_const changed in their last bits (J_m'(j_{m,k}) of all modes
+# now comes from one Miller sweep, started above the largest zero)
+SCHEMA_VERSION = 3
 DEFAULT_CACHE_NAME = "observalab_cache.json"
 
 __all__ = ["SCHEMA_VERSION", "ModeCache", "resolve_cache_path", "cached_modes"]

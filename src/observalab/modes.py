@@ -17,8 +17,9 @@ ModeTable has three pure evaluators, each over all N modes at once:
 phi_matrix (N, k) and grad_phi_matrix (N, k, d) at interior points, and
 psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
 with the mirror rows appended.  On the interval and rectangle they broadcast
-over the multi-index; on the disk phi and grad phi evaluate J_m (and J_m')
-once per mode, and psi needs no Bessel evaluation at all.
+over the multi-index; on the disk phi and grad phi take J_m (and J_m') from
+one Bessel call at each distinct (m, k) and radius (the cos and sin modes
+share them, a polar grid repeats radii), and psi needs no Bessel evaluation.
 
 The disk's modes come from a Bessel zero table sized by the Weyl law and
 then proven to hold the N smallest zeros (see _proven_smallest_zeros).
@@ -84,9 +85,7 @@ class ModeTable:
                     * np.sin(q * np.pi * pts[:, 1] / b))
         r, theta = self._polar(pts)
         angular, _ = self._disk_angular(theta)
-        jm = np.array([bessel.bessel_j(mode.multi_index[0], mode.lam * r)
-                       for mode in self.modes])
-        return norm * jm * angular
+        return norm * self._disk_radial(r, bessel.bessel_j) * angular
 
     def grad_phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradients of every phi_n at the points, shape (N, k, d)."""
@@ -109,23 +108,15 @@ class ModeTable:
             gy = (norm * (q * np.pi / b)) * sx * cy
             return np.stack([gx, gy], axis=-1)
         r, theta = self._polar(pts)
+        # J_m(0) = 0 for m >= 1 zeroes the angular term at the centre; its limit is
+        # nonzero for m = 1, but the quadrature never samples r = 0
         safe_r = np.where(r > 1e-300, r, 1.0)
         ct, st = np.cos(theta), np.sin(theta)
         angular, d_angular = self._disk_angular(theta)
-        out = np.empty((self.N, len(pts), 2))
-        for i, mode in enumerate(self.modes):
-            m = mode.multi_index[0]
-            jm = bessel.bessel_j(m, mode.lam * r)
-            jmp = bessel.bessel_jp(m, mode.lam * r)
-            dr = norm[i, 0] * mode.lam * jmp * angular[i]
-            dth_over_r = norm[i, 0] * jm * d_angular[i] / safe_r
-            if m >= 1:
-                # at the center J_m(0)=0 so the angular term is 0/0; its limit is
-                # finite only for m=1 and the quadrature never samples r=0 exactly
-                dth_over_r = np.where(r > 1e-300, dth_over_r, 0.0)
-            out[i, :, 0] = dr * ct - dth_over_r * st
-            out[i, :, 1] = dr * st + dth_over_r * ct
-        return out
+        jm, jmp = self._disk_radial(r, bessel.bessel_j_and_jp)
+        dr = norm * self.lambdas[:, None] * jmp * angular
+        dth_over_r = norm * jm * d_angular / safe_r
+        return np.stack([dr * ct - dth_over_r * st, dr * st + dth_over_r * ct], axis=-1)
 
     def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
         """Signed traces on a boundary rule, shape (2N, k): rows follow the
@@ -149,6 +140,15 @@ class ModeTable:
         angular_measure = np.where(m == 0, 2.0 * np.pi, np.pi)
         angular, _ = self._disk_angular(theta)
         return (-1.0) ** k * np.sqrt(2.0 / angular_measure) / rho * angular
+
+    def _disk_radial(self, r: np.ndarray, function) -> np.ndarray:
+        """function(m, lambda r) of every disk mode at radii r, (..., N, k),
+        from one call at each distinct (m, k) and distinct radius."""
+        m, k = self._index_column(0)[:, 0], self._index_column(1)[:, 0]
+        pair_rep, pair_of = _distinct(m * (bessel.MAX_RANK + 1) + k)
+        radius_rep, radius_of = _distinct(r)
+        values = function(m[pair_rep, None], self.lambdas[pair_rep, None] * r[radius_rep])
+        return np.asarray(values)[..., pair_of[:, None], radius_of]
 
     def _index_column(self, c: int) -> np.ndarray:
         """Column c of the multi-indices as an (N, 1) array."""
@@ -188,6 +188,16 @@ class ModeTable:
                 for m in self.modes
             ],
         }
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one occurrence of each distinct value, and for every value
+    the position of its own among them (np.unique would import numpy.ma)."""
+    order = np.argsort(values, kind="stable")
+    new = np.diff(values[order], prepend=-np.inf) != 0
+    of = np.empty(len(values), dtype=int)
+    of[order] = np.cumsum(new) - 1
+    return order[new], of
 
 
 def _zero_table_shape(reach: float) -> tuple[int, int]:
@@ -282,9 +292,7 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
         zeros = _smallest_disk_zeros(N)
         jmk = np.array([z for z, _ in zeros])
         order = np.array([mi[0] for _, mi in zeros])
-        jp = np.empty(N)
-        for m in set(order.tolist()):     # np.unique would import numpy.ma (1 MB)
-            jp[order == m] = bessel.bessel_jp(m, jmk[order == m])
+        jp = bessel.bessel_jp(order, jmk)
         angular_measure = np.where(order == 0, 2.0 * np.pi, np.pi)
         norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
         for rank, ((z, mi), c) in enumerate(zip(zeros, norm), start=1):

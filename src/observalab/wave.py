@@ -113,7 +113,8 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
         "lambda_min": spec["lambda_min"],
         "lambda_max": spec["lambda_max"],
         "min_ratio": float(np.min(ratios)),
-        "median_ratio": float(np.median(ratios)),
+        # np.median's middle value(s) from a sort; np.median imports numpy.ma (~11 ms, 1 MB)
+        "median_ratio": float(np.sort(ratios)[[(draws - 1) // 2, draws // 2]].mean()),
         "adversarial_ratio": adv_ratio,
         "flux_gram_rel_errors": cross_errors,
         "ratios": ratios,

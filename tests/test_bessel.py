@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from observalab.bessel import (
     MAX_ARG,
     MAX_RANK,
     BesselZeroTable,
     bessel_j,
+    bessel_j_and_jp,
     bessel_jp,
 )
 from observalab.config import ConfigurationError
@@ -23,6 +26,28 @@ def test_values_match_scipy_across_orders():
         # relative where the function is not near a zero, absolute otherwise
         err = np.abs(mine - ref)
         assert np.all(err <= 1e-10 * np.abs(ref) + 1e-12), f"order {m}"
+
+
+def _close(mine, ref):
+    return np.all(np.abs(mine - ref) <= 1e-10 * np.abs(ref) + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.floats(0.0, 500.0)), max_size=30))
+def test_stacked_orders_match_scipy(entries):
+    """One call over mixed orders and arguments: x = 500 starts the backward
+    recurrence near nu = 563, far above the small arguments, which must then
+    be rescaled on the way down; x = 0 takes the series."""
+    entries += [(0, 0.0), (7, 0.0), (60, 500.0), (0, 15.6), (60, 15.7), (3, 12.5)]
+    m = np.array([order for order, _ in entries])
+    x = np.array([arg for _, arg in entries])
+    j, jp = bessel_j_and_jp(m, x)
+    assert _close(j, sp.jv(m, x)) and _close(jp, sp.jvp(m, x))
+    assert j[-6] == 1.0 and j[-5] == 0.0
+    assert np.array_equal(bessel_j(m, x), j) and np.array_equal(bessel_jp(m, x), jp)
+    # a column of orders against a row of arguments broadcasts to a table
+    table = bessel_j(m[:, None], x[None, -8:])
+    assert table.shape == (len(m), min(8, len(m))) and _close(table, sp.jv(m[:, None], x[-8:]))
 
 
 def test_values_near_origin_and_small_x():

@@ -2,6 +2,9 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -121,6 +124,40 @@ def test_full_pipeline_interval_exit_zero(tmp_path):
     for exp in observe["experiments"]:
         errors = exp["flux_gram_rel_errors"]
         assert len(errors) == 3 and max(errors) <= 1e-6
+
+
+_ALL_COMMANDS_SCRIPT = """
+import json, math, sys
+from pathlib import Path
+from observalab import cli
+out = Path(sys.argv[1])
+domains = [{"kind": "interval", "length": math.pi},
+           {"kind": "rectangle", "widths": [math.pi, 2.0]},
+           {"kind": "disk", "radius": 1.0}]
+codes = []
+for domain in domains:
+    run = out / domain["kind"]
+    run.mkdir()
+    cfg = run / "config.json"
+    cfg.write_text(json.dumps({"domain": domain, "N": 40, "draws": 10, "seed": 3,
+                               "out_dir": str(run / "out"),
+                               "cache_path": str(run / "cache.json")}))
+    for cmd in ("spectrum", "verify-identities", "riesz", "observe", "visco", "control"):
+        codes.append(cli.main([cmd, "--config", str(cfg)]))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """numpy.ma costs every process ~11 ms and 1 MB to import, and np.median
+    and np.unique pull it in; a fresh interpreter that runs every command on
+    every geometry never loads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("OBSERVALAB_CACHE", None)
+    done = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 18, "numpy.ma": False}
 
 
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):

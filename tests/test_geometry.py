@@ -242,6 +242,26 @@ def test_disk_trace_closed_form(rho):
         table.psi_matrix(off)
 
 
+def test_disk_basis_gathers_repeated_radii():
+    """phi and grad phi evaluate J_m once per distinct (m, k) and radius and
+    gather the values back; on shuffled points that repeat radii, include
+    the centre (where the m >= 1 angular term is 0) and repeat one point,
+    the result matches the points taken one at a time."""
+    dom = disk(1.3)
+    table = enumerate_modes(dom, 25)
+    r = np.repeat([0.0, 0.2, 0.65, 1.1, 1.3], 6)
+    theta = np.tile(np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False), 5)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    pts = np.random.default_rng(5).permutation(np.vstack([pts, pts[9]]))
+    phi, grad = table.phi_matrix(pts), table.grad_phi_matrix(pts)
+    centre = ~pts.any(axis=1)
+    assert np.all(np.isfinite(grad))
+    assert not np.any(phi[[m.multi_index[0] >= 1 for m in table.modes]][:, centre])
+    for i, pt in enumerate(pts):
+        assert np.allclose(phi[:, i], table.phi_matrix(pt)[:, 0], rtol=1e-13, atol=1e-13)
+        assert np.allclose(grad[:, i], table.grad_phi_matrix(pt)[:, 0], rtol=1e-13, atol=1e-13)
+
+
 def test_domain_validation():
     with pytest.raises(ConfigurationError):
         interval(-1.0)

@@ -230,4 +230,5 @@ def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
     assert np.allclose([f["ratio"] for f in rep["failures"]], expected[failed],
                        rtol=1e-14, atol=0.0)
     assert rng.normal() == loop_rng.normal()   # the same stream was consumed
+    assert rep["median_ratio"] == np.median(rep["ratios"])
     assert len(rep["flux_gram_rel_errors"]) == min(draws, 3)
