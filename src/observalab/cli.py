@@ -20,7 +20,7 @@ import numpy as np
 
 from .cache import ModeCache, cached_modes, resolve_cache_path
 from .config import (CheckFailure, ConfigurationError, NumericalError,
-                     RunConfig, default_config, load_config)
+                     RunConfig, load_config)
 from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
                       random_problem)
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
@@ -360,12 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        config.seed = int(args.seed)
+    """The flags override the config before its one validation."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.out:
-        config.out_dir = args.out
-    return config
+        overrides["out_dir"] = args.out
+    return load_config(args.config or None, **overrides)
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,22 +22,40 @@ def _stamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def format_cell(value) -> str:
-    """One CSV cell: %.17g floats, re+imj complex, true/false, raw strings."""
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    if isinstance(value, (complex, np.complexfloating)):
-        return "%.17g%+.17gj" % (value.real, value.imag)
+def _format_text(value) -> str:
     text = str(value)
     if any(ch in text for ch in ",\n\r"):
         raise ValueError(f"CSV cell may not contain separators: {text!r}")
     return text
+
+
+def _formatter(kind: type):
+    """The cell formatter for every value of type `kind`."""
+    if kind is type(None):
+        return lambda value: ""
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda value: "true" if value else "false"
+    if issubclass(kind, (int, np.integer)):
+        return "%d".__mod__                     # the int value, as str(int(value))
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g".__mod__
+    if issubclass(kind, (complex, np.complexfloating)):
+        return lambda value: "%.17g%+.17gj" % (value.real, value.imag)
+    return _format_text
+
+
+# the types the artifacts hold, each decided once rather than once per cell
+_FORMATTERS = MappingProxyType({
+    kind: _formatter(kind)
+    for kind in (type(None), bool, np.bool_, int, np.int64, float, np.float64,
+                 complex, np.complex128, str)
+})
+
+
+def format_cell(value) -> str:
+    """One CSV cell: %.17g floats, re+imj complex, true/false, raw strings."""
+    kind = type(value)
+    return (_FORMATTERS.get(kind) or _formatter(kind))(value)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
@@ -44,7 +63,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
     path = Path(path)
     lines = [f"# generated_at: {_stamp()}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(format_cell(row.get(col)) for col in header))
+        lines.append(",".join([format_cell(row.get(col)) for col in header]))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -1,5 +1,6 @@
 """CLI layer: artifacts, exit codes, determinism, cache, lock, prerequisites."""
 
+import copy
 import importlib
 import json
 import os
@@ -18,7 +19,7 @@ from observalab import cli, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
-from observalab.config import CONFIG_SCHEMA, TOLERANCES, config_from_dict
+from observalab.config import CONFIG_SCHEMA, TOLERANCES, config_from_dict, schema_violation
 from observalab.geometry import disk, interval
 from observalab.modes import ModeTable
 from observalab.reports import strip_timestamp
@@ -249,14 +250,22 @@ _DOMAINS = st.one_of(
     st.builds(lambda a, b: {"kind": "rectangle", "widths": [a, b]}, _SIZES, _SIZES),
     st.builds(lambda radius: {"kind": "disk", "radius": radius}, _SIZES),
 )
+
+
+def _integers(low, high):
+    """An integer field, as an int or an integral float such as 6.0: JSON
+    Schema counts both as integers."""
+    return st.integers(low, high).flatmap(lambda n: st.sampled_from([n, float(n)]))
+
+
 _CONFIGS = st.fixed_dictionaries(
-    {"domain": _DOMAINS, "N": st.integers(1, 12)},
+    {"domain": _DOMAINS, "N": _integers(1, 12)},
     optional={
         "T_factors": _HORIZONS,
         "T_values": _HORIZONS,
-        "quadrature_q": st.integers(4, 128),
-        "draws": st.integers(1, 50),
-        "seed": st.integers(0, 2**32),
+        "quadrature_q": _integers(4, 128),
+        "draws": _integers(1, 50),
+        "seed": _integers(0, 2**32),
         "tolerances": st.dictionaries(st.sampled_from(sorted(TOLERANCES)),
                                       st.floats(1e-12, 1e3), max_size=3),
     },
@@ -310,6 +319,141 @@ def test_long_horizon_exits_64_before_sampling_time(tmp_path, capsys):
 
 def test_config_schema_is_valid():
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+# the keywords config.schema_violation interprets, and the annotations it skips
+_INTERPRETED = {"type", "enum", "minimum", "maximum", "exclusiveMinimum", "minItems",
+                "maxItems", "items", "properties", "additionalProperties", "required"}
+_ANNOTATIONS = {"$schema", "description"}
+
+
+def _subschemas(schema):
+    pending = [schema]
+    for node in pending:
+        pending += list(node.get("properties", {}).values())
+        if "items" in node:
+            pending.append(node["items"])
+    return pending
+
+
+def test_config_schema_uses_only_interpreted_keywords():
+    """A schema edit that needs more of JSON Schema than the in-repo
+    interpreter knows fails here rather than being accepted silently."""
+    for node in _subschemas(CONFIG_SCHEMA):
+        assert set(node) <= _INTERPRETED | _ANNOTATIONS, set(node) - _INTERPRETED
+        assert node.get("additionalProperties", False) is False, node
+        assert node.get("type", "object") in {"object", "array", "string", "number",
+                                              "integer"}, node
+        assert isinstance(node.get("items", {}), dict), node
+        # enums are compared with `in`, exact only while every member is a string
+        assert all(isinstance(member, str) for member in node.get("enum", [])), node
+
+
+_SCHEMA_KEYS = sorted({key for node in _subschemas(CONFIG_SCHEMA)
+                       for key in node.get("properties", {})})
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 130), st.integers(-3, 130).map(float),
+              st.sampled_from([2**32, 100000, 100001, 10**400, -10**400]), st.floats(),
+              st.sampled_from(["interval", "rectangle", "disk", "zero", "exponential"]),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(_SCHEMA_KEYS), st.text(max_size=3)),
+                        inner, max_size=3)),
+    max_leaves=6)
+
+
+def _containers(value):
+    """Every dict and list in a decoded JSON value, the value itself first."""
+    pending = [value]
+    for node in pending:
+        pending += [v for v in (node.values() if isinstance(node, dict) else node)
+                    if isinstance(v, (dict, list))]
+    return pending
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=_CONFIGS, kernels=_KERNELS, data=st.data())
+def test_in_repo_validator_agrees_with_jsonschema(raw, kernels, data):
+    """On valid configs and on configs with one value replaced, added or
+    removed at any level, schema_violation accepts exactly what
+    Draft202012Validator accepts, and names a path jsonschema reports."""
+    validator = Draft202012Validator(CONFIG_SCHEMA)
+    raw = {**raw, "kernels": kernels}
+    assert schema_violation(raw) is None and validator.is_valid(raw)
+    mutated = copy.deepcopy(raw)
+    node = data.draw(st.sampled_from(_containers(mutated)))
+    if isinstance(node, dict):
+        key = data.draw(st.one_of(st.sampled_from(sorted(node) or _SCHEMA_KEYS),
+                                  st.sampled_from(_SCHEMA_KEYS), st.text(max_size=3)))
+    else:
+        key = data.draw(st.integers(0, len(node)))
+    if data.draw(st.booleans()) and key in (node if isinstance(node, dict) else range(len(node))):
+        del node[key]
+    elif isinstance(node, list) and key == len(node):
+        node.append(data.draw(_JSON_VALUES))
+    else:
+        node[key] = data.draw(_JSON_VALUES)
+    found = schema_violation(mutated)
+    assert (found is None) == validator.is_valid(mutated)
+    if found is not None:
+        assert found[0] in {tuple(e.absolute_path) for e in validator.iter_errors(mutated)}
+
+
+def test_no_command_imports_jsonschema(tmp_path):
+    """jsonschema is a test oracle only: a fresh interpreter that imports the
+    CLI and runs a command never loads it."""
+    cfg = _write_config(tmp_path, N=3)
+    script = ("import sys\nfrom observalab import cli\n"
+              "code = cli.main(['spectrum', '--config', sys.argv[1]])\n"
+              "print(code, 'jsonschema' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_integral_floats_run_as_integers(tmp_path):
+    """N, draws, seed and quadrature_q given as 6.0-style floats run, and
+    write the bytes their int spellings write."""
+    fields = {"N": 6, "draws": 5, "seed": 3, "quadrature_q": 16}
+    artifacts = []
+    for name, spelled in (("ints", fields), ("floats", {k: float(v) for k, v in fields.items()})):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        cfg = _write_config(run_dir, **spelled)
+        for cmd in ("spectrum", "verify-identities", "riesz", "observe"):
+            assert _run(cmd, "--config", str(cfg)) == 0, (name, cmd)
+        artifacts.append({n: strip_timestamp((run_dir / "out" / n).read_text())
+                          for n in ("spectrum.csv", "identities.csv", "riesz.csv",
+                                    "observe.csv")})
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("template", [
+    '{"domain": {"kind": "interval", "length": %s}, "N": 4}',
+    '{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "T_factors": [%s]}',
+    '{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "tolerances": {"rellich": %s}}',
+], ids=["length", "T_factors", "tolerances"])
+def test_non_finite_config_numbers_exit_64(tmp_path, capsys, token, template):
+    """json.loads accepts NaN and Infinity, which RFC 8259 does not, and
+    decodes 1e400 to infinity; every command refuses them, naming the token."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(template % token)
+    for cmd in ("verify-identities", "riesz"):
+        assert _run(cmd, "--config", str(cfg), "--out", str(tmp_path / "out")) == 64, cmd
+        assert token in capsys.readouterr().err, cmd
+
+
+def test_seed_flag_is_validated_with_the_config(tmp_path, capsys):
+    """--seed joins the config before its one schema check: a negative seed
+    exits 64 like a negative seed in the file."""
+    cfg = _write_config(tmp_path, N=3)
+    for cmd in ("verify-identities", "observe"):
+        assert _run(cmd, "--config", str(cfg), "--seed", "-5") == 64, cmd
+        assert "config schema violation at seed" in capsys.readouterr().err, cmd
+    assert not (tmp_path / "out").exists()
 
 
 def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
