@@ -29,7 +29,7 @@ from .operators import (antisymmetry_suite, multiplier_pairings,
                         quasi_orthogonality_draws, rellich_suite)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
-                    polynomial_kernel, zero_kernel)
+                    polynomial_kernel, wave_gram_eigenvalues, zero_kernel)
 from .wave import observability_experiment
 
 LOCK_NAME = ".observalab.lock"
@@ -193,12 +193,18 @@ def cmd_visco(config: RunConfig, out: Path, args) -> None:
         )
     T = max(horizons)
     certificates, errors = [], []
+    wave_evals = None
     for spec in config.kernels:
         kernel = _kernel_from_spec(spec)
         try:
+            # one pure-wave spectrum serves every kernel; if it fails, each
+            # kernel records the failure as before
+            if wave_evals is None:
+                wave_evals = wave_gram_eigenvalues(table, brule, T)
             cert = memory_riesz_certificate(
                 table, brule, kernel, T,
-                margin_factor=config.tolerances["memory_margin_factor"])
+                margin_factor=config.tolerances["memory_margin_factor"],
+                wave_evals=wave_evals)
             cert["closeness"] = _closeness_payload(cert["closeness"])
         except (ConfigurationError, NumericalError) as err:
             # keep what already certified; the summary records the breakage

@@ -160,20 +160,33 @@ _BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
            ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"))
 
 
+def _overflows_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def schema_violation(raw):
     """The shallowest violation of CONFIG_SCHEMA by `raw` as (path, message), or None.
 
     Interprets exactly the keywords CONFIG_SCHEMA uses, as JSON Schema
     2020-12 defines them: a bool is not a number, an integral float is an
     integer, and bounds compare ints exactly, never through float().
-    "$schema" and "description" are annotations.  Nodes are checked
-    breadth first, so a violation nearer the root is reported first.
+    "$schema" and "description" are annotations.  One rule goes beyond the
+    standard: every "number" field is used as a float, so an int there
+    that float() cannot hold is refused ("integer" fields such as seed
+    take any size).  Nodes are checked breadth first, so a violation
+    nearer the root is reported first.
     """
     pending = [((), raw, CONFIG_SCHEMA)]
     for path, value, node in pending:       # the loop visits what it appends
         kind = node.get("type")
         if kind is not None and not _IS_TYPE[kind](value):
             return path, f"{value!r} is not of type {kind!r}"
+        if kind == "number" and isinstance(value, int) and _overflows_float(value):
+            return path, f"an integer of {len(str(abs(value)))} digits does not fit in a float"
         if "enum" in node and value not in node["enum"]:
             return path, f"{value!r} is not one of {node['enum']!r}"
         if _IS_TYPE["number"](value):

@@ -13,10 +13,13 @@ one call, on the Gauss-Legendre time rule geometry.time_rule that every
 time integral here uses.  A zero kernel is the exact rotation
 exp(i*lam*(t - T)); any other is written as a sum of exponentials
 M(s) = sum_j w_j exp(-x_j s) (_exponential_sum), so that with
-m_j' = -x_j m_j + v each mode is the linear system (v, v', m_1..m_K), in
-closed form by one batched eigendecomposition (_mode_exponents).
-_march_memory, a second-order march on a uniform grid, checks that closed
-form independently.
+m_j' = -x_j m_j + v each mode is the linear system (v, v', m_1..m_K).  Its
+exponents are the roots of a scalar secular equation, K real ones found by
+bracketed Newton steps from the poles -x_j and one complex pair from the
+roots' sum and product, and its amplitudes are their residues, all in
+closed form and batched over the modes (_mode_exponents; Golub, SIAM
+Review 15, 1973).  _march_memory, a second-order march on a uniform grid,
+checks that closed form independently.
 
 The result is a MemoryModes array of N modes x time nodes.  The
 negative-frequency partners are the complex conjugates of the positive
@@ -64,6 +67,7 @@ __all__ = [
     "shifted_system_bounds",
     "paley_wiener_q",
     "proof_guided_exclusion",
+    "wave_gram_eigenvalues",
     "memory_riesz_certificate",
 ]
 
@@ -194,58 +198,168 @@ def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.nda
     return weights, rates
 
 
-# The closed form amplifies rounding in the eigenvectors by up to their
-# condition number; past this many digits lost a mode is refused.
-_CONDITION_GATE = 1e8
+# Every mode's sum of exponentials, sum_k |a_k| over v(0) = sum_k a_k = 1,
+# bounds the factor by which evaluating v amplifies the rounding of its
+# terms; past this many digits lost a mode is refused.
+_AMPLIFICATION_GATE = 1e8
+# Bracketed Newton steps allowed per real root; each root converges in a
+# handful, and a step that leaves its bracket falls back to bisection.
+_ROOT_STEPS = 100
 # Elements per block of a pass over a (rows x time nodes) array: the
 # block's work arrays stay a few MB whatever N and the horizon are.
 _BLOCK = 1 << 18
+_EPS = np.finfo(float).eps
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def _real_roots(lams: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The K real roots of f for each mode, each from the pole it lies nearer.
+
+    Root k lies in (-x_{k+1}, -x_k), or left of -x_K for the last, at
+    -x_o + sign * delta with o the gap end nearer to it (the sign of f at
+    the gap's middle decides) and delta in (0, top]: half the gap, or
+    2 W lam^2 / (lam^2 + x_K^2), W = sum w, for the last.  s + x_i is formed
+    as (x_i - x_o) + sign * delta, so no root loses digits to its pole.
+    Newton steps on psi(delta) = -sign * delta * f(s), smooth at 0 with
+    psi(0) = -w_o < 0 <= psi(top), fall back to bisection outside the
+    bracket and stop where it holds no float between its ends (subnormal
+    roots too).  Returns the roots, their distances |mu_k + x_k| from the
+    pole right of them, and their residues -delta (mu - i lam) /
+    (lam^2 psi'(delta)) = (mu - i lam) / (lam^2 f'(mu)).
+    """
+    n, K = lams.size, x.size
+    lam = lams[:, None]
+    k = np.arange(K)
+    half = 0.5 * np.diff(x)
+    # f at each gap's middle, with s + x_i = (x_i - x_k) - half_k
+    middle = (x - x[:-1, None]) - half[:, None]
+    f_mid = 1.0 + ((x[:-1] + half) / lam) ** 2 + (w / middle).sum(axis=1)
+    o = np.full((n, K), K - 1)
+    o[:, :-1] = np.where(f_mid > 0.0, k[:-1], k[1:])
+    sign = np.where(o == k, -1.0, 1.0)
+    top = np.empty((n, K))
+    top[:, :-1] = half
+    top[:, -1] = 2.0 * w.sum() / (1.0 + (x[-1] / lams) ** 2)
+    x_o, w_o = x[o], w[o]
+    # the pole's own term is psi's constant -w_o: its slot gets weight 0
+    # and a distance that cannot vanish
+    own = o[:, :, None] == k
+    W = np.where(own, 0.0, w)
+    d = np.where(own, sign[:, :, None], x - x_o[:, :, None])
+    Wd = W * d
+
+    def psi(delta):
+        s = sign * delta - x_o
+        q = 1.0 + (s / lam) ** 2
+        r = np.add(d, (sign * delta)[:, :, None])          # s + x_i, then its inverse
+        np.reciprocal(r, out=r)
+        value = -sign * delta * (q + np.einsum("nki,nki->nk", W, r)) - w_o
+        r *= r
+        slope = -sign * (q + 2.0 * sign * delta * (s / lam) / lam
+                         + np.einsum("nki,nki->nk", Wd, r))
+        return value, slope
+
+    value, slope = psi(np.zeros((n, K)))
+    start = w_o / slope                      # the root of psi's tangent at 0
+    delta = np.where((start > 0.0) & (start < top), start, 0.5 * top)
+    lo, hi = np.zeros((n, K)), top.copy()
+    done = np.zeros((n, K), dtype=bool)
+    for _ in range(_ROOT_STEPS):
+        value, slope = psi(delta)
+        lo = np.where(value < 0.0, delta, lo)
+        hi = np.where(value >= 0.0, delta, hi)
+        step = delta - value / slope
+        mid = 0.5 * (lo + hi)
+        # a tangent that passes 0 from a bracket starting at 0 puts the root
+        # below the smallest float step: that step is tried next
+        nxt = np.where((step >= lo) & (step <= hi) & (step > 0.0), step,
+                       np.where((lo == 0.0) & (step <= 0.0), _TINY, mid))
+        # a step back onto an end of the bracket finds nothing new: rounding
+        # in psi has the last word there
+        converged = ((value == 0.0) | (np.abs(nxt - delta) <= 4.0 * _EPS * nxt)
+                     | (nxt == lo) | (nxt == hi) | (hi - lo <= 4.0 * _EPS * hi))
+        delta = np.where(done | (value == 0.0), delta, nxt)
+        done |= converged
+        if done.all():
+            break
+    else:
+        raise NumericalError("memory-mode secular equation did not converge at "
+                             f"lam = {lams[~done.all(axis=1)][0]:g}")
+    _, slope = psi(delta)
+    roots = sign * delta - x_o
+    offsets = np.where(o == k, delta, 2.0 * np.append(half, 0.0) - delta)
+    return roots, offsets, -delta * (roots - 1j * lam) / (lam**2 * slope)
 
 
 def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
                     ) -> tuple[np.ndarray, ...]:
     """Closed form of every mode for the kernel sum_j w_j exp(-x_j s).
 
-    The state (v, v'/lam, sqrt(lam w_j) m_j), scaled so that the
-    eigenvectors stay well conditioned at any lam, evolves by one constant
-    matrix per mode.  Returns mu and a, both (N, K + 2), with
-    v_n(tau) = sum_k a_nk exp(mu_nk tau), and z_n(T) = v_n(0) and
-    z_n'(T) = -v_n'(0) from the decomposition.
+    With m_j' = -x_j m_j + v a mode's Laplace transform is
+    V(s) = (s - i lam) / (lam^2 f(s)), f(s) = 1 + s^2/lam^2 + sum_j w_j/(s + x_j)
+    (terms of weight 0 dropped, equal rates merged).  f decreases between
+    its poles on s < 0 and is positive on s >= 0, so it has K simple real
+    roots, one per gap of the poles and one left of them (_real_roots), and
+    one non-real pair.  By Vieta the pair's real part is half the sum of
+    the real roots' distances from the poles right of them, and
+    |mu|^2 = lam^2 prod x (1 + sum w/x) / prod |real roots| (x_0 = 0 allowed):
+    like-signed sums and products, good to a few roundings.  The amplitudes
+    are the residues (mu - i lam) / (lam^2 f'(mu)).  Returns mu and a, both
+    (N, K + 2), with v_n(tau) = sum_k a_nk exp(mu_nk tau), and the sums
+    z_n(T) = v_n(0) and z_n'(T) = -v_n'(0) that check the residues.  Work
+    arrays hold at most _BLOCK elements; a mode whose sum_k |a_k| is not
+    finite or passes _AMPLIFICATION_GATE is refused with its lam.
     """
-    n, k = lams.size, weights.size + 2
-    root = np.sqrt(np.outer(lams, weights))
-    A = np.zeros((n, k, k))
-    A[:, 0, 1] = lams
-    A[:, 1, 0] = -lams
-    A[:, 1, 2:] = -root
-    A[:, 2:, 0] = root
-    A[:, range(2, k), range(2, k)] = -rates
-    try:
-        mu, vecs = np.linalg.eig(A)
-        condition = np.linalg.cond(vecs)
-        bad = ~(condition <= _CONDITION_GATE)
-        if bad.any():
-            raise NumericalError(
-                f"memory-mode eigenvectors with condition {condition[bad][0]:.3e} "
-                f"(gate {_CONDITION_GATE:g}) at lam = {lams[bad][0]:g}"
-            )
-        start = np.zeros((n, k, 1), dtype=complex)
-        start[:, 0], start[:, 1] = 1.0, -1j
-        coef = np.linalg.solve(vecs, start)[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"memory-mode eigendecomposition failed: {err}") from err
-    values = np.sum(vecs[:, 0] * coef, axis=1)
-    slopes = -lams * np.sum(vecs[:, 1] * coef, axis=1)
-    return mu, vecs[:, 0] * coef, values, slopes
+    keep = weights > 0.0
+    x, slot = np.unique(rates[keep], return_inverse=True)
+    w = np.bincount(slot, weights=weights[keep], minlength=x.size)
+    K = x.size
+    mu = np.empty((lams.size, K + 2), dtype=complex)
+    amp = np.empty_like(mu)
+    rows = max(1, _BLOCK // max(1, K * K))
+    with np.errstate(all="ignore"):          # non-finite results are refused below
+        for lo in range(0, lams.size, rows):
+            lam = lams[lo:lo + rows]
+            center, square = np.zeros(lam.size), lam**2
+            if K:
+                mu[lo:lo + rows, 2:], offsets, amp[lo:lo + rows, 2:] = _real_roots(lam, w, x)
+                center = 0.5 * offsets.sum(axis=1)
+                lead = (x[0] * (1.0 + np.sum(w[1:] / x[1:])) + w[0]) / (x[0] + offsets[:, 0])
+                square = square * lead * np.prod(x[1:] / (x[1:] + offsets[:, 1:]), axis=1)
+            pair = center + 1j * np.sqrt(square - center**2)
+            for col, root in enumerate((pair, np.conj(pair))):
+                # lam^2 f'(mu) = 2 mu - lam^2 sum_j w_j / (mu + x_j)^2
+                slope = 2.0 * root - lam**2 * ((1.0 / (root[:, None] + x) ** 2) @ w)
+                mu[lo:lo + rows, col] = root
+                amp[lo:lo + rows, col] = (root - 1j * lam) / slope
+        values = np.sum(amp, axis=1)
+        slopes = -np.sum(amp * mu, axis=1)
+        gain = np.sum(np.abs(amp), axis=1)
+    bad = ~(gain <= _AMPLIFICATION_GATE)       # non-finite roots give non-finite residues
+    if bad.any():
+        raise NumericalError(
+            f"memory-mode residues sum to {gain[bad][0]:.3e} in modulus (gate "
+            f"{_AMPLIFICATION_GATE:g}) at lam = {lams[bad][0]:g}"
+        )
+    return mu, amp, values, slopes
 
 
 def _evaluate(mu: np.ndarray, amp: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sum_k amp_nk exp(mu_nk tau) for every mode n at every tau, in blocks."""
+    """sum_k amp_nk exp(mu_nk tau) for every mode n at every tau, in blocks.
+
+    mu is laid out as _mode_exponents returns it: the complex pair in the
+    first two columns, then the real roots, whose exponentials are real and
+    cost a fraction of complex ones.
+    """
     out = np.empty((mu.shape[0], tau.size), dtype=complex)
+    real = mu[:, 2:].real
+    parts = np.stack([amp[:, 2:].real, amp[:, 2:].imag], axis=1)     # (N, 2, K)
     cols = max(1, _BLOCK // mu.shape[1])
     for n in range(mu.shape[0]):
         for lo in range(0, tau.size, cols):
-            out[n, lo:lo + cols] = amp[n] @ np.exp(np.outer(mu[n], tau[lo:lo + cols]))
+            t = tau[lo:lo + cols]
+            re, im = parts[n] @ np.exp(np.outer(real[n], t))
+            out[n, lo:lo + cols] = amp[n, :2] @ np.exp(np.outer(mu[n, :2], t)) + re + 1j * im
     return out
 
 
@@ -330,6 +444,10 @@ def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np
 # gates on each mode's terminal data: |v(T) - 1| and |v'(T) - i lam| / lam
 TERMINAL_VALUE_GATE = 1e-10
 TERMINAL_SLOPE_GATE = 1e-8
+# Largest factor by which a mode may grow over the horizon: the squares of
+# its samples, which every sampled Gram and the decay-rate fit sum, stay far
+# inside the float range.
+_GROWTH_GATE = 1e100
 
 
 def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
@@ -339,6 +457,8 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
     exponentials and one batched closed form (_mode_exponents).  The modes
     are sampled on time_rule(T, f), with f the largest of the mode
     frequencies and the oscillation rates |Im mu| the memory gives them.
+    A mode that grows past _GROWTH_GATE on [0, T] is refused, naming its
+    lam, before any sample is taken.
     """
     lams = np.asarray(lambdas, dtype=float)
     if lams.ndim != 1 or lams.size == 0 or np.any(lams <= 0.0):
@@ -352,6 +472,14 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
         values, slopes = np.ones(lams.size), 1j * lams
     else:
         mu, amp, values, slopes = _mode_exponents(lams, *_exponential_sum(kernel, T))
+        # |v(tau)| <= sum_k |a_k| exp(max Re mu * tau): checked before evaluating
+        growth = np.max(mu.real, axis=1) * T + np.log(np.sum(np.abs(amp), axis=1))
+        bad = growth > np.log(_GROWTH_GATE)
+        if bad.any():
+            raise NumericalError(
+                f"memory mode grows by up to exp({growth[bad][0]:.4g}) on [0, {T:g}] "
+                f"(gate {_GROWTH_GATE:g}) at lam = {lams[bad][0]:g}"
+            )
         trule = time_rule(T, max(lam_max, float(np.max(np.abs(mu.imag)))))
         samples = _evaluate(mu, amp, T - trule.nodes[:, 0])
     finite = np.all(np.isfinite(samples), axis=1)
@@ -395,8 +523,12 @@ class _FitSums:
     def far(self, gamma: complex) -> float:
         """R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2), e = exp(gamma b).
 
-        F - R is a sum of squares free of gamma, so R changes as F does.
+        F - R is a sum of squares free of gamma, so R changes as F does.  A
+        reference that grows past _GROWTH_GATE over the horizon is infinitely
+        far, so the fit never sums one.
         """
+        if gamma.real * self.base.min() > np.log(_GROWTH_GATE):
+            return np.inf
         e = np.exp(gamma * self.base)
         gaps = np.abs(self.mean - e) ** 2 + np.abs(self.mean - np.conj(e)) ** 2
         return 0.5 * self.L * float(self.w @ gaps)
@@ -415,12 +547,12 @@ class _FitSums:
 def _fit_sums(modes: MemoryModes) -> _FitSums:
     """One blocked pass over the positive modes, _BLOCK elements at a time.
 
-    The direct sum at the seed -M(0)/2 counts each mode twice: its
+    The direct sum at the seed (see fit_gamma) counts each mode twice: its
     conjugate partner lies as far from its own reference.
     """
     lams, Z, w = modes.lambdas, modes.samples, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    seed = -modes.kernel.m0 / 2.0
+    seed = max(-modes.kernel.m0 / 2.0, 0.5 * np.log(_GROWTH_GATE) / base.min())
     seed_shift = np.exp(seed * base)
     mean = np.zeros(base.size, dtype=complex)
     direct = 0.0
@@ -450,8 +582,10 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
     and exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps the
     objective symmetric under gamma -> conj(gamma) for real kernels, so
     the fit cannot trade a spurious global frequency shift against the
-    per-mode phase drift.  Seeded at -M(0)/2; the seed carries no
-    authority, the decay diagnostics downstream validate the fit.
+    per-mode phase drift.  Seeded at -M(0)/2, or where that reference
+    would grow past sqrt(_GROWTH_GATE) on [0, T], at the decay that grows
+    by exactly that; the seed carries no authority, the decay diagnostics
+    downstream validate the fit.
 
     The modes enter only through sums over the time nodes.  With b = t - T,
     the rule's weights w, e_t = exp(gamma b_t), |exp(i lam b)| = 1 and the
@@ -710,9 +844,16 @@ def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
     return float(evals[0])
 
 
+def wave_gram_eigenvalues(table: ModeTable, brule: QuadratureRule, T: float) -> np.ndarray:
+    """Ascending eigenvalues of the pure-wave Gram on [0, T]: the memory
+    certificate's reference, the same for every kernel."""
+    wave = assemble_exponential_gram(table, brule, T)
+    return jacobi_eigh(wave.matrix, need_vectors=False)[0]
+
+
 def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
                              kernel: MemoryKernel, T: float, *,
-                             margin_factor: float) -> dict:
+                             margin_factor: float, wave_evals: np.ndarray) -> dict:
     """Certify the lower/upper Riesz bounds of the memory trace system.
 
     Assembles the sampled Gram of { z_n(t) psi_n(x) } over the signed
@@ -720,7 +861,9 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
     lambda_min >= margin_factor * lambda_max, and compares against the
     pure exponential system scaled by exp(2*Re(gamma)*T) (squared-norm
     convention; reported, not asserted).  With a zero kernel the spectra
-    must reduce to the pure-wave Gram spectra.
+    must reduce to the pure-wave Gram spectra, wave_evals: those of
+    wave_gram_eigenvalues(table, brule, T), which a run certifying several
+    kernels computes once.
     """
     domain = table.domain
     if T <= 2.0 * domain.R:
@@ -739,8 +882,6 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     margin_ok = lam_min >= margin_factor * lam_max
 
-    wave = assemble_exponential_gram(table, brule, T)
-    wave_evals, _ = jacobi_eigh(wave.matrix, need_vectors=False)
     scale = float(np.exp(2.0 * gamma.real * T))
     scaled_lower = float(wave_evals[0]) * min(1.0, scale)
     scaled_upper = float(wave_evals[-1]) * max(1.0, scale)

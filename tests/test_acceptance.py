@@ -28,7 +28,8 @@ from observalab.visco import (_evaluate, _exponential_sum, _march_memory,
                               exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
-                              solve_memory_modes, zero_kernel)
+                              solve_memory_modes, wave_gram_eigenvalues,
+                              zero_kernel)
 from observalab.wave import coeffs_to_a, observability_experiment
 
 from flux_sampling import boundary_flux
@@ -210,16 +211,17 @@ def test_criterion_09_memory_certificate_default_kernels():
     table = enumerate_modes(dom, 20)
     brule = boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
     T = 2.5 * np.pi
+    wave_evals = wave_gram_eigenvalues(table, brule, T)
     for m0 in (0.2, 0.5):
         cert = memory_riesz_certificate(table, brule,
                                         exponential_kernel(m0, 1.0), T,
-                                        margin_factor=1e-3)
+                                        margin_factor=1e-3, wave_evals=wave_evals)
         assert cert["lambda_min"] > 0.0
         assert cert["lambda_min"] >= 1e-3 * cert["lambda_max"], \
             f"margin violated for M0={m0}"
         assert cert["passed"]
     zero_cert = memory_riesz_certificate(table, brule, zero_kernel(), T,
-                                         margin_factor=1e-3)
+                                         margin_factor=1e-3, wave_evals=wave_evals)
     assert zero_cert["reduction_rel_diff"] <= 1e-6
 
 

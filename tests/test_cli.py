@@ -377,7 +377,9 @@ def _containers(value):
 def test_in_repo_validator_agrees_with_jsonschema(raw, kernels, data):
     """On valid configs and on configs with one value replaced, added or
     removed at any level, schema_violation accepts exactly what
-    Draft202012Validator accepts, and names a path jsonschema reports."""
+    Draft202012Validator accepts, and names a path jsonschema reports;
+    except where it refuses an int too large for a float in a "number"
+    field, which JSON Schema accepts."""
     validator = Draft202012Validator(CONFIG_SCHEMA)
     raw = {**raw, "kernels": kernels}
     assert schema_violation(raw) is None and validator.is_valid(raw)
@@ -395,6 +397,9 @@ def test_in_repo_validator_agrees_with_jsonschema(raw, kernels, data):
     else:
         node[key] = data.draw(_JSON_VALUES)
     found = schema_violation(mutated)
+    if found is not None and found[1].endswith("does not fit in a float"):
+        # the one rule past JSON Schema: a number field's int must fit a float
+        return
     assert (found is None) == validator.is_valid(mutated)
     if found is not None:
         assert found[0] in {tuple(e.absolute_path) for e in validator.iter_errors(mutated)}
@@ -446,6 +451,37 @@ def test_non_finite_config_numbers_exit_64(tmp_path, capsys, token, template):
         assert token in capsys.readouterr().err, cmd
 
 
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("template, path", [
+    ('{"domain": {"kind": "interval", "length": %s}, "N": 4}', "domain/length"),
+    ('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "T_factors": [%s]}',
+     "T_factors/0"),
+    ('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "kernels": '
+     '[{"family": "exponential", "M0": 0.5, "delta": %s}]}', "kernels/0/delta"),
+], ids=["length", "T_factors", "delta"])
+def test_number_fields_refuse_integers_past_the_float_range(tmp_path, capsys, template, path):
+    """JSON decodes 1 followed by 400 zeros as an int, which the schema's
+    lower bounds accept and float() cannot convert: every command exits 64
+    and names the field, where spectrum, riesz and visco crashed with an
+    OverflowError."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(template % _HUGE)
+    for cmd in ("spectrum", "riesz", "visco"):
+        assert _run(cmd, "--config", str(cfg), "--out", str(tmp_path / "out")) == 64, cmd
+        err = capsys.readouterr().err
+        assert f"config schema violation at {path}: an integer of 401 digits" in err, cmd
+
+
+def test_integer_fields_take_integers_past_the_float_range(tmp_path):
+    """seed is an integer field and never a float: a 401-digit seed runs."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "seed": %s}' % _HUGE)
+    for cmd in ("spectrum", "verify-identities"):
+        assert _run(cmd, "--config", str(cfg), "--out", str(tmp_path / "out")) == 0, cmd
+
+
 def test_seed_flag_is_validated_with_the_config(tmp_path, capsys):
     """--seed joins the config before its one schema check: a negative seed
     exits 64 like a negative seed in the file."""
@@ -479,6 +515,56 @@ def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
     assert _run("visco", "--config", str(cfg)) == 0
     assert [count for count, _ in calls] == [6, 6]
     assert calls[0][1] == 1 and calls[1][1] > 1
+
+
+_VISCO_KERNELS = [{"family": "zero"},
+                  {"family": "exponential", "M0": 0.5, "delta": 1.0},
+                  {"family": "polynomial", "M0": 0.2, "p": 2.0}]
+
+
+def test_visco_needs_no_dense_eigendecomposition(tmp_path, monkeypatch):
+    """The benchmark's interval-visco config (interval pi, N = 20, default
+    horizons, the zero, exponential and polynomial kernels) certifies with
+    np.linalg.eig, eigvals and cond raising: the memory modes come from
+    their secular equation, and no dense path creeps back."""
+    def dense(*args, **kwargs):
+        raise AssertionError("visco called a dense eigendecomposition")
+
+    for name in ("eig", "eigvals", "cond"):
+        monkeypatch.setattr(np.linalg, name, dense)
+    cfg = _write_config(tmp_path, N=20, T_factors=[1.05, 1.5, 2.5], kernels=_VISCO_KERNELS)
+    assert _run("visco", "--config", str(cfg)) == 0
+
+
+def test_visco_assembles_the_wave_gram_once_per_run(tmp_path, monkeypatch):
+    """The pure-wave reference spectrum depends on the table, the boundary
+    rule and T alone: one assembly for three kernels, and the certificate
+    holds the bytes a per-kernel assembly writes."""
+    calls = []
+    original = visco.assemble_exponential_gram
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    cfg = _write_config(tmp_path, N=8, T_factors=[2.5], kernels=_VISCO_KERNELS)
+    out = tmp_path / "out" / "visco_certificate.json"
+    assert _run("visco", "--config", str(cfg)) == 0
+    once = strip_timestamp(out.read_text())
+    monkeypatch.setattr(visco, "assemble_exponential_gram", counted)
+    assert _run("visco", "--config", str(cfg)) == 0
+    assert len(calls) == 1
+    assert strip_timestamp(out.read_text()) == once
+    certify = cli.memory_riesz_certificate
+
+    def per_kernel(table, brule, kernel, T, **keywords):
+        keywords["wave_evals"] = visco.wave_gram_eigenvalues(table, brule, T)
+        return certify(table, brule, kernel, T, **keywords)
+
+    monkeypatch.setattr(cli, "memory_riesz_certificate", per_kernel)
+    assert _run("visco", "--config", str(cfg)) == 0
+    assert len(calls) == 5
+    assert strip_timestamp(out.read_text()) == once
 
 
 def test_reruns_are_deterministic_modulo_timestamp(tmp_path):

@@ -1,9 +1,11 @@
 """Memory-mode solver, decay diagnostics, and the perturbed-trace certificate."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -122,7 +124,7 @@ def test_exact_path_matches_expm_oracle():
     With M = sum_j w_j exp(-x_j s) each memory integral obeys
     I_j' = v - x_j I_j, so (v, v', I_1..I_K) evolves by a constant-coefficient
     linear system that scipy can exponentiate independently of the
-    eigendecomposition: one term for the exponential kernel, the whole sum
+    secular equation: one term for the exponential kernel, the whole sum
     for the polynomial one.
     """
     lam, T = 5.0, 4.0
@@ -146,11 +148,67 @@ def test_exact_path_matches_expm_oracle():
             assert abs(vp - y[1]) <= 1e-11 * max(lam, abs(y[1])), kernel.family
 
 
+def _expm_oracle(lam, weights, rates, tau):
+    """v(tau) for one mode from scipy's matrix exponential of the state
+    (v, v'/lam, lam I_1..lam I_K), I_j' = -x_j I_j + v, at each tau."""
+    k = weights.size + 2
+    A = np.zeros((k, k))
+    A[0, 1], A[1, 0] = lam, -lam
+    A[1, 2:] = -weights
+    A[2:, 0] = lam
+    A[range(2, k), range(2, k)] = -rates
+    y0 = np.zeros(k, dtype=complex)
+    y0[:2] = 1.0, -1j
+    return np.array([(expm(A * t) @ y0)[0] for t in tau])
+
+
+# what a mode solve may refuse, and why: a subnormal M0 cannot meet the
+# kernel-sum gate, small p needs too many terms or T too many nodes, and a
+# large M0 grows the modes past the growth gate
+_REFUSALS = (r"is off by|exponential terms|time quadrature on|grows by up to"
+             r"|residues sum to")
+
+
+@settings(max_examples=40, deadline=None)
+@example(family="polynomial", m0=2.2e-311, log_rate=-4.0, log_lam=0.0, T=2.0)
+@example(family="polynomial", m0=0.2, log_rate=np.log10(2.0), log_lam=-9.0, T=2.5 * np.pi)
+@example(family="exponential", m0=2.2e-311, log_rate=0.0, log_lam=3.5, T=4.0)
+@example(family="exponential", m0=1e3, log_rate=4.0, log_lam=1.0, T=3.0)
+@given(family=st.sampled_from(["exponential", "polynomial"]),
+       m0=st.one_of(st.just(0.0), st.just(2.2e-311), st.floats(1e-3, 1e3)),
+       log_rate=st.floats(-4.0, 4.0), log_lam=st.floats(-9.0, 4.0), T=st.floats(1.0, 5.0))
+def test_secular_closed_form_matches_the_expm_oracle(family, m0, log_rate, log_lam, T):
+    """One mode of any kernel in range (p or delta = 10^log_rate) either
+    solves, with no numpy warning, and matches scipy's expm of the state
+    system at five time nodes, or is refused by a named gate.  expm's own
+    error grows with the system's norm (lam + max x + sum w) times T, so the
+    bound does too."""
+    rate, lam = 10.0**log_rate, 10.0**log_lam
+    kernel = (visco.exponential_kernel(m0, rate) if family == "exponential"
+              else visco.polynomial_kernel(m0, rate))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes = visco.solve_memory_modes([lam], kernel, T)
+    except (NumericalError, ConfigurationError) as err:
+        assert re.search(_REFUSALS, str(err)), err
+        return
+    nodes = np.linspace(0, modes.trule.weights.size - 1, 5).astype(int)
+    tau = T - modes.trule.nodes[nodes, 0]
+    if kernel.is_zero:
+        ref, norm = np.exp(-1j * lam * tau), lam
+    else:
+        w, x = visco._exponential_sum(kernel, T)
+        ref, norm = _expm_oracle(lam, w, x, tau), lam + x.max() + w.sum()
+    tol = 1e-13 * (1.0 + norm * T) * max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(modes.samples[0, nodes] - ref)) <= tol
+
+
 @settings(max_examples=40, deadline=None)
 @given(m0=st.floats(0.01, 2.0), delta=st.floats(0.1, 5.0), T=st.floats(1.0, 10.0),
        lams=st.lists(st.floats(0.5, 60.0), min_size=1, max_size=8))
 def test_closed_form_matches_the_three_exponential_formula(m0, delta, T, lams):
-    """With K = 1 the eigendecomposition reproduces the exponential kernel's
+    """With K = 1 the secular closed form reproduces the exponential kernel's
     three-exponential formula on the time rule's nodes."""
     kernel = visco.exponential_kernel(m0, delta)
     modes = visco.solve_memory_modes(lams, kernel, T)
@@ -223,24 +281,80 @@ def test_envelope_decays_at_fitted_rate():
     assert np.max(np.abs(resid)) <= 0.2
 
 
-def test_exponential_rates_too_close_for_the_closed_form():
-    """A kernel rate 1e17 times the mode frequency: the oscillation's two
-    eigenvectors coincide to rounding, a named error that gives lam."""
-    with pytest.raises(NumericalError, match=r"eigenvectors with condition .* at lam = 1$"):
-        visco.solve_memory_modes([1.0], visco.exponential_kernel(0.5, 1e17), 1.0)
+def _three_exponential_mp(lam, kernel, tau, digits=60):
+    """The three-exponential formula of _exact_exponential_oracle in
+    `digits`-digit arithmetic: roots by mpmath.polyroots, coefficients by an
+    mpmath solve, so neither divides by a rate gap in floats."""
+    with mp.workdps(digits):
+        lam, delta, m0 = mp.mpf(lam), mp.mpf(kernel.delta), mp.mpf(kernel.m0)
+        mu = mp.polyroots([1, delta, lam**2, lam**2 * (delta + m0)],
+                          maxsteps=200, extraprec=4 * digits)
+        rows = mp.matrix([[1, 1, 1], list(mu), [1 / (m + delta) for m in mu]])
+        coef = mp.lu_solve(rows, mp.matrix([1, -1j * lam, 0]))
+        return np.array([complex(sum(c * mp.exp(m * mp.mpf(float(t))) for c, m in zip(coef, mu)))
+                         for t in tau])
+
+
+def test_exponential_rate_far_above_the_frequency_solves():
+    """A kernel rate 1e17 times the mode frequency, where the state matrix's
+    two oscillating eigenvectors coincide to rounding: the secular equation
+    puts the real root 5e-35 left of its pole, in offset coordinates, with
+    a residue of 5e-52, and the modes match the three-exponential formula
+    evaluated in 60 digits."""
+    kernel = visco.exponential_kernel(0.5, 1e17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modes = visco.solve_memory_modes([1.0], kernel, 1.0)
+    ref = _three_exponential_mp(1.0, kernel, 1.0 - modes.trule.nodes[:, 0])
+    assert np.max(np.abs(modes.samples[0] - ref)) <= 1e-15
+    assert modes.terminal_residuals[0] <= 1e-15
 
 
 def test_tiny_frequencies_solve_without_dividing_by_a_rate_gap():
     """At lam = 1e-9 two memory rates sit 2.4e-9 apart, and at lam = 1e-8 the
     rate near -delta sits 5e-17 from it; the three-exponential formula
-    divided by such gaps.  The scaled eigendecomposition divides by none:
-    both modes solve, with no warning and at the terminal data."""
+    divided by such gaps.  The secular equation, solved in offsets from the
+    poles, divides by none: both modes solve, with no warning and at the
+    terminal data."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         modes = visco.solve_memory_modes([1e-9, 1e-8], visco.exponential_kernel(0.5, 1.0), 1.0)
     assert np.all(np.isfinite(modes.samples))
     assert np.all(modes.terminal_residuals <= 1e-15)
     assert np.all(modes.terminal_slope_residuals <= 1e-15 * modes.lambdas)
+
+
+def test_modes_past_the_growth_gate_are_refused_before_sampling():
+    """Polynomial M0 = 1e6, p = 2 grows the lam = 1 mode by e^387 on
+    [0, 2.5 pi]: refused with lam named before any exp overflows, where
+    the samples' exp and sum overflowed with numpy warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"grows by up to exp\(387\.\d\) .* at lam = 1$"):
+            visco.solve_memory_modes(np.arange(1.0, 7.0), visco.polynomial_kernel(1e6, 2.0),
+                                     2.5 * np.pi)
+
+
+def test_decay_fit_seed_stays_inside_the_growth_gate():
+    """exponential(2, 1) on interval modes of length 117 at T = 702: the
+    modes barely decay, but the seed -M0/2 = -1 has a reference of e^702,
+    whose square overflowed the fit's sums with numpy warnings.  The seed
+    now starts where its reference grows by sqrt(_GROWTH_GATE), and no
+    trial rate whose reference passes the gate is summed: the fit runs
+    without a warning, and either returns a finite rate or ends in a named
+    error."""
+    lams = np.pi / 117.0 * np.arange(1.0, 6.0)
+    modes = visco.solve_memory_modes(lams, visco.exponential_kernel(2.0, 1.0), 702.0)
+    sums = visco._fit_sums(modes)
+    assert sums.seed == pytest.approx(-0.5 * np.log(visco._GROWTH_GATE) / 702.0, rel=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sums.far(complex(-0.4)) == np.inf
+        try:
+            gamma, _ = visco.fit_gamma(modes)
+        except NumericalError:
+            return
+    assert np.isfinite(gamma)
 
 
 def test_polynomial_kernel_needs_at_most_k_max_terms():
@@ -313,7 +427,7 @@ def test_batched_march_does_not_couple_modes(kernel):
 
 def test_closed_form_scales_to_128_modes():
     """128 interval modes of polynomial(0.2, 2) at T = 2.5*pi: one batched
-    eigendecomposition, sampled on about 2,560 time nodes."""
+    secular closed form, sampled on about 2,560 time nodes."""
     lams = np.arange(1.0, 129.0)
     modes = visco.solve_memory_modes(lams, visco.polynomial_kernel(0.2, 2.0), 2.5 * np.pi)
     assert 2560 <= modes.trule.weights.size <= 2592
@@ -636,9 +750,9 @@ def test_paley_wiener_rejects_modes_off_the_table():
 
 def test_certificate_margin_and_independence():
     dom, table, brule = interval_setup(10)
-    cert = visco.memory_riesz_certificate(table, brule,
-                                          visco.exponential_kernel(0.5, 1.0),
-                                          2.5 * np.pi, margin_factor=1e-3)
+    cert = visco.memory_riesz_certificate(
+        table, brule, visco.exponential_kernel(0.5, 1.0), 2.5 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, brule, 2.5 * np.pi))
     assert cert["margin_ok"] and cert["lambda_min"] >= 1e-3 * cert["lambda_max"]
     assert cert["independence_ok"]
     assert all(e["lambda_min"] > 0.0 for e in cert["independence"])
@@ -653,8 +767,9 @@ def test_certificate_margin_and_independence():
 
 def test_certificate_zero_kernel_reduces_to_wave():
     dom, table, brule = interval_setup(8)
-    cert = visco.memory_riesz_certificate(table, brule, visco.zero_kernel(),
-                                          2.5 * np.pi, margin_factor=1e-3)
+    cert = visco.memory_riesz_certificate(
+        table, brule, visco.zero_kernel(), 2.5 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, brule, 2.5 * np.pi))
     assert cert["gamma"] == 0.0
     assert cert["reduction_rel_diff"] <= 1e-6
     assert cert["closeness"].degenerate
@@ -662,9 +777,9 @@ def test_certificate_zero_kernel_reduces_to_wave():
 
 def test_certificate_polynomial_kernel_march_path():
     dom, table, brule = interval_setup(6)
-    cert = visco.memory_riesz_certificate(table, brule,
-                                          visco.polynomial_kernel(0.3, 2.5),
-                                          1.3 * np.pi, margin_factor=1e-3)
+    cert = visco.memory_riesz_certificate(
+        table, brule, visco.polynomial_kernel(0.3, 2.5), 1.3 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, brule, 1.3 * np.pi))
     assert cert["passed"]
     assert cert["closeness"].c1_max > 0.0
 
@@ -673,4 +788,4 @@ def test_certificate_rejects_short_horizon():
     dom, table, brule = interval_setup(4)
     with pytest.raises(ConfigurationError):
         visco.memory_riesz_certificate(table, brule, visco.zero_kernel(), np.pi,
-                                       margin_factor=1e-3)
+                                       margin_factor=1e-3, wave_evals=np.ones(8))
