@@ -32,12 +32,13 @@ and a sampled-Gram Riesz certificate.
 fit_gamma reduces the modes to sums over the time nodes before it
 iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
 objective sum_n lam_n^2 * sum_t w_t |Z_nt - exp((gamma + i*lam_n) b_t)|^2
-(b = t - T) depends on the modes only through alpha = sum lam^2 w |Z|^2 and
-one real series C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i*lam_n*b_t)), so
-one blocked pass over the modes makes every Newton step O(nodes).
-A step is halved only against a rise above the objective's rounding scale,
-and the fit stops when the step falls to 1e-13 * max(1, |gamma|); so its
-iterations do not depend on the last digits of the samples.
+(b = t - T, gamma real) is exactly D + L sum_t w_t (Re y_t - exp(gamma b_t))^2,
+with y the lam^2-weighted mean of the demodulated modes Z_nt exp(-i lam_n b_t),
+L = 2 sum_n lam_n^2 and D >= 0 free of gamma: one blocked pass over the
+modes forms y and D, and every step after it is O(nodes).  The fit is a
+root of its slope, bracketed by the growth gate and found by Newton steps
+that fall back to bisection; no sum in it cancels, so no step depends on
+the last digits of the samples.
 """
 
 from __future__ import annotations
@@ -189,11 +190,14 @@ def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.nda
     s = np.expm1(np.linspace(0.0, top, int(8.0 * top / h) + 2))
     error = np.max(np.abs(np.exp(-np.outer(s, rates)) @ weights
                           - kernel.m0 * np.exp(-p * np.log1p(s))))
-    if not error <= _KERNEL_ERROR * kernel.m0:
+    # a subnormal M0 has subnormal weights, whose rounding is absolute: up
+    # to one smallest subnormal per term
+    floor = rates.size * np.finfo(float).smallest_subnormal
+    if not error <= _KERNEL_ERROR * kernel.m0 + floor:
         raise NumericalError(
             f"the sum of {rates.size} exponentials for the polynomial kernel "
             f"with p = {p:g} is off by {error:.3e} on [0, {T:g}] (gate "
-            f"{_KERNEL_ERROR:g} * M0)"
+            f"{_KERNEL_ERROR:g} * M0 + {floor:.3g})"
         )
     return weights, rates
 
@@ -499,178 +503,114 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
 # Decay rate fit and closeness spectrum
 
 
-# A rise of the fit objective below this many roundings of its expanded
-# terms is noise: the line search does not halve for it.
-_FIT_ROUNDING = 8.0 * np.finfo(float).eps
+def _fit_sums(modes: MemoryModes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """b = t - T, the rule's weights w, Re y, L and D of fit_gamma's split.
 
-
-@dataclass(frozen=True, eq=False)
-class _FitSums:
-    """What the decay-rate fit needs of the modes: sums over the time nodes.
-
-    mean is y_t = sum_n lam_n^2 Z_nt exp(-i lam_n b_t) / sum_n lam_n^2,
-    the lam^2-weighted mean of the demodulated modes (b = t - T), and
-    seed_objective the fit objective F at the real seed, summed directly.
+    One blocked pass over the positive modes, _BLOCK elements at a time,
+    takes cos and sin once per sample.  Each block sums D about its own
+    mean of Re Y; the blocks' weighted squared distances from y then
+    complete D (the parallel variance update), a sum of squares too.
     """
-
-    base: np.ndarray
-    w: np.ndarray
-    mean: np.ndarray
-    L: float
-    seed: float
-    seed_objective: float
-
-    def far(self, gamma: complex) -> float:
-        """R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2), e = exp(gamma b).
-
-        F - R is a sum of squares free of gamma, so R changes as F does.  A
-        reference that grows past _GROWTH_GATE over the horizon is infinitely
-        far, so the fit never sums one.
-        """
-        if gamma.real * self.base.min() > np.log(_GROWTH_GATE):
-            return np.inf
-        e = np.exp(gamma * self.base)
-        gaps = np.abs(self.mean - e) ** 2 + np.abs(self.mean - np.conj(e)) ** 2
-        return 0.5 * self.L * float(self.w @ gaps)
-
-    def objective(self, gamma: complex) -> float:
-        """F(gamma) as F(seed) plus the change of R."""
-        return self.seed_objective + self.far(gamma) - self.far(self.seed)
-
-    @property
-    def alpha(self) -> float:
-        """F's constant sum_signed lam^2 sum_t w_t |Z|^2 = F - R + L sum_t w_t |y_t|^2."""
-        return (self.seed_objective - self.far(self.seed)
-                + self.L * float(self.w @ np.abs(self.mean) ** 2))
-
-
-def _fit_sums(modes: MemoryModes) -> _FitSums:
-    """One blocked pass over the positive modes, _BLOCK elements at a time.
-
-    The direct sum at the seed (see fit_gamma) counts each mode twice: its
-    conjugate partner lies as far from its own reference.
-    """
-    lams, Z, w = modes.lambdas, modes.samples, modes.trule.weights
+    lams, w = modes.lambdas, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    seed = max(-modes.kernel.m0 / 2.0, 0.5 * np.log(_GROWTH_GATE) / base.min())
-    seed_shift = np.exp(seed * base)
-    mean = np.zeros(base.size, dtype=complex)
-    direct = 0.0
     rows = max(1, _BLOCK // base.size)
+    D, masses, means = 0.0, [], []
     for lo in range(0, lams.size, rows):
-        lam, z = lams[lo:lo + rows], Z[lo:lo + rows]
-        lam2 = lam**2
-        # exp(i lam b) as cos + i sin, a third faster than np.exp's complex path
-        phase = np.outer(lam, base)
-        osc = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=osc.real)
-        np.sin(phase, out=osc.imag)
-        direct += float(lam2 @ (np.abs(z - seed_shift * osc) ** 2 @ w))
-        np.conj(osc, out=osc)
-        osc *= z
-        mean += lam2 @ osc
-    L = 2.0 * float(np.sum(lams**2))
-    return _FitSums(base, w, 2.0 * mean / L, L, seed, 2.0 * direct)
+        lam2 = lams[lo:lo + rows] ** 2
+        # exp(-i lam b) as cos + i sin, a third faster than np.exp's complex path
+        phase = np.outer(lams[lo:lo + rows], -base)
+        Y = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=Y.real)
+        np.sin(phase, out=Y.imag)
+        Y *= modes.samples[lo:lo + rows]
+        masses.append(lam2.sum())
+        means.append(lam2 @ Y.real / masses[-1])
+        D += float(lam2 @ (np.abs(Y - means[-1]) ** 2 @ w))
+    masses, means = np.array(masses), np.array(means)
+    mean = masses @ means / masses.sum()
+    D += float(masses @ ((means - mean) ** 2 @ w))
+    return base, w, mean, 2.0 * float(masses.sum()), 2.0 * D
 
 
 def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
-    """Fit the complex decay rate of the shifted exponential references.
+    """Fit the decay rate of the shifted exponential references.
 
     Minimizes F(gamma) = sum_n lam_n^2 * d_n(gamma) over the signed system
-    (the negative-frequency partners are the conjugate modes) by damped
-    Newton steps, where d_n is the L2 distance on the time rule between the mode
-    and exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps the
-    objective symmetric under gamma -> conj(gamma) for real kernels, so
-    the fit cannot trade a spurious global frequency shift against the
-    per-mode phase drift.  Seeded at -M(0)/2, or where that reference
-    would grow past sqrt(_GROWTH_GATE) on [0, T], at the decay that grows
-    by exactly that; the seed carries no authority, the decay diagnostics
-    downstream validate the fit.
+    (the negative-frequency partners are the conjugate modes), where d_n is
+    the L2 distance on the time rule between the mode and
+    exp((gamma + i*lam_n)(t - T)).  Fitting over both signs keeps F
+    symmetric under gamma -> conj(gamma) for real kernels, so the fit
+    cannot trade a spurious global frequency shift against the per-mode
+    phase drift; gamma is real.
 
-    The modes enter only through sums over the time nodes.  With b = t - T,
-    the rule's weights w, e_t = exp(gamma b_t), |exp(i lam b)| = 1 and the
-    partners conjugate,
+    With b = t - T, the rule's weights w, the demodulated modes
+    Y_nt = Z_nt exp(-i lam_n b_t), their lam^2-weighted mean y and
+    L = 2 sum_n lam_n^2, F splits into two sums of squares,
 
-        F(gamma) = alpha - 2 sum_t w_t C_t Re e_t + L sum_t w_t |e_t|^2,
-        J^H J = L sum_t w_t b_t^2 |e_t|^2,
-        J^H r = -sum_t w_t b_t (C_t conj(e_t) - L |e_t|^2),
+        F(gamma) = D + L sum_t w_t (Re y_t - exp(gamma b_t))^2,
+        D = 2 sum_n lam_n^2 sum_t w_t |Y_nt - Re y_t|^2,
 
-    where alpha = sum_signed lam^2 sum_t w_t |Z|^2, L = 2 sum_n lam_n^2 and
-    C_t = 2 sum_n lam_n^2 Re(conj(Z_nt) exp(i lam_n b_t)) = L Re y_t, with y
-    the lam^2-weighted mean of the demodulated modes.  One blocked pass over
-    the positive modes forms y and F at the seed (_fit_sums), so an
-    iteration costs O(nodes) and no (2N x nodes) array is built.  The
-    iteration sums the changes of F, in which alpha cancels exactly, as
-    changes of R(gamma) = L/2 sum_t w_t (|y_t - e_t|^2 + |y_t - conj(e_t)|^2)
-    (_FitSums.far), and J^H r as -L sum_t w_t b_t conj(e_t) (Re y_t - e_t):
-    neither cancels against alpha.  gamma stays real (so are the seed and
-    every step), where J^H r = R'/2 and c = L sum_t w_t b_t^2 e_t (2 e_t -
-    Re y_t) = R''/2: the step is Newton's, -J^H r / c, while c > 0, else
-    -J^H r / J^H J; Gauss-Newton alone crawls on large-residual fits.
-    A step is halved only when F rises by
-    more than its rounding scale _FIT_ROUNDING * (alpha + L sum_t w_t |e_t|^2),
-    and the iteration stops on the step size alone, at most
-    1e-13 * max(1, |gamma|): near the minimum F drops by less than its
-    rounding scale while gamma may still be up to ~1e-9 from it.  objective_at_seed is summed directly, and objective is it plus
-    the change of R from the seed; a seed whose direct objective is exactly
-    0 (a zero kernel) is returned as it is.  halvings counts the steps halved against a real rise.
+    as the cross term sum_signed lam^2 (Re Y - Re y) vanishes.  D is free
+    of gamma (_fit_sums forms it and y), so a step costs O(nodes), and
+    objective and objective_at_seed are this sum: no term cancels.
+    F' = 2L (a - c), a = sum_t w_t b_t e_t^2, c = sum_t w_t b_t e_t Re y_t,
+    e = exp(gamma b), has its root bracketed by the growth gate,
+    |gamma| T <= log _GROWTH_GATE.  Newton steps on log(a / c), near linear
+    even where the reference outgrows the modes by orders of magnitude,
+    find it; a step that leaves the bracket, or c >= 0, bisects instead.
+    A Newton step or bracket of at most 1e-13 * max(1, |gamma|) ends the
+    fit.  The seed is -M(0)/2, or where the reference grows by
+    sqrt(_GROWTH_GATE) if that is nearer; it carries no authority, the
+    decay diagnostics downstream validate the fit.  If F still falls at an
+    end of the bracket, the best rate lies past the growth gate:
+    NumericalError.
     """
     lams = modes.lambdas
     if lams.size < 5 or lams.max() < 4.0 * lams.min():
         raise ConfigurationError(
             "need >= 5 modes spanning a >= 4x frequency range to fit gamma"
         )
-    sums = _fit_sums(modes)
-    base, w, L, alpha = sums.base, sums.w, sums.L, sums.alpha
-    wb = w * base
-    wb2 = wb * base
-    gamma = complex(sums.seed)
-    value = sums.far(gamma)
-    converged = sums.seed_objective == 0.0
-    iterations = halvings = 0
-    while not converged and iterations < 200:
-        iterations += 1
+    base, w, mean, L, D = _fit_sums(modes)
+    wb, wb2 = w * base, w * base**2
+    lo = np.log(_GROWTH_GATE) / float(base.min())
+    hi = -lo
+
+    def objective(gamma: float) -> float:
+        return D + L * float(w @ (mean - np.exp(gamma * base)) ** 2)
+
+    def sums(gamma: float) -> tuple[float, ...]:
+        """a, c and their derivatives a' / 2, c'."""
         e = np.exp(gamma * base)
-        e2 = np.exp(2.0 * gamma.real * base)
-        jtj = L * float(wb2 @ e2)
-        if jtj == 0.0:
-            raise NumericalError("degenerate decay-rate fit (zero Jacobian)")
-        jtr = -L * complex(wb @ (np.conj(e) * (sums.mean.real - e)))
-        curvature = L * float(np.real(wb2 @ (e * (2.0 * e - sums.mean.real))))
-        step = -jtr / (curvature if curvature > 0.0 else jtj)
-        noise = _FIT_ROUNDING * (alpha + L * float(w @ e2))
-        # damped acceptance: halve only against a real rise
-        trial = sums.far(gamma + step)
-        tries = 0
-        while trial - value > noise and tries < 40:
-            step *= 0.5
-            tries += 1
-            trial = sums.far(gamma + step)
-        if trial - value > noise:
-            raise NumericalError(
-                f"decay-rate fit stalled at iteration {iterations}: "
-                f"objective {sums.objective(gamma):.6e}, gamma {gamma:.6g}"
-            )
-        halvings += tries
-        gamma += step
-        value = trial
-        if abs(step) <= 1e-13 * max(1.0, abs(gamma)):
-            converged = True
-    obj = sums.objective(gamma)
-    if not converged:
+        ee, ey = e * e, e * mean
+        return float(wb @ ee), float(wb @ ey), float(wb2 @ ee), float(wb2 @ ey)
+
+    (a_lo, c_lo, _, _), (a_hi, c_hi, _, _) = sums(lo), sums(hi)
+    if not (a_lo < c_lo and a_hi > c_hi):
         raise NumericalError(
-            f"decay-rate fit did not converge in 200 iterations "
-            f"(objective {obj:.6e}, gamma {gamma:.6g})"
+            f"the best decay rate lies past the growth gate: the references "
+            f"would grow or shrink by more than {_GROWTH_GATE:g} on "
+            f"[0, {modes.T:g}] (|gamma| <= {hi:.6g})"
         )
-    info = {
-        "objective": obj,
-        "objective_at_seed": sums.seed_objective,
-        "iterations": iterations,
-        "halvings": halvings,
-        "seed": complex(sums.seed),
-        "modes": int(lams.size),
-    }
-    return gamma, info
+    seed = gamma = max(-modes.kernel.m0 / 2.0, 0.5 * lo)
+    for iterations in range(1, _ROOT_STEPS + 1):
+        a, c, a2, c2 = sums(gamma)
+        lo, hi = (gamma, hi) if a < c else (lo, gamma)
+        slope = c2 / c - 2.0 * a2 / a if c < 0.0 else 0.0
+        step = float(np.log(a / c)) / slope if slope else np.inf
+        # tested before the bracket: at the root, rounding may point the
+        # step just outside it, and a bisection would leave the basin
+        tol = 1e-13 * max(1.0, abs(gamma))
+        if abs(step) <= tol or hi - lo <= tol:
+            break
+        gamma += step if lo < gamma + step < hi else 0.5 * (lo + hi) - gamma
+    else:
+        raise NumericalError(
+            f"decay-rate fit did not converge in {_ROOT_STEPS} steps "
+            f"(gamma {gamma:.6g}, bracket [{lo:.6g}, {hi:.6g}])"
+        )
+    return complex(gamma), {"objective": objective(gamma), "objective_at_seed": objective(seed),
+                            "iterations": iterations, "seed": complex(seed),
+                            "modes": int(lams.size)}
 
 
 def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:

@@ -4,6 +4,7 @@ import copy
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -721,6 +722,27 @@ def test_visco_summary_written_even_when_a_kernel_cannot_fit(tmp_path):
     by_kernel = {c["kernel"]: c for c in summary["certificates"]}
     assert by_kernel["0"]["passed"] is True          # memoryless certificate
     assert any("error" in c for c in summary["certificates"])
+
+
+def test_visco_fits_a_strong_kernel(tmp_path):
+    # exponential(10, 1000) on the interval at N=20, T=5R: a former fit that
+    # summed its objective relative to the seed stalled here at a negative
+    # objective and exited 70
+    cfg = _write_config(tmp_path, N=20, T_factors=[2.5],
+                        kernels=[{"family": "exponential", "M0": 10, "delta": 1000}])
+    assert _run("visco", "--config", str(cfg)) == 0
+    summary = json.loads((tmp_path / "out" / "visco_certificate.json").read_text())
+    fit = summary["certificates"][0]["fit"]
+    assert fit["objective"] >= 0.0
+    assert sorted(fit) == ["iterations", "modes", "objective", "objective_at_seed", "seed"]
+
+
+def test_readme_api_sketch_runs():
+    """The README's python block runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("argv", [
