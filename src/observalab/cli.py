@@ -25,7 +25,7 @@ from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
                       random_problem)
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
-from .operators import (antisymmetry_suite, multiplier_pairings,
+from .operators import (antisymmetry_suite, boundary_gram_check, multiplier_pairings,
                         quasi_orthogonality_draws, rellich_suite)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
@@ -39,17 +39,12 @@ LOCK_NAME = ".observalab.lock"
 # shared setup
 
 
-def _build_tables(config: RunConfig, need_interior: bool = False):
+def _build_tables(config: RunConfig):
     domain = domain_from_config(config.domain)
     cache = ModeCache.load(resolve_cache_path(config.cache_path))
     table = cached_modes(domain, config.N, cache)
     cache.save()
-    lam_max = float(np.max(table.lambdas))
-    brule = boundary_quadrature(domain, q=config.quadrature_q, lam_max=lam_max)
-    irule = None
-    if need_interior:
-        irule = interior_quadrature(domain, q=config.quadrature_q, lam_max=lam_max)
-    return domain, table, brule, irule
+    return domain, table
 
 
 def _kernel_from_spec(spec: dict) -> MemoryKernel:
@@ -72,7 +67,7 @@ def _in_hypothesis_horizons(config: RunConfig, domain) -> list[float]:
 
 
 def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
-    domain, table, _, _ = _build_tables(config)
+    domain, table = _build_tables(config)
     rows = [
         {"n": m.index,
          "multi_index": "|".join(str(part) for part in m.multi_index),
@@ -84,12 +79,16 @@ def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
 
 
 def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
-    domain, table, brule, irule = _build_tables(config, need_interior=True)
+    domain, table = _build_tables(config)
+    lam_max = float(np.max(table.lambdas))
+    brule = boundary_quadrature(domain, q=config.quadrature_q, lam_max=lam_max)
+    irule = interior_quadrature(domain, q=config.quadrature_q, lam_max=lam_max)
     tol = config.tolerances
     pairings = multiplier_pairings(table, irule)
-    reports = rellich_suite(pairings, brule,
-                            max_index=min(table.N, 20),
-                            tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"])
+    reports = [boundary_gram_check(table, brule)]
+    reports += rellich_suite(pairings, brule,
+                             max_index=min(table.N, 20),
+                             tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"])
     reports += antisymmetry_suite(pairings,
                                   max_index=min(table.N, 15),
                                   tol=tol["antisymmetry"])
@@ -107,9 +106,9 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
 
 
 def cmd_riesz(config: RunConfig, out: Path, args) -> None:
-    domain, table, brule, _ = _build_tables(config)
+    domain, table = _build_tables(config)
     margin_tol = config.tolerances["riesz_margin"]
-    reports = [riesz_bounds_report(table, brule, T, margin_tol=margin_tol)
+    reports = [riesz_bounds_report(table, T, margin_tol=margin_tol)
                for T in config.horizons(2.0 * domain.R)]
     rows = [r.row() for r in reports]
     header = ["domain", "N", "T", "lambda_min", "lambda_max",
@@ -139,7 +138,7 @@ def cmd_riesz(config: RunConfig, out: Path, args) -> None:
 
 
 def cmd_observe(config: RunConfig, out: Path, args) -> None:
-    domain, table, brule, _ = _build_tables(config)
+    domain, table = _build_tables(config)
     horizons = _in_hypothesis_horizons(config, domain)
     if not horizons:
         raise ConfigurationError(
@@ -148,7 +147,7 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
     rng = np.random.default_rng(config.seed)
     rows, summaries = [], []
     for T in horizons:
-        exp = observability_experiment(table, brule, T, config.draws, rng,
+        exp = observability_experiment(table, T, config.draws, rng,
                                        margin_tol=config.tolerances["riesz_margin"])
         rows += [{"T": T, "draw": i, "ratio": r}
                  for i, r in enumerate(exp["ratios"])]
@@ -185,7 +184,7 @@ def _closeness_payload(report) -> dict:
 
 
 def cmd_visco(config: RunConfig, out: Path, args) -> None:
-    domain, table, brule, _ = _build_tables(config)
+    domain, table = _build_tables(config)
     horizons = _in_hypothesis_horizons(config, domain)
     if not horizons:
         raise ConfigurationError(
@@ -200,9 +199,9 @@ def cmd_visco(config: RunConfig, out: Path, args) -> None:
             # one pure-wave spectrum serves every kernel; if it fails, each
             # kernel records the failure as before
             if wave_evals is None:
-                wave_evals = wave_gram_eigenvalues(table, brule, T)
+                wave_evals = wave_gram_eigenvalues(table, T)
             cert = memory_riesz_certificate(
-                table, brule, kernel, T,
+                table, kernel, T,
                 margin_factor=config.tolerances["memory_margin_factor"],
                 wave_evals=wave_evals)
             cert["closeness"] = _closeness_payload(cert["closeness"])
@@ -264,7 +263,7 @@ def _require_riesz_artifact(out: Path, domain, N: int, T: float) -> None:
 
 
 def cmd_control(config: RunConfig, out: Path, args) -> None:
-    domain, table, brule, _ = _build_tables(config)
+    domain, table = _build_tables(config)
     if args.problem is not None:
         try:
             raw = json.loads(Path(args.problem).read_text())
@@ -295,7 +294,7 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         problem = random_problem(table.N, max(horizons),
                                  np.random.default_rng(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
-    rep = control_pipeline(table, brule, problem,
+    rep = control_pipeline(table, problem,
                            steering_tol=config.tolerances["steering_rel_error"])
     result = {
         "domain": {"kind": domain.kind, "params": list(domain.params)},

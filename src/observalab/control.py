@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
-from .geometry import QuadratureRule
 from .gram import (
     GramMatrix,
     assemble_exponential_gram,
@@ -242,22 +241,22 @@ def duhamel_kernels(lam: np.ndarray, mu: np.ndarray,
     return (up - dn) / (2j * lam), 0.5 * (up + dn)
 
 
-def forward_simulate_controlled(table: ModeTable, brule: QuadratureRule,
-                                control: BoundaryControl,
+def forward_simulate_controlled(table: ModeTable, control: BoundaryControl,
                                 problem: ControlProblem) -> dict:
     """Evolve the controlled equation and measure the terminal mismatch.
 
     Testing against each eigenfunction gives the forced oscillator
     u_n'' + lam_n^2 u_n = -lam_n * int f psi_n dS, whose right-hand side
-    is a known trigonometric polynomial of the control coefficients; the
-    Duhamel integrals evaluate in closed form, resonant terms included.
+    is a known trigonometric polynomial of the control coefficients and of
+    the Gram's closed-form B; the Duhamel integrals evaluate in closed
+    form, resonant terms included.
     """
     if control.N != table.N or problem.N != table.N:
         raise ConfigurationError("control, problem, and table truncations differ")
     lam = table.lambdas
     lams = table.lambdas_signed()
     T = problem.T
-    B = boundary_trace_gram(table, brule)
+    B = boundary_trace_gram(table)
     forcing = lam[:, None] * control.coefficients[None, :] * B[:table.N, :]
     Kp, Kv = duhamel_kernels(lam, lams, T)
     cosT, sinT = np.cos(lam * T), np.sin(lam * T)
@@ -285,8 +284,8 @@ def forward_simulate_controlled(table: ModeTable, brule: QuadratureRule,
 # End-to-end pipeline
 
 
-def control_pipeline(table: ModeTable, brule: QuadratureRule,
-                     problem: ControlProblem, *, steering_tol: float) -> dict:
+def control_pipeline(table: ModeTable, problem: ControlProblem, *,
+                     steering_tol: float) -> dict:
     """Assemble the Gram, synthesize the control, verify the steering.
 
     Reports the control norm against the certified ceiling |b|^2 / c_lower
@@ -295,10 +294,10 @@ def control_pipeline(table: ModeTable, brule: QuadratureRule,
     passes at or below steering_tol.
     """
     domain = table.domain
-    G = assemble_exponential_gram(table, brule, problem.T)
+    G = assemble_exponential_gram(table, problem.T)
     spectrum = G.spectrum()
     control = solve_control(table, problem, G)
-    sim = forward_simulate_controlled(table, brule, control, problem)
+    sim = forward_simulate_controlled(table, control, problem)
     c_lower = lower_bound_constant(domain, problem.T)
     b_norm_sq = float(np.vdot(control.rhs, control.rhs).real)
     in_hypothesis = problem.T > 2.0 * domain.R

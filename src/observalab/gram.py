@@ -6,15 +6,16 @@ of L^2(boundary x [0,T]).  Its Gram matrix factors as
     G_{jk} = integral_0^T e^{i (lam_j - lam_k) t} dt * B_{jk},
     B_{jk} = integral_boundary psi_j psi_k dS,
 
-so assembly is a boundary quadrature (closed forms cross-check it on all
-three geometries) Hadamard-multiplied with an analytic time integral.
+so assembly is the closed-form B of each geometry Hadamard-multiplied with
+an analytic time integral; no Gram samples the boundary (verify-identities
+alone checks B against a boundary quadrature).
 The certified lower bound is lambda_min(G) >= 2(T - 2R)/C_Omega whenever
 T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
 
 A sampled assembly path takes arbitrary complex time traces per signed mode
 (used by the memory-kernel experiments, and by the observability check to
-cross-check the closed form) and integrates time by the Gauss-Legendre
-rule geometry.time_rule.
+cross-check the time overlap) and integrates time by the Gauss-Legendre
+rule geometry.time_rule; its boundary factor is the same closed-form B.
 """
 
 from __future__ import annotations
@@ -42,14 +43,8 @@ def phase_integral(nu, t: float) -> np.ndarray:
     return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
 
 
-def boundary_trace_gram(table: ModeTable, brule: QuadratureRule) -> np.ndarray:
-    """B_{jk} = integral psi_j psi_k dS on signed indices (quadrature path)."""
-    psi = table.psi_matrix(brule)
-    return (psi * brule.weights) @ psi.T
-
-
-def boundary_trace_gram_closed(table: ModeTable) -> np.ndarray:
-    """Closed-form B on all three geometries.
+def boundary_trace_gram(table: ModeTable) -> np.ndarray:
+    """B_{jk} = integral psi_j psi_k dS on signed indices, in closed form.
 
     On the disk psi_n = sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho
     {cos, sin}(m theta) on the boundary circle, and J_m'(j_{m,k}) has the
@@ -109,21 +104,10 @@ class GramMatrix:
         return rep
 
 
-def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
-                              T: float) -> GramMatrix:
-    """G = time overlap (Hadamard) B for the pure exponential family.
-
-    The boundary factor B is also computed in closed form; the two paths
-    must agree to 1e-8 or assembly aborts.
-    """
-    B = boundary_trace_gram(table, brule)
-    dev = float(np.max(np.abs(B - boundary_trace_gram_closed(table))))
-    if dev > 1e-8:
-        raise NumericalError(
-            f"boundary Gram quadrature/closed-form disagreement {dev:.3e}"
-        )
+def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
+    """G = time overlap (Hadamard) B for the pure exponential family."""
     lams = table.lambdas_signed()
-    G = phase_integral(lams[:, None] - lams[None, :], T) * B
+    G = phase_integral(lams[:, None] - lams[None, :], T) * boundary_trace_gram(table)
     return GramMatrix(G, T, table.N)
 
 
@@ -136,14 +120,14 @@ def assemble_exponential_gram(table: ModeTable, brule: QuadratureRule,
 _TIME_BLOCK = 4096
 
 
-def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
-                        traces: np.ndarray, trule: QuadratureRule) -> np.ndarray:
+def sampled_gram_matrix(table: ModeTable, traces: np.ndarray,
+                        trule: QuadratureRule) -> np.ndarray:
     """Raw Gram matrix of { z_n(t) psi_n(x) } from time samples z_n.
 
     traces: complex (2N, nodes) in the signed index order, sampled at the
     nodes of the time rule trule, which must resolve them (geometry.time_rule
-    does for traces up to its frequency); space goes by the boundary
-    quadrature factor B.  The time sum runs over blocks of _TIME_BLOCK
+    does for traces up to its frequency); space goes by the closed-form
+    boundary factor B.  The time sum runs over blocks of _TIME_BLOCK
     nodes.  Returns the bare (possibly singular) Hermitian matrix.
     """
     w = trule.weights
@@ -159,8 +143,7 @@ def sampled_gram_matrix(table: ModeTable, brule: QuadratureRule,
         np.conj(weighted, out=weighted)
         conj_gram += weighted @ block.T
     time_gram = np.conj(conj_gram)
-    B = boundary_trace_gram(table, brule)
-    G = B * time_gram
+    G = boundary_trace_gram(table) * time_gram
     # symmetrize away the sum's round-off so the Hermiticity gate stays honest
     return 0.5 * (G + G.conj().T)
 
@@ -205,15 +188,15 @@ class RieszReport:
         }
 
 
-def riesz_bounds_report(table: ModeTable, brule: QuadratureRule, T: float,
-                        *, margin_tol: float) -> RieszReport:
+def riesz_bounds_report(table: ModeTable, T: float, *,
+                        margin_tol: float) -> RieszReport:
     """Assemble, eigensolve, and compare lambda_min with 2(T-2R)/C_Omega.
 
     For T <= 2R the constant is non-positive and the bound is outside its
     hypothesis: the spectrum is still reported, pass stays None.
     """
     dom = table.domain
-    gram = assemble_exponential_gram(table, brule, T)
+    gram = assemble_exponential_gram(table, T)
     spec = gram.spectrum()
     c_low = lower_bound_constant(dom, T)
     margin = spec["lambda_min"] - c_low

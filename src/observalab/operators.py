@@ -12,7 +12,9 @@ traces of eigenfunction pairs to interior pairings:
   coefficient vector have interior energy at most R^2 times the signed
   coefficient sum;
 * boundedness of the normalized boundary traces (running-supremum estimate
-  of the trace constant over random coefficient draws).
+  of the trace constant over random coefficient draws);
+* the closed-form boundary factor B_jk = integral psi_j psi_k dS that every
+  Gram uses, against its boundary quadrature.
 
 All checks are quadrature evaluations over the whole mode table.  The
 interior ones read a MultiplierPairings, which evaluates A phi and phi on
@@ -29,7 +31,10 @@ import numpy as np
 
 from .config import ConfigurationError
 from .geometry import DomainSpec, QuadratureRule
+from .gram import boundary_trace_gram
 from .modes import ModeTable
+
+BOUNDARY_GRAM_GATE = 1e-8  # max |psi W psi^T - B|: boundary rule vs closed form
 
 
 @dataclass
@@ -107,6 +112,17 @@ def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPa
     weighted = aphi * irule.weights
     return MultiplierPairings(table, weighted @ table.phi_matrix(irule.nodes).T,
                               weighted @ aphi.T)
+
+
+def boundary_gram_check(table: ModeTable, brule: QuadratureRule) -> IdentityReport:
+    """psi W psi^T on the boundary rule against the closed-form B, reported at
+    the worst entry (lhs quadrature, rhs B), so abs_error is the max gap."""
+    psi = table.psi_matrix(brule)
+    quad = (psi * brule.weights) @ psi.T
+    closed = boundary_trace_gram(table)
+    worst = np.unravel_index(np.argmax(np.abs(quad - closed)), quad.shape)
+    return _report("boundary_gram_closed_form", quad[worst], closed[worst],
+                   BOUNDARY_GRAM_GATE)
 
 
 def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule,

@@ -697,18 +697,18 @@ def shifted_reference_factors(lams_signed: np.ndarray, gamma: complex,
     return np.exp(gamma * base)[None, :] * np.exp(1j * np.outer(lams_signed, base))
 
 
-def shifted_system_bounds(table: ModeTable, brule: QuadratureRule, gamma: complex,
+def shifted_system_bounds(table: ModeTable, gamma: complex,
                           trule: QuadratureRule, T: float) -> tuple[float, float]:
     """Extreme eigenvalues of the shifted-exponential trace Gram on [0, T],
     sampled on the time rule trule."""
     refs = shifted_reference_factors(table.lambdas_signed(), gamma, trule.nodes[:, 0], T)
-    E = sampled_gram_matrix(table, brule, refs, trule)
+    E = sampled_gram_matrix(table, refs, trule)
     evals, _ = jacobi_eigh(E, need_vectors=False)
     return float(evals[0]), float(evals[-1])
 
 
-def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
-                   gamma: complex, k: int) -> float:
+def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
+                   k: int) -> float:
     """Finite-section relative bound of the memory perturbation.
 
     q_hat = max over coefficient vectors of
@@ -735,8 +735,8 @@ def paley_wiener_q(table: ModeTable, brule: QuadratureRule, modes: MemoryModes,
     diff = modes.signed() - refs
     diff[:k - 1] = 0.0
     diff[table.N:table.N + k - 1] = 0.0
-    D = sampled_gram_matrix(table, brule, diff, modes.trule)
-    E = sampled_gram_matrix(table, brule, refs, modes.trule)
+    D = sampled_gram_matrix(table, diff, modes.trule)
+    E = sampled_gram_matrix(table, refs, modes.trule)
     evals, vecs = jacobi_eigh(E)
     cutoff = 1e-10 * float(np.trace(E).real)
     dead = int(np.count_nonzero(evals <= cutoff))
@@ -784,15 +784,14 @@ def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
     return float(evals[0])
 
 
-def wave_gram_eigenvalues(table: ModeTable, brule: QuadratureRule, T: float) -> np.ndarray:
+def wave_gram_eigenvalues(table: ModeTable, T: float) -> np.ndarray:
     """Ascending eigenvalues of the pure-wave Gram on [0, T]: the memory
     certificate's reference, the same for every kernel."""
-    wave = assemble_exponential_gram(table, brule, T)
+    wave = assemble_exponential_gram(table, T)
     return jacobi_eigh(wave.matrix, need_vectors=False)[0]
 
 
-def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
-                             kernel: MemoryKernel, T: float, *,
+def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *,
                              margin_factor: float, wave_evals: np.ndarray) -> dict:
     """Certify the lower/upper Riesz bounds of the memory trace system.
 
@@ -802,7 +801,7 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
     pure exponential system scaled by exp(2*Re(gamma)*T) (squared-norm
     convention; reported, not asserted).  With a zero kernel the spectra
     must reduce to the pure-wave Gram spectra, wave_evals: those of
-    wave_gram_eigenvalues(table, brule, T), which a run certifying several
+    wave_gram_eigenvalues(table, T), which a run certifying several
     kernels computes once.
     """
     domain = table.domain
@@ -817,7 +816,7 @@ def memory_riesz_certificate(table: ModeTable, brule: QuadratureRule,
         gamma, fit_info = fit_gamma(modes)
     closeness = closeness_spectrum(modes, gamma)
 
-    G = sampled_gram_matrix(table, brule, modes.signed(), modes.trule)
+    G = sampled_gram_matrix(table, modes.signed(), modes.trule)
     evals, _ = jacobi_eigh(G, need_vectors=False)
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     margin_ok = lam_min >= margin_factor * lam_max

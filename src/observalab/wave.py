@@ -12,10 +12,10 @@ and certifies
     flux_norm_sq / (2 * energy) >= 2 (T - 2R) / C_Omega
 
 on every draw, with the minimizing eigenvector of the Gram matrix fed back
-in as the adversarial direction.  The closed Gram form is cross-checked on
-the first draws against the Gram of the same family sampled on the
-Gauss-Legendre time rule geometry.time_rule, the only time discretization
-here.
+in as the adversarial direction.  Both Grams here take the closed-form
+boundary factor B; the analytic time overlap is cross-checked on the first
+draws against the Gram of the same family sampled on the Gauss-Legendre
+time rule geometry.time_rule, the only time discretization here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .geometry import QuadratureRule, time_rule
+from .geometry import time_rule
 from .gram import (
     GramMatrix,
     assemble_exponential_gram,
@@ -52,14 +52,14 @@ _SAMPLED_FLUX_CHECKS = 3  # draws whose flux norm is also sampled in time
 FLUX_GRAM_REL_GATE = 1e-6
 
 
-def _sampled_flux_errors(table: ModeTable, brule: QuadratureRule, T: float,
-                         a: np.ndarray, flux_sq: np.ndarray) -> list[float]:
+def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
+                         flux_sq: np.ndarray) -> list[float]:
     """Relative gaps between the closed Gram form and the time-sampled flux
     norm of the rows a, from one sampled Gram of the signed family."""
     trule = time_rule(T, float(np.max(table.lambdas)))
     phases = np.outer(1j * table.lambdas_signed(), trule.nodes[:, 0])
     np.exp(phases, out=phases)
-    sampled = GramMatrix(sampled_gram_matrix(table, brule, phases, trule), T, table.N)
+    sampled = GramMatrix(sampled_gram_matrix(table, phases, trule), T, table.N)
     errors = np.abs(sampled.quad_form(a) - flux_sq) / flux_sq
     for rel in errors:
         if rel > FLUX_GRAM_REL_GATE:
@@ -69,9 +69,8 @@ def _sampled_flux_errors(table: ModeTable, brule: QuadratureRule, T: float,
     return errors.tolist()
 
 
-def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
-                             draws: int, rng: np.random.Generator,
-                             *, margin_tol: float) -> dict:
+def observability_experiment(table: ModeTable, T: float, draws: int,
+                             rng: np.random.Generator, *, margin_tol: float) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
     Draws come _ROW_BLOCK rows at a time as rng.normal(size=(rows, 4, N))
@@ -85,7 +84,7 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
     dom = table.domain
     if T <= 2.0 * dom.R:
         raise ConfigurationError("observability horizon must exceed 2R")
-    gram = assemble_exponential_gram(table, brule, T)
+    gram = assemble_exponential_gram(table, T)
     spec = gram.spectrum()
     c_low = lower_bound_constant(dom, T)
     ratios = np.empty(draws)
@@ -96,7 +95,7 @@ def observability_experiment(table: ModeTable, brule: QuadratureRule, T: float,
         flux_sq = gram.quad_form(a)
         if first == 0:
             checks = slice(0, _SAMPLED_FLUX_CHECKS)
-            cross_errors = _sampled_flux_errors(table, brule, T, a[checks], flux_sq[checks])
+            cross_errors = _sampled_flux_errors(table, T, a[checks], flux_sq[checks])
         block = flux_sq / np.sum(np.abs(a) ** 2, axis=1)
         ratios[first:first + len(block)] = block
         failures += [{"draw": first + int(i), "ratio": float(block[i]), "a": a[i].tolist()}

@@ -92,8 +92,7 @@ def test_criterion_03_lower_riesz_bound_interval_and_rectangle():
     mins = []
     for N in (5, 10, 20, 40):
         table = enumerate_modes(dom_i, N)
-        brule = boundary_quadrature(dom_i, lam_max=float(table.lambdas[-1]))
-        spec = assemble_exponential_gram(table, brule, T_i).spectrum()
+        spec = assemble_exponential_gram(table, T_i).spectrum()
         assert spec["lambda_min"] >= 4.0 - 1e-6, f"interval N={N}"
         mins.append(spec["lambda_min"])
     assert all(a >= b - 1e-12 for a, b in zip(mins, mins[1:])), \
@@ -105,8 +104,7 @@ def test_criterion_03_lower_riesz_bound_interval_and_rectangle():
     mins = []
     for N in (5, 10, 20):
         table = enumerate_modes(dom_r, N)
-        brule = boundary_quadrature(dom_r, lam_max=float(np.max(table.lambdas)))
-        spec = assemble_exponential_gram(table, brule, T_r).spectrum()
+        spec = assemble_exponential_gram(table, T_r).spectrum()
         assert spec["lambda_min"] >= c_r - 1e-6, f"rectangle N={N}"
         mins.append(spec["lambda_min"])
     assert all(a >= b - 1e-12 for a, b in zip(mins, mins[1:])), \
@@ -122,8 +120,7 @@ def test_criterion_04_observability_monte_carlo():
     rng = np.random.default_rng(2024)
     for kind, dom, N, T in configs:
         table = enumerate_modes(dom, N)
-        brule = boundary_quadrature(dom, lam_max=float(np.max(table.lambdas)))
-        exp = observability_experiment(table, brule, T, 200, rng,
+        exp = observability_experiment(table, T, 200, rng,
                                        margin_tol=1e-6)
         assert not exp["failures"], f"{kind}: ratio below the certified constant"
         assert exp["min_ratio"] >= exp["c_lower"] - 1e-6, kind
@@ -134,7 +131,7 @@ def test_criterion_04_observability_monte_carlo():
 def test_criterion_05_flux_norm_equals_gram_form(geometries):
     for kind, (dom, table, brule, irule) in geometries.items():
         T = 2.5 * 2.0 * dom.R
-        gram = assemble_exponential_gram(table, brule, T)
+        gram = assemble_exponential_gram(table, T)
         rng = np.random.default_rng(55)
         for _ in range(5):
             parts = rng.normal(size=(4, table.N))
@@ -192,35 +189,34 @@ def test_criterion_08_perturbation_section_below_one():
     report = closeness_spectrum(modes, gamma)
     c_alpha = estimate_trace_constant(table, brule, 200,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = shifted_system_bounds(table, brule, gamma, modes.trule, T)
+    c_gamma, _ = shifted_system_bounds(table, gamma, modes.trule, T)
     k = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma, table.lambdas)
-    q_hat = paley_wiener_q(table, brule, modes, gamma, k)
+    q_hat = paley_wiener_q(table, modes, gamma, k)
     assert q_hat < 1.0, f"q at the proof-guided cutoff k={k} is {q_hat:.3f}"
 
     # a memoryless system is its own reference: q must vanish identically
     zero_modes = solve_memory_modes(table.lambdas, zero_kernel(), T)
-    assert paley_wiener_q(table, brule, zero_modes, 0.0, 1) == 0.0
+    assert paley_wiener_q(table, zero_modes, 0.0, 1) == 0.0
 
     # raising the cutoff never increases the section norm
-    qs = [paley_wiener_q(table, brule, modes, gamma, k) for k in (2, 5, 9, 13)]
+    qs = [paley_wiener_q(table, modes, gamma, k) for k in (2, 5, 9, 13)]
     assert all(b <= a + 1e-12 for a, b in zip(qs, qs[1:])), qs
 
 
 def test_criterion_09_memory_certificate_default_kernels():
     dom = interval(np.pi)
     table = enumerate_modes(dom, 20)
-    brule = boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
     T = 2.5 * np.pi
-    wave_evals = wave_gram_eigenvalues(table, brule, T)
+    wave_evals = wave_gram_eigenvalues(table, T)
     for m0 in (0.2, 0.5):
-        cert = memory_riesz_certificate(table, brule,
+        cert = memory_riesz_certificate(table,
                                         exponential_kernel(m0, 1.0), T,
                                         margin_factor=1e-3, wave_evals=wave_evals)
         assert cert["lambda_min"] > 0.0
         assert cert["lambda_min"] >= 1e-3 * cert["lambda_max"], \
             f"margin violated for M0={m0}"
         assert cert["passed"]
-    zero_cert = memory_riesz_certificate(table, brule, zero_kernel(), T,
+    zero_cert = memory_riesz_certificate(table, zero_kernel(), T,
                                          margin_factor=1e-3, wave_evals=wave_evals)
     assert zero_cert["reduction_rel_diff"] <= 1e-6
 
@@ -229,9 +225,8 @@ def test_criterion_10_minimum_norm_steering():
     start = time.monotonic()
     dom = interval(np.pi)
     table = enumerate_modes(dom, 10)
-    brule = boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
     problem = random_problem(10, 2.0 * np.pi, np.random.default_rng(42))
-    rep = control_pipeline(table, brule, problem, steering_tol=1e-3)
+    rep = control_pipeline(table, problem, steering_tol=1e-3)
     assert rep["simulation"]["rel_error"] <= 1e-3
     assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
     assert rep["passed"]

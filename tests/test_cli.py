@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from observalab import cli, visco, wave
+from observalab import cli, geometry, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
@@ -162,6 +162,52 @@ def test_no_command_imports_numpy_ma(tmp_path):
     assert result == {"codes": [0] * 18, "numpy.ma": False}
 
 
+@pytest.mark.parametrize("domain, N", [
+    ({"kind": "interval", "length": np.pi}, 6),
+    ({"kind": "rectangle", "widths": [np.pi, np.pi]}, 20),
+    ({"kind": "disk", "radius": 1.0}, 18),
+], ids=["interval", "rectangle", "disk"])
+def test_gram_commands_never_sample_the_boundary(tmp_path, monkeypatch, domain, N):
+    """riesz, observe, control and visco take every boundary factor from
+    its closed form: with psi and the boundary rule unavailable they still
+    certify (N is the smallest at which visco fits a nonzero kernel)."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the boundary was sampled")
+
+    monkeypatch.setattr(ModeTable, "psi_matrix", unavailable)
+    monkeypatch.setattr(geometry, "boundary_quadrature", unavailable)
+    monkeypatch.setattr(cli, "boundary_quadrature", unavailable)
+    cfg = _write_config(tmp_path, N=N, domain=domain, T_factors=[2.0],
+                        kernels=_VISCO_KERNELS[:2])
+    for cmd in ("riesz", "observe", "control", "visco"):
+        assert _run(cmd, "--config", str(cfg)) == 0, cmd
+
+
+def test_identities_check_the_closed_form_boundary_factor(tmp_path, monkeypatch):
+    """verify-identities reports max |psi W psi^T - B| as one row, and a
+    closed form off by 1e-6 fails it with exit 2."""
+    cfg = _write_config(tmp_path, domain={"kind": "rectangle", "widths": [np.pi, 2.0]})
+    csv_path = tmp_path / "out" / "identities.csv"
+
+    def boundary_row():
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        header = rows[0]
+        found = [dict(zip(header, row)) for row in rows if row[0] == "boundary_gram_closed_form"]
+        assert len(found) == 1
+        return found[0]
+
+    assert _run("verify-identities", "--config", str(cfg)) == 0
+    row = boundary_row()
+    assert float(row["abs_error"]) <= 1e-12
+    assert float(row["tolerance"]) == ops.BOUNDARY_GRAM_GATE == 1e-8
+    closed = ops.boundary_trace_gram
+    monkeypatch.setattr(ops, "boundary_trace_gram", lambda table: closed(table) + 1e-6)
+    assert _run("verify-identities", "--config", str(cfg)) == 2
+    row = boundary_row()
+    assert row["pass"] == "false"
+    assert float(row["abs_error"]) == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
     """verify-identities evaluates phi and grad phi on the interior rule once,
     however many quasi-orthogonality draws it certifies, in one block or
@@ -187,23 +233,17 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
 
 
 def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
-    """observe evaluates psi as often and builds one sampled Gram per
-    horizon however many draws it certifies, in one block or several."""
+    """observe builds one sampled Gram per horizon however many draws it
+    certifies, in one block or several (and never evaluates psi:
+    test_gram_commands_never_sample_the_boundary)."""
     calls = []
-    original_psi = ModeTable.psi_matrix
     original_sampled = wave.sampled_gram_matrix
-
-    def counted_psi(self, rule):
-        calls.append("psi_matrix")
-        return original_psi(self, rule)
 
     def counted_sampled(*args):
         calls.append("sampled_gram_matrix")
         return original_sampled(*args)
 
-    monkeypatch.setattr(ModeTable, "psi_matrix", counted_psi)
     monkeypatch.setattr(wave, "sampled_gram_matrix", counted_sampled)
-    psi_calls = set()
     for draws in (1, 50, ops._ROW_BLOCK + 1):
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
@@ -211,8 +251,6 @@ def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
         calls.clear()
         assert _run("observe", "--config", str(cfg)) == 0
         assert calls.count("sampled_gram_matrix") == 2, draws
-        psi_calls.add(calls.count("psi_matrix"))
-    assert len(psi_calls) == 1
 
 
 def test_tolerance_overrides_reach_control_and_visco_and_end_with_the_run(tmp_path):
@@ -538,14 +576,14 @@ def test_visco_needs_no_dense_eigendecomposition(tmp_path, monkeypatch):
 
 
 def test_visco_assembles_the_wave_gram_once_per_run(tmp_path, monkeypatch):
-    """The pure-wave reference spectrum depends on the table, the boundary
-    rule and T alone: one assembly for three kernels, and the certificate
-    holds the bytes a per-kernel assembly writes."""
+    """The pure-wave reference spectrum depends on the table and T alone:
+    one assembly for three kernels, and the certificate holds the bytes a
+    per-kernel assembly writes."""
     calls = []
     original = visco.assemble_exponential_gram
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return original(*args)
 
     cfg = _write_config(tmp_path, N=8, T_factors=[2.5], kernels=_VISCO_KERNELS)
@@ -558,9 +596,9 @@ def test_visco_assembles_the_wave_gram_once_per_run(tmp_path, monkeypatch):
     assert strip_timestamp(out.read_text()) == once
     certify = cli.memory_riesz_certificate
 
-    def per_kernel(table, brule, kernel, T, **keywords):
-        keywords["wave_evals"] = visco.wave_gram_eigenvalues(table, brule, T)
-        return certify(table, brule, kernel, T, **keywords)
+    def per_kernel(table, kernel, T, **keywords):
+        keywords["wave_evals"] = visco.wave_gram_eigenvalues(table, T)
+        return certify(table, kernel, T, **keywords)
 
     monkeypatch.setattr(cli, "memory_riesz_certificate", per_kernel)
     assert _run("visco", "--config", str(cfg)) == 0

@@ -13,11 +13,14 @@ from observalab import control as C
 from flux_sampling import boundary_flux
 
 
-def _setup(N, lam_max=None):
+def _setup(N):
     dom = interval(np.pi)
-    table = enumerate_modes(dom, N)
-    brule = boundary_quadrature(dom, lam_max=lam_max or float(table.lambdas[-1]))
-    return dom, table, brule
+    return dom, enumerate_modes(dom, N)
+
+
+def _boundary_rule(dom, table):
+    """The flux oracle's boundary rule; the library itself samples no boundary."""
+    return boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -27,16 +30,16 @@ def _setup(N, lam_max=None):
 
 
 def test_worked_example_rhs():
-    dom, table, brule = _setup(1)
+    dom, table = _setup(1)
     prob = C.ControlProblem([0.0], [0.0], [1.0], [0.0], 2 * np.pi)
     b = C.transposition_rhs(table, prob)
     assert np.allclose(b, [-1j, -1j], atol=1e-12)
 
 
 def test_worked_example_control_and_norm():
-    dom, table, brule = _setup(1)
+    dom, table = _setup(1)
     prob = C.ControlProblem([0.0], [0.0], [1.0], [0.0], 2 * np.pi)
-    G = assemble_exponential_gram(table, brule, prob.T)
+    G = assemble_exponential_gram(table, prob.T)
     ctl = C.solve_control(table, prob, G)
     assert np.allclose(ctl.coefficients, [-0.125j, -0.125j], atol=1e-12)
     assert abs(ctl.norm_sq - 0.25) < 1e-12
@@ -46,11 +49,11 @@ def test_worked_example_control_and_norm():
 
 
 def test_worked_example_steers_exactly():
-    dom, table, brule = _setup(1)
+    dom, table = _setup(1)
     prob = C.ControlProblem([0.0], [0.0], [1.0], [0.0], 2 * np.pi)
-    G = assemble_exponential_gram(table, brule, prob.T)
+    G = assemble_exponential_gram(table, prob.T)
     ctl = C.solve_control(table, prob, G)
-    sim = C.forward_simulate_controlled(table, brule, ctl, prob)
+    sim = C.forward_simulate_controlled(table, ctl, prob)
     assert sim["rel_error"] < 1e-12
     assert abs(sim["final_position"][0] - 1.0) < 1e-12
     assert abs(sim["final_velocity"][0]) < 1e-12
@@ -61,7 +64,7 @@ def test_worked_example_steers_exactly():
 
 
 def test_rhs_zero_for_zero_data():
-    dom, table, brule = _setup(6)
+    dom, table = _setup(6)
     z = np.zeros(6)
     prob = C.ControlProblem(z, z, z, z, 5.0)
     assert np.max(np.abs(C.transposition_rhs(table, prob))) == 0.0
@@ -70,7 +73,7 @@ def test_rhs_zero_for_zero_data():
 def test_rhs_zero_when_free_evolution_hits_target():
     # mode k evolves freely to (cos(lam T) p, -lam sin(lam T) p); aiming
     # there needs no control at all.
-    dom, table, brule = _setup(6)
+    dom, table = _setup(6)
     T = 2.2
     p0 = np.zeros(6, dtype=complex)
     q0 = np.zeros(6, dtype=complex)
@@ -87,11 +90,11 @@ def test_rhs_zero_when_free_evolution_hits_target():
 def test_single_mode_task_activates_one_signed_pair():
     # at the orthogonal horizon T = 2pi the interval Gram is diagonal, so a
     # single-mode target excites exactly the +-k coefficients.
-    dom, table, brule = _setup(5)
+    dom, table = _setup(5)
     p = np.zeros(5)
     p[3] = 1.0
     prob = C.ControlProblem(np.zeros(5), np.zeros(5), p, np.zeros(5), 2 * np.pi)
-    G = assemble_exponential_gram(table, brule, prob.T)
+    G = assemble_exponential_gram(table, prob.T)
     a = C.solve_control(table, prob, G).coefficients
     live = np.abs(a) > 1e-12
     expect = np.zeros(10, dtype=bool)
@@ -100,12 +103,12 @@ def test_single_mode_task_activates_one_signed_pair():
 
 
 def test_solve_matches_dense_linear_algebra():
-    dom, table, brule = _setup(8)
+    dom, table = _setup(8)
     T = 2.3 * np.pi
     rng = np.random.default_rng(17)
     prob = C.ControlProblem(*(rng.normal(size=8) + 1j * rng.normal(size=8)
                               for _ in range(4)), T)
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     ctl = C.solve_control(table, prob, G)
     b = C.transposition_rhs(table, prob)
     direct = np.conj(np.linalg.solve(G.matrix, np.conj(b)))
@@ -113,10 +116,10 @@ def test_solve_matches_dense_linear_algebra():
 
 
 def test_zero_data_gives_zero_control():
-    dom, table, brule = _setup(6)
+    dom, table = _setup(6)
     T = 2.3 * np.pi
     prob = C.ControlProblem(*(np.zeros(6) for _ in range(4)), T)
-    ctl = C.solve_control(table, prob, assemble_exponential_gram(table, brule, T))
+    ctl = C.solve_control(table, prob, assemble_exponential_gram(table, T))
     assert np.all(ctl.coefficients == 0.0)
     assert ctl.solve_residual_rel == 0.0 and ctl.norm_sq == 0.0
 
@@ -141,12 +144,12 @@ def test_duhamel_kernels_match_quadrature():
 
 
 def test_zero_control_gives_free_rotation():
-    dom, table, brule = _setup(5)
+    dom, table = _setup(5)
     T = 1.7
     prob = C.random_problem(5, T, np.random.default_rng(2))
     null = C.BoundaryControl(np.zeros(10, dtype=complex), T, 0.0,
                              np.zeros(10, dtype=complex), 0.0)
-    sim = C.forward_simulate_controlled(table, brule, null, prob)
+    sim = C.forward_simulate_controlled(table, null, prob)
     lam = table.lambdas
     p_free = prob.position0 * np.cos(lam * T) + prob.velocity0 * np.sin(lam * T) / lam
     q_free = -prob.position0 * lam * np.sin(lam * T) + prob.velocity0 * np.cos(lam * T)
@@ -163,9 +166,9 @@ def test_zero_control_gives_free_rotation():
 
 
 def test_steering_interval_ten_modes():
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     prob = C.random_problem(10, 2 * np.pi, np.random.default_rng(42))
-    rep = C.control_pipeline(table, brule, prob, steering_tol=1e-3)
+    rep = C.control_pipeline(table, prob, steering_tol=1e-3)
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-3
     assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
@@ -173,23 +176,23 @@ def test_steering_interval_ten_modes():
 
 
 def test_steering_nonorthogonal_horizon():
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(3))
-    rep = C.control_pipeline(table, brule, prob, steering_tol=1e-3)
+    rep = C.control_pipeline(table, prob, steering_tol=1e-3)
     assert rep["passed"]
     assert rep["simulation"]["rel_error"] <= 1e-6
     assert rep["bound_ok"]
 
 
 def test_real_data_yields_real_control():
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     T = 2.3 * np.pi
     prob = C.random_problem(10, T, np.random.default_rng(8))
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     ctl = C.solve_control(table, prob, G)
     assert ctl.realness_defect < 1e-10
     tgrid = np.linspace(0.0, T, 257)
-    samples = table.psi_matrix(brule).T @ (
+    samples = table.psi_matrix(_boundary_rule(dom, table)).T @ (
         ctl.coefficients[:, None] * np.exp(1j * np.outer(table.lambdas_signed(), tgrid)))
     assert float(np.max(np.abs(samples.imag))) < 1e-10
     # complex data steers with a complex control, and the defect shows it
@@ -202,23 +205,23 @@ def test_real_data_yields_real_control():
 def test_sampled_norm_agrees_with_gram_form():
     """The control is a signed boundary combination, so the directly sampled
     flux gives its norm by Simpson independently of the Gram form."""
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(13))
-    G = assemble_exponential_gram(table, brule, prob.T)
+    G = assemble_exponential_gram(table, prob.T)
     ctl = C.solve_control(table, prob, G)
-    _, sampled = boundary_flux(table, brule, ctl.coefficients, prob.T)
+    _, sampled = boundary_flux(table, _boundary_rule(dom, table), ctl.coefficients, prob.T)
     assert abs(sampled - ctl.norm_sq) <= 1e-6 * ctl.norm_sq
 
 
 def test_longer_horizon_strengthens_certificate():
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     seeds = np.random.default_rng(3)
     base = C.random_problem(10, 2.3 * np.pi, seeds)
     double = C.ControlProblem(base.position0, base.velocity0,
                               base.target_position, base.target_velocity,
                               2 * base.T)
-    r1 = C.control_pipeline(table, brule, base, steering_tol=1e-3)
-    r2 = C.control_pipeline(table, brule, double, steering_tol=1e-3)
+    r1 = C.control_pipeline(table, base, steering_tol=1e-3)
+    r2 = C.control_pipeline(table, double, steering_tol=1e-3)
     assert r2["c_lower"] > r1["c_lower"]
     assert r1["bound_ok"] and r2["bound_ok"]
 
@@ -226,16 +229,16 @@ def test_longer_horizon_strengthens_certificate():
 def test_sub_horizon_solve_fails_with_condition_estimate():
     # below the escape time the truncated Gram is numerically singular and
     # the solve must fail loudly, carrying a spectral condition estimate.
-    dom, table, brule = _setup(20)
+    dom, table = _setup(20)
     T = 0.45 * np.pi
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     prob = C.random_problem(20, T, np.random.default_rng(11))
     with pytest.raises(NumericalError, match="condition estimate"):
         C.solve_control(table, prob, G)
 
 
 def test_exactly_singular_gram_fails_with_condition_estimate():
-    dom, table, brule = _setup(1)
+    dom, table = _setup(1)
     T = 2 * np.pi
     G = GramMatrix(np.ones((2, 2), dtype=complex), T, 1)
     prob = C.random_problem(1, T, np.random.default_rng(4))
@@ -257,9 +260,9 @@ def test_problem_validation():
 
 
 def test_gram_problem_mismatches_rejected():
-    dom, table, brule = _setup(10)
+    dom, table = _setup(10)
     prob = C.random_problem(10, 2 * np.pi, np.random.default_rng(1))
-    G_wrong_T = assemble_exponential_gram(table, brule, 3 * np.pi)
+    G_wrong_T = assemble_exponential_gram(table, 3 * np.pi)
     with pytest.raises(ConfigurationError):
         C.solve_control(table, prob, G_wrong_T)
     small = enumerate_modes(dom, 9)

@@ -16,11 +16,6 @@ from observalab import gram as gr
 from flux_sampling import simpson_weights
 
 
-def _setup(dom, N, q=32):
-    table = enumerate_modes(dom, N)
-    return table, boundary_quadrature(dom, q=q, lam_max=table.lambdas[-1])
-
-
 # ---------------------------------------------------------------- time factor
 
 def _overlap(lams, T):
@@ -69,21 +64,21 @@ def test_time_overlap_rejects_non_positive_horizon(T):
 def test_interval_gram_full_period_is_diagonal():
     """L = pi, T = 2pi: all frequency gaps are integers, so every off-diagonal
     time overlap vanishes and the diagonal is T * 4/L = 8."""
-    table, brule = _setup(interval(np.pi), 6, q=8)
-    G = gr.assemble_exponential_gram(table, brule, 2 * np.pi)
+    table = enumerate_modes(interval(np.pi), 6)
+    G = gr.assemble_exponential_gram(table, 2 * np.pi)
     assert np.max(np.abs(G.matrix - 8.0 * np.eye(12))) < 1e-12
 
 
 def test_interval_gram_diagonal_any_T():
-    table, brule = _setup(interval(np.pi), 4, q=8)
+    table = enumerate_modes(interval(np.pi), 4)
     T = 1.9
-    G = gr.assemble_exponential_gram(table, brule, T)
+    G = gr.assemble_exponential_gram(table, T)
     assert np.allclose(np.diagonal(G.matrix), T * 4 / np.pi, atol=1e-12)
 
 
 def test_gram_is_hermitian_and_psd():
-    table, brule = _setup(rectangle(np.pi, np.pi / 2), 8)
-    G = gr.assemble_exponential_gram(table, brule, 5.0)
+    table = enumerate_modes(rectangle(np.pi, np.pi / 2), 8)
+    G = gr.assemble_exponential_gram(table, 5.0)
     m = G.matrix
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     spec = G.spectrum()
@@ -100,19 +95,36 @@ def test_gram_rejects_non_finite(bad):
         gr.GramMatrix(m, 1.0, 1)
 
 
-@pytest.mark.parametrize("dom", [interval(np.pi), rectangle(np.pi, np.pi / 2),
-                                 disk(1.0), disk(2.3)],
-                         ids=["interval", "rectangle", "disk", "disk-rho2.3"])
-def test_boundary_factor_closed_form_vs_quadrature(dom):
-    table, brule = _setup(dom, 20 if dom.kind == "disk" else 10)
-    quad = gr.boundary_trace_gram(table, brule)
-    closed = gr.boundary_trace_gram_closed(table)
-    assert np.max(np.abs(quad - closed)) < 1e-10
+# the base domains, scaled by s; the rectangle's second side also by the aspect
+BOUNDARY_DOMAINS = {
+    "interval": lambda s, aspect: interval(np.pi * s),
+    "rectangle": lambda s, aspect: rectangle(np.pi * s, np.pi * s * aspect),
+    "disk": lambda s, aspect: disk(s),
+    "disk-rho2.3": lambda s, aspect: disk(2.3 * s),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_DOMAINS))
+@settings(max_examples=25, deadline=None)
+@given(scale=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+       aspect=st.floats(-3.0, 3.0).map(lambda e: 2.0 ** e),
+       N=st.integers(1, 48), q=st.sampled_from([4, 8, 16, 32]))
+def test_boundary_factor_closed_form_vs_quadrature(kind, scale, aspect, N, q):
+    """The closed-form B that every Gram uses against psi W psi^T on the
+    boundary rule, for sizes 1e-2..1e2, rectangle aspects 1/8..8, N up to
+    48 and every panel order; the bound was fixed before the first run."""
+    dom = BOUNDARY_DOMAINS[kind](scale, aspect)
+    table = enumerate_modes(dom, N)
+    brule = boundary_quadrature(dom, q=q, lam_max=table.lambdas[-1])
+    psi = table.psi_matrix(brule)
+    quad = (psi * brule.weights) @ psi.T
+    closed = gr.boundary_trace_gram(table)
+    assert np.max(np.abs(quad - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
 def test_quad_form_homogeneity():
-    table, brule = _setup(interval(np.pi), 5, q=8)
-    G = gr.assemble_exponential_gram(table, brule, 4.0)
+    table = enumerate_modes(interval(np.pi), 5)
+    G = gr.assemble_exponential_gram(table, 4.0)
     rng = np.random.default_rng(0)
     a = rng.normal(size=10) + 1j * rng.normal(size=10)
     assert G.quad_form(2.5j * a) == pytest.approx(6.25 * G.quad_form(a), rel=1e-12)
@@ -121,10 +133,10 @@ def test_quad_form_homogeneity():
 def test_principal_submatrix_ordering():
     """The signed principal sub-Gram |j| <= n that the memory certificate's
     independence check reads is the Gram of the first n modes."""
-    table, brule = _setup(interval(np.pi), 6, q=8)
-    G = gr.assemble_exponential_gram(table, brule, 4.0)
-    small_table, _ = _setup(interval(np.pi), 3)
-    G3 = gr.assemble_exponential_gram(small_table, brule, 4.0)
+    table = enumerate_modes(interval(np.pi), 6)
+    G = gr.assemble_exponential_gram(table, 4.0)
+    small_table = enumerate_modes(interval(np.pi), 3)
+    G3 = gr.assemble_exponential_gram(small_table, 4.0)
     idx = np.concatenate([np.arange(3), 6 + np.arange(3)])
     assert np.allclose(G.matrix[np.ix_(idx, idx)], G3.matrix, atol=1e-12)
     expect = np.linalg.eigvalsh(G3.matrix)[0]
@@ -136,8 +148,8 @@ GEOMETRIES = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
 
 
 @lru_cache(maxsize=None)
-def _cached_setup(kind, N):
-    return _setup(GEOMETRIES[kind], N)
+def _cached_table(kind, N):
+    return enumerate_modes(GEOMETRIES[kind], N)
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,9 +157,9 @@ def _cached_setup(kind, N):
        fraction=st.floats(1e-12, 1.0))
 def test_gram_signed_conjugate_symmetry(kind, N, fraction):
     """G_{-j,-k} = conj(G_jk) and G = G^H for T in [1e-12, 1] * 4 * 2R."""
-    table, brule = _cached_setup(kind, N)
+    table = _cached_table(kind, N)
     T = fraction * 8.0 * GEOMETRIES[kind].R
-    G = gr.assemble_exponential_gram(table, brule, T).matrix
+    G = gr.assemble_exponential_gram(table, T).matrix
     tol = 1e-14 * np.max(np.abs(G))
     flip = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
     assert np.max(np.abs(G[np.ix_(flip, flip)] - np.conj(G))) <= tol
@@ -158,8 +170,8 @@ def test_gram_signed_conjugate_symmetry(kind, N, fraction):
 
 def test_riesz_interval_reference_horizon():
     """L = pi: R = C_Omega = pi/2, T = 2pi gives the bound 4."""
-    table, brule = _setup(interval(np.pi), 10, q=8)
-    rep = gr.riesz_bounds_report(table, brule, 2 * np.pi,
+    table = enumerate_modes(interval(np.pi), 10)
+    rep = gr.riesz_bounds_report(table, 2 * np.pi,
                                  margin_tol=TOLERANCES["riesz_margin"])
     assert rep.c_lower == pytest.approx(4.0)
     assert rep.lambda_min >= 4.0 - 1e-6
@@ -169,20 +181,20 @@ def test_riesz_interval_reference_horizon():
 def test_riesz_single_mode_block():
     """N = 1: the 2x2 block has eigenvalues T(4/L) -+ |offdiag|, both above
     the bound for any T > 2R (checked on a small horizon sweep)."""
-    table, brule = _setup(interval(np.pi), 1, q=8)
+    table = enumerate_modes(interval(np.pi), 1)
     for T in [np.pi * 1.05, np.pi * 1.4, np.pi * 2.2, np.pi * 3.1]:
-        G = gr.assemble_exponential_gram(table, brule, T)
+        G = gr.assemble_exponential_gram(table, T)
         off = abs(G.matrix[0, 1])
         lo = T * 4 / np.pi - off
-        rep = gr.riesz_bounds_report(table, brule, T,
+        rep = gr.riesz_bounds_report(table, T,
                                      margin_tol=TOLERANCES["riesz_margin"])
         assert rep.lambda_min == pytest.approx(lo, rel=1e-10)
         assert rep.lambda_min >= rep.c_lower - 1e-6
 
 
 def test_riesz_outside_hypothesis_reports_only():
-    table, brule = _setup(interval(np.pi), 4, q=8)
-    rep = gr.riesz_bounds_report(table, brule, 0.8 * np.pi,
+    table = enumerate_modes(interval(np.pi), 4)
+    rep = gr.riesz_bounds_report(table, 0.8 * np.pi,
                                  margin_tol=TOLERANCES["riesz_margin"])
     assert not rep.in_hypothesis and rep.passed is None
     assert np.isfinite(rep.lambda_min)
@@ -190,11 +202,10 @@ def test_riesz_outside_hypothesis_reports_only():
 
 def test_lambda_min_non_increasing_in_N():
     dom = rectangle(np.pi, np.pi)
-    table, brule = _setup(dom, 12)
     T = 2.5 * 2 * dom.R
     mins = []
     for n in [3, 6, 12]:
-        G = gr.assemble_exponential_gram(enumerate_modes(dom, n), brule, T)
+        G = gr.assemble_exponential_gram(enumerate_modes(dom, n), T)
         mins.append(G.spectrum()["lambda_min"])
     assert mins[0] >= mins[1] - 1e-10 >= mins[2] - 2e-10
 
@@ -203,13 +214,13 @@ def test_lambda_min_non_increasing_in_N():
 
 def test_sampled_gram_reproduces_analytic():
     dom = rectangle(np.pi, np.pi / 2)
-    table, brule = _setup(dom, 6)
+    table = enumerate_modes(dom, 6)
     T = 2.5 * 2 * dom.R
     trule = time_rule(T, table.lambdas[-1])
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0]))
-    Gs = gr.sampled_gram_matrix(table, brule, traces, trule)
-    Ga = gr.assemble_exponential_gram(table, brule, T)
+    Gs = gr.sampled_gram_matrix(table, traces, trule)
+    Ga = gr.assemble_exponential_gram(table, T)
     assert np.max(np.abs(Gs - Ga.matrix)) < 1e-6
 
 
@@ -217,13 +228,13 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     """Traces e^{i lam (t-T)} differ from e^{i lam t} by a diagonal unitary
     congruence, so the sampled spectrum matches the analytic one."""
     dom = interval(np.pi)
-    table, brule = _setup(dom, 5, q=8)
+    table = enumerate_modes(dom, 5)
     T = 2.5 * np.pi
     trule = time_rule(T, table.lambdas[-1])
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
-    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, brule, traces, trule), T, table.N)
-    Ga = gr.assemble_exponential_gram(table, brule, T)
+    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, traces, trule), T, table.N)
+    Ga = gr.assemble_exponential_gram(table, T)
     ws = Gs.spectrum()["eigenvalues"]
     wa = Ga.spectrum()["eigenvalues"]
     assert np.max(np.abs(ws - wa)) < 1e-6
@@ -231,25 +242,25 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
 
 def test_sampled_gram_blocks_match_one_whole_grid_product():
     """Summing the time Gram over blocks of the nodes changes it only by rounding."""
-    table, brule = _setup(interval(np.pi), 4, q=8)
+    table = enumerate_modes(interval(np.pi), 4)
     trule = time_rule(3.0, 1750.0)
     n = trule.weights.size
     assert 3 * gr._TIME_BLOCK < n < 4 * gr._TIME_BLOCK          # 3.3 blocks
     rng = np.random.default_rng(5)
     traces = rng.normal(size=(8, n)) + 1j * rng.normal(size=(8, n))
-    whole = gr.boundary_trace_gram(table, brule) * ((traces * trule.weights) @ traces.conj().T)
+    whole = gr.boundary_trace_gram(table) * ((traces * trule.weights) @ traces.conj().T)
     whole = 0.5 * (whole + whole.conj().T)
-    blocked = gr.sampled_gram_matrix(table, brule, traces, trule)
+    blocked = gr.sampled_gram_matrix(table, traces, trule)
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
 def test_sampled_gram_rejects_mismatched_traces():
-    table, brule = _setup(interval(np.pi), 2, q=8)
+    table = enumerate_modes(interval(np.pi), 2)
     trule = time_rule(2.0, table.lambdas[-1])
     traces = np.exp(1j * np.outer(table.lambdas_signed(), trule.nodes[:, 0]))
     for bad in (traces[:-1], traces[:, :-1]):
         with pytest.raises(ConfigurationError, match="does not match"):
-            gr.sampled_gram_matrix(table, brule, bad, trule)
+            gr.sampled_gram_matrix(table, bad, trule)
 
 
 def test_simpson_weights_validation():

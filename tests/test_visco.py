@@ -20,10 +20,7 @@ from observalab.modes import enumerate_modes
 
 
 def interval_setup(N):
-    dom = interval(np.pi)
-    table = enumerate_modes(dom, N)
-    brule = boundary_quadrature(dom, lam_max=float(table.lambdas[-1]))
-    return dom, table, brule
+    return enumerate_modes(interval(np.pi), N)
 
 
 def march(lam, kernel, tgrid):
@@ -599,7 +596,7 @@ def test_fit_gamma_lands_on_a_root_of_the_objective_slope(N, kernel):
     Gauss-Newton without the residual curvature ran out of its 200
     iterations: the fit stays real and stops on a root of F' (brentq)
     within its own step-size stop."""
-    _, table, _ = interval_setup(N)
+    table = interval_setup(N)
     modes = visco.solve_memory_modes(table.lambdas, kernel, 4.5 * np.pi)
     gamma, _ = visco.fit_gamma(modes)
     assert gamma.imag == 0.0
@@ -717,23 +714,23 @@ def test_closeness_needs_five_usable_modes():
 
 
 def pw_setup(N, m0, T):
-    dom, table, brule = interval_setup(N)
+    table = interval_setup(N)
     ker = visco.exponential_kernel(m0, 1.0) if m0 > 0 else visco.zero_kernel()
-    return table, brule, visco.solve_memory_modes(table.lambdas, ker, T)
+    return table, visco.solve_memory_modes(table.lambdas, ker, T)
 
 
 def test_q_zero_for_zero_kernel():
-    table, brule, modes = pw_setup(8, 0.0, 2.5 * np.pi)
-    assert visco.paley_wiener_q(table, brule, modes, 0.0, 1) == 0.0
-    assert visco.paley_wiener_q(table, brule, modes, 0.0, 3) == 0.0
+    table, modes = pw_setup(8, 0.0, 2.5 * np.pi)
+    assert visco.paley_wiener_q(table, modes, 0.0, 1) == 0.0
+    assert visco.paley_wiener_q(table, modes, 0.0, 3) == 0.0
 
 
 def test_q_monotone_in_excluded_set():
-    table, brule, modes = pw_setup(12, 0.5, 2.5 * np.pi)
+    table, modes = pw_setup(12, 0.5, 2.5 * np.pi)
     gamma, _ = visco.fit_gamma(modes)
     qs = []
     for k in (1, 4, 8, 12):
-        qs.append(visco.paley_wiener_q(table, brule, modes, gamma, k))
+        qs.append(visco.paley_wiener_q(table, modes, gamma, k))
     for a, b in zip(qs, qs[1:]):
         assert b <= a + 1e-12
     assert qs[0] > qs[-1]
@@ -742,32 +739,33 @@ def test_q_monotone_in_excluded_set():
 def test_q_below_one_at_proof_guided_cutoff():
     from observalab.operators import estimate_trace_constant
 
-    table, brule, modes = pw_setup(16, 0.5, 2.5 * np.pi)
+    table, modes = pw_setup(16, 0.5, 2.5 * np.pi)
     gamma, _ = visco.fit_gamma(modes)
     rep = visco.closeness_spectrum(modes, gamma)
+    brule = boundary_quadrature(table.domain, lam_max=float(table.lambdas[-1]))
     c_alpha = estimate_trace_constant(table, brule, 100,
                                       np.random.default_rng(3))["sup"]
-    c_gamma, _ = visco.shifted_system_bounds(table, brule, gamma, modes.trule, modes.T)
+    c_gamma, _ = visco.shifted_system_bounds(table, gamma, modes.trule, modes.T)
     k = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma, table.lambdas)
     assert 1 <= k <= table.N
-    q = visco.paley_wiener_q(table, brule, modes, gamma, k)
+    q = visco.paley_wiener_q(table, modes, gamma, k)
     assert 0.0 <= q < 1.0
 
 
 def test_q_ill_posed_reference_system():
     """A huge decay rate collapses every reference onto the final sample."""
-    table, brule, modes = pw_setup(6, 0.0, np.pi)
+    table, modes = pw_setup(6, 0.0, np.pi)
     with pytest.raises(NumericalError):
-        visco.paley_wiener_q(table, brule, modes, 1e6, 1)
+        visco.paley_wiener_q(table, modes, 1e6, 1)
 
 
 def test_excluded_index_validation():
-    table, brule, modes = pw_setup(4, 0.2, 2.5 * np.pi)
+    table, modes = pw_setup(4, 0.2, 2.5 * np.pi)
     gamma = -0.1 + 0.0j
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, modes, gamma, 0)
+        visco.paley_wiener_q(table, modes, gamma, 0)
     with pytest.raises(ConfigurationError):
-        visco.paley_wiener_q(table, brule, modes, gamma, table.N + 1)
+        visco.paley_wiener_q(table, modes, gamma, table.N + 1)
 
 
 def test_proof_guided_exclusion_basics():
@@ -782,12 +780,12 @@ def test_proof_guided_exclusion_basics():
 
 
 def test_paley_wiener_rejects_modes_off_the_table():
-    table, brule, modes = pw_setup(6, 0.2, 2.5 * np.pi)
+    table, modes = pw_setup(6, 0.2, 2.5 * np.pi)
     ker = visco.exponential_kernel(0.2, 1.0)
     for lams in (table.lambdas[:-1], table.lambdas * (1.0 + 1e-6)):
         other = visco.solve_memory_modes(lams, ker, 2.5 * np.pi)
         with pytest.raises(ConfigurationError):
-            visco.paley_wiener_q(table, brule, other, -0.1 + 0.0j, 1)
+            visco.paley_wiener_q(table, other, -0.1 + 0.0j, 1)
 
 
 # ----------------------------------------------------------------------
@@ -795,10 +793,10 @@ def test_paley_wiener_rejects_modes_off_the_table():
 
 
 def test_certificate_margin_and_independence():
-    dom, table, brule = interval_setup(10)
+    table = interval_setup(10)
     cert = visco.memory_riesz_certificate(
-        table, brule, visco.exponential_kernel(0.5, 1.0), 2.5 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, brule, 2.5 * np.pi))
+        table, visco.exponential_kernel(0.5, 1.0), 2.5 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, 2.5 * np.pi))
     assert cert["margin_ok"] and cert["lambda_min"] >= 1e-3 * cert["lambda_max"]
     assert cert["independence_ok"]
     assert all(e["lambda_min"] > 0.0 for e in cert["independence"])
@@ -812,10 +810,10 @@ def test_certificate_margin_and_independence():
 
 
 def test_certificate_zero_kernel_reduces_to_wave():
-    dom, table, brule = interval_setup(8)
+    table = interval_setup(8)
     cert = visco.memory_riesz_certificate(
-        table, brule, visco.zero_kernel(), 2.5 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, brule, 2.5 * np.pi))
+        table, visco.zero_kernel(), 2.5 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, 2.5 * np.pi))
     assert cert["gamma"] == 0.0
     assert cert["reduction_rel_diff"] <= 1e-6
     assert cert["closeness"].degenerate
@@ -826,29 +824,29 @@ def test_certificate_subnormal_polynomial_kernel_is_the_zero_kernel():
     rounding is absolute and the kernel sum's error of 3.5e-323 once failed
     a gate of 1e-12 * M0.  The modes are the zero kernel's, and so is the
     certificate's verdict."""
-    dom, table, brule = interval_setup(20)
+    table = interval_setup(20)
     T = 2.5 * np.pi
     kernel = visco.polynomial_kernel(2.2e-311, 2.0)
     modes = visco.solve_memory_modes(table.lambdas, kernel, T)
     zero = visco.solve_memory_modes(table.lambdas, visco.zero_kernel(), T)
     assert np.max(np.abs(modes.samples - zero.samples)) == 0.0
     cert = visco.memory_riesz_certificate(
-        table, brule, kernel, T, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, brule, T))
+        table, kernel, T, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, T))
     assert cert["passed"]
 
 
 def test_certificate_polynomial_kernel_march_path():
-    dom, table, brule = interval_setup(6)
+    table = interval_setup(6)
     cert = visco.memory_riesz_certificate(
-        table, brule, visco.polynomial_kernel(0.3, 2.5), 1.3 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, brule, 1.3 * np.pi))
+        table, visco.polynomial_kernel(0.3, 2.5), 1.3 * np.pi, margin_factor=1e-3,
+        wave_evals=visco.wave_gram_eigenvalues(table, 1.3 * np.pi))
     assert cert["passed"]
     assert cert["closeness"].c1_max > 0.0
 
 
 def test_certificate_rejects_short_horizon():
-    dom, table, brule = interval_setup(4)
+    table = interval_setup(4)
     with pytest.raises(ConfigurationError):
-        visco.memory_riesz_certificate(table, brule, visco.zero_kernel(), np.pi,
+        visco.memory_riesz_certificate(table, visco.zero_kernel(), np.pi,
                                        margin_factor=1e-3, wave_evals=np.ones(8))

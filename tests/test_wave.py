@@ -122,7 +122,7 @@ def test_flux_norm_equals_gram_form():
     for dom in [interval(np.pi), rectangle(np.pi, np.pi / 2), disk(1.0)]:
         table, _, brule = _setup(dom, 8)
         T = 2.3 * 2 * dom.R
-        G = assemble_exponential_gram(table, brule, T)
+        G = assemble_exponential_gram(table, T)
         a = wv.coeffs_to_a(*_random_state(8, np.random.default_rng(4)))
         _, norm_sq = boundary_flux(table, brule, a, T)
         qf = G.quad_form(a)
@@ -138,7 +138,7 @@ def test_flux_zero_state():
 def test_flux_single_mode_matches_block():
     table, _, brule = _setup(interval(np.pi), 4, q=8)
     T = 2.6 * np.pi
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     a = wv.coeffs_to_a(np.array([0, 2.0, 0, 0]), np.array([0, -1.0j, 0, 0]))
     _, norm_sq = boundary_flux(table, brule, a, T)
     assert norm_sq == pytest.approx(G.quad_form(a), rel=1e-8)
@@ -155,7 +155,7 @@ def test_physical_trace_identities():
     c = _physical_flux_coefficients(table, xi, eta, T)
     combo, _ = boundary_flux(table, brule, c, T)
     assert np.max(np.abs(combo - samples)) < 1e-10
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     assert norm_sq == pytest.approx(G.quad_form(c), rel=1e-8)
 
 
@@ -168,8 +168,8 @@ def test_physical_trace_real_for_real_states():
 # ---------------------------------------------------------------- experiment
 
 def test_observability_experiment_interval():
-    table, _, brule = _setup(interval(np.pi), 10, q=8)
-    rep = wv.observability_experiment(table, brule, 2 * np.pi, 50,
+    table = enumerate_modes(interval(np.pi), 10)
+    rep = wv.observability_experiment(table, 2 * np.pi, 50,
                                       np.random.default_rng(8),
                                       margin_tol=TOLERANCES["riesz_margin"])
     assert rep["passed"]
@@ -179,9 +179,9 @@ def test_observability_experiment_interval():
 
 
 def test_observability_ratio_scale_invariant():
-    table, _, brule = _setup(interval(np.pi), 4, q=8)
+    table = enumerate_modes(interval(np.pi), 4)
     T = 2.5 * np.pi
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     a = wv.coeffs_to_a(*_random_state(4, np.random.default_rng(9)))
     r1 = G.quad_form(a) / np.sum(np.abs(a) ** 2)
     r2 = G.quad_form(10 * a) / np.sum(np.abs(10 * a) ** 2)
@@ -189,9 +189,9 @@ def test_observability_ratio_scale_invariant():
 
 
 def test_observability_rejects_short_horizon():
-    table, _, brule = _setup(interval(np.pi), 3, q=8)
+    table = enumerate_modes(interval(np.pi), 3)
     with pytest.raises(ConfigurationError):
-        wv.observability_experiment(table, brule, 0.5 * np.pi, 5,
+        wv.observability_experiment(table, 0.5 * np.pi, 5,
                                     np.random.default_rng(0),
                                     margin_tol=TOLERANCES["riesz_margin"])
 
@@ -210,14 +210,14 @@ def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
     stream, ratios and failure labels (the threshold is set inside the
     ratio range, so both labels occur)."""
     dom = _SMALL_DOMAINS[kind]
-    table, _, brule = _setup(dom, 4, q=8)
+    table = enumerate_modes(dom, 4)
     T = 2.5 * 2 * dom.R
-    G = assemble_exponential_gram(table, brule, T)
+    G = assemble_exponential_gram(table, T)
     spec = G.spectrum()
     threshold = spec["lambda_min"] + cut * (spec["lambda_max"] - spec["lambda_min"])
     margin_tol = lower_bound_constant(dom, T) - threshold
     rng = np.random.default_rng(seed)
-    rep = wv.observability_experiment(table, brule, T, draws, rng, margin_tol=margin_tol)
+    rep = wv.observability_experiment(table, T, draws, rng, margin_tol=margin_tol)
     loop_rng = np.random.default_rng(seed)
     expected = np.empty(draws)
     for i in range(draws):
