@@ -5,22 +5,29 @@ and arguments 0 <= x <= MAX_ARG (500); the order may be an integer array
 that broadcasts against x.  A call makes one series sweep and one backward
 sweep over all of its entries, each entry with its own order:
 
-* ascending power series where its terms are monotone or nearly so
-  (x <= max(12, 2*sqrt(m+1))), so float64 cancellation stays below ~5 digits;
+* the ascending power series where its terms decrease from the first one
+  (x <= 2*sqrt(m+1)), so it sums without cancellation;
 * Miller's backward recurrence (Gautschi, SIAM Review 9, 1967) with the
   even-order normalization J_0 + 2*sum_k J_{2k} = 1 everywhere else.
 
-Zeros j_{m,k} come from Newton iteration safeguarded by a bisection bracket.
-Row m = 0 starts from McMahon's expansion (DLMF 10.21.19); each row m >= 1
-is bracketed by the interlacing intervals (j_{m-1,k}, j_{m-1,k+1}), so row
-m - 1 must hold one zero more than row m, and row 0 of a table up to order
-m and rank k holds m + k zeros of J_0.  Only 159 of them lie below MAX_ARG
-(j_{0,159} = 498.73, j_{0,160} = 501.87), hence m + k <= MAX_RANK = 159.
+The zeros j_{m,k} of a table up to order M and rank K rest on two classical
+facts (DLMF 10.21; Watson, Treatise, ch. XV):
 
-A zero stops iterating once a Newton step falls to the evaluation noise of
-J_m (|step| <= 64 eps x; the iterates then wander at ~2e-15 relative) or
-its bracket collapses.  A row that has not stopped after 100 iterations is
-accepted only if |J_m| <= 1e-12 at every zero.
+* j_{m,1} > m, and j_{m,K} < j_{0,m+K} < (m+K) pi by interlacing;
+* consecutive zeros of any J_m are more than 3 apart (the closest pair is
+  j_{0,1}, j_{0,2}, 3.115 apart).
+
+So one bessel_j call over every order on a unit grid from max(m, 1/2) to
+(M+K) pi holds each wanted zero in its own cell, and the first K sign
+changes of row m bracket j_{m,1..K}.  (m+k) pi <= MAX_ARG needs
+m + k <= MAX_RANK = 159, which is also the number of zeros of J_0 below
+MAX_ARG (j_{0,159} = 498.73, j_{0,160} = 501.87).
+
+Newton iteration clamped to those brackets refines every zero of the table
+together.  A zero stops iterating once a Newton step falls to the
+evaluation noise of J_m (|step| <= 64 eps x; the iterates then wander at
+~2e-15 relative) or its bracket collapses.  A zero that has not stopped
+after 100 iterations is accepted only if |J_m| <= 1e-12 there.
 """
 
 from __future__ import annotations
@@ -31,15 +38,16 @@ from .config import ConfigurationError, NumericalError
 
 MAX_ORDER = 60
 MAX_ARG = 500.0
-MAX_RANK = 159     # zeros of J_0 below MAX_ARG; a table needs m + k <= MAX_RANK
+MAX_RANK = 159     # a table needs m + k <= MAX_RANK, so that (m + k) pi <= MAX_ARG
 
 _STEP_FLOOR = 64.0 * np.finfo(float).eps
 _MAX_NEWTON = 100
 
 _SERIES_TERMS = 80
 _BLOCK = 8          # series terms / recurrence steps between convergence or overflow checks
-# A step at x > 12 grows a trial value < 2 * 563 / 12 + 1 < 2^7-fold, so one checked
-# below _HUGE stays finite for _BLOCK steps; scaling by 1/_HUGE = 2^-830 is exact.
+# A step at x > 2 grows a trial value < 2 * 563 / 2 + 1 = 564 < 2^10-fold, so one
+# checked below _HUGE stays below 2^(830 + 80) < 2^1023 for _BLOCK steps; scaling
+# by 1/_HUGE = 2^-830 is exact.
 _HUGE = 2.0 ** 830
 
 
@@ -48,7 +56,7 @@ def _bessel(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     shape, without range checks: one series sweep and one Miller sweep, each
     over all of its entries with every entry's own order."""
     out = np.empty(x.shape)
-    ser = x <= np.maximum(12.0, 2.0 * np.sqrt(m + 1.0))
+    ser = x <= 2.0 * np.sqrt(m + 1.0)
     if np.any(ser):
         out[ser] = _series(m[ser], x[ser])
     rec = ~ser
@@ -82,7 +90,7 @@ def _miller(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Entries are sorted by order, so each step records its order as a slice.
     Far above a small argument the trial values grow by ~2 nu / x per step
-    (e^1854 from nu = 563 down to x = 15.6), so every _BLOCK steps the
+    (e^3007 from nu = 563 down to x = 2), so every _BLOCK steps the
     entries past _HUGE are scaled down.
     """
     by_order = np.argsort(m, kind="stable")
@@ -162,45 +170,53 @@ def _mcmahon_guess(m: int, k: int) -> float:
     )
 
 
-def _refine_zero_row(m: int, lo: np.ndarray, hi: np.ndarray,
-                     guess: np.ndarray) -> tuple[np.ndarray, int]:
-    """Newton clamped to sign-change brackets, vectorized over a row.
+def _refine_zeros(m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton clamped to sign-change brackets (lo, hi) of J_m, over every
+    entry at once, each with its own order m; f(lo) and f(hi) are given.
 
-    Returns the zeros and the number of Newton iterations the row took.
+    Each entry starts from the regula-falsi point of its bracket and is
+    evaluated only until it stops.  Returns the zeros and, per entry, the
+    sweep at which it stopped.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = bessel_j(m, lo)
-    x = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
-    done = np.zeros(x.shape, dtype=bool)
-    for iteration in range(1, _MAX_NEWTON + 1):
-        f, fp = bessel_j_and_jp(m, x)
-        same = (f > 0) == (flo > 0)
-        lo = np.where(same, x, lo)
-        flo = np.where(same, f, flo)
-        hi = np.where(same, hi, x)
-        step = np.where(fp != 0.0, f / np.where(fp == 0.0, 1.0, fp), hi - lo)
-        newton = x - step
-        # x is now a bracket end, so a step at the noise floor may leave the
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    sweeps = np.zeros(x.shape, dtype=int)     # 0 while the entry iterates
+    for sweep in range(1, _MAX_NEWTON + 1):
+        live = np.flatnonzero(sweeps == 0)
+        if live.size == 0:
+            return x, sweeps
+        xl, lol, hil = x[live], lo[live], hi[live]
+        f, fp = bessel_j_and_jp(m[live], xl)
+        same = (f > 0) == (flo[live] > 0)
+        lol = np.where(same, xl, lol)
+        hil = np.where(same, hil, xl)
+        flo[live] = np.where(same, f, flo[live])
+        lo[live], hi[live] = lol, hil
+        step = np.where(fp != 0.0, f / np.where(fp == 0.0, 1.0, fp), hil - lol)
+        newton = xl - step
+        # xl is now a bracket end, so a step at the noise floor may leave the
         # bracket by an ulp; bisecting then would throw the zero away
-        small = np.abs(step) <= _STEP_FLOOR * x
-        inside = small | ((lo <= newton) & (newton <= hi))
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
-        done |= small | (hi - lo <= _STEP_FLOOR * x)
-        if np.all(done):
-            return x, iteration
-    if np.max(np.abs(bessel_j(m, x))) > 1e-12:
-        raise NumericalError(f"Bessel zero iteration failed for order m={m}")
-    return x, _MAX_NEWTON
+        small = np.abs(step) <= _STEP_FLOOR * xl
+        inside = small | ((lol <= newton) & (newton <= hil))
+        x[live] = np.where(inside, newton, 0.5 * (lol + hil))
+        stop = small | (hil - lol <= _STEP_FLOOR * xl)
+        sweeps[live[stop]] = sweep
+    live = sweeps == 0
+    if np.max(np.abs(bessel_j(m[live], x[live]))) > 1e-12:
+        raise NumericalError(
+            f"Bessel zero iteration failed for orders {sorted(set(m[live].tolist()))}")
+    sweeps[live] = _MAX_NEWTON
+    return x, sweeps
 
 
 class BesselZeroTable:
     """Positive zeros j_{m,k} of J_m for m <= max_order and k <= max_rank.
 
-    Built row by row through interlacing: row 0 from McMahon guesses
-    bracketed by a local sign scan, each later row m from the brackets
-    (j_{m-1,k}, j_{m-1,k+1}), so row m holds max_rank + max_order - m zeros.
-    newton_iterations[m] is the Newton iteration count of row m.
+    Built in one pass: one bessel_j call scans every order on a unit grid
+    from max(m, 1/2) to (max_order + max_rank) pi, the first max_rank sign
+    changes of each row bracket its zeros, and one clamped Newton iteration
+    refines all of them together.  newton_iterations[m] is the sweep at
+    which row m finished.
     """
 
     def __init__(self, max_order: int, max_rank: int):
@@ -215,44 +231,38 @@ class BesselZeroTable:
             )
         self.max_order = max_order
         self.max_rank = max_rank
-        self._rows: list[np.ndarray] = []
-        self.newton_iterations: list[int] = []
-        ranks0 = max_rank + max_order
-        guess = _mcmahon_guess(0, np.arange(1, ranks0 + 1, dtype=float))
-        lo, hi = guess - 1.0, guess + 1.0
-        for widen in range(22):  # defensive; McMahon at m = 0 is ~1e-6 accurate
-            bad = bessel_j(0, lo) * bessel_j(0, hi) > 0
-            if not np.any(bad):
-                break
-            hi = np.where(bad, hi + 0.5, hi)
-        else:
-            raise NumericalError("could not bracket the zeros of J_0")
-        self._add_row(0, lo, hi, guess)
-        for m in range(1, max_order + 1):
-            prev = self._rows[m - 1]
-            lo, hi = prev[:-1], prev[1:]
-            self._add_row(m, lo, hi, 0.5 * (lo + hi))
-
-    def _add_row(self, m: int, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray) -> None:
-        row, iterations = _refine_zero_row(m, lo, hi, guess)
-        self._rows.append(row)
-        self.newton_iterations.append(iterations)
+        orders = np.arange(max_order + 1)
+        top = (max_order + max_rank) * np.pi
+        first = np.maximum(orders, 0.5)[:, None]
+        # every row ends at top; a row that starts higher repeats it, which changes no sign
+        grid =np.minimum(first + np.arange(int(np.ceil(top - 0.5)) + 1), top)
+        f = bessel_j(orders[:, None], grid)
+        change = (f[:, 1:] > 0) != (f[:, :-1] > 0)
+        found = np.sum(change, axis=1)
+        if np.any(found < max_rank):
+            short = int(np.argmax(found < max_rank))
+            raise NumericalError(
+                f"sign scan of J_{short} found {found[short]} of {max_rank} zeros "
+                f"below {top:.6g}")
+        rows, cells = np.nonzero(change & (np.cumsum(change, axis=1) <= max_rank))
+        zeros, sweeps = _refine_zeros(rows, grid[rows, cells], grid[rows, cells + 1],
+                                      f[rows, cells], f[rows, cells + 1])
+        self._zeros = zeros.reshape(max_order + 1, max_rank)
+        self.newton_iterations = np.max(sweeps.reshape(self._zeros.shape), axis=1).tolist()
 
     def zero(self, m: int, k: int) -> float:
         if not (0 <= m <= self.max_order):
             raise ConfigurationError(f"order {m} not in table (max {self.max_order})")
         if not (1 <= k <= self.max_rank):
             raise ConfigurationError(f"rank {k} not in table (max {self.max_rank})")
-        return float(self._rows[m][k - 1])
+        return float(self._zeros[m, k - 1])
 
     def row(self, m: int) -> np.ndarray:
-        return self._rows[m][: self.max_rank].copy()
+        return self._zeros[m].copy()
 
     def interlaced(self) -> bool:
         """Whether every stored zero obeys j_{m,k} < j_{m,k+1} and
         j_{m,k} < j_{m+1,k} < j_{m,k+1}, as the true zeros do."""
-        rows = self._rows
-        return (all(np.all(np.diff(row) > 0) for row in rows)
-                and all(np.all(a[:-1] < b) and np.all(b < a[1:])
-                        for a, b in zip(rows, rows[1:])))
-
+        z = self._zeros
+        return bool(np.all(z[:, :-1] < z[:, 1:]) and np.all(z[:-1] < z[1:])
+                    and np.all(z[1:, :-1] < z[:-1, 1:]))

@@ -19,7 +19,9 @@ from .modes import ModeTable, enumerate_modes, table_from_dict
 # the file (it is rebuilt with the mode table it serves)
 # 3: disk norm_const changed in their last bits (J_m'(j_{m,k}) of all modes
 # now comes from one Miller sweep, started above the largest zero)
-SCHEMA_VERSION = 3
+# 4: disk zeros and norm_const changed in their last bits (the zero table is
+# one scan and one joint Newton solve; the series covers x <= 2 sqrt(m+1) only)
+SCHEMA_VERSION = 4
 DEFAULT_CACHE_NAME = "observalab_cache.json"
 
 __all__ = ["SCHEMA_VERSION", "ModeCache", "resolve_cache_path", "cached_modes"]

@@ -85,8 +85,9 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
     irule = interior_quadrature(domain, q=config.quadrature_q, lam_max=lam_max)
     tol = config.tolerances
     pairings = multiplier_pairings(table, irule)
-    reports = [boundary_gram_check(table, brule)]
-    reports += rellich_suite(pairings, brule,
+    psi = table.psi_matrix(brule)
+    reports = [boundary_gram_check(table, brule, psi)]
+    reports += rellich_suite(pairings, brule, psi,
                              max_index=min(table.N, 20),
                              tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"])
     reports += antisymmetry_suite(pairings,

@@ -19,7 +19,9 @@ psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
 with the mirror rows appended.  On the interval and rectangle they broadcast
 over the multi-index; on the disk phi and grad phi take J_m (and J_m') from
 one Bessel call at each distinct (m, k) and radius (the cos and sin modes
-share them, a polar grid repeats radii), and psi needs no Bessel evaluation.
+share them, a polar grid repeats radii), every disk evaluator takes the
+angular factor from cos(m theta) and sin(m theta) at each distinct order
+and angle, and psi needs no Bessel evaluation.
 
 The disk's modes come from a Bessel zero table sized by the Weyl law and
 then proven to hold the N smallest zeros (see _proven_smallest_zeros).
@@ -156,11 +158,17 @@ class ModeTable:
 
     def _disk_angular(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The disk's angular factor {cos, sin}(m theta) of every mode and its
-        theta-derivative, each (N, k)."""
-        m = self._index_column(0)
-        cos_branch = self._index_column(2) == _COS
-        c, s = np.cos(m * theta), np.sin(m * theta)
-        return np.where(cos_branch, c, s), np.where(cos_branch, -m * s, m * c)
+        theta-derivative, each (N, k), from one cos and sin at each distinct
+        order m and distinct angle."""
+        m, branch = self._index_column(0)[:, 0], self._index_column(2)[:, 0]
+        order_rep, order_of = _distinct(m)
+        angle_rep, angle_of = _distinct(theta)
+        m_theta = m[order_rep, None] * theta[angle_rep]
+        cos_sin = np.stack([np.cos(m_theta), np.sin(m_theta)])      # [_COS], [_SIN]
+        # d/dtheta cos(m theta) = -m sin(m theta), d/dtheta sin(m theta) = m cos(m theta)
+        d_sign = np.where(branch == _COS, -m, m)[:, None]
+        return (cos_sin[branch, order_of][:, angle_of],
+                d_sign * cos_sin[1 - branch, order_of][:, angle_of])
 
     def _interior_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -114,10 +114,11 @@ def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPa
                               weighted @ aphi.T)
 
 
-def boundary_gram_check(table: ModeTable, brule: QuadratureRule) -> IdentityReport:
+def boundary_gram_check(table: ModeTable, brule: QuadratureRule,
+                        psi: np.ndarray) -> IdentityReport:
     """psi W psi^T on the boundary rule against the closed-form B, reported at
-    the worst entry (lhs quadrature, rhs B), so abs_error is the max gap."""
-    psi = table.psi_matrix(brule)
+    the worst entry (lhs quadrature, rhs B), so abs_error is the max gap;
+    psi is table.psi_matrix(brule)."""
     quad = (psi * brule.weights) @ psi.T
     closed = boundary_trace_gram(table)
     worst = np.unravel_index(np.argmax(np.abs(quad - closed)), quad.shape)
@@ -125,13 +126,14 @@ def boundary_gram_check(table: ModeTable, brule: QuadratureRule) -> IdentityRepo
                    BOUNDARY_GRAM_GATE)
 
 
-def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule,
+def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule, psi: np.ndarray,
                   max_index: int | None = None, *, tol: float) -> list[IdentityReport]:
-    """All signed pairs |j|,|k| <= max_index, evaluated as matrix products."""
+    """All signed pairs |j|,|k| <= max_index, evaluated as matrix products;
+    psi is pairings.table.psi_matrix(brule)."""
     table = pairings.table
     nmax = table.N if max_index is None else min(max_index, table.N)
     m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
-    psi = table.psi_matrix(brule)[:nmax]
+    psi = psi[:nmax]
     lhs_pos = (psi * (m_dot_nu * brule.weights)) @ psi.T          # (nmax, nmax)
     pairing = pairings.pairing                                      # P_jk = <A phi_j, phi_k>
     lam = table.lambdas[:nmax]

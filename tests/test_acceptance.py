@@ -56,7 +56,8 @@ def test_criterion_01_rellich_identities_three_geometries(geometries):
     start = time.monotonic()
     for kind, (dom, table, brule, irule) in geometries.items():
         tol = 1e-5 if kind == "disk" else 1e-6
-        reports = rellich_suite(multiplier_pairings(table, irule), brule, max_index=20, tol=tol)
+        reports = rellich_suite(multiplier_pairings(table, irule), brule,
+                                table.psi_matrix(brule), max_index=20, tol=tol)
         assert len(reports) == (2 * 20) ** 2, kind
         bad = [r for r in reports if not r.passed]
         assert not bad, f"{kind}: {len(bad)} residuals above {tol:g}, " \

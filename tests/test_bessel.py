@@ -1,20 +1,23 @@
 """Bessel engine vs. scipy.special reference values."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from observalab import bessel
 from observalab.bessel import (
     MAX_ARG,
+    MAX_ORDER,
     MAX_RANK,
     BesselZeroTable,
     bessel_j,
     bessel_j_and_jp,
     bessel_jp,
 )
-from observalab.config import ConfigurationError
+from observalab.config import ConfigurationError, NumericalError
 
 
 def test_values_match_scipy_across_orders():
@@ -109,10 +112,69 @@ def test_zero_function_is_actually_zero():
 
 
 def test_interlacing_check_sees_a_misplaced_zero():
-    table = BesselZeroTable(max_order=3, max_rank=4)
+    # each entry moves one zero past a neighbour it must stay below or above
+    misplaced = [((2, 1), lambda z: z[1, 2] + 1e-9),   # past j_{1,3}, below j_{2,3}
+                 ((3, 3), lambda z: z[2, 3] - 1e-9),   # below j_{2,4}, the last rank
+                 ((0, 3), lambda z: z[1, 3] + 1e-9)]   # past j_{1,4}, the last rank
+    for (m, k), value in misplaced:
+        table = BesselZeroTable(max_order=3, max_rank=4)
+        assert table.interlaced()
+        table._zeros[m, k] = value(table._zeros)
+        assert not table.interlaced(), (m, k)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, MAX_ORDER).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, MAX_RANK - m))))
+@example((MAX_ORDER, MAX_RANK - MAX_ORDER))
+@example((0, MAX_RANK))
+@example((MAX_ORDER, 1))
+@example((0, 1))
+def test_zero_tables_match_scipy_up_to_the_limits(shape):
+    """Every zero of a table, over shapes up to the order and rank limits,
+    against scipy's jn_zeros (within 3e-16 relative of mpmath there)."""
+    max_order, max_rank = shape
+    table = BesselZeroTable(max_order, max_rank)
     assert table.interlaced()
-    table._rows[2][1] = table._rows[1][2] + 1e-9   # past j_{1,3}, below j_{2,3}
-    assert not table.interlaced()
+    assert max(table.newton_iterations) <= 12, table.newton_iterations
+    for m in range(max_order + 1):
+        ref = sp.jn_zeros(m, max_rank)
+        assert np.max(np.abs(table.row(m) - ref) / ref) <= 1e-14, (shape, m)
+
+
+def test_a_row_with_too_few_sign_changes_is_refused(monkeypatch):
+    """The scan must bracket max_rank zeros in every row: hide the last
+    zero of the top row (a scan sampled too coarsely would) and the table
+    refuses to build rather than return a short row."""
+    last_but_one = sp.jn_zeros(5, 3)[-2]
+    true_j = bessel.bessel_j
+
+    def scan_missing_a_zero(m, x):
+        values = true_j(m, x)
+        top_row = np.asarray(m).ravel() == 5
+        values[top_row] = np.where(x[top_row] > last_but_one + 0.5,
+                                   np.abs(values[top_row]), values[top_row])
+        return values
+
+    monkeypatch.setattr(bessel, "bessel_j", scan_missing_a_zero)
+    with pytest.raises(NumericalError, match="J_5 found 2 of 3 zeros"):
+        BesselZeroTable(max_order=5, max_rank=3)
+
+
+def test_values_match_mpmath_between_the_series_and_12():
+    """Arguments 2 sqrt(m+1) < x <= 12, where the ascending series once ran
+    and cancelled up to ~4 digits, now take the backward recurrence."""
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(11)
+    for m in range(0, 35):
+        x = rng.uniform(2.0 * np.sqrt(m + 1.0), 12.0, 6)
+        x[0] = np.nextafter(2.0 * np.sqrt(m + 1.0), np.inf)
+        j, jp = bessel_j_and_jp(m, x)
+        ref = np.array([float(mpmath.besselj(m, v)) for v in x])
+        ref_p = np.array([float(mpmath.besselj(m, v, derivative=1)) for v in x])
+        assert np.max(np.abs(bessel_j(m, x) - ref)) <= 2e-15, m
+        assert np.max(np.abs(j - ref)) <= 2e-15, m
+        assert np.max(np.abs(jp - ref_p)) <= 2e-15, m
 
 
 @pytest.mark.parametrize("shape", [(0, 1), (6, 3), (12, 4), (25, 9)])

@@ -209,12 +209,12 @@ def test_identities_check_the_closed_form_boundary_factor(tmp_path, monkeypatch)
 
 
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
-    """verify-identities evaluates phi and grad phi on the interior rule once,
-    however many quasi-orthogonality draws it certifies, in one block or
-    several (the disk's boundary traces are closed form, so those are all
-    the calls)."""
+    """verify-identities evaluates phi and grad phi on the interior rule once
+    and psi on the boundary rule once, however many quasi-orthogonality
+    draws it certifies, in one block or several (the disk's boundary traces
+    are closed form, so psi calls no grad phi and those are all the calls)."""
     calls = []
-    for name in ("phi_matrix", "grad_phi_matrix"):
+    for name in ("phi_matrix", "grad_phi_matrix", "psi_matrix"):
         original = getattr(ModeTable, name)
 
         def counted(self, points, _original=original, _name=name):
@@ -229,7 +229,7 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
                             domain={"kind": "disk", "radius": 1.0})
         calls.clear()
         assert _run("verify-identities", "--config", str(cfg)) == 0
-        assert sorted(calls) == ["grad_phi_matrix", "phi_matrix"], draws
+        assert sorted(calls) == ["grad_phi_matrix", "phi_matrix", "psi_matrix"], draws
 
 
 def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
@@ -725,6 +725,24 @@ def test_cache_version_mismatch_rebuilds(tmp_path):
     rebuilt = json.loads(cache_path.read_text())
     assert rebuilt["schema_version"] == SCHEMA_VERSION
     assert all("interval" in key for key in rebuilt["tables"])
+
+
+def test_cache_of_the_previous_schema_is_rebuilt(tmp_path):
+    """A version-3 file holds disk zeros and norms from the former zero
+    table and series band; they are not read but recomputed and saved."""
+    cache_path = tmp_path / "cache.json"
+    cfg = _write_config(tmp_path, N=5, domain={"kind": "disk", "radius": 1.0})
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    fresh = json.loads(cache_path.read_text())
+    old = json.loads(cache_path.read_text())
+    for entry in old["tables"].values():
+        for mode in entry["modes"]:
+            mode["lambda"] *= 1.0 + 1e-12
+            mode["norm_const"] *= 1.0 + 1e-12
+    old["schema_version"] = 3
+    cache_path.write_text(json.dumps(old))
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    assert json.loads(cache_path.read_text()) == fresh
 
 
 def test_cache_roundtrip_preserves_table(tmp_path):

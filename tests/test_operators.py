@@ -85,7 +85,8 @@ def _by_label(reports):
 
 def _rellich(table, irule, brule):
     name = "rellich_disk" if table.domain.kind == "disk" else "rellich"
-    return ops.rellich_suite(ops.multiplier_pairings(table, irule), brule, tol=TOLERANCES[name])
+    return ops.rellich_suite(ops.multiplier_pairings(table, irule), brule,
+                             table.psi_matrix(brule), tol=TOLERANCES[name])
 
 
 def _quasi(pairings, u):
