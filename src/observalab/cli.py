@@ -26,7 +26,7 @@ from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
 from .operators import (antisymmetry_suite, boundary_gram_check, multiplier_pairings,
-                        quasi_orthogonality_draws, rellich_suite)
+                        quasi_orthogonality_draws, rellich_suite, report_columns)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
                     polynomial_kernel, wave_gram_eigenvalues, zero_kernel)
@@ -68,14 +68,13 @@ def _in_hypothesis_horizons(config: RunConfig, domain) -> list[float]:
 
 def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
-    rows = [
-        {"n": m.index,
-         "multi_index": "|".join(str(part) for part in m.multi_index),
-         "lambda": m.lam}
-        for m in table.modes
-    ]
-    path = write_csv(out / "spectrum.csv", ["n", "multi_index", "lambda"], rows)
-    print(f"spectrum: {len(rows)} modes on {domain.kind} -> {path}")
+    columns = {
+        "n": [m.index for m in table.modes],
+        "multi_index": ["|".join(str(part) for part in m.multi_index) for m in table.modes],
+        "lambda": [m.lam for m in table.modes],
+    }
+    path = write_csv(out / "spectrum.csv", columns)
+    print(f"spectrum: {table.N} modes on {domain.kind} -> {path}")
 
 
 def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
@@ -86,21 +85,19 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
     tol = config.tolerances
     pairings = multiplier_pairings(table, irule)
     psi = table.psi_matrix(brule)
-    reports = [boundary_gram_check(table, brule, psi)]
-    reports += rellich_suite(pairings, brule, psi,
-                             max_index=min(table.N, 20),
-                             tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"])
-    reports += antisymmetry_suite(pairings,
-                                  max_index=min(table.N, 15),
-                                  tol=tol["antisymmetry"])
-    rng = np.random.default_rng(config.seed)
-    reports += quasi_orthogonality_draws(pairings, config.draws, rng,
-                                         slack=tol["quasi_orthogonality"])
-    header = ["label", "lhs", "rhs", "abs_error", "rel_error", "tolerance", "pass"]
-    path = write_csv(out / "identities.csv", header, [r.row() for r in reports])
-    failed = [r.label for r in reports if not r.passed]
-    print(f"verify-identities: {len(reports)} checks, {len(failed)} failed -> {path}")
-    if failed:
+    reports = [
+        boundary_gram_check(table, brule, psi),
+        rellich_suite(pairings, brule, psi, max_index=min(table.N, 20),
+                      tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"]),
+        antisymmetry_suite(pairings, max_index=min(table.N, 15), tol=tol["antisymmetry"]),
+        quasi_orthogonality_draws(pairings, config.draws, np.random.default_rng(config.seed),
+                                  slack=tol["quasi_orthogonality"]),
+    ]
+    columns = report_columns(reports)
+    path = write_csv(out / "identities.csv", columns)
+    failed = columns["label"][~columns["pass"]]
+    print(f"verify-identities: {len(columns['label'])} checks, {len(failed)} failed -> {path}")
+    if len(failed):
         raise CheckFailure(
             f"{len(failed)} identity checks failed (first: {failed[0]}); see {path}"
         )
@@ -114,7 +111,7 @@ def cmd_riesz(config: RunConfig, out: Path, args) -> None:
     rows = [r.row() for r in reports]
     header = ["domain", "N", "T", "lambda_min", "lambda_max",
               "c_lower", "margin", "in_hypothesis", "pass"]
-    csv_path = write_csv(out / "riesz.csv", header, rows)
+    csv_path = write_csv(out / "riesz.csv", {col: [row[col] for row in rows] for col in header})
     outside = [r.T for r in reports if not r.in_hypothesis]
     failed = [r.T for r in reports if r.passed is False]
     summary = {
@@ -146,23 +143,24 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
             "observability needs at least one horizon above the escape time 2R"
         )
     rng = np.random.default_rng(config.seed)
-    rows, summaries = [], []
+    columns, summaries = {"T": [], "draw": [], "ratio": []}, []
     for T in horizons:
         exp = observability_experiment(table, T, config.draws, rng,
                                        margin_tol=config.tolerances["riesz_margin"])
-        rows += [{"T": T, "draw": i, "ratio": r}
-                 for i, r in enumerate(exp["ratios"])]
+        columns["T"] += [T] * len(exp["ratios"])
+        columns["draw"] += range(len(exp["ratios"]))
+        columns["ratio"] += exp["ratios"].tolist()
         summaries.append({k: exp[k] for k in
                           ("T", "draws", "c_lower", "lambda_min", "lambda_max",
                            "min_ratio", "median_ratio", "adversarial_ratio",
                            "flux_gram_rel_errors", "passed")})
-    csv_path = write_csv(out / "observe.csv", ["T", "draw", "ratio"], rows)
+    csv_path = write_csv(out / "observe.csv", columns)
     write_json(out / "observe_summary.json",
                {"domain": {"kind": domain.kind, "params": list(domain.params)},
                 "N": table.N, "experiments": summaries,
                 "passed": all(s["passed"] for s in summaries)})
     bad = [s for s in summaries if not s["passed"]]
-    print(f"observe: {len(rows)} draws over {len(horizons)} horizons, "
+    print(f"observe: {len(columns['draw'])} draws over {len(horizons)} horizons, "
           f"{len(bad)} failing -> {csv_path}")
     if bad:
         raise CheckFailure(

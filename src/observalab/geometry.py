@@ -102,12 +102,19 @@ def domain_from_config(spec: dict) -> DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes, positive weights, and (boundary rules) outward normals."""
+    """Nodes, positive weights, and (boundary rules) outward normals.
+
+    An interior rule also holds its 1D factors: the (nodes, weights) pairs
+    whose tensor product it is, the first factor slowest in node order, so
+    weights == outer(w_1, w_2).ravel().  The disk's factors are (r, r w_r)
+    and (theta, w_theta): the radial weights carry the area element r.
+    """
 
     nodes: np.ndarray            # (k, d)
     weights: np.ndarray          # (k,)
     q: int                       # points per panel direction
     normals: np.ndarray | None = None  # (k, d) for boundary rules
+    factors: tuple = ()          # ((nodes_1, weights_1), ...) for interior rules
 
     def integrate(self, values: np.ndarray) -> complex | float:
         """Weighted sum along the last axis."""
@@ -175,7 +182,8 @@ def _rectangle_panels(a: float, b: float, f: float, q: int,
 
 
 def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule on the domain (polar tensor on the disk).
+    """Tensor Gauss-Legendre rule on the domain (polar tensor on the disk),
+    with its 1D factors.
 
     `lam_max` is the highest frequency the rule must resolve; panel counts
     scale with it so products of eigenfunctions integrate to ~1e-10.
@@ -187,7 +195,7 @@ def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
     if domain.kind == "interval":
         (L,) = domain.params
         x, w = _gl_panels(0.0, L, _panel_count(f, L, q), q)
-        return QuadratureRule(nodes=x[:, None], weights=w, q=q)
+        return QuadratureRule(nodes=x[:, None], weights=w, q=q, factors=((x, w),))
     if domain.kind == "rectangle":
         a, b = domain.params
         pa, pb = _rectangle_panels(a, b, f, q, interior=True)
@@ -196,7 +204,8 @@ def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
         X, Y = np.meshgrid(x, y, indexing="ij")
         W = np.outer(wx, wy)
         nodes = np.column_stack([X.ravel(), Y.ravel()])
-        return QuadratureRule(nodes=nodes, weights=W.ravel(), q=q)
+        return QuadratureRule(nodes=nodes, weights=W.ravel(), q=q,
+                              factors=((x, wx), (y, wy)))
     (rho,) = domain.params
     r, wr = _gl_panels(0.0, rho, _panel_count(f, rho, q), q)
     # uniform angular grid: exact for the trigonometric polynomials that
@@ -211,8 +220,9 @@ def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
             (Rm * np.sin(Tm)).ravel() + domain.x0[1],
         ]
     )
-    weights = (np.outer(wr * r, wt)).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, q=q)
+    wr = wr * r
+    return QuadratureRule(nodes=nodes, weights=np.outer(wr, wt).ravel(), q=q,
+                          factors=((r, wr), (theta, wt)))
 
 
 def boundary_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -> QuadratureRule:

@@ -21,7 +21,9 @@ over the multi-index; on the disk phi and grad phi take J_m (and J_m') from
 one Bessel call at each distinct (m, k) and radius (the cos and sin modes
 share them, a polar grid repeats radii), every disk evaluator takes the
 angular factor from cos(m theta) and sin(m theta) at each distinct order
-and angle, and psi needs no Bessel evaluation.
+and angle, and psi needs no Bessel evaluation.  On the disk radial_factors
+gives the radial parts N_n J_m(lambda_n r) and their images under r d/dr at
+given radii, from one Bessel call, for the interior pairings.
 
 The disk's modes come from a Bessel zero table sized by the Weyl law and
 then proven to hold the N smallest zeros (see _proven_smallest_zeros).
@@ -119,6 +121,18 @@ class ModeTable:
         dr = norm * self.lambdas[:, None] * jmp * angular
         dth_over_r = norm * jm * d_angular / safe_r
         return np.stack([dr * ct - dth_over_r * st, dr * st + dth_over_r * ct], axis=-1)
+
+    def radial_factors(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The disk modes' radial factors f_n(r) = N_n J_m(lambda_n r) and
+        their multiplier images r f_n'(r) = N_n lambda_n r J_m'(lambda_n r)
+        at radii r, each (N, k), from one Bessel call: phi_n = f_n times the
+        angular factor, and A phi_n = r f_n'(r) times it, about the centre."""
+        if self.domain.kind != "disk":
+            raise ConfigurationError("radial factors exist only on the disk")
+        r = np.asarray(r, dtype=float)
+        norm = np.array([[m.norm_const] for m in self.modes])
+        jm, jmp = self._disk_radial(r, bessel.bessel_j_and_jp)
+        return norm * jm, (norm * self.lambdas[:, None]) * r * jmp
 
     def psi_matrix(self, rule: QuadratureRule) -> np.ndarray:
         """Signed traces on a boundary rule, shape (2N, k): rows follow the

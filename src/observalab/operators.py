@@ -16,62 +16,70 @@ traces of eigenfunction pairs to interior pairings:
 * the closed-form boundary factor B_jk = integral psi_j psi_k dS that every
   Gram uses, against its boundary quadrature.
 
-All checks are quadrature evaluations over the whole mode table.  The
-interior ones read a MultiplierPairings, which evaluates A phi and phi on
-the interior rule once and holds the two pairings derived from them; the
-Monte-Carlo checks take a (draws, 2N) array of coefficient rows, and
-quasi_orthogonality_draws draws and checks its rows in fixed-size blocks.
+The interior checks read a MultiplierPairings, whose two (N, N) pairings
+come from the 1D factors of the tensor interior rule; nothing is evaluated
+on its 2D grid.  The interval's rule is 1D already; a rectangle mode is a
+product of two interval modes, so its pairings are sums of products of the
+intervals' 1D pairings; on the disk A = r d/dr keeps the angular factor,
+which the uniform angular grid integrates exactly, so only radial sums
+remain.  Each check returns one IdentityReport, a block of rows held as
+columns; the quasi-orthogonality draws are made and checked in fixed-size
+blocks of coefficient rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import ConfigurationError
-from .geometry import DomainSpec, QuadratureRule
+from .geometry import DomainSpec, QuadratureRule, interval
 from .gram import boundary_trace_gram
-from .modes import ModeTable
+from .modes import ModeTable, enumerate_modes
 
 BOUNDARY_GRAM_GATE = 1e-8  # max |psi W psi^T - B|: boundary rule vs closed form
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IdentityReport:
-    """One certified identity: label, both sides, error against tolerance."""
+    """Certified identities, one row per check, held as columns: labels,
+    both sides, the error against its tolerance and the verdict."""
 
-    label: str
-    lhs: complex
-    rhs: complex
-    abs_error: float
-    rel_error: float
-    tolerance: float
-    passed: bool
+    label: np.ndarray          # str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    abs_error: np.ndarray
+    rel_error: np.ndarray
+    tolerance: np.ndarray
+    passed: np.ndarray         # bool
 
-    def row(self) -> dict:
-        return {
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+    def __len__(self) -> int:
+        return len(self.label)
 
 
-def _report(label: str, lhs, rhs, tol: float) -> IdentityReport:
-    abs_err = float(abs(lhs - rhs))
-    rel = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    return IdentityReport(label, lhs, rhs, abs_err, rel, tol, abs_err <= tol)
+def report_columns(reports: list[IdentityReport]) -> dict[str, np.ndarray]:
+    """The identities.csv columns of the reports, stacked in order (the
+    passed field is the pass column)."""
+    return {"pass" if f.name == "passed" else f.name:
+            np.concatenate([getattr(r, f.name) for r in reports])
+            for f in fields(IdentityReport)}
 
 
-def _one_sided_report(label: str, lhs: float, rhs: float, slack: float) -> IdentityReport:
+def _report(labels: list[str], lhs: np.ndarray, rhs: np.ndarray, tol: float) -> IdentityReport:
+    abs_err = np.abs(lhs - rhs)
+    rel = abs_err / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return IdentityReport(np.array(labels), lhs, rhs, abs_err, rel,
+                          np.full(len(labels), tol), abs_err <= tol)
+
+
+def _one_sided_report(labels: list[str], lhs: np.ndarray, rhs: np.ndarray,
+                      slack: float) -> IdentityReport:
     """lhs <= rhs + slack; abs_error is the violation, clipped at zero."""
-    abs_err = max(0.0, float(lhs - rhs))
-    rel = abs_err / max(abs(rhs), 1e-300)
-    return IdentityReport(label, lhs, rhs, abs_err, rel, slack, abs_err <= slack)
+    abs_err = np.maximum(0.0, lhs - rhs)
+    rel = abs_err / np.maximum(np.abs(rhs), 1e-300)
+    return IdentityReport(np.array(labels), lhs, rhs, abs_err, rel,
+                          np.full(len(labels), slack), abs_err <= slack)
 
 
 # ----------------------------------------------------------------------
@@ -84,13 +92,7 @@ def multiplier_field(domain: DomainSpec, points: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# identity suite
-
-
-def _a_phi_matrix(table: ModeTable, points: np.ndarray) -> np.ndarray:
-    """(m . grad phi_n)(points) for n = 1..N, shape (N, k)."""
-    m = multiplier_field(table.domain, points)
-    return np.einsum("kd,nkd->nk", m, table.grad_phi_matrix(points))
+# interior pairings
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,7 @@ class MultiplierPairings:
     """Interior pairings of the multiplier images A phi_n, n = 1..N.
 
     pairing P_jk = <A phi_j, phi_k> and gram M_jk = <A phi_j, A phi_k>, both
-    by the interior rule from one evaluation of A phi and phi on its nodes.
+    by the interior rule, computed from its 1D factors.
     """
 
     table: ModeTable
@@ -106,12 +108,51 @@ class MultiplierPairings:
     gram: np.ndarray
 
 
+def _line_pairings(line: ModeTable, x: np.ndarray, w: np.ndarray):
+    """Mass G, pairing P and gram M of an interval table's modes on the 1D
+    rule (x, w), with A = (x - x0) d/dx; each (N, N)."""
+    pts = x[:, None]
+    phi = line.phi_matrix(pts)
+    aphi = multiplier_field(line.domain, pts)[:, 0] * line.grad_phi_matrix(pts)[:, :, 0]
+    weighted = aphi * w
+    return (phi * w) @ phi.T, weighted @ phi.T, weighted @ aphi.T
+
+
 def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPairings:
-    """Evaluate A phi and phi on the interior rule once; derive P and M."""
-    aphi = _a_phi_matrix(table, irule.nodes)
-    weighted = aphi * irule.weights
-    return MultiplierPairings(table, weighted @ table.phi_matrix(irule.nodes).T,
-                              weighted @ aphi.T)
+    """P and M by the interior rule irule, from its 1D factors."""
+    kind = table.domain.kind
+    index = np.array([m.multi_index for m in table.modes])
+    if kind == "interval":
+        _, pairing, gram = _line_pairings(table, *irule.factors[0])
+    elif kind == "rectangle":
+        # phi_(p,q)(x, y) = phi_p(x) phi_q(y) over the side intervals, and
+        # A = A_x + A_y with each part acting on its own factor
+        lines = []
+        for side, column, (x, w) in zip(table.domain.params, index.T, irule.factors):
+            line = enumerate_modes(interval(side), int(column.max()))
+            pick = np.ix_(column - 1, column - 1)
+            lines.append([f[pick] for f in _line_pairings(line, x, w)])
+        (gx, px, mx), (gy, py, my) = lines
+        pairing = px * gy + gx * py
+        gram = mx * gy + px * py.T + px.T * py + gx * my
+    else:
+        (r, wr), (theta, _) = irule.factors
+        order, branch = index[:, 0], index[:, 2]
+        if len(theta) <= 2 * order.max():
+            raise ConfigurationError("the angular grid is too coarse for the disk's orders")
+        radial, aradial = table.radial_factors(r)
+        # the angular sums are pi (2 pi at order 0) within one (order, branch)
+        # and zero across
+        angular = np.where(order == 0, 2.0 * np.pi, np.pi)[:, None] * (
+            (order[:, None] == order) & (branch[:, None] == branch))
+        weighted = aradial * wr
+        pairing = angular * (weighted @ radial.T)
+        gram = angular * (weighted @ aradial.T)
+    return MultiplierPairings(table, pairing, gram)
+
+
+# ----------------------------------------------------------------------
+# identity suite
 
 
 def boundary_gram_check(table: ModeTable, brule: QuadratureRule,
@@ -122,56 +163,47 @@ def boundary_gram_check(table: ModeTable, brule: QuadratureRule,
     quad = (psi * brule.weights) @ psi.T
     closed = boundary_trace_gram(table)
     worst = np.unravel_index(np.argmax(np.abs(quad - closed)), quad.shape)
-    return _report("boundary_gram_closed_form", quad[worst], closed[worst],
+    return _report(["boundary_gram_closed_form"], quad[worst][None], closed[worst][None],
                    BOUNDARY_GRAM_GATE)
 
 
 def rellich_suite(pairings: MultiplierPairings, brule: QuadratureRule, psi: np.ndarray,
-                  max_index: int | None = None, *, tol: float) -> list[IdentityReport]:
+                  max_index: int | None = None, *, tol: float) -> IdentityReport:
     """All signed pairs |j|,|k| <= max_index, evaluated as matrix products;
-    psi is pairings.table.psi_matrix(brule)."""
+    psi is pairings.table.psi_matrix(brule).  Rows run over j, then k, each
+    in the order 1, -1, 2, -2, ..."""
     table = pairings.table
     nmax = table.N if max_index is None else min(max_index, table.N)
     m_dot_nu = np.sum(multiplier_field(table.domain, brule.nodes) * brule.normals, axis=1)
     psi = psi[:nmax]
     lhs_pos = (psi * (m_dot_nu * brule.weights)) @ psi.T          # (nmax, nmax)
-    pairing = pairings.pairing                                      # P_jk = <A phi_j, phi_k>
     lam = table.lambdas[:nmax]
     factor = (lam[:, None] ** 2 - lam[None, :] ** 2) / (lam[:, None] * lam[None, :])
-    reports = []
-    for j in range(1, nmax + 1):
-        for sj in (1, -1):
-            for k in range(1, nmax + 1):
-                for sk in (1, -1):
-                    sign = sj * sk
-                    lhs = sign * lhs_pos[j - 1, k - 1]
-                    if j == k:
-                        rhs = 2.0 * sign
-                    else:
-                        # signed eigenvalue factor: squares kill the signs,
-                        # the denominator contributes sj*sk
-                        rhs = sign * factor[j - 1, k - 1] * pairing[j - 1, k - 1]
-                    reports.append(_report(f"rellich_{sj * j}_{sk * k}", lhs, rhs, tol))
-    return reports
+    # signed eigenvalue factor: squares kill the signs, the denominator
+    # contributes sj*sk
+    rhs_pos = factor * pairings.pairing[:nmax, :nmax]              # P_jk = <A phi_j, phi_k>
+    signed = np.stack([np.arange(1, nmax + 1), -np.arange(1, nmax + 1)], axis=1).ravel()
+    pos = np.ix_(np.abs(signed) - 1, np.abs(signed) - 1)
+    sign = np.outer(np.sign(signed), np.sign(signed))
+    diagonal = np.abs(signed)[:, None] == np.abs(signed)
+    rhs = np.where(diagonal, 2.0 * sign, sign * rhs_pos[pos])
+    labels = [f"rellich_{j}_{k}" for j in signed.tolist() for k in signed.tolist()]
+    return _report(labels, (sign * lhs_pos[pos]).ravel(), rhs.ravel(), tol)
 
 
 def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = None,
-                       *, tol: float) -> list[IdentityReport]:
-    """Pairing antisymmetry off the diagonal and value -d/2 on it."""
+                       *, tol: float) -> IdentityReport:
+    """Pairing antisymmetry off the diagonal and value -d/2 on it, over the
+    pairs j <= k in row order."""
     table, pairing = pairings.table, pairings.pairing
     nmax = table.N if max_index is None else min(max_index, table.N)
-    d = table.domain.dim
-    reports = []
-    for j in range(nmax):
-        for k in range(j, nmax):
-            if j == k:
-                reports.append(_report(
-                    f"pairing_diag_{j + 1}", 2.0 * pairing[j, j], -float(d), tol))
-            else:
-                reports.append(_report(
-                    f"pairing_antisym_{j + 1}_{k + 1}",
-                    pairing[j, k] + pairing[k, j], 0.0, tol))
-    return reports
+    j, k = np.triu_indices(nmax)
+    diagonal = j == k
+    lhs = np.where(diagonal, 2.0 * pairing[j, j], pairing[j, k] + pairing[k, j])
+    rhs = np.where(diagonal, -float(table.domain.dim), 0.0)
+    labels = [f"pairing_diag_{a + 1}" if a == b else f"pairing_antisym_{a + 1}_{b + 1}"
+              for a, b in zip(j.tolist(), k.tolist())]
+    return _report(labels, lhs, rhs, tol)
 
 
 def complex_gaussian_rows(rng: np.random.Generator, rows: int,
@@ -188,48 +220,38 @@ def complex_gaussian_rows(rng: np.random.Generator, rows: int,
 _ROW_BLOCK = 256  # rows drawn and checked at once here and by observe
 
 
-def _quasi_orthogonality_reports(pairings: MultiplierPairings, u: np.ndarray,
-                                 slack: float, first: int) -> list[IdentityReport]:
+def _quasi_orthogonality_sides(pairings: MultiplierPairings,
+                               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table = pairings.table
     d = u[:, :table.N] - u[:, table.N:]           # u_n - u_{-n}
     c = d / table.lambdas
     lhs = np.real(np.sum(np.conj(c) * (c @ pairings.gram), axis=1))
     rhs = table.domain.R ** 2 * np.sum(np.abs(d) ** 2, axis=1)
-    return [_one_sided_report(f"quasi_orth_{first + i}", float(lhs[i]), float(rhs[i]), slack)
-            for i in range(len(u))]
+    return lhs, rhs
 
 
-def quasi_orthogonality_check(pairings: MultiplierPairings, u: np.ndarray,
-                              slack: float) -> list[IdentityReport]:
-    """Interior energy of the lambda-normalized multiplier combination.
+def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
+                              rng: np.random.Generator, slack: float) -> IdentityReport:
+    """Interior energy of the lambda-normalized multiplier combination, on
+    complex_gaussian_rows(rng, draws, 2N) drawn and checked in blocks (same
+    stream, working arrays that do not grow with the draw count).
 
-    u holds complex coefficient rows on the signed index order
-    [1..N, -1..-N], shape (draws, 2N).  For each row
+    Each row u holds complex coefficients on the signed index order
+    [1..N, -1..-N], and
     lhs = integral |sum_j u_j (A phi_|j|) / lam_j|^2  (signed lam)
     rhs = R^2 * (sum |u_j|^2 - sum u_j conj(u_{-j}))
         = R^2 * sum_n |u_n - u_{-n}|^2
-    and lhs <= rhs is certified with additive slack.  The lhs is the
+    with lhs <= rhs certified with additive slack.  The lhs is the
     quadratic form c^H M c with c_n = (u_n - u_{-n}) / lam_n and the
     quadrature Gram M = pairings.gram of the multiplier images.  Row i is
     labelled f"quasi_orth_{i}".
     """
-    N = pairings.table.N
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[1] != 2 * N:
-        raise ConfigurationError(f"coefficient rows must have shape (draws, {2 * N})")
-    return _quasi_orthogonality_reports(pairings, u, slack, 0)
-
-
-def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
-                              rng: np.random.Generator, slack: float) -> list[IdentityReport]:
-    """quasi_orthogonality_check on complex_gaussian_rows(rng, draws, 2N),
-    drawn and checked in blocks: same stream and labels, but working arrays
-    that do not grow with the draw count."""
-    reports: list[IdentityReport] = []
+    lhs, rhs = np.empty(draws), np.empty(draws)
     for first in range(0, draws, _ROW_BLOCK):
-        u = complex_gaussian_rows(rng, min(_ROW_BLOCK, draws - first), 2 * pairings.table.N)
-        reports += _quasi_orthogonality_reports(pairings, u, slack, first)
-    return reports
+        block = slice(first, min(first + _ROW_BLOCK, draws))
+        u = complex_gaussian_rows(rng, block.stop - first, 2 * pairings.table.N)
+        lhs[block], rhs[block] = _quasi_orthogonality_sides(pairings, u)
+    return _one_sided_report([f"quasi_orth_{i}" for i in range(draws)], lhs, rhs, slack)
 
 
 def psib_ratio(table: ModeTable, brule: QuadratureRule, a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Deterministic artifact writers.
 
-CSV files carry a fixed column order and 17-significant-digit floats; JSON
-files are indented with sorted keys.  Both start life with a generation
-timestamp -- the one line excluded when comparing runs for reproducibility
-(see strip_timestamp).
+CSV files are written from columns, in a fixed column order, with
+17-significant-digit floats; JSON files are indented with sorted keys.
+Both start life with a generation timestamp -- the one line excluded when
+comparing runs for reproducibility (see strip_timestamp).
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from datetime import datetime, timezone
 from pathlib import Path
 from types import MappingProxyType
@@ -58,12 +59,27 @@ def format_cell(value) -> str:
     return (_FORMATTERS.get(kind) or _formatter(kind))(value)
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """Rows are dicts; cells are emitted in the fixed header order."""
+def _format_column(column) -> list[str]:
+    """Every cell of one column as format_cell writes it; a column of one
+    type looks its formatter up once and maps it over the whole column."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return list(map(format_cell, values))
+    (kind,) = kinds
+    if issubclass(kind, str) and not any(ch in "".join(values) for ch in ",\n\r"):
+        return list(map(str, values))           # text, checked once for separators
+    return list(map(_FORMATTERS.get(kind) or _formatter(kind), values))
+
+
+def write_csv(path: str | Path, columns: Mapping[str, Sequence]) -> Path:
+    """Columns are header -> cells, emitted in the mapping's order; the
+    columns must be equally long."""
     path = Path(path)
-    lines = [f"# generated_at: {_stamp()}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join([format_cell(row.get(col)) for col in header]))
+    cells = [_format_column(column) for column in columns.values()]
+    if len({len(column) for column in cells}) > 1:
+        raise ValueError("CSV columns differ in length")
+    lines = [f"# generated_at: {_stamp()}", ",".join(columns), *map(",".join, zip(*cells))]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

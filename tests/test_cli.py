@@ -209,12 +209,13 @@ def test_identities_check_the_closed_form_boundary_factor(tmp_path, monkeypatch)
 
 
 def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
-    """verify-identities evaluates phi and grad phi on the interior rule once
-    and psi on the boundary rule once, however many quasi-orthogonality
-    draws it certifies, in one block or several (the disk's boundary traces
-    are closed form, so psi calls no grad phi and those are all the calls)."""
+    """verify-identities evaluates the disk's radial factors on the interior
+    rule once and psi on the boundary rule once, however many
+    quasi-orthogonality draws it certifies, in one block or several (the
+    disk's boundary traces are closed form, so psi calls no grad phi and
+    those are all the calls)."""
     calls = []
-    for name in ("phi_matrix", "grad_phi_matrix", "psi_matrix"):
+    for name in ("phi_matrix", "grad_phi_matrix", "psi_matrix", "radial_factors"):
         original = getattr(ModeTable, name)
 
         def counted(self, points, _original=original, _name=name):
@@ -229,7 +230,31 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
                             domain={"kind": "disk", "radius": 1.0})
         calls.clear()
         assert _run("verify-identities", "--config", str(cfg)) == 0
-        assert sorted(calls) == ["grad_phi_matrix", "phi_matrix", "psi_matrix"], draws
+        assert sorted(calls) == ["psi_matrix", "radial_factors"], draws
+
+
+@pytest.mark.parametrize("domain", [{"kind": "rectangle", "widths": [np.pi, 2.0]},
+                                    {"kind": "disk", "radius": 1.0}],
+                         ids=lambda d: d["kind"])
+def test_identities_build_no_basis_on_the_interior_grid(tmp_path, monkeypatch, domain):
+    """verify-identities takes the interior pairings from the 1D factors of
+    the interior rule: no phi or grad phi array spans its 2D grid."""
+    rules, sizes = [], []
+    build_rule = cli.interior_quadrature
+    monkeypatch.setattr(cli, "interior_quadrature",
+                        lambda *args, **kw: rules.append(build_rule(*args, **kw)) or rules[-1])
+    for name in ("phi_matrix", "grad_phi_matrix"):
+        original = getattr(ModeTable, name)
+
+        def sized(self, points, _original=original):
+            sizes.append(len(points))
+            return _original(self, points)
+
+        monkeypatch.setattr(ModeTable, name, sized)
+    cfg = _write_config(tmp_path, N=20, domain=domain)
+    assert _run("verify-identities", "--config", str(cfg)) == 0
+    (rule,) = rules
+    assert all(size < len(rule.weights) for size in sizes), (sizes, len(rule.weights))
 
 
 def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from observalab.reports import format_cell
+from observalab.reports import format_cell, write_csv
 
 
 @pytest.mark.parametrize("value, text", [
@@ -23,3 +25,57 @@ def test_format_cell_pins_each_type(value, text):
 def test_format_cell_rejects_separators(text):
     with pytest.raises(ValueError, match="separators"):
         format_cell(text)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# the cells of one column: each type format_cell handles, and the mixed
+# columns the artifacts hold (riesz's pass is None or a bool)
+_CELLS = [
+    _FLOATS,
+    st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324]),
+    _FLOATS.map(np.float64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.none(),
+    st.text(st.characters(blacklist_characters=",\n\r")),
+    st.one_of(st.none(), st.booleans()),
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text("ab|")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_column_writer_matches_the_cell_formatter(tmp_path_factory, data):
+    """write_csv writes every row as ",".join of format_cell over its cells,
+    for columns of each type the artifacts hold, as lists or numpy arrays."""
+    rows = data.draw(st.integers(0, 8))
+    columns = {}
+    for i in range(data.draw(st.integers(1, 4))):
+        cells = data.draw(st.sampled_from(_CELLS))
+        values = data.draw(st.lists(cells, min_size=rows, max_size=rows))
+        if len(set(map(type, values))) == 1 and data.draw(st.booleans()):
+            values = np.array(values)
+        columns[f"c{i}"] = values
+    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", columns)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0].startswith("# generated_at: ") and lines[-1] == ""
+    assert lines[1] == ",".join(columns)
+    want = [",".join(format_cell(column[r]) for column in columns.values())
+            for r in range(rows)]
+    assert lines[2:-1] == want
+
+
+@pytest.mark.parametrize("text", ["a,b", "a\nb", "a\rb"])
+def test_column_writer_rejects_separators(tmp_path, text):
+    with pytest.raises(ValueError, match="separators"):
+        write_csv(tmp_path / "out.csv", {"label": ["ok", text]})
+    with pytest.raises(ValueError, match="separators"):
+        write_csv(tmp_path / "out.csv", {"label": np.array(["ok", text])})
+
+
+def test_column_writer_refuses_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="length"):
+        write_csv(tmp_path / "out.csv", {"a": [1, 2], "b": [1.0]})
