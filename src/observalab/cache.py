@@ -43,11 +43,15 @@ def _table_key(domain: DomainSpec, N: int) -> str:
 
 
 class ModeCache:
-    """In-memory view of the cache file; save() persists it atomically."""
+    """In-memory view of the cache file; save() persists it atomically.
+
+    changed tells whether a table was put since the file was read.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._tables: dict[str, dict] = {}
+        self.changed = False
 
     @classmethod
     def load(cls, path: str | Path) -> "ModeCache":
@@ -74,6 +78,7 @@ class ModeCache:
 
     def put_table(self, table: ModeTable) -> None:
         self._tables[_table_key(table.domain, table.N)] = table.to_dict()
+        self.changed = True
 
     # -- persistence -----------------------------------------------------
 

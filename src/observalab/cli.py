@@ -43,7 +43,8 @@ def _build_tables(config: RunConfig):
     domain = domain_from_config(config.domain)
     cache = ModeCache.load(resolve_cache_path(config.cache_path))
     table = cached_modes(domain, config.N, cache)
-    cache.save()
+    if cache.changed:             # a hit leaves the file as it was
+        cache.save()
     return domain, table
 
 
@@ -349,18 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="observalab",
         description="boundary observability certification suites",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        if name == "riesz":
-            p.add_argument("--strict", action="store_true",
-                           help="outside-hypothesis results become failures")
-        if name == "control":
-            p.add_argument("--problem", help="JSON steering problem file")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON run configuration")
+    parser.add_argument("--out", help="output directory (default from config)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--strict", action="store_true",
+                        help="riesz only: outside-hypothesis results become failures")
+    parser.add_argument("--problem", help="control only: JSON steering problem file")
     return parser
+
+
+def _parse_args(argv):
+    """One flat parser; a flag of another command is a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.strict and args.command != "riesz":
+        parser.error("--strict applies to riesz only")
+    if args.problem is not None and args.command != "control":
+        parser.error("--problem applies to control only")
+    return args
 
 
 def _resolve_config(args) -> RunConfig:
@@ -373,7 +381,7 @@ def _resolve_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         config = _resolve_config(args)
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

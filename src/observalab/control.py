@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .eigen import jacobi_eigh
 from .gram import (
     GramMatrix,
     assemble_exponential_gram,
@@ -192,7 +191,8 @@ def transposition_rhs(table: ModeTable, problem: ControlProblem) -> np.ndarray:
 
 def solve_control(table: ModeTable, problem: ControlProblem,
                   G: GramMatrix) -> BoundaryControl:
-    """Solve G^T a = b by one LAPACK LU solve of G c = conj(b), a = conj(c).
+    """Solve G^T a = b as G c = conj(b), a = conj(c), by one real LAPACK LU
+    solve per parity block of G (GramMatrix.solve).
 
     The relative residual ||G c - conj(b)|| / ||b|| (0 for b = 0) must not
     exceed SOLVE_RESIDUAL_GATE; otherwise the NumericalError carries the
@@ -209,14 +209,13 @@ def solve_control(table: ModeTable, problem: ControlProblem,
     b = transposition_rhs(table, problem)
     b_norm = float(np.linalg.norm(b))
     try:
-        c = np.linalg.solve(G.matrix, np.conj(b))
+        c, residual = G.solve(np.conj(b))
     except np.linalg.LinAlgError:  # exactly singular
         residual = np.inf
     else:
-        residual = (float(np.linalg.norm(G.matrix @ c - np.conj(b))) / b_norm
-                    if b_norm > 0.0 else 0.0)
+        residual = residual / b_norm if b_norm > 0.0 else 0.0
     if not residual <= SOLVE_RESIDUAL_GATE:  # a NaN residual fails too
-        evals, _ = jacobi_eigh(G.matrix, need_vectors=False)
+        evals = G.eigenvalues()
         cond = evals[-1] / max(evals[0], 1e-300)
         raise NumericalError(
             f"control solve failed: relative residual {residual:.3e} above "

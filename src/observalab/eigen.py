@@ -1,9 +1,10 @@
 """Dense Hermitian eigensolves through LAPACK.
 
 jacobi_eigh checks its input (square, finite, Hermitian) and hands it to
-LAPACK (numpy.linalg.eigh / eigvalsh); a LAPACK failure becomes a
-NumericalError.  extreme_eigen_report gates the residuals of the extreme
-eigenpairs at EIGEN_RESIDUAL_GATE times the matrix norm.
+LAPACK (numpy.linalg.eigh / eigvalsh), real input to the real solver; a
+LAPACK failure becomes a NumericalError.  extreme_eigen_report solves a
+block-diagonal matrix block by block and gates the residuals of the
+extreme eigenpairs at EIGEN_RESIDUAL_GATE times the matrix norm.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def jacobi_eigh(matrix: np.ndarray,
     NumericalError for a non-square, non-finite or non-Hermitian input and
     when LAPACK does not converge.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise NumericalError("eigensolver expects a square matrix")
@@ -52,16 +53,31 @@ def jacobi_eigh(matrix: np.ndarray,
         raise NumericalError(f"LAPACK eigensolver failed: {err}") from err
 
 
-def extreme_eigen_report(matrix: np.ndarray) -> dict:
-    """lambda_min / lambda_max with residual checks on the extreme pairs.
+def extreme_eigen_report(*blocks: np.ndarray) -> dict:
+    """lambda_min / lambda_max of diag(blocks) with residual checks on the
+    extreme pairs.
 
-    residual_rel is the larger extreme-pair residual over ||matrix||; it
-    must not exceed EIGEN_RESIDUAL_GATE.
+    Each block is solved on its own; the eigenvalues are their sorted union,
+    and vec_min / vec_max are the extreme eigenvectors in the coordinates of
+    the block-diagonal matrix (zero outside their block).  residual_rel is
+    the larger extreme-pair residual over the Frobenius norm of the whole
+    matrix; it must not exceed EIGEN_RESIDUAL_GATE.
     """
-    w, v = jacobi_eigh(matrix)
-    norm = max(float(np.linalg.norm(matrix)), 1e-300)
-    res_min = float(np.linalg.norm(matrix @ v[:, 0] - w[0] * v[:, 0]))
-    res_max = float(np.linalg.norm(matrix @ v[:, -1] - w[-1] * v[:, -1]))
+    solved = [jacobi_eigh(block) for block in blocks]
+    offsets = np.cumsum([0] + [len(w) for w, _ in solved])
+    norm = max(float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in blocks))), 1e-300)
+
+    def extreme(k: int, col: int) -> tuple[float, np.ndarray, float]:
+        w, v = solved[k]
+        vec = np.zeros(offsets[-1], dtype=v.dtype)
+        vec[offsets[k]:offsets[k + 1]] = v[:, col]
+        res = float(np.linalg.norm(blocks[k] @ v[:, col] - w[col] * v[:, col]))
+        return float(w[col]), vec, res
+
+    lam_min, vec_min, res_min = extreme(
+        min(range(len(solved)), key=lambda k: solved[k][0][0]), 0)
+    lam_max, vec_max, res_max = extreme(
+        max(range(len(solved)), key=lambda k: solved[k][0][-1]), -1)
     residual_rel = max(res_min, res_max) / norm
     if residual_rel > EIGEN_RESIDUAL_GATE:
         raise NumericalError(
@@ -69,13 +85,12 @@ def extreme_eigen_report(matrix: np.ndarray) -> dict:
             f"{EIGEN_RESIDUAL_GATE:g} * {norm:.3e})"
         )
     return {
-        "lambda_min": float(w[0]),
-        "lambda_max": float(w[-1]),
-        "eigenvalues": w,
-        "vec_min": v[:, 0],
-        "vec_max": v[:, -1],
+        "lambda_min": lam_min,
+        "lambda_max": lam_max,
+        "eigenvalues": np.sort(np.concatenate([w for w, _ in solved])),
+        "vec_min": vec_min,
+        "vec_max": vec_max,
         "residual_min": res_min,
         "residual_max": res_max,
         "residual_rel": residual_rel,
     }
-

@@ -6,16 +6,30 @@ of L^2(boundary x [0,T]).  Its Gram matrix factors as
     G_{jk} = integral_0^T e^{i (lam_j - lam_k) t} dt * B_{jk},
     B_{jk} = integral_boundary psi_j psi_k dS,
 
-so assembly is the closed-form B of each geometry Hadamard-multiplied with
-an analytic time integral; no Gram samples the boundary (verify-identities
-alone checks B against a boundary quadrature).
+with B in closed form on each geometry; no Gram samples the boundary
+(verify-identities alone checks B against a boundary quadrature).
+
+The exponential Gram is never formed as a complex 2N x 2N matrix.  With
+the time window centred at T/2 its time factor is the real T sinc, and
+psi_{-n} = -psi_n makes B = [[pos, -pos], [-pos, pos]], so
+
+    G = D U diag(P - Q, P + Q) U D*,
+    D = diag(e^{i lam_s T/2}) over the signed lam_s = [lam, -lam],
+    U = [[I, I], [I, -I]] / sqrt(2),
+    P = T sinc((lam_m - lam_n) T / 2pi) * pos,
+    Q = T sinc((lam_m + lam_n) T / 2pi) * pos.
+
+D U is unitary, so G has the spectrum of the two real symmetric N x N
+parity blocks P - Q and P + Q, and GramMatrix keeps only those: its
+eigensolves, quadratic forms and linear solves are real N x N work.
 The certified lower bound is lambda_min(G) >= 2(T - 2R)/C_Omega whenever
 T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
 
 A sampled assembly path takes arbitrary complex time traces per signed mode
 (used by the memory-kernel experiments, and by the observability check to
 cross-check the time overlap) and integrates time by the Gauss-Legendre
-rule geometry.time_rule; its boundary factor is the same closed-form B.
+rule geometry.time_rule; its boundary factor is the same closed-form B and
+its matrix is the dense complex one.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .eigen import EIGEN_RESIDUAL_GATE, _check_hermitian, extreme_eigen_report
+from .eigen import EIGEN_RESIDUAL_GATE, _check_hermitian, extreme_eigen_report, jacobi_eigh
 from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
 
@@ -43,9 +57,10 @@ def phase_integral(nu, t: float) -> np.ndarray:
     return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
 
 
-def boundary_trace_gram(table: ModeTable) -> np.ndarray:
-    """B_{jk} = integral psi_j psi_k dS on signed indices, in closed form.
+def _trace_block(table: ModeTable) -> np.ndarray:
+    """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed form.
 
+    B = [[pos, -pos], [-pos, pos]] on signed indices, since psi_{-n} = -psi_n.
     On the disk psi_n = sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho
     {cos, sin}(m theta) on the boundary circle, and J_m'(j_{m,k}) has the
     sign (-1)^k, so B couples only modes of equal order and branch.
@@ -72,31 +87,99 @@ def boundary_trace_gram(table: ModeTable) -> np.ndarray:
         m, k, branch = np.array([mode.multi_index for mode in table.modes]).T
         same = (m[:, None] == m[None, :]) & (branch[:, None] == branch[None, :])
         pos = (2.0 / rho) * (-1.0) ** (k[:, None] + k[None, :]) * same
+    return pos
+
+
+def boundary_trace_gram(table: ModeTable) -> np.ndarray:
+    """B_{jk} = integral psi_j psi_k dS on signed indices, in closed form."""
+    pos = _trace_block(table)
     return np.block([[pos, -pos], [-pos, pos]])
+
+
+_HALF_SQRT = np.sqrt(0.5)
+
+
+def _parity_split(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U diag(d, conj(d)) v along the last axis of v, as its two halves."""
+    N = d.size
+    up, down = v[..., :N] * d, v[..., N:] * np.conj(d)
+    return (up + down) * _HALF_SQRT, (up - down) * _HALF_SQRT
 
 
 @dataclass(eq=False)
 class GramMatrix:
-    """Hermitian Gram of a signed trace family over boundary x [0,T]."""
+    """Exponential Gram of the signed trace family over boundary x [0,T],
+    held as its real parity blocks: G = D U diag(minus, plus) U D* with
+    D = diag(e^{i lam_s T/2}) (see the module docstring)."""
 
-    matrix: np.ndarray
+    minus: np.ndarray     # P - Q, real symmetric N x N
+    plus: np.ndarray      # P + Q
+    lambdas: np.ndarray   # positive frequencies lam_1..lam_N
     T: float
-    N: int
 
     def __post_init__(self):
-        _check_hermitian(self.matrix)
-        if np.any(np.real(np.diagonal(self.matrix)) <= 0):
+        for block in (self.minus, self.plus):
+            if block.shape != (self.N, self.N):
+                raise NumericalError("Gram blocks must be N x N")
+            _check_hermitian(block)
+        # the diagonal of G itself, (minus + plus) / 2 on both signs
+        if np.any(np.diagonal(self.minus) + np.diagonal(self.plus) <= 0):
             raise NumericalError("Gram diagonal must be positive")
+
+    @property
+    def N(self) -> int:
+        return self.lambdas.size
+
+    def _phases(self) -> np.ndarray:
+        return np.exp(0.5j * self.T * self.lambdas)
+
+    def _from_parity(self, x: np.ndarray) -> np.ndarray:
+        """D U x for a signed-length vector x in parity coordinates."""
+        d = self._phases()
+        x1, x2 = x[:self.N], x[self.N:]
+        return np.concatenate([d * (x1 + x2), np.conj(d) * (x1 - x2)]) * _HALF_SQRT
 
     def quad_form(self, a: np.ndarray) -> np.ndarray:
         """||sum a_n f_n||^2 = sum_jk a_j G_{jk} conj(a_k) for a vector, or for
-        each row of a 2-D array; real for Hermitian G."""
+        each row of a 2-D array: with y = U D a, the real forms of each
+        block on the stacked real and imaginary parts of its half of y."""
         a = np.asarray(a, dtype=complex)
-        return np.real(np.sum((a @ self.matrix) * np.conj(a), axis=-1))
+        rows = a.reshape(-1, 2 * self.N)
+        total = 0.0
+        for block, y in zip((self.minus, self.plus), _parity_split(rows, self._phases())):
+            parts = np.concatenate([y.real, y.imag])
+            form = np.sum((parts @ block) * parts, axis=1)
+            total = total + form[:len(rows)] + form[len(rows):]
+        return total.reshape(a.shape[:-1])[()]
+
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """c with G c = rhs and the residual ||G c - rhs||.
+
+        U D* rhs splits into one right-hand side per block; each block
+        takes one real LU solve with its real and imaginary parts as two
+        columns.  D U is unitary, so the residual is that of the block
+        solves.  An exactly singular block raises numpy's LinAlgError.
+        """
+        x, res_sq = [], 0.0
+        for block, r in zip((self.minus, self.plus),
+                            _parity_split(np.asarray(rhs, dtype=complex),
+                                          np.conj(self._phases()))):
+            cols = np.stack([r.real, r.imag], axis=1)
+            sol = np.linalg.solve(block, cols)
+            res_sq += float(np.linalg.norm(block @ sol - cols)) ** 2
+            x.append(sol[:, 0] + 1j * sol[:, 1])
+        return self._from_parity(np.concatenate(x)), float(np.sqrt(res_sq))
+
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of G: the sorted union of the blocks'."""
+        return np.sort(np.concatenate([jacobi_eigh(block, need_vectors=False)[0]
+                                       for block in (self.minus, self.plus)]))
 
     def spectrum(self) -> dict:
-        rep = extreme_eigen_report(self.matrix)
-        trace = float(np.real(np.trace(self.matrix)))
+        rep = extreme_eigen_report(self.minus, self.plus)
+        rep["vec_min"] = self._from_parity(rep["vec_min"])
+        rep["vec_max"] = self._from_parity(rep["vec_max"])
+        trace = float(np.trace(self.minus) + np.trace(self.plus))
         if rep["lambda_min"] < -1e-8 * trace:
             raise NumericalError(
                 f"Gram matrix not PSD: lambda_min = {rep['lambda_min']:.3e}"
@@ -105,10 +188,15 @@ class GramMatrix:
 
 
 def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
-    """G = time overlap (Hadamard) B for the pure exponential family."""
-    lams = table.lambdas_signed()
-    G = phase_integral(lams[:, None] - lams[None, :], T) * boundary_trace_gram(table)
-    return GramMatrix(G, T, table.N)
+    """The parity blocks P - Q and P + Q of the pure exponential family."""
+    if T <= 0:
+        raise ConfigurationError("time horizon must be positive")
+    lam = table.lambdas
+    pos = _trace_block(table)
+    scale = T / (2.0 * np.pi)
+    P = T * np.sinc((lam[:, None] - lam[None, :]) * scale) * pos
+    Q = T * np.sinc((lam[:, None] + lam[None, :]) * scale) * pos
+    return GramMatrix(P - Q, P + Q, lam, T)
 
 
 # ----------------------------------------------------------------------

@@ -225,7 +225,10 @@ def _quasi_orthogonality_sides(pairings: MultiplierPairings,
     table = pairings.table
     d = u[:, :table.N] - u[:, table.N:]           # u_n - u_{-n}
     c = d / table.lambdas
-    lhs = np.real(np.sum(np.conj(c) * (c @ pairings.gram), axis=1))
+    # Re(conj(c) (c M)) = x (x M) + y (y M) for c = x + iy: one real product
+    parts = np.concatenate([c.real, c.imag])
+    form = np.sum(parts * (parts @ pairings.gram), axis=1)
+    lhs = form[:len(c)] + form[len(c):]
     rhs = table.domain.R ** 2 * np.sum(np.abs(d) ** 2, axis=1)
     return lhs, rhs
 

@@ -787,8 +787,7 @@ def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
 def wave_gram_eigenvalues(table: ModeTable, T: float) -> np.ndarray:
     """Ascending eigenvalues of the pure-wave Gram on [0, T]: the memory
     certificate's reference, the same for every kernel."""
-    wave = assemble_exponential_gram(table, T)
-    return jacobi_eigh(wave.matrix, need_vectors=False)[0]
+    return assemble_exponential_gram(table, T).eigenvalues()
 
 
 def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *,

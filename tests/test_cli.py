@@ -146,20 +146,22 @@ for domain in domains:
                                "cache_path": str(run / "cache.json")}))
     for cmd in ("spectrum", "verify-identities", "riesz", "observe", "visco", "control"):
         codes.append(cli.main([cmd, "--config", str(cfg)]))
-print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
+                  "numpy.polynomial": "numpy.polynomial" in sys.modules}))
 """
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
     """numpy.ma costs every process ~11 ms and 1 MB to import, and np.median
-    and np.unique pull it in; a fresh interpreter that runs every command on
-    every geometry never loads it."""
+    and np.unique pull it in; numpy.polynomial costs ~3 ms, and its leggauss
+    was the only use.  A fresh interpreter that runs every command on every
+    geometry loads neither."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("OBSERVALAB_CACHE", None)
     done = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 18, "numpy.ma": False}
+    assert result == {"codes": [0] * 18, "numpy.ma": False, "numpy.polynomial": False}
 
 
 @pytest.mark.parametrize("domain, N", [
@@ -783,6 +785,19 @@ def test_cache_roundtrip_preserves_table(tmp_path):
     assert reloaded.get_table(disk(1.0), 5) is None
 
 
+def test_warm_run_leaves_the_cache_file_alone(tmp_path, monkeypatch):
+    """A cache hit writes nothing: the file keeps its bytes and its mtime."""
+    monkeypatch.delenv("OBSERVALAB_CACHE", raising=False)
+    cfg = _write_config(tmp_path)
+    cache_path = tmp_path / "cache.json"
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    os.utime(cache_path, ns=(10**18, 10**18))   # any rewrite would move it
+    before = cache_path.read_bytes()
+    assert _run("riesz", "--config", str(cfg)) == 0
+    assert cache_path.read_bytes() == before
+    assert cache_path.stat().st_mtime_ns == 10**18
+
+
 def test_cache_env_var_overrides_path(tmp_path, monkeypatch):
     monkeypatch.setenv("OBSERVALAB_CACHE", str(tmp_path / "envcache.json"))
     assert resolve_cache_path("elsewhere.json") == tmp_path / "envcache.json"
@@ -832,7 +847,10 @@ def test_readme_api_sketch_runs():
     ("riesz", "--seed", "abc"),
     ("spectrum", "--jobs", "2"),
     ("observe", "--strict"),
-], ids=["unknown-flag", "unknown-command", "bad-seed", "removed-jobs", "strict-off-riesz"])
+    ("control", "--strict"),
+    ("riesz", "--problem", "problem.json"),
+], ids=["unknown-flag", "unknown-command", "bad-seed", "removed-jobs", "strict-off-riesz",
+        "strict-on-control", "problem-off-control"])
 def test_usage_errors_exit_64(tmp_path, argv, capsys):
     cfg = _write_config(tmp_path, N=3)
     assert _run(*argv, "--config", str(cfg)) == 64

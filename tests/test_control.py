@@ -10,6 +10,7 @@ from observalab.gram import GramMatrix, assemble_exponential_gram, lower_bound_c
 from observalab.modes import enumerate_modes
 from observalab import control as C
 
+from dense_gram import dense_exponential_gram
 from flux_sampling import boundary_flux
 
 
@@ -111,7 +112,7 @@ def test_solve_matches_dense_linear_algebra():
     G = assemble_exponential_gram(table, T)
     ctl = C.solve_control(table, prob, G)
     b = C.transposition_rhs(table, prob)
-    direct = np.conj(np.linalg.solve(G.matrix, np.conj(b)))
+    direct = np.conj(np.linalg.solve(dense_exponential_gram(table, T), np.conj(b)))
     assert np.max(np.abs(ctl.coefficients - direct)) < 1e-8
 
 
@@ -240,7 +241,8 @@ def test_sub_horizon_solve_fails_with_condition_estimate():
 def test_exactly_singular_gram_fails_with_condition_estimate():
     dom, table = _setup(1)
     T = 2 * np.pi
-    G = GramMatrix(np.ones((2, 2), dtype=complex), T, 1)
+    # the parity blocks of the all-ones 2 x 2 Gram: eigenvalues 2 and 0
+    G = GramMatrix(np.array([[2.0]]), np.array([[0.0]]), table.lambdas, T)
     prob = C.random_problem(1, T, np.random.default_rng(4))
     with pytest.raises(NumericalError, match="residual inf .*condition estimate"):
         C.solve_control(table, prob, G)

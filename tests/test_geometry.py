@@ -5,6 +5,7 @@ and from scipy.special for the disk; derivative traces are cross-checked by
 finite differences, which is an independent route through the code.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -18,6 +19,7 @@ from observalab.geometry import (
     QuadratureRule,
     boundary_quadrature,
     disk,
+    gauss_legendre,
     interior_quadrature,
     interval,
     rectangle,
@@ -281,3 +283,28 @@ def test_elongated_rectangle_rules_are_refused_before_they_are_built():
         interior_quadrature(rectangle(1.0, 100.0), lam_max=40.0)
     # the boundary of the second rectangle stays under the limit
     assert boundary_quadrature(rectangle(1.0, 100.0), lam_max=40.0).weights.size == 20672
+
+
+def _mpmath_gauss_legendre(q):
+    """Roots of P_q by Newton in 50 digits from Tricomi's initial guesses,
+    and the weights 2 / ((1 - x^2) P_q'(x)^2), ascending."""
+    nodes, weights = [], []
+    with mp.workdps(50):
+        for k in range(q, 0, -1):
+            t = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (q + mp.mpf(1) / 2))
+            for _ in range(10):
+                dp = q * (t * mp.legendre(q, t) - mp.legendre(q - 1, t)) / (t * t - 1)
+                t -= mp.legendre(q, t) / dp
+            dp = q * (t * mp.legendre(q, t) - mp.legendre(q - 1, t)) / (t * t - 1)
+            nodes.append(t)
+            weights.append(2 / ((1 - t * t) * dp * dp))
+    return nodes, weights
+
+
+@pytest.mark.parametrize("q", [4, 16, 32, 64, 128])
+def test_gauss_legendre_matches_mpmath(q):
+    x, w = gauss_legendre(q)
+    ref_x, ref_w = _mpmath_gauss_legendre(q)
+    assert max(abs(float(a - b)) for a, b in zip(x, ref_x)) <= 2e-16
+    assert max(abs(float((a - b) / b)) for a, b in zip(w, ref_w)) <= 1e-12
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])

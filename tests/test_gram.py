@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from observalab.config import TOLERANCES, ConfigurationError, NumericalError
+from observalab.control import random_problem, solve_control, transposition_rhs
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle, time_rule
 from observalab.modes import enumerate_modes
 from observalab.visco import _principal_lambda_min
 from observalab import gram as gr
 
+from dense_gram import dense_exponential_gram, dense_quad_form
 from flux_sampling import simpson_weights
 
 
@@ -66,33 +68,37 @@ def test_interval_gram_full_period_is_diagonal():
     time overlap vanishes and the diagonal is T * 4/L = 8."""
     table = enumerate_modes(interval(np.pi), 6)
     G = gr.assemble_exponential_gram(table, 2 * np.pi)
-    assert np.max(np.abs(G.matrix - 8.0 * np.eye(12))) < 1e-12
+    for block in (G.minus, G.plus):
+        assert np.max(np.abs(block - 8.0 * np.eye(6))) < 1e-12
 
 
 def test_interval_gram_diagonal_any_T():
     table = enumerate_modes(interval(np.pi), 4)
     T = 1.9
     G = gr.assemble_exponential_gram(table, T)
-    assert np.allclose(np.diagonal(G.matrix), T * 4 / np.pi, atol=1e-12)
+    diagonal = 0.5 * (np.diagonal(G.minus) + np.diagonal(G.plus))
+    assert np.allclose(diagonal, T * 4 / np.pi, atol=1e-12)
 
 
 def test_gram_is_hermitian_and_psd():
+    """Both parity blocks are real symmetric; the spectrum is PSD."""
     table = enumerate_modes(rectangle(np.pi, np.pi / 2), 8)
     G = gr.assemble_exponential_gram(table, 5.0)
-    m = G.matrix
-    assert np.max(np.abs(m - m.conj().T)) < 1e-10
+    for block in (G.minus, G.plus):
+        assert block.dtype == float and np.max(np.abs(block - block.T)) < 1e-10
     spec = G.spectrum()
-    assert spec["lambda_min"] > -1e-8 * np.real(np.trace(m))
+    assert spec["lambda_min"] > -1e-8 * (np.trace(G.minus) + np.trace(G.plus))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_gram_rejects_non_finite(bad):
+    lams = np.array([1.0, 2.0])
     with pytest.raises(NumericalError, match="non-finite"):
-        gr.GramMatrix(np.full((2, 2), bad, dtype=complex), 1.0, 1)
-    m = 2.0 * np.eye(2, dtype=complex)
+        gr.GramMatrix(np.full((2, 2), bad), 2.0 * np.eye(2), lams, 1.0)
+    m = 2.0 * np.eye(2, dtype=np.result_type(bad, 1.0))
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
-        gr.GramMatrix(m, 1.0, 1)
+        gr.GramMatrix(2.0 * np.eye(2), m, lams, 1.0)
 
 
 # the base domains, scaled by s; the rectangle's second side also by the aspect
@@ -134,13 +140,13 @@ def test_principal_submatrix_ordering():
     """The signed principal sub-Gram |j| <= n that the memory certificate's
     independence check reads is the Gram of the first n modes."""
     table = enumerate_modes(interval(np.pi), 6)
-    G = gr.assemble_exponential_gram(table, 4.0)
+    G = dense_exponential_gram(table, 4.0)
     small_table = enumerate_modes(interval(np.pi), 3)
-    G3 = gr.assemble_exponential_gram(small_table, 4.0)
+    G3 = dense_exponential_gram(small_table, 4.0)
     idx = np.concatenate([np.arange(3), 6 + np.arange(3)])
-    assert np.allclose(G.matrix[np.ix_(idx, idx)], G3.matrix, atol=1e-12)
-    expect = np.linalg.eigvalsh(G3.matrix)[0]
-    assert _principal_lambda_min(G.matrix, 6, 3) == pytest.approx(expect, abs=1e-12)
+    assert np.allclose(G[np.ix_(idx, idx)], G3, atol=1e-12)
+    expect = np.linalg.eigvalsh(G3)[0]
+    assert _principal_lambda_min(G, 6, 3) == pytest.approx(expect, abs=1e-12)
 
 
 GEOMETRIES = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
@@ -159,11 +165,38 @@ def test_gram_signed_conjugate_symmetry(kind, N, fraction):
     """G_{-j,-k} = conj(G_jk) and G = G^H for T in [1e-12, 1] * 4 * 2R."""
     table = _cached_table(kind, N)
     T = fraction * 8.0 * GEOMETRIES[kind].R
-    G = gr.assemble_exponential_gram(table, T).matrix
+    G = dense_exponential_gram(table, T)
     tol = 1e-14 * np.max(np.abs(G))
     flip = np.concatenate([np.arange(N, 2 * N), np.arange(N)])
     assert np.max(np.abs(G[np.ix_(flip, flip)] - np.conj(G))) <= tol
     assert np.max(np.abs(G - G.conj().T)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(GEOMETRIES)), N=st.integers(1, 64),
+       factor=st.floats(1.05, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_parity_blocks_match_the_dense_gram(kind, N, factor, seed):
+    """The two real blocks against the dense complex oracle: spectrum,
+    extreme eigenvector, row-wise quadratic forms and the control solve,
+    for T = factor * 2R."""
+    table = _cached_table(kind, N)
+    T = factor * 2.0 * GEOMETRIES[kind].R
+    G = gr.assemble_exponential_gram(table, T)
+    dense = dense_exponential_gram(table, T)
+    spec = G.spectrum()
+    w = np.linalg.eigvalsh(dense)
+    assert np.max(np.abs(spec["eigenvalues"] - w)) <= 1e-12 * w[-1]
+    v = spec["vec_min"]
+    assert np.linalg.norm(dense @ v - spec["lambda_min"] * v) <= 1e-12 * w[-1]
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(5, 2 * N)) + 1j * rng.normal(size=(5, 2 * N))
+    exact = dense_quad_form(dense, a)
+    assert np.max(np.abs(G.quad_form(a) - exact) / exact) <= 1e-12
+    problem = random_problem(N, T, rng)
+    control = solve_control(table, problem, G)
+    direct = np.conj(np.linalg.solve(dense, np.conj(transposition_rhs(table, problem))))
+    assert (np.linalg.norm(control.coefficients - direct)
+            <= 1e-10 * np.linalg.norm(direct))
 
 
 # ---------------------------------------------------------------- bounds
@@ -183,8 +216,7 @@ def test_riesz_single_mode_block():
     the bound for any T > 2R (checked on a small horizon sweep)."""
     table = enumerate_modes(interval(np.pi), 1)
     for T in [np.pi * 1.05, np.pi * 1.4, np.pi * 2.2, np.pi * 3.1]:
-        G = gr.assemble_exponential_gram(table, T)
-        off = abs(G.matrix[0, 1])
+        off = abs(dense_exponential_gram(table, T)[0, 1])
         lo = T * 4 / np.pi - off
         rep = gr.riesz_bounds_report(table, T,
                                      margin_tol=TOLERANCES["riesz_margin"])
@@ -220,8 +252,7 @@ def test_sampled_gram_reproduces_analytic():
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0]))
     Gs = gr.sampled_gram_matrix(table, traces, trule)
-    Ga = gr.assemble_exponential_gram(table, T)
-    assert np.max(np.abs(Gs - Ga.matrix)) < 1e-6
+    assert np.max(np.abs(Gs - dense_exponential_gram(table, T))) < 1e-6
 
 
 def test_sampled_gram_unimodular_shift_keeps_spectrum():
@@ -233,10 +264,8 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     trule = time_rule(T, table.lambdas[-1])
     lams = table.lambdas_signed()
     traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
-    Gs = gr.GramMatrix(gr.sampled_gram_matrix(table, traces, trule), T, table.N)
-    Ga = gr.assemble_exponential_gram(table, T)
-    ws = Gs.spectrum()["eigenvalues"]
-    wa = Ga.spectrum()["eigenvalues"]
+    ws = np.linalg.eigvalsh(gr.sampled_gram_matrix(table, traces, trule))
+    wa = gr.assemble_exponential_gram(table, T).spectrum()["eigenvalues"]
     assert np.max(np.abs(ws - wa)) < 1e-6
 
 

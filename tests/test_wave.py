@@ -223,7 +223,7 @@ def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
     for i in range(draws):
         xi, eta = _random_state(table.N, loop_rng)
         a = np.concatenate([xi + 1j * eta, xi - 1j * eta])
-        expected[i] = np.real(a @ G.matrix @ np.conj(a)) / np.sum(np.abs(a) ** 2)
+        expected[i] = G.quad_form(a) / np.sum(np.abs(a) ** 2)
     assert np.max(np.abs(rep["ratios"] - expected) / expected) <= 1e-14
     failed = np.flatnonzero(expected < threshold)
     assert [f["draw"] for f in rep["failures"]] == failed.tolist()
