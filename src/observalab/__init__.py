@@ -1,10 +1,11 @@
 """observalab: numerical certification of boundary observability for waves.
 
 The package builds trace systems of Laplace-Dirichlet eigenfunctions on
-model domains (interval, rectangle, disk), assembles the boundary Gram
-matrices of the associated exponential families, certifies the resulting
-Riesz-type lower bounds, and pushes the same machinery through memory
-(visco-elastic) perturbations and boundary control synthesis.
+model domains (the box for d = 1, 2 -- interval and rectangle -- and the
+disk), assembles the boundary Gram matrices of the associated exponential
+families, certifies the resulting Riesz-type lower bounds, and pushes the
+same machinery through memory (visco-elastic) perturbations and boundary
+control synthesis.
 """
 
 from .config import (
@@ -15,7 +16,7 @@ from .config import (
     default_config,
     load_config,
 )
-from .geometry import DomainSpec, disk, domain_from_config, interval, rectangle
+from .geometry import DomainSpec, box, disk, domain_from_config, interval, rectangle
 from .modes import ModeTable, enumerate_modes
 
 __version__ = "0.1.0"
@@ -27,6 +28,7 @@ __all__ = [
     "RunConfig",
     "DomainSpec",
     "ModeTable",
+    "box",
     "default_config",
     "disk",
     "domain_from_config",

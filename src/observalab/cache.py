@@ -21,7 +21,9 @@ from .modes import ModeTable, enumerate_modes, table_from_dict
 # now comes from one Miller sweep, started above the largest zero)
 # 4: disk zeros and norm_const changed in their last bits (the zero table is
 # one scan and one joint Newton solve; the series covers x <= 2 sqrt(m+1) only)
-SCHEMA_VERSION = 4
+# 5: rectangle lambda and norm_const changed in their last bits (every box
+# takes lambda = hypot.reduce(p pi / a) and norm sqrt(2^d / prod a))
+SCHEMA_VERSION = 5
 DEFAULT_CACHE_NAME = "observalab_cache.json"
 
 __all__ = ["SCHEMA_VERSION", "ModeCache", "resolve_cache_path", "cached_modes"]

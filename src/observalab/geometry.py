@@ -1,20 +1,24 @@
-"""Model domains (interval, rectangle, disk), quadrature on them, and in time.
+"""Model domains (box, disk), quadrature on them, and in time.
 
-Every domain is centered: the multiplier field m(x) = x - x0 uses the
-centroid, which makes the circumradius R and the boundary constant
-C_Omega = max_{boundary} m(x).nu(x) closed-form:
+A box is (0,a_1) x ... x (0,a_d) with d = len(widths) in {1, 2}: the
+interval (0,L) for d = 1 and the rectangle (0,a)x(0,b) for d = 2, one code
+path for both.  Every domain is centered: the multiplier field
+m(x) = x - x0 uses the centroid, which makes the circumradius R and the
+boundary constant C_Omega = max_{boundary} m(x).nu(x) closed-form:
 
-    interval (0,L):        R = L/2,            C_Omega = L/2
-    rectangle (0,a)x(0,b): R = sqrt(a^2+b^2)/2, C_Omega = max(a,b)/2
-    disk |x| < rho:        R = rho,            C_Omega = rho
+    box (0,a_1)x...x(0,a_d): R = |a|/2, C_Omega = max_i a_i/2
+    disk |x| < rho:          R = rho,   C_Omega = rho
 
-Points are arrays of shape (k, d); quadrature rules hold nodes, positive
-weights, and (for boundary rules) outward normals.  time_rule is the one
-rule for every time integral: composite Gauss-Legendre on [0, T].
+Points are arrays of shape (k, d); boundary and time rules hold nodes,
+positive weights, and (for boundary rules) outward normals.  The interior
+rule is held only as its 1D factors.  time_rule is the one rule for every
+time integral: composite Gauss-Legendre on [0, T].
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +28,10 @@ from .config import ConfigurationError
 
 @dataclass(frozen=True, eq=False)
 class DomainSpec:
-    """One of the three model geometries, with multiplier-field constants."""
+    """A box or the disk, with multiplier-field constants."""
 
-    kind: str                  # "interval" | "rectangle" | "disk"
-    params: tuple              # (L,) | (a, b) | (rho,)
+    kind: str                  # "interval" | "rectangle" (the boxes, d = 1, 2) | "disk"
+    params: tuple              # box widths (a_1, ..., a_d) | (rho,)
     x0: np.ndarray = field(repr=False)  # centroid
     R: float = 0.0             # circumradius: domain sits inside B(x0, R)
     C_Omega: float = 0.0       # max over the boundary of m.nu
@@ -35,45 +39,38 @@ class DomainSpec:
 
     def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "interval":
-            (L,) = self.params
-            return (pts[:, 0] >= -slack) & (pts[:, 0] <= L + slack)
-        if self.kind == "rectangle":
-            a, b = self.params
-            return (
-                (pts[:, 0] >= -slack)
-                & (pts[:, 0] <= a + slack)
-                & (pts[:, 1] >= -slack)
-                & (pts[:, 1] <= b + slack)
-            )
-        (rho,) = self.params
-        return np.linalg.norm(pts - self.x0, axis=1) <= rho + slack
+        if self.kind == "disk":
+            (rho,) = self.params
+            return np.linalg.norm(pts - self.x0, axis=1) <= rho + slack
+        return np.all((pts >= -slack) & (pts <= np.array(self.params) + slack), axis=1)
+
+
+_BOX_KINDS = {1: "interval", 2: "rectangle"}
+
+
+def box(*widths: float) -> DomainSpec:
+    """The box (0,a_1) x ... x (0,a_d), d = len(widths) in {1, 2}."""
+    widths = tuple(map(float, widths))
+    if len(widths) not in _BOX_KINDS:
+        raise ConfigurationError(f"a box has 1 or 2 widths, not {len(widths)}")
+    if min(widths) <= 0:
+        raise ConfigurationError("box widths must be positive")
+    return DomainSpec(
+        kind=_BOX_KINDS[len(widths)],
+        params=widths,
+        x0=np.array(widths) / 2.0,
+        R=float(np.hypot.reduce(widths) / 2.0),
+        C_Omega=max(widths) / 2.0,
+        dim=len(widths),
+    )
 
 
 def interval(length: float) -> DomainSpec:
-    if length <= 0:
-        raise ConfigurationError("interval length must be positive")
-    return DomainSpec(
-        kind="interval",
-        params=(float(length),),
-        x0=np.array([length / 2.0]),
-        R=length / 2.0,
-        C_Omega=length / 2.0,
-        dim=1,
-    )
+    return box(length)
 
 
 def rectangle(a: float, b: float) -> DomainSpec:
-    if a <= 0 or b <= 0:
-        raise ConfigurationError("rectangle widths must be positive")
-    return DomainSpec(
-        kind="rectangle",
-        params=(float(a), float(b)),
-        x0=np.array([a / 2.0, b / 2.0]),
-        R=float(np.hypot(a, b) / 2.0),
-        C_Omega=max(a, b) / 2.0,
-        dim=2,
-    )
+    return box(a, b)
 
 
 def disk(rho: float) -> DomainSpec:
@@ -89,32 +86,29 @@ def disk(rho: float) -> DomainSpec:
     )
 
 
+# the config's spelling of each geometry (config.CONFIG_SCHEMA)
+_FROM_CONFIG = {
+    "interval": lambda spec: interval(spec["length"]),
+    "rectangle": lambda spec: rectangle(*spec["widths"]),
+    "disk": lambda spec: disk(spec["radius"]),
+}
+
+
 def domain_from_config(spec: dict) -> DomainSpec:
-    kind = spec["kind"]
-    if kind == "interval":
-        return interval(spec["length"])
-    if kind == "rectangle":
-        return rectangle(*spec["widths"])
-    if kind == "disk":
-        return disk(spec["radius"])
-    raise ConfigurationError(f"unsupported geometry kind '{kind}'")
+    build = _FROM_CONFIG.get(spec["kind"])
+    if build is None:
+        raise ConfigurationError(f"unsupported geometry kind '{spec['kind']}'")
+    return build(spec)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes, positive weights, and (boundary rules) outward normals.
-
-    An interior rule also holds its 1D factors: the (nodes, weights) pairs
-    whose tensor product it is, the first factor slowest in node order, so
-    weights == outer(w_1, w_2).ravel().  The disk's factors are (r, r w_r)
-    and (theta, w_theta): the radial weights carry the area element r.
-    """
+    """Nodes, positive weights, and (boundary rules) outward normals."""
 
     nodes: np.ndarray            # (k, d)
     weights: np.ndarray          # (k,)
     q: int                       # points per panel direction
     normals: np.ndarray | None = None  # (k, d) for boundary rules
-    factors: tuple = ()          # ((nodes_1, weights_1), ...) for interior rules
 
     def integrate(self, values: np.ndarray) -> complex | float:
         """Weighted sum along the last axis."""
@@ -167,10 +161,11 @@ def _panel_count(lam_max: float, length: float, q: int) -> int:
     return max(1, int(min(panels, 2.0**62)))
 
 
-# Nodes one quadrature rule may hold, so that the (2N x nodes) basis and
-# time-sample matrices stay within a few hundred MB at N = 128.  An elongated
-# rectangle reaches it (its panels resolve the top frequency along both
-# sides), and so does a horizon of many periods of the top frequency.
+# Nodes one boundary or time rule may hold, so that the (2N x nodes) trace
+# and time-sample matrices stay within a few hundred MB at N = 128.  An
+# elongated rectangle's boundary reaches it (its panels resolve the top
+# frequency along both sides), and so does a horizon of many periods of the
+# top frequency.
 MAX_RULE_NODES = 1 << 17
 
 
@@ -194,24 +189,12 @@ def time_rule(T: float, lam_max: float) -> QuadratureRule:
     return QuadratureRule(nodes=t[:, None], weights=w, q=q)
 
 
-def _rectangle_panels(a: float, b: float, f: float, q: int,
-                      interior: bool) -> tuple[int, int]:
-    """Panel counts along the sides a and b, refused past MAX_RULE_NODES nodes."""
-    pa, pb = _panel_count(f, a, q), _panel_count(f, b, q)
-    nodes = q * q * pa * pb if interior else 2 * q * (pa + pb)
-    if nodes > MAX_RULE_NODES:
-        kind = "interior" if interior else "boundary"
-        raise ConfigurationError(
-            f"the {kind} quadrature of the {a:g} x {b:g} rectangle would need "
-            f"{nodes} nodes for modes up to frequency {f / 2:g} (limit "
-            f"{MAX_RULE_NODES}); use a less elongated rectangle or fewer modes"
-        )
-    return pa, pb
-
-
-def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule on the domain (polar tensor on the disk),
-    with its 1D factors.
+def interior_quadrature(domain: DomainSpec, q: int = 32,
+                        lam_max: float = 1.0) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The 1D factors (nodes, weights) of the tensor interior rule, the
+    first slowest in its node order: one composite Gauss-Legendre factor per
+    side of a box; on the disk (r, r w_r) and (theta, w_theta), the radial
+    weights carrying the area element r.  The 2D rule is never built.
 
     `lam_max` is the highest frequency the rule must resolve; panel counts
     scale with it so products of eigenfunctions integrate to ~1e-10.
@@ -220,72 +203,62 @@ def interior_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
         raise ConfigurationError("interior quadrature needs q >= 2")
     # products of two modes carry frequencies up to 2*lam_max
     f = 2.0 * lam_max
-    if domain.kind == "interval":
-        (L,) = domain.params
-        x, w = _gl_panels(0.0, L, _panel_count(f, L, q), q)
-        return QuadratureRule(nodes=x[:, None], weights=w, q=q, factors=((x, w),))
-    if domain.kind == "rectangle":
-        a, b = domain.params
-        pa, pb = _rectangle_panels(a, b, f, q, interior=True)
-        x, wx = _gl_panels(0.0, a, pa, q)
-        y, wy = _gl_panels(0.0, b, pb, q)
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        W = np.outer(wx, wy)
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        return QuadratureRule(nodes=nodes, weights=W.ravel(), q=q,
-                              factors=((x, wx), (y, wy)))
+    if domain.kind != "disk":
+        return tuple(_gl_panels(0.0, a, _panel_count(f, a, q), q) for a in domain.params)
     (rho,) = domain.params
     r, wr = _gl_panels(0.0, rho, _panel_count(f, rho, q), q)
     # uniform angular grid: exact for the trigonometric polynomials that
     # appear in products of disk eigenfunctions
     n_theta = int(max(4 * np.ceil(f * rho) + 8, 16))
     theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    wt = np.full(n_theta, 2.0 * np.pi / n_theta)
-    Rm, Tm = np.meshgrid(r, theta, indexing="ij")
-    nodes = np.column_stack(
-        [
-            (Rm * np.cos(Tm)).ravel() + domain.x0[0],
-            (Rm * np.sin(Tm)).ravel() + domain.x0[1],
-        ]
-    )
-    wr = wr * r
-    return QuadratureRule(nodes=nodes, weights=np.outer(wr, wt).ravel(), q=q,
-                          factors=((r, wr), (theta, wt)))
+    return (r, wr * r), (theta, np.full(n_theta, 2.0 * np.pi / n_theta))
+
+
+def _tensor(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (k, d) and weights (k,) of the tensor product of 1D rules
+    (nodes, weights), the first factor slowest."""
+    grids = np.meshgrid(*(np.asarray(x) for x, _ in factors), indexing="ij")
+    weights = functools.reduce(np.multiply.outer, (np.asarray(w) for _, w in factors))
+    return np.column_stack([g.ravel() for g in grids]), weights.ravel()
 
 
 def boundary_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -> QuadratureRule:
-    """Boundary rule: exact two-point sum (interval), Gauss-Legendre panels per
-    face (rectangle), uniform angular grid (disk)."""
-    if domain.kind == "interval":
-        (L,) = domain.params
-        nodes = np.array([[0.0], [L]])
-        weights = np.array([1.0, 1.0])
-        normals = np.array([[-1.0], [1.0]])
-        return QuadratureRule(nodes=nodes, weights=weights, q=2, normals=normals)
+    """Boundary rule: uniform angular grid on the disk; on a box, the faces
+    normal to the last axis first, each at 0 then at a_i, every face the
+    tensor product of Gauss-Legendre panels along the other sides.  The
+    interval's faces are points, so its rule is the exact two-point sum.
+    A rule past MAX_RULE_NODES nodes is refused before it is built."""
     if q < 4:
-        raise ConfigurationError("boundary quadrature needs q >= 4 on 2D geometries")
+        raise ConfigurationError("boundary quadrature needs q >= 4")
     f = 2.0 * lam_max
-    if domain.kind == "rectangle":
-        a, b = domain.params
-        pa, pb = _rectangle_panels(a, b, f, q, interior=False)
-        xs, wxs = _gl_panels(0.0, a, pa, q)
-        ys, wys = _gl_panels(0.0, b, pb, q)
-        pieces = []
-        for coord, w, normal in (
-            (np.column_stack([xs, np.zeros_like(xs)]), wxs, (0.0, -1.0)),   # y=0
-            (np.column_stack([xs, np.full_like(xs, b)]), wxs, (0.0, 1.0)),  # y=b
-            (np.column_stack([np.zeros_like(ys), ys]), wys, (-1.0, 0.0)),   # x=0
-            (np.column_stack([np.full_like(ys, a), ys]), wys, (1.0, 0.0)),  # x=a
-        ):
-            pieces.append((coord, w, np.tile(normal, (len(w), 1))))
-        nodes = np.vstack([p[0] for p in pieces])
-        weights = np.concatenate([p[1] for p in pieces])
-        normals = np.vstack([p[2] for p in pieces])
+    if domain.kind == "disk":
+        (rho,) = domain.params
+        n_theta = int(max(4 * np.ceil(f * rho) + 8, 4 * q))
+        theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+        normals = np.column_stack([np.cos(theta), np.sin(theta)])
+        nodes = domain.x0 + rho * normals
+        weights = np.full(n_theta, 2.0 * np.pi * rho / n_theta)
         return QuadratureRule(nodes=nodes, weights=weights, q=q, normals=normals)
-    (rho,) = domain.params
-    n_theta = int(max(4 * np.ceil(f * rho) + 8, 4 * q))
-    theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    nodes = domain.x0 + rho * normals
-    weights = np.full(n_theta, 2.0 * np.pi * rho / n_theta)
-    return QuadratureRule(nodes=nodes, weights=weights, q=q, normals=normals)
+    widths, d = domain.params, domain.dim
+    panels = [_panel_count(f, a, q) for a in widths]
+    count = sum(2 * math.prod(q * p for j, p in enumerate(panels) if j != i) for i in range(d))
+    if count > MAX_RULE_NODES:
+        raise ConfigurationError(
+            f"the boundary quadrature of the {' x '.join(f'{a:g}' for a in widths)} "
+            f"{domain.kind} would need {count} nodes for modes up to frequency "
+            f"{lam_max:g} (limit {MAX_RULE_NODES}); use a less elongated "
+            f"{domain.kind} or fewer modes"
+        )
+    # each side's panels, built once and only if a face spans that side
+    side = functools.cache(lambda j: _gl_panels(0.0, widths[j], panels[j], q))
+    nodes, weights, normals = [], [], []
+    for i in reversed(range(d)):
+        for coordinate, outward in ((0.0, -1.0), (widths[i], 1.0)):
+            x, w = _tensor([([coordinate], [1.0]) if j == i else side(j) for j in range(d)])
+            normal = np.zeros(d)
+            normal[i] = outward
+            nodes.append(x)
+            weights.append(w)
+            normals.append(np.tile(normal, (len(w), 1)))
+    return QuadratureRule(nodes=np.vstack(nodes), weights=np.concatenate(weights), q=q,
+                          normals=np.vstack(normals))

@@ -34,6 +34,7 @@ its matrix is the dense complex one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,33 +62,31 @@ def _trace_block(table: ModeTable) -> np.ndarray:
     """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed form.
 
     B = [[pos, -pos], [-pos, pos]] on signed indices, since psi_{-n} = -psi_n.
-    On the disk psi_n = sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho
-    {cos, sin}(m theta) on the boundary circle, and J_m'(j_{m,k}) has the
-    sign (-1)^k, so B couples only modes of equal order and branch.
+    On the faces x_i = 0 and x_i = a_i of the box (0,a_1) x ... x (0,a_d),
+    psi_p is -1 and (-1)^p_i times r_i sqrt(2/a_i) times the other axes'
+    orthonormal sines, with the direction cosine r_i = (p_i pi/a_i)/lambda_p, so
+
+        pos = sum_i (2/a_i) (1 + (-1)^(p_i + p'_i)) [p_j = p'_j for j != i] r_i r'_i,
+
+    which on the interval is (2/L)(1 + (-1)^(n + n')).  On the disk psi_n =
+    sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho {cos, sin}(m theta) on
+    the boundary circle, and J_m'(j_{m,k}) has the sign (-1)^k, so B couples
+    only modes of equal order and branch.
     """
-    dom = table.domain
-    N = table.N
-    if dom.kind == "interval":
-        L = dom.params[0]
-        n = np.arange(1, N + 1)
-        parity = 1.0 + (-1.0) ** (n[:, None] + n[None, :])
-        pos = (2.0 / L) * parity
-    elif dom.kind == "rectangle":
-        a, b = dom.params
-        p, q = np.array([mode.multi_index for mode in table.modes], dtype=float).T
-        same_q = (q[:, None] == q[None, :]).astype(float)
-        same_p = (p[:, None] == p[None, :]).astype(float)
-        par_p = 1.0 + (-1.0) ** (p[:, None] + p[None, :])
-        par_q = 1.0 + (-1.0) ** (q[:, None] + q[None, :])
-        pos = (2.0 * np.pi**2 / a**3) * p[:, None] * p[None, :] * par_p * same_q \
-            + (2.0 * np.pi**2 / b**3) * q[:, None] * q[None, :] * par_q * same_p
-        pos /= np.outer(table.lambdas, table.lambdas)
-    else:
+    dom, index = table.domain, table.multi_index
+    if dom.kind == "disk":
         (rho,) = dom.params
-        m, k, branch = np.array([mode.multi_index for mode in table.modes]).T
+        m, k, branch = index.T
         same = (m[:, None] == m[None, :]) & (branch[:, None] == branch[None, :])
-        pos = (2.0 / rho) * (-1.0) ** (k[:, None] + k[None, :]) * same
-    return pos
+        return (2.0 / rho) * (-1.0) ** (k[:, None] + k[None, :]) * same
+    cosines = index * np.pi / np.array(dom.params) / table.lambdas[:, None]
+    terms = []
+    for i, a in enumerate(dom.params):
+        others = np.delete(index, i, axis=1)
+        same = np.all(others[:, None, :] == others[None, :, :], axis=2)
+        parity = 1.0 + (-1.0) ** (index[:, i, None] + index[None, :, i])
+        terms.append((2.0 / a) * parity * same * np.outer(cosines[:, i], cosines[:, i]))
+    return functools.reduce(np.add, terms)
 
 
 def boundary_trace_gram(table: ModeTable) -> np.ndarray:

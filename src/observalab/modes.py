@@ -1,13 +1,17 @@
 """Dirichlet eigenpairs on the model domains, with signed-index traces.
 
-For each geometry the eigenfunctions phi_k are closed-form:
+For each geometry the eigenfunctions phi are closed-form.  On the box
+(0,a_1) x ... x (0,a_d), d in {1, 2}, a mode is a multi-index p >= 1 and a
+product of per-axis sines:
 
-    interval (0,L):        phi_k = sqrt(2/L) sin(k pi x / L),    lambda_k = k pi / L
-    rectangle (0,a)x(0,b): phi = (2/sqrt(ab)) sin(p pi x/a) sin(q pi y/b),
-                           lambda^2 = pi^2 (p^2/a^2 + q^2/b^2)
-    disk radius rho:       phi = N J_m(lambda r) {cos, sin}(m theta),
-                           lambda = j_{m,k}/rho,
-                           N^2 = 2 / (angular_measure * rho^2 * J_m'(j_{m,k})^2)
+    phi_p = sqrt(2^d / prod a_i) prod_i sin(p_i pi x_i / a_i),
+    lambda_p = |(p_1 pi / a_1, ..., p_d pi / a_d)|,
+
+so the interval (0,L) has phi_k = sqrt(2/L) sin(k pi x / L), lambda_k =
+k pi / L.  On the disk of radius rho
+
+    phi = N J_m(lambda r) {cos, sin}(m theta),  lambda = j_{m,k}/rho,
+    N^2 = 2 / (angular_measure * rho^2 * J_m'(j_{m,k})^2).
 
 Signed indices extend the positive family: lambda_{-n} = -lambda_n and the
 normalized boundary trace psi_n = (1/lambda_n) dphi_{|n|}/dnu flips sign,
@@ -16,8 +20,8 @@ psi_{-n} = -psi_n.
 ModeTable has three pure evaluators, each over all N modes at once:
 phi_matrix (N, k) and grad_phi_matrix (N, k, d) at interior points, and
 psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
-with the mirror rows appended.  On the interval and rectangle they broadcast
-over the multi-index; on the disk phi and grad phi take J_m (and J_m') from
+with the mirror rows appended.  On a box they broadcast per axis over the
+multi-indices; on the disk phi and grad phi take J_m (and J_m') from
 one Bessel call at each distinct (m, k) and radius (the cos and sin modes
 share them, a polar grid repeats radii), every disk evaluator takes the
 angular factor from cos(m theta) and sin(m theta) at each distinct order
@@ -47,7 +51,7 @@ class Mode:
     """One positive-index eigenpair with its geometry-specific multi-index."""
 
     index: int                # positive rank (1-based, sorted by frequency)
-    multi_index: tuple        # (k,) | (p, q) | (m, k, branch)
+    multi_index: tuple        # box (p_1, ..., p_d) | disk (m, k, branch)
     lam: float                # positive frequency lambda_index
     norm_const: float         # normalization so that ||phi||_{L^2} = 1
 
@@ -65,6 +69,7 @@ class ModeTable:
         self.modes = modes
         self.N = len(modes)
         self.lambdas = np.array([m.lam for m in modes])
+        self.multi_index = np.array([m.multi_index for m in modes])  # (N, len(Mode.multi_index))
 
     def lambdas_signed(self) -> np.ndarray:
         """Frequencies on the signed index order [1..N, -1..-N]."""
@@ -75,42 +80,32 @@ class ModeTable:
     def phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """phi_n for every mode at the points, shape (N, k)."""
         pts = self._interior_points(points)
-        norm = np.array([[m.norm_const] for m in self.modes])
-        kind = self.domain.kind
-        if kind == "interval":
-            (L,) = self.domain.params
-            k = self._index_column(0)
-            return norm * np.sin(k * np.pi * pts[:, 0] / L)
-        if kind == "rectangle":
-            a, b = self.domain.params
-            p, q = self._index_column(0), self._index_column(1)
-            return (norm
-                    * np.sin(p * np.pi * pts[:, 0] / a)
-                    * np.sin(q * np.pi * pts[:, 1] / b))
-        r, theta = self._polar(pts)
-        angular, _ = self._disk_angular(theta)
-        return norm * self._disk_radial(r, bessel.bessel_j) * angular
+        norm = self._norm_column()
+        if self.domain.kind == "disk":
+            r, theta = self._polar(pts)
+            angular, _ = self._disk_angular(theta)
+            return norm * self._disk_radial(r, bessel.bessel_j) * angular
+        phi = norm
+        for arg in self._box_phases(pts):
+            phi = phi * np.sin(arg)
+        return phi
 
     def grad_phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradients of every phi_n at the points, shape (N, k, d)."""
         pts = self._interior_points(points)
-        norm = np.array([[m.norm_const] for m in self.modes])
-        kind = self.domain.kind
-        if kind == "interval":
-            (L,) = self.domain.params
-            k = self._index_column(0)
-            g = (norm * (k * np.pi / L)) * np.cos(k * np.pi * pts[:, 0] / L)
-            return g[:, :, None]
-        if kind == "rectangle":
-            a, b = self.domain.params
-            p, q = self._index_column(0), self._index_column(1)
-            sx = np.sin(p * np.pi * pts[:, 0] / a)
-            cx = np.cos(p * np.pi * pts[:, 0] / a)
-            sy = np.sin(q * np.pi * pts[:, 1] / b)
-            cy = np.cos(q * np.pi * pts[:, 1] / b)
-            gx = (norm * (p * np.pi / a)) * cx * sy
-            gy = (norm * (q * np.pi / b)) * sx * cy
-            return np.stack([gx, gy], axis=-1)
+        norm = self._norm_column()
+        if self.domain.kind != "disk":
+            # d/dx_i of the product of sines: the i-th sine becomes
+            # (p_i pi / a_i) times its cosine
+            phases = self._box_phases(pts)
+            sines, cosines = [np.sin(t) for t in phases], [np.cos(t) for t in phases]
+            grad = []
+            for i, a in enumerate(self.domain.params):
+                g = norm * (self._index_column(i) * np.pi / a)
+                for j in range(len(phases)):
+                    g = g * (cosines[j] if j == i else sines[j])
+                grad.append(g)
+            return np.stack(grad, axis=-1)
         r, theta = self._polar(pts)
         # J_m(0) = 0 for m >= 1 zeroes the angular term at the centre; its limit is
         # nonzero for m = 1, but the quadrature never samples r = 0
@@ -130,7 +125,7 @@ class ModeTable:
         if self.domain.kind != "disk":
             raise ConfigurationError("radial factors exist only on the disk")
         r = np.asarray(r, dtype=float)
-        norm = np.array([[m.norm_const] for m in self.modes])
+        norm = self._norm_column()
         jm, jmp = self._disk_radial(r, bessel.bessel_j_and_jp)
         return norm * jm, (norm * self.lambdas[:, None]) * r * jmp
 
@@ -168,7 +163,16 @@ class ModeTable:
 
     def _index_column(self, c: int) -> np.ndarray:
         """Column c of the multi-indices as an (N, 1) array."""
-        return np.array([[m.multi_index[c]] for m in self.modes])
+        return self.multi_index[:, c, None]
+
+    def _norm_column(self) -> np.ndarray:
+        return np.array([[m.norm_const] for m in self.modes])
+
+    def _box_phases(self, pts: np.ndarray) -> list[np.ndarray]:
+        """p_i pi x_i / a_i of every box mode at the points, one (N, k) array
+        per axis i."""
+        return [self._index_column(i) * np.pi * pts[:, i] / a
+                for i, a in enumerate(self.domain.params)]
 
     def _disk_angular(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The disk's angular factor {cos, sin}(m theta) of every mode and its
@@ -282,34 +286,20 @@ def _smallest_disk_zeros(count: int) -> list[tuple[float, tuple]]:
         reach += np.pi
 
 
+def _box_indices(d: int, N: int) -> list[tuple]:
+    """Every multi-index p of d positive integers with prod(p) <= N, in
+    lexicographic order."""
+    if d == 0:
+        return [()]
+    return [(p, *rest) for p in range(1, N + 1) for rest in _box_indices(d - 1, N // p)]
+
+
 def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
     """The N smallest-frequency positive modes (ties broken lexicographically
     by multi-index) together with their signed mirrors."""
     if N < 1:
         raise ConfigurationError("mode count N must be >= 1")
-    kind = domain.kind
-    modes: list[Mode] = []
-    if kind == "interval":
-        (L,) = domain.params
-        norm = np.sqrt(2.0 / L)
-        for k in range(1, N + 1):
-            modes.append(Mode(index=k, multi_index=(k,), lam=k * np.pi / L, norm_const=norm))
-        return ModeTable(domain, modes)
-    if kind == "rectangle":
-        a, b = domain.params
-        norm = 2.0 / np.sqrt(a * b)
-        # lam grows in p and in q, so the p*q - 1 modes (p', q') <= (p, q)
-        # all come before (p, q): the N smallest have p*q <= N
-        cand = [
-            (np.pi * np.hypot(p / a, q / b), (p, q))
-            for p in range(1, N + 1)
-            for q in range(1, N // p + 1)
-        ]
-        cand.sort(key=lambda item: (item[0], item[1]))
-        for rank, (lam, mi) in enumerate(cand[:N], start=1):
-            modes.append(Mode(index=rank, multi_index=mi, lam=lam, norm_const=norm))
-        return ModeTable(domain, modes)
-    if kind == "disk":
+    if domain.kind == "disk":
         (rho,) = domain.params
         zeros = _smallest_disk_zeros(N)
         jmk = np.array([z for z, _ in zeros])
@@ -317,10 +307,20 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
         jp = bessel.bessel_jp(order, jmk)
         angular_measure = np.where(order == 0, 2.0 * np.pi, np.pi)
         norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
-        for rank, ((z, mi), c) in enumerate(zip(zeros, norm), start=1):
-            modes.append(Mode(index=rank, multi_index=mi, lam=z / rho, norm_const=float(c)))
-        return ModeTable(domain, modes)
-    raise ConfigurationError(f"unsupported geometry kind '{kind}'")
+        return ModeTable(domain, [
+            Mode(index=rank, multi_index=mi, lam=z / rho, norm_const=float(c))
+            for rank, ((z, mi), c) in enumerate(zip(zeros, norm), start=1)])
+    # lambda grows in every p_i, so the prod(p) - 1 multi-indices below p
+    # all come before it: the N smallest have prod(p) <= N
+    widths = np.array(domain.params)
+    index = np.array(_box_indices(domain.dim, N))
+    lam = np.hypot.reduce(index * np.pi / widths, axis=1)
+    first = np.lexsort((*index.T[::-1], lam))[:N]
+    norm = np.sqrt(2.0 ** domain.dim / np.prod(widths))
+    return ModeTable(domain, [
+        Mode(index=rank, multi_index=tuple(index[i].tolist()), lam=float(lam[i]),
+             norm_const=norm)
+        for rank, i in enumerate(first.tolist(), start=1)])
 
 
 def table_from_dict(domain: DomainSpec, data: dict) -> ModeTable:

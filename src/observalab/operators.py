@@ -18,17 +18,24 @@ traces of eigenfunction pairs to interior pairings:
 
 The interior checks read a MultiplierPairings, whose two (N, N) pairings
 come from the 1D factors of the tensor interior rule; nothing is evaluated
-on its 2D grid.  The interval's rule is 1D already; a rectangle mode is a
-product of two interval modes, so its pairings are sums of products of the
-intervals' 1D pairings; on the disk A = r d/dr keeps the angular factor,
-which the uniform angular grid integrates exactly, so only radial sums
-remain.  Each check returns one IdentityReport, a block of rows held as
-columns; the quasi-orthogonality draws are made and checked in fixed-size
-blocks of coefficient rows.
+on its 2D grid.  A mode of the box (0,a_1) x ... x (0,a_d) is a product of
+modes of its side intervals, and A = sum_i A_i with A_i = (x_i - a_i/2)
+d/dx_i acting on its own factor, so with each side's mass G_i, pairing P_i
+and gram M_i on its 1D factor
+
+    P = sum_i P_i * prod_{j != i} G_j,
+    M = sum_i M_i * prod_{j != i} G_j + sum_{i != k} P_i * P_k^T * prod_{j != i,k} G_j
+
+(entrywise products; on the interval P = P_1 and M = M_1).  On the disk
+A = r d/dr keeps the angular factor, which the uniform angular grid
+integrates exactly, so only radial sums remain.  Each check returns one
+IdentityReport, a block of rows held as columns; the quasi-orthogonality
+draws are made and checked in fixed-size blocks of coefficient rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,25 +125,12 @@ def _line_pairings(line: ModeTable, x: np.ndarray, w: np.ndarray):
     return (phi * w) @ phi.T, weighted @ phi.T, weighted @ aphi.T
 
 
-def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPairings:
-    """P and M by the interior rule irule, from its 1D factors."""
-    kind = table.domain.kind
-    index = np.array([m.multi_index for m in table.modes])
-    if kind == "interval":
-        _, pairing, gram = _line_pairings(table, *irule.factors[0])
-    elif kind == "rectangle":
-        # phi_(p,q)(x, y) = phi_p(x) phi_q(y) over the side intervals, and
-        # A = A_x + A_y with each part acting on its own factor
-        lines = []
-        for side, column, (x, w) in zip(table.domain.params, index.T, irule.factors):
-            line = enumerate_modes(interval(side), int(column.max()))
-            pick = np.ix_(column - 1, column - 1)
-            lines.append([f[pick] for f in _line_pairings(line, x, w)])
-        (gx, px, mx), (gy, py, my) = lines
-        pairing = px * gy + gx * py
-        gram = mx * gy + px * py.T + px.T * py + gx * my
-    else:
-        (r, wr), (theta, _) = irule.factors
+def multiplier_pairings(table: ModeTable, factors) -> MultiplierPairings:
+    """P and M by the interior rule whose 1D factors are
+    geometry.interior_quadrature's."""
+    index = table.multi_index
+    if table.domain.kind == "disk":
+        (r, wr), (theta, _) = factors
         order, branch = index[:, 0], index[:, 2]
         if len(theta) <= 2 * order.max():
             raise ConfigurationError("the angular grid is too coarse for the disk's orders")
@@ -146,8 +140,24 @@ def multiplier_pairings(table: ModeTable, irule: QuadratureRule) -> MultiplierPa
         angular = np.where(order == 0, 2.0 * np.pi, np.pi)[:, None] * (
             (order[:, None] == order) & (branch[:, None] == branch))
         weighted = aradial * wr
-        pairing = angular * (weighted @ radial.T)
-        gram = angular * (weighted @ aradial.T)
+        return MultiplierPairings(table, angular * (weighted @ radial.T),
+                                  angular * (weighted @ aradial.T))
+    # the side intervals' G_i, P_i, M_i at the box modes' own indices p_i
+    G, P, M = [], [], []
+    for side, column, (x, w) in zip(table.domain.params, index.T, factors):
+        line = enumerate_modes(interval(side), int(column.max()))
+        pick = np.ix_(column - 1, column - 1)
+        for pairs, f in zip((G, P, M), _line_pairings(line, x, w)):
+            pairs.append(f[pick])
+
+    def mass(*skip):
+        """The entrywise product of the G_j, j not in skip (1 if none)."""
+        return functools.reduce(np.multiply, (g for j, g in enumerate(G) if j not in skip), 1.0)
+
+    axes = range(len(G))
+    pairing = functools.reduce(np.add, [P[i] * mass(i) for i in axes])
+    gram = functools.reduce(np.add, [M[i] * mass(i) for i in axes] + [
+        P[i] * P[k].T * mass(i, k) for i in axes for k in axes if i != k])
     return MultiplierPairings(table, pairing, gram)
 
 

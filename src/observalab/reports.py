@@ -27,6 +27,7 @@ def _format_text(value) -> str:
     text = str(value)
     if any(ch in text for ch in ",\n\r"):
         raise ValueError(f"CSV cell may not contain separators: {text!r}")
+    text.encode("utf-8")    # refuses a lone surrogate: UnicodeEncodeError is a ValueError
     return text
 
 
@@ -67,8 +68,11 @@ def _format_column(column) -> list[str]:
     if len(kinds) != 1:
         return list(map(format_cell, values))
     (kind,) = kinds
-    if issubclass(kind, str) and not any(ch in "".join(values) for ch in ",\n\r"):
-        return list(map(str, values))           # text, checked once for separators
+    if issubclass(kind, str):
+        text = "".join(values)
+        if not any(ch in text for ch in ",\n\r"):
+            text.encode("utf-8")                # as _format_text, once for the column
+            return list(map(str, values))
     return list(map(_FORMATTERS.get(kind) or _formatter(kind), values))
 
 

@@ -255,8 +255,9 @@ def test_identities_build_no_basis_on_the_interior_grid(tmp_path, monkeypatch, d
         monkeypatch.setattr(ModeTable, name, sized)
     cfg = _write_config(tmp_path, N=20, domain=domain)
     assert _run("verify-identities", "--config", str(cfg)) == 0
-    (rule,) = rules
-    assert all(size < len(rule.weights) for size in sizes), (sizes, len(rule.weights))
+    (factors,) = rules
+    grid = np.prod([len(w) for _, w in factors])
+    assert all(size < grid for size in sizes), (sizes, grid)
 
 
 def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
@@ -381,6 +382,14 @@ def test_long_horizon_exits_64_before_sampling_time(tmp_path, capsys):
     for cmd in ("observe", "visco"):
         assert _run(cmd, "--config", str(cfg)) == 64, cmd
         assert "would need 325952 nodes" in capsys.readouterr().err, cmd
+
+
+def test_elongated_rectangle_identities_run_on_the_interior_factors(tmp_path):
+    """On the 1 x 1000 rectangle at N = 128 the 2D interior rule would hold
+    259,072 nodes; verify-identities builds only its 1D factors (32 and
+    8,096 nodes), so it runs, and every identity holds."""
+    cfg = _write_config(tmp_path, N=128, domain={"kind": "rectangle", "widths": [1, 1000]})
+    assert _run("verify-identities", "--config", str(cfg)) == 0
 
 
 def test_config_schema_is_valid():

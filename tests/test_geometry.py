@@ -12,28 +12,32 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from observalab import modes
+from observalab import geometry, modes
 from observalab.bessel import BesselZeroTable
 from observalab.config import ConfigurationError
 from observalab.geometry import (
     QuadratureRule,
     boundary_quadrature,
+    box,
     disk,
     gauss_legendre,
     interior_quadrature,
     interval,
     rectangle,
 )
+from observalab.gram import boundary_trace_gram
 from observalab.modes import enumerate_modes
+
+from interior_sampling import interior_grid
 
 DOMAINS = [interval(np.pi), rectangle(1.0, np.pi / 2.0), disk(1.3)]
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_interior_weights_sum_to_volume(dom):
-    rule = interior_quadrature(dom, q=16, lam_max=10.0)
+    _, weights = interior_grid(dom, interior_quadrature(dom, q=16, lam_max=10.0))
     volume = {"interval": np.pi, "rectangle": np.pi / 2.0, "disk": np.pi * 1.3**2}[dom.kind]
-    assert abs(np.sum(rule.weights) - volume) < 1e-12 * max(1.0, volume)
+    assert abs(np.sum(weights) - volume) < 1e-12 * max(1.0, volume)
 
 
 def test_boundary_weights_sum_to_perimeter():
@@ -76,9 +80,9 @@ def test_normals_are_unit_and_outward():
 @pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.kind)
 def test_modes_are_orthonormal(dom):
     table = enumerate_modes(dom, 12)
-    rule = interior_quadrature(dom, q=32, lam_max=table.lambdas[-1])
-    phi = table.phi_matrix(rule.nodes)
-    gram = (phi * rule.weights) @ phi.T
+    nodes, weights = interior_grid(dom, interior_quadrature(dom, q=32, lam_max=table.lambdas[-1]))
+    phi = table.phi_matrix(nodes)
+    gram = (phi * weights) @ phi.T
     assert np.max(np.abs(gram - np.eye(12))) < 1e-8
 
 
@@ -267,6 +271,9 @@ def test_disk_basis_gathers_repeated_radii():
 def test_domain_validation():
     with pytest.raises(ConfigurationError):
         interval(-1.0)
+    for widths in ((), (1.0, 1.0, 1.0)):
+        with pytest.raises(ConfigurationError, match="1 or 2 widths"):
+            box(*widths)
     with pytest.raises(ConfigurationError):
         rectangle(0.0, 1.0)
     with pytest.raises(ConfigurationError):
@@ -275,13 +282,10 @@ def test_domain_validation():
 
 def test_elongated_rectangle_rules_are_refused_before_they_are_built():
     """Resolving modes up to lam = 40 along a side of 1000 takes ~2e5 boundary
-    nodes, and along a side of 100 ~1.3e6 interior nodes: a named error
-    instead of the arrays."""
+    nodes: a named error instead of the arrays."""
     with pytest.raises(ConfigurationError, match="boundary quadrature .* 204032 nodes"):
         boundary_quadrature(rectangle(1.0, 1000.0), lam_max=40.0)
-    with pytest.raises(ConfigurationError, match="interior quadrature"):
-        interior_quadrature(rectangle(1.0, 100.0), lam_max=40.0)
-    # the boundary of the second rectangle stays under the limit
+    # the boundary of a rectangle with a side of 100 stays under the limit
     assert boundary_quadrature(rectangle(1.0, 100.0), lam_max=40.0).weights.size == 20672
 
 
@@ -308,3 +312,85 @@ def test_gauss_legendre_matches_mpmath(q):
     assert max(abs(float(a - b)) for a, b in zip(x, ref_x)) <= 2e-16
     assert max(abs(float((a - b) / b)) for a, b in zip(w, ref_w)) <= 1e-12
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+# The box code writes the interval and the rectangle once, over their axes;
+# these closed forms, each written out for its geometry, are its oracle.
+
+_WIDTHS = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)   # log-uniform in [1e-2, 1e2]
+
+
+@settings(max_examples=50, deadline=None)
+@given(L=_WIDTHS, N=st.integers(1, 64))
+def test_interval_modes_and_trace_gram_are_their_closed_forms_bitwise(L, N):
+    """lambda_k = k pi / L, norm sqrt(2/L), B block (2/L)(1 + (-1)^(n+n'))."""
+    table = enumerate_modes(interval(L), N)
+    k = np.arange(1, N + 1)
+    assert [m.multi_index for m in table.modes] == [(j,) for j in k.tolist()]
+    assert np.array_equal(table.lambdas, k * np.pi / L)
+    assert all(m.norm_const == np.sqrt(2.0 / L) for m in table.modes)
+    pos = (2.0 / L) * (1.0 + (-1.0) ** (k[:, None] + k[None, :]))
+    assert np.array_equal(boundary_trace_gram(table), np.block([[pos, -pos], [-pos, pos]]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=_WIDTHS, b=_WIDTHS, N=st.integers(1, 64))
+def test_rectangle_modes_and_trace_gram_are_their_closed_forms(a, b, N):
+    """lambda = pi hypot(p/a, q/b) over the N smallest (p, q) and norm
+    2/sqrt(ab) within 4 ulp; B's block
+    (2 pi^2/a^3) p p' (1 + (-1)^(p+p')) [q = q'] + (2 pi^2/b^3) q q' (1 + (-1)^(q+q')) [p = p'],
+    over lambda lambda', within 1e-15 of its largest entry.  B's formula is
+    evaluated in extended precision: in doubles its own rounding reaches
+    8e-16 of the largest entry, so the bound would measure the oracle."""
+    table = enumerate_modes(rectangle(a, b), N)
+    p, q = np.array([m.multi_index for m in table.modes], dtype=float).T
+    lam = np.pi * np.hypot(p / a, q / b)
+    assert np.all(np.abs(table.lambdas - lam) <= 4 * np.spacing(lam))
+    smallest = np.sort([np.pi * np.hypot(i / a, j / b)
+                        for i in range(1, N + 1) for j in range(1, N // i + 1)])[:N]
+    assert np.all(np.abs(table.lambdas - smallest) <= 4 * np.spacing(smallest))
+    norm = 2.0 / np.sqrt(a * b)
+    assert all(abs(m.norm_const - norm) <= 4 * np.spacing(norm) for m in table.modes)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    a, b, p, q = (np.asarray(v, dtype=np.longdouble) for v in (a, b, p, q))
+    lam = pi * np.hypot(p / a, q / b)
+    pos = ((2 * pi**2 / a**3) * np.outer(p, p) * (1.0 + (-1.0) ** (p[:, None] + p))
+           * (q[:, None] == q)
+           + (2 * pi**2 / b**3) * np.outer(q, q) * (1.0 + (-1.0) ** (q[:, None] + q))
+           * (p[:, None] == p)) / np.outer(lam, lam)
+    B = boundary_trace_gram(table)
+    assert np.max(np.abs(B[:N, :N] - pos)) <= 1e-15 * np.max(np.abs(pos))
+
+
+@settings(max_examples=50, deadline=None)
+@given(L=_WIDTHS, lam_max=_WIDTHS, q=st.sampled_from([4, 16, 32]))
+def test_interval_boundary_rule_is_its_two_endpoints(L, lam_max, q):
+    rule = boundary_quadrature(interval(L), q=q, lam_max=lam_max)
+    assert np.array_equal(rule.nodes, [[0.0], [L]])
+    assert np.array_equal(rule.normals, [[-1.0], [1.0]])
+    assert np.array_equal(rule.weights, [1.0, 1.0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=_WIDTHS, b=_WIDTHS, N=st.integers(1, 64), q=st.sampled_from([4, 16, 32]))
+def test_rectangle_boundary_rule_is_its_four_faces_in_order(a, b, N, q):
+    """Gauss-Legendre panels along each side, the faces y=0, y=b, x=0, x=a in
+    that order; past geometry.MAX_RULE_NODES the rule is refused."""
+    dom = rectangle(a, b)
+    lam_max = enumerate_modes(dom, N).lambdas[-1]
+    pa, pb = (geometry._panel_count(2.0 * lam_max, side, q) for side in (a, b))
+    if 2 * q * (pa + pb) > geometry.MAX_RULE_NODES:
+        with pytest.raises(ConfigurationError, match=f"{2 * q * (pa + pb)} nodes"):
+            boundary_quadrature(dom, q=q, lam_max=lam_max)
+        return
+    rule = boundary_quadrature(dom, q=q, lam_max=lam_max)
+    x, wx = geometry._gl_panels(0.0, a, pa, q)
+    y, wy = geometry._gl_panels(0.0, b, pb, q)
+    zx, zy = np.zeros_like(x), np.zeros_like(y)
+    faces = [(np.column_stack([x, zx]), wx, (0.0, -1.0)),
+             (np.column_stack([x, zx + b]), wx, (0.0, 1.0)),
+             (np.column_stack([zy, y]), wy, (-1.0, 0.0)),
+             (np.column_stack([zy + a, y]), wy, (1.0, 0.0))]
+    assert np.array_equal(rule.nodes, np.vstack([f[0] for f in faces]))
+    assert np.array_equal(rule.weights, np.concatenate([f[1] for f in faces]))
+    assert np.array_equal(rule.normals, np.vstack([np.tile(f[2], (len(f[1]), 1)) for f in faces]))

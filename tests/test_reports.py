@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from observalab.reports import format_cell, write_csv
@@ -46,23 +46,48 @@ _CELLS = [
 ]
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_column_writer_matches_the_cell_formatter(tmp_path_factory, data):
-    """write_csv writes every row as ",".join of format_cell over its cells,
-    for columns of each type the artifacts hold, as lists or numpy arrays."""
-    rows = data.draw(st.integers(0, 8))
+@st.composite
+def _columns(draw):
+    """1-4 equally long columns, each of one _CELLS strategy, as a list or
+    (when its cells share one type) sometimes as a numpy array."""
+    rows = draw(st.integers(0, 8))
     columns = {}
-    for i in range(data.draw(st.integers(1, 4))):
-        cells = data.draw(st.sampled_from(_CELLS))
-        values = data.draw(st.lists(cells, min_size=rows, max_size=rows))
-        if len(set(map(type, values))) == 1 and data.draw(st.booleans()):
+    for i in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(draw(st.sampled_from(_CELLS)), min_size=rows, max_size=rows))
+        if len(set(map(type, values))) == 1 and draw(st.booleans()):
             values = np.array(values)
         columns[f"c{i}"] = values
-    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", columns)
+    return columns
+
+
+def _refused(value) -> bool:
+    try:
+        format_cell(value)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_columns())
+@example(columns={"c0": ["\ud800"]})
+@example(columns={"c0": ["ok", "\ud800"], "c1": [1.0, 2.0]})
+def test_column_writer_matches_the_cell_formatter(tmp_path_factory, columns):
+    """write_csv writes every row as ",".join of format_cell over its cells,
+    for columns of each type the artifacts hold, as lists or numpy arrays;
+    it raises iff format_cell refuses some cell (a lone surrogate cannot be
+    encoded), and then writes no file."""
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    if any(_refused(value) for column in columns.values() for value in column):
+        with pytest.raises(ValueError):
+            write_csv(path, columns)
+        assert not path.exists()
+        return
+    write_csv(path, columns)
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0].startswith("# generated_at: ") and lines[-1] == ""
     assert lines[1] == ",".join(columns)
+    rows = len(next(iter(columns.values())))
     want = [",".join(format_cell(column[r]) for column in columns.values())
             for r in range(rows)]
     assert lines[2:-1] == want

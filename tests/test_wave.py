@@ -19,6 +19,7 @@ from observalab.modes import enumerate_modes
 from observalab import wave as wv
 
 from flux_sampling import boundary_flux, simpson_grid, simpson_weights
+from interior_sampling import interior_grid
 
 
 def _setup(dom, N, q=32):
@@ -52,9 +53,10 @@ def _a_to_coeffs(a):
 
 def _quadrature_energy(table, irule, xi, eta):
     """integral |grad w|^2 + |dw/dt|^2 at the terminal time by interior quadrature."""
-    grad = np.einsum("n,nkd->kd", xi / table.lambdas, table.grad_phi_matrix(irule.nodes))
-    vel = eta @ table.phi_matrix(irule.nodes)
-    return float(irule.integrate(np.sum(np.abs(grad) ** 2, axis=1) + np.abs(vel) ** 2))
+    nodes, weights = interior_grid(table.domain, irule)
+    grad = np.einsum("n,nkd->kd", xi / table.lambdas, table.grad_phi_matrix(nodes))
+    vel = eta @ table.phi_matrix(nodes)
+    return float((np.sum(np.abs(grad) ** 2, axis=1) + np.abs(vel) ** 2) @ weights)
 
 
 def _physical_flux_coefficients(table, xi, eta, T):
