@@ -29,9 +29,9 @@ from .config import ConfigurationError, NumericalError
 from .gram import (
     GramMatrix,
     assemble_exponential_gram,
-    boundary_trace_gram,
     lower_bound_constant,
     phase_integral,
+    trace_block,
 )
 from .modes import ModeTable
 
@@ -247,16 +247,16 @@ def forward_simulate_controlled(table: ModeTable, control: BoundaryControl,
     Testing against each eigenfunction gives the forced oscillator
     u_n'' + lam_n^2 u_n = -lam_n * int f psi_n dS, whose right-hand side
     is a known trigonometric polynomial of the control coefficients and of
-    the Gram's closed-form B; the Duhamel integrals evaluate in closed
-    form, resonant terms included.
+    the Gram's closed-form pos ([pos, -pos] over the signed modes); the
+    Duhamel integrals evaluate in closed form, resonant terms included.
     """
     if control.N != table.N or problem.N != table.N:
         raise ConfigurationError("control, problem, and table truncations differ")
     lam = table.lambdas
     lams = table.lambdas_signed()
     T = problem.T
-    B = boundary_trace_gram(table)
-    forcing = lam[:, None] * control.coefficients[None, :] * B[:table.N, :]
+    pos = trace_block(table)
+    forcing = lam[:, None] * control.coefficients[None, :] * np.hstack([pos, -pos])
     Kp, Kv = duhamel_kernels(lam, lams, T)
     cosT, sinT = np.cos(lam * T), np.sin(lam * T)
     final_p = (problem.position0 * cosT + problem.velocity0 * sinT / lam

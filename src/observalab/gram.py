@@ -1,35 +1,34 @@
 """Gram matrices of boundary trace families and the Riesz-type bounds.
 
-The signed family { psi_n(x) e^{i lam_n t} : n = +-1..+-N } spans a subspace
-of L^2(boundary x [0,T]).  Its Gram matrix factors as
+Every Gram here is that of a signed family { z_n(t) psi_n(x) : n = +-1..+-N }
+with z_{-n} = conj(z_n) and psi_{-n} = -psi_n, so over boundary x [0,T]
 
-    G_{jk} = integral_0^T e^{i (lam_j - lam_k) t} dt * B_{jk},
-    B_{jk} = integral_boundary psi_j psi_k dS,
+    G = [[X, Y], [conj Y, conj X]],  X = pos o (Z W_t Z^H),  Y = -pos o (Z W_t Z^T),
 
-with B in closed form on each geometry; no Gram samples the boundary
-(verify-identities alone checks B against a boundary quadrature).
+with Z the positive time factors, W_t the time weights, o the entrywise
+product and pos_{mn} = integral psi_m psi_n dS in closed form on each
+geometry (trace_block); no Gram samples the boundary.  For unit phases d,
 
-The exponential Gram is never formed as a complex 2N x 2N matrix.  With
-the time window centred at T/2 its time factor is the real T sinc, and
-psi_{-n} = -psi_n makes B = [[pos, -pos], [-pos, pos]], so
+    S = W G W^H = [[Re(X + Y), Im(Y - X)], [Im(X + Y), Re(X - Y)]],
+    W = V U D*,  V = diag(I, -iI),  U = [[I, I], [I, -I]] / sqrt(2),  D = diag(d, conj d),
 
-    G = D U diag(P - Q, P + Q) U D*,
-    D = diag(e^{i lam_s T/2}) over the signed lam_s = [lam, -lam],
-    U = [[I, I], [I, -I]] / sqrt(2),
-    P = T sinc((lam_m - lam_n) T / 2pi) * pos,
-    Q = T sinc((lam_m + lam_n) T / 2pi) * pos.
+is real symmetric (X and Y of the centred factors conj(d) Z) and, W being
+unitary, has the spectrum of G.  GramMatrix keeps only the real blocks
+along S's diagonal, so its eigensolves, forms and solves are real work.
 
-D U is unitary, so G has the spectrum of the two real symmetric N x N
-parity blocks P - Q and P + Q, and GramMatrix keeps only those: its
-eigensolves, quadratic forms and linear solves are real N x N work.
+The exponential family z_n = e^{i lam_n t} takes d = e^{i lam T/2}: with
+the time window centred, X = P and Y = -Q for the real
+P = T sinc((lam_m - lam_n) T / 2pi) * pos and
+Q = T sinc((lam_m + lam_n) T / 2pi) * pos, so S = diag(P - Q, P + Q), two
+N x N parity blocks (V is one phase per block there, and is left out).
 The certified lower bound is lambda_min(G) >= 2(T - 2R)/C_Omega whenever
 T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
 
-A sampled assembly path takes arbitrary complex time traces per signed mode
-(used by the memory-kernel experiments, and by the observability check to
-cross-check the time overlap) and integrates time by the Gauss-Legendre
-rule geometry.time_rule; its boundary factor is the same closed-form B and
-its matrix is the dense complex one.
+A sampled family (the memory modes and their shifted references) comes as
+samples of z_n, n > 0, on the time rule geometry.time_rule and takes
+d = e^{-i lam T/2}, which centres e^{i lam (t - T)}.  Its S is one 2N x 2N
+block, one real product: S = 2 [[pos, pos], [pos, pos]] o (M W_t M^T) with
+M = [Im; -Re] of conj(d) Z.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def phase_integral(nu, t: float) -> np.ndarray:
     return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
 
 
-def _trace_block(table: ModeTable) -> np.ndarray:
+def trace_block(table: ModeTable) -> np.ndarray:
     """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed form.
 
     B = [[pos, -pos], [-pos, pos]] on signed indices, since psi_{-n} = -psi_n.
@@ -89,63 +88,59 @@ def _trace_block(table: ModeTable) -> np.ndarray:
     return functools.reduce(np.add, terms)
 
 
-def boundary_trace_gram(table: ModeTable) -> np.ndarray:
-    """B_{jk} = integral psi_j psi_k dS on signed indices, in closed form."""
-    pos = _trace_block(table)
-    return np.block([[pos, -pos], [-pos, pos]])
-
-
 _HALF_SQRT = np.sqrt(0.5)
-
-
-def _parity_split(v: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U diag(d, conj(d)) v along the last axis of v, as its two halves."""
-    N = d.size
-    up, down = v[..., :N] * d, v[..., N:] * np.conj(d)
-    return (up + down) * _HALF_SQRT, (up - down) * _HALF_SQRT
 
 
 @dataclass(eq=False)
 class GramMatrix:
-    """Exponential Gram of the signed trace family over boundary x [0,T],
-    held as its real parity blocks: G = D U diag(minus, plus) U D* with
-    D = diag(e^{i lam_s T/2}) (see the module docstring)."""
+    """Gram of a signed trace family, held as the real blocks along the
+    diagonal of S = W G W^H (see the module docstring): the parity blocks
+    (P - Q, P + Q) of the exponential family, or one 2N x 2N block."""
 
-    minus: np.ndarray     # P - Q, real symmetric N x N
-    plus: np.ndarray      # P + Q
-    lambdas: np.ndarray   # positive frequencies lam_1..lam_N
+    blocks: tuple[np.ndarray, ...]  # real symmetric: two N x N or one 2N x 2N
+    phases: np.ndarray              # d, one unit phase per positive mode
     T: float
 
     def __post_init__(self):
-        for block in (self.minus, self.plus):
-            if block.shape != (self.N, self.N):
-                raise NumericalError("Gram blocks must be N x N")
+        N = self.N
+        if [block.shape for block in self.blocks] not in ([(N, N)] * 2, [(2 * N, 2 * N)]):
+            raise NumericalError("Gram blocks must be two N x N or one 2N x 2N")
+        for block in self.blocks:
             _check_hermitian(block)
-        # the diagonal of G itself, (minus + plus) / 2 on both signs
-        if np.any(np.diagonal(self.minus) + np.diagonal(self.plus) <= 0):
+            if np.iscomplexobj(block):
+                raise NumericalError("Gram blocks must be real")
+        # the diagonal of G itself is the mean of S's over the two halves
+        diagonal = np.concatenate([np.diagonal(block) for block in self.blocks])
+        if np.any(diagonal[:N] + diagonal[N:] <= 0):
             raise NumericalError("Gram diagonal must be positive")
 
     @property
     def N(self) -> int:
-        return self.lambdas.size
+        return self.phases.size
 
-    def _phases(self) -> np.ndarray:
-        return np.exp(0.5j * self.T * self.lambdas)
+    def _coords(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """W v along the last axis of v, cut into the blocks' slices."""
+        up, down = v[..., :self.N] * np.conj(self.phases), v[..., self.N:] * self.phases
+        up, down = (up + down) * _HALF_SQRT, (up - down) * _HALF_SQRT
+        if len(self.blocks) == 1:
+            return (np.concatenate([up, -1j * down], axis=-1),)
+        return up, down     # V is one phase per parity block: left out
 
-    def _from_parity(self, x: np.ndarray) -> np.ndarray:
-        """D U x for a signed-length vector x in parity coordinates."""
-        d = self._phases()
-        x1, x2 = x[:self.N], x[self.N:]
-        return np.concatenate([d * (x1 + x2), np.conj(d) * (x1 - x2)]) * _HALF_SQRT
+    def _from_coords(self, y: np.ndarray) -> np.ndarray:
+        """W^H y for a signed-length vector y in the blocks' coordinates."""
+        d, y1, y2 = self.phases, y[:self.N], y[self.N:]
+        if len(self.blocks) == 1:
+            y2 = 1j * y2
+        return np.concatenate([d * (y1 + y2), np.conj(d) * (y1 - y2)]) * _HALF_SQRT
 
     def quad_form(self, a: np.ndarray) -> np.ndarray:
         """||sum a_n f_n||^2 = sum_jk a_j G_{jk} conj(a_k) for a vector, or for
-        each row of a 2-D array: with y = U D a, the real forms of each
-        block on the stacked real and imaginary parts of its half of y."""
+        each row of a 2-D array: with y = W conj(a), the real forms of each
+        block on the stacked real and imaginary parts of its slice of y."""
         a = np.asarray(a, dtype=complex)
         rows = a.reshape(-1, 2 * self.N)
         total = 0.0
-        for block, y in zip((self.minus, self.plus), _parity_split(rows, self._phases())):
+        for block, y in zip(self.blocks, self._coords(np.conj(rows))):
             parts = np.concatenate([y.real, y.imag])
             form = np.sum((parts @ block) * parts, axis=1)
             total = total + form[:len(rows)] + form[len(rows):]
@@ -154,36 +149,45 @@ class GramMatrix:
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """c with G c = rhs and the residual ||G c - rhs||.
 
-        U D* rhs splits into one right-hand side per block; each block
-        takes one real LU solve with its real and imaginary parts as two
-        columns.  D U is unitary, so the residual is that of the block
-        solves.  An exactly singular block raises numpy's LinAlgError.
+        W rhs splits into one right-hand side per block; each block takes
+        one real LU solve with its real and imaginary parts as two columns.
+        W is unitary, so the residual is that of the block solves.  An
+        exactly singular block raises numpy's LinAlgError.
         """
         x, res_sq = [], 0.0
-        for block, r in zip((self.minus, self.plus),
-                            _parity_split(np.asarray(rhs, dtype=complex),
-                                          np.conj(self._phases()))):
+        for block, r in zip(self.blocks, self._coords(np.asarray(rhs, dtype=complex))):
             cols = np.stack([r.real, r.imag], axis=1)
             sol = np.linalg.solve(block, cols)
             res_sq += float(np.linalg.norm(block @ sol - cols)) ** 2
             x.append(sol[:, 0] + 1j * sol[:, 1])
-        return self._from_parity(np.concatenate(x)), float(np.sqrt(res_sq))
+        return self._from_coords(np.concatenate(x)), float(np.sqrt(res_sq))
 
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of G: the sorted union of the blocks'."""
         return np.sort(np.concatenate([jacobi_eigh(block, need_vectors=False)[0]
-                                       for block in (self.minus, self.plus)]))
+                                       for block in self.blocks]))
 
     def spectrum(self) -> dict:
-        rep = extreme_eigen_report(self.minus, self.plus)
-        rep["vec_min"] = self._from_parity(rep["vec_min"])
-        rep["vec_max"] = self._from_parity(rep["vec_max"])
-        trace = float(np.trace(self.minus) + np.trace(self.plus))
+        rep = extreme_eigen_report(*self.blocks)
+        rep["vec_min"] = self._from_coords(rep["vec_min"])
+        rep["vec_max"] = self._from_coords(rep["vec_max"])
+        trace = float(sum(np.trace(block) for block in self.blocks))
         if rep["lambda_min"] < -1e-8 * trace:
             raise NumericalError(
                 f"Gram matrix not PSD: lambda_min = {rep['lambda_min']:.3e}"
             )
         return rep
+
+    def leading(self, n: int) -> GramMatrix:
+        """The Gram of the modes 1..n: each block keeps the first n
+        coordinates of each half it holds."""
+        if not 1 <= n <= self.N:
+            raise ConfigurationError(f"leading Gram of {n} modes outside [1, {self.N}]")
+        kept = []
+        for block in self.blocks:
+            idx = np.ravel(np.arange(0, len(block), self.N)[:, None] + np.arange(n))
+            kept.append(block[np.ix_(idx, idx)])
+        return GramMatrix(tuple(kept), self.phases[:n], self.T)
 
 
 def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
@@ -191,48 +195,51 @@ def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
     if T <= 0:
         raise ConfigurationError("time horizon must be positive")
     lam = table.lambdas
-    pos = _trace_block(table)
+    pos = trace_block(table)
     scale = T / (2.0 * np.pi)
     P = T * np.sinc((lam[:, None] - lam[None, :]) * scale) * pos
     Q = T * np.sinc((lam[:, None] + lam[None, :]) * scale) * pos
-    return GramMatrix(P - Q, P + Q, lam, T)
+    return GramMatrix((P - Q, P + Q), np.exp(0.5j * T * lam), T)
 
 
 # ----------------------------------------------------------------------
 # sampled (trace-driven) assembly
 
 
-# Time nodes per block of the sampled Gram's sum: the weighted copy of a
-# block is (2N x 4096), 17 MB at N = 128, whatever the horizon.
+# Time nodes per block of the sampled Gram's sum: the weighted rows of a
+# block are (2N x 4096), 8 MB at N = 128, whatever the horizon.
 _TIME_BLOCK = 4096
 
 
-def sampled_gram_matrix(table: ModeTable, traces: np.ndarray,
-                        trule: QuadratureRule) -> np.ndarray:
-    """Raw Gram matrix of { z_n(t) psi_n(x) } from time samples z_n.
+def sampled_block(table: ModeTable, samples: np.ndarray,
+                  trule: QuadratureRule) -> np.ndarray:
+    """The real 2N x 2N form S of the Gram of { z_n psi_n } (module docstring),
+    T the length of trule, from samples (N, nodes) of z_1..z_N at its nodes.
 
-    traces: complex (2N, nodes) in the signed index order, sampled at the
-    nodes of the time rule trule, which must resolve them (geometry.time_rule
-    does for traces up to its frequency); space goes by the closed-form
-    boundary factor B.  The time sum runs over blocks of _TIME_BLOCK
-    nodes.  Returns the bare (possibly singular) Hermitian matrix.
-    """
+    The time sum runs over blocks of _TIME_BLOCK nodes, one symmetric real
+    product each.  S may be singular: zero members are allowed here, not in
+    GramMatrix."""
     w = trule.weights
-    traces = np.asarray(traces, dtype=complex)
-    if traces.shape != (2 * table.N, w.size):
-        raise ConfigurationError("trace array does not match (2N, time nodes)")
-    # conj(z w) z^T is the conjugate of the time Gram (z w) z^H; summed over
-    # _TIME_BLOCK nodes at a time, so the weighted copy stays one block
-    conj_gram = np.zeros((traces.shape[0], traces.shape[0]), dtype=complex)
+    samples = np.asarray(samples, dtype=complex)
+    if samples.shape != (table.N, w.size):
+        raise ConfigurationError("sample array does not match (N, time nodes)")
+    centre = np.exp(0.5j * float(np.sum(w)) * table.lambdas)[:, None]
+    gram = np.zeros((2 * table.N, 2 * table.N))
     for lo in range(0, w.size, _TIME_BLOCK):
-        block = traces[:, lo:lo + _TIME_BLOCK]
-        weighted = block * w[lo:lo + _TIME_BLOCK]
-        np.conj(weighted, out=weighted)
-        conj_gram += weighted @ block.T
-    time_gram = np.conj(conj_gram)
-    G = boundary_trace_gram(table) * time_gram
-    # symmetrize away the sum's round-off so the Hermiticity gate stays honest
-    return 0.5 * (G + G.conj().T)
+        z = samples[:, lo:lo + _TIME_BLOCK] * centre
+        rows = np.concatenate([z.imag, -z.real]) * np.sqrt(w[lo:lo + _TIME_BLOCK])
+        gram += rows @ rows.T
+    pos = trace_block(table)
+    return 2.0 * np.block([[pos, pos], [pos, pos]]) * gram
+
+
+def assemble_sampled_gram(table: ModeTable, samples: np.ndarray,
+                          trule: QuadratureRule) -> GramMatrix:
+    """The Gram of { z_n psi_n } from the samples of its positive modes on
+    trule (see sampled_block), as one real 2N x 2N block."""
+    T = float(np.sum(trule.weights))
+    return GramMatrix((sampled_block(table, samples, trule),),
+                      np.exp(-0.5j * T * table.lambdas), T)
 
 
 # ----------------------------------------------------------------------

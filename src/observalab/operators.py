@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import ConfigurationError
 from .geometry import DomainSpec, QuadratureRule, interval
-from .gram import boundary_trace_gram
+from .gram import trace_block
 from .modes import ModeTable, enumerate_modes
 
 BOUNDARY_GRAM_GATE = 1e-8  # max |psi W psi^T - B|: boundary rule vs closed form
@@ -169,9 +169,11 @@ def boundary_gram_check(table: ModeTable, brule: QuadratureRule,
                         psi: np.ndarray) -> IdentityReport:
     """psi W psi^T on the boundary rule against the closed-form B, reported at
     the worst entry (lhs quadrature, rhs B), so abs_error is the max gap;
-    psi is table.psi_matrix(brule)."""
-    quad = (psi * brule.weights) @ psi.T
-    closed = boundary_trace_gram(table)
+    psi is table.psi_matrix(brule), whose rows [pos; -pos] make B's other
+    blocks exact negations of the positive one compared here."""
+    pos = psi[:table.N]
+    quad = (pos * brule.weights) @ pos.T
+    closed = trace_block(table)
     worst = np.unravel_index(np.argmax(np.abs(quad - closed)), quad.shape)
     return _report(["boundary_gram_closed_form"], quad[worst][None], closed[worst][None],
                    BOUNDARY_GRAM_GATE)

@@ -18,16 +18,18 @@ exponents are the roots of a scalar secular equation, K real ones found by
 bracketed Newton steps from the poles -x_j and one complex pair from the
 roots' sum and product, and its amplitudes are their residues, all in
 closed form and batched over the modes (_mode_exponents; Golub, SIAM
-Review 15, 1973).  _march_memory, a second-order march on a uniform grid,
-checks that closed form independently.
+Review 15, 1973).  The tests' reference march (tests/memory_march.py),
+second order on a uniform grid, checks that closed form independently.
 
 The result is a MemoryModes array of N modes x time nodes.  The
 negative-frequency partners are the complex conjugates of the positive
-ones, which is exact for the real kernels built here.  On top of it sit the
-diagnostics that certify the memory-perturbed boundary trace system: a
-fitted complex decay rate gamma, the L2 distances of the modes to their
+ones, which is exact for the real kernels built here, so every Gram of
+the signed modes is built from the positive ones alone, as one real block
+of gram.GramMatrix (gram.assemble_sampled_gram).  On top of the modes sit
+the diagnostics that certify the memory-perturbed boundary trace system: a
+fitted real decay rate gamma, the L2 distances of the modes to their
 shifted exponential references, a finite-section Paley-Wiener quotient,
-and a sampled-Gram Riesz certificate.
+and a Riesz certificate from the sampled Gram.
 
 fit_gamma reduces the modes to sums over the time nodes before it
 iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
@@ -50,7 +52,7 @@ import numpy as np
 from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
 from .geometry import QuadratureRule, time_rule
-from .gram import assemble_exponential_gram, sampled_gram_matrix
+from .gram import assemble_exponential_gram, assemble_sampled_gram, sampled_block
 from .modes import ModeTable
 
 __all__ = [
@@ -389,62 +391,6 @@ class MemoryModes:
         return np.vstack([self.samples, np.conj(self.samples)])
 
 
-def _duhamel_weights(lams: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
-    """Exact step responses of v'' + lam^2 v = f for constant/linear f.
-
-    Returns per-mode arrays (p0, p1, q0, q1) with
-      position += p0*f0 + p1*(f1 - f0)/h,   slope += q0*f0 + q1*(f1 - f0)/h.
-    The series branch, taken where |lam*h| < 1e-2, guards the small-phase
-    cancellation in p1.  q1 is returned as p0, because
-    q1 = int_0^h cos(lam*(h - s))*s ds = (1 - cos(lam*h))/lam^2 = p0.
-    """
-    x = lams * h
-    c, s = np.cos(x), np.sin(x)
-    x2 = x * x
-    series = np.abs(x) < 1e-2
-    p0 = np.where(series, 0.5 * h * h * (1.0 - x2 / 12.0 * (1.0 - x2 / 30.0)),
-                  (1.0 - c) / lams**2)
-    p1 = np.where(series, h**3 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)),
-                  (h - s / lams) / lams**2)
-    q0 = np.where(series, h * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)), s / lams)
-    return p0, p1, q0, p0
-
-
-def _march_memory(lams: np.ndarray, kernel: MemoryKernel, tau: np.ndarray) -> np.ndarray:
-    """March v for every mode forward on the uniform grid tau; shape (N, len(tau)).
-
-    Exact cosine/sine rotation over each step, with the memory forcing
-    linear in the step and its history S_i = sum_{j<=i} M(tau_{i+1-j}) v_j a
-    direct trapezoid sum: second order in the step, O(n^2) for n steps.  The
-    current unknown enters through the endpoint weight h/2*M(0), so each
-    step is a division per mode.
-    """
-    n = tau.size
-    h = float(tau[1] - tau[0])
-    mker = np.asarray(kernel(tau), dtype=float)
-    c, s = np.cos(lams * h), np.sin(lams * h)
-    p0, p1, q0, q1 = _duhamel_weights(lams, h)
-    lam2 = lams**2
-    s_lam, p1_h, q1_h, minus_lam_s = s / lams, p1 / h, q1 / h, -lams * s
-    beta = -lam2 * 0.5 * h * mker[0]
-    denom = 1.0 - p1_h * beta
-    v = np.empty((n, lams.size), dtype=complex)
-    history = v.view(float)                      # (n, 2N): real, imaginary
-    v[0] = 1.0
-    vp = -1j * lams
-    f = np.zeros(lams.size, dtype=complex)
-    for i in range(n - 1):
-        hist = mker[i + 1:0:-1]
-        conv = h * ((hist @ history[:i + 1]).view(complex) - 0.5 * hist[0] * v[0])
-        f_known = -lam2 * conv
-        rhs = c * v[i] + s_lam * vp + p0 * f + p1_h * (f_known - f)
-        v[i + 1] = rhs / denom
-        f_next = f_known + beta * v[i + 1]
-        vp = minus_lam_s * v[i] + c * vp + q0 * f + q1_h * (f_next - f)
-        f = f_next
-    return v.T
-
-
 # gates on each mode's terminal data: |v(T) - 1| and |v'(T) - i lam| / lam
 TERMINAL_VALUE_GATE = 1e-10
 TERMINAL_SLOPE_GATE = 1e-8
@@ -690,20 +636,22 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
 # Signed trace systems and the Paley-Wiener finite section
 
 
-def shifted_reference_factors(lams_signed: np.ndarray, gamma: complex,
+def shifted_reference_factors(lams: np.ndarray, gamma: complex,
                               t: np.ndarray, T: float) -> np.ndarray:
-    """exp((gamma + i*lam)(t - T)) rows for the signed frequencies at times t."""
+    """exp((gamma + i*lam)(t - T)) rows for the positive frequencies at times t;
+    their conjugates are those of -lam for a real gamma only (as fit_gamma's)."""
+    if np.imag(gamma) != 0.0:
+        raise ConfigurationError(f"decay rate {gamma} is not real")
     base = t - T
-    return np.exp(gamma * base)[None, :] * np.exp(1j * np.outer(lams_signed, base))
+    return np.exp(gamma * base)[None, :] * np.exp(1j * np.outer(lams, base))
 
 
 def shifted_system_bounds(table: ModeTable, gamma: complex,
                           trule: QuadratureRule, T: float) -> tuple[float, float]:
     """Extreme eigenvalues of the shifted-exponential trace Gram on [0, T],
     sampled on the time rule trule."""
-    refs = shifted_reference_factors(table.lambdas_signed(), gamma, trule.nodes[:, 0], T)
-    E = sampled_gram_matrix(table, refs, trule)
-    evals, _ = jacobi_eigh(E, need_vectors=False)
+    refs = shifted_reference_factors(table.lambdas, gamma, trule.nodes[:, 0], T)
+    evals = assemble_sampled_gram(table, refs, trule).eigenvalues()
     return float(evals[0]), float(evals[-1])
 
 
@@ -715,10 +663,10 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
         ||sum_{|n| >= k} a_n psi_n (z_n - ref_n)||^2
         / ||sum_n a_n psi_n ref_n||^2,
     computed as the top eigenvalue of the reference-whitened difference
-    Gram.  If any reference direction carries eigenvalue below
-    1e-10 * trace the whole quotient is rejected as ill-posed: projecting
-    the dead directions away could swallow difference energy and report a
-    flattering q.  The cutoff k is 1-based into the ascending frequencies
+    Gram, both in the real form gram.sampled_block.  If any reference
+    direction carries eigenvalue below 1e-10 * trace the whole quotient is
+    rejected as ill-posed: projecting the dead directions away could
+    swallow difference energy and report a flattering q.  The cutoff k is 1-based into the ascending frequencies
     (k = 1 keeps every mode).  The modes must be solved for the table's
     frequencies.
     """
@@ -730,15 +678,13 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
             f"{modes.lambdas.size} mode frequencies do not match the "
             f"{table.N}-mode table"
         )
-    refs = shifted_reference_factors(table.lambdas_signed(), gamma,
-                                     modes.trule.nodes[:, 0], modes.T)
-    diff = modes.signed() - refs
+    refs = shifted_reference_factors(table.lambdas, gamma, modes.trule.nodes[:, 0], modes.T)
+    diff = modes.samples - refs
     diff[:k - 1] = 0.0
-    diff[table.N:table.N + k - 1] = 0.0
-    D = sampled_gram_matrix(table, diff, modes.trule)
-    E = sampled_gram_matrix(table, refs, modes.trule)
+    D = sampled_block(table, diff, modes.trule)
+    E = sampled_block(table, refs, modes.trule)
     evals, vecs = jacobi_eigh(E)
-    cutoff = 1e-10 * float(np.trace(E).real)
+    cutoff = 1e-10 * float(np.trace(E))
     dead = int(np.count_nonzero(evals <= cutoff))
     if dead:
         raise NumericalError(
@@ -747,8 +693,8 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
             "quadrature order or shrink the mode set"
         )
     white = vecs / np.sqrt(evals)[None, :]
-    section = white.conj().T @ D @ white
-    section = 0.5 * (section + section.conj().T)
+    section = white.T @ D @ white
+    section = 0.5 * (section + section.T)
     sev, _ = jacobi_eigh(section, need_vectors=False)
     return max(float(sev[-1]), 0.0)
 
@@ -777,13 +723,6 @@ def proof_guided_exclusion(c_alpha: float, c1: float, c_gamma: float,
 # Riesz certificate for the memory-perturbed trace system
 
 
-def _principal_lambda_min(G: np.ndarray, N: int, n: int) -> float:
-    idx = np.concatenate([np.arange(n), N + np.arange(n)])
-    sub = G[np.ix_(idx, idx)]
-    evals, _ = jacobi_eigh(sub, need_vectors=False)
-    return float(evals[0])
-
-
 def wave_gram_eigenvalues(table: ModeTable, T: float) -> np.ndarray:
     """Ascending eigenvalues of the pure-wave Gram on [0, T]: the memory
     certificate's reference, the same for every kernel."""
@@ -795,7 +734,8 @@ def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *
     """Certify the lower/upper Riesz bounds of the memory trace system.
 
     Assembles the sampled Gram of { z_n(t) psi_n(x) } over the signed
-    modes, reports its extreme eigenvalues with the margin policy
+    modes as one real block (gram.assemble_sampled_gram), reports its
+    extreme eigenvalues with the margin policy
     lambda_min >= margin_factor * lambda_max, and compares against the
     pure exponential system scaled by exp(2*Re(gamma)*T) (squared-norm
     convention; reported, not asserted).  With a zero kernel the spectra
@@ -815,8 +755,8 @@ def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *
         gamma, fit_info = fit_gamma(modes)
     closeness = closeness_spectrum(modes, gamma)
 
-    G = sampled_gram_matrix(table, modes.signed(), modes.trule)
-    evals, _ = jacobi_eigh(G, need_vectors=False)
+    G = assemble_sampled_gram(table, modes.samples, modes.trule)
+    evals = G.eigenvalues()
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     margin_ok = lam_min >= margin_factor * lam_max
 
@@ -829,11 +769,11 @@ def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *
         denom = float(np.max(np.abs(wave_evals)))
         reduction_rel_diff = float(np.max(np.abs(evals - wave_evals)) / denom)
 
-    truncations = sorted({max(1, table.N // 4), max(1, table.N // 2), table.N})
+    # the Grams of the leading modes; the last is G itself
+    truncations = sorted({max(1, table.N // 4), max(1, table.N // 2)} - {table.N})
     independence = [
-        {"N": n, "lambda_min": _principal_lambda_min(G, table.N, n)}
-        for n in truncations
-    ]
+        {"N": n, "lambda_min": float(G.leading(n).eigenvalues()[0])} for n in truncations
+    ] + [{"N": table.N, "lambda_min": lam_min}]
     independence_ok = all(entry["lambda_min"] > 0.0 for entry in independence)
 
     terminal_max = np.max(modes.terminal_residuals)

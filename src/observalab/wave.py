@@ -12,10 +12,10 @@ and certifies
     flux_norm_sq / (2 * energy) >= 2 (T - 2R) / C_Omega
 
 on every draw, with the minimizing eigenvector of the Gram matrix fed back
-in as the adversarial direction.  Both Grams here take the closed-form
-boundary factor B; the analytic time overlap is cross-checked on the first
-draws against the Gram of the same family sampled on the Gauss-Legendre
-time rule geometry.time_rule, the only time discretization here.
+in as the adversarial direction.  The Gram's analytic time overlap is
+cross-checked on the first draws against the flux norm sampled on the
+Gauss-Legendre time rule geometry.time_rule, the only time discretization
+here, with space by the closed-form boundary factor pos and no Gram at all.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError
 from .geometry import time_rule
-from .gram import assemble_exponential_gram, lower_bound_constant, sampled_gram_matrix
+from .gram import assemble_exponential_gram, lower_bound_constant, trace_block
 from .modes import ModeTable
 from .operators import _ROW_BLOCK
 
@@ -49,20 +49,33 @@ FLUX_GRAM_REL_GATE = 1e-6
 
 def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
                          flux_sq: np.ndarray) -> list[float]:
-    """Relative gaps between the closed Gram form and the time-sampled flux
-    norm of the rows a, from one sampled Gram of the signed family."""
+    """Relative gaps between the closed Gram form and the flux norms of the
+    rows a sampled on time_rule, with space by the closed-form pos.
+
+    psi_{-n} = -psi_n makes the flux sum_{n>0} psi_n u_n with
+    u_n = a_n e^{i lam_n t} - a_{-n} e^{-i lam_n t}
+        = (a_n - a_{-n}) cos(lam_n t) + i (a_n + a_{-n}) sin(lam_n t),
+    so each norm is sum_t w_t u^H pos u: one real product on the stacked
+    Re and Im parts, from one cos and one sin over the positive frequencies.
+    """
     trule = time_rule(T, float(np.max(table.lambdas)))
-    phases = np.outer(1j * table.lambdas_signed(), trule.nodes[:, 0])
-    np.exp(phases, out=phases)
-    sampled = sampled_gram_matrix(table, phases, trule)
-    sampled_sq = np.real(np.sum((a @ sampled) * np.conj(a), axis=1))
-    errors = np.abs(sampled_sq - flux_sq) / flux_sq
-    for rel in errors:
-        if rel > FLUX_GRAM_REL_GATE:
+    pos = trace_block(table)
+    phase = np.outer(table.lambdas, trule.nodes[:, 0])
+    cos, sin = np.cos(phase), np.sin(phase)
+    weights = np.concatenate([trule.weights] * 2)
+    errors = []
+    for row, closed in zip(a, flux_sq):
+        plus, minus = row[:table.N, None], row[table.N:, None]
+        alpha, beta = plus - minus, plus + minus
+        parts = np.concatenate([alpha.real * cos - beta.imag * sin,
+                                alpha.imag * cos + beta.real * sin], axis=1)
+        sampled = np.sum((pos @ parts) * parts, axis=0) @ weights
+        errors.append(float(abs(sampled - closed) / closed))
+        if errors[-1] > FLUX_GRAM_REL_GATE:
             raise NumericalError(
-                f"sampled flux norm deviates from Gram form by {rel:.3e}"
+                f"sampled flux norm deviates from Gram form by {errors[-1]:.3e}"
             )
-    return errors.tolist()
+    return errors
 
 
 def observability_experiment(table: ModeTable, T: float, draws: int,

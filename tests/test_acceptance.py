@@ -22,9 +22,8 @@ from observalab.modes import enumerate_modes
 from observalab.operators import (antisymmetry_suite, estimate_trace_constant,
                                   multiplier_pairings, rellich_suite)
 from observalab.reports import strip_timestamp
-from observalab.visco import (_evaluate, _exponential_sum, _march_memory,
-                              _mode_exponents, closeness_spectrum,
-                              exponential_kernel, fit_gamma,
+from observalab.visco import (_evaluate, _exponential_sum, _mode_exponents,
+                              closeness_spectrum, exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
                               solve_memory_modes, wave_gram_eigenvalues,
@@ -33,6 +32,7 @@ from observalab.wave import coeffs_to_a, observability_experiment
 
 from flux_sampling import boundary_flux
 from interior_sampling import quasi_orthogonality_check
+from memory_march import march_memory
 
 
 def _geometry(kind, N):
@@ -149,7 +149,7 @@ def test_criterion_06_memory_solver_reduction_and_order():
     # (grids of min(T/256, 0.25/lam) steps, odd sample counts)
     for lam, n in ((5.0, 257), (20.0, 257), (80.0, 961)):
         tgrid = np.linspace(0.0, T, n)
-        z = _march_memory(np.array([lam]), zero_kernel(), T - tgrid[::-1])[0, ::-1]
+        z = march_memory(np.array([lam]), zero_kernel(), T - tgrid[::-1])[0, ::-1]
         ref = np.exp((0.0 + 1j * lam) * (tgrid - T))
         err = float(np.max(np.abs(z - ref)))
         assert err <= 10.0 * tgrid[1] ** 2 * T * lam ** 2
@@ -160,7 +160,7 @@ def test_criterion_06_memory_solver_reduction_and_order():
     errs = []
     for n in (513, 1025):
         tgrid = np.linspace(0.0, T, n)
-        z = _march_memory(np.array([lam]), kernel, T - tgrid[::-1])[0, ::-1]
+        z = march_memory(np.array([lam]), kernel, T - tgrid[::-1])[0, ::-1]
         ref = _evaluate(mu, amp, T - tgrid)[0]
         errs.append(float(np.max(np.abs(z - ref))))
     order = np.log2(errs[0] / errs[1])

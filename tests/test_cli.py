@@ -202,8 +202,8 @@ def test_identities_check_the_closed_form_boundary_factor(tmp_path, monkeypatch)
     row = boundary_row()
     assert float(row["abs_error"]) <= 1e-12
     assert float(row["tolerance"]) == ops.BOUNDARY_GRAM_GATE == 1e-8
-    closed = ops.boundary_trace_gram
-    monkeypatch.setattr(ops, "boundary_trace_gram", lambda table: closed(table) + 1e-6)
+    closed = ops.trace_block
+    monkeypatch.setattr(ops, "trace_block", lambda table: closed(table) + 1e-6)
     assert _run("verify-identities", "--config", str(cfg)) == 2
     row = boundary_row()
     assert row["pass"] == "false"
@@ -261,24 +261,24 @@ def test_identities_build_no_basis_on_the_interior_grid(tmp_path, monkeypatch, d
 
 
 def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
-    """observe builds one sampled Gram per horizon however many draws it
-    certifies, in one block or several (and never evaluates psi:
+    """observe samples the flux norms in time once per horizon however many
+    draws it certifies, in one block or several (and never evaluates psi:
     test_gram_commands_never_sample_the_boundary)."""
     calls = []
-    original_sampled = wave.sampled_gram_matrix
+    original_sampled = wave._sampled_flux_errors
 
     def counted_sampled(*args):
-        calls.append("sampled_gram_matrix")
+        calls.append("_sampled_flux_errors")
         return original_sampled(*args)
 
-    monkeypatch.setattr(wave, "sampled_gram_matrix", counted_sampled)
+    monkeypatch.setattr(wave, "_sampled_flux_errors", counted_sampled)
     for draws in (1, 50, ops._ROW_BLOCK + 1):
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws, T_factors=[1.5, 2.0])
         calls.clear()
         assert _run("observe", "--config", str(cfg)) == 0
-        assert calls.count("sampled_gram_matrix") == 2, draws
+        assert calls.count("_sampled_flux_errors") == 2, draws
 
 
 def test_tolerance_overrides_reach_control_and_visco_and_end_with_the_run(tmp_path):
@@ -570,7 +570,7 @@ def test_seed_flag_is_validated_with_the_config(tmp_path, capsys):
 def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
     """One batched closed form per nonzero kernel, with one term for the
     exponential kernel and many for the polynomial one; the zero kernel is
-    the rotation, and no kernel is marched."""
+    the rotation (the reference march lives only in the tests)."""
     calls = []
     original_exponents = visco._mode_exponents
 
@@ -578,11 +578,7 @@ def test_visco_marches_all_modes_of_a_kernel_at_once(tmp_path, monkeypatch):
         calls.append((len(lams), len(weights)))
         return original_exponents(lams, weights, rates)
 
-    def no_march(*args):
-        raise AssertionError("visco marched a kernel")
-
     monkeypatch.setattr(visco, "_mode_exponents", counted_exponents)
-    monkeypatch.setattr(visco, "_march_memory", no_march)
     cfg = _write_config(tmp_path, kernels=[
         {"family": "zero"},
         {"family": "exponential", "M0": 0.5, "delta": 1.0},

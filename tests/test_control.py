@@ -242,7 +242,7 @@ def test_exactly_singular_gram_fails_with_condition_estimate():
     dom, table = _setup(1)
     T = 2 * np.pi
     # the parity blocks of the all-ones 2 x 2 Gram: eigenvalues 2 and 0
-    G = GramMatrix(np.array([[2.0]]), np.array([[0.0]]), table.lambdas, T)
+    G = GramMatrix((np.array([[2.0]]), np.array([[0.0]])), np.exp(0.5j * T * table.lambdas), T)
     prob = C.random_problem(1, T, np.random.default_rng(4))
     with pytest.raises(NumericalError, match="residual inf .*condition estimate"):
         C.solve_control(table, prob, G)

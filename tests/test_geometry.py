@@ -25,7 +25,7 @@ from observalab.geometry import (
     interval,
     rectangle,
 )
-from observalab.gram import boundary_trace_gram
+from observalab.gram import trace_block
 from observalab.modes import enumerate_modes
 
 from interior_sampling import interior_grid
@@ -330,7 +330,7 @@ def test_interval_modes_and_trace_gram_are_their_closed_forms_bitwise(L, N):
     assert np.array_equal(table.lambdas, k * np.pi / L)
     assert all(m.norm_const == np.sqrt(2.0 / L) for m in table.modes)
     pos = (2.0 / L) * (1.0 + (-1.0) ** (k[:, None] + k[None, :]))
-    assert np.array_equal(boundary_trace_gram(table), np.block([[pos, -pos], [-pos, pos]]))
+    assert np.array_equal(trace_block(table), pos)
 
 
 @settings(max_examples=50, deadline=None)
@@ -358,8 +358,7 @@ def test_rectangle_modes_and_trace_gram_are_their_closed_forms(a, b, N):
            * (q[:, None] == q)
            + (2 * pi**2 / b**3) * np.outer(q, q) * (1.0 + (-1.0) ** (q[:, None] + q))
            * (p[:, None] == p)) / np.outer(lam, lam)
-    B = boundary_trace_gram(table)
-    assert np.max(np.abs(B[:N, :N] - pos)) <= 1e-15 * np.max(np.abs(pos))
+    assert np.max(np.abs(trace_block(table) - pos)) <= 1e-15 * np.max(np.abs(pos))
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,10 +11,11 @@ from observalab.config import TOLERANCES, ConfigurationError, NumericalError
 from observalab.control import random_problem, solve_control, transposition_rhs
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle, time_rule
 from observalab.modes import enumerate_modes
-from observalab.visco import _principal_lambda_min
 from observalab import gram as gr
+from observalab import visco
 
-from dense_gram import dense_exponential_gram, dense_quad_form
+from dense_gram import (boundary_trace_gram, dense_exponential_gram, dense_quad_form,
+                        dense_sampled_gram)
 from flux_sampling import simpson_weights
 
 
@@ -68,7 +69,7 @@ def test_interval_gram_full_period_is_diagonal():
     time overlap vanishes and the diagonal is T * 4/L = 8."""
     table = enumerate_modes(interval(np.pi), 6)
     G = gr.assemble_exponential_gram(table, 2 * np.pi)
-    for block in (G.minus, G.plus):
+    for block in G.blocks:
         assert np.max(np.abs(block - 8.0 * np.eye(6))) < 1e-12
 
 
@@ -76,7 +77,8 @@ def test_interval_gram_diagonal_any_T():
     table = enumerate_modes(interval(np.pi), 4)
     T = 1.9
     G = gr.assemble_exponential_gram(table, T)
-    diagonal = 0.5 * (np.diagonal(G.minus) + np.diagonal(G.plus))
+    minus, plus = G.blocks
+    diagonal = 0.5 * (np.diagonal(minus) + np.diagonal(plus))
     assert np.allclose(diagonal, T * 4 / np.pi, atol=1e-12)
 
 
@@ -84,21 +86,32 @@ def test_gram_is_hermitian_and_psd():
     """Both parity blocks are real symmetric; the spectrum is PSD."""
     table = enumerate_modes(rectangle(np.pi, np.pi / 2), 8)
     G = gr.assemble_exponential_gram(table, 5.0)
-    for block in (G.minus, G.plus):
+    for block in G.blocks:
         assert block.dtype == float and np.max(np.abs(block - block.T)) < 1e-10
     spec = G.spectrum()
-    assert spec["lambda_min"] > -1e-8 * (np.trace(G.minus) + np.trace(G.plus))
+    assert spec["lambda_min"] > -1e-8 * sum(np.trace(block) for block in G.blocks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_gram_rejects_non_finite(bad):
-    lams = np.array([1.0, 2.0])
+    phases = np.exp(1j * np.array([1.0, 2.0]))
     with pytest.raises(NumericalError, match="non-finite"):
-        gr.GramMatrix(np.full((2, 2), bad), 2.0 * np.eye(2), lams, 1.0)
+        gr.GramMatrix((np.full((2, 2), bad), 2.0 * np.eye(2)), phases, 1.0)
     m = 2.0 * np.eye(2, dtype=np.result_type(bad, 1.0))
     m[0, 1] = m[1, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
-        gr.GramMatrix(2.0 * np.eye(2), m, lams, 1.0)
+        gr.GramMatrix((2.0 * np.eye(2), m), phases, 1.0)
+    with pytest.raises(NumericalError, match="non-finite"):
+        gr.GramMatrix((np.kron(np.ones((2, 2)), m),), phases, 1.0)
+
+
+def test_gram_refuses_complex_and_misshapen_blocks():
+    phases = np.ones(2)
+    with pytest.raises(NumericalError, match="must be real"):
+        gr.GramMatrix((np.eye(2, dtype=complex), np.eye(2)), phases, 1.0)
+    for blocks in ((np.eye(2),), (np.eye(4), np.eye(2)), (np.eye(2),) * 3):
+        with pytest.raises(NumericalError, match="two N x N or one 2N x 2N"):
+            gr.GramMatrix(blocks, phases, 1.0)
 
 
 # the base domains, scaled by s; the rectangle's second side also by the aspect
@@ -124,7 +137,7 @@ def test_boundary_factor_closed_form_vs_quadrature(kind, scale, aspect, N, q):
     brule = boundary_quadrature(dom, q=q, lam_max=table.lambdas[-1])
     psi = table.psi_matrix(brule)
     quad = (psi * brule.weights) @ psi.T
-    closed = gr.boundary_trace_gram(table)
+    closed = boundary_trace_gram(table)
     assert np.max(np.abs(quad - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
@@ -137,16 +150,26 @@ def test_quad_form_homogeneity():
 
 
 def test_principal_submatrix_ordering():
-    """The signed principal sub-Gram |j| <= n that the memory certificate's
-    independence check reads is the Gram of the first n modes."""
+    """The signed principal sub-Gram |j| <= n is the Gram of the first n
+    modes, and GramMatrix.leading(n), which the memory certificate's
+    independence check reads, has its spectrum, for the parity blocks and
+    for one sampled block."""
     table = enumerate_modes(interval(np.pi), 6)
     G = dense_exponential_gram(table, 4.0)
     small_table = enumerate_modes(interval(np.pi), 3)
     G3 = dense_exponential_gram(small_table, 4.0)
     idx = np.concatenate([np.arange(3), 6 + np.arange(3)])
     assert np.allclose(G[np.ix_(idx, idx)], G3, atol=1e-12)
-    expect = np.linalg.eigvalsh(G3)[0]
-    assert _principal_lambda_min(G, 6, 3) == pytest.approx(expect, abs=1e-12)
+    expect = np.linalg.eigvalsh(G3)
+    trule = time_rule(4.0, table.lambdas[-1])
+    waves = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0]))
+    for gram in (gr.assemble_exponential_gram(table, 4.0),
+                 gr.assemble_sampled_gram(table, waves, trule)):
+        lead = gram.leading(3)
+        assert lead.N == 3 and all(block.dtype == float for block in lead.blocks)
+        assert np.allclose(lead.eigenvalues(), expect, rtol=0.0, atol=1e-12)
+    with pytest.raises(ConfigurationError):
+        gram.leading(7)
 
 
 GEOMETRIES = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0),
@@ -199,6 +222,42 @@ def test_parity_blocks_match_the_dense_gram(kind, N, factor, seed):
             <= 1e-10 * np.linalg.norm(direct))
 
 
+
+MEMORY_KERNELS = {"zero": visco.zero_kernel(),
+                  "exponential": visco.exponential_kernel(0.5, 1.0),
+                  "polynomial": visco.polynomial_kernel(0.2, 2.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(GEOMETRIES)), N=st.integers(1, 48),
+       kernel=st.sampled_from(sorted(MEMORY_KERNELS)), factor=st.floats(1.05, 4.0),
+       n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+def test_sampled_gram_matches_the_dense_oracle(kind, N, kernel, factor, n, seed):
+    """The one real 2N x 2N block of the memory modes' Gram against the
+    dense complex oracle: spectrum, extreme eigenvector, the lambda_min of
+    leading(n) and row-wise quadratic forms, for T = factor * 2R; the
+    bounds were fixed before the first run."""
+    table = _cached_table(kind, N)
+    T = factor * 2.0 * GEOMETRIES[kind].R
+    modes = visco.solve_memory_modes(table.lambdas, MEMORY_KERNELS[kernel], T)
+    G = gr.assemble_sampled_gram(table, modes.samples, modes.trule)
+    dense = dense_sampled_gram(table, modes.samples, modes.trule)
+    assert [block.dtype for block in G.blocks] == [float]
+    w = np.linalg.eigvalsh(dense)
+    assert np.max(np.abs(G.eigenvalues() - w)) <= 1e-12 * w[-1]
+    spec = G.spectrum()
+    v = spec["vec_min"]
+    assert np.linalg.norm(dense @ v - spec["lambda_min"] * v) <= 1e-12 * w[-1]
+    n = min(n, N)
+    idx = np.concatenate([np.arange(n), N + np.arange(n)])
+    lead = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])[0]
+    assert abs(G.leading(n).eigenvalues()[0] - lead) <= 1e-12 * w[-1]
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(5, 2 * N)) + 1j * rng.normal(size=(5, 2 * N))
+    exact = dense_quad_form(dense, a)
+    assert np.max(np.abs(G.quad_form(a) - exact) / exact) <= 1e-12
+
+
 # ---------------------------------------------------------------- bounds
 
 def test_riesz_interval_reference_horizon():
@@ -245,14 +304,17 @@ def test_lambda_min_non_increasing_in_N():
 # ---------------------------------------------------------------- sampled path
 
 def test_sampled_gram_reproduces_analytic():
+    """Samples of e^{i lam t} give the exponential Gram: the dense oracle
+    entry by entry, and the real block through its spectrum."""
     dom = rectangle(np.pi, np.pi / 2)
     table = enumerate_modes(dom, 6)
     T = 2.5 * 2 * dom.R
     trule = time_rule(T, table.lambdas[-1])
-    lams = table.lambdas_signed()
-    traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0]))
-    Gs = gr.sampled_gram_matrix(table, traces, trule)
-    assert np.max(np.abs(Gs - dense_exponential_gram(table, T))) < 1e-6
+    traces = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0]))
+    analytic = dense_exponential_gram(table, T)
+    assert np.max(np.abs(dense_sampled_gram(table, traces, trule) - analytic)) < 1e-6
+    ws = gr.assemble_sampled_gram(table, traces, trule).eigenvalues()
+    assert np.max(np.abs(ws - np.linalg.eigvalsh(analytic))) < 1e-6
 
 
 def test_sampled_gram_unimodular_shift_keeps_spectrum():
@@ -262,34 +324,36 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     table = enumerate_modes(dom, 5)
     T = 2.5 * np.pi
     trule = time_rule(T, table.lambdas[-1])
-    lams = table.lambdas_signed()
-    traces = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
-    ws = np.linalg.eigvalsh(gr.sampled_gram_matrix(table, traces, trule))
+    traces = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0] - T))
+    ws = gr.assemble_sampled_gram(table, traces, trule).eigenvalues()
     wa = gr.assemble_exponential_gram(table, T).spectrum()["eigenvalues"]
     assert np.max(np.abs(ws - wa)) < 1e-6
 
 
-def test_sampled_gram_blocks_match_one_whole_grid_product():
-    """Summing the time Gram over blocks of the nodes changes it only by rounding."""
+def test_sampled_gram_blocks_match_one_whole_grid_product(monkeypatch):
+    """Summing the time Gram over blocks of the nodes changes it only by
+    rounding, and the blocked real form has the dense oracle's spectrum."""
     table = enumerate_modes(interval(np.pi), 4)
     trule = time_rule(3.0, 1750.0)
     n = trule.weights.size
     assert 3 * gr._TIME_BLOCK < n < 4 * gr._TIME_BLOCK          # 3.3 blocks
     rng = np.random.default_rng(5)
-    traces = rng.normal(size=(8, n)) + 1j * rng.normal(size=(8, n))
-    whole = gr.boundary_trace_gram(table) * ((traces * trule.weights) @ traces.conj().T)
-    whole = 0.5 * (whole + whole.conj().T)
-    blocked = gr.sampled_gram_matrix(table, traces, trule)
+    traces = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    blocked = gr.sampled_block(table, traces, trule)
+    monkeypatch.setattr(gr, "_TIME_BLOCK", n)
+    whole = gr.sampled_block(table, traces, trule)
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+    dense = np.linalg.eigvalsh(dense_sampled_gram(table, traces, trule))
+    assert np.max(np.abs(np.linalg.eigvalsh(blocked) - dense)) <= 1e-13 * dense[-1]
 
 
 def test_sampled_gram_rejects_mismatched_traces():
     table = enumerate_modes(interval(np.pi), 2)
     trule = time_rule(2.0, table.lambdas[-1])
-    traces = np.exp(1j * np.outer(table.lambdas_signed(), trule.nodes[:, 0]))
-    for bad in (traces[:-1], traces[:, :-1]):
+    traces = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0]))
+    for bad in (traces[:-1], traces[:, :-1], np.vstack([traces, np.conj(traces)])):
         with pytest.raises(ConfigurationError, match="does not match"):
-            gr.sampled_gram_matrix(table, bad, trule)
+            gr.assemble_sampled_gram(table, bad, trule)
 
 
 def test_simpson_weights_validation():

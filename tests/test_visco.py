@@ -18,6 +18,8 @@ from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle
 from observalab.modes import enumerate_modes
 
+from memory_march import duhamel_weights, march_memory
+
 
 def interval_setup(N):
     return enumerate_modes(interval(np.pi), N)
@@ -25,7 +27,7 @@ def interval_setup(N):
 
 def march(lam, kernel, tgrid):
     """One-mode march of z on the forward grid tgrid."""
-    return visco._march_memory(np.array([lam]), kernel, tgrid[-1] - tgrid[::-1])[0, ::-1]
+    return march_memory(np.array([lam]), kernel, tgrid[-1] - tgrid[::-1])[0, ::-1]
 
 
 def exact(lam, kernel, tgrid):
@@ -411,9 +413,9 @@ def test_batched_march_does_not_couple_modes(kernel):
     tau, lams = _decouple_grid()
     phase = lams * tau[1]
     assert np.any(phase < 1e-2) and np.any(phase > 1e-2)   # both weight branches
-    batched = visco._march_memory(lams, kernel, tau)
+    batched = march_memory(lams, kernel, tau)
     for lam, row in zip(lams, batched):
-        alone = visco._march_memory(np.array([lam]), kernel, tau)[0]
+        alone = march_memory(np.array([lam]), kernel, tau)[0]
         assert np.max(np.abs(row - alone)) <= 1e-13
 
 
@@ -438,7 +440,7 @@ def test_duhamel_weight_branches_agree_at_the_switch():
               h**3 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0)),
               h * (1.0 - x2 / 6.0 * (1.0 - x2 / 20.0)))
     trig = ((1.0 - np.cos(x)) / lams**2, (h - np.sin(x) / lams) / lams**2, np.sin(x) / lams)
-    p0, p1, q0, q1 = visco._duhamel_weights(lams, h)
+    p0, p1, q0, q1 = duhamel_weights(lams, h)
     assert np.array_equal(q1, p0)
     for got, ser, tri in zip((p0, p1, q0), series, trig):
         assert got[0] == ser[0] and got[1] == tri[1]
