@@ -2,9 +2,12 @@
 
 jacobi_eigh checks its input (square, finite, Hermitian) and hands it to
 LAPACK (numpy.linalg.eigh / eigvalsh), real input to the real solver; a
-LAPACK failure becomes a NumericalError.  extreme_eigen_report solves a
-block-diagonal matrix block by block and gates the residuals of the
-extreme eigenpairs at EIGEN_RESIDUAL_GATE times the matrix norm.
+LAPACK failure becomes a NumericalError.  The eigenvalues-only path first
+zeroes the entries below eps * ||A||_F / n, which LAPACK's eigvalsh can
+otherwise let move an eigenvalue by far more than their size.
+extreme_eigen_report solves a block-diagonal matrix block by block and
+gates the residuals of the extreme eigenpairs at EIGEN_RESIDUAL_GATE times
+the matrix norm.
 """
 
 from __future__ import annotations
@@ -48,7 +51,11 @@ def jacobi_eigh(matrix: np.ndarray,
         if need_vectors:
             w, v = np.linalg.eigh(a)
             return w, v
-        return np.linalg.eigvalsh(a), None
+        # a 31 x 31 matrix with two 1.6e-139 couplings beside O(1) ones has
+        # an eigenvalue that eigvalsh misses by 1.6e-6 (eigh by 1e-15); the
+        # cut moves no eigenvalue by more than eps * ||A||_F (Weyl)
+        cut = np.finfo(float).eps * np.linalg.norm(a) / max(n, 1)
+        return np.linalg.eigvalsh(np.where(np.abs(a) < cut, 0.0, a)), None
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"LAPACK eigensolver failed: {err}") from err
 

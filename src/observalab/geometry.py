@@ -123,8 +123,10 @@ def _legendre(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q * (x * p - prev) / (x * x - 1.0)
 
 
+@functools.cache
 def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """q-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+    """q-point Gauss-Legendre nodes (ascending) and weights on [-1, 1], built
+    once per q and returned read-only.
 
     The nodes are the eigenvalues of the symmetric Jacobi matrix of the
     Legendre recurrence, off-diagonal k / sqrt(4k^2 - 1), polished by one
@@ -140,7 +142,9 @@ def gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    return x, w * (2.0 / np.sum(w))
+    w = w * (2.0 / np.sum(w))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _gl_panels(a: float, b: float, panels: int, q: int) -> tuple[np.ndarray, np.ndarray]:

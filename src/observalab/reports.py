@@ -1,7 +1,9 @@
 """Deterministic artifact writers.
 
 CSV files are written from columns, in a fixed column order, with
-17-significant-digit floats; JSON files are indented with sorted keys.
+17-significant-digit floats; a long float column is formatted once per
+distinct value (bit pattern) and the texts gathered back into its rows.
+JSON files are indented with sorted keys.
 Both start life with a generation timestamp -- the one line excluded when
 comparing runs for reproducibility (see strip_timestamp).
 """
@@ -60,11 +62,30 @@ def format_cell(value) -> str:
     return (_FORMATTERS.get(kind) or _formatter(kind))(value)
 
 
+# Float columns at least this long are formatted through their distinct
+# values; shorter ones do not repay the np.unique round.
+_DISTINCT_CUT = 64
+
+
+def _format_distinct(values: np.ndarray) -> list[str]:
+    """%.17g of every cell of a 1D float64 array, each distinct bit pattern
+    formatted once (so -0.0, 0.0 and each NaN keep their own text)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(_FORMATTERS[float], bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _format_column(column) -> list[str]:
     """Every cell of one column as format_cell writes it; a column of one
-    type looks its formatter up once and maps it over the whole column."""
+    type looks its formatter up once and maps it over the whole column, a
+    long float column over its distinct values."""
+    if (isinstance(column, np.ndarray) and column.dtype == np.float64
+            and column.ndim == 1 and len(column) >= _DISTINCT_CUT):
+        return _format_distinct(column)
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     kinds = set(map(type, values))
+    if len(values) >= _DISTINCT_CUT and kinds <= {float, np.float64}:
+        return _format_distinct(np.array(values, dtype=np.float64))
     if len(kinds) != 1:
         return list(map(format_cell, values))
     (kind,) = kinds

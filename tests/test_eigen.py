@@ -95,6 +95,21 @@ def test_eigh_properties_on_random_hermitian(a):
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
 
 
+def test_eigenvalues_only_path_survives_negligible_couplings():
+    """Two couplings of 1.6e-139 beside O(1) ones: LAPACK's eigvalsh alone
+    misses an eigenvalue by 1.6e-6 on this matrix, eigh by rounding."""
+    couplings = [(2, 15, 1.5736391352908565e-139), (12, 30, 1.5736391352908565e-139),
+                 (2, 27, 2.0), (5, 25, 2.0), (12, 29, 2.0), (16, 19, 2.0), (7, 29, 1.0),
+                 (8, 12, 3.1875), (10, 13, 3.1875), (18, 22, 3.1875),
+                 (13, 28, 0.5), (15, 30, 0.5), (23, 25, 0.5)]
+    a = np.zeros((31, 31))
+    for i, j, value in couplings:
+        a[i, j] = a[j, i] = value
+    for matrix in (a, a.astype(complex)):
+        w_only, _ = jacobi_eigh(matrix, need_vectors=False)
+        assert np.max(np.abs(w_only - np.linalg.eigh(a)[0])) <= 1e-14
+
+
 def test_extreme_report_residuals():
     rng = np.random.default_rng(4)
     a = _random_hpd(rng, 30)

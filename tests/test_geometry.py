@@ -314,6 +314,15 @@ def test_gauss_legendre_matches_mpmath(q):
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
+def test_gauss_legendre_is_built_once_per_order_and_read_only():
+    x, w = gauss_legendre(16)
+    again = gauss_legendre(16)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
 # The box code writes the interval and the rectangle once, over their axes;
 # these closed forms, each written out for its geometry, are its oracle.
 

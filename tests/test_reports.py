@@ -28,11 +28,14 @@ def test_format_cell_rejects_separators(text):
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+# few distinct floats, so that a long column repeats them (as identities.csv does)
+_REPEATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 0.1])
 # the cells of one column: each type format_cell handles, and the mixed
 # columns the artifacts hold (riesz's pass is None or a bool)
 _CELLS = [
     _FLOATS,
-    st.sampled_from([0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324]),
+    _REPEATS,
+    st.one_of(_REPEATS, _REPEATS.map(np.float64)),
     _FLOATS.map(np.float64),
     st.complex_numbers(allow_nan=True, allow_infinity=True),
     st.booleans(),
@@ -49,8 +52,9 @@ _CELLS = [
 @st.composite
 def _columns(draw):
     """1-4 equally long columns, each of one _CELLS strategy, as a list or
-    (when its cells share one type) sometimes as a numpy array."""
-    rows = draw(st.integers(0, 8))
+    (when its cells share one type) sometimes as a numpy array; short
+    columns, or ones past the length where floats go by distinct value."""
+    rows = draw(st.integers(0, 8) | st.integers(65, 200))
     columns = {}
     for i in range(draw(st.integers(1, 4))):
         values = draw(st.lists(draw(st.sampled_from(_CELLS)), min_size=rows, max_size=rows))
@@ -72,6 +76,8 @@ def _refused(value) -> bool:
 @given(columns=_columns())
 @example(columns={"c0": ["\ud800"]})
 @example(columns={"c0": ["ok", "\ud800"], "c1": [1.0, 2.0]})
+@example(columns={"c0": np.where(np.arange(100) == 37, np.nan, np.tile([0.0, -0.0], 50)),
+                  "c1": [float("nan") if i == 37 else (0.0, -0.0)[i % 2] for i in range(100)]})
 def test_column_writer_matches_the_cell_formatter(tmp_path_factory, columns):
     """write_csv writes every row as ",".join of format_cell over its cells,
     for columns of each type the artifacts hold, as lists or numpy arrays;
