@@ -2,8 +2,10 @@
 
 Single JSON file, schema-versioned.  A version mismatch or any parse
 problem discards the whole file and rebuilds from scratch -- a cache is
-never read partially.  Writes go through a temp file + os.replace so a
-crashed run cannot leave a truncated cache behind.
+never read partially.  An entry that is malformed or does not hold
+exactly the N modes its key names is a miss, rebuilt and saved.  Writes
+go through a temp file + os.replace so a crashed run cannot leave a
+truncated cache behind.
 """
 
 from __future__ import annotations
@@ -74,9 +76,12 @@ class ModeCache:
         if data is None:
             return None
         try:
-            return table_from_dict(domain, data)
+            table = table_from_dict(domain, data)
         except (KeyError, TypeError, ValueError):
             return None               # malformed entry behaves like a miss
+        # so does one of another length: served, it would certify a table
+        # other than the one its key names
+        return table if table.N == N else None
 
     def put_table(self, table: ModeTable) -> None:
         self._tables[_table_key(table.domain, table.N)] = table.to_dict()

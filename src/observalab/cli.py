@@ -21,8 +21,7 @@ import numpy as np
 from .cache import ModeCache, cached_modes, resolve_cache_path
 from .config import (CheckFailure, ConfigurationError, NumericalError,
                      RunConfig, load_config)
-from .control import (SOLVE_RESIDUAL_GATE, control_pipeline, problem_from_dict,
-                      random_problem)
+from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import riesz_bounds_report
 from .operators import (antisymmetry_suite, boundary_gram_check, multiplier_pairings,
@@ -70,9 +69,9 @@ def _in_hypothesis_horizons(config: RunConfig, domain) -> list[float]:
 def cmd_spectrum(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
     columns = {
-        "n": [m.index for m in table.modes],
-        "multi_index": ["|".join(str(part) for part in m.multi_index) for m in table.modes],
-        "lambda": [m.lam for m in table.modes],
+        "n": range(1, table.N + 1),
+        "multi_index": ["|".join(map(str, mi)) for mi in table.multi_index.tolist()],
+        "lambda": table.lambdas,
     }
     path = write_csv(out / "spectrum.csv", columns)
     print(f"spectrum: {table.N} modes on {domain.kind} -> {path}")
@@ -107,14 +106,13 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
 def cmd_riesz(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
     margin_tol = config.tolerances["riesz_margin"]
-    reports = [riesz_bounds_report(table, T, margin_tol=margin_tol)
-               for T in config.horizons(2.0 * domain.R)]
-    rows = [r.row() for r in reports]
+    rows = [riesz_bounds_report(table, T, margin_tol=margin_tol)
+            for T in config.horizons(2.0 * domain.R)]
     header = ["domain", "N", "T", "lambda_min", "lambda_max",
               "c_lower", "margin", "in_hypothesis", "pass"]
     csv_path = write_csv(out / "riesz.csv", {col: [row[col] for row in rows] for col in header})
-    outside = [r.T for r in reports if not r.in_hypothesis]
-    failed = [r.T for r in reports if r.passed is False]
+    outside = [row["T"] for row in rows if not row["in_hypothesis"]]
+    failed = [row["T"] for row in rows if row["pass"] is False]
     summary = {
         "domain": {"kind": domain.kind, "params": list(domain.params)},
         "N": table.N,
@@ -170,19 +168,6 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
         )
 
 
-def _closeness_payload(report) -> dict:
-    return {
-        "slope": report.slope,
-        "intercept_c1": report.intercept_c1,
-        "r_squared": report.r_squared,
-        "slope_upper": report.slope_upper,
-        "c1_max": report.c1_max,
-        "degenerate": report.degenerate,
-        "passed": report.passed,
-        "modes": report.rows(),
-    }
-
-
 def cmd_visco(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
     horizons = _in_hypothesis_horizons(config, domain)
@@ -204,7 +189,6 @@ def cmd_visco(config: RunConfig, out: Path, args) -> None:
                 table, kernel, T,
                 margin_factor=config.tolerances["memory_margin_factor"],
                 wave_evals=wave_evals)
-            cert["closeness"] = _closeness_payload(cert["closeness"])
         except (ConfigurationError, NumericalError) as err:
             # keep what already certified; the summary records the breakage
             errors.append((kernel.describe(), err))
@@ -294,29 +278,12 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         problem = random_problem(table.N, max(horizons),
                                  np.random.default_rng(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
-    rep = control_pipeline(table, problem,
-                           steering_tol=config.tolerances["steering_rel_error"])
-    result = {
-        "domain": {"kind": domain.kind, "params": list(domain.params)},
-        "N": table.N,
-        "T": problem.T,
-        "control_coeffs": rep["control"].coefficients,
-        "control_norm_sq": rep["control"].norm_sq,
-        "steering_rel_error": rep["simulation"]["rel_error"],
-        "condition_estimate": rep["condition"],
-        "c_lower": rep["c_lower"],
-        "rhs_norm_sq": rep["rhs_norm_sq"],
-        "norm_bound": rep["norm_bound"],
-        "bound_ok": rep["bound_ok"],
-        "realness_defect": rep["control"].realness_defect,
-        "solve_residual_rel": rep["control"].solve_residual_rel,
-        "solve_residual_gate": SOLVE_RESIDUAL_GATE,
-        "passed": rep["passed"],
-    }
+    result = control_pipeline(table, problem,
+                              steering_tol=config.tolerances["steering_rel_error"])
     path = write_json(out / "control_result.json", result)
     print(f"control: steering error {result['steering_rel_error']:.3e}, "
           f"norm^2 {result['control_norm_sq']:.6g} -> {path}")
-    if not rep["passed"]:
+    if not result["passed"]:
         raise CheckFailure(
             f"control run failed (steering {result['steering_rel_error']:.3e}, "
             f"bound_ok={result['bound_ok']}); see {path}"

@@ -11,7 +11,9 @@ the control ansatz f = sum_m a_m psi_m(x) exp(i lam_m t), and b collects
 the duality pairings of the initial and target data.  Solving through the
 (certified positive) Gram realizes the classical minimum-norm construction
 at truncation scale.  A closed-form Duhamel forward simulation then
-measures the steering error independently of the synthesis path.
+measures the steering error independently of the synthesis path;
+control_pipeline returns the whole run as the record the control command
+writes.
 
 Mode bookkeeping: position coefficients are plain L2 weights against the
 orthonormal phi_n; velocity coefficients enter every duality pairing
@@ -90,17 +92,6 @@ class ControlProblem:
     @property
     def N(self) -> int:
         return len(self.position0)
-
-    def energy_norm(self, lambdas: np.ndarray, which: str) -> float:
-        """sqrt(sum lam^2 |p|^2 + |q|^2) of the initial or target data."""
-        if which == "initial":
-            p, q = self.position0, self.velocity0
-        elif which == "target":
-            p, q = self.target_position, self.target_velocity
-        else:
-            raise ConfigurationError("which must be 'initial' or 'target'")
-        return float(np.sqrt(np.sum(np.abs(lambdas * p) ** 2)
-                             + np.sum(np.abs(q) ** 2)))
 
 
 def random_problem(N: int, T: float, rng: np.random.Generator) -> ControlProblem:
@@ -229,6 +220,11 @@ def solve_control(table: ModeTable, problem: ControlProblem,
 # Closed-form forward simulation
 
 
+def _energy_norm(lam: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
+    """sqrt(sum lam^2 |p|^2 + |q|^2): the energy of positions p, velocities q."""
+    return float(np.sqrt(np.sum(np.abs(lam * p) ** 2) + np.sum(np.abs(q) ** 2)))
+
+
 def duhamel_kernels(lam: np.ndarray, mu: np.ndarray,
                     t: float) -> tuple[np.ndarray, np.ndarray]:
     """int_0^t sin(lam (t-s))/lam * exp(i mu s) ds and the same with
@@ -263,12 +259,10 @@ def forward_simulate_controlled(table: ModeTable, control: BoundaryControl,
                - np.sum(forcing * Kp, axis=1))
     final_q = (-problem.position0 * lam * sinT + problem.velocity0 * cosT
                - np.sum(forcing * Kv, axis=1))
-    dp = final_p - problem.target_position
-    dq = final_q - problem.target_velocity
-    abs_error = float(np.sqrt(np.sum(np.abs(lam * dp) ** 2)
-                              + np.sum(np.abs(dq) ** 2)))
-    denom = max(problem.energy_norm(lam, "target"),
-                problem.energy_norm(lam, "initial"))
+    abs_error = _energy_norm(lam, final_p - problem.target_position,
+                             final_q - problem.target_velocity)
+    denom = max(_energy_norm(lam, problem.target_position, problem.target_velocity),
+                _energy_norm(lam, problem.position0, problem.velocity0))
     rel_error = abs_error / denom if denom > 0.0 else abs_error
     return {
         "final_position": final_p,
@@ -285,12 +279,13 @@ def forward_simulate_controlled(table: ModeTable, control: BoundaryControl,
 
 def control_pipeline(table: ModeTable, problem: ControlProblem, *,
                      steering_tol: float) -> dict:
-    """Assemble the Gram, synthesize the control, verify the steering.
+    """Assemble the Gram, synthesize the control, verify the steering: the
+    record of control_result.json.
 
     Reports the control norm against the certified ceiling |b|^2 / c_lower
-    (meaningful only inside the hypothesis T > 2R) and the relative
-    steering error from the independent closed-form simulation, which
-    passes at or below steering_tol.
+    (meaningful only inside the hypothesis T > 2R; None outside it) and the
+    relative steering error from the independent closed-form simulation,
+    which passes at or below steering_tol.
     """
     domain = table.domain
     G = assemble_exponential_gram(table, problem.T)
@@ -304,21 +299,20 @@ def control_pipeline(table: ModeTable, problem: ControlProblem, *,
     bound_ok = (control.norm_sq <= norm_bound * (1.0 + 1e-12)
                 if in_hypothesis else None)
     steering_ok = sim["rel_error"] <= steering_tol
-    passed = bool(steering_ok and (bound_ok is not False))
     return {
-        "domain": domain.kind,
+        "domain": {"kind": domain.kind, "params": list(domain.params)},
         "N": table.N,
         "T": problem.T,
-        "control": control,
-        "simulation": sim,
-        "lambda_min": spectrum["lambda_min"],
-        "lambda_max": spectrum["lambda_max"],
-        "condition": spectrum["lambda_max"] / max(spectrum["lambda_min"], 1e-300),
+        "control_coeffs": control.coefficients,
+        "control_norm_sq": control.norm_sq,
+        "steering_rel_error": sim["rel_error"],
+        "condition_estimate": spectrum["lambda_max"] / max(spectrum["lambda_min"], 1e-300),
         "c_lower": c_lower,
         "rhs_norm_sq": b_norm_sq,
         "norm_bound": norm_bound,
         "bound_ok": bound_ok,
-        "in_hypothesis": in_hypothesis,
-        "steering_ok": bool(steering_ok),
-        "passed": passed,
+        "realness_defect": control.realness_defect,
+        "solve_residual_rel": control.solve_residual_rel,
+        "solve_residual_gate": SOLVE_RESIDUAL_GATE,
+        "passed": bool(steering_ok and (bound_ok is not False)),
     }

@@ -23,6 +23,7 @@ Q = T sinc((lam_m + lam_n) T / 2pi) * pos, so S = diag(P - Q, P + Q), two
 N x N parity blocks (V is one phase per block there, and is left out).
 The certified lower bound is lambda_min(G) >= 2(T - 2R)/C_Omega whenever
 T > 2R; lambda_max is tracked as the empirical upper (Riesz) bound.
+riesz_bounds_report returns both as the row the riesz command writes.
 
 A sampled family (the memory modes and their shifted references) comes as
 samples of z_n, n > 0, on the time rule geometry.time_rule and takes
@@ -243,7 +244,7 @@ def assemble_sampled_gram(table: ModeTable, samples: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Riesz-type bound reports
+# Riesz-type bounds, one riesz.csv row per horizon
 
 
 def lower_bound_constant(domain: DomainSpec, T: float) -> float:
@@ -251,43 +252,14 @@ def lower_bound_constant(domain: DomainSpec, T: float) -> float:
     return 2.0 * (T - 2.0 * domain.R) / domain.C_Omega
 
 
-@dataclass
-class RieszReport:
-    """lambda_min / lambda_max of one assembled Gram against the bound."""
-
-    domain_kind: str
-    N: int
-    T: float
-    lambda_min: float
-    lambda_max: float
-    c_lower: float
-    margin: float
-    in_hypothesis: bool       # T > 2R
-    passed: bool | None       # None when outside the hypothesis window
-    eigen_residual_rel: float  # extreme eigenpair residual / ||G||
-
-    def row(self) -> dict:
-        return {
-            "domain": self.domain_kind,
-            "N": self.N,
-            "T": self.T,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "c_lower": self.c_lower,
-            "margin": self.margin,
-            "in_hypothesis": self.in_hypothesis,
-            "pass": "" if self.passed is None else self.passed,
-            "eigen_residual_rel": self.eigen_residual_rel,
-            "eigen_residual_gate": EIGEN_RESIDUAL_GATE,
-        }
-
-
 def riesz_bounds_report(table: ModeTable, T: float, *,
-                        margin_tol: float) -> RieszReport:
-    """Assemble, eigensolve, and compare lambda_min with 2(T-2R)/C_Omega.
+                        margin_tol: float) -> dict:
+    """Assemble, eigensolve, and compare lambda_min with 2(T-2R)/C_Omega:
+    one row of riesz.csv and riesz_summary.json.
 
     For T <= 2R the constant is non-positive and the bound is outside its
-    hypothesis: the spectrum is still reported, pass stays None.
+    hypothesis: the spectrum is still reported, pass stays "" (empty).
+    eigen_residual_rel is the extreme eigenpairs' residual / ||G||.
     """
     dom = table.domain
     gram = assemble_exponential_gram(table, T)
@@ -295,9 +267,16 @@ def riesz_bounds_report(table: ModeTable, T: float, *,
     c_low = lower_bound_constant(dom, T)
     margin = spec["lambda_min"] - c_low
     in_hyp = T > 2.0 * dom.R
-    passed = None
-    if in_hyp:
-        passed = margin >= -margin_tol * max(1.0, c_low)
-    return RieszReport(dom.kind, table.N, T, spec["lambda_min"],
-                       spec["lambda_max"], c_low, margin, in_hyp, passed,
-                       spec["residual_rel"])
+    return {
+        "domain": dom.kind,
+        "N": table.N,
+        "T": T,
+        "lambda_min": spec["lambda_min"],
+        "lambda_max": spec["lambda_max"],
+        "c_lower": c_low,
+        "margin": margin,
+        "in_hypothesis": in_hyp,
+        "pass": margin >= -margin_tol * max(1.0, c_low) if in_hyp else "",
+        "eigen_residual_rel": spec["residual_rel"],
+        "eigen_residual_gate": EIGEN_RESIDUAL_GATE,
+    }

@@ -17,13 +17,16 @@ Signed indices extend the positive family: lambda_{-n} = -lambda_n and the
 normalized boundary trace psi_n = (1/lambda_n) dphi_{|n|}/dnu flips sign,
 psi_{-n} = -psi_n.
 
-ModeTable has three pure evaluators, each over all N modes at once:
-phi_matrix (N, k) and grad_phi_matrix (N, k, d) at interior points, and
-psi_matrix (2N, k) on a boundary rule, which is grad_phi_matrix . nu / lambda
-with the mirror rows appended.  On a box they broadcast per axis over the
-multi-indices; on the disk phi and grad phi take J_m (and J_m') from
-one Bessel call at each distinct (m, k) and radius (the cos and sin modes
-share them, a polar grid repeats radii), every disk evaluator takes the
+A ModeTable holds the N positive modes as three arrays, row n - 1 for
+mode n in frequency order: lambdas, multi_index (box (p_1, ..., p_d), disk
+(m, k, branch)) and norm (so that ||phi_n||_{L^2} = 1).  It has three
+pure evaluators, each over all N modes at once: phi_matrix (N, k) and
+grad_phi_matrix (N, k, d) at interior points, and psi_matrix (2N, k) on a
+boundary rule, which is grad_phi_matrix . nu / lambda with the mirror rows
+appended.  On a box they broadcast per axis over the multi-indices; on
+the disk phi and grad phi take J_m (and J_m') from one Bessel call at
+each distinct (m, k) and radius (the cos and sin modes share them, a
+polar grid repeats radii), every disk evaluator takes the
 angular factor from cos(m theta) and sin(m theta) at each distinct order
 and angle, and psi needs no Bessel evaluation.  On the disk radial_factors
 gives the radial parts N_n J_m(lambda_n r) and their images under r d/dr at
@@ -35,8 +38,6 @@ then proven to hold the N smallest zeros (see _proven_smallest_zeros).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import bessel
@@ -44,16 +45,6 @@ from .config import ConfigurationError
 from .geometry import DomainSpec, QuadratureRule
 
 _COS, _SIN = 0, 1  # angular branches on the disk
-
-
-@dataclass(frozen=True, eq=False)
-class Mode:
-    """One positive-index eigenpair with its geometry-specific multi-index."""
-
-    index: int                # positive rank (1-based, sorted by frequency)
-    multi_index: tuple        # box (p_1, ..., p_d) | disk (m, k, branch)
-    lam: float                # positive frequency lambda_index
-    norm_const: float         # normalization so that ||phi||_{L^2} = 1
 
 
 class ModeTable:
@@ -64,12 +55,17 @@ class ModeTable:
     across workers.
     """
 
-    def __init__(self, domain: DomainSpec, modes: list[Mode]):
+    def __init__(self, domain: DomainSpec, lambdas: np.ndarray,
+                 multi_index: np.ndarray, norm: np.ndarray):
         self.domain = domain
-        self.modes = modes
-        self.N = len(modes)
-        self.lambdas = np.array([m.lam for m in modes])
-        self.multi_index = np.array([m.multi_index for m in modes])  # (N, len(Mode.multi_index))
+        self.lambdas = np.asarray(lambdas, dtype=float)  # (N,) positive frequencies
+        self.multi_index = np.asarray(multi_index)        # (N, d) box | (N, 3) disk
+        self.norm = np.asarray(norm, dtype=float)        # (N,) so that ||phi_n||_{L^2} = 1
+        self.N = len(self.lambdas)
+        width = 3 if domain.kind == "disk" else domain.dim
+        if self.multi_index.shape != (self.N, width) or self.norm.shape != (self.N,):
+            raise ValueError(f"a {domain.kind} mode table needs N frequencies, N norms "
+                             f"and N multi-indices of {width} parts")
 
     def lambdas_signed(self) -> np.ndarray:
         """Frequencies on the signed index order [1..N, -1..-N]."""
@@ -80,7 +76,7 @@ class ModeTable:
     def phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """phi_n for every mode at the points, shape (N, k)."""
         pts = self._interior_points(points)
-        norm = self._norm_column()
+        norm = self.norm[:, None]
         if self.domain.kind == "disk":
             r, theta = self._polar(pts)
             angular, _ = self._disk_angular(theta)
@@ -93,7 +89,7 @@ class ModeTable:
     def grad_phi_matrix(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradients of every phi_n at the points, shape (N, k, d)."""
         pts = self._interior_points(points)
-        norm = self._norm_column()
+        norm = self.norm[:, None]
         if self.domain.kind != "disk":
             # d/dx_i of the product of sines: the i-th sine becomes
             # (p_i pi / a_i) times its cosine
@@ -125,7 +121,7 @@ class ModeTable:
         if self.domain.kind != "disk":
             raise ConfigurationError("radial factors exist only on the disk")
         r = np.asarray(r, dtype=float)
-        norm = self._norm_column()
+        norm = self.norm[:, None]
         jm, jmp = self._disk_radial(r, bessel.bessel_j_and_jp)
         return norm * jm, (norm * self.lambdas[:, None]) * r * jmp
 
@@ -164,9 +160,6 @@ class ModeTable:
     def _index_column(self, c: int) -> np.ndarray:
         """Column c of the multi-indices as an (N, 1) array."""
         return self.multi_index[:, c, None]
-
-    def _norm_column(self) -> np.ndarray:
-        return np.array([[m.norm_const] for m in self.modes])
 
     def _box_phases(self, pts: np.ndarray) -> list[np.ndarray]:
         """p_i pi x_i / a_i of every box mode at the points, one (N, k) array
@@ -209,9 +202,9 @@ class ModeTable:
             "domain": {"kind": self.domain.kind, "params": list(self.domain.params)},
             "N": self.N,
             "modes": [
-                {"n": m.index, "multi_index": list(m.multi_index), "lambda": m.lam,
-                 "norm_const": m.norm_const}
-                for m in self.modes
+                {"n": n, "multi_index": mi, "lambda": lam, "norm_const": c}
+                for n, mi, lam, c in zip(range(1, self.N + 1), self.multi_index.tolist(),
+                                         self.lambdas.tolist(), self.norm.tolist())
             ],
         }
 
@@ -303,13 +296,12 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
         (rho,) = domain.params
         zeros = _smallest_disk_zeros(N)
         jmk = np.array([z for z, _ in zeros])
-        order = np.array([mi[0] for _, mi in zeros])
+        index = np.array([mi for _, mi in zeros])
+        order = index[:, 0]
         jp = bessel.bessel_jp(order, jmk)
         angular_measure = np.where(order == 0, 2.0 * np.pi, np.pi)
         norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
-        return ModeTable(domain, [
-            Mode(index=rank, multi_index=mi, lam=z / rho, norm_const=float(c))
-            for rank, ((z, mi), c) in enumerate(zip(zeros, norm), start=1)])
+        return ModeTable(domain, jmk / rho, index, norm)
     # lambda grows in every p_i, so the prod(p) - 1 multi-indices below p
     # all come before it: the N smallest have prod(p) <= N
     widths = np.array(domain.params)
@@ -317,17 +309,12 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
     lam = np.hypot.reduce(index * np.pi / widths, axis=1)
     first = np.lexsort((*index.T[::-1], lam))[:N]
     norm = np.sqrt(2.0 ** domain.dim / np.prod(widths))
-    return ModeTable(domain, [
-        Mode(index=rank, multi_index=tuple(index[i].tolist()), lam=float(lam[i]),
-             norm_const=norm)
-        for rank, i in enumerate(first.tolist(), start=1)])
+    return ModeTable(domain, lam[first], index[first], np.full(N, norm))
 
 
 def table_from_dict(domain: DomainSpec, data: dict) -> ModeTable:
     """Rebuild a table from its serialized form (evaluators reconstructed)."""
-    modes = [
-        Mode(index=int(m["n"]), multi_index=tuple(m["multi_index"]),
-             lam=float(m["lambda"]), norm_const=float(m["norm_const"]))
-        for m in data["modes"]
-    ]
-    return ModeTable(domain, modes)
+    modes = data["modes"]
+    return ModeTable(domain, [float(m["lambda"]) for m in modes],
+                     np.array([m["multi_index"] for m in modes]),
+                     [float(m["norm_const"]) for m in modes])

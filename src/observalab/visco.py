@@ -29,7 +29,9 @@ of gram.GramMatrix (gram.assemble_sampled_gram).  On top of the modes sit
 the diagnostics that certify the memory-perturbed boundary trace system: a
 fitted real decay rate gamma, the L2 distances of the modes to their
 shifted exponential references, a finite-section Paley-Wiener quotient,
-and a Riesz certificate from the sampled Gram.
+and a Riesz certificate from the sampled Gram.  closeness_spectrum and
+memory_riesz_certificate return plain records: a certificate, with its
+closeness record inside, is what the visco command writes for a kernel.
 
 fit_gamma reduces the modes to sums over the time nodes before it
 iterates.  Because |exp(i*lam*b)| = 1 and the partners are conjugates, its
@@ -58,7 +60,6 @@ from .modes import ModeTable
 __all__ = [
     "MemoryKernel",
     "MemoryModes",
-    "ClosenessReport",
     "exponential_kernel",
     "polynomial_kernel",
     "zero_kernel",
@@ -566,37 +567,10 @@ def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
     return np.abs(modes.samples - refs) ** 2 @ modes.trule.weights
 
 
-@dataclass(eq=False)
-class ClosenessReport:
-    """Log-log decay fit of the per-mode reference distances."""
-
-    gamma: complex
-    T: float
-    lambdas: np.ndarray
-    distances: np.ndarray
-    terminal_residuals: np.ndarray
-    slope: float | None
-    intercept_c1: float | None
-    r_squared: float | None
-    slope_upper: float | None
-    c1_max: float
-    degenerate: bool
-    passed: bool
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, lam in enumerate(self.lambdas):
-            out.append({
-                "n": i + 1,
-                "lambda": float(lam),
-                "distance": float(self.distances[i]),
-                "terminal_residual": float(self.terminal_residuals[i]),
-            })
-        return out
-
-
-def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
-    """Fit the decay law distance ~ C * lambda^slope across the modes.
+def closeness_spectrum(modes: MemoryModes, gamma: complex) -> dict:
+    """Fit the decay law distance ~ C * lambda^slope across the modes: the
+    closeness record of a memory certificate, with one row per mode in
+    ascending frequency.
 
     Pass requires slope <= -1.8 on the upper half of the frequency range;
     an all-tiny distance spectrum (no memory) degenerates to a trivial
@@ -605,11 +579,15 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
     order = np.argsort(modes.lambdas)
     lams, dist = modes.lambdas[order], mode_distances(modes, gamma)[order]
     terminal = modes.terminal_residuals[order]
-    T = modes.T
-    c1_max = float(np.max(dist * lams**2))
-    if float(np.max(dist)) <= 1e-16 * T:
-        return ClosenessReport(gamma, T, lams, dist, terminal, None, None, None,
-                               None, c1_max, degenerate=True, passed=True)
+    record = {
+        "c1_max": float(np.max(dist * lams**2)),
+        "modes": [{"n": n, "lambda": lam, "distance": d, "terminal_residual": r}
+                  for n, lam, d, r in zip(range(1, lams.size + 1), lams.tolist(),
+                                          dist.tolist(), terminal.tolist())],
+    }
+    if float(np.max(dist)) <= 1e-16 * modes.T:
+        return {**record, "slope": None, "intercept_c1": None, "r_squared": None,
+                "slope_upper": None, "degenerate": True, "passed": True}
     usable = dist > 0.0
     if int(np.count_nonzero(usable)) < 5:
         raise ConfigurationError("fewer than 5 usable modes for the decay fit")
@@ -626,10 +604,9 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> ClosenessReport:
         slope_upper = float(np.polyfit(upper, ld[lams[usable] >= cut], 1)[0])
     else:
         slope_upper = float(slope)
-    return ClosenessReport(gamma, T, lams, dist, terminal,
-                           float(slope), float(np.exp(intercept)),
-                           float(r_squared), slope_upper, c1_max,
-                           degenerate=False, passed=slope_upper <= -1.8)
+    return {**record, "slope": float(slope), "intercept_c1": float(np.exp(intercept)),
+            "r_squared": float(r_squared), "slope_upper": slope_upper,
+            "degenerate": False, "passed": slope_upper <= -1.8}
 
 
 # ----------------------------------------------------------------------

@@ -174,9 +174,9 @@ def test_criterion_07_memory_distance_decay_law():
     modes = solve_memory_modes(lams, exponential_kernel(0.5, 1.0), T)
     gamma, _ = fit_gamma(modes)
     report = closeness_spectrum(modes, gamma)
-    assert report.slope is not None
-    assert report.slope <= -1.8, f"slope {report.slope:.3f}"
-    assert report.r_squared >= 0.9, f"R^2 {report.r_squared:.3f}"
+    assert report["slope"] is not None
+    assert report["slope"] <= -1.8, f"slope {report['slope']:.3f}"
+    assert report["r_squared"] >= 0.9, f"R^2 {report['r_squared']:.3f}"
 
 
 def test_criterion_08_perturbation_section_below_one():
@@ -192,7 +192,7 @@ def test_criterion_08_perturbation_section_below_one():
     c_alpha = estimate_trace_constant(table, brule, 200,
                                       np.random.default_rng(3))["sup"]
     c_gamma, _ = shifted_system_bounds(table, gamma, modes.trule, T)
-    k = proof_guided_exclusion(c_alpha, report.c1_max, c_gamma, table.lambdas)
+    k = proof_guided_exclusion(c_alpha, report["c1_max"], c_gamma, table.lambdas)
     q_hat = paley_wiener_q(table, modes, gamma, k)
     assert q_hat < 1.0, f"q at the proof-guided cutoff k={k} is {q_hat:.3f}"
 
@@ -229,8 +229,8 @@ def test_criterion_10_minimum_norm_steering():
     table = enumerate_modes(dom, 10)
     problem = random_problem(10, 2.0 * np.pi, np.random.default_rng(42))
     rep = control_pipeline(table, problem, steering_tol=1e-3)
-    assert rep["simulation"]["rel_error"] <= 1e-3
-    assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
+    assert rep["steering_rel_error"] <= 1e-3
+    assert rep["control_norm_sq"] <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
     assert rep["passed"]
     assert time.monotonic() - start <= 60.0
 

@@ -552,7 +552,8 @@ def test_number_fields_refuse_integers_past_the_float_range(tmp_path, capsys, te
 def test_integer_fields_take_integers_past_the_float_range(tmp_path):
     """seed is an integer field and never a float: a 401-digit seed runs."""
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "seed": %s}' % _HUGE)
+    cfg.write_text('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "seed": %s, '
+                   '"cache_path": %s}' % (_HUGE, json.dumps(str(tmp_path / "cache.json"))))
     for cmd in ("spectrum", "verify-identities"):
         assert _run(cmd, "--config", str(cfg), "--out", str(tmp_path / "out")) == 0, cmd
 
@@ -774,6 +775,39 @@ def test_cache_of_the_previous_schema_is_rebuilt(tmp_path):
     old["schema_version"] = 3
     cache_path.write_text(json.dumps(old))
     assert _run("spectrum", "--config", str(cfg)) == 0
+    assert json.loads(cache_path.read_text()) == fresh
+
+
+@pytest.mark.parametrize("edit", ["truncated", "extra_mode", "ragged_index", "wide_index"])
+def test_cache_entry_without_its_n_modes_is_rebuilt(tmp_path, monkeypatch, edit):
+    """An entry is served only if it holds exactly the N modes its key
+    names.  Served, a 3-mode entry under N=5 made riesz certify N=3, and
+    with its third lambda edited fail the lower bound; cut short, padded
+    or with a ragged or too wide multi-index it is a miss, rebuilt and saved."""
+    monkeypatch.delenv("OBSERVALAB_CACHE", raising=False)
+    cfg = _write_config(tmp_path, N=5)
+    cache_path = tmp_path / "cache.json"
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    fresh = json.loads(cache_path.read_text())
+    edited = copy.deepcopy(fresh)
+    (modes,) = [entry["modes"] for entry in edited["tables"].values()]
+    if edit == "truncated":
+        del modes[3:]
+        modes[2]["lambda"] = 0.5
+    elif edit == "extra_mode":
+        modes.append({**modes[-1], "n": 6, "multi_index": [6], "lambda": 6.0})
+    elif edit == "ragged_index":
+        modes[2]["multi_index"] = [3, 1]
+    else:
+        for mode in modes:
+            mode["multi_index"].append(1)
+    cache_path.write_text(json.dumps(edited))
+    assert _run("riesz", "--config", str(cfg)) == 0
+    assert json.loads((tmp_path / "out" / "riesz_summary.json").read_text())["N"] == 5
+    assert json.loads(cache_path.read_text()) == fresh
+    cache_path.write_text(json.dumps(edited))
+    assert _run("spectrum", "--config", str(cfg)) == 0
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 2 + 5
     assert json.loads(cache_path.read_text()) == fresh
 
 

@@ -171,9 +171,9 @@ def test_steering_interval_ten_modes():
     prob = C.random_problem(10, 2 * np.pi, np.random.default_rng(42))
     rep = C.control_pipeline(table, prob, steering_tol=1e-3)
     assert rep["passed"]
-    assert rep["simulation"]["rel_error"] <= 1e-3
-    assert rep["control"].norm_sq <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
-    assert rep["control"].solve_residual_rel <= C.SOLVE_RESIDUAL_GATE
+    assert rep["steering_rel_error"] <= 1e-3
+    assert rep["control_norm_sq"] <= rep["rhs_norm_sq"] / rep["c_lower"] + 1e-12
+    assert rep["solve_residual_rel"] <= C.SOLVE_RESIDUAL_GATE
 
 
 def test_steering_nonorthogonal_horizon():
@@ -181,7 +181,7 @@ def test_steering_nonorthogonal_horizon():
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(3))
     rep = C.control_pipeline(table, prob, steering_tol=1e-3)
     assert rep["passed"]
-    assert rep["simulation"]["rel_error"] <= 1e-6
+    assert rep["steering_rel_error"] <= 1e-6
     assert rep["bound_ok"]
 
 

@@ -121,7 +121,7 @@ def test_rellich_rectangle_specific_pair():
     # the pair highlighted by the separable closed form: (1,1) vs (1,2)
     dom = rectangle(np.pi, np.pi)
     table, irule, brule = _setup(dom, N=6)
-    idx = {m.multi_index: i + 1 for i, m in enumerate(table.modes)}
+    idx = {tuple(mi): i + 1 for i, mi in enumerate(table.multi_index.tolist())}
     j, k = idx[(1, 1)], idx[(1, 2)]
     reports = _rellich(table, irule, brule)
     rep = _by_label(reports)[f"rellich_{j}_{k}"]
@@ -333,6 +333,6 @@ def test_disk_pairings_refuse_an_angular_grid_too_coarse_for_the_orders():
     product of two of the table's orders exactly."""
     table = enumerate_modes(disk(1.0), 48)
     coarse = interior_quadrature(disk(1.0), q=16, lam_max=1.0)
-    assert len(coarse[1][0]) <= 2 * max(m.multi_index[0] for m in table.modes)
+    assert len(coarse[1][0]) <= 2 * max(table.multi_index[:, 0])
     with pytest.raises(ConfigurationError, match="angular grid"):
         ops.multiplier_pairings(table, coarse)

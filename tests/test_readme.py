@@ -13,6 +13,6 @@ def test_python_api_sketch_runs():
     assert block is not None, "no python block under 'Python API sketch'"
     namespace = {}
     exec(compile(block.group(1), str(README), "exec"), namespace)
-    assert namespace["report"].passed
+    assert namespace["report"]["pass"]
     assert namespace["cert"]["passed"]
     assert namespace["run"]["passed"]

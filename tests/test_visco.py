@@ -680,18 +680,18 @@ def test_closeness_decay_slope():
     modes = visco.solve_memory_modes(np.arange(5.0, 41.0), ker, T)
     gamma, _ = visco.fit_gamma(modes)
     rep = visco.closeness_spectrum(modes, gamma)
-    assert rep.slope <= -1.8
-    assert rep.r_squared >= 0.9
-    assert rep.slope_upper <= -1.8 and rep.passed
-    assert rep.c1_max > 0.0 and rep.intercept_c1 > 0.0
-    assert len(rep.rows()) == 36
+    assert rep["slope"] <= -1.8
+    assert rep["r_squared"] >= 0.9
+    assert rep["slope_upper"] <= -1.8 and rep["passed"]
+    assert rep["c1_max"] > 0.0 and rep["intercept_c1"] > 0.0
+    assert len(rep["modes"]) == 36
 
 
 def test_closeness_zero_kernel_degenerates():
     modes = visco.solve_memory_modes(np.arange(1.0, 9.0), visco.zero_kernel(), 2.0)
     rep = visco.closeness_spectrum(modes, 0.0 + 0.0j)
-    assert rep.degenerate and rep.passed
-    assert rep.slope is None and rep.r_squared is None
+    assert rep["degenerate"] and rep["passed"]
+    assert rep["slope"] is None and rep["r_squared"] is None
 
 
 def test_closeness_distance_monotone_in_horizon():
@@ -748,7 +748,7 @@ def test_q_below_one_at_proof_guided_cutoff():
     c_alpha = estimate_trace_constant(table, brule, 100,
                                       np.random.default_rng(3))["sup"]
     c_gamma, _ = visco.shifted_system_bounds(table, gamma, modes.trule, modes.T)
-    k = visco.proof_guided_exclusion(c_alpha, rep.c1_max, c_gamma, table.lambdas)
+    k = visco.proof_guided_exclusion(c_alpha, rep["c1_max"], c_gamma, table.lambdas)
     assert 1 <= k <= table.N
     q = visco.paley_wiener_q(table, modes, gamma, k)
     assert 0.0 <= q < 1.0
@@ -818,7 +818,7 @@ def test_certificate_zero_kernel_reduces_to_wave():
         wave_evals=visco.wave_gram_eigenvalues(table, 2.5 * np.pi))
     assert cert["gamma"] == 0.0
     assert cert["reduction_rel_diff"] <= 1e-6
-    assert cert["closeness"].degenerate
+    assert cert["closeness"]["degenerate"]
 
 
 def test_certificate_subnormal_polynomial_kernel_is_the_zero_kernel():
@@ -844,7 +844,7 @@ def test_certificate_polynomial_kernel_march_path():
         table, visco.polynomial_kernel(0.3, 2.5), 1.3 * np.pi, margin_factor=1e-3,
         wave_evals=visco.wave_gram_eigenvalues(table, 1.3 * np.pi))
     assert cert["passed"]
-    assert cert["closeness"].c1_max > 0.0
+    assert cert["closeness"]["c1_max"] > 0.0
 
 
 def test_certificate_rejects_short_horizon():
