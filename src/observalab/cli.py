@@ -23,12 +23,12 @@ from .config import (CheckFailure, ConfigurationError, NumericalError,
                      RunConfig, load_config)
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
-from .gram import riesz_bounds_report
+from .gram import assemble_exponential_gram, riesz_bounds_report
 from .operators import (antisymmetry_suite, boundary_gram_check, multiplier_pairings,
                         quasi_orthogonality_draws, rellich_suite, report_columns)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
-                    polynomial_kernel, wave_gram_eigenvalues, zero_kernel)
+                    polynomial_kernel, zero_kernel)
 from .wave import observability_experiment
 
 LOCK_NAME = ".observalab.lock"
@@ -184,7 +184,7 @@ def cmd_visco(config: RunConfig, out: Path, args) -> None:
             # one pure-wave spectrum serves every kernel; if it fails, each
             # kernel records the failure as before
             if wave_evals is None:
-                wave_evals = wave_gram_eigenvalues(table, T)
+                wave_evals = assemble_exponential_gram(table, T).eigenvalues()
             cert = memory_riesz_certificate(
                 table, kernel, T,
                 margin_factor=config.tolerances["memory_margin_factor"],
@@ -229,7 +229,9 @@ def _require_riesz_artifact(out: Path, domain, N: int, T: float) -> None:
                         and np.allclose(dom["params"], domain.params,
                                         rtol=1e-12, atol=0.0))
         match_n = int(summary["N"]) == N
-    except (KeyError, TypeError, ValueError) as err:
+        passed = any(abs(float(row["T"]) - T) <= 1e-9 * max(1.0, T) and row["pass"] is True
+                     for row in rows)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigurationError(
             f"unreadable riesz summary {summary_path}: {err}") from err
     if not (match_domain and match_n):
@@ -237,9 +239,8 @@ def _require_riesz_artifact(out: Path, domain, N: int, T: float) -> None:
             f"riesz certificate in {out} covers a different (domain, N); "
             f"re-run 'riesz' for this configuration"
         )
-    for row in rows:
-        if abs(float(row["T"]) - T) <= 1e-9 * max(1.0, T) and row["pass"] is True:
-            return
+    if passed:
+        return
     raise ConfigurationError(
         f"no passing riesz row for T={T:g} in {summary_path}; "
         f"run 'riesz' with this horizon first"
@@ -254,14 +255,18 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
         except (OSError, ValueError) as err:
             raise ConfigurationError(
                 f"cannot read problem file {args.problem}: {err}") from err
-        if "domain" in raw and raw["domain"].get("kind") != domain.kind:
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"problem file {args.problem} is not a JSON object")
+        if "domain" in raw and not (isinstance(raw["domain"], dict)
+                                    and raw["domain"].get("kind") == domain.kind):
             raise ConfigurationError(
-                f"problem file targets domain {raw['domain'].get('kind')!r}, "
+                f"problem file targets domain {raw['domain']!r}, "
                 f"config says {domain.kind!r}"
             )
-        if "N" in raw and int(raw["N"]) != table.N:
+        # == takes 6.0 for 6 and refuses a string, null or inf; a bool is no N
+        if "N" in raw and (isinstance(raw["N"], bool) or raw["N"] != table.N):
             raise ConfigurationError(
-                f"problem file truncation N={raw['N']} differs from config "
+                f"problem file truncation N={raw['N']!r} differs from config "
                 f"N={table.N}"
             )
         problem = problem_from_dict(raw)

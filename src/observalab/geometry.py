@@ -107,7 +107,6 @@ class QuadratureRule:
 
     nodes: np.ndarray            # (k, d)
     weights: np.ndarray          # (k,)
-    q: int                       # points per panel direction
     normals: np.ndarray | None = None  # (k, d) for boundary rules
 
     def integrate(self, values: np.ndarray) -> complex | float:
@@ -190,7 +189,7 @@ def time_rule(T: float, lam_max: float) -> QuadratureRule:
             "a shorter horizon or fewer modes"
         )
     t, w = _gl_panels(0.0, T, nodes // q, q)
-    return QuadratureRule(nodes=t[:, None], weights=w, q=q)
+    return QuadratureRule(nodes=t[:, None], weights=w)
 
 
 def interior_quadrature(domain: DomainSpec, q: int = 32,
@@ -242,7 +241,7 @@ def boundary_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
         normals = np.column_stack([np.cos(theta), np.sin(theta)])
         nodes = domain.x0 + rho * normals
         weights = np.full(n_theta, 2.0 * np.pi * rho / n_theta)
-        return QuadratureRule(nodes=nodes, weights=weights, q=q, normals=normals)
+        return QuadratureRule(nodes=nodes, weights=weights, normals=normals)
     widths, d = domain.params, domain.dim
     panels = [_panel_count(f, a, q) for a in widths]
     count = sum(2 * math.prod(q * p for j, p in enumerate(panels) if j != i) for i in range(d))
@@ -264,5 +263,5 @@ def boundary_quadrature(domain: DomainSpec, q: int = 32, lam_max: float = 1.0) -
             nodes.append(x)
             weights.append(w)
             normals.append(np.tile(normal, (len(w), 1)))
-    return QuadratureRule(nodes=np.vstack(nodes), weights=np.concatenate(weights), q=q,
+    return QuadratureRule(nodes=np.vstack(nodes), weights=np.concatenate(weights),
                           normals=np.vstack(normals))

@@ -40,9 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .eigen import EIGEN_RESIDUAL_GATE, _check_hermitian, extreme_eigen_report, jacobi_eigh
+from .eigen import _check_hermitian, jacobi_eigh
 from .geometry import DomainSpec, QuadratureRule
 from .modes import ModeTable
+
+# extreme eigenpair residuals must stay below this fraction of ||G||
+EIGEN_RESIDUAL_GATE = 1e-8
 
 
 def phase_integral(nu, t: float) -> np.ndarray:
@@ -169,15 +172,38 @@ class GramMatrix:
                                        for block in self.blocks]))
 
     def spectrum(self) -> dict:
-        rep = extreme_eigen_report(*self.blocks)
-        rep["vec_min"] = self._from_coords(rep["vec_min"])
-        rep["vec_max"] = self._from_coords(rep["vec_max"])
-        trace = float(sum(np.trace(block) for block in self.blocks))
-        if rep["lambda_min"] < -1e-8 * trace:
+        """lambda_min, lambda_max, vec_min (a lambda_min eigenvector in signed
+        coordinates) and residual_rel, the larger extreme-pair residual over
+        the Frobenius norm of the blocks together, from one solve per block.
+        Raises NumericalError if residual_rel exceeds EIGEN_RESIDUAL_GATE or
+        lambda_min falls below -1e-8 * trace(G) (G not PSD)."""
+        solved = [jacobi_eigh(block) for block in self.blocks]
+        k_min = min(range(len(solved)), key=lambda k: solved[k][0][0])
+        k_max = max(range(len(solved)), key=lambda k: solved[k][0][-1])
+        residuals = []
+        for k, col in ((k_min, 0), (k_max, -1)):
+            w, v = solved[k]
+            residual = self.blocks[k] @ v[:, col] - w[col] * v[:, col]
+            residuals.append(float(np.linalg.norm(residual)))
+        norm = max(float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks))), 1e-300)
+        residual_rel = max(residuals) / norm
+        if residual_rel > EIGEN_RESIDUAL_GATE:
             raise NumericalError(
-                f"Gram matrix not PSD: lambda_min = {rep['lambda_min']:.3e}"
+                f"eigenpair residual too large ({max(residuals):.3e} vs "
+                f"{EIGEN_RESIDUAL_GATE:g} * {norm:.3e})"
             )
-        return rep
+        w, v = solved[k_min]
+        if w[0] < -1e-8 * float(sum(np.trace(block) for block in self.blocks)):
+            raise NumericalError(f"Gram matrix not PSD: lambda_min = {w[0]:.3e}")
+        start = k_min * self.N      # the blocks: two N x N or one 2N x 2N
+        vec = np.zeros(2 * self.N)
+        vec[start:start + len(w)] = v[:, 0]
+        return {
+            "lambda_min": float(w[0]),
+            "lambda_max": float(solved[k_max][0][-1]),
+            "vec_min": self._from_coords(vec),
+            "residual_rel": residual_rel,
+        }
 
     def leading(self, n: int) -> GramMatrix:
         """The Gram of the modes 1..n: each block keeps the first n

@@ -54,7 +54,7 @@ import numpy as np
 from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
 from .geometry import QuadratureRule, time_rule
-from .gram import assemble_exponential_gram, assemble_sampled_gram, sampled_block
+from .gram import assemble_sampled_gram, sampled_block
 from .modes import ModeTable
 
 __all__ = [
@@ -71,7 +71,6 @@ __all__ = [
     "shifted_system_bounds",
     "paley_wiener_q",
     "proof_guided_exclusion",
-    "wave_gram_eigenvalues",
     "memory_riesz_certificate",
 ]
 
@@ -700,12 +699,6 @@ def proof_guided_exclusion(c_alpha: float, c1: float, c_gamma: float,
 # Riesz certificate for the memory-perturbed trace system
 
 
-def wave_gram_eigenvalues(table: ModeTable, T: float) -> np.ndarray:
-    """Ascending eigenvalues of the pure-wave Gram on [0, T]: the memory
-    certificate's reference, the same for every kernel."""
-    return assemble_exponential_gram(table, T).eigenvalues()
-
-
 def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *,
                              margin_factor: float, wave_evals: np.ndarray) -> dict:
     """Certify the lower/upper Riesz bounds of the memory trace system.
@@ -716,9 +709,9 @@ def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *
     lambda_min >= margin_factor * lambda_max, and compares against the
     pure exponential system scaled by exp(2*Re(gamma)*T) (squared-norm
     convention; reported, not asserted).  With a zero kernel the spectra
-    must reduce to the pure-wave Gram spectra, wave_evals: those of
-    wave_gram_eigenvalues(table, T), which a run certifying several
-    kernels computes once.
+    must reduce to the pure-wave Gram spectra, wave_evals: the ascending
+    assemble_exponential_gram(table, T).eigenvalues(), the same for every
+    kernel, which a run certifying several kernels computes once.
     """
     domain = table.domain
     if T <= 2.0 * domain.R:

@@ -26,8 +26,7 @@ from observalab.visco import (_evaluate, _exponential_sum, _mode_exponents,
                               closeness_spectrum, exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
-                              solve_memory_modes, wave_gram_eigenvalues,
-                              zero_kernel)
+                              solve_memory_modes, zero_kernel)
 from observalab.wave import coeffs_to_a, observability_experiment
 
 from flux_sampling import boundary_flux
@@ -209,7 +208,7 @@ def test_criterion_09_memory_certificate_default_kernels():
     dom = interval(np.pi)
     table = enumerate_modes(dom, 20)
     T = 2.5 * np.pi
-    wave_evals = wave_gram_eigenvalues(table, T)
+    wave_evals = assemble_exponential_gram(table, T).eigenvalues()
     for m0 in (0.2, 0.5):
         cert = memory_riesz_certificate(table,
                                         exponential_kernel(m0, 1.0), T,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from observalab import cli, geometry, visco, wave
+from observalab import cli, eigen, geometry, gram, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
@@ -613,7 +613,7 @@ def test_visco_assembles_the_wave_gram_once_per_run(tmp_path, monkeypatch):
     one assembly for three kernels, and the certificate holds the bytes a
     per-kernel assembly writes."""
     calls = []
-    original = visco.assemble_exponential_gram
+    original = cli.assemble_exponential_gram
 
     def counted(*args):
         calls.append(args[1])
@@ -623,14 +623,14 @@ def test_visco_assembles_the_wave_gram_once_per_run(tmp_path, monkeypatch):
     out = tmp_path / "out" / "visco_certificate.json"
     assert _run("visco", "--config", str(cfg)) == 0
     once = strip_timestamp(out.read_text())
-    monkeypatch.setattr(visco, "assemble_exponential_gram", counted)
+    monkeypatch.setattr(cli, "assemble_exponential_gram", counted)
     assert _run("visco", "--config", str(cfg)) == 0
     assert len(calls) == 1
     assert strip_timestamp(out.read_text()) == once
     certify = cli.memory_riesz_certificate
 
     def per_kernel(table, kernel, T, **keywords):
-        keywords["wave_evals"] = visco.wave_gram_eigenvalues(table, T)
+        keywords["wave_evals"] = cli.assemble_exponential_gram(table, T).eigenvalues()
         return certify(table, kernel, T, **keywords)
 
     monkeypatch.setattr(cli, "memory_riesz_certificate", per_kernel)
@@ -734,6 +734,52 @@ def test_control_problem_mismatches_exit_64(tmp_path):
         "target": {"position": [1.0] * 6, "velocity": [0.0] * 6},
     }))
     assert _run("control", "--config", str(cfg), "--problem", str(prob)) == 64
+
+
+@pytest.mark.parametrize("text", ['{"domain": 5}', '{"N": "abc"}', '"my domain"',
+                                  '{"N": 1.5e400}', '{"N": null}'],
+                         ids=["domain_number", "n_string", "not_object", "n_inf", "n_null"])
+def test_malformed_control_problem_file_exits_64(tmp_path, capsys, text):
+    """A problem file that is not an object, or whose domain or N is not
+    one, is refused as bad configuration before the problem is parsed."""
+    cfg = _write_config(tmp_path)
+    prob = tmp_path / "problem.json"
+    prob.write_text(text)
+    assert _run("control", "--config", str(cfg), "--problem", str(prob)) == 64
+    assert "problem file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [5, [5], [{"pass": True}], [{"T": "abc", "pass": True}]],
+                         ids=["number", "number_row", "row_without_t", "t_string"])
+def test_malformed_riesz_summary_rows_exit_64(tmp_path, capsys, rows):
+    """A summary of the config's domain and N whose rows cannot be read is
+    the same refusal as any unreadable summary."""
+    cfg = _write_config(tmp_path, T_factors=[2.0])
+    assert _run("riesz", "--config", str(cfg)) == 0
+    path = tmp_path / "out" / "riesz_summary.json"
+    summary = json.loads(path.read_text())
+    summary["rows"] = rows
+    path.write_text(json.dumps(summary))
+    assert _run("control", "--config", str(cfg)) == 64
+    assert "unreadable riesz summary" in capsys.readouterr().err
+
+
+def test_control_solves_no_eigenvectors(tmp_path, monkeypatch):
+    """control reads two eigenvalues of the Gram, so none of its eigensolves
+    asks for eigenvectors."""
+    cfg = _write_config(tmp_path, T_factors=[2.0])
+    assert _run("riesz", "--config", str(cfg)) == 0
+    asked = []
+    original = gram.jacobi_eigh
+
+    def recorded(matrix, need_vectors=True):
+        asked.append(need_vectors)
+        return original(matrix, need_vectors)
+
+    for module in (eigen, gram):
+        monkeypatch.setattr(module, "jacobi_eigh", recorded)
+    assert _run("control", "--config", str(cfg)) == 0
+    assert asked and not any(asked)
 
 
 def test_lock_conflict_and_release(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from observalab.config import NumericalError
-from observalab.eigen import extreme_eigen_report, jacobi_eigh
+from observalab.eigen import jacobi_eigh
 
 
 def _random_hpd(rng, n):
@@ -108,14 +108,4 @@ def test_eigenvalues_only_path_survives_negligible_couplings():
     for matrix in (a, a.astype(complex)):
         w_only, _ = jacobi_eigh(matrix, need_vectors=False)
         assert np.max(np.abs(w_only - np.linalg.eigh(a)[0])) <= 1e-14
-
-
-def test_extreme_report_residuals():
-    rng = np.random.default_rng(4)
-    a = _random_hpd(rng, 30)
-    rep = extreme_eigen_report(a)
-    ref = _oracle(a)
-    assert rep["lambda_min"] == pytest.approx(ref[0], rel=1e-10)
-    assert rep["lambda_max"] == pytest.approx(ref[-1], rel=1e-10)
-    assert rep["residual_min"] < 1e-8 * np.linalg.norm(a)
 

@@ -243,7 +243,7 @@ def test_disk_trace_closed_form(rho):
     psi = table.psi_matrix(rule)
     assert np.max(np.abs(psi[: table.N] - ref)) < 1e-12 * scale
     off = QuadratureRule(nodes=dom.x0 + 0.99 * (rule.nodes - dom.x0), weights=rule.weights,
-                         q=rule.q, normals=rule.normals)
+                         normals=rule.normals)
     with pytest.raises(ConfigurationError, match="off the disk"):
         table.psi_matrix(off)
 

@@ -92,6 +92,52 @@ def test_gram_is_hermitian_and_psd():
     assert spec["lambda_min"] > -1e-8 * sum(np.trace(block) for block in G.blocks)
 
 
+def _dense_from_blocks(blocks, phases):
+    """G = W^H S W with S = diag(blocks) and W = V U D* as the module
+    docstring writes it (V left out for the two parity blocks)."""
+    N = phases.size
+    eye = np.eye(N)
+    U = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
+    V = np.diag(np.concatenate([np.ones(N), np.full(N, -1j if len(blocks) == 1 else 1.0)]))
+    W = V @ U @ np.diag(np.concatenate([np.conj(phases), phases]))
+    S = np.zeros((2 * N, 2 * N))
+    start = 0
+    for block in blocks:
+        S[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    return W.conj().T @ S @ W
+
+
+@pytest.mark.parametrize("case", ["min_in_first_block", "min_in_second_block", "one_block"])
+def test_spectrum_extreme_pairs_match_the_dense_gram(case):
+    """spectrum() picks the extreme pairs across the blocks: lambda_min and
+    lambda_max of the dense G, residual_rel inside the gate, and vec_min a
+    lambda_min eigenvector of G, whichever block holds lambda_min."""
+    rng = np.random.default_rng(4)
+    N = 15
+
+    def spd(n, shift):
+        z = rng.normal(size=(n, n))
+        return z @ z.T + shift * np.eye(n)
+
+    low, high = spd(N, 0.1), spd(N, 5.0)
+    blocks = {"min_in_first_block": (low, high), "min_in_second_block": (high, low),
+              "one_block": (spd(2 * N, 0.1),)}[case]
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
+    spec = gr.GramMatrix(blocks, phases, 1.0).spectrum()
+    assert sorted(spec) == ["lambda_max", "lambda_min", "residual_rel", "vec_min"]
+    dense = _dense_from_blocks(blocks, phases)
+    w = np.linalg.eigvalsh(dense)
+    if case != "one_block":
+        assert spec["lambda_min"] == pytest.approx(np.linalg.eigvalsh(low)[0], rel=1e-12)
+    assert spec["lambda_min"] == pytest.approx(w[0], rel=1e-10)
+    assert spec["lambda_max"] == pytest.approx(w[-1], rel=1e-10)
+    assert spec["residual_rel"] <= gr.EIGEN_RESIDUAL_GATE
+    v = spec["vec_min"]
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(dense @ v - spec["lambda_min"] * v) <= 1e-12 * w[-1]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_gram_rejects_non_finite(bad):
     phases = np.exp(1j * np.array([1.0, 2.0]))
@@ -208,7 +254,7 @@ def test_parity_blocks_match_the_dense_gram(kind, N, factor, seed):
     dense = dense_exponential_gram(table, T)
     spec = G.spectrum()
     w = np.linalg.eigvalsh(dense)
-    assert np.max(np.abs(spec["eigenvalues"] - w)) <= 1e-12 * w[-1]
+    assert np.max(np.abs(G.eigenvalues() - w)) <= 1e-12 * w[-1]
     v = spec["vec_min"]
     assert np.linalg.norm(dense @ v - spec["lambda_min"] * v) <= 1e-12 * w[-1]
     rng = np.random.default_rng(seed)
@@ -326,7 +372,7 @@ def test_sampled_gram_unimodular_shift_keeps_spectrum():
     trule = time_rule(T, table.lambdas[-1])
     traces = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0] - T))
     ws = gr.assemble_sampled_gram(table, traces, trule).eigenvalues()
-    wa = gr.assemble_exponential_gram(table, T).spectrum()["eigenvalues"]
+    wa = gr.assemble_exponential_gram(table, T).eigenvalues()
     assert np.max(np.abs(ws - wa)) < 1e-6
 
 

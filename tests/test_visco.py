@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from observalab import visco
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle
+from observalab.gram import assemble_exponential_gram
 from observalab.modes import enumerate_modes
 
 from memory_march import duhamel_weights, march_memory
@@ -798,7 +799,7 @@ def test_certificate_margin_and_independence():
     table = interval_setup(10)
     cert = visco.memory_riesz_certificate(
         table, visco.exponential_kernel(0.5, 1.0), 2.5 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, 2.5 * np.pi))
+        wave_evals=assemble_exponential_gram(table, 2.5 * np.pi).eigenvalues())
     assert cert["margin_ok"] and cert["lambda_min"] >= 1e-3 * cert["lambda_max"]
     assert cert["independence_ok"]
     assert all(e["lambda_min"] > 0.0 for e in cert["independence"])
@@ -815,7 +816,7 @@ def test_certificate_zero_kernel_reduces_to_wave():
     table = interval_setup(8)
     cert = visco.memory_riesz_certificate(
         table, visco.zero_kernel(), 2.5 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, 2.5 * np.pi))
+        wave_evals=assemble_exponential_gram(table, 2.5 * np.pi).eigenvalues())
     assert cert["gamma"] == 0.0
     assert cert["reduction_rel_diff"] <= 1e-6
     assert cert["closeness"]["degenerate"]
@@ -834,7 +835,7 @@ def test_certificate_subnormal_polynomial_kernel_is_the_zero_kernel():
     assert np.max(np.abs(modes.samples - zero.samples)) == 0.0
     cert = visco.memory_riesz_certificate(
         table, kernel, T, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, T))
+        wave_evals=assemble_exponential_gram(table, T).eigenvalues())
     assert cert["passed"]
 
 
@@ -842,7 +843,7 @@ def test_certificate_polynomial_kernel_march_path():
     table = interval_setup(6)
     cert = visco.memory_riesz_certificate(
         table, visco.polynomial_kernel(0.3, 2.5), 1.3 * np.pi, margin_factor=1e-3,
-        wave_evals=visco.wave_gram_eigenvalues(table, 1.3 * np.pi))
+        wave_evals=assemble_exponential_gram(table, 1.3 * np.pi).eigenvalues())
     assert cert["passed"]
     assert cert["closeness"]["c1_max"] > 0.0
 
