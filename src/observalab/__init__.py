@@ -13,7 +13,6 @@ from .config import (
     ConfigurationError,
     NumericalError,
     RunConfig,
-    default_config,
     load_config,
 )
 from .geometry import DomainSpec, box, disk, domain_from_config, interval, rectangle
@@ -29,7 +28,6 @@ __all__ = [
     "DomainSpec",
     "ModeTable",
     "box",
-    "default_config",
     "disk",
     "domain_from_config",
     "enumerate_modes",

@@ -96,8 +96,12 @@ class ModeCache:
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
+        try:
+            tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
+            os.replace(tmp, self.path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def cached_modes(domain: DomainSpec, N: int,

@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 70
+    except OSError as err:
+        print(f"configuration error: {err}", file=sys.stderr)
+        return 64
     return 0
 
 

@@ -264,8 +264,3 @@ def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
     if isinstance(raw, dict):
         raw = {**raw, **overrides}
     return config_from_dict(raw)
-
-
-def default_config() -> RunConfig:
-    """Built-in default: interval of length pi, N = 20."""
-    return load_config()

@@ -109,10 +109,6 @@ class QuadratureRule:
     weights: np.ndarray          # (k,)
     normals: np.ndarray | None = None  # (k, d) for boundary rules
 
-    def integrate(self, values: np.ndarray) -> complex | float:
-        """Weighted sum along the last axis."""
-        return np.asarray(values) @ self.weights
-
 
 def _legendre(q: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_q(x) and P_q'(x) by the three-term recurrence (x inside (-1, 1))."""

@@ -11,8 +11,6 @@ traces of eigenfunction pairs to interior pairings:
 * quasi-orthogonality: the lambda-normalized multiplier images of a finite
   coefficient vector have interior energy at most R^2 times the signed
   coefficient sum;
-* boundedness of the normalized boundary traces (running-supremum estimate
-  of the trace constant over random coefficient draws);
 * the closed-form boundary factor B_jk = integral psi_j psi_k dS that every
   Gram uses, against its boundary quadrature.
 
@@ -267,42 +265,3 @@ def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
         u = complex_gaussian_rows(rng, block.stop - first, 2 * pairings.table.N)
         lhs[block], rhs[block] = _quasi_orthogonality_sides(pairings, u)
     return _one_sided_report([f"quasi_orth_{i}" for i in range(draws)], lhs, rhs, slack)
-
-
-def psib_ratio(table: ModeTable, brule: QuadratureRule, a: np.ndarray) -> np.ndarray:
-    """Normalized boundary energy of signed trace combinations, one per row.
-
-    For each row a of the (rows, 2N) array
-    ratio = integral_boundary |sum a_n psi_n|^2 dS
-            / ( (sum |a_n|^2)^{1/2} (sum |lam_n a_n|^2)^{1/2} ).
-    The numerator integrates the sampled field, not a quadratic form of the
-    boundary Gram: the traces are linearly dependent (psi_{-n} = -psi_n),
-    so that form would lose the relative accuracy of a nearly cancelling
-    combination.  Scale-invariant; its supremum over coefficient draws
-    estimates the boundary trace constant of the system.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[1] != 2 * table.N:
-        raise ConfigurationError(f"coefficient rows must have shape (rows, {2 * table.N})")
-    norm0 = np.sum(np.abs(a) ** 2, axis=1)
-    if np.any(norm0 == 0.0):
-        raise ConfigurationError("trace ratio undefined for the zero vector")
-    field = a @ table.psi_matrix(brule)
-    num = brule.integrate(np.abs(field) ** 2)
-    norm1 = np.sum(np.abs(table.lambdas_signed() * a) ** 2, axis=1)
-    return num / np.sqrt(norm0 * norm1)
-
-
-def estimate_trace_constant(table: ModeTable, brule: QuadratureRule,
-                            draws: int, rng: np.random.Generator) -> dict:
-    """Running supremum of psib_ratio over random and single-mode vectors.
-
-    The 2N canonical basis vectors join the complex Gaussian draws: single
-    modes are the known near-maximizers of the ratio (it decays with the
-    mode frequency), so scanning them keeps the estimate from undershooting
-    the supremum when random draws spread mass across many modes.
-    """
-    samples = psib_ratio(table, brule, complex_gaussian_rows(rng, draws, 2 * table.N))
-    single = psib_ratio(table, brule, np.eye(2 * table.N))
-    sup = float(max(np.max(samples, initial=0.0), np.max(single)))
-    return {"sup": sup, "samples": samples, "draws": draws, "N": table.N}

@@ -665,8 +665,8 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
     if dead:
         raise NumericalError(
             f"shifted-exponential Gram numerically singular ({dead} of "
-            f"{evals.size} directions below {cutoff:.3e}); raise the "
-            "quadrature order or shrink the mode set"
+            f"{evals.size} directions below {cutoff:.3e}); shrink the "
+            "mode set"
         )
     white = vecs / np.sqrt(evals)[None, :]
     section = white.T @ D @ white

@@ -764,6 +764,34 @@ def test_malformed_riesz_summary_rows_exit_64(tmp_path, capsys, rows):
     assert "unreadable riesz summary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["out_dir_is_a_file", "cache_path_is_a_directory",
+                                  "artifact_is_a_directory"])
+def test_filesystem_errors_exit_64(tmp_path, capsys, case):
+    """An output directory, cache path or artifact path the run cannot write
+    is bad configuration (exit 64), and a failed cache save leaves no
+    temporary file behind."""
+    cfg = _write_config(tmp_path)
+    if case == "out_dir_is_a_file":
+        (tmp_path / "out").write_text("")
+    elif case == "cache_path_is_a_directory":
+        (tmp_path / "cache.json").mkdir()
+    else:
+        (tmp_path / "out" / "spectrum.csv").mkdir(parents=True)
+    assert _run("spectrum", "--config", str(cfg)) == 64
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_riesz_outside_hypothesis_row_has_an_empty_pass_cell(tmp_path):
+    """A horizon below the escape time is reported, not asserted: its pass
+    cell is empty beside the in-hypothesis row's true."""
+    cfg = _write_config(tmp_path, T_factors=[0.9, 1.5])
+    assert _run("riesz", "--config", str(cfg)) == 0
+    rows = (tmp_path / "out" / "riesz.csv").read_text().splitlines()[2:]
+    assert rows[0].endswith(",false,")
+    assert rows[1].endswith(",true,true")
+
+
 def test_control_solves_no_eigenvectors(tmp_path, monkeypatch):
     """control reads two eigenvalues of the Gram, so none of its eigensolves
     asks for eigenvectors."""

@@ -187,6 +187,32 @@ def test_boundary_factor_closed_form_vs_quadrature(kind, scale, aspect, N, q):
     assert np.max(np.abs(quad - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
+@pytest.mark.parametrize("N", [1, 2, 16, 128])
+@pytest.mark.parametrize("L", [0.01, 1.0, np.pi, 100.0])
+def test_interval_trace_constant_stays_below_four(L, N):
+    """The trace constant sup |sum a_n psi_n|^2 / (|a| |lambda a|) of the
+    signed interval traces is max over s > 0 of 4 lambda_max(d_s pos d_s),
+    d_s = diag((s + lambda_n^2/s)^-1/2).  On a log grid of s = x pi/L it
+    equals the parity-class sums (16/pi) sum_n x / (x^2 + n^2), which do
+    not involve L and stay below their full-series limits 4 tanh(pi x/2)
+    (odd n) and 4 coth(pi x/2) - 8/(pi x) (even n), both below 4.  One mode
+    gives 8/pi, at x = 1."""
+    table = enumerate_modes(interval(L), N)
+    pos = gr.trace_block(table)
+    x = np.logspace(-3.0, 3.0, 401)
+    d = (x[:, None] * np.pi / L + table.lambdas ** 2 * L / (np.pi * x[:, None])) ** -0.5
+    c = 4.0 * np.array([np.linalg.eigvalsh(ds[:, None] * pos * ds)[-1] for ds in d])
+    n = np.arange(1, N + 1)
+    terms = (16.0 / np.pi) * x[:, None] / (x[:, None] ** 2 + n ** 2)
+    odd, even = terms[:, n % 2 == 1].sum(axis=1), terms[:, n % 2 == 0].sum(axis=1)
+    assert np.max(np.abs(c - np.maximum(odd, even)) / c) <= 1e-12
+    assert np.all(odd < 4.0 * np.tanh(np.pi * x / 2))
+    assert np.all(even < 4.0 / np.tanh(np.pi * x / 2) - 8.0 / (np.pi * x))
+    assert np.max(c) < 4.0
+    if N == 1:
+        assert np.max(c) == pytest.approx(8.0 / np.pi, rel=1e-12)
+
+
 def test_quad_form_homogeneity():
     table = enumerate_modes(interval(np.pi), 5)
     G = gr.assemble_exponential_gram(table, 4.0)

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from observalab import visco
 from observalab.config import ConfigurationError, NumericalError
-from observalab.geometry import boundary_quadrature, disk, interval, rectangle
+from observalab.geometry import disk, interval, rectangle
 from observalab.gram import assemble_exponential_gram
 from observalab.modes import enumerate_modes
 
@@ -739,20 +739,17 @@ def test_q_monotone_in_excluded_set():
     assert qs[0] > qs[-1]
 
 
-def test_q_below_one_at_proof_guided_cutoff():
-    from observalab.operators import estimate_trace_constant
-
+def test_no_proof_guided_cutoff_at_n16():
+    """With the interval's trace constant 4, the cutoff threshold
+    4 * c1 / c_gamma is about 46.7 at N = 16, above lambda_16 = 16: no
+    retained frequency clears it, and the cutoff is refused."""
     table, modes = pw_setup(16, 0.5, 2.5 * np.pi)
     gamma, _ = visco.fit_gamma(modes)
     rep = visco.closeness_spectrum(modes, gamma)
-    brule = boundary_quadrature(table.domain, lam_max=float(table.lambdas[-1]))
-    c_alpha = estimate_trace_constant(table, brule, 100,
-                                      np.random.default_rng(3))["sup"]
     c_gamma, _ = visco.shifted_system_bounds(table, gamma, modes.trule, modes.T)
-    k = visco.proof_guided_exclusion(c_alpha, rep["c1_max"], c_gamma, table.lambdas)
-    assert 1 <= k <= table.N
-    q = visco.paley_wiener_q(table, modes, gamma, k)
-    assert 0.0 <= q < 1.0
+    assert 4.0 * rep["c1_max"] / c_gamma > table.lambdas[-1]
+    with pytest.raises(ConfigurationError, match="no retained frequency"):
+        visco.proof_guided_exclusion(4.0, rep["c1_max"], c_gamma, table.lambdas)
 
 
 def test_q_ill_posed_reference_system():
