@@ -103,14 +103,6 @@ class MemoryKernel:
         if self.family == "polynomial" and self.p <= 0.0:
             raise ConfigurationError("polynomial kernel needs p > 0")
 
-    def __call__(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.family == "zero":
-            return np.zeros_like(s)
-        if self.family == "exponential":
-            return self.m0 * np.exp(-self.delta * s)
-        return self.m0 * (1.0 + s) ** (-self.p)
-
     @property
     def is_zero(self) -> bool:
         return self.family == "zero" or self.m0 == 0.0
@@ -145,8 +137,15 @@ _KERNEL_ERROR = 1e-12
 _LUMP_ERROR = 1e-14
 
 
-def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w_j and rates x_j >= 0 with M(s) = sum_j w_j exp(-x_j s) on [0, T].
+def _kernel_error_gate(kernel: MemoryKernel, terms: int) -> float:
+    # a subnormal M0 has subnormal weights, whose rounding is absolute: up
+    # to one smallest subnormal per term
+    return float(_KERNEL_ERROR * kernel.m0 + terms * np.finfo(float).smallest_subnormal)
+
+
+def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weights w_j and rates x_j >= 0 with M(s) = sum_j w_j exp(-x_j s) on [0, T],
+    and the sum's sup error on [0, T], refused past _kernel_error_gate.
 
     The exponential kernel is its own one term.  M0*(1+s)^(-p) is
     M0/Gamma(p) int exp(p u - (1+s) e^u) du, summed by the trapezoid rule in
@@ -160,7 +159,7 @@ def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.nda
     to sum to M0, which makes M(0) exact.
     """
     if kernel.family == "exponential":
-        return np.array([kernel.m0]), np.array([kernel.delta])
+        return np.array([kernel.m0]), np.array([kernel.delta]), 0.0
     p = kernel.p
     h = 1.0 / np.sqrt(16.0 + 1.8 * p)
     # the nodes below v_lo carry (1 + T) sum_v p exp(p + (p + 1) v) of rate
@@ -190,18 +189,16 @@ def _exponential_sum(kernel: MemoryKernel, T: float) -> tuple[np.ndarray, np.nda
     # log(1 + s) = 40/p the kernel is below e^-40 * M0
     top = min(np.log1p(T), 40.0 / p)
     s = np.expm1(np.linspace(0.0, top, int(8.0 * top / h) + 2))
-    error = np.max(np.abs(np.exp(-np.outer(s, rates)) @ weights
-                          - kernel.m0 * np.exp(-p * np.log1p(s))))
-    # a subnormal M0 has subnormal weights, whose rounding is absolute: up
-    # to one smallest subnormal per term
-    floor = rates.size * np.finfo(float).smallest_subnormal
-    if not error <= _KERNEL_ERROR * kernel.m0 + floor:
+    error = float(np.max(np.abs(np.exp(-np.outer(s, rates)) @ weights
+                                - kernel.m0 * np.exp(-p * np.log1p(s)))))
+    gate = _kernel_error_gate(kernel, rates.size)
+    if not error <= gate:
         raise NumericalError(
             f"the sum of {rates.size} exponentials for the polynomial kernel "
             f"with p = {p:g} is off by {error:.3e} on [0, {T:g}] (gate "
-            f"{_KERNEL_ERROR:g} * M0 + {floor:.3g})"
+            f"{gate:.3g}: {_KERNEL_ERROR:g} * M0 plus a subnormal per term)"
         )
-    return weights, rates
+    return weights, rates, error
 
 
 # Every mode's sum of exponentials, sum_k |a_k| over v(0) = sum_k a_k = 1,
@@ -214,6 +211,10 @@ _ROOT_STEPS = 100
 # Elements per block of a pass over a (rows x time nodes) array: the
 # block's work arrays stay a few MB whatever N and the horizon are.
 _BLOCK = 1 << 18
+# Elements of the one work buffer of the real-root solve: its two
+# (rows x K) planes hold x_i - x_o and the pole sums' terms for a block of
+# (mode, root) pairs, a few hundred pairs at K = 72.
+_ROOT_BUFFER = 1 << 15
 _EPS = np.finfo(float).eps
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -224,57 +225,73 @@ def _real_roots(lams: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     Root k lies in (-x_{k+1}, -x_k), or left of -x_K for the last, at
     -x_o + sign * delta with o the gap end nearer to it (the sign of f at
     the gap's middle decides) and delta in (0, top]: half the gap, or
-    2 W lam^2 / (lam^2 + x_K^2), W = sum w, for the last.  s + x_i is formed
-    as (x_i - x_o) + sign * delta, so no root loses digits to its pole.
-    Newton steps on psi(delta) = -sign * delta * f(s), smooth at 0 with
-    psi(0) = -w_o < 0 <= psi(top), fall back to bisection outside the
-    bracket and stop where it holds no float between its ends (subnormal
-    roots too).  Returns the roots, their distances |mu_k + x_k| from the
-    pole right of them, and their residues -delta (mu - i lam) /
-    (lam^2 psi'(delta)) = (mu - i lam) / (lam^2 f'(mu)).
+    2 W lam^2 / (lam^2 + x_K^2), W = sum w, for the last.  Newton steps on
+    psi(delta) = -sign * delta * f(s), smooth at 0 with psi(0) = -w_o < 0
+    <= psi(top), fall back to bisection outside the bracket and stop where
+    it holds no float between its ends (subnormal roots too).  One loop
+    steps every (mode, root) pair not yet converged.  psi's pole sums
+    sum_{i != o} w_i / r_i and sum_{i != o} w_i (x_i - x_o) / r_i^2, with
+    s + x_i formed as r_i = (x_i - x_o) + sign * delta so that no root
+    loses digits to its pole, are products with w of blocks of rows of one
+    _ROOT_BUFFER-element buffer.  Returns the roots, their distances
+    |mu_k + x_k| from the pole right of them, and their residues -delta
+    (mu - i lam) / (lam^2 psi'(delta)) = (mu - i lam) / (lam^2 f'(mu)), each (N, K).
     """
     n, K = lams.size, x.size
-    lam = lams[:, None]
     k = np.arange(K)
     half = 0.5 * np.diff(x)
     # f at each gap's middle, with s + x_i = (x_i - x_k) - half_k
     middle = (x - x[:-1, None]) - half[:, None]
-    f_mid = 1.0 + ((x[:-1] + half) / lam) ** 2 + (w / middle).sum(axis=1)
+    f_mid = 1.0 + ((x[:-1] + half) / lams[:, None]) ** 2 + (w / middle).sum(axis=1)
     o = np.full((n, K), K - 1)
     o[:, :-1] = np.where(f_mid > 0.0, k[:-1], k[1:])
-    sign = np.where(o == k, -1.0, 1.0)
     top = np.empty((n, K))
     top[:, :-1] = half
     top[:, -1] = 2.0 * w.sum() / (1.0 + (x[-1] / lams) ** 2)
+    # one entry per (mode, root) pair, mode-major
+    o, top = o.ravel(), top.ravel()
+    lam = np.repeat(lams, K)
+    sign = np.where(o == np.tile(k, n), -1.0, 1.0)
     x_o, w_o = x[o], w[o]
-    # the pole's own term is psi's constant -w_o: its slot gets weight 0
-    # and a distance that cannot vanish
-    own = o[:, :, None] == k
-    W = np.where(own, 0.0, w)
-    d = np.where(own, sign[:, :, None], x - x_o[:, :, None])
-    Wd = W * d
+    buffer = np.empty(max(2 * K, _ROOT_BUFFER))
+    rows = buffer.size // (2 * K)
 
-    def psi(delta):
-        s = sign * delta - x_o
-        q = 1.0 + (s / lam) ** 2
-        r = np.add(d, (sign * delta)[:, :, None])          # s + x_i, then its inverse
-        np.reciprocal(r, out=r)
-        value = -sign * delta * (q + np.einsum("nki,nki->nk", W, r)) - w_o
-        r *= r
-        slope = -sign * (q + 2.0 * sign * delta * (s / lam) / lam
-                         + np.einsum("nki,nki->nk", Wd, r))
+    def psi(delta, at):
+        """psi and psi' at delta for the pairs at."""
+        sums = np.empty((2, at.size))
+        for first in range(0, at.size, rows):
+            block = slice(first, first + rows)
+            pairs = at[block]
+            d, r = buffer[:2 * K * pairs.size].reshape(2, pairs.size, K)
+            np.subtract(x, x_o[pairs, None], out=d)
+            np.add(d, (sign[pairs] * delta[block])[:, None], out=r)      # s + x_i
+            np.reciprocal(r, out=r)
+            # the pole's own term is psi's constant -w_o
+            r[np.arange(pairs.size), o[pairs]] = 0.0
+            sums[0, block] = r @ w
+            r *= r
+            r *= d
+            sums[1, block] = r @ w
+        sgn, lam_at = sign[at], lam[at]
+        s = sgn * delta - x_o[at]
+        q = 1.0 + (s / lam_at) ** 2
+        value = -sgn * delta * (q + sums[0]) - w_o[at]
+        slope = -sgn * (q + 2.0 * sgn * delta * (s / lam_at) / lam_at + sums[1])
         return value, slope
 
-    value, slope = psi(np.zeros((n, K)))
+    every = np.arange(n * K)
+    # 1/0 in each pole's own slot, zeroed after, under _mode_exponents' errstate
+    _, slope = psi(np.zeros(n * K), every)
     start = w_o / slope                      # the root of psi's tangent at 0
     delta = np.where((start > 0.0) & (start < top), start, 0.5 * top)
-    lo, hi = np.zeros((n, K)), top.copy()
-    done = np.zeros((n, K), dtype=bool)
+    # the pairs still iterating, and their brackets
+    active, lo, hi = every, np.zeros(n * K), top
     for _ in range(_ROOT_STEPS):
-        value, slope = psi(delta)
-        lo = np.where(value < 0.0, delta, lo)
-        hi = np.where(value >= 0.0, delta, hi)
-        step = delta - value / slope
+        now = delta[active]
+        value, slope = psi(now, active)
+        lo = np.where(value < 0.0, now, lo)
+        hi = np.where(value >= 0.0, now, hi)
+        step = now - value / slope
         mid = 0.5 * (lo + hi)
         # a tangent that passes 0 from a bracket starting at 0 puts the root
         # below the smallest float step: that step is tried next
@@ -282,19 +299,20 @@ def _real_roots(lams: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
                        np.where((lo == 0.0) & (step <= 0.0), _TINY, mid))
         # a step back onto an end of the bracket finds nothing new: rounding
         # in psi has the last word there
-        converged = ((value == 0.0) | (np.abs(nxt - delta) <= 4.0 * _EPS * nxt)
+        converged = ((value == 0.0) | (np.abs(nxt - now) <= 4.0 * _EPS * nxt)
                      | (nxt == lo) | (nxt == hi) | (hi - lo <= 4.0 * _EPS * hi))
-        delta = np.where(done | (value == 0.0), delta, nxt)
-        done |= converged
-        if done.all():
+        delta[active] = np.where(value == 0.0, now, nxt)
+        active, lo, hi = active[~converged], lo[~converged], hi[~converged]
+        if not active.size:
             break
     else:
         raise NumericalError("memory-mode secular equation did not converge at "
-                             f"lam = {lams[~done.all(axis=1)][0]:g}")
-    _, slope = psi(delta)
+                             f"lam = {lam[active[0]]:g}")
+    _, slope = psi(delta, every)
     roots = sign * delta - x_o
-    offsets = np.where(o == k, delta, 2.0 * np.append(half, 0.0) - delta)
-    return roots, offsets, -delta * (roots - 1j * lam) / (lam**2 * slope)
+    offsets = np.where(sign < 0.0, delta, np.tile(2.0 * np.append(half, 0.0), n) - delta)
+    residues = -delta * (roots - 1j * lam) / (lam**2 * slope)
+    return roots.reshape(n, K), offsets.reshape(n, K), residues.reshape(n, K)
 
 
 def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
@@ -312,9 +330,11 @@ def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
     like-signed sums and products, good to a few roundings.  The amplitudes
     are the residues (mu - i lam) / (lam^2 f'(mu)).  Returns mu and a, both
     (N, K + 2), with v_n(tau) = sum_k a_nk exp(mu_nk tau), and the sums
-    z_n(T) = v_n(0) and z_n'(T) = -v_n'(0) that check the residues.  Work
-    arrays hold at most _BLOCK elements; a mode whose sum_k |a_k| is not
-    finite or passes _AMPLIFICATION_GATE is refused with its lam.
+    z_n(T) = v_n(0) and z_n'(T) = -v_n'(0) that check the residues.  All
+    modes are solved at once: every work array is (N, K) or smaller, and
+    the real roots' pole sums go through _real_roots' one buffer.  A mode
+    whose sum_k |a_k| is not finite or passes _AMPLIFICATION_GATE is
+    refused with its lam.
     """
     keep = weights > 0.0
     x, slot = np.unique(rates[keep], return_inverse=True)
@@ -322,22 +342,19 @@ def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
     K = x.size
     mu = np.empty((lams.size, K + 2), dtype=complex)
     amp = np.empty_like(mu)
-    rows = max(1, _BLOCK // max(1, K * K))
     with np.errstate(all="ignore"):          # non-finite results are refused below
-        for lo in range(0, lams.size, rows):
-            lam = lams[lo:lo + rows]
-            center, square = np.zeros(lam.size), lam**2
-            if K:
-                mu[lo:lo + rows, 2:], offsets, amp[lo:lo + rows, 2:] = _real_roots(lam, w, x)
-                center = 0.5 * offsets.sum(axis=1)
-                lead = (x[0] * (1.0 + np.sum(w[1:] / x[1:])) + w[0]) / (x[0] + offsets[:, 0])
-                square = square * lead * np.prod(x[1:] / (x[1:] + offsets[:, 1:]), axis=1)
-            pair = center + 1j * np.sqrt(square - center**2)
-            for col, root in enumerate((pair, np.conj(pair))):
-                # lam^2 f'(mu) = 2 mu - lam^2 sum_j w_j / (mu + x_j)^2
-                slope = 2.0 * root - lam**2 * ((1.0 / (root[:, None] + x) ** 2) @ w)
-                mu[lo:lo + rows, col] = root
-                amp[lo:lo + rows, col] = (root - 1j * lam) / slope
+        center, square = np.zeros(lams.size), lams**2
+        if K:
+            mu[:, 2:], offsets, amp[:, 2:] = _real_roots(lams, w, x)
+            center = 0.5 * offsets.sum(axis=1)
+            lead = (x[0] * (1.0 + np.sum(w[1:] / x[1:])) + w[0]) / (x[0] + offsets[:, 0])
+            square = square * lead * np.prod(x[1:] / (x[1:] + offsets[:, 1:]), axis=1)
+        pair = center + 1j * np.sqrt(square - center**2)
+        for col, root in enumerate((pair, np.conj(pair))):
+            # lam^2 f'(mu) = 2 mu - lam^2 sum_j w_j / (mu + x_j)^2
+            slope = 2.0 * root - lams**2 * ((1.0 / (root[:, None] + x) ** 2) @ w)
+            mu[:, col] = root
+            amp[:, col] = (root - 1j * lams) / slope
         values = np.sum(amp, axis=1)
         slopes = -np.sum(amp * mu, axis=1)
         gain = np.sum(np.abs(amp), axis=1)
@@ -375,7 +392,10 @@ class MemoryModes:
 
     samples has shape (N, nodes); row n belongs to lambdas[n].  No node is
     T itself.  The terminal residuals |z_n(T) - 1| and |z_n'(T) - i*lam_n|
-    sit at solver rounding; solve_memory_modes checks them.
+    sit at solver rounding; solve_memory_modes checks them.  kernel_sum
+    records the kernel's sum of exponentials and the gates it passed: its
+    terms, its sup error on [0, T] and _kernel_error_gate, and the largest
+    residue sum sum_k |a_k| of a mode and _AMPLIFICATION_GATE.
     """
 
     lambdas: np.ndarray
@@ -385,10 +405,7 @@ class MemoryModes:
     kernel: MemoryKernel
     terminal_residuals: np.ndarray
     terminal_slope_residuals: np.ndarray
-
-    def signed(self) -> np.ndarray:
-        """Time factors in the signed order [1..N, -1..-N]: [Z; conj Z]."""
-        return np.vstack([self.samples, np.conj(self.samples)])
+    kernel_sum: dict
 
 
 # gates on each mode's terminal data: |v(T) - 1| and |v'(T) - i lam| / lam
@@ -420,10 +437,14 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
         trule = time_rule(T, lam_max)
         samples = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
         values, slopes = np.ones(lams.size), 1j * lams
+        terms, error, gain = 0, 0.0, np.ones(1)     # the rotation's one unit amplitude
     else:
-        mu, amp, values, slopes = _mode_exponents(lams, *_exponential_sum(kernel, T))
+        weights, rates, error = _exponential_sum(kernel, T)
+        terms = rates.size
+        mu, amp, values, slopes = _mode_exponents(lams, weights, rates)
+        gain = np.sum(np.abs(amp), axis=1)
         # |v(tau)| <= sum_k |a_k| exp(max Re mu * tau): checked before evaluating
-        growth = np.max(mu.real, axis=1) * T + np.log(np.sum(np.abs(amp), axis=1))
+        growth = np.max(mu.real, axis=1) * T + np.log(gain)
         bad = growth > np.log(_GROWTH_GATE)
         if bad.any():
             raise NumericalError(
@@ -442,7 +463,12 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
             raise NumericalError(f"terminal value off by {value:.3e} at lam = {lam:g}")
         if slope > TERMINAL_SLOPE_GATE * lam:
             raise NumericalError(f"terminal slope off by {slope:.3e} at lam = {lam:g}")
-    return MemoryModes(lams, float(T), trule, samples, kernel, residuals, slope_residuals)
+    kernel_sum = {"terms": terms, "error": error,
+                  "error_gate": _kernel_error_gate(kernel, terms),
+                  "residue_sum_max": float(np.max(gain)),
+                  "residue_sum_gate": _AMPLIFICATION_GATE}
+    return MemoryModes(lams, float(T), trule, samples, kernel, residuals, slope_residuals,
+                       kernel_sum)
 
 
 # ----------------------------------------------------------------------
@@ -560,10 +586,19 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
 
 def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
-    """L2 distance on the time rule of each mode to exp((gamma + i*lam)(t - T))."""
+    """L2 distance on the time rule of each mode to exp((gamma + i*lam)(t - T)),
+    _BLOCK elements at a time."""
     base = modes.trule.nodes[:, 0] - modes.T
-    refs = np.exp(np.outer(gamma + 1j * modes.lambdas, base))
-    return np.abs(modes.samples - refs) ** 2 @ modes.trule.weights
+    rows = max(1, _BLOCK // base.size)
+    distances = np.empty(modes.lambdas.size)
+    for lo in range(0, distances.size, rows):
+        diff = np.outer(gamma + 1j * modes.lambdas[lo:lo + rows], base)
+        np.exp(diff, out=diff)
+        diff -= modes.samples[lo:lo + rows]
+        square = np.abs(diff)
+        square *= square
+        distances[lo:lo + rows] = square @ modes.trule.weights
+    return distances
 
 
 def closeness_spectrum(modes: MemoryModes, gamma: complex) -> dict:
@@ -754,6 +789,7 @@ def memory_riesz_certificate(table: ModeTable, kernel: MemoryKernel, T: float, *
         "N": table.N,
         "T": float(T),
         "kernel": kernel.describe(),
+        "kernel_sum": modes.kernel_sum,
         "gamma": complex(gamma),
         "fit": fit_info,
         "closeness": closeness,

@@ -35,6 +35,16 @@ def duhamel_weights(lams: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
     return p0, p1, q0, p0
 
 
+def kernel_values(kernel, s) -> np.ndarray:
+    """M(s) of a visco.MemoryKernel, from its family's formula."""
+    s = np.asarray(s, dtype=float)
+    if kernel.family == "zero":
+        return np.zeros_like(s)
+    if kernel.family == "exponential":
+        return kernel.m0 * np.exp(-kernel.delta * s)
+    return kernel.m0 * (1.0 + s) ** (-kernel.p)
+
+
 def march_memory(lams: np.ndarray, kernel, tau: np.ndarray) -> np.ndarray:
     """March v for every mode forward on the uniform grid tau under the
     visco.MemoryKernel kernel; shape (N, len(tau)).
@@ -47,7 +57,7 @@ def march_memory(lams: np.ndarray, kernel, tau: np.ndarray) -> np.ndarray:
     """
     n = tau.size
     h = float(tau[1] - tau[0])
-    mker = np.asarray(kernel(tau), dtype=float)
+    mker = kernel_values(kernel, tau)
     c, s = np.cos(lams * h), np.sin(lams * h)
     p0, p1, q0, q1 = duhamel_weights(lams, h)
     lam2 = lams**2

@@ -154,7 +154,7 @@ def test_criterion_06_memory_solver_reduction_and_order():
         assert abs(z[-1] - 1.0) <= 1e-8
     # empirical order against the closed form, evaluated on the march grid
     lam, kernel = 10.0, exponential_kernel(0.5, 1.0)
-    mu, amp, _, _ = _mode_exponents(np.array([lam]), *_exponential_sum(kernel, T))
+    mu, amp, _, _ = _mode_exponents(np.array([lam]), *_exponential_sum(kernel, T)[:2])
     errs = []
     for n in (513, 1025):
         tgrid = np.linspace(0.0, T, n)

@@ -19,11 +19,16 @@ from observalab.geometry import disk, interval, rectangle
 from observalab.gram import assemble_exponential_gram
 from observalab.modes import enumerate_modes
 
-from memory_march import duhamel_weights, march_memory
+from memory_march import duhamel_weights, kernel_values, march_memory
 
 
 def interval_setup(N):
     return enumerate_modes(interval(np.pi), N)
+
+
+def signed(modes):
+    """Time factors in the signed order [1..N, -1..-N]: [Z; conj Z]."""
+    return np.vstack([modes.samples, np.conj(modes.samples)])
 
 
 def march(lam, kernel, tgrid):
@@ -34,7 +39,7 @@ def march(lam, kernel, tgrid):
 def exact(lam, kernel, tgrid):
     """One-mode closed form of z on the forward grid tgrid, with T = tgrid[-1]."""
     T = tgrid[-1]
-    mu, amp, _, _ = visco._mode_exponents(np.array([lam]), *visco._exponential_sum(kernel, T))
+    mu, amp, _, _ = visco._mode_exponents(np.array([lam]), *visco._exponential_sum(kernel, T)[:2])
     return visco._evaluate(mu, amp, T - tgrid)[0]
 
 
@@ -70,7 +75,7 @@ def _fit_gamma_dense(modes):
     lams = modes.lambdas
     w = modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    Z = modes.signed()
+    Z = signed(modes)
     lams_signed = np.concatenate([lams, -lams])
     osc = np.exp(1j * np.outer(lams_signed, base))
     scale = np.abs(lams_signed)[:, None] * np.sqrt(w)[None, :]
@@ -129,7 +134,7 @@ def test_exact_path_matches_expm_oracle():
     """
     lam, T = 5.0, 4.0
     for kernel in (visco.exponential_kernel(0.4, 1.0), visco.polynomial_kernel(0.3, 2.5)):
-        w, x = visco._exponential_sum(kernel, T)
+        w, x, _ = visco._exponential_sum(kernel, T)
         k = w.size + 2
         A = np.zeros((k, k))
         A[0, 1] = 1.0
@@ -198,10 +203,67 @@ def test_secular_closed_form_matches_the_expm_oracle(family, m0, log_rate, log_l
     if kernel.is_zero:
         ref, norm = np.exp(-1j * lam * tau), lam
     else:
-        w, x = visco._exponential_sum(kernel, T)
+        w, x, _ = visco._exponential_sum(kernel, T)
         ref, norm = _expm_oracle(lam, w, x, tau), lam + x.max() + w.sum()
     tol = 1e-13 * (1.0 + norm * T) * max(1.0, np.max(np.abs(ref)))
     assert np.max(np.abs(modes.samples[0, nodes] - ref)) <= tol
+
+
+@pytest.mark.parametrize("kernel", [
+    visco.exponential_kernel(0.5, 1.0), visco.polynomial_kernel(0.2, 0.7),
+    visco.polynomial_kernel(0.2, 2.0), visco.polynomial_kernel(0.2, 5.0),
+], ids=["exponential", "p0.7", "p2", "p5"])
+@pytest.mark.parametrize("domain, N", [(interval(np.pi), 128), (disk(1.0), 128),
+                                       (disk(1.0), 20)], ids=["interval128", "disk128", "disk20"])
+def test_blocked_root_solve_matches_one_mode_solves_and_expm(monkeypatch, kernel, domain, N):
+    """The real roots' pole sums go through one buffer a block of (mode,
+    root) pairs at a time.  With a budget of one pair per block, and with
+    blocks of 7 pairs, which divide none of the N K pairs here, every mode
+    of one batched solve matches its own one-mode solve (default budget)
+    within 1e-13: mu relative to itself, each amplitude relative to the
+    mode's largest.  Eight of the modes, the highest included, match
+    scipy's expm of the state system within the bound of
+    test_secular_closed_form_matches_the_expm_oracle, which grows with the
+    system's norm as expm's own error does."""
+    T = 5.0 * domain.R
+    lams = enumerate_modes(domain, N).lambdas
+    w, x, _ = visco._exponential_sum(kernel, T)
+    K = np.unique(x[w > 0.0]).size
+    assert (N * K) % 7 and (kernel.family == "exponential") == (K == 1)
+    alone = [visco._mode_exponents(lams[n:n + 1], w, x)[:2] for n in range(N)]
+    mu_1 = np.concatenate([mu for mu, _ in alone])
+    amp_1 = np.concatenate([amp for _, amp in alone])
+    for budget in (1, 2 * K * 7 + K):
+        monkeypatch.setattr(visco, "_ROOT_BUFFER", budget)
+        mu, amp, _, _ = visco._mode_exponents(lams, w, x)
+        assert np.all(np.abs(mu - mu_1) <= 1e-13 * np.abs(mu_1)), budget
+        scale = np.max(np.abs(amp_1), axis=1, keepdims=True)
+        assert np.all(np.abs(amp - amp_1) <= 1e-13 * scale), budget
+    tau = np.linspace(0.0, T, 5)
+    for n in np.linspace(0, N - 1, 8).astype(int):
+        v = visco._evaluate(mu[n:n + 1], amp[n:n + 1], tau)[0]
+        ref = _expm_oracle(lams[n], w, x, tau)
+        tol = 1e-13 * (1.0 + (lams[n] + x.max() + w.sum()) * T) * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(v - ref)) <= tol, lams[n]
+
+
+def test_root_solve_traced_peak_stays_below_one_pair_table():
+    """No (N, K, K) array: numpy reports its allocations to tracemalloc.
+
+    At disk N = 128 with polynomial(0.2, 2) at the visco horizon T = 5 the
+    sum holds K = 72 terms, so one float per (mode, root, pole) would be
+    128 * 72^2 * 8 B = 5.3 MB; the solve's own arrays are (N, K).
+    """
+    lams = enumerate_modes(disk(1.0), 128).lambdas
+    w, x, _ = visco._exponential_sum(visco.polynomial_kernel(0.2, 2.0), 5.0)
+    assert x.size == 72
+    tracemalloc.start()
+    try:
+        visco._mode_exponents(lams, w, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lams.size * x.size**2 * 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,10 +429,10 @@ def test_polynomial_kernel_sum_of_exponentials_is_within_1e_12(m0, log_p, log_T)
     (uniform in s and in log s), below 1e-12 * M0, with positive weights."""
     p, T = 10.0**log_p, 10.0**log_T
     kernel = visco.polynomial_kernel(m0, p)
-    w, x = visco._exponential_sum(kernel, T)
+    w, x, _ = visco._exponential_sum(kernel, T)
     assert np.all(w >= 0.0) and np.all(x >= 0.0) and w.size <= visco.K_MAX
     s = np.concatenate([np.linspace(0.0, T, 3001), np.geomspace(1e-4, T, 3001)])
-    assert np.max(np.abs(np.exp(-np.outer(s, x)) @ w - kernel(s))) <= 1e-12 * m0
+    assert np.max(np.abs(np.exp(-np.outer(s, x)) @ w - kernel_values(kernel, s))) <= 1e-12 * m0
 
 
 def test_polynomial_kernel_sum_checks_its_error_at_run_time(monkeypatch):
@@ -392,12 +454,12 @@ def test_mirror_solution_is_conjugate():
     """The signed rows [Z; conj Z] hold the negative-frequency solutions."""
     ker = visco.exponential_kernel(0.3, 1.0)
     modes = visco.solve_memory_modes([4.0], ker, 3.0)
-    signed = modes.signed()
-    assert np.array_equal(signed[0], modes.samples[0])
-    assert np.array_equal(signed[1], np.conj(modes.samples[0]))
+    rows = signed(modes)
+    assert np.array_equal(rows[0], modes.samples[0])
+    assert np.array_equal(rows[1], np.conj(modes.samples[0]))
     # the conjugate really does solve the negative-frequency problem
     direct = _exact_exponential_oracle([-4.0], ker, modes.trule.nodes[:, 0], 3.0)[0]
-    assert np.max(np.abs(signed[1] - direct)) <= 1e-12
+    assert np.max(np.abs(rows[1] - direct)) <= 1e-12
 
 
 def _decouple_grid():
@@ -455,11 +517,12 @@ def test_duhamel_weight_branches_agree_at_the_switch():
 def test_kernel_families_evaluate():
     s = np.array([0.0, 0.5, 2.0])
     ker = visco.exponential_kernel(0.5, 2.0)
-    assert np.allclose(ker(s), 0.5 * np.exp(-2.0 * s))
-    assert ker(0.0) == ker.m0 == 0.5
+    assert np.allclose(kernel_values(ker, s), 0.5 * np.exp(-2.0 * s))
+    assert kernel_values(ker, 0.0) == ker.m0 == 0.5
     pol = visco.polynomial_kernel(0.3, 2.0)
-    assert np.allclose(pol(s), 0.3 * (1.0 + s) ** -2.0)
-    assert np.all(visco.zero_kernel()(s) == 0.0) and visco.zero_kernel().m0 == 0.0
+    assert np.allclose(kernel_values(pol, s), 0.3 * (1.0 + s) ** -2.0)
+    assert np.all(kernel_values(visco.zero_kernel(), s) == 0.0)
+    assert visco.zero_kernel().m0 == 0.0
     assert visco.zero_kernel().is_zero
     assert visco.exponential_kernel(0.0).is_zero
     assert not ker.is_zero
@@ -515,7 +578,7 @@ def _dense_objective(modes, gamma):
     base = modes.trule.nodes[:, 0] - modes.T
     lams_signed = np.concatenate([modes.lambdas, -modes.lambdas])
     ref = np.exp(np.outer(gamma + 1j * lams_signed, base))
-    return float((lams_signed**2) @ (np.abs(modes.signed() - ref) ** 2 @ w))
+    return float((lams_signed**2) @ (np.abs(signed(modes) - ref) ** 2 @ w))
 
 
 _FIT_KERNELS = st.one_of(
@@ -843,6 +906,34 @@ def test_certificate_polynomial_kernel_march_path():
         wave_evals=assemble_exponential_gram(table, 1.3 * np.pi).eigenvalues())
     assert cert["passed"]
     assert cert["closeness"]["c1_max"] > 0.0
+
+
+def test_certificate_reports_the_kernel_sum_and_its_gates():
+    """Each certificate carries its kernel's sum of exponentials: the terms,
+    the sum's sup error with the gate it passed, and the largest residue sum
+    sum_k |a_k| (at least |sum_k a_k| = 1) with _AMPLIFICATION_GATE."""
+    table, T = interval_setup(8), 2.5 * np.pi
+    wave_evals = assemble_exponential_gram(table, T).eigenvalues()
+    records = {}
+    for kernel in (visco.zero_kernel(), visco.exponential_kernel(0.5, 1.0),
+                   visco.polynomial_kernel(0.2, 2.0), visco.polynomial_kernel(2.2e-311, 2.0)):
+        cert = visco.memory_riesz_certificate(table, kernel, T, margin_factor=1e-3,
+                                              wave_evals=wave_evals)
+        record = records[kernel.describe()] = cert["kernel_sum"]
+        assert record["error"] <= record["error_gate"]
+        assert 1.0 <= record["residue_sum_max"] <= record["residue_sum_gate"] == 1e8
+    assert records["0"] == {"terms": 0, "error": 0.0, "error_gate": 0.0,
+                            "residue_sum_max": 1.0, "residue_sum_gate": 1e8}
+    assert records["0.5*exp(-1 s)"]["terms"] == 1 and records["0.5*exp(-1 s)"]["error"] == 0.0
+    w, x, error = visco._exponential_sum(visco.polynomial_kernel(0.2, 2.0), T)
+    mu, amp, _, _ = visco._mode_exponents(table.lambdas, w, x)
+    assert records["0.2*(1+s)^(-2)"] == {
+        "terms": x.size, "error": error, "error_gate": 1e-12 * 0.2,
+        "residue_sum_max": float(np.max(np.sum(np.abs(amp), axis=1))),
+        "residue_sum_gate": 1e8}
+    assert 0.0 < error <= 1e-12 * 0.2
+    # a subnormal M0's gate allows one smallest subnormal per term
+    assert records["2.2e-311*(1+s)^(-2)"]["error_gate"] > 1e-12 * 2.2e-311
 
 
 def test_certificate_rejects_short_horizon():
