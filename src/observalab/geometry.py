@@ -12,7 +12,8 @@ boundary constant C_Omega = max_{boundary} m(x).nu(x) closed-form:
 Points are arrays of shape (k, d); boundary and time rules hold nodes,
 positive weights, and (for boundary rules) outward normals.  The interior
 rule is held only as its 1D factors.  time_rule is the one rule for every
-time integral: composite Gauss-Legendre on [0, T].
+time integral: composite Gauss-Legendre on [0, T], whose T - t
+time_offsets splits by panel.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def _panel_count(lam_max: float, length: float, q: int) -> int:
 # frequency along both sides), and so does a horizon of many periods of the
 # top frequency.
 MAX_RULE_NODES = 1 << 17
+# Gauss-Legendre nodes per panel of the time rule
+_TIME_Q = 16
 
 
 def time_rule(T: float, lam_max: float) -> QuadratureRule:
@@ -176,16 +179,31 @@ def time_rule(T: float, lam_max: float) -> QuadratureRule:
     error on a time Gram at rounding level.  No node sits at t = T.  A rule
     past MAX_RULE_NODES nodes is refused before it is built.
     """
-    q = 16
-    nodes = q * _panel_count(2.0 * lam_max, T, q)
+    nodes = _TIME_Q * _panel_count(2.0 * lam_max, T, _TIME_Q)
     if nodes > MAX_RULE_NODES:
         raise ConfigurationError(
             f"the time quadrature on [0, {T:g}] would need {nodes} nodes for "
             f"modes up to frequency {lam_max:g} (limit {MAX_RULE_NODES}); use "
             "a shorter horizon or fewer modes"
         )
-    t, w = _gl_panels(0.0, T, nodes // q, q)
+    t, w = _gl_panels(0.0, T, nodes // _TIME_Q, _TIME_Q)
     return QuadratureRule(nodes=t[:, None], weights=w)
+
+
+def time_offsets(T: float, trule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """T - t at the nodes of trule = time_rule(T, .) split by its panels:
+    A (panels,) and B (16,) with T - t = A[p] + B[j] at node j of panel p,
+    within a few ulp(T).
+
+    A holds the distances of the panels' right edges from T, B the nodes'
+    distances to the left of their panel's right edge on the nominal width
+    T / panels; both are >= 0.  They come from the rule's own edges and
+    Gauss-Legendre nodes.
+    """
+    panels = trule.weights.size // _TIME_Q
+    edges = np.linspace(0.0, T, panels + 1)
+    ref_x, _ = gauss_legendre(_TIME_Q)
+    return T - edges[1:], 0.5 * (T / panels) * (1.0 - ref_x)
 
 
 def interior_quadrature(domain: DomainSpec, q: int = 32,

@@ -233,9 +233,10 @@ def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
 # sampled (trace-driven) assembly
 
 
-# Time nodes per block of the sampled Gram's sum: the weighted rows of a
-# block are (2N x 4096), 8 MB at N = 128, whatever the horizon.
-_TIME_BLOCK = 4096
+# Elements of one block of the sampled Gram's weighted (2N x nodes) rows:
+# a block is 1 MB, and so is its product of samples and phases, whatever N
+# and the horizon.
+_SAMPLE_BLOCK = 1 << 17
 
 
 def sampled_block(table: ModeTable, samples: np.ndarray,
@@ -243,18 +244,24 @@ def sampled_block(table: ModeTable, samples: np.ndarray,
     """The real 2N x 2N form S of the Gram of { z_n psi_n } (module docstring),
     T the length of trule, from samples (N, nodes) of z_1..z_N at its nodes.
 
-    The time sum runs over blocks of _TIME_BLOCK nodes, one symmetric real
-    product each.  S may be singular: zero members are allowed here, not in
-    GramMatrix."""
+    The time sum runs over blocks of nodes whose 2N rows hold at most
+    _SAMPLE_BLOCK elements, one symmetric real product each.  S may be
+    singular: zero members are allowed here, not in GramMatrix."""
     w = trule.weights
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != (table.N, w.size):
         raise ConfigurationError("sample array does not match (N, time nodes)")
     centre = np.exp(0.5j * float(np.sum(w)) * table.lambdas)[:, None]
-    gram = np.zeros((2 * table.N, 2 * table.N))
-    for lo in range(0, w.size, _TIME_BLOCK):
-        z = samples[:, lo:lo + _TIME_BLOCK] * centre
-        rows = np.concatenate([z.imag, -z.real]) * np.sqrt(w[lo:lo + _TIME_BLOCK])
+    N = table.N
+    gram = np.zeros((2 * N, 2 * N))
+    cols = max(1, _SAMPLE_BLOCK // (2 * N))
+    for lo in range(0, w.size, cols):
+        z = samples[:, lo:lo + cols] * centre
+        root = np.sqrt(w[lo:lo + cols])
+        rows = np.empty((2 * N, root.size))
+        np.multiply(z.imag, root, out=rows[:N])
+        np.multiply(z.real, root, out=rows[N:])
+        np.negative(rows[N:], out=rows[N:])
         gram += rows @ rows.T
     pos = trace_block(table)
     return 2.0 * np.block([[pos, pos], [pos, pos]]) * gram

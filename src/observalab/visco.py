@@ -21,15 +21,19 @@ closed form and batched over the modes (_mode_exponents; Golub, SIAM
 Review 15, 1973).  The tests' reference march (tests/memory_march.py),
 second order on a uniform grid, checks that closed form independently.
 
-The result is a MemoryModes array of N modes x time nodes.  The
+The result is a MemoryModes array of N modes x time nodes: each mode's sum
+of K + 2 exponentials at the rule's nodes (_evaluate), the K real ones
+factored by the rule's panels, so that a mode takes K (P + q) real
+exponentials on P panels of q nodes rather than one per term and node.  The
 negative-frequency partners are the complex conjugates of the positive
 ones, which is exact for the real kernels built here, so every Gram of
 the signed modes is built from the positive ones alone, as one real block
 of gram.GramMatrix (gram.assemble_sampled_gram).  On top of the modes sit
 the diagnostics that certify the memory-perturbed boundary trace system: a
 fitted real decay rate gamma, the L2 distances of the modes to their
-shifted exponential references, a finite-section Paley-Wiener quotient,
-and a Riesz certificate from the sampled Gram.  closeness_spectrum and
+shifted exponential references with their decay law (two least-squares
+lines in closed form), a finite-section Paley-Wiener quotient, and a Riesz
+certificate from the sampled Gram.  closeness_spectrum and
 memory_riesz_certificate return plain records: a certificate, with its
 closeness record inside, is what the visco command writes for a kernel.
 
@@ -53,7 +57,7 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
-from .geometry import QuadratureRule, time_rule
+from .geometry import QuadratureRule, time_offsets, time_rule
 from .gram import assemble_sampled_gram, sampled_block
 from .modes import ModeTable
 
@@ -367,23 +371,41 @@ def _mode_exponents(lams: np.ndarray, weights: np.ndarray, rates: np.ndarray
     return mu, amp, values, slopes
 
 
-def _evaluate(mu: np.ndarray, amp: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """sum_k amp_nk exp(mu_nk tau) for every mode n at every tau, in blocks.
+def _evaluate(mu: np.ndarray, amp: np.ndarray, trule: QuadratureRule, T: float) -> np.ndarray:
+    """sum_k amp_nk exp(mu_nk (T - t)) for every mode n at the nodes t of trule.
 
     mu is laid out as _mode_exponents returns it: the complex pair in the
-    first two columns, then the real roots, whose exponentials are real and
-    cost a fraction of complex ones.
+    first two columns, the second exactly the conjugate of the first, so
+    one complex exponential per node and its conjugate serve both; then the
+    K real roots, whose exponentials factor by the rule's panels.  At node j
+    of panel p, T - t = A_p + B_j (geometry.time_offsets), so
+    exp(mu (T - t)) = exp(mu A_p) exp(mu B_j), both factors at most 1 as
+    every real root is negative: K (P + q) real exponentials per mode, not
+    K P q, and the real roots' sum over a block of panels is one real
+    product (panels x K) @ (K x 2q), the amplitudes' real and imaginary
+    parts side by side.  Modes go one at a time and panels in blocks, so
+    every work array holds about _BLOCK elements or fewer.
     """
-    out = np.empty((mu.shape[0], tau.size), dtype=complex)
-    real = mu[:, 2:].real
-    parts = np.stack([amp[:, 2:].real, amp[:, 2:].imag], axis=1)     # (N, 2, K)
-    cols = max(1, _BLOCK // mu.shape[1])
+    A, B = time_offsets(T, trule)
+    q = B.size
+    tau = (T - trule.nodes[:, 0]).reshape(A.size, q)
+    out = np.empty((mu.shape[0], A.size, q), dtype=complex)
+    rows = max(1, _BLOCK // (mu.shape[1] + 2 * q))
     for n in range(mu.shape[0]):
-        for lo in range(0, tau.size, cols):
-            t = tau[lo:lo + cols]
-            re, im = parts[n] @ np.exp(np.outer(real[n], t))
-            out[n, lo:lo + cols] = amp[n, :2] @ np.exp(np.outer(mu[n, :2], t)) + re + 1j * im
-    return out
+        real, parts = mu[n, 2:].real, amp[n, 2:]
+        right = np.exp(np.outer(real, B))
+        right = np.concatenate([parts.real[:, None] * right, parts.imag[:, None] * right], axis=1)
+        for lo in range(0, A.size, rows):
+            z = out[n, lo:lo + rows]
+            pair = np.exp(mu[n, 0] * tau[lo:lo + rows])
+            np.multiply(pair, amp[n, 0], out=z)
+            np.conjugate(pair, out=pair)
+            pair *= amp[n, 1]
+            z += pair
+            sums = np.exp(np.outer(A[lo:lo + rows], real)) @ right
+            z.real += sums[:, :q]
+            z.imag += sums[:, q:]
+    return out.reshape(mu.shape[0], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,7 +474,7 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
                 f"(gate {_GROWTH_GATE:g}) at lam = {lams[bad][0]:g}"
             )
         trule = time_rule(T, max(lam_max, float(np.max(np.abs(mu.imag)))))
-        samples = _evaluate(mu, amp, T - trule.nodes[:, 0])
+        samples = _evaluate(mu, amp, trule, T)
     finite = np.all(np.isfinite(samples), axis=1)
     if not finite.all():
         raise NumericalError(f"non-finite mode samples at lam = {lams[~finite][0]:g}")
@@ -479,25 +501,31 @@ def _fit_sums(modes: MemoryModes) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     """b = t - T, the rule's weights w, Re y, L and D of fit_gamma's split.
 
     One blocked pass over the positive modes, _BLOCK elements at a time,
-    takes cos and sin once per sample.  Each block sums D about its own
-    mean of Re Y; the blocks' weighted squared distances from y then
-    complete D (the parallel variance update), a sum of squares too.
+    takes cos and sin once per sample; its two work arrays, the phases and
+    Y, three floats per block element, are allocated once and reused in
+    place.  Each block sums D about its own mean of Re Y; the blocks'
+    weighted squared distances from y then complete D (the parallel
+    variance update), a sum of squares too.
     """
     lams, w = modes.lambdas, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    rows = max(1, _BLOCK // base.size)
+    rows = min(lams.size, max(1, _BLOCK // base.size))
+    phases, demodulated = np.empty((rows, base.size)), np.empty((rows, base.size), dtype=complex)
     D, masses, means = 0.0, [], []
     for lo in range(0, lams.size, rows):
         lam2 = lams[lo:lo + rows] ** 2
         # exp(-i lam b) as cos + i sin, a third faster than np.exp's complex path
-        phase = np.outer(lams[lo:lo + rows], -base)
-        Y = np.empty(phase.shape, dtype=complex)
+        phase = np.outer(lams[lo:lo + rows], -base, out=phases[:lam2.size])
+        Y = demodulated[:lam2.size]
         np.cos(phase, out=Y.real)
         np.sin(phase, out=Y.imag)
         Y *= modes.samples[lo:lo + rows]
         masses.append(lam2.sum())
         means.append(lam2 @ Y.real / masses[-1])
-        D += float(lam2 @ (np.abs(Y - means[-1]) ** 2 @ w))
+        Y -= means[-1]
+        square = np.abs(Y, out=phase)
+        square *= square
+        D += float(lam2 @ (square @ w))
     masses, means = np.array(masses), np.array(means)
     mean = masses @ means / masses.sum()
     D += float(masses @ ((means - mean) ** 2 @ w))
@@ -601,14 +629,28 @@ def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
     return distances
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Least-squares slope and intercept of y against x from centred sums;
+    None if the abscissae are all equal, which determine no slope."""
+    if x.min() == x.max():
+        return None
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(dx @ (y - y_mean)) / float(dx @ dx)
+    return slope, float(y_mean - slope * x_mean)
+
+
 def closeness_spectrum(modes: MemoryModes, gamma: complex) -> dict:
     """Fit the decay law distance ~ C * lambda^slope across the modes: the
     closeness record of a memory certificate, with one row per mode in
     ascending frequency.
 
-    Pass requires slope <= -1.8 on the upper half of the frequency range;
-    an all-tiny distance spectrum (no memory) degenerates to a trivial
-    pass with the slope fields left unset.
+    Both lines, log distance against log lambda, are least-squares fits in
+    closed form (_line).  Pass requires slope <= -1.8 on the upper half of
+    the frequency range; where that half holds fewer than two distinct
+    frequencies (the disk's two branches share one), slope_upper is the
+    whole range's slope.  An all-tiny distance spectrum (no memory)
+    degenerates to a trivial pass with the slope fields left unset.
     """
     order = np.argsort(modes.lambdas)
     lams, dist = modes.lambdas[order], mode_distances(modes, gamma)[order]
@@ -627,18 +669,17 @@ def closeness_spectrum(modes: MemoryModes, gamma: complex) -> dict:
         raise ConfigurationError("fewer than 5 usable modes for the decay fit")
     ll = np.log(lams[usable])
     ld = np.log(dist[usable])
-    slope, intercept = np.polyfit(ll, ld, 1)
+    line = _line(ll, ld)
+    if line is None:
+        raise ConfigurationError("the decay fit needs two distinct frequencies")
+    slope, intercept = line
     fitted = slope * ll + intercept
     ss_res = float(np.sum((ld - fitted) ** 2))
     ss_tot = float(np.sum((ld - ld.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    cut = 0.5 * (lams[usable].min() + lams[usable].max())
-    upper = ll[lams[usable] >= cut]
-    if upper.size >= 2:
-        slope_upper = float(np.polyfit(upper, ld[lams[usable] >= cut], 1)[0])
-    else:
-        slope_upper = float(slope)
-    return {**record, "slope": float(slope), "intercept_c1": float(np.exp(intercept)),
+    upper = lams[usable] >= 0.5 * (lams[usable].min() + lams[usable].max())
+    slope_upper = (_line(ll[upper], ld[upper]) or line)[0]
+    return {**record, "slope": slope, "intercept_c1": float(np.exp(intercept)),
             "r_squared": float(r_squared), "slope_upper": slope_upper,
             "degenerate": False, "passed": slope_upper <= -1.8}
 

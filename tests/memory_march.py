@@ -8,7 +8,8 @@ exponentials.  This march integrates the same Volterra equation
 
 step by step on a uniform grid from the kernel's values alone, so it
 checks the closed form (criterion 06) independently of its secular roots
-and residues.
+and residues.  direct_evaluate sums a closed form's exponentials at any
+time, one per term and time.
 """
 
 import numpy as np
@@ -43,6 +44,24 @@ def kernel_values(kernel, s) -> np.ndarray:
     if kernel.family == "exponential":
         return kernel.m0 * np.exp(-kernel.delta * s)
     return kernel.m0 * (1.0 + s) ** (-kernel.p)
+
+
+def direct_evaluate(mu: np.ndarray, amp: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k amp_nk exp(mu_nk tau) for every mode n at every tau, one
+    exponential per term and tau: the direct sum that visco._evaluate
+    factors by the time rule's panels, at any tau.
+
+    mu and amp are laid out as visco._mode_exponents returns them: the
+    complex pair in the first two columns, then the real roots, whose
+    exponentials are taken real.
+    """
+    tau = np.asarray(tau, dtype=float)
+    out = np.empty((mu.shape[0], tau.size), dtype=complex)
+    for n in range(mu.shape[0]):
+        parts = np.stack([amp[n, 2:].real, amp[n, 2:].imag])
+        re, im = parts @ np.exp(np.outer(mu[n, 2:].real, tau))
+        out[n] = amp[n, :2] @ np.exp(np.outer(mu[n, :2], tau)) + re + 1j * im
+    return out
 
 
 def march_memory(lams: np.ndarray, kernel, tau: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from observalab.gram import assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
 from observalab.operators import antisymmetry_suite, multiplier_pairings, rellich_suite
 from observalab.reports import strip_timestamp
-from observalab.visco import (_evaluate, _exponential_sum, _mode_exponents,
+from observalab.visco import (_exponential_sum, _mode_exponents,
                               closeness_spectrum, exponential_kernel, fit_gamma,
                               memory_riesz_certificate, paley_wiener_q,
                               proof_guided_exclusion, shifted_system_bounds,
@@ -30,7 +30,7 @@ from observalab.wave import coeffs_to_a, observability_experiment
 
 from flux_sampling import boundary_flux
 from interior_sampling import quasi_orthogonality_check
-from memory_march import march_memory
+from memory_march import direct_evaluate, march_memory
 
 
 def _geometry(kind, N):
@@ -159,7 +159,7 @@ def test_criterion_06_memory_solver_reduction_and_order():
     for n in (513, 1025):
         tgrid = np.linspace(0.0, T, n)
         z = march_memory(np.array([lam]), kernel, T - tgrid[::-1])[0, ::-1]
-        ref = _evaluate(mu, amp, T - tgrid)[0]
+        ref = direct_evaluate(mu, amp, T - tgrid)[0]
         errs.append(float(np.max(np.abs(z - ref))))
     order = np.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2, f"empirical order {order:.3f}"

@@ -24,6 +24,8 @@ from observalab.geometry import (
     interior_quadrature,
     interval,
     rectangle,
+    time_offsets,
+    time_rule,
 )
 from observalab.gram import trace_block
 from observalab.modes import enumerate_modes
@@ -402,3 +404,16 @@ def test_rectangle_boundary_rule_is_its_four_faces_in_order(a, b, N, q):
     assert np.array_equal(rule.nodes, np.vstack([f[0] for f in faces]))
     assert np.array_equal(rule.weights, np.concatenate([f[1] for f in faces]))
     assert np.array_equal(rule.normals, np.vstack([np.tile(f[2], (len(f[1]), 1)) for f in faces]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(T=st.floats(1e-3, 1e3), periods=st.floats(1e-2, 2e4))
+def test_time_offsets_reproduce_the_distance_to_the_horizon(T, periods):
+    """A[p] + B[j], both parts >= 0, is T - t at node j of panel p of
+    time_rule(T, .) within 4 ulp(T), against T - t in long double."""
+    trule = time_rule(T, periods / T)
+    A, B = time_offsets(T, trule)
+    assert A.size * B.size == trule.weights.size and A.min() >= 0.0 and B.min() >= 0.0
+    exact = np.longdouble(T) - trule.nodes[:, 0].astype(np.longdouble)
+    split = (A[:, None] + B[None, :]).ravel()
+    assert np.max(np.abs(split - exact)) <= 4.0 * np.spacing(T)

@@ -1,5 +1,6 @@
 """Gram assembly, spectral bounds, and the sampled-trace path."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -408,15 +409,39 @@ def test_sampled_gram_blocks_match_one_whole_grid_product(monkeypatch):
     table = enumerate_modes(interval(np.pi), 4)
     trule = time_rule(3.0, 1750.0)
     n = trule.weights.size
-    assert 3 * gr._TIME_BLOCK < n < 4 * gr._TIME_BLOCK          # 3.3 blocks
+    monkeypatch.setattr(gr, "_SAMPLE_BLOCK", 8 * 4096)          # 2N = 8 rows of 4,096 nodes
+    assert 3 * 4096 < n < 4 * 4096                               # 3.3 blocks
     rng = np.random.default_rng(5)
     traces = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     blocked = gr.sampled_block(table, traces, trule)
-    monkeypatch.setattr(gr, "_TIME_BLOCK", n)
+    monkeypatch.setattr(gr, "_SAMPLE_BLOCK", 8 * n)
     whole = gr.sampled_block(table, traces, trule)
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
     dense = np.linalg.eigvalsh(dense_sampled_gram(table, traces, trule))
     assert np.max(np.abs(np.linalg.eigvalsh(blocked) - dense)) <= 1e-13 * dense[-1]
+
+
+def test_sampled_block_traced_peak_stays_below_one_row_table():
+    """No (2N x nodes) array: numpy reports its allocations to tracemalloc.
+
+    At interval N = 128 the zero kernel's time rule at the visco horizon
+    T = 5R holds 2,560 nodes, so the weighted real rows built whole would be
+    256 * 2,560 * 8 B = 5.2 MB; blocks of gr._SAMPLE_BLOCK elements keep the
+    traced peak below that.
+    """
+    table = enumerate_modes(interval(np.pi), 128)
+    T = 5.0 * table.domain.R
+    trule = time_rule(T, table.lambdas[-1])
+    n = trule.weights.size
+    assert n == 2560
+    samples = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0] - T))
+    tracemalloc.start()
+    try:
+        gr.sampled_block(table, samples, trule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.N * n * 8
 
 
 def test_sampled_gram_rejects_mismatched_traces():

@@ -15,11 +15,11 @@ from scipy.optimize import brentq
 
 from observalab import visco
 from observalab.config import ConfigurationError, NumericalError
-from observalab.geometry import disk, interval, rectangle
+from observalab.geometry import disk, interval, rectangle, time_rule
 from observalab.gram import assemble_exponential_gram
 from observalab.modes import enumerate_modes
 
-from memory_march import duhamel_weights, kernel_values, march_memory
+from memory_march import direct_evaluate, duhamel_weights, kernel_values, march_memory
 
 
 def interval_setup(N):
@@ -40,7 +40,7 @@ def exact(lam, kernel, tgrid):
     """One-mode closed form of z on the forward grid tgrid, with T = tgrid[-1]."""
     T = tgrid[-1]
     mu, amp, _, _ = visco._mode_exponents(np.array([lam]), *visco._exponential_sum(kernel, T)[:2])
-    return visco._evaluate(mu, amp, T - tgrid)[0]
+    return direct_evaluate(mu, amp, T - tgrid)[0]
 
 
 def _exact_exponential_oracle(lams, kernel, t, T):
@@ -147,8 +147,8 @@ def test_exact_path_matches_expm_oracle():
         mu, amp, _, _ = visco._mode_exponents(np.array([lam]), w, x)
         for tau in [0.0, 0.3, 1.1, 2.7, 4.0]:
             y = expm(A * tau) @ y0
-            v = visco._evaluate(mu, amp, np.array([tau]))[0, 0]
-            vp = visco._evaluate(mu, amp * mu, np.array([tau]))[0, 0]
+            v = direct_evaluate(mu, amp, [tau])[0, 0]
+            vp = direct_evaluate(mu, amp * mu, [tau])[0, 0]
             assert abs(v - y[0]) <= 1e-12 * max(1.0, abs(y[0])), kernel.family
             assert abs(vp - y[1]) <= 1e-11 * max(lam, abs(y[1])), kernel.family
 
@@ -241,7 +241,7 @@ def test_blocked_root_solve_matches_one_mode_solves_and_expm(monkeypatch, kernel
         assert np.all(np.abs(amp - amp_1) <= 1e-13 * scale), budget
     tau = np.linspace(0.0, T, 5)
     for n in np.linspace(0, N - 1, 8).astype(int):
-        v = visco._evaluate(mu[n:n + 1], amp[n:n + 1], tau)[0]
+        v = direct_evaluate(mu[n:n + 1], amp[n:n + 1], tau)[0]
         ref = _expm_oracle(lams[n], w, x, tau)
         tol = 1e-13 * (1.0 + (lams[n] + x.max() + w.sum()) * T) * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(v - ref)) <= tol, lams[n]
@@ -264,6 +264,72 @@ def test_root_solve_traced_peak_stays_below_one_pair_table():
     finally:
         tracemalloc.stop()
     assert peak < lams.size * x.size**2 * 8
+
+
+_GEOMETRIES = {"interval": interval(np.pi), "disk": disk(1.0),
+               "rectangle": rectangle(np.pi, 2.0)}
+_PANEL_KERNELS = {"zero": visco.zero_kernel(), "exponential": visco.exponential_kernel(0.5, 1.0),
+                  "polynomial": visco.polynomial_kernel(0.2, 2.0)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(_GEOMETRIES)), N=st.integers(1, 64),
+       family=st.sampled_from(sorted(_PANEL_KERNELS)), factor=st.floats(1.05, 4.0))
+def test_panel_evaluation_matches_an_extended_precision_direct_sum(kind, N, family, factor):
+    """The samples, whose real-root exponentials factor by the time rule's
+    panels, match sum_k a_k exp(mu_k (T - t)) summed in np.clongdouble at
+    the rule's nodes within 8 eps (1 + max|mu| T) sum_k |a_k| e^(Re mu_k T)+
+    per mode, (x)+ = max(x, 0): rounding T - t and mu (T - t) moves each
+    term by a few eps |mu| T of its largest size.  The complex pair grows
+    backwards from T (memory damps forwards), so the terms' size is not
+    sum_k |a_k| alone.  The direct sum at T - t in floats meets the same
+    bound.  Six modes, the highest included, at every node."""
+    domain, kernel = _GEOMETRIES[kind], _PANEL_KERNELS[family]
+    T = factor * 2.0 * domain.R
+    lams = enumerate_modes(domain, N).lambdas
+    modes = visco.solve_memory_modes(lams, kernel, T)
+    t = modes.trule.nodes[:, 0]
+    tau = np.longdouble(T) - t.astype(np.longdouble)
+    if kernel.is_zero:
+        mu, amp = -1j * lams[:, None], np.ones((N, 1))
+    else:
+        mu, amp, _, _ = visco._mode_exponents(lams, *visco._exponential_sum(kernel, T)[:2])
+    for n in np.unique(np.linspace(0, N - 1, 6).astype(int)):
+        terms = np.exp(np.outer(mu[n].astype(np.clongdouble), tau))
+        ref = amp[n].astype(np.clongdouble) @ terms
+        size = np.sum(np.abs(amp[n]) * np.exp(np.maximum(mu[n].real, 0.0) * T))
+        tol = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(mu[n])) * T) * size
+        assert np.max(np.abs(modes.samples[n] - ref)) <= tol, lams[n]
+        if not kernel.is_zero:
+            direct = direct_evaluate(mu[n:n + 1], amp[n:n + 1], T - t)[0]
+            assert np.max(np.abs(direct - ref)) <= tol, lams[n]
+
+
+def test_evaluate_traced_peak_stays_below_one_root_by_node_table():
+    """No float per real root and time node: numpy reports its allocations
+    to tracemalloc.
+
+    At interval N = 128 with polynomial(0.2, 2) at the visco horizon
+    T = 5R each mode has K = 72 real roots and the rule 2,576 nodes, so one
+    such array would be 72 * 2,576 * 8 B = 1.5 MB; the evaluation's own
+    arrays are per mode and per panel.  Its (N x nodes) output is counted
+    apart.
+    """
+    domain = interval(np.pi)
+    T = 5.0 * domain.R
+    lams = enumerate_modes(domain, 128).lambdas
+    w, x, _ = visco._exponential_sum(visco.polynomial_kernel(0.2, 2.0), T)
+    mu, amp, _, _ = visco._mode_exponents(lams, w, x)
+    trule = time_rule(T, max(lams.max(), np.max(np.abs(mu.imag))))
+    K, nodes = mu.shape[1] - 2, trule.weights.size
+    assert (K, nodes) == (72, 2576)
+    tracemalloc.start()
+    try:
+        visco._evaluate(mu, amp, trule, T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - lams.size * nodes * 16 < K * nodes * 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -636,6 +702,31 @@ def test_fit_gamma_traced_peak_stays_below_twice_the_samples():
     assert peak <= 2 * modes.samples.nbytes
 
 
+def test_fit_sums_work_arrays_stay_below_four_floats_per_block_element():
+    """The fit's pass forms its work arrays in place: the phases and the
+    demodulated modes Y, three floats per element of a block, with the
+    modulus of Y - y written over the phases; a copy of Y - y would add
+    two more.
+
+    At interval N = 128 with polynomial(0.2, 2) at T = 5R a block holds
+    visco._BLOCK // 2,576 = 101 modes; the traced peak stays below four
+    floats per element of that block.
+    """
+    domain = interval(np.pi)
+    modes = visco.solve_memory_modes(enumerate_modes(domain, 128).lambdas,
+                                     visco.polynomial_kernel(0.2, 2.0), 5.0 * domain.R)
+    nodes = modes.trule.weights.size
+    block = (visco._BLOCK // nodes) * nodes
+    assert nodes == 2576 and block < modes.samples.size
+    tracemalloc.start()
+    try:
+        visco._fit_sums(modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * block
+
+
 def test_fit_gamma_does_not_follow_the_last_digits_of_the_samples():
     """No step is gated on rounding noise, so rounding-sized noise moves nothing.
 
@@ -695,10 +786,6 @@ def test_fit_gamma_fits_every_sweep_kernel(domain):
             direct = _dense_objective(modes, gamma.real)
             assert 0.0 <= info["objective"], (m0, delta)
             assert abs(info["objective"] - direct) <= 1e-12 * direct, (m0, delta)
-
-
-_GEOMETRIES = {"interval": interval(np.pi), "disk": disk(1.0),
-               "rectangle": rectangle(np.pi, 2.0)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -773,6 +860,43 @@ def test_closeness_needs_five_usable_modes():
     modes = visco.solve_memory_modes([2.0, 4.0, 6.0, 9.0], ker, 2.0)
     with pytest.raises(ConfigurationError):
         visco.closeness_spectrum(modes, -0.15 + 0.0j)
+
+
+@settings(max_examples=50, deadline=None)
+@given(count=st.integers(2, 80), low=st.floats(0.5, 100.0), span=st.floats(4.0, 256.0),
+       slope=st.floats(-6.0, 2.0), intercept=st.floats(-40.0, 10.0),
+       noise=st.floats(0.0, 3.0), seed=st.integers(0, 99))
+def test_line_fit_matches_polyfit(count, low, span, slope, intercept, noise, seed):
+    """The decay law's closed-form least-squares line matches np.polyfit:
+    at every abscissa the two lines agree within 1e-12 of the largest
+    |y|.  The abscissae are log lambda over a >= 4x range, as fit_gamma
+    requires, y a line plus noise.  Abscissae that are all equal determine
+    no line, and the fit says so."""
+    rng = np.random.default_rng(seed)
+    x = np.log(low * span ** np.concatenate([[0.0, 1.0], rng.uniform(size=count - 2)]))
+    y = intercept + slope * x + noise * rng.normal(size=count)
+    fit_slope, fit_intercept = visco._line(x, y)
+    ref_slope, ref_intercept = np.polyfit(x, y, 1)
+    gap = (fit_slope - ref_slope) * x + (fit_intercept - ref_intercept)
+    assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(y))
+    assert visco._line(np.full(count, x[0]), y) is None
+
+
+def test_closeness_refuses_a_single_frequency():
+    """Five modes at one frequency determine no decay line."""
+    modes = visco.solve_memory_modes(np.full(5, 3.0), visco.exponential_kernel(0.3, 1.0), 2.0)
+    with pytest.raises(ConfigurationError, match="two distinct frequencies"):
+        visco.closeness_spectrum(modes, -0.15 + 0.0j)
+
+
+def test_closeness_upper_half_at_one_frequency_takes_the_whole_slope():
+    """Where the upper half of the frequency range holds a single frequency
+    twice, as the disk's two branches do, slope_upper is the slope of the
+    whole range, as for a single mode there."""
+    lams = np.array([1.0, 1.1, 1.2, 1.3, 4.0, 4.0])
+    modes = visco.solve_memory_modes(lams, visco.exponential_kernel(0.3, 1.0), 2.0)
+    rep = visco.closeness_spectrum(modes, -0.15 + 0.0j)
+    assert rep["slope_upper"] == rep["slope"] is not None
 
 
 # ----------------------------------------------------------------------
