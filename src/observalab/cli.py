@@ -24,8 +24,9 @@ from .config import (CheckFailure, ConfigurationError, NumericalError,
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import assemble_exponential_gram, riesz_bounds_report
-from .operators import (antisymmetry_suite, boundary_gram_check, multiplier_pairings,
-                        quasi_orthogonality_draws, rellich_suite, report_columns)
+from .operators import (Normals, antisymmetry_suite, boundary_gram_check,
+                        multiplier_pairings, quasi_orthogonality_draws, rellich_suite,
+                        report_columns)
 from .reports import write_csv, write_json
 from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
                     polynomial_kernel, zero_kernel)
@@ -90,7 +91,7 @@ def cmd_verify_identities(config: RunConfig, out: Path, args) -> None:
         rellich_suite(pairings, brule, psi, max_index=min(table.N, 20),
                       tol=tol["rellich_disk" if domain.kind == "disk" else "rellich"]),
         antisymmetry_suite(pairings, max_index=min(table.N, 15), tol=tol["antisymmetry"]),
-        quasi_orthogonality_draws(pairings, config.draws, np.random.default_rng(config.seed),
+        quasi_orthogonality_draws(pairings, config.draws, Normals(config.seed),
                                   slack=tol["quasi_orthogonality"]),
     ]
     columns = report_columns(reports)
@@ -141,7 +142,7 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
         raise ConfigurationError(
             "observability needs at least one horizon above the escape time 2R"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = Normals(config.seed)
     columns, summaries = {"T": [], "draw": [], "ratio": []}, []
     for T in horizons:
         exp = observability_experiment(table, T, config.draws, rng,
@@ -280,8 +281,7 @@ def cmd_control(config: RunConfig, out: Path, args) -> None:
             raise ConfigurationError(
                 "control needs a horizon above the escape time 2R"
             )
-        problem = random_problem(table.N, max(horizons),
-                                 np.random.default_rng(config.seed))
+        problem = random_problem(table.N, max(horizons), Normals(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
     result = control_pipeline(table, problem,
                               steering_tol=config.tolerances["steering_rel_error"])

@@ -94,8 +94,9 @@ class ControlProblem:
         return len(self.position0)
 
 
-def random_problem(N: int, T: float, rng: np.random.Generator) -> ControlProblem:
-    """Real standard-normal steering task."""
+def random_problem(N: int, T: float, rng) -> ControlProblem:
+    """Real standard-normal steering task from any rng with normal(size=)
+    (operators.Normals, or numpy's Generator)."""
     return ControlProblem(*(rng.normal(size=N).astype(complex) for _ in range(4)), T)
 
 

@@ -34,6 +34,7 @@ draws are made and checked in fixed-size blocks of coefficient rows.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -216,9 +217,81 @@ def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = Non
     return _report(labels, lhs, rhs, tol)
 
 
-def complex_gaussian_rows(rng: np.random.Generator, rows: int,
-                          size: int) -> np.ndarray:
-    """Rows of standard complex Gaussians, shape (rows, size).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)                               # SplitMix64's increment
+_MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # and multipliers
+
+
+def _mix(z: np.ndarray) -> None:
+    """SplitMix64's output function, in place on a uint64 array (array
+    products wrap silently where numpy scalar ones warn)."""
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+
+
+class Normals:
+    """Seeded standard normals from a counter-based SplitMix64 and Box-Muller.
+
+    Word j is SplitMix64's (j+1)-th output from a state started at the key,
+    mix(key + (j+1) * gamma), so any word is computed without the ones before
+    it.  The key folds the seed's 64-bit limbs, low first, through mix; one
+    limb maps to its key one to one, and a seed of any size has a key.
+    Normal k is sqrt(-2 log u1) cos(2 pi u2), with u1 = ((w_2k >> 11) + 1) 2^-53
+    in (0, 1] and u2 = (w_2k+1 >> 11) 2^-53 in [0, 1).  It depends on k alone,
+    so draws split into calls, rows or blocks in any way give the same
+    numbers.  normal(size=) is numpy Generator's, without importing
+    numpy.random, which costs a process 10-16 ms and 6 MB (numpy 2 imports
+    it on first use).
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("the seed must be a nonnegative integer")
+        key = np.zeros(1, dtype=np.uint64)
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key += _GAMMA
+            key ^= np.uint64((seed >> shift) & 0xFFFFFFFFFFFFFFFF)
+            _mix(key)
+        self.key = key[0]
+        self.drawn = 0
+
+    def words(self, first: int, count: int) -> np.ndarray:
+        """Words 2k and 2k+1 for k in [first, first + count), as the rows of
+        a (2, count) uint64 array."""
+        out = np.empty((2, count), dtype=np.uint64)
+        out[0] = np.arange(2 * first + 1, 2 * (first + count), 2, dtype=np.uint64)
+        out[0] *= _GAMMA
+        out[0] += self.key
+        np.add(out[0], _GAMMA, out=out[1])
+        for row in out:           # the shifts' temporaries hold one row
+            _mix(row)
+        return out
+
+    def normal(self, size) -> np.ndarray:
+        """The next prod(size) normals, of shape size.  The words, two per
+        normal, become the floats in place, so at most three 8-byte values
+        per normal are held at once, the output included."""
+        count = int(np.prod(size))
+        words = self.words(self.drawn, count)
+        self.drawn += count
+        words >>= 11
+        words[0] += 1
+        radius, angle = words.view(np.float64)        # converted in place
+        np.multiply(words[0], 2.0 ** -53, out=radius)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        np.multiply(words[1], 2.0 * np.pi * 2.0 ** -53, out=angle)
+        np.cos(angle, out=angle)
+        return np.multiply(radius, angle).reshape(size)
+
+
+def complex_gaussian_rows(rng, rows: int, size: int) -> np.ndarray:
+    """Rows of standard complex Gaussians, shape (rows, size), from any rng
+    with a normal(size=) method (Normals, or numpy's Generator).
 
     Each row draws its real part, then its imaginary part, so the stream
     matches calling rng.normal(size=size) twice per row.
@@ -244,10 +317,11 @@ def _quasi_orthogonality_sides(pairings: MultiplierPairings,
 
 
 def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
-                              rng: np.random.Generator, slack: float) -> IdentityReport:
+                              rng, slack: float) -> IdentityReport:
     """Interior energy of the lambda-normalized multiplier combination, on
     complex_gaussian_rows(rng, draws, 2N) drawn and checked in blocks (same
-    stream, working arrays that do not grow with the draw count).
+    stream, working arrays that do not grow with the draw count); rng is
+    any generator with normal(size=), Normals or numpy's Generator.
 
     Each row u holds complex coefficients on the signed index order
     [1..N, -1..-N], and

@@ -457,7 +457,10 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
     lam_max = float(lams.max())
     if kernel.is_zero:
         trule = time_rule(T, lam_max)
-        samples = np.exp(1j * np.outer(lams, trule.nodes[:, 0] - T))
+        # exp(i lam (t - T)) built in the samples' own array
+        samples = np.zeros((lams.size, trule.nodes.shape[0]), dtype=complex)
+        np.multiply.outer(lams, trule.nodes[:, 0] - T, out=samples.imag)
+        np.exp(samples, out=samples)
         values, slopes = np.ones(lams.size), 1j * lams
         terms, error, gain = 0, 0.0, np.ones(1)     # the rotation's one unit amplitude
     else:
@@ -615,15 +618,17 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
 def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
     """L2 distance on the time rule of each mode to exp((gamma + i*lam)(t - T)),
-    _BLOCK elements at a time."""
+    _BLOCK elements at a time in one complex and one float work array."""
     base = modes.trule.nodes[:, 0] - modes.T
-    rows = max(1, _BLOCK // base.size)
     distances = np.empty(modes.lambdas.size)
+    rows = min(distances.size, max(1, _BLOCK // base.size))
+    diffs, squares = np.empty((rows, base.size), dtype=complex), np.empty((rows, base.size))
     for lo in range(0, distances.size, rows):
-        diff = np.outer(gamma + 1j * modes.lambdas[lo:lo + rows], base)
+        rates = gamma + 1j * modes.lambdas[lo:lo + rows]
+        diff = np.multiply.outer(rates, base, out=diffs[:rates.size])
         np.exp(diff, out=diff)
         diff -= modes.samples[lo:lo + rows]
-        square = np.abs(diff)
+        square = np.abs(diff, out=squares[:rates.size])
         square *= square
         distances[lo:lo + rows] = square @ modes.trule.weights
     return distances

@@ -79,11 +79,12 @@ def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
 
 
 def observability_experiment(table: ModeTable, T: float, draws: int,
-                             rng: np.random.Generator, *, margin_tol: float) -> dict:
+                             rng, *, margin_tol: float) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
     Draws come _ROW_BLOCK rows at a time as rng.normal(size=(rows, 4, N))
     (Re xi_tilde, Im xi_tilde, Re eta, Im eta per row, the per-draw stream),
+    from any rng with normal(size=) (operators.Normals, or numpy's Generator),
     and each block's ratios from one row-wise Gram quadratic form (exact).
     For the first _SAMPLED_FLUX_CHECKS draws the time-sampled flux norm
     is compared against it within FLUX_GRAM_REL_GATE, tying

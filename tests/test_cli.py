@@ -145,22 +145,25 @@ for domain in domains:
                                "cache_path": str(run / "cache.json")}))
     for cmd in ("spectrum", "verify-identities", "riesz", "observe", "visco", "control"):
         codes.append(cli.main([cmd, "--config", str(cfg)]))
-print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
-                  "numpy.polynomial": "numpy.polynomial" in sys.modules}))
+print(json.dumps({"codes": codes, **{name: name in sys.modules for name in
+                                       ("numpy.random", "numpy.ma", "numpy.polynomial")}}))
 """
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
-    """numpy.ma costs every process ~11 ms and 1 MB to import, and np.median
-    and np.unique pull it in; numpy.polynomial costs ~3 ms, and its leggauss
-    was the only use.  A fresh interpreter that runs every command on every
-    geometry loads neither."""
+def test_no_command_imports_numpy_random_ma_or_polynomial(tmp_path):
+    """numpy.random costs every process 10-16 ms and 6 MB to import, and
+    operators.Normals makes the seeded draws without it; numpy.ma costs
+    ~11 ms and 1 MB, and np.median and np.unique pull it in;
+    numpy.polynomial costs ~3 ms, and its leggauss was the only use.  A
+    fresh interpreter that runs every command on every geometry loads none
+    of them."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("OBSERVALAB_CACHE", None)
     done = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * 18, "numpy.ma": False, "numpy.polynomial": False}
+    assert result == {"codes": [0] * 18, "numpy.random": False, "numpy.ma": False,
+                      "numpy.polynomial": False}
 
 
 @pytest.mark.parametrize("domain, N", [

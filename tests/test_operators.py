@@ -1,6 +1,8 @@
 """Multiplier operators and the interior/boundary identity suite."""
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,22 +150,131 @@ def test_quasi_orthogonality_random_draws(dom):
     assert report.passed.all(), f"violation {report.abs_error.max():.3e}"
 
 
-def test_complex_gaussian_rows_follow_the_per_row_stream():
-    rows = ops.complex_gaussian_rows(np.random.default_rng(4), 5, 6)
-    rng = np.random.default_rng(4)
+GENERATORS = [ops.Normals, np.random.default_rng]
+
+
+@pytest.mark.parametrize("generator", GENERATORS, ids=["Normals", "default_rng"])
+def test_complex_gaussian_rows_follow_the_per_row_stream(generator):
+    rows = ops.complex_gaussian_rows(generator(4), 5, 6)
+    rng = generator(4)
     for row in rows:
         assert np.array_equal(row, rng.normal(size=6) + 1j * rng.normal(size=6))
 
 
-def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch):
+@pytest.mark.parametrize("generator", GENERATORS, ids=["Normals", "default_rng"])
+def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch, generator):
     table, irule, _ = _setup(disk(1.0), N=4)
     pairings = ops.multiplier_pairings(table, irule)
-    whole = _quasi(pairings, ops.complex_gaussian_rows(np.random.default_rng(9), 20, 8))
+    whole = _quasi(pairings, ops.complex_gaussian_rows(generator(9), 20, 8))
     monkeypatch.setattr(ops, "_ROW_BLOCK", 7)
-    blocked = ops.quasi_orthogonality_draws(pairings, 20, np.random.default_rng(9), 1e-8)
+    blocked = ops.quasi_orthogonality_draws(pairings, 20, generator(9), 1e-8)
     assert blocked.label.tolist() == whole.label.tolist()
     assert blocked.lhs == pytest.approx(whole.lhs, rel=1e-14)
     assert np.array_equal(blocked.rhs, whole.rhs)
+
+
+# ----------------------------------------------------------------------
+# the seeded normals, against a SplitMix64 written out on Python ints
+
+_HUGE = 10 ** 400
+_SEEDS = [0, 1, 2 ** 64, 2 ** 64 + 1, _HUGE]
+_M64 = 2 ** 64
+
+
+def _oracle_mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _M64
+    return z ^ (z >> 31)
+
+
+def _oracle_key(seed):
+    key = 0
+    for limb in [(seed >> s) % _M64 for s in range(0, max(seed.bit_length(), 1), 64)]:
+        key = _oracle_mix((key + 0x9E3779B97F4A7C15) % _M64 ^ limb)
+    return key
+
+
+def _oracle_words(seed, count):
+    """The first count outputs of SplitMix64 started at the seed's key."""
+    state, words = _oracle_key(seed), []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % _M64
+        words.append(_oracle_mix(state))
+    return words
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=["0", "1", "2^64", "2^64+1", "huge"])
+def test_normals_words_match_the_splitmix64_oracle(seed):
+    words = _oracle_words(seed, 2 * 12)
+    assert ops.Normals(seed).words(0, 12).T.ravel().tolist() == words
+    assert ops.Normals(seed).words(5, 7).T.ravel().tolist() == words[10:]
+
+
+@pytest.mark.parametrize("seed", _SEEDS, ids=["0", "1", "2^64", "2^64+1", "huge"])
+def test_normals_are_box_muller_on_the_words(seed):
+    """Normal k is sqrt(-2 log u1) cos(2 pi u2) on words 2k, 2k+1, within
+    8 eps relative: both sides share u1, u2 and 2 pi u2 exactly, and differ
+    by the log (4 ulp, halved by the sqrt), the cos (4 ulp) and one
+    rounding of the product."""
+    words = _oracle_words(seed, 2 * 500)
+    z = ops.Normals(seed).normal(size=500)
+    for k, value in enumerate(z.tolist()):
+        u1 = ((words[2 * k] >> 11) + 1) * 2.0 ** -53
+        u2 = (words[2 * k + 1] >> 11) * 2.0 ** -53
+        ref = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        assert abs(value - ref) <= 8 * np.finfo(float).eps * abs(ref), k
+
+
+def test_normals_are_finite_at_the_extreme_words(monkeypatch):
+    """u1 = (w >> 11 + 1) 2^-53 lies in (0, 1]: the all-zero word gives the
+    largest radius sqrt(106 ln 2) and the all-ones word radius zero."""
+    rng = ops.Normals(0)
+    extreme = np.array([[0, _M64 - 1], [0, _M64 - 1]], dtype=np.uint64)
+    monkeypatch.setattr(rng, "words", lambda first, count: extreme.copy())
+    with np.errstate(all="raise"):
+        z = rng.normal(size=2)
+    assert z.tolist() == [math.sqrt(106.0 * math.log(2.0)), 0.0]
+
+
+def test_normals_do_not_depend_on_how_the_draws_are_split():
+    rng = ops.Normals(7)
+    parts = [rng.normal(size=4), rng.normal(size=()), rng.normal(size=(2, 5))]
+    whole = ops.Normals(7).normal(size=(3, 5))
+    assert np.array_equal(whole.ravel(), np.concatenate([p.ravel() for p in parts]))
+    assert rng.drawn == 15
+
+
+def test_seeds_past_one_limb_give_distinct_streams():
+    streams = {tuple(ops.Normals(seed).normal(size=8).tolist()) for seed in _SEEDS}
+    assert len(streams) == len(_SEEDS)
+    with pytest.raises(ValueError):
+        ops.Normals(-1)
+
+
+def test_normals_hold_at_most_three_values_per_normal():
+    """The words, two per normal, are mixed a row at a time and converted in
+    place: the traced peak of 10^6 draws stays within 3.05 times the output
+    (24 MB), where mixing both rows at once would reach four times."""
+    tracemalloc.start()
+    try:
+        z = ops.Normals(5).normal(size=10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.05 * z.nbytes
+
+
+def test_normals_moments_within_six_standard_errors():
+    """10^6 draws: the mean (standard error 1/sqrt(n)), the variance
+    (sqrt(2/n)) and the kurtosis (sqrt(24/n)) of a standard normal."""
+    n = 10 ** 6
+    z = ops.Normals(2024).normal(size=n)
+    mean = z.mean()
+    var = np.mean((z - mean) ** 2)
+    kurtosis = np.mean((z - mean) ** 4) / var ** 2
+    assert abs(mean) < 6 / math.sqrt(n)
+    assert abs(var - 1.0) < 6 * math.sqrt(2 / n)
+    assert abs(kurtosis - 3.0) < 6 * math.sqrt(24 / n)
 
 
 def test_quasi_orthogonality_single_mode():

@@ -727,6 +727,53 @@ def test_fit_sums_work_arrays_stay_below_four_floats_per_block_element():
     assert peak < 4 * 8 * block
 
 
+def test_zero_kernel_samples_are_built_in_their_own_array():
+    """The rotation exp(i lam (t - T)) is written into its samples in place:
+    the same bytes as the out-of-place expression, which held its phase and
+    the phase times 1j next to the output, twice the samples in all.
+
+    At interval N = 128 and T = 5R the samples are 128 x 2,560 complex
+    (5.2 MB); the traced peak stays below 1.25 times them.
+    """
+    domain = interval(np.pi)
+    lams = enumerate_modes(domain, 128).lambdas
+    T = 5.0 * domain.R
+    tracemalloc.start()
+    try:
+        modes = visco.solve_memory_modes(lams, visco.zero_kernel(), T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert modes.samples.shape == (128, 2560)
+    assert peak < 1.25 * modes.samples.nbytes
+    direct = np.exp(1j * np.outer(lams, modes.trule.nodes[:, 0] - T))
+    assert modes.samples.tobytes() == direct.tobytes()
+
+
+def test_mode_distances_reuse_one_complex_and_one_float_block():
+    """Each row block of mode_distances goes through the same two work
+    arrays, one complex and one float per block element (24 B); fresh
+    arrays per block held the last block's next to the new one's.
+
+    At interval N = 128 with polynomial(0.2, 2) at T = 5R a block holds
+    visco._BLOCK // 2,576 = 101 modes; the traced peak stays below 1.1
+    times the two work arrays.
+    """
+    domain = interval(np.pi)
+    modes = visco.solve_memory_modes(enumerate_modes(domain, 128).lambdas,
+                                     visco.polynomial_kernel(0.2, 2.0), 5.0 * domain.R)
+    nodes = modes.trule.weights.size
+    block = (visco._BLOCK // nodes) * nodes
+    assert nodes == 2576 and block < modes.samples.size
+    tracemalloc.start()
+    try:
+        visco.mode_distances(modes, -0.1 + 0.0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 24 * block
+
+
 def test_fit_gamma_does_not_follow_the_last_digits_of_the_samples():
     """No step is gated on rounding noise, so rounding-sized noise moves nothing.
 
@@ -864,14 +911,17 @@ def test_closeness_needs_five_usable_modes():
 
 @settings(max_examples=50, deadline=None)
 @given(count=st.integers(2, 80), low=st.floats(0.5, 100.0), span=st.floats(4.0, 256.0),
-       slope=st.floats(-6.0, 2.0), intercept=st.floats(-40.0, 10.0),
-       noise=st.floats(0.0, 3.0), seed=st.integers(0, 99))
+       slope=st.floats(-6.0, 2.0, allow_subnormal=False),
+       intercept=st.floats(-40.0, 10.0, allow_subnormal=False),
+       noise=st.floats(0.0, 3.0, allow_subnormal=False), seed=st.integers(0, 99))
 def test_line_fit_matches_polyfit(count, low, span, slope, intercept, noise, seed):
     """The decay law's closed-form least-squares line matches np.polyfit:
     at every abscissa the two lines agree within 1e-12 of the largest
     |y|.  The abscissae are log lambda over a >= 4x range, as fit_gamma
     requires, y a line plus noise.  Abscissae that are all equal determine
-    no line, and the fit says so."""
+    no line, and the fit says so.  The line's coefficients are normal
+    floats: with all of y subnormal (noise 2.2e-313, say) 1e-12 of it is
+    below the smallest float, and one rounding step, 5e-324, fails it."""
     rng = np.random.default_rng(seed)
     x = np.log(low * span ** np.concatenate([[0.0, 1.0], rng.uniform(size=count - 2)]))
     y = intercept + slope * x + noise * rng.normal(size=count)
