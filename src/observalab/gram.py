@@ -123,11 +123,18 @@ class GramMatrix:
         return self.phases.size
 
     def _coords(self, v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """W v along the last axis of v, cut into the blocks' slices."""
-        up, down = v[..., :self.N] * np.conj(self.phases), v[..., self.N:] * self.phases
-        up, down = (up + down) * _HALF_SQRT, (up - down) * _HALF_SQRT
+        """W v along the last axis of v, computed in v, cut into the blocks'
+        slices."""
+        up, down = v[..., :self.N], v[..., self.N:]
+        up *= np.conj(self.phases)
+        down *= self.phases
+        total = up + down
+        np.subtract(up, down, out=down)
+        np.multiply(total, _HALF_SQRT, out=up)
+        down *= _HALF_SQRT
         if len(self.blocks) == 1:
-            return (np.concatenate([up, -1j * down], axis=-1),)
+            down *= -1j
+            return (v,)
         return up, down     # V is one phase per parity block: left out
 
     def _from_coords(self, y: np.ndarray) -> np.ndarray:
@@ -140,15 +147,17 @@ class GramMatrix:
     def quad_form(self, a: np.ndarray) -> np.ndarray:
         """||sum a_n f_n||^2 = sum_jk a_j G_{jk} conj(a_k) for a vector, or for
         each row of a 2-D array: with y = W conj(a), the real forms of each
-        block on the stacked real and imaginary parts of its slice of y."""
-        a = np.asarray(a, dtype=complex)
-        rows = a.reshape(-1, 2 * self.N)
+        block on the stacked real and imaginary parts of its slice of y,
+        each product taken in place."""
+        rows = np.conj(np.asarray(a, dtype=complex).reshape(-1, 2 * self.N))
         total = 0.0
-        for block, y in zip(self.blocks, self._coords(np.conj(rows))):
+        for block, y in zip(self.blocks, self._coords(rows)):
             parts = np.concatenate([y.real, y.imag])
-            form = np.sum((parts @ block) * parts, axis=1)
+            form = parts @ block
+            form *= parts
+            form = np.sum(form, axis=1)
             total = total + form[:len(rows)] + form[len(rows):]
-        return total.reshape(a.shape[:-1])[()]
+        return total.reshape(np.shape(a)[:-1])[()]
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         """c with G c = rhs and the residual ||G c - rhs||.
@@ -159,7 +168,7 @@ class GramMatrix:
         exactly singular block raises numpy's LinAlgError.
         """
         x, res_sq = [], 0.0
-        for block, r in zip(self.blocks, self._coords(np.asarray(rhs, dtype=complex))):
+        for block, r in zip(self.blocks, self._coords(np.array(rhs, dtype=complex))):
             cols = np.stack([r.real, r.imag], axis=1)
             sol = np.linalg.solve(block, cols)
             res_sq += float(np.linalg.norm(block @ sol - cols)) ** 2

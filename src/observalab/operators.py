@@ -217,6 +217,8 @@ def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = Non
     return _report(labels, lhs, rhs, tol)
 
 
+_BLOCK = 1 << 13  # elements per work block: Normals' chunks, draw rows, observe's time nodes
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)                               # SplitMix64's increment
 _MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # and multipliers
 
@@ -271,12 +273,21 @@ class Normals:
         return out
 
     def normal(self, size) -> np.ndarray:
-        """The next prod(size) normals, of shape size.  The words, two per
-        normal, become the floats in place, so at most three 8-byte values
-        per normal are held at once, the output included."""
-        count = int(np.prod(size))
-        words = self.words(self.drawn, count)
-        self.drawn += count
+        """The next prod(size) normals, of shape size, made _BLOCK at a time,
+        so besides the output at most three 8-byte values per normal of one
+        chunk are held at once."""
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _BLOCK):
+            self._chunk(self.drawn + start, flat[start:start + _BLOCK])
+        self.drawn += flat.size
+        return out
+
+    def _chunk(self, first: int, out: np.ndarray) -> None:
+        """Normals first, first + 1, ... into the 1-D out: their words, two
+        per normal, become the floats in place (in a call of its own, so
+        each chunk's words are freed before the next chunk's are made)."""
+        words = self.words(first, out.size)
         words >>= 11
         words[0] += 1
         radius, angle = words.view(np.float64)        # converted in place
@@ -286,7 +297,7 @@ class Normals:
         np.sqrt(radius, out=radius)
         np.multiply(words[1], 2.0 * np.pi * 2.0 ** -53, out=angle)
         np.cos(angle, out=angle)
-        return np.multiply(radius, angle).reshape(size)
+        np.multiply(radius, angle, out=out)
 
 
 def complex_gaussian_rows(rng, rows: int, size: int) -> np.ndarray:
@@ -300,7 +311,11 @@ def complex_gaussian_rows(rng, rows: int, size: int) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-_ROW_BLOCK = 256  # rows drawn and checked at once here and by observe
+def _block_rows(width: int) -> int:
+    """Rows of width elements in one block of about _BLOCK elements (at
+    least one): the draw rows checked at once here and by observe, and the
+    time nodes per block of observe's sampled flux cross-check."""
+    return max(1, _BLOCK // width)
 
 
 def _quasi_orthogonality_sides(pairings: MultiplierPairings,
@@ -319,9 +334,10 @@ def _quasi_orthogonality_sides(pairings: MultiplierPairings,
 def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
                               rng, slack: float) -> IdentityReport:
     """Interior energy of the lambda-normalized multiplier combination, on
-    complex_gaussian_rows(rng, draws, 2N) drawn and checked in blocks (same
-    stream, working arrays that do not grow with the draw count); rng is
-    any generator with normal(size=), Normals or numpy's Generator.
+    complex_gaussian_rows(rng, draws, 2N) drawn and checked _block_rows(4N)
+    rows, about _BLOCK normals, at a time (the same stream, in working
+    arrays that grow neither with N nor with the draw count); rng is any
+    generator with normal(size=), Normals or numpy's Generator.
 
     Each row u holds complex coefficients on the signed index order
     [1..N, -1..-N], and
@@ -334,8 +350,9 @@ def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
     labelled f"quasi_orth_{i}".
     """
     lhs, rhs = np.empty(draws), np.empty(draws)
-    for first in range(0, draws, _ROW_BLOCK):
-        block = slice(first, min(first + _ROW_BLOCK, draws))
+    rows = _block_rows(4 * pairings.table.N)
+    for first in range(0, draws, rows):
+        block = slice(first, min(first + rows, draws))
         u = complex_gaussian_rows(rng, block.stop - first, 2 * pairings.table.N)
         lhs[block], rhs[block] = _quasi_orthogonality_sides(pairings, u)
     return _one_sided_report([f"quasi_orth_{i}" for i in range(draws)], lhs, rhs, slack)

@@ -16,6 +16,10 @@ in as the adversarial direction.  The Gram's analytic time overlap is
 cross-checked on the first draws against the flux norm sampled on the
 Gauss-Legendre time rule geometry.time_rule, the only time discretization
 here, with space by the closed-form boundary factor pos and no Gram at all.
+Both walk their work in blocks of about operators._BLOCK elements: the
+draws a block of rows at a time, the cross-check a block of time nodes at
+a time, so the working set grows neither with N, nor with the node count,
+nor with the number of draws.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .config import ConfigurationError, NumericalError
 from .geometry import time_rule
 from .gram import assemble_exponential_gram, lower_bound_constant, trace_block
 from .modes import ModeTable
-from .operators import _ROW_BLOCK
+from .operators import _block_rows
 
 
 def coeffs_to_a(xi_tilde: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -36,7 +40,23 @@ def coeffs_to_a(xi_tilde: np.ndarray, eta: np.ndarray) -> np.ndarray:
     gradient plus velocity energy); the factor 2 is carried explicitly
     wherever both normalizations meet.
     """
-    return np.concatenate([xi_tilde + 1j * eta, xi_tilde - 1j * eta], axis=-1)
+    xi_tilde, eta = np.asarray(xi_tilde), np.asarray(eta)
+    return _parts_to_a(np.stack([xi_tilde.real, xi_tilde.imag, eta.real, eta.imag], axis=-2))
+
+
+def _parts_to_a(parts: np.ndarray) -> np.ndarray:
+    """coeffs_to_a from the real parts (Re xi_tilde, Im xi_tilde, Re eta,
+    Im eta) stacked along axis -2, written into one complex array with no
+    complex temporaries: Re a_{+-n} = Re xi_tilde_n -+ Im eta_n and
+    Im a_{+-n} = Im xi_tilde_n +- Re eta_n."""
+    re_xi, im_xi, re_eta, im_eta = np.moveaxis(parts, -2, 0)
+    N = parts.shape[-1]
+    a = np.empty(parts.shape[:-2] + (2 * N,), dtype=complex)
+    np.subtract(re_xi, im_eta, out=a.real[..., :N])
+    np.add(im_xi, re_eta, out=a.imag[..., :N])
+    np.add(re_xi, im_eta, out=a.real[..., N:])
+    np.subtract(im_xi, re_eta, out=a.imag[..., N:])
+    return a
 
 
 # ----------------------------------------------------------------------
@@ -55,22 +75,35 @@ def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
     psi_{-n} = -psi_n makes the flux sum_{n>0} psi_n u_n with
     u_n = a_n e^{i lam_n t} - a_{-n} e^{-i lam_n t}
         = (a_n - a_{-n}) cos(lam_n t) + i (a_n + a_{-n}) sin(lam_n t),
-    so each norm is sum_t w_t u^H pos u: one real product on the stacked
-    Re and Im parts, from one cos and one sin over the positive frequencies.
+    so each norm is sum_t w_t u^H pos u: a real product on the stacked Re
+    and Im parts.  The nodes are taken _block_rows(2 N rows) at a time, with
+    one cos and one sin per block and one product for all rows, node-major
+    so that every inner loop runs over the N modes; each row's per-node sums
+    are then weighted by one dot product.
     """
     trule = time_rule(T, float(np.max(table.lambdas)))
     pos = trace_block(table)
-    phase = np.outer(table.lambdas, trule.nodes[:, 0])
-    cos, sin = np.cos(phase), np.sin(phase)
+    nodes, N, rows = trule.nodes[:, 0], table.N, len(a)
+    plus, minus = a[:, None, :N], a[:, None, N:]
+    alpha, beta = plus - minus, plus + minus
+    sums = np.empty((rows, 2, nodes.size))     # per row: the Re, then the Im sums
+    step = _block_rows(2 * rows * N)
+    for first in range(0, nodes.size, step):
+        t = nodes[first:first + step]
+        cos = np.multiply.outer(t, table.lambdas)
+        sin = np.sin(cos)
+        np.cos(cos, out=cos)
+        parts = np.empty((rows, 2, t.size, N))
+        np.subtract(alpha.real * cos, beta.imag * sin, out=parts[:, 0])
+        np.add(alpha.imag * cos, beta.real * sin, out=parts[:, 1])
+        parts = parts.reshape(-1, N)
+        form = parts @ pos                      # pos is symmetric
+        form *= parts
+        sums[..., first:first + step] = np.sum(form, axis=1).reshape(rows, 2, t.size)
     weights = np.concatenate([trule.weights] * 2)
     errors = []
-    for row, closed in zip(a, flux_sq):
-        plus, minus = row[:table.N, None], row[table.N:, None]
-        alpha, beta = plus - minus, plus + minus
-        parts = np.concatenate([alpha.real * cos - beta.imag * sin,
-                                alpha.imag * cos + beta.real * sin], axis=1)
-        sampled = np.sum((pos @ parts) * parts, axis=0) @ weights
-        errors.append(float(abs(sampled - closed) / closed))
+    for row, closed in zip(sums, flux_sq):
+        errors.append(float(abs(row.ravel() @ weights - closed) / closed))
         if errors[-1] > FLUX_GRAM_REL_GATE:
             raise NumericalError(
                 f"sampled flux norm deviates from Gram form by {errors[-1]:.3e}"
@@ -82,14 +115,16 @@ def observability_experiment(table: ModeTable, T: float, draws: int,
                              rng, *, margin_tol: float) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
-    Draws come _ROW_BLOCK rows at a time as rng.normal(size=(rows, 4, N))
-    (Re xi_tilde, Im xi_tilde, Re eta, Im eta per row, the per-draw stream),
-    from any rng with normal(size=) (operators.Normals, or numpy's Generator),
-    and each block's ratios from one row-wise Gram quadratic form (exact).
-    For the first _SAMPLED_FLUX_CHECKS draws the time-sampled flux norm
-    is compared against it within FLUX_GRAM_REL_GATE, tying
-    the closed form to an independent time discretization.
-    The minimizing eigenvector is always included as the adversarial draw.
+    Draws come _block_rows(4N) rows, about operators._BLOCK normals, at a
+    time as rng.normal(size=(rows, 4, N)) (Re xi_tilde, Im xi_tilde, Re eta,
+    Im eta per row, the per-draw stream), from any rng with normal(size=)
+    (operators.Normals, or numpy's Generator).  Each block's states a are
+    built in one complex array, and its ratios come from one row-wise Gram
+    quadratic form (exact).  For the first _SAMPLED_FLUX_CHECKS draws the
+    time-sampled flux norm, summed a block of time nodes at a time, is
+    compared against it within FLUX_GRAM_REL_GATE, tying the closed form to
+    an independent time discretization.  The minimizing eigenvector is
+    always included as the adversarial draw.
     """
     dom = table.domain
     if T <= 2.0 * dom.R:
@@ -99,9 +134,9 @@ def observability_experiment(table: ModeTable, T: float, draws: int,
     c_low = lower_bound_constant(dom, T)
     ratios = np.empty(draws)
     failures = []
-    for first in range(0, draws, _ROW_BLOCK):
-        parts = rng.normal(size=(min(_ROW_BLOCK, draws - first), 4, table.N))
-        a = coeffs_to_a(parts[:, 0] + 1j * parts[:, 1], parts[:, 2] + 1j * parts[:, 3])
+    rows = _block_rows(4 * table.N)
+    for first in range(0, draws, rows):
+        a = _parts_to_a(rng.normal(size=(min(rows, draws - first), 4, table.N)))
         flux_sq = gram.quad_form(a)
         if first == 0:
             checks = slice(0, _SAMPLED_FLUX_CHECKS)

@@ -7,7 +7,9 @@ frequency by construction.  Its squared norm integrates |F|^2 by the
 boundary quadrature in space and composite Simpson in time, pointwise and
 without any Gram matrix, so it checks the closed and the sampled Gram forms
 independently: the library integrates time on Gauss-Legendre panels, this
-oracle on its own uniform Simpson rule.
+oracle on its own uniform Simpson rule.  The pointwise samples
+(flux_samples) can also be taken on the library's own time rule, where
+they check the time-sampled cross-check's arithmetic to rounding level.
 """
 
 import numpy as np
@@ -38,10 +40,16 @@ def simpson_grid(T, lam_max):
     return np.linspace(0.0, T, n_int + 1)
 
 
+def flux_samples(table, brule, a, tgrid):
+    """Samples of F at (boundary node, time) for the times tgrid, shape
+    (nodes, times)."""
+    phases = np.exp(1j * np.outer(table.lambdas_signed(), tgrid))
+    return table.psi_matrix(brule).T @ (np.asarray(a)[:, None] * phases)
+
+
 def boundary_flux(table, brule, a, T):
     """Samples of F at (boundary node, time), shape (nodes, times), and ||F||^2."""
     tgrid = simpson_grid(T, float(np.max(table.lambdas)))
-    phases = np.exp(1j * np.outer(table.lambdas_signed(), tgrid))
-    samples = table.psi_matrix(brule).T @ (np.asarray(a)[:, None] * phases)
+    samples = flux_samples(table, brule, a, tgrid)
     space = brule.weights @ (np.abs(samples) ** 2)
     return samples, float(simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0])) @ space)

@@ -227,7 +227,7 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
             return _original(self, points)
 
         monkeypatch.setattr(ModeTable, name, counted)
-    for draws in (1, 50, ops._ROW_BLOCK + 1):
+    for draws in (1, 50, ops._block_rows(4 * 4) + 1):   # N=4: 4N normals a row
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws,
@@ -274,7 +274,7 @@ def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
         return original_sampled(*args)
 
     monkeypatch.setattr(wave, "_sampled_flux_errors", counted_sampled)
-    for draws in (1, 50, ops._ROW_BLOCK + 1):
+    for draws in (1, 50, ops._block_rows(4 * 4) + 1):   # N=4: 4N normals a row
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws, T_factors=[1.5, 2.0])

@@ -222,6 +222,23 @@ def test_quad_form_homogeneity():
     assert G.quad_form(2.5j * a) == pytest.approx(6.25 * G.quad_form(a), rel=1e-12)
 
 
+def test_forms_and_solves_leave_their_arguments_unchanged():
+    """quad_form and solve compute the coordinates W v in place, in copies
+    of their arguments: for the parity blocks and for one sampled block."""
+    table = enumerate_modes(interval(np.pi), 5)
+    trule = time_rule(4.0, table.lambdas[-1])
+    waves = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0]))
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
+    before = a.copy()
+    for gram in (gr.assemble_exponential_gram(table, 4.0),
+                 gr.assemble_sampled_gram(table, waves, trule)):
+        gram.quad_form(a)
+        gram.quad_form(a[0])
+        gram.solve(a[1])
+        assert np.array_equal(a, before)
+
+
 def test_principal_submatrix_ordering():
     """The signed principal sub-Gram |j| <= n is the Gram of the first n
     modes, and GramMatrix.leading(n), which the memory certificate's

@@ -166,7 +166,7 @@ def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch, generator)
     table, irule, _ = _setup(disk(1.0), N=4)
     pairings = ops.multiplier_pairings(table, irule)
     whole = _quasi(pairings, ops.complex_gaussian_rows(generator(9), 20, 8))
-    monkeypatch.setattr(ops, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(ops, "_BLOCK", 7 * 4 * 4)     # 7 rows of 4N normals
     blocked = ops.quasi_orthogonality_draws(pairings, 20, generator(9), 1e-8)
     assert blocked.label.tolist() == whole.label.tolist()
     assert blocked.lhs == pytest.approx(whole.lhs, rel=1e-14)
@@ -251,17 +251,31 @@ def test_seeds_past_one_limb_give_distinct_streams():
         ops.Normals(-1)
 
 
+def test_normals_split_across_chunk_boundaries():
+    """Draws of chunk - 1, chunk, chunk + 1 and 3 chunk + 1 normals, each
+    crossing chunk boundaries of the stream at its own offset, give the
+    whole draw's numbers."""
+    sizes = [ops._BLOCK - 1, ops._BLOCK, ops._BLOCK + 1, 3 * ops._BLOCK + 1]
+    rng = ops.Normals(11)
+    parts = [rng.normal(size=n) for n in sizes]
+    whole = ops.Normals(11).normal(size=sum(sizes))
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert rng.drawn == sum(sizes)
+
+
 def test_normals_hold_at_most_three_values_per_normal():
-    """The words, two per normal, are mixed a row at a time and converted in
-    place: the traced peak of 10^6 draws stays within 3.05 times the output
-    (24 MB), where mixing both rows at once would reach four times."""
+    """The normals are made _BLOCK at a time: each chunk's words, two per
+    normal, are mixed a row at a time (the shifts' temporaries hold one
+    row) and converted in place, so the traced peak of 10^6 draws stays
+    within the output plus three 8-byte values per normal of one chunk;
+    converting all the words at once held three values per normal."""
     tracemalloc.start()
     try:
         z = ops.Normals(5).normal(size=10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.05 * z.nbytes
+    assert peak <= z.nbytes + 3.1 * 8 * ops._BLOCK
 
 
 def test_normals_moments_within_six_standard_errors():

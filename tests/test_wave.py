@@ -1,5 +1,7 @@
 """Coefficient bookkeeping, flux traces, observability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,14 @@ from observalab.geometry import (
     interior_quadrature,
     interval,
     rectangle,
+    time_rule,
 )
 from observalab.gram import assemble_exponential_gram, lower_bound_constant
 from observalab.modes import enumerate_modes
+from observalab import operators as ops
 from observalab import wave as wv
 
-from flux_sampling import boundary_flux, simpson_grid, simpson_weights
+from flux_sampling import boundary_flux, flux_samples, simpson_grid, simpson_weights
 from interior_sampling import interior_grid
 
 
@@ -202,13 +206,57 @@ _SMALL_DOMAINS = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0
                   "disk": disk(1.0)}
 
 
+@pytest.mark.parametrize("kind", sorted(_SMALL_DOMAINS))
+def test_sampled_flux_norms_match_the_pointwise_oracle(kind, monkeypatch):
+    """The cross-check's sampled norms, summed block by block, equal the
+    flux sampled pointwise (flux_sampling.flux_samples) and integrated on
+    the same time rule within 1e-12 relative: given the oracle's norms as
+    the closed forms, _sampled_flux_errors returns the relative gaps.  At
+    the default block and at 7 nodes a block, ragged at the end."""
+    dom = _SMALL_DOMAINS[kind]
+    table, _, brule = _setup(dom, 24)
+    T = 5 * dom.R
+    trule = time_rule(T, float(np.max(table.lambdas)))
+    a = wv._parts_to_a(ops.Normals(6).normal(size=(3, 4, table.N)))
+    oracle = [trule.weights @ (brule.weights @ np.abs(
+        flux_samples(table, brule, row, trule.nodes[:, 0])) ** 2) for row in a]
+    nodes = trule.weights.size
+    for per_block in (ops._block_rows(2 * 3 * table.N), 7):
+        monkeypatch.setattr(ops, "_BLOCK", per_block * 2 * 3 * table.N)
+        assert nodes > per_block and nodes % per_block
+        assert max(wv._sampled_flux_errors(table, T, a, oracle)) <= 1e-12
+
+
+def test_observe_holds_less_than_one_sampled_array():
+    """observe on the interval at N=128, T = 5R, 200 draws: the traced peak
+    stays below one (N x time nodes) float array, 128 x 2,560 x 8 B = 2.6 MB
+    (the cross-check's whole (N x nodes) arrays took it to about 25 MB)."""
+    dom = interval(np.pi)
+    table = enumerate_modes(dom, 128)
+    T = 5 * dom.R
+    nodes = time_rule(T, float(np.max(table.lambdas))).weights.size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = wv.observability_experiment(table, T, 200, ops.Normals(1234),
+                                          margin_tol=TOLERANCES["riesz_margin"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and nodes == 2560
+    assert peak < table.N * nodes * 8
+
+
+_ROWS = ops._block_rows(4 * 4)   # draw rows a block at N=4
+
+
 @settings(max_examples=30, deadline=None)
-@given(draws=st.sampled_from([1, 2, 3, 255, 256, 257, 600]),
+@given(draws=st.sampled_from([1, 2, 3, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 88]),
        kind=st.sampled_from(sorted(_SMALL_DOMAINS)),
        seed=st.integers(0, 2**32 - 1),
        cut=st.floats(0.2, 0.8))
 def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
-    """Rows drawn and checked _ROW_BLOCK at a time give the per-draw loop's
+    """Rows drawn and checked _block_rows(4N) at a time give the per-draw loop's
     stream, ratios and failure labels (the threshold is set inside the
     ratio range, so both labels occur)."""
     dom = _SMALL_DOMAINS[kind]
