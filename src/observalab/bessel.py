@@ -257,9 +257,6 @@ class BesselZeroTable:
             raise ConfigurationError(f"rank {k} not in table (max {self.max_rank})")
         return float(self._zeros[m, k - 1])
 
-    def row(self, m: int) -> np.ndarray:
-        return self._zeros[m].copy()
-
     def interlaced(self) -> bool:
         """Whether every stored zero obeys j_{m,k} < j_{m,k+1} and
         j_{m,k} < j_{m+1,k} < j_{m,k+1}, as the true zeros do."""

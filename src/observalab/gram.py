@@ -16,6 +16,16 @@ is real symmetric (X and Y of the centred factors conj(d) Z) and, W being
 unitary, has the spectrum of G.  GramMatrix keeps only the real blocks
 along S's diagonal, so its eigensolves, forms and solves are real work.
 
+Every block is an entrywise multiple of pos (or of [[pos, pos], [pos,
+pos]]), and pos couples only modes of one class (ModeTable.classes: the
+parity vector of p on the box, (order, branch) on the disk).  So the
+blocks stay whole and dense for the forms and solves, while the
+eigensolves take each block's class sub-blocks, every class of one size
+in one stacked LAPACK call (eigen.jacobi_eigh), at a cost set by the class
+sizes rather than by N.  Where the classes are so small that the extra
+calls would cost more than they save (the disk at N = 20: 12 classes of 1
+to 3 modes), the blocks are solved whole, in one call.
+
 The exponential family z_n = e^{i lam_n t} takes d = e^{i lam T/2}: with
 the time window centred, X = P and Y = -Q for the real
 P = T sinc((lam_m - lam_n) T / 2pi) * pos and
@@ -46,6 +56,10 @@ from .modes import ModeTable
 
 # extreme eigenpair residuals must stay below this fraction of ||G||
 EIGEN_RESIDUAL_GATE = 1e-8
+# one LAPACK call (eigen.jacobi_eigh) costs about as much as the cubic work
+# of an eigensolve of this order on top of it (on a 2-core VM, numpy 2.4,
+# one BLAS thread: 25-55 us a call, 60-130 us a 32 x 32 solve)
+_CALL_ORDER = 32
 
 
 def phase_integral(nu, t: float) -> np.ndarray:
@@ -62,34 +76,9 @@ def phase_integral(nu, t: float) -> np.ndarray:
 
 
 def trace_block(table: ModeTable) -> np.ndarray:
-    """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed form.
-
-    B = [[pos, -pos], [-pos, pos]] on signed indices, since psi_{-n} = -psi_n.
-    On the faces x_i = 0 and x_i = a_i of the box (0,a_1) x ... x (0,a_d),
-    psi_p is -1 and (-1)^p_i times r_i sqrt(2/a_i) times the other axes'
-    orthonormal sines, with the direction cosine r_i = (p_i pi/a_i)/lambda_p, so
-
-        pos = sum_i (2/a_i) (1 + (-1)^(p_i + p'_i)) [p_j = p'_j for j != i] r_i r'_i,
-
-    which on the interval is (2/L)(1 + (-1)^(n + n')).  On the disk psi_n =
-    sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho {cos, sin}(m theta) on
-    the boundary circle, and J_m'(j_{m,k}) has the sign (-1)^k, so B couples
-    only modes of equal order and branch.
-    """
-    dom, index = table.domain, table.multi_index
-    if dom.kind == "disk":
-        (rho,) = dom.params
-        m, k, branch = index.T
-        same = (m[:, None] == m[None, :]) & (branch[:, None] == branch[None, :])
-        return (2.0 / rho) * (-1.0) ** (k[:, None] + k[None, :]) * same
-    cosines = index * np.pi / np.array(dom.params) / table.lambdas[:, None]
-    terms = []
-    for i, a in enumerate(dom.params):
-        others = np.delete(index, i, axis=1)
-        same = np.all(others[:, None, :] == others[None, :, :], axis=2)
-        parity = 1.0 + (-1.0) ** (index[:, i, None] + index[None, :, i])
-        terms.append((2.0 / a) * parity * same * np.outer(cosines[:, i], cosines[:, i]))
-    return functools.reduce(np.add, terms)
+    """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed
+    form (ModeTable.pos, built once per table and read-only)."""
+    return table.pos
 
 
 _HALF_SQRT = np.sqrt(0.5)
@@ -99,11 +88,18 @@ _HALF_SQRT = np.sqrt(0.5)
 class GramMatrix:
     """Gram of a signed trace family, held as the real blocks along the
     diagonal of S = W G W^H (see the module docstring): the parity blocks
-    (P - Q, P + Q) of the exponential family, or one 2N x 2N block."""
+    (P - Q, P + Q) of the exponential family, or one 2N x 2N block.
+
+    classes labels each positive mode with an integer >= 0 so that no block
+    couples two modes of different labels (ModeTable.classes); a 2N x 2N
+    block holds mode n at rows n and N + n.  Eigensolves take each block's
+    class sub-blocks, so their cost follows the class sizes, not N.  None
+    labels all N modes as one class."""
 
     blocks: tuple[np.ndarray, ...]  # real symmetric: two N x N or one 2N x 2N
     phases: np.ndarray              # d, one unit phase per positive mode
     T: float
+    classes: np.ndarray | None = None
 
     def __post_init__(self):
         N = self.N
@@ -117,6 +113,10 @@ class GramMatrix:
         diagonal = np.concatenate([np.diagonal(block) for block in self.blocks])
         if np.any(diagonal[:N] + diagonal[N:] <= 0):
             raise NumericalError("Gram diagonal must be positive")
+        if self.classes is None:
+            self.classes = np.zeros(N, dtype=int)
+        if np.shape(self.classes) != (N,):
+            raise NumericalError("Gram classes must label each of the N modes")
 
     @property
     def N(self) -> int:
@@ -175,25 +175,66 @@ class GramMatrix:
             x.append(sol[:, 0] + 1j * sol[:, 1])
         return self._from_coords(np.concatenate(x)), float(np.sqrt(res_sq))
 
+    @functools.cached_property
+    def _stacks(self) -> tuple[np.ndarray, ...]:
+        """The modes of each class, ascending, stacked by class size: one
+        (classes, size) array per size.  Or all N modes as one class, where
+        the calls of the class split would cost more than its smaller solves
+        save (_CALL_ORDER)."""
+        size = np.bincount(self.classes)            # modes per label
+        sizes = sorted(set(size.tolist()) - {0})
+        blocks, halves = len(self.blocks), 2 // len(self.blocks)
+
+        def work(s, k):     # k classes of s modes in each block, in one call
+            return _CALL_ORDER ** 3 + blocks * k * (halves * s) ** 3
+
+        if sum(work(s, np.count_nonzero(size == s)) for s in sizes) >= work(self.N, 1):
+            return (np.arange(self.N)[None, :],)
+        order = np.argsort(self.classes, kind="stable")
+        first = np.cumsum(size) - size              # each label's first place in order
+        return tuple(order[first[size == s, None] + np.arange(s)] for s in sizes)
+
+    def _class_solves(self, need_vectors: bool):
+        """One stacked eigensolve per stack of _stacks, over every block's
+        sub-blocks on its classes.  Yields, per solve, the sub-blocks' rows
+        in the blocks' concatenated coordinates (k, s), their eigenvalues
+        (k, s) and eigenvectors (k, s, s) or None."""
+        N = self.N
+        for members in self._stacks:
+            own = (np.concatenate([members, members + N], axis=1)
+                   if len(self.blocks) == 1 else members)
+            subs = np.concatenate([block[own[:, :, None], own[:, None, :]]
+                                   for block in self.blocks])
+            w, v = jacobi_eigh(subs, need_vectors)
+            yield np.concatenate([own + b * N for b in range(len(self.blocks))]), w, v
+
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of G: the sorted union of the blocks'."""
-        return np.sort(np.concatenate([jacobi_eigh(block, need_vectors=False)[0]
-                                       for block in self.blocks]))
+        """Ascending eigenvalues of G: the sorted union of the class sub-blocks'."""
+        return np.sort(np.concatenate([w.ravel() for _, w, _ in self._class_solves(False)]))
 
     def spectrum(self) -> dict:
         """lambda_min, lambda_max, vec_min (a lambda_min eigenvector in signed
         coordinates) and residual_rel, the larger extreme-pair residual over
-        the Frobenius norm of the blocks together, from one solve per block.
-        Raises NumericalError if residual_rel exceeds EIGEN_RESIDUAL_GATE or
-        lambda_min falls below -1e-8 * trace(G) (G not PSD)."""
-        solved = [jacobi_eigh(block) for block in self.blocks]
-        k_min = min(range(len(solved)), key=lambda k: solved[k][0][0])
-        k_max = max(range(len(solved)), key=lambda k: solved[k][0][-1])
-        residuals = []
-        for k, col in ((k_min, 0), (k_max, -1)):
-            w, v = solved[k]
-            residual = self.blocks[k] @ v[:, col] - w[col] * v[:, col]
-            residuals.append(float(np.linalg.norm(residual)))
+        the Frobenius norm of the blocks together, from one solve per class
+        size.  The residuals are taken on the whole blocks, so they also see
+        any coupling between classes.  Raises NumericalError if residual_rel
+        exceeds EIGEN_RESIDUAL_GATE or lambda_min falls below
+        -1e-8 * trace(G) (G not PSD)."""
+        low = high = None
+        for rows, w, v in self._class_solves(True):
+            i, j = np.argmin(w[:, 0]), np.argmax(w[:, -1])
+            if low is None or w[i, 0] < low[0]:
+                low = (w[i, 0], rows[i], v[i][:, 0])
+            if high is None or w[j, -1] > high[0]:
+                high = (w[j, -1], rows[j], v[j][:, -1])
+        pairs, residuals = [], []
+        for value, rows, vec in (low, high):
+            x = np.zeros(2 * self.N)
+            x[rows] = vec
+            parts = x.reshape(len(self.blocks), -1)     # each block's slice of x
+            product = np.concatenate([b @ part for b, part in zip(self.blocks, parts)])
+            residuals.append(float(np.linalg.norm(product - value * x)))
+            pairs.append((float(value), x))
         norm = max(float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks))), 1e-300)
         residual_rel = max(residuals) / norm
         if residual_rel > EIGEN_RESIDUAL_GATE:
@@ -201,15 +242,12 @@ class GramMatrix:
                 f"eigenpair residual too large ({max(residuals):.3e} vs "
                 f"{EIGEN_RESIDUAL_GATE:g} * {norm:.3e})"
             )
-        w, v = solved[k_min]
-        if w[0] < -1e-8 * float(sum(np.trace(block) for block in self.blocks)):
-            raise NumericalError(f"Gram matrix not PSD: lambda_min = {w[0]:.3e}")
-        start = k_min * self.N      # the blocks: two N x N or one 2N x 2N
-        vec = np.zeros(2 * self.N)
-        vec[start:start + len(w)] = v[:, 0]
+        (lam_min, vec), (lam_max, _) = pairs
+        if lam_min < -1e-8 * float(sum(np.trace(block) for block in self.blocks)):
+            raise NumericalError(f"Gram matrix not PSD: lambda_min = {lam_min:.3e}")
         return {
-            "lambda_min": float(w[0]),
-            "lambda_max": float(solved[k_max][0][-1]),
+            "lambda_min": lam_min,
+            "lambda_max": lam_max,
             "vec_min": self._from_coords(vec),
             "residual_rel": residual_rel,
         }
@@ -223,7 +261,7 @@ class GramMatrix:
         for block in self.blocks:
             idx = np.ravel(np.arange(0, len(block), self.N)[:, None] + np.arange(n))
             kept.append(block[np.ix_(idx, idx)])
-        return GramMatrix(tuple(kept), self.phases[:n], self.T)
+        return GramMatrix(tuple(kept), self.phases[:n], self.T, self.classes[:n])
 
 
 def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
@@ -235,7 +273,7 @@ def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
     scale = T / (2.0 * np.pi)
     P = T * np.sinc((lam[:, None] - lam[None, :]) * scale) * pos
     Q = T * np.sinc((lam[:, None] + lam[None, :]) * scale) * pos
-    return GramMatrix((P - Q, P + Q), np.exp(0.5j * T * lam), T)
+    return GramMatrix((P - Q, P + Q), np.exp(0.5j * T * lam), T, table.classes)
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +320,7 @@ def assemble_sampled_gram(table: ModeTable, samples: np.ndarray,
     trule (see sampled_block), as one real 2N x 2N block."""
     T = float(np.sum(trule.weights))
     return GramMatrix((sampled_block(table, samples, trule),),
-                      np.exp(-0.5j * T * table.lambdas), T)
+                      np.exp(-0.5j * T * table.lambdas), T, table.classes)
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,18 @@ and angle, and psi needs no Bessel evaluation.  On the disk radial_factors
 gives the radial parts N_n J_m(lambda_n r) and their images under r d/dr at
 given radii, from one Bessel call, for the interior pairings.
 
+Each table also builds, once and on first use, the closed-form boundary
+factor pos_mn = integral psi_m psi_n dS (pos), its rank-one groups
+pos = F^T diag(kappa) F (groups) and the class of each mode (classes), such
+that pos never couples two modes of different classes.
+
 The disk's modes come from a Bessel zero table sized by the Weyl law and
 then proven to hold the N smallest zeros (see _proven_smallest_zeros).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -51,8 +58,8 @@ class ModeTable:
     """The N smallest-frequency Dirichlet modes of a model domain.
 
     Evaluates phi, grad phi and the signed boundary traces psi_n for the
-    whole table at once.  Immutable after construction; safe to share
-    across workers.
+    whole table at once.  Immutable after construction (the boundary factor
+    is built on first use, read-only); safe to share across workers.
     """
 
     def __init__(self, domain: DomainSpec, lambdas: np.ndarray,
@@ -70,6 +77,75 @@ class ModeTable:
     def lambdas_signed(self) -> np.ndarray:
         """Frequencies on the signed index order [1..N, -1..-N]."""
         return np.concatenate([self.lambdas, -self.lambdas])
+
+    # -- the boundary factor, built once per table ------------------------
+
+    @functools.cached_property
+    def pos(self) -> np.ndarray:
+        """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed
+        form and read-only.
+
+        B = [[pos, -pos], [-pos, pos]] on signed indices, since psi_{-n} = -psi_n.
+        On the faces x_i = 0 and x_i = a_i of the box (0,a_1) x ... x (0,a_d),
+        psi_p is -1 and (-1)^p_i times r_i sqrt(2/a_i) times the other axes'
+        orthonormal sines, with the direction cosine r_i = (p_i pi/a_i)/lambda_p, so
+
+            pos = sum_i (2/a_i) (1 + (-1)^(p_i + p'_i)) [p_j = p'_j for j != i] r_i r'_i,
+
+        which on the interval is (2/L)(1 + (-1)^(n + n')).  On the disk psi_n =
+        sign(J_m'(j_{m,k})) sqrt(2/angular_measure)/rho {cos, sin}(m theta) on
+        the boundary circle, and J_m'(j_{m,k}) has the sign (-1)^k, so
+        pos = (2/rho) (-1)^(k + k') couples only modes of equal order and branch.
+        """
+        pos = functools.reduce(np.add, [kappa * (key[:, None] == key) * np.outer(f, f)
+                                        for key, f, kappa in self._lines()])
+        pos.flags.writeable = False
+        return pos
+
+    @functools.cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, kappa), read-only, with pos = F^T diag(kappa) F: row g of the
+        (groups, N) array F is one rank-one group of pos (see _lines)."""
+        factors, kappas = [], []
+        for key, f, kappa in self._lines():
+            rep, _ = _distinct(key)                 # one mode of each group
+            factors.append((key[rep, None] == key) * f)
+            kappas.append(np.full(len(rep), kappa))
+        F, kappa = np.concatenate(factors), np.concatenate(kappas)
+        F.flags.writeable = kappa.flags.writeable = False
+        return F, kappa
+
+    @functools.cached_property
+    def classes(self) -> np.ndarray:
+        """The class of each mode, a label >= 0, read-only: pos couples no two
+        modes of different classes.  A class is the parity vector of p on the
+        box, (order, branch) on the disk."""
+        index = self.multi_index
+        if self.domain.kind == "disk":
+            labels = 2 * index[:, 0] + index[:, 2]
+        else:
+            labels = (index % 2) @ (1 << np.arange(self.domain.dim))
+        labels.flags.writeable = False
+        return labels
+
+    def _lines(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """Terms (key, f, kappa) with pos = sum kappa [key_m = key_n] f_m f_n.
+
+        On the disk one term: key (order, branch), f = (-1)^k, kappa = 2/rho.
+        On the box one per axis i, by the closed form of pos: key (p_j for
+        j != i, parity of p_i), the lines of modes that the axis couples,
+        f = r_i and kappa = 4/a_i; on the interval the two parity classes,
+        with f = 1.
+        """
+        index = self.multi_index
+        if self.domain.kind == "disk":
+            (rho,) = self.domain.params
+            return [(self.classes, (-1.0) ** index[:, 1], 2.0 / rho)]
+        cosines = index * np.pi / np.array(self.domain.params) / self.lambdas[:, None]
+        # the other axes' indices as digits in the radix max(p) + 1
+        digits = (int(np.max(index)) + 1) ** np.arange(self.domain.dim - 1)
+        return [(2 * (np.delete(index, i, axis=1) @ digits) + index[:, i] % 2,
+                 cosines[:, i], 4.0 / a) for i, a in enumerate(self.domain.params)]
 
     # -- whole-table evaluators ----------------------------------------------
 

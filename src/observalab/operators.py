@@ -60,9 +60,6 @@ class IdentityReport:
     tolerance: np.ndarray
     passed: np.ndarray         # bool
 
-    def __len__(self) -> int:
-        return len(self.label)
-
 
 def report_columns(reports: list[IdentityReport]) -> dict[str, np.ndarray]:
     """The identities.csv columns of the reports, stacked in order (the

@@ -15,7 +15,8 @@ on every draw, with the minimizing eigenvector of the Gram matrix fed back
 in as the adversarial direction.  The Gram's analytic time overlap is
 cross-checked on the first draws against the flux norm sampled on the
 Gauss-Legendre time rule geometry.time_rule, the only time discretization
-here, with space by the closed-form boundary factor pos and no Gram at all.
+here, with space by the rank-one groups of the closed-form boundary factor
+pos (ModeTable.groups) and no Gram at all.
 Both walk their work in blocks of about operators._BLOCK elements: the
 draws a block of rows at a time, the cross-check a block of time nodes at
 a time, so the working set grows neither with N, nor with the node count,
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError
 from .geometry import time_rule
-from .gram import assemble_exponential_gram, lower_bound_constant, trace_block
+from .gram import assemble_exponential_gram, lower_bound_constant
 from .modes import ModeTable
 from .operators import _block_rows
 
@@ -70,40 +71,44 @@ FLUX_GRAM_REL_GATE = 1e-6
 def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
                          flux_sq: np.ndarray) -> list[float]:
     """Relative gaps between the closed Gram form and the flux norms of the
-    rows a sampled on time_rule, with space by the closed-form pos.
+    rows a sampled on time_rule, with space by the closed-form boundary
+    factor's rank-one groups, pos = F^T diag(kappa) F (ModeTable.groups).
 
     psi_{-n} = -psi_n makes the flux sum_{n>0} psi_n u_n with
     u_n = a_n e^{i lam_n t} - a_{-n} e^{-i lam_n t}
         = (a_n - a_{-n}) cos(lam_n t) + i (a_n + a_{-n}) sin(lam_n t),
-    so each norm is sum_t w_t u^H pos u: a real product on the stacked Re
-    and Im parts.  The nodes are taken _block_rows(2 N rows) at a time, with
-    one cos and one sin per block and one product for all rows, node-major
-    so that every inner loop runs over the N modes; each row's per-node sums
-    are then weighted by one dot product.
+    so each norm is sum_t w_t sum_g kappa_g |F_g u(t)|^2.  The real and
+    imaginary parts of F_g u for every row and group are [cos | sin] at the
+    nodes times one real (2N, rows * 2 * groups) coefficient matrix.  The
+    nodes are taken _block_rows(2 N + rows * 2 * groups) at a time, with one
+    cos and one sin and one product per block, whose squares are summed
+    against the time weights as they come.
     """
     trule = time_rule(T, float(np.max(table.lambdas)))
-    pos = trace_block(table)
-    nodes, N, rows = trule.nodes[:, 0], table.N, len(a)
-    plus, minus = a[:, None, :N], a[:, None, N:]
-    alpha, beta = plus - minus, plus + minus
-    sums = np.empty((rows, 2, nodes.size))     # per row: the Re, then the Im sums
-    step = _block_rows(2 * rows * N)
-    for first in range(0, nodes.size, step):
-        t = nodes[first:first + step]
-        cos = np.multiply.outer(t, table.lambdas)
-        sin = np.sin(cos)
-        np.cos(cos, out=cos)
-        parts = np.empty((rows, 2, t.size, N))
-        np.subtract(alpha.real * cos, beta.imag * sin, out=parts[:, 0])
-        np.add(alpha.imag * cos, beta.real * sin, out=parts[:, 1])
-        parts = parts.reshape(-1, N)
-        form = parts @ pos                      # pos is symmetric
-        form *= parts
-        sums[..., first:first + step] = np.sum(form, axis=1).reshape(rows, 2, t.size)
-    weights = np.concatenate([trule.weights] * 2)
+    F, kappa = table.groups
+    N, rows = table.N, len(a)
+    alpha, beta = a[:, :N] - a[:, N:], a[:, :N] + a[:, N:]
+    # F_g u = [cos | sin] @ (F_g [alpha; i beta]): Re and Im of [alpha; i beta]
+    # per row, times F on both halves, as columns (2N, rows, 2, groups)
+    parts = np.stack([np.concatenate([alpha.real, -beta.imag], axis=1),
+                      np.concatenate([alpha.imag, beta.real], axis=1)])
+    coef = parts.T[..., None] * np.concatenate([F, F], axis=1).T[:, None, None, :]
+    coef = coef.reshape(2 * N, -1)
+    totals = np.zeros(coef.shape[1])
+    step = _block_rows(2 * N + coef.shape[1])
+    for first in range(0, trule.weights.size, step):
+        t = trule.nodes[first:first + step, 0]
+        waves = np.empty((t.size, 2 * N))
+        np.multiply.outer(t, table.lambdas, out=waves[:, :N])
+        np.sin(waves[:, :N], out=waves[:, N:])
+        np.cos(waves[:, :N], out=waves[:, :N])
+        sampled = waves @ coef
+        sampled *= sampled
+        totals += trule.weights[first:first + step] @ sampled
+    norms = totals.reshape(rows, 2, -1).sum(axis=1) @ kappa
     errors = []
-    for row, closed in zip(sums, flux_sq):
-        errors.append(float(abs(row.ravel() @ weights - closed) / closed))
+    for norm, closed in zip(norms, flux_sq):
+        errors.append(float(abs(norm - closed) / closed))
         if errors[-1] > FLUX_GRAM_REL_GATE:
             raise NumericalError(
                 f"sampled flux norm deviates from Gram form by {errors[-1]:.3e}"

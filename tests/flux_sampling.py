@@ -1,18 +1,22 @@
 """Direct sampling of the signed boundary flux: the tests' oracle for the Gram form.
 
 F(x, t) = sum_n a_n psi_n(x) e^{i lam_n t} over the signed indices
-[1..N, -1..-N] is sampled on the boundary rule's nodes and on a uniform
-time grid, simpson_grid(T, max lambda), whose step resolves the highest
-frequency by construction.  Its squared norm integrates |F|^2 by the
-boundary quadrature in space and composite Simpson in time, pointwise and
+[1..N, -1..-N] is sampled on the boundary rule's nodes and on a time rule
+of its own, time_grid(T, max lambda).  Its squared norm integrates |F|^2 by
+the boundary quadrature in space and by that rule in time, pointwise and
 without any Gram matrix, so it checks the closed and the sampled Gram forms
-independently: the library integrates time on Gauss-Legendre panels, this
-oracle on its own uniform Simpson rule.  The pointwise samples
-(flux_samples) can also be taken on the library's own time rule, where
-they check the time-sampled cross-check's arithmetic to rounding level.
+independently: the library integrates time on 16-point Gauss-Legendre
+panels of at most two periods of 2 max lambda (geometry.time_rule), this
+oracle on 20-point panels of at most three, from numpy's leggauss.  The
+pointwise samples (flux_samples) can also be taken on the library's own
+time rule, where they check the time-sampled cross-check's arithmetic to
+rounding level.
 """
 
 import numpy as np
+
+_ORDER = 20      # Gauss-Legendre points a panel
+_PERIODS = 3.0   # periods of the top frequency 2 max lambda a panel, at most
 
 
 def simpson_weights(n_samples, dt):
@@ -25,19 +29,16 @@ def simpson_weights(n_samples, dt):
     return w * (dt / 3.0)
 
 
-def simpson_grid(T, lam_max):
-    """Uniform grid on [0, T] resolving products of traces with frequencies <= lam_max.
-
-    Composite-Simpson error for e^{i w t} scales like T h^4 w^4 / 180 with
-    w up to 2 lam_max; the step is chosen to push that below 1e-7, and
-    never coarser than 20 samples per shortest period.
-    """
-    w = 2.0 * max(lam_max, 1.0)
-    h_accuracy = (180.0 * 1e-7 / (max(T, 1.0) * w**4)) ** 0.25
-    h_nyquist = np.pi / (10.0 * max(lam_max, 1e-12))
-    n_int = int(np.ceil(T / min(h_accuracy, h_nyquist)))
-    n_int += n_int % 2
-    return np.linspace(0.0, T, n_int + 1)
+def time_grid(T, lam_max):
+    """Nodes and weights of composite Gauss-Legendre on [0, T] for products
+    of traces with frequencies <= lam_max: the top frequency 2 lam_max
+    makes at most _PERIODS periods on each _ORDER-point panel, where the
+    rule's error for e^{i w t} is far below rounding."""
+    x, w = np.polynomial.legendre.leggauss(_ORDER)
+    panels = max(1, int(np.ceil(T * 2.0 * max(lam_max, 1.0) / (2.0 * np.pi * _PERIODS))))
+    edges = np.linspace(0.0, T, panels + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def flux_samples(table, brule, a, tgrid):
@@ -48,8 +49,8 @@ def flux_samples(table, brule, a, tgrid):
 
 
 def boundary_flux(table, brule, a, T):
-    """Samples of F at (boundary node, time), shape (nodes, times), and ||F||^2."""
-    tgrid = simpson_grid(T, float(np.max(table.lambdas)))
+    """Samples of F at (boundary node, time_grid time), shape (nodes, times),
+    and ||F||^2."""
+    tgrid, weights = time_grid(T, float(np.max(table.lambdas)))
     samples = flux_samples(table, brule, a, tgrid)
-    space = brule.weights @ (np.abs(samples) ** 2)
-    return samples, float(simpson_weights(len(tgrid), float(tgrid[1] - tgrid[0])) @ space)
+    return samples, float(weights @ (brule.weights @ (np.abs(samples) ** 2)))

@@ -56,7 +56,7 @@ def test_criterion_01_rellich_identities_three_geometries(geometries):
         tol = 1e-5 if kind == "disk" else 1e-6
         report = rellich_suite(multiplier_pairings(table, irule), brule,
                                table.psi_matrix(brule), max_index=20, tol=tol)
-        assert len(report) == (2 * 20) ** 2, kind
+        assert len(report.label) == (2 * 20) ** 2, kind
         bad = ~report.passed
         assert not bad.any(), f"{kind}: {np.count_nonzero(bad)} residuals above {tol:g}, " \
                               f"worst {report.abs_error[bad].max():.3e}"
@@ -76,7 +76,7 @@ def test_criterion_02_quasi_orthogonality_and_antisymmetry(geometries):
         u = np.array([rng.normal(size=2 * table.N) + 1j * rng.normal(size=2 * table.N)
                       for _ in range(200)])
         report = quasi_orthogonality_check(pairings, u, slack=1e-8)
-        assert len(report) == 200, kind
+        assert len(report.label) == 200, kind
         bad = np.flatnonzero(~report.passed)
         assert not len(bad), \
             f"{kind} draw {bad[0]}: {report.lhs[bad[0]]} > {report.rhs[bad[0]]} + 1e-8"

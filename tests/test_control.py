@@ -205,13 +205,14 @@ def test_real_data_yields_real_control():
 
 def test_sampled_norm_agrees_with_gram_form():
     """The control is a signed boundary combination, so the directly sampled
-    flux gives its norm by Simpson independently of the Gram form."""
+    flux gives its norm on the oracle's own time rule, independently of the
+    Gram form."""
     dom, table = _setup(10)
     prob = C.random_problem(10, 2.3 * np.pi, np.random.default_rng(13))
     G = assemble_exponential_gram(table, prob.T)
     ctl = C.solve_control(table, prob, G)
     _, sampled = boundary_flux(table, _boundary_rule(dom, table), ctl.coefficients, prob.T)
-    assert abs(sampled - ctl.norm_sq) <= 1e-6 * ctl.norm_sq
+    assert abs(sampled - ctl.norm_sq) <= 1e-12 * ctl.norm_sq
 
 
 def test_longer_horizon_strengthens_certificate():

@@ -109,3 +109,35 @@ def test_eigenvalues_only_path_survives_negligible_couplings():
         w_only, _ = jacobi_eigh(matrix, need_vectors=False)
         assert np.max(np.abs(w_only - np.linalg.eigh(a)[0])) <= 1e-14
 
+
+
+@pytest.mark.parametrize("need_vectors", [True, False])
+def test_stacked_slices_solve_as_if_alone(need_vectors):
+    """Each matrix of a (k, n, n) stack is checked and cut on its own scale:
+    with slices 1e200 apart in scale, each gets, bit for bit, the
+    eigenvalues it gets when solved alone (a cut across the stack would zero
+    the small slices; the couplings of 1e-30 of a slice's scale sit below
+    none of the per-slice cuts)."""
+    rng = np.random.default_rng(12)
+    stack = []
+    for scale in (1e-100, 1.0, 1e100):
+        b = rng.normal(size=(9, 9))
+        a = (b + b.T) * scale
+        a[0, 5] = a[5, 0] = 1e-30 * scale
+        stack.append(a)
+    stack = np.array(stack)
+    w, v = jacobi_eigh(stack, need_vectors=need_vectors)
+    assert w.shape == (3, 9) and (v is None) == (not need_vectors)
+    for k, a in enumerate(stack):
+        alone, _ = jacobi_eigh(a, need_vectors=need_vectors)
+        assert np.array_equal(w[k], alone), k
+
+
+def test_stack_checks_each_matrix():
+    """A non-Hermitian matrix of unit scale is refused beside one of 1e100,
+    whose scale would hide its deviation in a gate across the stack."""
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        jacobi_eigh(np.array([np.eye(2) * 1e100, skew]))
+    with pytest.raises(NumericalError, match="square"):
+        jacobi_eigh(np.zeros((2, 2, 3)))

@@ -188,6 +188,88 @@ def test_boundary_factor_closed_form_vs_quadrature(kind, scale, aspect, N, q):
     assert np.max(np.abs(quad - closed)) <= 1e-12 * np.max(np.abs(closed))
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "rectangle", "disk"]),
+       scale=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e),
+       aspect=st.floats(-3.0, 3.0).map(lambda e: 2.0 ** e),
+       N=st.integers(1, 128))
+def test_boundary_factor_splits_into_classes_and_rank_one_groups(kind, scale, aspect, N):
+    """The premise of the class-by-class eigensolves and of observe's
+    cross-check: table.classes labels two modes alike exactly when they
+    share the parity vector of p (box) or (order, branch) (disk),
+    trace_block is exactly 0.0 between modes of different classes, and its
+    rank-one groups F^T diag(kappa) F give it back within 1e-15 of its
+    largest entry, each group inside one class."""
+    table = enumerate_modes(BOUNDARY_DOMAINS[kind](scale, aspect), N)
+    pos = gr.trace_block(table)
+    label = table.classes
+    index = table.multi_index
+    key = index[:, [0, 2]] if kind == "disk" else index % 2
+    assert label.shape == (N,) and np.all(label >= 0)
+    assert np.array_equal(label[:, None] == label, np.all(key[:, None] == key, axis=2))
+    assert np.all(pos[label[:, None] != label[None, :]] == 0.0)
+    F, kappa = table.groups
+    assert np.max(np.abs(F.T @ (kappa[:, None] * F) - pos)) <= 1e-15 * np.max(np.abs(pos))
+    for row in F:
+        assert len(set(label[row != 0].tolist())) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 128), ratio=st.floats(1.05, 4.0),
+       L=st.floats(-1.0, 1.5).map(lambda e: 10.0 ** e))
+def test_interval_spectrum_within_the_toeplitz_bounds(N, ratio, L):
+    """On the interval each parity class is (4/L) times a Toeplitz section
+    whose symbol counts the translates of [0, T] by multiples of L that
+    cover a point, so 4 floor(T/L) <= lambda_min <= lambda_max <=
+    4 ceil(T/L) for every N (U. Grenander and G. Szego, Toeplitz Forms and
+    Their Applications, 1958); the slack 1e-12 lambda_max was fixed before
+    the first run."""
+    T = ratio * L
+    w = gr.assemble_exponential_gram(enumerate_modes(interval(L), N), T).eigenvalues()
+    slack = 1e-12 * w[-1]
+    assert 4.0 * np.floor(T / L) - slack <= w[0]
+    assert w[-1] <= 4.0 * np.ceil(T / L) + slack
+
+
+def test_gram_classes_label_every_mode_and_couple_nothing():
+    """Labels that miss a mode are refused; classes that split a coupled
+    block (two of 32 modes, so the split is taken) are caught by spectrum's
+    residual on the whole block."""
+    block = 2.0 * np.eye(64)
+    block[0, 32] = block[32, 0] = 1.0
+    phases = np.ones(64)
+    with pytest.raises(NumericalError, match="label each"):
+        gr.GramMatrix((block, block), phases, 1.0, np.zeros(63, dtype=int))
+    halves = np.repeat([0, 1], 32)
+    with pytest.raises(NumericalError, match="residual"):
+        gr.GramMatrix((block, block), phases, 1.0, halves).spectrum()
+    whole = gr.GramMatrix((block, block), phases, 1.0).spectrum()
+    assert whole["lambda_min"] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("N, shapes", [
+    (20, [(2, 20, 20)]),
+    (128, [(2 * k, s, s) for k, s in [(8, 1), (6, 2), (6, 3), (5, 4), (5, 5), (4, 6), (3, 7)]]),
+])
+def test_eigensolves_split_only_where_the_classes_pay(N, shapes, monkeypatch):
+    """On the unit disk the exponential Gram's two blocks take one stacked
+    eigensolve per class size at N = 128, where the classes hold at most 7
+    modes, and one solve of both whole blocks at N = 20, where three calls
+    on classes of 1 to 3 modes would cost more than they save."""
+    table = enumerate_modes(disk(1.0), N)
+    G = gr.assemble_exponential_gram(table, 5.0)
+    asked = []
+    original = gr.jacobi_eigh
+
+    def recorded(matrix, need_vectors=True):
+        asked.append(matrix.shape)
+        return original(matrix, need_vectors)
+
+    monkeypatch.setattr(gr, "jacobi_eigh", recorded)
+    G.eigenvalues()
+    assert asked == shapes
+
+
 @pytest.mark.parametrize("N", [1, 2, 16, 128])
 @pytest.mark.parametrize("L", [0.01, 1.0, np.pi, 100.0])
 def test_interval_trace_constant_stays_below_four(L, N):

@@ -115,7 +115,7 @@ def test_rellich_diagonals(dom):
 def test_rellich_suite_all_pairs(dom):
     table, irule, brule = _setup(dom)
     report = _rellich(table, irule, brule)
-    assert len(report) == (2 * table.N) ** 2
+    assert len(report.label) == (2 * table.N) ** 2
     assert report.passed.all(), f"worst error {report.abs_error.max():.3e}"
 
 
@@ -296,7 +296,7 @@ def test_quasi_orthogonality_single_mode():
     u = np.zeros((1, 10), dtype=complex)
     u[0, 2] = 1.0
     rep = _quasi(ops.multiplier_pairings(table, irule), u)
-    assert len(rep) == 1
+    assert len(rep.label) == 1
     assert rep.lhs[0] <= table.domain.R ** 2 + 1e-8
     assert rep.rhs[0] == pytest.approx(table.domain.R ** 2)
 
@@ -306,7 +306,7 @@ def test_quasi_orthogonality_mirror_cancellation():
     table, irule, _ = _setup(rectangle(1.0, 1.0), N=4)
     u = np.ones((1, 8), dtype=complex)
     rep = _quasi(ops.multiplier_pairings(table, irule), u)
-    assert len(rep) == 1
+    assert len(rep.label) == 1
     assert abs(rep.rhs[0]) < 1e-12
     assert rep.lhs[0] < 1e-12
 

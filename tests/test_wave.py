@@ -22,7 +22,7 @@ from observalab.modes import enumerate_modes
 from observalab import operators as ops
 from observalab import wave as wv
 
-from flux_sampling import boundary_flux, flux_samples, simpson_grid, simpson_weights
+from flux_sampling import boundary_flux, flux_samples, time_grid
 from interior_sampling import interior_grid
 
 
@@ -76,12 +76,12 @@ def _physical_flux_coefficients(table, xi, eta, T):
 def _normal_derivative_trace(table, brule, xi, eta, T):
     """Samples of the physical dw/dnu on boundary_flux's grid, and their norm:
     dw/dnu(x, t) = sum_n [xi_tilde_n cos(lam_n (T-t)) - eta_n sin(lam_n (T-t))] psi_n(x)."""
-    tgrid = simpson_grid(T, float(np.max(table.lambdas)))
+    tgrid, tweights = time_grid(T, float(np.max(table.lambdas)))
     theta = np.outer(table.lambdas, T - tgrid)
     weights = xi[:, None] * np.cos(theta) - eta[:, None] * np.sin(theta)
     samples = table.psi_matrix(brule)[: table.N].T @ weights
     space = brule.weights @ (np.abs(samples) ** 2)
-    return samples, float(simpson_weights(len(tgrid), tgrid[1] - tgrid[0]) @ space)
+    return samples, float(tweights @ space)
 
 
 def test_energy_convention_against_quadrature():
@@ -132,7 +132,7 @@ def test_flux_norm_equals_gram_form():
         a = wv.coeffs_to_a(*_random_state(8, np.random.default_rng(4)))
         _, norm_sq = boundary_flux(table, brule, a, T)
         qf = G.quad_form(a)
-        assert abs(norm_sq - qf) <= 1e-6 * qf
+        assert abs(norm_sq - qf) <= 1e-12 * qf
 
 
 def test_flux_zero_state():
@@ -221,8 +221,11 @@ def test_sampled_flux_norms_match_the_pointwise_oracle(kind, monkeypatch):
     oracle = [trule.weights @ (brule.weights @ np.abs(
         flux_samples(table, brule, row, trule.nodes[:, 0])) ** 2) for row in a]
     nodes = trule.weights.size
-    for per_block in (ops._block_rows(2 * 3 * table.N), 7):
-        monkeypatch.setattr(ops, "_BLOCK", per_block * 2 * 3 * table.N)
+    # a block's row of nodes: cos and sin of the N modes, then Re and Im of
+    # each row's sum over each rank-one group
+    width = 2 * table.N + 3 * 2 * len(table.groups[1])
+    for per_block in (ops._block_rows(width), 7):
+        monkeypatch.setattr(ops, "_BLOCK", per_block * width)
         assert nodes > per_block and nodes % per_block
         assert max(wv._sampled_flux_errors(table, T, a, oracle)) <= 1e-12
 
