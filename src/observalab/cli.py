@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import ModeCache, cached_modes, resolve_cache_path
 from .config import (CheckFailure, ConfigurationError, NumericalError,
                      RunConfig, load_config)
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import assemble_exponential_gram, riesz_bounds_report
+from .modes import enumerate_modes
 from .operators import (Normals, antisymmetry_suite, boundary_gram_check,
                         multiplier_pairings, quasi_orthogonality_draws, rellich_suite,
                         report_columns)
@@ -41,11 +41,7 @@ LOCK_NAME = ".observalab.lock"
 
 def _build_tables(config: RunConfig):
     domain = domain_from_config(config.domain)
-    cache = ModeCache.load(resolve_cache_path(config.cache_path))
-    table = cached_modes(domain, config.N, cache)
-    if cache.changed:             # a hit leaves the file as it was
-        cache.save()
-    return domain, table
+    return domain, enumerate_modes(domain, config.N)
 
 
 def _kernel_from_spec(spec: dict) -> MemoryKernel:

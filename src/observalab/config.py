@@ -106,7 +106,6 @@ CONFIG_SCHEMA = {
             "properties": {key: {"type": "number", "exclusiveMinimum": 0} for key in TOLERANCES},
         },
         "out_dir": {"type": "string"},
-        "cache_path": {"type": "string"},
     },
     "required": ["domain", "N"],
 }
@@ -132,7 +131,6 @@ class RunConfig:
     seed: int = 1234
     tolerances: Mapping[str, float] = field(default_factory=dict)
     out_dir: str = "observalab_out"
-    cache_path: str | None = None
 
     def __post_init__(self):
         # JSON Schema counts an integral float such as 6.0 as an integer

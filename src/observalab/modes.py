@@ -38,7 +38,10 @@ pos = F^T diag(kappa) F (groups) and the class of each mode (classes), such
 that pos never couples two modes of different classes.
 
 The disk's modes come from a Bessel zero table sized by the Weyl law and
-then proven to hold the N smallest zeros (see _proven_smallest_zeros).
+then proven to hold the N smallest zeros (see _proven_smallest_zeros).  The
+zeros do not depend on the radius, nor a box's multi-indices on its widths,
+so each process builds them once per N (_disk_zeros, _box_indices); every
+table scales them by its own size.
 """
 
 from __future__ import annotations
@@ -271,20 +274,6 @@ class ModeTable:
         rel = pts - self.domain.x0
         return np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])
 
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": {"kind": self.domain.kind, "params": list(self.domain.params)},
-            "N": self.N,
-            "modes": [
-                {"n": n, "multi_index": mi, "lambda": lam, "norm_const": c}
-                for n, mi, lam, c in zip(range(1, self.N + 1), self.multi_index.tolist(),
-                                         self.lambdas.tolist(), self.norm.tolist())
-            ],
-        }
-
-
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of one occurrence of each distinct value, and for every value
     the position of its own among them (np.unique would import numpy.ma)."""
@@ -337,8 +326,12 @@ def _proven_smallest_zeros(table: bessel.BesselZeroTable,
     return None
 
 
-def _smallest_disk_zeros(count: int) -> list[tuple[float, tuple]]:
-    """The `count` smallest zeros j_{m,k} of the disk, one per angular branch.
+@functools.cache
+def _disk_zeros(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `count` smallest zeros j_{m,k} of the disk, one per angular branch
+    and in frequency order, with their (m, k, branch) indices and
+    J_m'(j_{m,k}); they do not depend on the radius, so they are built once
+    per count and returned read-only.
 
     The table is sized from the Weyl law of the unit disk, N(x) ~ x^2/4 - x/2
     modes below frequency x, so the count-th zero is near 1 + sqrt(1 + 4
@@ -347,20 +340,25 @@ def _smallest_disk_zeros(count: int) -> list[tuple[float, tuple]]:
     larger one, up to the limits of BesselZeroTable.
     """
     reach = 2.0 + np.sqrt(1.0 + 4.0 * count)
-    while True:
-        table = bessel.BesselZeroTable(*_zero_table_shape(reach))
-        found = _proven_smallest_zeros(table, count)
-        if found is not None:
-            return found
+    while (zeros := _proven_smallest_zeros(
+            bessel.BesselZeroTable(*_zero_table_shape(reach)), count)) is None:
         reach += np.pi
+    jmk = np.array([z for z, _ in zeros])
+    index = np.array([mi for _, mi in zeros])
+    jp = bessel.bessel_jp(index[:, 0], jmk)
+    for array in (jmk, index, jp):
+        array.flags.writeable = False
+    return jmk, index, jp
 
 
-def _box_indices(d: int, N: int) -> list[tuple]:
+@functools.cache
+def _box_indices(d: int, N: int) -> tuple[tuple, ...]:
     """Every multi-index p of d positive integers with prod(p) <= N, in
-    lexicographic order."""
+    lexicographic order; they do not depend on the widths, so they are built
+    once per (d, N)."""
     if d == 0:
-        return [()]
-    return [(p, *rest) for p in range(1, N + 1) for rest in _box_indices(d - 1, N // p)]
+        return ((),)
+    return tuple((p, *rest) for p in range(1, N + 1) for rest in _box_indices(d - 1, N // p))
 
 
 def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
@@ -370,12 +368,8 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
         raise ConfigurationError("mode count N must be >= 1")
     if domain.kind == "disk":
         (rho,) = domain.params
-        zeros = _smallest_disk_zeros(N)
-        jmk = np.array([z for z, _ in zeros])
-        index = np.array([mi for _, mi in zeros])
-        order = index[:, 0]
-        jp = bessel.bessel_jp(order, jmk)
-        angular_measure = np.where(order == 0, 2.0 * np.pi, np.pi)
+        jmk, index, jp = _disk_zeros(N)
+        angular_measure = np.where(index[:, 0] == 0, 2.0 * np.pi, np.pi)
         norm = np.sqrt(2.0 / (angular_measure * rho * rho * jp * jp))
         return ModeTable(domain, jmk / rho, index, norm)
     # lambda grows in every p_i, so the prod(p) - 1 multi-indices below p
@@ -386,11 +380,3 @@ def enumerate_modes(domain: DomainSpec, N: int) -> ModeTable:
     first = np.lexsort((*index.T[::-1], lam))[:N]
     norm = np.sqrt(2.0 ** domain.dim / np.prod(widths))
     return ModeTable(domain, lam[first], index[first], np.full(N, norm))
-
-
-def table_from_dict(domain: DomainSpec, data: dict) -> ModeTable:
-    """Rebuild a table from its serialized form (evaluators reconstructed)."""
-    modes = data["modes"]
-    return ModeTable(domain, [float(m["lambda"]) for m in modes],
-                     np.array([m["multi_index"] for m in modes]),
-                     [float(m["norm_const"]) for m in modes])

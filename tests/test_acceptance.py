@@ -254,7 +254,6 @@ def test_criterion_11_seeded_runs_byte_identical(tmp_path):
             "draws": 10,
             "seed": 7,
             "out_dir": str(out),
-            "cache_path": str(tmp_path / f"cache_{tag}.json"),
         }))
         for cmd in ("spectrum", "verify-identities", "riesz", "observe",
                     "visco", "control"):

@@ -1,4 +1,4 @@
-"""CLI layer: artifacts, exit codes, determinism, cache, lock, prerequisites."""
+"""CLI layer: artifacts, exit codes, determinism, lock, prerequisites."""
 
 import copy
 import importlib
@@ -15,12 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from observalab import cli, eigen, geometry, gram, visco, wave
+from observalab import cli, eigen, geometry, gram, modes, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
-from observalab.cache import SCHEMA_VERSION, ModeCache, cached_modes, resolve_cache_path
 from observalab.config import CONFIG_SCHEMA, TOLERANCES, config_from_dict, schema_violation
-from observalab.geometry import disk, interval
 from observalab.modes import ModeTable
 from observalab.reports import strip_timestamp
 
@@ -33,7 +31,6 @@ def _write_config(tmp_path, **overrides):
         "draws": 10,
         "seed": 7,
         "out_dir": str(tmp_path / "out"),
-        "cache_path": str(tmp_path / "cache.json"),
     }
     raw.update(overrides)
     path = tmp_path / "config.json"
@@ -55,10 +52,11 @@ def test_spectrum_interval_lambdas(tmp_path):
 
 
 def test_spectrum_warm_cache_byte_identical(tmp_path):
+    """A second run in the same process, on its warm in-process memos,
+    writes the bytes of the first."""
     cfg = _write_config(tmp_path, N=4)
     assert _run("spectrum", "--config", str(cfg)) == 0
     first = strip_timestamp((tmp_path / "out" / "spectrum.csv").read_text())
-    assert (tmp_path / "cache.json").exists()
     assert _run("spectrum", "--config", str(cfg)) == 0
     second = strip_timestamp((tmp_path / "out" / "spectrum.csv").read_text())
     assert first == second
@@ -75,18 +73,27 @@ def test_disk_spectrum_consistent_with_zero_table(tmp_path):
 
 
 def test_disk_spectrum_cached_and_fresh_byte_identical(tmp_path):
-    disk_cfg = {"domain": {"kind": "disk", "radius": 1.7}, "N": 40}
-    cfg = _write_config(tmp_path, **disk_cfg)
-    assert _run("spectrum", "--config", str(cfg)) == 0      # fresh, fills the cache
+    """The disk's zeros are found once per N in a process: a first spectrum
+    and one served from that memo write the same bytes."""
+    modes._disk_zeros.cache_clear()
+    cfg = _write_config(tmp_path, domain={"kind": "disk", "radius": 1.7}, N=40)
+    assert _run("spectrum", "--config", str(cfg)) == 0      # fresh, fills the memo
+    assert modes._disk_zeros.cache_info().currsize == 1
     spectrum = tmp_path / "out" / "spectrum.csv"
     fresh = strip_timestamp(spectrum.read_text())
-    assert _run("spectrum", "--config", str(cfg)) == 0      # from the cache
+    assert _run("spectrum", "--config", str(cfg)) == 0      # from the memo
+    assert modes._disk_zeros.cache_info().hits == 1
     assert strip_timestamp(spectrum.read_text()) == fresh
-    other = tmp_path / "other"
-    other.mkdir()
-    cfg = _write_config(other, **disk_cfg)                   # fresh, its own cache
+
+
+def test_a_run_writes_only_inside_its_output_directory(tmp_path, monkeypatch):
+    """No file lands in the working directory: it holds the config and the
+    output directory, nothing else."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OBSERVALAB_CACHE", raising=False)
+    cfg = _write_config(tmp_path, domain={"kind": "disk", "radius": 1.0}, N=8)
     assert _run("spectrum", "--config", str(cfg)) == 0
-    assert strip_timestamp((other / "out" / "spectrum.csv").read_text()) == fresh
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "out"]
 
 
 def test_disk_spectrum_at_n100_exits_0(tmp_path):
@@ -141,8 +148,7 @@ for domain in domains:
     run.mkdir()
     cfg = run / "config.json"
     cfg.write_text(json.dumps({"domain": domain, "N": 40, "draws": 10, "seed": 3,
-                               "out_dir": str(run / "out"),
-                               "cache_path": str(run / "cache.json")}))
+                               "out_dir": str(run / "out")}))
     for cmd in ("spectrum", "verify-identities", "riesz", "observe", "visco", "control"):
         codes.append(cli.main([cmd, "--config", str(cfg)]))
 print(json.dumps({"codes": codes, **{name: name in sys.modules for name in
@@ -158,7 +164,6 @@ def test_no_command_imports_numpy_random_ma_or_polynomial(tmp_path):
     fresh interpreter that runs every command on every geometry loads none
     of them."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    env.pop("OBSERVALAB_CACHE", None)
     done = subprocess.run([sys.executable, "-c", _ALL_COMMANDS_SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
@@ -367,7 +372,7 @@ def test_schema_valid_configs_exit_with_a_documented_code(raw, kernels, factors)
     for config in (raw, timed):
         assert not list(Draft202012Validator(CONFIG_SCHEMA).iter_errors(config))
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {"out_dir": str(Path(tmp) / "out"), "cache_path": str(Path(tmp) / "cache.json")}
+        paths = {"out_dir": str(Path(tmp) / "out")}
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps({**raw, **paths}))
         for cmd in ("spectrum", "verify-identities", "riesz", "control"):
@@ -554,8 +559,7 @@ def test_number_fields_refuse_integers_past_the_float_range(tmp_path, capsys, te
 def test_integer_fields_take_integers_past_the_float_range(tmp_path):
     """seed is an integer field and never a float: a 401-digit seed runs."""
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "seed": %s, '
-                   '"cache_path": %s}' % (_HUGE, json.dumps(str(tmp_path / "cache.json"))))
+    cfg.write_text('{"domain": {"kind": "interval", "length": 3.0}, "N": 4, "seed": %s}' % _HUGE)
     for cmd in ("spectrum", "verify-identities"):
         assert _run(cmd, "--config", str(cfg), "--out", str(tmp_path / "out")) == 0, cmd
 
@@ -689,8 +693,9 @@ def test_malformed_config_exit_64(tmp_path):
     {"tolerances": {"gram_hermitian": 1e-10}},
     {"tolerances": {"flux_gram_rel": 1e-6}},
     {"tolerances": {"visco_terminal": 1e-8}},
+    {"cache_path": "c.json"},
 ], ids=["lambda_range", "eigen_residual", "orthonormality", "pcg_rel_residual",
-        "gram_hermitian", "flux_gram_rel", "visco_terminal"])
+        "gram_hermitian", "flux_gram_rel", "visco_terminal", "cache_path"])
 def test_removed_config_knobs_exit_64(tmp_path, removed):
     cfg = _write_config(tmp_path, N=3, **removed)
     assert _run("spectrum", "--config", str(cfg)) == 64
@@ -766,17 +771,14 @@ def test_malformed_riesz_summary_rows_exit_64(tmp_path, capsys, rows):
     assert "unreadable riesz summary" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["out_dir_is_a_file", "cache_path_is_a_directory",
-                                  "artifact_is_a_directory"])
+@pytest.mark.parametrize("case", ["out_dir_is_a_file", "artifact_is_a_directory"])
 def test_filesystem_errors_exit_64(tmp_path, capsys, case):
-    """An output directory, cache path or artifact path the run cannot write
-    is bad configuration (exit 64), and a failed cache save leaves no
-    temporary file behind."""
+    """An output directory or artifact path the run cannot write is bad
+    configuration (exit 64), and the failed write leaves no temporary file
+    behind."""
     cfg = _write_config(tmp_path)
     if case == "out_dir_is_a_file":
         (tmp_path / "out").write_text("")
-    elif case == "cache_path_is_a_directory":
-        (tmp_path / "cache.json").mkdir()
     else:
         (tmp_path / "out" / "spectrum.csv").mkdir(parents=True)
     assert _run("spectrum", "--config", str(cfg)) == 64
@@ -822,102 +824,6 @@ def test_lock_conflict_and_release(tmp_path):
     lock.unlink()
     assert _run("spectrum", "--config", str(cfg)) == 0
     assert not lock.exists()          # released even on success
-
-
-def test_cache_version_mismatch_rebuilds(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text(json.dumps({"schema_version": SCHEMA_VERSION + 1,
-                                      "tables": {"interval(1):N=3": {"bad": 1}},
-                                      "bessel_zeros": None}))
-    cfg = _write_config(tmp_path, N=3)
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    rebuilt = json.loads(cache_path.read_text())
-    assert rebuilt["schema_version"] == SCHEMA_VERSION
-    assert all("interval" in key for key in rebuilt["tables"])
-
-
-def test_cache_of_the_previous_schema_is_rebuilt(tmp_path):
-    """A version-3 file holds disk zeros and norms from the former zero
-    table and series band; they are not read but recomputed and saved."""
-    cache_path = tmp_path / "cache.json"
-    cfg = _write_config(tmp_path, N=5, domain={"kind": "disk", "radius": 1.0})
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    fresh = json.loads(cache_path.read_text())
-    old = json.loads(cache_path.read_text())
-    for entry in old["tables"].values():
-        for mode in entry["modes"]:
-            mode["lambda"] *= 1.0 + 1e-12
-            mode["norm_const"] *= 1.0 + 1e-12
-    old["schema_version"] = 3
-    cache_path.write_text(json.dumps(old))
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    assert json.loads(cache_path.read_text()) == fresh
-
-
-@pytest.mark.parametrize("edit", ["truncated", "extra_mode", "ragged_index", "wide_index"])
-def test_cache_entry_without_its_n_modes_is_rebuilt(tmp_path, monkeypatch, edit):
-    """An entry is served only if it holds exactly the N modes its key
-    names.  Served, a 3-mode entry under N=5 made riesz certify N=3, and
-    with its third lambda edited fail the lower bound; cut short, padded
-    or with a ragged or too wide multi-index it is a miss, rebuilt and saved."""
-    monkeypatch.delenv("OBSERVALAB_CACHE", raising=False)
-    cfg = _write_config(tmp_path, N=5)
-    cache_path = tmp_path / "cache.json"
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    fresh = json.loads(cache_path.read_text())
-    edited = copy.deepcopy(fresh)
-    (modes,) = [entry["modes"] for entry in edited["tables"].values()]
-    if edit == "truncated":
-        del modes[3:]
-        modes[2]["lambda"] = 0.5
-    elif edit == "extra_mode":
-        modes.append({**modes[-1], "n": 6, "multi_index": [6], "lambda": 6.0})
-    elif edit == "ragged_index":
-        modes[2]["multi_index"] = [3, 1]
-    else:
-        for mode in modes:
-            mode["multi_index"].append(1)
-    cache_path.write_text(json.dumps(edited))
-    assert _run("riesz", "--config", str(cfg)) == 0
-    assert json.loads((tmp_path / "out" / "riesz_summary.json").read_text())["N"] == 5
-    assert json.loads(cache_path.read_text()) == fresh
-    cache_path.write_text(json.dumps(edited))
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 2 + 5
-    assert json.loads(cache_path.read_text()) == fresh
-
-
-def test_cache_roundtrip_preserves_table(tmp_path):
-    dom = interval(np.pi)
-    cache = ModeCache(tmp_path / "c.json")
-    table = cached_modes(dom, 5, cache)
-    cache.save()
-    reloaded = ModeCache.load(tmp_path / "c.json")
-    hit = reloaded.get_table(dom, 5)
-    assert hit is not None
-    assert np.array_equal(hit.lambdas, table.lambdas)
-    assert reloaded.get_table(dom, 6) is None
-    assert reloaded.get_table(disk(1.0), 5) is None
-
-
-def test_warm_run_leaves_the_cache_file_alone(tmp_path, monkeypatch):
-    """A cache hit writes nothing: the file keeps its bytes and its mtime."""
-    monkeypatch.delenv("OBSERVALAB_CACHE", raising=False)
-    cfg = _write_config(tmp_path)
-    cache_path = tmp_path / "cache.json"
-    assert _run("spectrum", "--config", str(cfg)) == 0
-    os.utime(cache_path, ns=(10**18, 10**18))   # any rewrite would move it
-    before = cache_path.read_bytes()
-    assert _run("riesz", "--config", str(cfg)) == 0
-    assert cache_path.read_bytes() == before
-    assert cache_path.stat().st_mtime_ns == 10**18
-
-
-def test_cache_env_var_overrides_path(tmp_path, monkeypatch):
-    monkeypatch.setenv("OBSERVALAB_CACHE", str(tmp_path / "envcache.json"))
-    assert resolve_cache_path("elsewhere.json") == tmp_path / "envcache.json"
-    monkeypatch.delenv("OBSERVALAB_CACHE")
-    assert resolve_cache_path("elsewhere.json").name == "elsewhere.json"
 
 
 def test_visco_summary_written_even_when_a_kernel_cannot_fit(tmp_path):
@@ -973,7 +879,7 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("module", ["observalab", "observalab.control", "observalab.visco",
-                                    "observalab.cache", "observalab.reports"])
+                                    "observalab.reports"])
 def test_every_exported_name_resolves(module):
     """A deletion must take its name out of __all__ too."""
     mod = importlib.import_module(module)

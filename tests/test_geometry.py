@@ -226,9 +226,24 @@ def test_incomplete_zero_table_is_grown(monkeypatch):
         return shapes[-1]
 
     monkeypatch.setattr(modes, "_zero_table_shape", too_small_first)
-    table = enumerate_modes(disk(1.0), 20)
+    _, index, _ = modes._disk_zeros.__wrapped__(20)      # past the per-process memo
     assert len(shapes) == 2
-    assert [tuple(mi) for mi in table.multi_index.tolist()] == [mi for _, mi in _scipy_disk_zeros(20)]
+    assert [tuple(mi) for mi in index.tolist()] == [mi for _, mi in _scipy_disk_zeros(20)]
+
+
+def test_disk_zeros_are_found_once_per_n_and_shared_across_radii():
+    """Tables of one N on disks of radius 1 and 2.5 share the memo's
+    read-only zeros, indices and J_m'; each divides them by its radius."""
+    jmk, index, jp = modes._disk_zeros(24)
+    unit, wide = enumerate_modes(disk(1.0), 24), enumerate_modes(disk(2.5), 24)
+    assert modes._disk_zeros(24)[0] is jmk
+    assert unit.multi_index is index and wide.multi_index is index
+    assert np.array_equal(unit.lambdas, jmk) and np.array_equal(wide.lambdas, jmk / 2.5)
+    assert np.allclose(wide.norm, unit.norm / 2.5, rtol=1e-15, atol=0)
+    for array in (jmk, index, jp):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("rho", [1.0, 2.3])
