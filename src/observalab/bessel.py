@@ -170,6 +170,20 @@ def _mcmahon_guess(m: int, k: int) -> float:
     )
 
 
+def zero_table_shape(reach: float) -> tuple[int, int]:
+    """The smallest (max_order, max_rank) whose zeros j_{max_order,1} and
+    j_{0,max_rank} should both exceed reach, by the DLMF 10.21 asymptotics:
+    McMahon's expansion for order 0 and j_{m,1} ~ m + 1.8557571 m^(1/3)
+    + 1.033150 m^(-1/3) (10.21.40)."""
+    max_order = 1
+    while max_order + 1.8557571 * max_order ** (1 / 3) + 1.033150 * max_order ** (-1 / 3) <= reach:
+        max_order += 1
+    max_rank = 1
+    while _mcmahon_guess(0, max_rank) <= reach:
+        max_rank += 1
+    return max_order, max_rank
+
+
 def _refine_zeros(m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                   flo: np.ndarray, fhi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton clamped to sign-change brackets (lo, hi) of J_m, over every

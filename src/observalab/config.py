@@ -23,19 +23,13 @@ from types import MappingProxyType
 class ConfigurationError(Exception):
     """Invalid configuration, unsupported parameter, or missing prerequisite."""
 
-    exit_code = 64
-
 
 class NumericalError(Exception):
     """Numerical failure: divergence, resolution breach, non-finite values."""
 
-    exit_code = 70
-
 
 class CheckFailure(Exception):
     """An asserted certification check did not pass."""
-
-    exit_code = 2
 
 
 # Read-only table of the policy gates' defaults; a run's config file

@@ -33,7 +33,6 @@ from .gram import (
     assemble_exponential_gram,
     lower_bound_constant,
     phase_integral,
-    trace_block,
 )
 from .modes import ModeTable
 
@@ -252,7 +251,7 @@ def forward_simulate_controlled(table: ModeTable, control: BoundaryControl,
     lam = table.lambdas
     lams = table.lambdas_signed()
     T = problem.T
-    pos = trace_block(table)
+    pos = table.pos
     forcing = lam[:, None] * control.coefficients[None, :] * np.hstack([pos, -pos])
     Kp, Kv = duhamel_kernels(lam, lams, T)
     cosT, sinT = np.cos(lam * T), np.sin(lam * T)

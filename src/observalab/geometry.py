@@ -13,14 +13,17 @@ Points are arrays of shape (k, d); boundary and time rules hold nodes,
 positive weights, and (for boundary rules) outward normals.  The interior
 rule is held only as its 1D factors.  time_rule is the one rule for every
 time integral: composite Gauss-Legendre on [0, T], whose T - t
-time_offsets splits by panel.
+time_offsets splits by panel.  Every blocked pass of the package walks its
+rows row_blocks at a time, in blocks of one of the BLOCK_BUDGETS.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -167,8 +170,39 @@ def _panel_count(lam_max: float, length: float, q: int) -> int:
 # frequency along both sides), and so does a horizon of many periods of the
 # top frequency.
 MAX_RULE_NODES = 1 << 17
+# Elements one block of each blocked pass may hold, so that its work arrays
+# grow neither with N nor with the node or draw count:
+BLOCK_BUDGETS = MappingProxyType({
+    # Normals' chunks, observe's draw rows and the time nodes of its flux
+    # cross-check: observe's traced peak at N = 128 stays about 1 MB.
+    "draws": 1 << 13,
+    # the one buffer of visco's real-root solve, whose two (rows x K) planes
+    # hold a few hundred (mode, root) pairs at K = 72.
+    "roots": 1 << 15,
+    # the sampled Gram's weighted (2N x nodes) rows: a block is 1 MB, and so
+    # is its product of samples and phases.
+    "gram": 1 << 17,
+    # visco's passes over (modes x time nodes): a few MB of work arrays;
+    # 2^16 was measured no faster.
+    "modes": 1 << 18,
+})
 # Gauss-Legendre nodes per panel of the time rule
 _TIME_Q = 16
+
+
+def block_rows(width: int, budget: str) -> int:
+    """Rows of width elements in one block of BLOCK_BUDGETS[budget] elements
+    (at least one)."""
+    return max(1, BLOCK_BUDGETS[budget] // width)
+
+
+def row_blocks(count: int, width: int, budget: str) -> Iterator[slice]:
+    """Consecutive slices of block_rows(width, budget) rows covering
+    [0, count), the last one shorter where they do not divide count.  Lazy:
+    a pass over many blocks holds one slice at a time."""
+    rows = block_rows(width, budget)
+    for start in range(0, count, rows):
+        yield slice(start, min(start + rows, count))
 
 
 def time_rule(T: float, lam_max: float) -> QuadratureRule:

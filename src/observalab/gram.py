@@ -7,7 +7,7 @@ with z_{-n} = conj(z_n) and psi_{-n} = -psi_n, so over boundary x [0,T]
 
 with Z the positive time factors, W_t the time weights, o the entrywise
 product and pos_{mn} = integral psi_m psi_n dS in closed form on each
-geometry (trace_block); no Gram samples the boundary.  For unit phases d,
+geometry (ModeTable.pos); no Gram samples the boundary.  For unit phases d,
 
     S = W G W^H = [[Re(X + Y), Im(Y - X)], [Im(X + Y), Re(X - Y)]],
     W = V U D*,  V = diag(I, -iI),  U = [[I, I], [I, -I]] / sqrt(2),  D = diag(d, conj d),
@@ -15,6 +15,8 @@ geometry (trace_block); no Gram samples the boundary.  For unit phases d,
 is real symmetric (X and Y of the centred factors conj(d) Z) and, W being
 unitary, has the spectrum of G.  GramMatrix keeps only the real blocks
 along S's diagonal, so its eigensolves, forms and solves are real work.
+It checks each block once, when it is built: finite and symmetric within
+HERMITIAN_GATE; the eigensolves take copies of its sub-blocks unchecked.
 
 Every block is an entrywise multiple of pos (or of [[pos, pos], [pos,
 pos]]), and pos couples only modes of one class (ModeTable.classes: the
@@ -50,10 +52,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .eigen import _check_hermitian, jacobi_eigh
-from .geometry import DomainSpec, QuadratureRule
+from .eigen import jacobi_eigh
+from .geometry import DomainSpec, QuadratureRule, row_blocks
 from .modes import ModeTable
 
+# max |A - A^T| of a Gram block must stay below this fraction of max(1, max |A|)
+HERMITIAN_GATE = 1e-10
 # extreme eigenpair residuals must stay below this fraction of ||G||
 EIGEN_RESIDUAL_GATE = 1e-8
 # one LAPACK call (eigen.jacobi_eigh) costs about as much as the cubic work
@@ -75,10 +79,14 @@ def phase_integral(nu, t: float) -> np.ndarray:
     return t * np.sinc(nu * t / (2.0 * np.pi)) * np.exp(0.5j * nu * t)
 
 
-def trace_block(table: ModeTable) -> np.ndarray:
-    """pos_{mn} = integral psi_m psi_n dS over positive indices, in closed
-    form (ModeTable.pos, built once per table and read-only)."""
-    return table.pos
+def _check_hermitian(a: np.ndarray) -> None:
+    """The finite-and-Hermitian gate of every Gram block."""
+    # NaN would slip through the deviation test below (nan > gate is False)
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix has non-finite entries")
+    dev = np.max(np.abs(a - a.T.conj()))
+    if dev > HERMITIAN_GATE * max(1.0, np.max(np.abs(a))):
+        raise NumericalError(f"matrix is not Hermitian (deviation {dev:.3e})")
 
 
 _HALF_SQRT = np.sqrt(0.5)
@@ -269,7 +277,7 @@ def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
     if T <= 0:
         raise ConfigurationError("time horizon must be positive")
     lam = table.lambdas
-    pos = trace_block(table)
+    pos = table.pos
     scale = T / (2.0 * np.pi)
     P = T * np.sinc((lam[:, None] - lam[None, :]) * scale) * pos
     Q = T * np.sinc((lam[:, None] + lam[None, :]) * scale) * pos
@@ -280,20 +288,15 @@ def assemble_exponential_gram(table: ModeTable, T: float) -> GramMatrix:
 # sampled (trace-driven) assembly
 
 
-# Elements of one block of the sampled Gram's weighted (2N x nodes) rows:
-# a block is 1 MB, and so is its product of samples and phases, whatever N
-# and the horizon.
-_SAMPLE_BLOCK = 1 << 17
-
-
 def sampled_block(table: ModeTable, samples: np.ndarray,
                   trule: QuadratureRule) -> np.ndarray:
     """The real 2N x 2N form S of the Gram of { z_n psi_n } (module docstring),
     T the length of trule, from samples (N, nodes) of z_1..z_N at its nodes.
 
-    The time sum runs over blocks of nodes whose 2N rows hold at most
-    _SAMPLE_BLOCK elements, one symmetric real product each.  S may be
-    singular: zero members are allowed here, not in GramMatrix."""
+    The time sum runs over blocks of nodes whose 2N rows hold at most the
+    "gram" budget's elements (geometry.BLOCK_BUDGETS), one symmetric real
+    product each.  S may be singular: zero members are allowed here, not in
+    GramMatrix."""
     w = trule.weights
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != (table.N, w.size):
@@ -301,16 +304,15 @@ def sampled_block(table: ModeTable, samples: np.ndarray,
     centre = np.exp(0.5j * float(np.sum(w)) * table.lambdas)[:, None]
     N = table.N
     gram = np.zeros((2 * N, 2 * N))
-    cols = max(1, _SAMPLE_BLOCK // (2 * N))
-    for lo in range(0, w.size, cols):
-        z = samples[:, lo:lo + cols] * centre
-        root = np.sqrt(w[lo:lo + cols])
+    for block in row_blocks(w.size, 2 * N, "gram"):
+        z = samples[:, block] * centre
+        root = np.sqrt(w[block])
         rows = np.empty((2 * N, root.size))
         np.multiply(z.imag, root, out=rows[:N])
         np.multiply(z.real, root, out=rows[N:])
         np.negative(rows[N:], out=rows[N:])
         gram += rows @ rows.T
-    pos = trace_block(table)
+    pos = table.pos
     return 2.0 * np.block([[pos, pos], [pos, pos]]) * gram
 
 

@@ -284,20 +284,6 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], of
 
 
-def _zero_table_shape(reach: float) -> tuple[int, int]:
-    """The smallest (max_order, max_rank) whose zeros j_{max_order,1} and
-    j_{0,max_rank} should both exceed reach, by the DLMF 10.21 asymptotics:
-    McMahon's expansion for order 0 and j_{m,1} ~ m + 1.8557571 m^(1/3)
-    + 1.033150 m^(-1/3) (10.21.40)."""
-    max_order = 1
-    while max_order + 1.8557571 * max_order ** (1 / 3) + 1.033150 * max_order ** (-1 / 3) <= reach:
-        max_order += 1
-    max_rank = 1
-    while bessel._mcmahon_guess(0, max_rank) <= reach:
-        max_rank += 1
-    return max_order, max_rank
-
-
 def _proven_smallest_zeros(table: bessel.BesselZeroTable,
                            count: int) -> list[tuple[float, tuple]] | None:
     """The `count` smallest disk zeros in the table as sorted (j_{m,k}, (m, k,
@@ -341,7 +327,7 @@ def _disk_zeros(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     reach = 2.0 + np.sqrt(1.0 + 4.0 * count)
     while (zeros := _proven_smallest_zeros(
-            bessel.BesselZeroTable(*_zero_table_shape(reach)), count)) is None:
+            bessel.BesselZeroTable(*bessel.zero_table_shape(reach)), count)) is None:
         reach += np.pi
     jmk = np.array([z for z, _ in zeros])
     index = np.array([mi for _, mi in zeros])

@@ -28,7 +28,8 @@ and gram M_i on its 1D factor
 A = r d/dr keeps the angular factor, which the uniform angular grid
 integrates exactly, so only radial sums remain.  Each check returns one
 IdentityReport, a block of rows held as columns; the quasi-orthogonality
-draws are made and checked in fixed-size blocks of coefficient rows.
+draws are made and checked in fixed-size blocks of coefficient rows
+(geometry.row_blocks, the "draws" budget).
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import ConfigurationError
-from .geometry import DomainSpec, QuadratureRule, interval
-from .gram import trace_block
+from .geometry import DomainSpec, QuadratureRule, interval, row_blocks
 from .modes import ModeTable, enumerate_modes
 
 BOUNDARY_GRAM_GATE = 1e-8  # max |psi W psi^T - B|: boundary rule vs closed form
@@ -169,7 +169,7 @@ def boundary_gram_check(table: ModeTable, brule: QuadratureRule,
     blocks exact negations of the positive one compared here."""
     pos = psi[:table.N]
     quad = (pos * brule.weights) @ pos.T
-    closed = trace_block(table)
+    closed = table.pos
     worst = np.unravel_index(np.argmax(np.abs(quad - closed)), quad.shape)
     return _report(["boundary_gram_closed_form"], quad[worst][None], closed[worst][None],
                    BOUNDARY_GRAM_GATE)
@@ -213,8 +213,6 @@ def antisymmetry_suite(pairings: MultiplierPairings, max_index: int | None = Non
               for a, b in zip(j.tolist(), k.tolist())]
     return _report(labels, lhs, rhs, tol)
 
-
-_BLOCK = 1 << 13  # elements per work block: Normals' chunks, draw rows, observe's time nodes
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)                               # SplitMix64's increment
 _MIX = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)  # and multipliers
@@ -270,13 +268,13 @@ class Normals:
         return out
 
     def normal(self, size) -> np.ndarray:
-        """The next prod(size) normals, of shape size, made _BLOCK at a time,
-        so besides the output at most three 8-byte values per normal of one
-        chunk are held at once."""
+        """The next prod(size) normals, of shape size, made in chunks of the
+        "draws" budget, so besides the output at most three 8-byte values
+        per normal of one chunk are held at once."""
         out = np.empty(size)
         flat = out.reshape(-1)
-        for start in range(0, flat.size, _BLOCK):
-            self._chunk(self.drawn + start, flat[start:start + _BLOCK])
+        for chunk in row_blocks(flat.size, 1, "draws"):
+            self._chunk(self.drawn + chunk.start, flat[chunk])
         self.drawn += flat.size
         return out
 
@@ -308,13 +306,6 @@ def complex_gaussian_rows(rng, rows: int, size: int) -> np.ndarray:
     return z[:, 0] + 1j * z[:, 1]
 
 
-def _block_rows(width: int) -> int:
-    """Rows of width elements in one block of about _BLOCK elements (at
-    least one): the draw rows checked at once here and by observe, and the
-    time nodes per block of observe's sampled flux cross-check."""
-    return max(1, _BLOCK // width)
-
-
 def _quasi_orthogonality_sides(pairings: MultiplierPairings,
                                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table = pairings.table
@@ -331,10 +322,10 @@ def _quasi_orthogonality_sides(pairings: MultiplierPairings,
 def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
                               rng, slack: float) -> IdentityReport:
     """Interior energy of the lambda-normalized multiplier combination, on
-    complex_gaussian_rows(rng, draws, 2N) drawn and checked _block_rows(4N)
-    rows, about _BLOCK normals, at a time (the same stream, in working
-    arrays that grow neither with N nor with the draw count); rng is any
-    generator with normal(size=), Normals or numpy's Generator.
+    complex_gaussian_rows(rng, draws, 2N) drawn and checked a block of rows,
+    4N normals each, of the "draws" budget at a time (the same stream, in
+    working arrays that grow neither with N nor with the draw count); rng
+    is any generator with normal(size=), Normals or numpy's Generator.
 
     Each row u holds complex coefficients on the signed index order
     [1..N, -1..-N], and
@@ -347,9 +338,7 @@ def quasi_orthogonality_draws(pairings: MultiplierPairings, draws: int,
     labelled f"quasi_orth_{i}".
     """
     lhs, rhs = np.empty(draws), np.empty(draws)
-    rows = _block_rows(4 * pairings.table.N)
-    for first in range(0, draws, rows):
-        block = slice(first, min(first + rows, draws))
-        u = complex_gaussian_rows(rng, block.stop - first, 2 * pairings.table.N)
+    for block in row_blocks(draws, 4 * pairings.table.N, "draws"):
+        u = complex_gaussian_rows(rng, block.stop - block.start, 2 * pairings.table.N)
         lhs[block], rhs[block] = _quasi_orthogonality_sides(pairings, u)
     return _one_sided_report([f"quasi_orth_{i}" for i in range(draws)], lhs, rhs, slack)

@@ -57,7 +57,7 @@ import numpy as np
 
 from .config import ConfigurationError, NumericalError
 from .eigen import jacobi_eigh
-from .geometry import QuadratureRule, time_offsets, time_rule
+from .geometry import QuadratureRule, block_rows, row_blocks, time_offsets, time_rule
 from .gram import assemble_sampled_gram, sampled_block
 from .modes import ModeTable
 
@@ -212,13 +212,6 @@ _AMPLIFICATION_GATE = 1e8
 # Bracketed Newton steps allowed per real root; each root converges in a
 # handful, and a step that leaves its bracket falls back to bisection.
 _ROOT_STEPS = 100
-# Elements per block of a pass over a (rows x time nodes) array: the
-# block's work arrays stay a few MB whatever N and the horizon are.
-_BLOCK = 1 << 18
-# Elements of the one work buffer of the real-root solve: its two
-# (rows x K) planes hold x_i - x_o and the pole sums' terms for a block of
-# (mode, root) pairs, a few hundred pairs at K = 72.
-_ROOT_BUFFER = 1 << 15
 _EPS = np.finfo(float).eps
 _TINY = np.nextafter(0.0, 1.0)
 
@@ -237,7 +230,7 @@ def _real_roots(lams: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     sum_{i != o} w_i / r_i and sum_{i != o} w_i (x_i - x_o) / r_i^2, with
     s + x_i formed as r_i = (x_i - x_o) + sign * delta so that no root
     loses digits to its pole, are products with w of blocks of rows of one
-    _ROOT_BUFFER-element buffer.  Returns the roots, their distances
+    buffer of the "roots" budget.  Returns the roots, their distances
     |mu_k + x_k| from the pole right of them, and their residues -delta
     (mu - i lam) / (lam^2 psi'(delta)) = (mu - i lam) / (lam^2 f'(mu)), each (N, K).
     """
@@ -257,14 +250,13 @@ def _real_roots(lams: np.ndarray, w: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     lam = np.repeat(lams, K)
     sign = np.where(o == np.tile(k, n), -1.0, 1.0)
     x_o, w_o = x[o], w[o]
-    buffer = np.empty(max(2 * K, _ROOT_BUFFER))
-    rows = buffer.size // (2 * K)
+    # x_i - x_o and the pole sums' terms, two (rows x K) planes
+    buffer = np.empty(2 * K * block_rows(2 * K, "roots"))
 
     def psi(delta, at):
         """psi and psi' at delta for the pairs at."""
         sums = np.empty((2, at.size))
-        for first in range(0, at.size, rows):
-            block = slice(first, first + rows)
+        for block in row_blocks(at.size, 2 * K, "roots"):
             pairs = at[block]
             d, r = buffer[:2 * K * pairs.size].reshape(2, pairs.size, K)
             np.subtract(x, x_o[pairs, None], out=d)
@@ -384,25 +376,24 @@ def _evaluate(mu: np.ndarray, amp: np.ndarray, trule: QuadratureRule, T: float) 
     K P q, and the real roots' sum over a block of panels is one real
     product (panels x K) @ (K x 2q), the amplitudes' real and imaginary
     parts side by side.  Modes go one at a time and panels in blocks, so
-    every work array holds about _BLOCK elements or fewer.
+    every work array holds about the "modes" budget's elements or fewer.
     """
     A, B = time_offsets(T, trule)
     q = B.size
     tau = (T - trule.nodes[:, 0]).reshape(A.size, q)
     out = np.empty((mu.shape[0], A.size, q), dtype=complex)
-    rows = max(1, _BLOCK // (mu.shape[1] + 2 * q))
     for n in range(mu.shape[0]):
         real, parts = mu[n, 2:].real, amp[n, 2:]
         right = np.exp(np.outer(real, B))
         right = np.concatenate([parts.real[:, None] * right, parts.imag[:, None] * right], axis=1)
-        for lo in range(0, A.size, rows):
-            z = out[n, lo:lo + rows]
-            pair = np.exp(mu[n, 0] * tau[lo:lo + rows])
+        for block in row_blocks(A.size, mu.shape[1] + 2 * q, "modes"):
+            z = out[n, block]
+            pair = np.exp(mu[n, 0] * tau[block])
             np.multiply(pair, amp[n, 0], out=z)
             np.conjugate(pair, out=pair)
             pair *= amp[n, 1]
             z += pair
-            sums = np.exp(np.outer(A[lo:lo + rows], real)) @ right
+            sums = np.exp(np.outer(A[block], real)) @ right
             z.real += sums[:, :q]
             z.imag += sums[:, q:]
     return out.reshape(mu.shape[0], -1)
@@ -503,26 +494,26 @@ def solve_memory_modes(lambdas, kernel: MemoryKernel, T: float) -> MemoryModes:
 def _fit_sums(modes: MemoryModes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """b = t - T, the rule's weights w, Re y, L and D of fit_gamma's split.
 
-    One blocked pass over the positive modes, _BLOCK elements at a time,
-    takes cos and sin once per sample; its two work arrays, the phases and
-    Y, three floats per block element, are allocated once and reused in
-    place.  Each block sums D about its own mean of Re Y; the blocks'
-    weighted squared distances from y then complete D (the parallel
-    variance update), a sum of squares too.
+    One blocked pass over the positive modes, a block of the "modes" budget
+    at a time, takes cos and sin once per sample; its two work arrays, the
+    phases and Y, three floats per block element, are allocated once and
+    reused in place.  Each block sums D about its own mean of Re Y; the
+    blocks' weighted squared distances from y then complete D (the
+    parallel variance update), a sum of squares too.
     """
     lams, w = modes.lambdas, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
-    rows = min(lams.size, max(1, _BLOCK // base.size))
+    rows = min(lams.size, block_rows(base.size, "modes"))
     phases, demodulated = np.empty((rows, base.size)), np.empty((rows, base.size), dtype=complex)
     D, masses, means = 0.0, [], []
-    for lo in range(0, lams.size, rows):
-        lam2 = lams[lo:lo + rows] ** 2
+    for block in row_blocks(lams.size, base.size, "modes"):
+        lam2 = lams[block] ** 2
         # exp(-i lam b) as cos + i sin, a third faster than np.exp's complex path
-        phase = np.outer(lams[lo:lo + rows], -base, out=phases[:lam2.size])
+        phase = np.outer(lams[block], -base, out=phases[:lam2.size])
         Y = demodulated[:lam2.size]
         np.cos(phase, out=Y.real)
         np.sin(phase, out=Y.imag)
-        Y *= modes.samples[lo:lo + rows]
+        Y *= modes.samples[block]
         masses.append(lam2.sum())
         means.append(lam2 @ Y.real / masses[-1])
         Y -= means[-1]
@@ -618,19 +609,20 @@ def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
 
 def mode_distances(modes: MemoryModes, gamma: complex) -> np.ndarray:
     """L2 distance on the time rule of each mode to exp((gamma + i*lam)(t - T)),
-    _BLOCK elements at a time in one complex and one float work array."""
+    a block of the "modes" budget at a time in one complex and one float
+    work array."""
     base = modes.trule.nodes[:, 0] - modes.T
     distances = np.empty(modes.lambdas.size)
-    rows = min(distances.size, max(1, _BLOCK // base.size))
+    rows = min(distances.size, block_rows(base.size, "modes"))
     diffs, squares = np.empty((rows, base.size), dtype=complex), np.empty((rows, base.size))
-    for lo in range(0, distances.size, rows):
-        rates = gamma + 1j * modes.lambdas[lo:lo + rows]
+    for block in row_blocks(distances.size, base.size, "modes"):
+        rates = gamma + 1j * modes.lambdas[block]
         diff = np.multiply.outer(rates, base, out=diffs[:rates.size])
         np.exp(diff, out=diff)
-        diff -= modes.samples[lo:lo + rows]
+        diff -= modes.samples[block]
         square = np.abs(diff, out=squares[:rates.size])
         square *= square
-        distances[lo:lo + rows] = square @ modes.trule.weights
+        distances[block] = square @ modes.trule.weights
     return distances
 
 
@@ -740,6 +732,9 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
     diff[:k - 1] = 0.0
     D = sampled_block(table, diff, modes.trule)
     E = sampled_block(table, refs, modes.trule)
+    # E and section are finite and symmetric by construction (symmetric
+    # products of finite samples; section symmetrized below), so they skip
+    # GramMatrix's gate
     evals, vecs = jacobi_eigh(E)
     cutoff = 1e-10 * float(np.trace(E))
     dead = int(np.count_nonzero(evals <= cutoff))

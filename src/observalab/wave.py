@@ -17,10 +17,10 @@ cross-checked on the first draws against the flux norm sampled on the
 Gauss-Legendre time rule geometry.time_rule, the only time discretization
 here, with space by the rank-one groups of the closed-form boundary factor
 pos (ModeTable.groups) and no Gram at all.
-Both walk their work in blocks of about operators._BLOCK elements: the
-draws a block of rows at a time, the cross-check a block of time nodes at
-a time, so the working set grows neither with N, nor with the node count,
-nor with the number of draws.
+Both walk their work in blocks of the "draws" budget
+(geometry.row_blocks): the draws a block of rows at a time, the
+cross-check a block of time nodes at a time, so the working set grows
+neither with N, nor with the node count, nor with the number of draws.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigurationError, NumericalError
-from .geometry import time_rule
+from .geometry import row_blocks, time_rule
 from .gram import assemble_exponential_gram, lower_bound_constant
 from .modes import ModeTable
-from .operators import _block_rows
 
 
 def coeffs_to_a(xi_tilde: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -80,9 +79,10 @@ def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
     so each norm is sum_t w_t sum_g kappa_g |F_g u(t)|^2.  The real and
     imaginary parts of F_g u for every row and group are [cos | sin] at the
     nodes times one real (2N, rows * 2 * groups) coefficient matrix.  The
-    nodes are taken _block_rows(2 N + rows * 2 * groups) at a time, with one
-    cos and one sin and one product per block, whose squares are summed
-    against the time weights as they come.
+    nodes are taken a block of the "draws" budget at a time, a node holding
+    2 N + rows * 2 * groups elements, with one cos and one sin and one
+    product per block, whose squares are summed against the time weights as
+    they come.
     """
     trule = time_rule(T, float(np.max(table.lambdas)))
     F, kappa = table.groups
@@ -95,16 +95,15 @@ def _sampled_flux_errors(table: ModeTable, T: float, a: np.ndarray,
     coef = parts.T[..., None] * np.concatenate([F, F], axis=1).T[:, None, None, :]
     coef = coef.reshape(2 * N, -1)
     totals = np.zeros(coef.shape[1])
-    step = _block_rows(2 * N + coef.shape[1])
-    for first in range(0, trule.weights.size, step):
-        t = trule.nodes[first:first + step, 0]
+    for block in row_blocks(trule.weights.size, 2 * N + coef.shape[1], "draws"):
+        t = trule.nodes[block, 0]
         waves = np.empty((t.size, 2 * N))
         np.multiply.outer(t, table.lambdas, out=waves[:, :N])
         np.sin(waves[:, :N], out=waves[:, N:])
         np.cos(waves[:, :N], out=waves[:, :N])
         sampled = waves @ coef
         sampled *= sampled
-        totals += trule.weights[first:first + step] @ sampled
+        totals += trule.weights[block] @ sampled
     norms = totals.reshape(rows, 2, -1).sum(axis=1) @ kappa
     errors = []
     for norm, closed in zip(norms, flux_sq):
@@ -120,7 +119,7 @@ def observability_experiment(table: ModeTable, T: float, draws: int,
                              rng, *, margin_tol: float) -> dict:
     """Certify flux_norm_sq >= c_lower * sum|a_n|^2 on random draws.
 
-    Draws come _block_rows(4N) rows, about operators._BLOCK normals, at a
+    Draws come a block of rows, 4N normals each, of the "draws" budget at a
     time as rng.normal(size=(rows, 4, N)) (Re xi_tilde, Im xi_tilde, Re eta,
     Im eta per row, the per-draw stream), from any rng with normal(size=)
     (operators.Normals, or numpy's Generator).  Each block's states a are
@@ -139,17 +138,15 @@ def observability_experiment(table: ModeTable, T: float, draws: int,
     c_low = lower_bound_constant(dom, T)
     ratios = np.empty(draws)
     failures = []
-    rows = _block_rows(4 * table.N)
-    for first in range(0, draws, rows):
-        a = _parts_to_a(rng.normal(size=(min(rows, draws - first), 4, table.N)))
+    for block in row_blocks(draws, 4 * table.N, "draws"):
+        a = _parts_to_a(rng.normal(size=(block.stop - block.start, 4, table.N)))
         flux_sq = gram.quad_form(a)
-        if first == 0:
+        if block.start == 0:
             checks = slice(0, _SAMPLED_FLUX_CHECKS)
             cross_errors = _sampled_flux_errors(table, T, a[checks], flux_sq[checks])
-        block = flux_sq / np.sum(np.abs(a) ** 2, axis=1)
-        ratios[first:first + len(block)] = block
-        failures += [{"draw": first + int(i), "ratio": float(block[i]), "a": a[i].tolist()}
-                     for i in np.flatnonzero(block < c_low - margin_tol)]
+        part = ratios[block] = flux_sq / np.sum(np.abs(a) ** 2, axis=1)
+        failures += [{"draw": block.start + int(i), "ratio": float(part[i]), "a": a[i].tolist()}
+                     for i in np.flatnonzero(part < c_low - margin_tol)]
     # adversarial direction: conj(eigenvector) attains lambda_min exactly
     adv = np.conj(spec["vec_min"])
     adv_ratio = float(gram.quad_form(adv) / np.sum(np.abs(adv) ** 2))

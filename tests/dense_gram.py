@@ -15,7 +15,7 @@ from observalab import gram as gr
 
 def boundary_trace_gram(table):
     """B_jk = integral psi_j psi_k dS on signed indices, from the closed-form pos."""
-    pos = gr.trace_block(table)
+    pos = table.pos
     return np.block([[pos, -pos], [-pos, pos]])
 
 

@@ -1,5 +1,6 @@
 """CLI layer: artifacts, exit codes, determinism, lock, prerequisites."""
 
+import ast
 import copy
 import importlib
 import json
@@ -209,8 +210,8 @@ def test_identities_check_the_closed_form_boundary_factor(tmp_path, monkeypatch)
     row = boundary_row()
     assert float(row["abs_error"]) <= 1e-12
     assert float(row["tolerance"]) == ops.BOUNDARY_GRAM_GATE == 1e-8
-    closed = ops.trace_block
-    monkeypatch.setattr(ops, "trace_block", lambda table: closed(table) + 1e-6)
+    closed = ModeTable.pos.func
+    monkeypatch.setattr(ModeTable, "pos", property(lambda table: closed(table) + 1e-6))
     assert _run("verify-identities", "--config", str(cfg)) == 2
     row = boundary_row()
     assert row["pass"] == "false"
@@ -232,7 +233,7 @@ def test_identity_draws_reuse_the_basis(tmp_path, monkeypatch):
             return _original(self, points)
 
         monkeypatch.setattr(ModeTable, name, counted)
-    for draws in (1, 50, ops._block_rows(4 * 4) + 1):   # N=4: 4N normals a row
+    for draws in (1, 50, geometry.block_rows(4 * 4, "draws") + 1):   # N=4: 4N normals a row
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws,
@@ -279,7 +280,7 @@ def test_observe_samples_the_flux_once_per_horizon(tmp_path, monkeypatch):
         return original_sampled(*args)
 
     monkeypatch.setattr(wave, "_sampled_flux_errors", counted_sampled)
-    for draws in (1, 50, ops._block_rows(4 * 4) + 1):   # N=4: 4N normals a row
+    for draws in (1, 50, geometry.block_rows(4 * 4, "draws") + 1):   # N=4: 4N normals a row
         run_dir = tmp_path / f"draws{draws}"
         run_dir.mkdir()
         cfg = _write_config(run_dir, N=4, draws=draws, T_factors=[1.5, 2.0])
@@ -884,3 +885,33 @@ def test_every_exported_name_resolves(module):
     """A deletion must take its name out of __all__ too."""
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _private_uses(source: str) -> list[str]:
+    """Each import (from .x import _y) or read (x._y) of another package
+    module's private name in one module's source."""
+    tree = ast.parse(source)
+    siblings, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    uses.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            uses.append(f"{node.value.id}.{node.attr}")
+    return uses
+
+
+def test_no_module_uses_another_modules_private_names():
+    """A name one module shares with another is public: no module imports
+    or reads another module's underscore name."""
+    package = Path(cli.__file__).parent
+    uses = {path.name: _private_uses(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
+    probe = "from .eigen import _check, eigh\nfrom . import bessel\nbessel._guess\nbessel.__doc__\n"
+    assert _private_uses(probe) == ["eigen._check", "bessel._guess"]

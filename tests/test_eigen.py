@@ -52,24 +52,6 @@ def test_indefinite_spectrum_sorted():
     assert abs(abs(v[1, 0]) - 1.0) < 1e-14
 
 
-def test_rejects_non_hermitian():
-    with pytest.raises(NumericalError):
-        jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-@pytest.mark.parametrize("need_vectors", [True, False])
-def test_rejects_non_finite(bad, need_vectors):
-    a = np.eye(3, dtype=complex)
-    a[1, 1] = bad
-    with pytest.raises(NumericalError, match="non-finite"):
-        jacobi_eigh(a, need_vectors=need_vectors)
-    a = np.eye(3, dtype=complex)
-    a[0, 2] = a[2, 0] = bad
-    with pytest.raises(NumericalError, match="non-finite"):
-        jacobi_eigh(a, need_vectors=need_vectors)
-
-
 _entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -113,11 +95,11 @@ def test_eigenvalues_only_path_survives_negligible_couplings():
 
 @pytest.mark.parametrize("need_vectors", [True, False])
 def test_stacked_slices_solve_as_if_alone(need_vectors):
-    """Each matrix of a (k, n, n) stack is checked and cut on its own scale:
-    with slices 1e200 apart in scale, each gets, bit for bit, the
-    eigenvalues it gets when solved alone (a cut across the stack would zero
-    the small slices; the couplings of 1e-30 of a slice's scale sit below
-    none of the per-slice cuts)."""
+    """Each matrix of a (k, n, n) stack is cut on its own scale: with
+    slices 1e200 apart in scale, each gets, bit for bit, the eigenvalues it
+    gets when solved alone (a cut across the stack would zero the small
+    slices; the couplings of 1e-30 of a slice's scale sit below none of the
+    per-slice cuts)."""
     rng = np.random.default_rng(12)
     stack = []
     for scale in (1e-100, 1.0, 1e100):
@@ -134,10 +116,6 @@ def test_stacked_slices_solve_as_if_alone(need_vectors):
 
 
 def test_stack_checks_each_matrix():
-    """A non-Hermitian matrix of unit scale is refused beside one of 1e100,
-    whose scale would hide its deviation in a gate across the stack."""
-    skew = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(NumericalError, match="not Hermitian"):
-        jacobi_eigh(np.array([np.eye(2) * 1e100, skew]))
+    """A stack must hold square matrices."""
     with pytest.raises(NumericalError, match="square"):
         jacobi_eigh(np.zeros((2, 2, 3)))

@@ -12,11 +12,12 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from observalab import geometry, modes
+from observalab import bessel, geometry, modes
 from observalab.bessel import BesselZeroTable
 from observalab.config import ConfigurationError
 from observalab.geometry import (
     QuadratureRule,
+    block_rows,
     boundary_quadrature,
     box,
     disk,
@@ -24,10 +25,10 @@ from observalab.geometry import (
     interior_quadrature,
     interval,
     rectangle,
+    row_blocks,
     time_offsets,
     time_rule,
 )
-from observalab.gram import trace_block
 from observalab.modes import enumerate_modes
 
 from interior_sampling import interior_grid
@@ -208,7 +209,7 @@ def test_weyl_sized_table_is_complete_up_to_n128():
     j_{max_order,1} and j_{0,max_rank} of its shape exceed the N-th zero."""
     ref = _scipy_disk_zeros(128)
     for N in range(1, 129):
-        max_order, max_rank = modes._zero_table_shape(2.0 + np.sqrt(1.0 + 4.0 * N))
+        max_order, max_rank = bessel.zero_table_shape(2.0 + np.sqrt(1.0 + 4.0 * N))
         top = ref[N - 1][0]
         assert sp.jn_zeros(max_order, 1)[0] > top and sp.jn_zeros(0, max_rank)[-1] > top, N
 
@@ -219,13 +220,13 @@ def test_incomplete_zero_table_is_grown(monkeypatch):
     assert modes._proven_smallest_zeros(BesselZeroTable(6, 4), 20) is None
     assert modes._proven_smallest_zeros(BesselZeroTable(7, 3), 20) is None
     shapes = []
-    sizing = modes._zero_table_shape
+    sizing = bessel.zero_table_shape
 
     def too_small_first(reach):
         shapes.append((1, 1) if not shapes else sizing(reach))
         return shapes[-1]
 
-    monkeypatch.setattr(modes, "_zero_table_shape", too_small_first)
+    monkeypatch.setattr(bessel, "zero_table_shape", too_small_first)
     _, index, _ = modes._disk_zeros.__wrapped__(20)      # past the per-process memo
     assert len(shapes) == 2
     assert [tuple(mi) for mi in index.tolist()] == [mi for _, mi in _scipy_disk_zeros(20)]
@@ -356,7 +357,7 @@ def test_interval_modes_and_trace_gram_are_their_closed_forms_bitwise(L, N):
     assert np.array_equal(table.lambdas, k * np.pi / L)
     assert all(c == np.sqrt(2.0 / L) for c in table.norm)
     pos = (2.0 / L) * (1.0 + (-1.0) ** (k[:, None] + k[None, :]))
-    assert np.array_equal(trace_block(table), pos)
+    assert np.array_equal(table.pos, pos)
 
 
 @settings(max_examples=50, deadline=None)
@@ -384,7 +385,7 @@ def test_rectangle_modes_and_trace_gram_are_their_closed_forms(a, b, N):
            * (q[:, None] == q)
            + (2 * pi**2 / b**3) * np.outer(q, q) * (1.0 + (-1.0) ** (q[:, None] + q))
            * (p[:, None] == p)) / np.outer(lam, lam)
-    assert np.max(np.abs(trace_block(table) - pos)) <= 1e-15 * np.max(np.abs(pos))
+    assert np.max(np.abs(table.pos - pos)) <= 1e-15 * np.max(np.abs(pos))
 
 
 @settings(max_examples=50, deadline=None)
@@ -432,3 +433,20 @@ def test_time_offsets_reproduce_the_distance_to_the_horizon(T, periods):
     exact = np.longdouble(T) - trule.nodes[:, 0].astype(np.longdouble)
     split = (A[:, None] + B[None, :]).ravel()
     assert np.max(np.abs(split - exact)) <= 4.0 * np.spacing(T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(0, 5000), width=st.integers(1, 1 << 20),
+       budget=st.sampled_from(sorted(geometry.BLOCK_BUDGETS)))
+def test_row_blocks_cover_the_rows_in_contiguous_blocks(count, width, budget):
+    """Lazy slices, contiguous from 0 to count, each of
+    max(1, budget // width) rows but the last; none for count 0."""
+    blocks = row_blocks(count, width, budget)
+    assert iter(blocks) is blocks
+    blocks = list(blocks)
+    rows = max(1, geometry.BLOCK_BUDGETS[budget] // width)
+    assert block_rows(width, budget) == rows
+    edges = [0] + [b.stop for b in blocks]
+    assert [b.start for b in blocks] == edges[:-1] and edges[-1] == count
+    assert all(b.step is None and b.stop - b.start == rows for b in blocks[:-1])
+    assert all(0 < b.stop - b.start <= rows for b in blocks)

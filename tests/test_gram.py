@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from observalab import geometry
 from observalab.config import TOLERANCES, ConfigurationError, NumericalError
 from observalab.control import random_problem, solve_control, transposition_rhs
 from observalab.geometry import boundary_quadrature, disk, interval, rectangle, time_rule
@@ -152,6 +153,21 @@ def test_gram_rejects_non_finite(bad):
         gr.GramMatrix((np.kron(np.ones((2, 2)), m),), phases, 1.0)
 
 
+def test_gram_rejects_non_hermitian():
+    """Each block is gated on its own scale: a unit block 1 off symmetry is
+    refused beside one of 1e100, and so is a lone 2N x 2N block; a
+    deviation inside HERMITIAN_GATE passes."""
+    phases = np.exp(1j * np.array([1.0, 2.0]))
+    skew = np.array([[2.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        gr.GramMatrix((1e100 * np.eye(2), skew), phases, 1.0)
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        gr.GramMatrix((np.kron(np.eye(2), skew),), phases, 1.0)
+    near = 2.0 * np.eye(2)
+    near[0, 1] = 0.5 * gr.HERMITIAN_GATE
+    gr.GramMatrix((near, 2.0 * np.eye(2)), phases, 1.0)
+
+
 def test_gram_refuses_complex_and_misshapen_blocks():
     phases = np.ones(2)
     with pytest.raises(NumericalError, match="must be real"):
@@ -197,11 +213,11 @@ def test_boundary_factor_splits_into_classes_and_rank_one_groups(kind, scale, as
     """The premise of the class-by-class eigensolves and of observe's
     cross-check: table.classes labels two modes alike exactly when they
     share the parity vector of p (box) or (order, branch) (disk),
-    trace_block is exactly 0.0 between modes of different classes, and its
+    pos is exactly 0.0 between modes of different classes, and its
     rank-one groups F^T diag(kappa) F give it back within 1e-15 of its
     largest entry, each group inside one class."""
     table = enumerate_modes(BOUNDARY_DOMAINS[kind](scale, aspect), N)
-    pos = gr.trace_block(table)
+    pos = table.pos
     label = table.classes
     index = table.multi_index
     key = index[:, [0, 2]] if kind == "disk" else index % 2
@@ -281,7 +297,7 @@ def test_interval_trace_constant_stays_below_four(L, N):
     (odd n) and 4 coth(pi x/2) - 8/(pi x) (even n), both below 4.  One mode
     gives 8/pi, at x = 1."""
     table = enumerate_modes(interval(L), N)
-    pos = gr.trace_block(table)
+    pos = table.pos
     x = np.logspace(-3.0, 3.0, 401)
     d = (x[:, None] * np.pi / L + table.lambdas ** 2 * L / (np.pi * x[:, None])) ** -0.5
     c = 4.0 * np.array([np.linalg.eigvalsh(ds[:, None] * pos * ds)[-1] for ds in d])
@@ -508,12 +524,14 @@ def test_sampled_gram_blocks_match_one_whole_grid_product(monkeypatch):
     table = enumerate_modes(interval(np.pi), 4)
     trule = time_rule(3.0, 1750.0)
     n = trule.weights.size
-    monkeypatch.setattr(gr, "_SAMPLE_BLOCK", 8 * 4096)          # 2N = 8 rows of 4,096 nodes
+    budgets = geometry.BLOCK_BUDGETS
+    # 2N = 8 rows of 4,096 nodes
+    monkeypatch.setattr(geometry, "BLOCK_BUDGETS", {**budgets, "gram": 8 * 4096})
     assert 3 * 4096 < n < 4 * 4096                               # 3.3 blocks
     rng = np.random.default_rng(5)
     traces = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     blocked = gr.sampled_block(table, traces, trule)
-    monkeypatch.setattr(gr, "_SAMPLE_BLOCK", 8 * n)
+    monkeypatch.setattr(geometry, "BLOCK_BUDGETS", {**budgets, "gram": 8 * n})
     whole = gr.sampled_block(table, traces, trule)
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
     dense = np.linalg.eigvalsh(dense_sampled_gram(table, traces, trule))
@@ -525,7 +543,7 @@ def test_sampled_block_traced_peak_stays_below_one_row_table():
 
     At interval N = 128 the zero kernel's time rule at the visco horizon
     T = 5R holds 2,560 nodes, so the weighted real rows built whole would be
-    256 * 2,560 * 8 B = 5.2 MB; blocks of gr._SAMPLE_BLOCK elements keep the
+    256 * 2,560 * 8 B = 5.2 MB; blocks of the "gram" budget's elements keep the
     traced peak below that.
     """
     table = enumerate_modes(interval(np.pi), 128)

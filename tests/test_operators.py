@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from observalab import geometry
 from observalab.config import TOLERANCES, ConfigurationError
 from observalab.geometry import (
     boundary_quadrature,
@@ -166,7 +167,8 @@ def test_quasi_orthogonality_draws_are_checked_in_blocks(monkeypatch, generator)
     table, irule, _ = _setup(disk(1.0), N=4)
     pairings = ops.multiplier_pairings(table, irule)
     whole = _quasi(pairings, ops.complex_gaussian_rows(generator(9), 20, 8))
-    monkeypatch.setattr(ops, "_BLOCK", 7 * 4 * 4)     # 7 rows of 4N normals
+    monkeypatch.setattr(geometry, "BLOCK_BUDGETS",
+                        {**geometry.BLOCK_BUDGETS, "draws": 7 * 4 * 4})     # 7 rows of 4N normals
     blocked = ops.quasi_orthogonality_draws(pairings, 20, generator(9), 1e-8)
     assert blocked.label.tolist() == whole.label.tolist()
     assert blocked.lhs == pytest.approx(whole.lhs, rel=1e-14)
@@ -255,7 +257,8 @@ def test_normals_split_across_chunk_boundaries():
     """Draws of chunk - 1, chunk, chunk + 1 and 3 chunk + 1 normals, each
     crossing chunk boundaries of the stream at its own offset, give the
     whole draw's numbers."""
-    sizes = [ops._BLOCK - 1, ops._BLOCK, ops._BLOCK + 1, 3 * ops._BLOCK + 1]
+    chunk = geometry.BLOCK_BUDGETS["draws"]
+    sizes = [chunk - 1, chunk, chunk + 1, 3 * chunk + 1]
     rng = ops.Normals(11)
     parts = [rng.normal(size=n) for n in sizes]
     whole = ops.Normals(11).normal(size=sum(sizes))
@@ -264,18 +267,19 @@ def test_normals_split_across_chunk_boundaries():
 
 
 def test_normals_hold_at_most_three_values_per_normal():
-    """The normals are made _BLOCK at a time: each chunk's words, two per
-    normal, are mixed a row at a time (the shifts' temporaries hold one
-    row) and converted in place, so the traced peak of 10^6 draws stays
-    within the output plus three 8-byte values per normal of one chunk;
-    converting all the words at once held three values per normal."""
+    """The normals are made in chunks of the "draws" budget: each chunk's
+    words, two per normal, are mixed a row at a time (the shifts'
+    temporaries hold one row) and converted in place, so the traced peak of
+    10^6 draws stays within the output plus three 8-byte values per normal
+    of one chunk; converting all the words at once held three values per
+    normal."""
     tracemalloc.start()
     try:
         z = ops.Normals(5).normal(size=10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= z.nbytes + 3.1 * 8 * ops._BLOCK
+    assert peak <= z.nbytes + 3.1 * 8 * geometry.BLOCK_BUDGETS["draws"]
 
 
 def test_normals_moments_within_six_standard_errors():

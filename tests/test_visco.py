@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from observalab import visco
+from observalab import geometry, visco
 from observalab.config import ConfigurationError, NumericalError
 from observalab.geometry import disk, interval, rectangle, time_rule
 from observalab.gram import assemble_exponential_gram
@@ -234,7 +234,8 @@ def test_blocked_root_solve_matches_one_mode_solves_and_expm(monkeypatch, kernel
     mu_1 = np.concatenate([mu for mu, _ in alone])
     amp_1 = np.concatenate([amp for _, amp in alone])
     for budget in (1, 2 * K * 7 + K):
-        monkeypatch.setattr(visco, "_ROOT_BUFFER", budget)
+        monkeypatch.setattr(geometry, "BLOCK_BUDGETS",
+                            {**geometry.BLOCK_BUDGETS, "roots": budget})
         mu, amp, _, _ = visco._mode_exponents(lams, w, x)
         assert np.all(np.abs(mu - mu_1) <= 1e-13 * np.abs(mu_1)), budget
         scale = np.max(np.abs(amp_1), axis=1, keepdims=True)
@@ -686,13 +687,13 @@ def test_fit_gamma_traced_peak_stays_below_twice_the_samples():
     """No (2N x nodes) array: numpy reports its allocations to tracemalloc.
 
     At T = 25*pi the 64 modes hold 12,960 nodes, several blocks of the
-    fit's pass (visco._BLOCK elements), so an array over all of them shows;
+    fit's pass (the "modes" budget's elements), so an array over all of them shows;
     at T = 2.5*pi one block holds every mode, and the block's own work
     arrays, about 3.5 times its samples, would exceed the bound.
     """
     modes = visco.solve_memory_modes(np.arange(1.0, 65.0),
                                      visco.exponential_kernel(0.5, 1.0), 25.0 * np.pi)
-    assert modes.samples.size >= 3 * visco._BLOCK
+    assert modes.samples.size >= 3 * geometry.BLOCK_BUDGETS["modes"]
     tracemalloc.start()
     try:
         visco.fit_gamma(modes)
@@ -709,14 +710,14 @@ def test_fit_sums_work_arrays_stay_below_four_floats_per_block_element():
     two more.
 
     At interval N = 128 with polynomial(0.2, 2) at T = 5R a block holds
-    visco._BLOCK // 2,576 = 101 modes; the traced peak stays below four
-    floats per element of that block.
+    the "modes" budget's 2^18 // 2,576 = 101 modes; the traced peak stays
+    below four floats per element of that block.
     """
     domain = interval(np.pi)
     modes = visco.solve_memory_modes(enumerate_modes(domain, 128).lambdas,
                                      visco.polynomial_kernel(0.2, 2.0), 5.0 * domain.R)
     nodes = modes.trule.weights.size
-    block = (visco._BLOCK // nodes) * nodes
+    block = geometry.block_rows(nodes, "modes") * nodes
     assert nodes == 2576 and block < modes.samples.size
     tracemalloc.start()
     try:
@@ -756,14 +757,14 @@ def test_mode_distances_reuse_one_complex_and_one_float_block():
     arrays per block held the last block's next to the new one's.
 
     At interval N = 128 with polynomial(0.2, 2) at T = 5R a block holds
-    visco._BLOCK // 2,576 = 101 modes; the traced peak stays below 1.1
-    times the two work arrays.
+    the "modes" budget's 2^18 // 2,576 = 101 modes; the traced peak stays
+    below 1.1 times the two work arrays.
     """
     domain = interval(np.pi)
     modes = visco.solve_memory_modes(enumerate_modes(domain, 128).lambdas,
                                      visco.polynomial_kernel(0.2, 2.0), 5.0 * domain.R)
     nodes = modes.trule.weights.size
-    block = (visco._BLOCK // nodes) * nodes
+    block = geometry.block_rows(nodes, "modes") * nodes
     assert nodes == 2576 and block < modes.samples.size
     tracemalloc.start()
     try:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from observalab import geometry
 from observalab.config import TOLERANCES, ConfigurationError
 from observalab.geometry import (
     boundary_quadrature,
@@ -224,8 +225,9 @@ def test_sampled_flux_norms_match_the_pointwise_oracle(kind, monkeypatch):
     # a block's row of nodes: cos and sin of the N modes, then Re and Im of
     # each row's sum over each rank-one group
     width = 2 * table.N + 3 * 2 * len(table.groups[1])
-    for per_block in (ops._block_rows(width), 7):
-        monkeypatch.setattr(ops, "_BLOCK", per_block * width)
+    for per_block in (geometry.block_rows(width, "draws"), 7):
+        monkeypatch.setattr(geometry, "BLOCK_BUDGETS",
+                            {**geometry.BLOCK_BUDGETS, "draws": per_block * width})
         assert nodes > per_block and nodes % per_block
         assert max(wv._sampled_flux_errors(table, T, a, oracle)) <= 1e-12
 
@@ -250,7 +252,7 @@ def test_observe_holds_less_than_one_sampled_array():
     assert peak < table.N * nodes * 8
 
 
-_ROWS = ops._block_rows(4 * 4)   # draw rows a block at N=4
+_ROWS = geometry.block_rows(4 * 4, "draws")   # draw rows a block at N=4
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,9 +261,9 @@ _ROWS = ops._block_rows(4 * 4)   # draw rows a block at N=4
        seed=st.integers(0, 2**32 - 1),
        cut=st.floats(0.2, 0.8))
 def test_block_draws_match_per_draw_loop(draws, kind, seed, cut):
-    """Rows drawn and checked _block_rows(4N) at a time give the per-draw loop's
-    stream, ratios and failure labels (the threshold is set inside the
-    ratio range, so both labels occur)."""
+    """Rows drawn and checked block_rows(4N, "draws") at a time give the
+    per-draw loop's stream, ratios and failure labels (the threshold is set
+    inside the ratio range, so both labels occur)."""
     dom = _SMALL_DOMAINS[kind]
     table = enumerate_modes(dom, 4)
     T = 2.5 * 2 * dom.R
