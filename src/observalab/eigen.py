@@ -1,9 +1,9 @@
 """Dense Hermitian eigensolves through LAPACK, one matrix or a stack at once.
 
-jacobi_eigh checks its input's shape (square, or a (k, n, n) stack of
-square matrices) and hands it to LAPACK (numpy.linalg.eigh / eigvalsh),
-real input to the real solver; a LAPACK failure becomes a NumericalError.
-That the input is finite and Hermitian is its callers' to ensure:
+jacobi_eigh checks its input (square, or a (k, n, n) stack of square
+matrices; every entry finite) and hands it to LAPACK (numpy.linalg.eigh /
+eigvalsh), real input to the real solver; a LAPACK failure becomes a
+NumericalError.  That the input is Hermitian is its callers' to ensure:
 gram.GramMatrix checks each of its blocks once, when it is built, and
 solves copies of their class sub-blocks here, stacked by size.  The
 eigenvalues-only path first zeroes each matrix's entries below
@@ -25,13 +25,16 @@ def jacobi_eigh(matrix: np.ndarray,
     stack, by LAPACK.
 
     Returns (eigenvalues ascending along the last axis, eigenvector columns
-    or None).  Raises NumericalError for an input that is not square and
-    when LAPACK does not converge.
+    or None).  Raises NumericalError for an input that is not square or
+    not finite and when LAPACK does not converge.
     """
     a = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     n = a.shape[-1]
     if a.ndim not in (2, 3) or a.shape[-2] != n:
         raise NumericalError("eigensolver expects a square matrix or a stack of them")
+    # one pass, against the O(n^3) solve; LAPACK's answer to NaN or inf is unspecified
+    if not np.all(np.isfinite(a)):
+        raise NumericalError("matrix has non-finite entries")
     try:
         if need_vectors:
             w, v = np.linalg.eigh(a)

@@ -16,7 +16,8 @@ is real symmetric (X and Y of the centred factors conj(d) Z) and, W being
 unitary, has the spectrum of G.  GramMatrix keeps only the real blocks
 along S's diagonal, so its eigensolves, forms and solves are real work.
 It checks each block once, when it is built: finite and symmetric within
-HERMITIAN_GATE; the eigensolves take copies of its sub-blocks unchecked.
+HERMITIAN_GATE; the eigensolves re-check only that copies of its
+sub-blocks are finite.
 
 Every block is an entrywise multiple of pos (or of [[pos, pos], [pos,
 pos]]), and pos couples only modes of one class (ModeTable.classes: the

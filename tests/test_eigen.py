@@ -52,6 +52,19 @@ def test_indefinite_spectrum_sorted():
     assert abs(abs(v[1, 0]) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("need_vectors", [True, False])
+def test_rejects_non_finite(bad, need_vectors):
+    a = np.eye(3, dtype=complex)
+    a[1, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        jacobi_eigh(a, need_vectors=need_vectors)
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = a[2, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        jacobi_eigh(a, need_vectors=need_vectors)
+
+
 _entries = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
