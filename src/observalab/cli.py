@@ -2,7 +2,9 @@
 
 Commands: spectrum | verify-identities | riesz | observe | visco | control.
 Every command writes its machine-readable artifacts before deciding the
-exit code, so a failing run still leaves a full summary on disk.
+exit code, so a failing run still leaves a full summary on disk.  This
+module only orchestrates: config.read_json reads every input file, and
+control.problem_from_dict owns the problem file's format.
 
 Exit codes: 0 all asserted checks passed, 2 a check failed, 64 bad
 configuration, usage error or missing prerequisite, 70 numerical breakdown.
@@ -11,7 +13,6 @@ configuration, usage error or missing prerequisite, 70 numerical breakdown.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (CheckFailure, ConfigurationError, NumericalError,
-                     RunConfig, load_config)
+                     RunConfig, load_config, read_json)
 from .control import control_pipeline, problem_from_dict, random_problem
 from .geometry import boundary_quadrature, domain_from_config, interior_quadrature
 from .gram import assemble_exponential_gram, riesz_bounds_report
@@ -28,8 +29,7 @@ from .operators import (Normals, antisymmetry_suite, boundary_gram_check,
                         multiplier_pairings, quasi_orthogonality_draws, rellich_suite,
                         report_columns)
 from .reports import write_csv, write_json
-from .visco import (MemoryKernel, exponential_kernel, memory_riesz_certificate,
-                    polynomial_kernel, zero_kernel)
+from .visco import MemoryKernel, memory_riesz_certificate
 from .wave import observability_experiment
 
 LOCK_NAME = ".observalab.lock"
@@ -45,18 +45,18 @@ def _build_tables(config: RunConfig):
 
 
 def _kernel_from_spec(spec: dict) -> MemoryKernel:
-    family = spec.get("family")
-    if family == "zero":
-        return zero_kernel()
-    if family == "exponential":
-        return exponential_kernel(spec.get("M0", 0.2), spec.get("delta", 1.0))
-    if family == "polynomial":
-        return polynomial_kernel(spec.get("M0", 0.2), spec.get("p", 2.0))
-    raise ConfigurationError(f"unknown kernel family: {family!r}")
+    """One config kernel; the schema's enum and MemoryKernel check the family."""
+    family = spec["family"]
+    return MemoryKernel(family, m0=0.0 if family == "zero" else spec.get("M0", 0.2),
+                        delta=spec.get("delta", 1.0), p=spec.get("p", 2.0))
 
 
-def _in_hypothesis_horizons(config: RunConfig, domain) -> list[float]:
-    return [T for T in config.horizons(2.0 * domain.R) if T > 2.0 * domain.R]
+def _horizons_past_escape(config: RunConfig, domain, what: str) -> list[float]:
+    """The config's horizons above the escape time 2R; `what` needs one."""
+    horizons = [T for T in config.horizons(2.0 * domain.R) if T > 2.0 * domain.R]
+    if not horizons:
+        raise ConfigurationError(f"{what} needs a horizon above the escape time 2R")
+    return horizons
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +133,7 @@ def cmd_riesz(config: RunConfig, out: Path, args) -> None:
 
 def cmd_observe(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
-    horizons = _in_hypothesis_horizons(config, domain)
-    if not horizons:
-        raise ConfigurationError(
-            "observability needs at least one horizon above the escape time 2R"
-        )
+    horizons = _horizons_past_escape(config, domain, "observability")
     rng = Normals(config.seed)
     columns, summaries = {"T": [], "draw": [], "ratio": []}, []
     for T in horizons:
@@ -167,12 +163,7 @@ def cmd_observe(config: RunConfig, out: Path, args) -> None:
 
 def cmd_visco(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
-    horizons = _in_hypothesis_horizons(config, domain)
-    if not horizons:
-        raise ConfigurationError(
-            "the memory certificate needs a horizon above the escape time 2R"
-        )
-    T = max(horizons)
+    T = max(_horizons_past_escape(config, domain, "the memory certificate"))
     certificates, errors = [], []
     wave_evals = None
     for spec in config.kernels:
@@ -218,8 +209,8 @@ def _require_riesz_artifact(out: Path, domain, N: int, T: float) -> None:
             f"control requires a riesz certificate in {out}; "
             f"run the 'riesz' command first"
         )
+    summary = read_json(summary_path, "riesz summary")
     try:
-        summary = json.loads(summary_path.read_text())
         rows = summary["rows"]
         dom = summary["domain"]
         match_domain = (dom["kind"] == domain.kind
@@ -247,37 +238,11 @@ def _require_riesz_artifact(out: Path, domain, N: int, T: float) -> None:
 def cmd_control(config: RunConfig, out: Path, args) -> None:
     domain, table = _build_tables(config)
     if args.problem is not None:
-        try:
-            raw = json.loads(Path(args.problem).read_text())
-        except (OSError, ValueError) as err:
-            raise ConfigurationError(
-                f"cannot read problem file {args.problem}: {err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"problem file {args.problem} is not a JSON object")
-        if "domain" in raw and not (isinstance(raw["domain"], dict)
-                                    and raw["domain"].get("kind") == domain.kind):
-            raise ConfigurationError(
-                f"problem file targets domain {raw['domain']!r}, "
-                f"config says {domain.kind!r}"
-            )
-        # == takes 6.0 for 6 and refuses a string, null or inf; a bool is no N
-        if "N" in raw and (isinstance(raw["N"], bool) or raw["N"] != table.N):
-            raise ConfigurationError(
-                f"problem file truncation N={raw['N']!r} differs from config "
-                f"N={table.N}"
-            )
-        problem = problem_from_dict(raw)
-        if problem.N != table.N:
-            raise ConfigurationError(
-                f"problem vectors have length {problem.N}, expected {table.N}"
-            )
+        problem = problem_from_dict(read_json(args.problem, "problem file"),
+                                    domain.kind, table.N)
     else:
-        horizons = _in_hypothesis_horizons(config, domain)
-        if not horizons:
-            raise ConfigurationError(
-                "control needs a horizon above the escape time 2R"
-            )
-        problem = random_problem(table.N, max(horizons), Normals(config.seed))
+        T = max(_horizons_past_escape(config, domain, "control"))
+        problem = random_problem(table.N, T, Normals(config.seed))
     _require_riesz_artifact(out, domain, table.N, problem.T)
     result = control_pipeline(table, problem,
                               steering_tol=config.tolerances["steering_rel_error"])
@@ -354,22 +319,19 @@ def main(argv=None) -> int:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         lock_path = out / LOCK_NAME
-        acquired = False
         try:
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                raise ConfigurationError(
-                    f"output directory {out} is locked by another run "
-                    f"({lock_path}); remove a stale lock to proceed"
-                ) from None
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise ConfigurationError(
+                f"output directory {out} is locked by another run "
+                f"({lock_path}); remove a stale lock to proceed"
+            ) from None
+        try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(str(os.getpid()))
-            acquired = True
             COMMANDS[args.command](config, out, args)
         finally:
-            if acquired:
-                lock_path.unlink(missing_ok=True)
+            lock_path.unlink(missing_ok=True)
     except CheckFailure as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 2

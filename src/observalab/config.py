@@ -1,4 +1,5 @@
-"""Run configuration: JSON schema, validation, defaults, and error taxonomy.
+"""Run configuration: JSON schema, validation, defaults, error taxonomy, and
+the strict JSON reader of every file a run reads.
 
 Exit-code contract (used by the CLI):
     0   every asserted check passed
@@ -91,6 +92,7 @@ CONFIG_SCHEMA = {
                 },
                 "required": ["family"],
             },
+            "minItems": 1,
         },
         "draws": {"type": "integer", "minimum": 1, "maximum": 100000},
         "seed": {"type": "integer", "minimum": 0},
@@ -228,31 +230,34 @@ def _finite_float(text: str) -> float:
     """Decode a JSON number, or one of the NaN and Infinity tokens json.loads accepts."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigurationError(f"{text} is not a finite JSON number")
+        raise ValueError(f"{text} is not a finite JSON number")
     return value
 
 
-def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
-    """Read a JSON config file (the built-in default without one), merge in
-    `overrides` such as seed or out_dir, and validate the result once.
+def read_json(path: str | Path, what: str):
+    """The strict JSON value in the file at `path`: the one reader of every
+    file a run reads (the config, control's problem file, the riesz summary).
 
-    The file must be strict JSON: the NaN, Infinity and -Infinity tokens
-    that json.loads would accept, and numbers that overflow a float, are
-    refused.
+    The NaN, Infinity and -Infinity tokens that json.loads would accept, and
+    floats that overflow, are refused.  A file that cannot be read, decoded
+    or parsed, or that nests too deep to parse, is a ConfigurationError
+    naming `what` and the path.
     """
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=_finite_float,
+                          parse_float=_finite_float)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"unreadable {what} {path}: {exc}") from exc
+
+
+def load_config(path: str | Path | None = None, **overrides) -> RunConfig:
+    """Read a JSON config file through read_json (the built-in default
+    without one), merge in `overrides` such as seed or out_dir, and validate
+    the result once against CONFIG_SCHEMA."""
     if path is None:
         raw = {"domain": {"kind": "interval", "length": math.pi}, "N": 20}
     else:
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text(), parse_constant=_finite_float,
-                             parse_float=_finite_float)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:        # undecodable bytes, bad JSON, too many digits
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"config file {path}: {exc}") from None
+        raw = read_json(path, "config file")
     if isinstance(raw, dict):
         raw = {**raw, **overrides}
     return config_from_dict(raw)

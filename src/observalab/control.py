@@ -113,20 +113,45 @@ def _coeff_array(values, name: str) -> np.ndarray:
     return out
 
 
-def problem_from_dict(data: dict) -> ControlProblem:
-    """Parse {T, initial: {position, velocity}, target: {position, velocity}}."""
+def problem_from_dict(data, kind: str, N: int) -> ControlProblem:
+    """The steering problem in a problem file's JSON value, for a run on a
+    domain of kind `kind` at truncation `N`.
+
+    The value is an object {T, initial: {position, velocity}, target:
+    {position, velocity}} whose four vectors have length N, each entry a
+    number or an [re, im] pair.  An optional "domain": {"kind": ...} and an
+    optional "N" must match the run's.  Anything else is a
+    ConfigurationError whose message names the problem file.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError("problem file is not a JSON object")
+    if "domain" in data and not (isinstance(data["domain"], dict)
+                                 and data["domain"].get("kind") == kind):
+        raise ConfigurationError(
+            f"problem file targets domain {data['domain']!r}, config says {kind!r}"
+        )
+    # == takes 6.0 for 6 and refuses a string, null or a list; a bool is no N
+    if "N" in data and (isinstance(data["N"], bool) or data["N"] != N):
+        raise ConfigurationError(
+            f"problem file truncation N={data['N']!r} differs from config N={N}"
+        )
     try:
         initial = data["initial"]
         target = data["target"]
-        return ControlProblem(
+        problem = ControlProblem(
             _coeff_array(initial["position"], "initial.position"),
             _coeff_array(initial["velocity"], "initial.velocity"),
             _coeff_array(target["position"], "target.position"),
             _coeff_array(target["velocity"], "target.velocity"),
             float(data["T"]),
         )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigurationError(f"malformed control problem: {err}") from err
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigurationError) as err:
+        raise ConfigurationError(f"malformed problem file: {err}") from err
+    if problem.N != N:
+        raise ConfigurationError(
+            f"problem file vectors have length {problem.N}, expected {N}"
+        )
+    return problem
 
 
 @dataclass(eq=False)

@@ -535,6 +535,8 @@ def test_non_finite_config_numbers_exit_64(tmp_path, capsys, token, template):
 
 
 _HUGE = "1" + "0" * 400
+# nested past the interpreter's recursion limit: json.loads raises RecursionError
+_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize("template, path", [
@@ -675,7 +677,7 @@ def test_strict_flags_outside_hypothesis(tmp_path):
     assert _run("riesz", "--config", str(cfg), "--strict") == 2
 
 
-def test_malformed_config_exit_64(tmp_path):
+def test_malformed_config_exit_64(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"domain": {"kind": "interval", "length": 1.0},
                                "N": 4, "bogus": 1}))
@@ -684,6 +686,14 @@ def test_malformed_config_exit_64(tmp_path):
     assert _run("spectrum", "--config", str(bad)) == 64
     bad.write_text("{not json")
     assert _run("spectrum", "--config", str(bad)) == 64
+    capsys.readouterr()
+    bad.write_text(_DEEP)
+    assert _run("spectrum", "--config", str(bad)) == 64
+    assert f"unreadable config file {bad}" in capsys.readouterr().err
+    # an empty kernel list would certify nothing and pass
+    cfg = _write_config(tmp_path, kernels=[])
+    assert _run("visco", "--config", str(cfg)) == 64
+    assert "kernels" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("removed", [
@@ -744,12 +754,21 @@ def test_control_problem_mismatches_exit_64(tmp_path):
     assert _run("control", "--config", str(cfg), "--problem", str(prob)) == 64
 
 
+# a steering problem at N = 6, with its T and its first position entry open
+_PROBLEM = ('{"T": %s, "initial": {"position": [%s, 0, 0, 0, 0, 0], '
+            '"velocity": [0, 0, 0, 0, 0, 0]}, "target": {"position": [1, 1, 1, 1, 1, 1], '
+            '"velocity": [0, 0, 0, 0, 0, 0]}}')
+
+
 @pytest.mark.parametrize("text", ['{"domain": 5}', '{"N": "abc"}', '"my domain"',
-                                  '{"N": 1.5e400}', '{"N": null}'],
-                         ids=["domain_number", "n_string", "not_object", "n_inf", "n_null"])
+                                  '{"N": 1.5e400}', '{"N": null}', _DEEP,
+                                  _PROBLEM % (_HUGE, "0"), _PROBLEM % ("7.0", _HUGE)],
+                         ids=["domain_number", "n_string", "not_object", "n_inf", "n_null",
+                              "deep", "t_401_digits", "position_401_digits"])
 def test_malformed_control_problem_file_exits_64(tmp_path, capsys, text):
-    """A problem file that is not an object, or whose domain or N is not
-    one, is refused as bad configuration before the problem is parsed."""
+    """A problem file that cannot be parsed, is not an object, whose domain
+    or N is not one, or whose numbers do not fit a float is refused as bad
+    configuration that names the problem file."""
     cfg = _write_config(tmp_path)
     prob = tmp_path / "problem.json"
     prob.write_text(text)
@@ -757,19 +776,20 @@ def test_malformed_control_problem_file_exits_64(tmp_path, capsys, text):
     assert "problem file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", [5, [5], [{"pass": True}], [{"T": "abc", "pass": True}]],
-                         ids=["number", "number_row", "row_without_t", "t_string"])
+@pytest.mark.parametrize("rows", ['5', '[5]', '[{"pass": true}]', '[{"T": "abc", "pass": true}]',
+                                  _DEEP],
+                         ids=["number", "number_row", "row_without_t", "t_string", "deep"])
 def test_malformed_riesz_summary_rows_exit_64(tmp_path, capsys, rows):
-    """A summary of the config's domain and N whose rows cannot be read is
-    the same refusal as any unreadable summary."""
+    """A summary of the config's domain and N whose rows cannot be read, or
+    nest too deep to parse, is the same refusal as any unreadable summary."""
     cfg = _write_config(tmp_path, T_factors=[2.0])
     assert _run("riesz", "--config", str(cfg)) == 0
     path = tmp_path / "out" / "riesz_summary.json"
     summary = json.loads(path.read_text())
-    summary["rows"] = rows
-    path.write_text(json.dumps(summary))
+    path.write_text(json.dumps({**summary, "rows": None}).replace('"rows": null',
+                                                                   f'"rows": {rows}'))
     assert _run("control", "--config", str(cfg)) == 64
-    assert "unreadable riesz summary" in capsys.readouterr().err
+    assert f"unreadable riesz summary {path}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["out_dir_is_a_file", "artifact_is_a_directory"])
@@ -915,3 +935,37 @@ def test_no_module_uses_another_modules_private_names():
     assert {name: found for name, found in uses.items() if found} == {}
     probe = "from .eigen import _check, eigh\nfrom . import bessel\nbessel._guess\nbessel.__doc__\n"
     assert _private_uses(probe) == ["eigen._check", "bessel._guess"]
+
+
+def _json_readers(source: str) -> list[str]:
+    """The innermost function around each json.load or json.loads in one
+    module's source, "<module>" outside every function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json" and node.attr in ("load", "loads")):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_config_read_json_is_the_one_json_reader():
+    """Every file a run reads goes through config.read_json's strict
+    reader: no other function decodes JSON, and cli.py imports no json."""
+    package = Path(cli.__file__).parent
+    readers = {path.name: _json_readers(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in readers.items() if found} == {
+        "config.py": ["read_json"]}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "json" not in imported
+    probe = "import json\njson.loads('1')\ndef f():\n    def g():\n        json.load(x)\n"
+    assert _json_readers(probe) == ["<module>", "g"]

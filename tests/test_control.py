@@ -279,15 +279,15 @@ def test_problem_from_dict_parses_pairs_and_floats():
         "initial": {"position": [1.0, [0.5, -0.25]], "velocity": [0.0, 0.0]},
         "target": {"position": [0.0, 0.0], "velocity": [[0.0, 1.0], 2.0]},
     }
-    prob = C.problem_from_dict(data)
+    prob = C.problem_from_dict(data, "interval", 2)
     assert prob.N == 2 and prob.T == 6.0
     assert prob.position0[1] == 0.5 - 0.25j
     assert prob.target_velocity[0] == 1.0j
     with pytest.raises(ConfigurationError):
-        C.problem_from_dict({"T": 1.0, "initial": {}})
+        C.problem_from_dict({"T": 1.0, "initial": {}}, "interval", 1)
     with pytest.raises(ConfigurationError):
         C.problem_from_dict({
             "T": 1.0,
             "initial": {"position": [[1, 2, 3]], "velocity": [0]},
             "target": {"position": [0], "velocity": [0]},
-        })
+        }, "interval", 1)
