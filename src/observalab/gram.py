@@ -203,23 +203,23 @@ class GramMatrix:
         first = np.cumsum(size) - size              # each label's first place in order
         return tuple(order[first[size == s, None] + np.arange(s)] for s in sizes)
 
-    def _class_solves(self, need_vectors: bool):
+    def _class_solves(self):
         """One stacked eigensolve per stack of _stacks, over every block's
         sub-blocks on its classes.  Yields, per solve, the sub-blocks' rows
         in the blocks' concatenated coordinates (k, s), their eigenvalues
-        (k, s) and eigenvectors (k, s, s) or None."""
+        (k, s) and eigenvectors (k, s, s)."""
         N = self.N
         for members in self._stacks:
             own = (np.concatenate([members, members + N], axis=1)
                    if len(self.blocks) == 1 else members)
             subs = np.concatenate([block[own[:, :, None], own[:, None, :]]
                                    for block in self.blocks])
-            w, v = jacobi_eigh(subs, need_vectors)
+            w, v = jacobi_eigh(subs)
             yield np.concatenate([own + b * N for b in range(len(self.blocks))]), w, v
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of G: the sorted union of the class sub-blocks'."""
-        return np.sort(np.concatenate([w.ravel() for _, w, _ in self._class_solves(False)]))
+        """Ascending eigenvalues of G: the sorted union of spectrum's class solves'."""
+        return np.sort(np.concatenate([w.ravel() for _, w, _ in self._class_solves()]))
 
     def spectrum(self) -> dict:
         """lambda_min, lambda_max, vec_min (a lambda_min eigenvector in signed
@@ -230,27 +230,28 @@ class GramMatrix:
         exceeds EIGEN_RESIDUAL_GATE or lambda_min falls below
         -1e-8 * trace(G) (G not PSD)."""
         low = high = None
-        for rows, w, v in self._class_solves(True):
+        for rows, w, v in self._class_solves():
             i, j = np.argmin(w[:, 0]), np.argmax(w[:, -1])
             if low is None or w[i, 0] < low[0]:
                 low = (w[i, 0], rows[i], v[i][:, 0])
             if high is None or w[j, -1] > high[0]:
                 high = (w[j, -1], rows[j], v[j][:, -1])
+        # residuals and norm of the blocks over a power of two 2^e >= every entry:
+        # exact, and no sum of squares overflows at huge horizons
+        _, e = np.frexp(max(float(np.max(np.abs(b))) for b in self.blocks))
+        scaled = [np.ldexp(b, -e) for b in self.blocks]
         pairs, residuals = [], []
         for value, rows, vec in (low, high):
             x = np.zeros(2 * self.N)
             x[rows] = vec
             parts = x.reshape(len(self.blocks), -1)     # each block's slice of x
-            product = np.concatenate([b @ part for b, part in zip(self.blocks, parts)])
-            residuals.append(float(np.linalg.norm(product - value * x)))
+            product = np.concatenate([b @ part for b, part in zip(scaled, parts)])
+            residuals.append(float(np.linalg.norm(product - np.ldexp(value, -e) * x)))
             pairs.append((float(value), x))
-        norm = max(float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks))), 1e-300)
-        residual_rel = max(residuals) / norm
+        residual_rel = max(residuals) / float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in scaled)))
         if residual_rel > EIGEN_RESIDUAL_GATE:
-            raise NumericalError(
-                f"eigenpair residual too large ({max(residuals):.3e} vs "
-                f"{EIGEN_RESIDUAL_GATE:g} * {norm:.3e})"
-            )
+            raise NumericalError(f"eigenpair residual too large ({residual_rel:.3e} "
+                                 f"of ||G||, gate {EIGEN_RESIDUAL_GATE:g})")
         (lam_min, vec), (lam_max, _) = pairs
         if lam_min < -1e-8 * float(sum(np.trace(block) for block in self.blocks)):
             raise NumericalError(f"Gram matrix not PSD: lambda_min = {lam_min:.3e}")

@@ -110,31 +110,25 @@ def write_csv(path: str | Path, columns: Mapping[str, Sequence]) -> Path:
     return path
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
+def _json_default(value):
+    """json's hook for what it cannot encode itself: an ndarray becomes its
+    list, a complex number (numpy's too) an [re, im] pair, any other numpy
+    scalar its Python value."""
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    return value
+        return [value.real, value.imag]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, payload: dict) -> Path:
-    """Complex numbers become [re, im] pairs; numpy scalars plain numbers."""
+    """Complex numbers become [re, im] pairs, numpy scalars plain numbers
+    (json's default hook, _json_default)."""
     path = Path(path)
     body = dict(payload)
     body["generated_at"] = _stamp()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_json_ready(body), indent=2, sort_keys=True)
+    path.write_text(json.dumps(body, indent=2, sort_keys=True, default=_json_default)
                     + "\n", encoding="utf-8")
     return path
 

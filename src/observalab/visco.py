@@ -497,15 +497,16 @@ def _fit_sums(modes: MemoryModes) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
     One blocked pass over the positive modes, a block of the "modes" budget
     at a time, takes cos and sin once per sample; its two work arrays, the
     phases and Y, three floats per block element, are allocated once and
-    reused in place.  Each block sums D about its own mean of Re Y; the
-    blocks' weighted squared distances from y then complete D (the
-    parallel variance update), a sum of squares too.
+    reused in place.  Each block sums D about its own mean of Re Y, which
+    then joins the running mean and D in place (the parallel variance
+    update of Chan, Golub and LeVeque, 1979), a sum of squares too.
     """
     lams, w = modes.lambdas, modes.trule.weights
     base = modes.trule.nodes[:, 0] - modes.T
     rows = min(lams.size, block_rows(base.size, "modes"))
     phases, demodulated = np.empty((rows, base.size)), np.empty((rows, base.size), dtype=complex)
-    D, masses, means = 0.0, [], []
+    mass, D = 0.0, 0.0
+    mean, delta = np.zeros(base.size), np.empty(base.size)
     for block in row_blocks(lams.size, base.size, "modes"):
         lam2 = lams[block] ** 2
         # exp(-i lam b) as cos + i sin, a third faster than np.exp's complex path
@@ -514,16 +515,19 @@ def _fit_sums(modes: MemoryModes) -> tuple[np.ndarray, np.ndarray, np.ndarray, f
         np.cos(phase, out=Y.real)
         np.sin(phase, out=Y.imag)
         Y *= modes.samples[block]
-        masses.append(lam2.sum())
-        means.append(lam2 @ Y.real / masses[-1])
-        Y -= means[-1]
+        m = float(lam2.sum())
+        np.matmul(lam2, Y.real, out=delta)
+        delta /= m                                  # the block's mean
+        Y -= delta
         square = np.abs(Y, out=phase)
         square *= square
         D += float(lam2 @ (square @ w))
-    masses, means = np.array(masses), np.array(means)
-    mean = masses @ means / masses.sum()
-    D += float(masses @ ((means - mean) ** 2 @ w))
-    return base, w, mean, 2.0 * float(masses.sum()), 2.0 * D
+        delta -= mean
+        mass += m
+        D += (mass - m) * m / mass * float(delta @ (delta * w))
+        delta *= m / mass
+        mean += delta
+    return base, w, mean, 2.0 * mass, 2.0 * D
 
 
 def fit_gamma(modes: MemoryModes) -> tuple[complex, dict]:
@@ -747,7 +751,7 @@ def paley_wiener_q(table: ModeTable, modes: MemoryModes, gamma: complex,
     white = vecs / np.sqrt(evals)[None, :]
     section = white.T @ D @ white
     section = 0.5 * (section + section.T)
-    sev, _ = jacobi_eigh(section, need_vectors=False)
+    sev, _ = jacobi_eigh(section)
     return max(float(sev[-1]), 0.0)
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from observalab import cli, eigen, geometry, gram, modes, visco, wave
+from observalab import cli, geometry, modes, visco, wave
 from observalab import operators as ops
 from observalab.bessel import BesselZeroTable
 from observalab.config import CONFIG_SCHEMA, TOLERANCES, config_from_dict, schema_violation
@@ -817,22 +817,15 @@ def test_riesz_outside_hypothesis_row_has_an_empty_pass_cell(tmp_path):
     assert rows[1].endswith(",true,true")
 
 
-def test_control_solves_no_eigenvectors(tmp_path, monkeypatch):
-    """control reads two eigenvalues of the Gram, so none of its eigensolves
-    asks for eigenvectors."""
-    cfg = _write_config(tmp_path, T_factors=[2.0])
+def test_control_condition_estimate_at_a_huge_horizon(tmp_path):
+    """At T = 1e160 the interval's Gram is 1e160 times an identity up to
+    rounding: its condition estimate is 1, where a cut at eps * ||A||_F / n
+    of an overflowed norm zeroed every entry and wrote 0."""
+    cfg = _write_config(tmp_path, N=4, T_values=[1e160])
     assert _run("riesz", "--config", str(cfg)) == 0
-    asked = []
-    original = gram.jacobi_eigh
-
-    def recorded(matrix, need_vectors=True):
-        asked.append(need_vectors)
-        return original(matrix, need_vectors)
-
-    for module in (eigen, gram):
-        monkeypatch.setattr(module, "jacobi_eigh", recorded)
     assert _run("control", "--config", str(cfg)) == 0
-    assert asked and not any(asked)
+    result = json.loads((tmp_path / "out" / "control_result.json").read_text())
+    assert abs(result["condition_estimate"] - 1.0) <= 1e-12
 
 
 def test_lock_conflict_and_release(tmp_path):
@@ -937,16 +930,16 @@ def test_no_module_uses_another_modules_private_names():
     assert _private_uses(probe) == ["eigen._check", "bessel._guess"]
 
 
-def _json_readers(source: str) -> list[str]:
-    """The innermost function around each json.load or json.loads in one
-    module's source, "<module>" outside every function."""
+def _uses(source: str, owner: str, names: tuple[str, ...]) -> list[str]:
+    """The innermost function around each read of owner.name, name in
+    names, in one module's source, "<module>" outside every function."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "json" and node.attr in ("load", "loads")):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and ast.unparse(node.value) == owner):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -959,7 +952,8 @@ def test_config_read_json_is_the_one_json_reader():
     """Every file a run reads goes through config.read_json's strict
     reader: no other function decodes JSON, and cli.py imports no json."""
     package = Path(cli.__file__).parent
-    readers = {path.name: _json_readers(path.read_text()) for path in sorted(package.glob("*.py"))}
+    readers = {path.name: _uses(path.read_text(), "json", ("load", "loads"))
+               for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in readers.items() if found} == {
         "config.py": ["read_json"]}
     tree = ast.parse(Path(cli.__file__).read_text())
@@ -968,4 +962,19 @@ def test_config_read_json_is_the_one_json_reader():
     imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "json" not in imported
     probe = "import json\njson.loads('1')\ndef f():\n    def g():\n        json.load(x)\n"
-    assert _json_readers(probe) == ["<module>", "g"]
+    assert _uses(probe, "json", ("load", "loads")) == ["<module>", "g"]
+
+
+def test_every_gram_eigensolve_calls_eigh_in_one_place():
+    """np.linalg.eigh is called only in eigen.jacobi_eigh, the one
+    eigensolver of every Gram, and np.linalg.eigvalsh only in
+    geometry.gauss_legendre, on the Legendre Jacobi matrix (not a Gram)."""
+    package = Path(cli.__file__).parent
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        for name in ("eigh", "eigvalsh"):
+            for where in _uses(path.read_text(), "np.linalg", (name,)):
+                calls.setdefault(name, []).append(f"{path.stem}.{where}")
+    assert calls == {"eigh": ["eigen.jacobi_eigh"], "eigvalsh": ["geometry.gauss_legendre"]}
+    probe = "import numpy as np\nnp.linalg.eigh(a)\ndef f():\n    np.linalg.eigvalsh(b)\n"
+    assert _uses(probe, "np.linalg", ("eigh", "eigvalsh")) == ["<module>", "f"]

@@ -277,9 +277,9 @@ def test_eigensolves_split_only_where_the_classes_pay(N, shapes, monkeypatch):
     asked = []
     original = gr.jacobi_eigh
 
-    def recorded(matrix, need_vectors=True):
+    def recorded(matrix):
         asked.append(matrix.shape)
-        return original(matrix, need_vectors)
+        return original(matrix)
 
     monkeypatch.setattr(gr, "jacobi_eigh", recorded)
     G.eigenvalues()
@@ -477,6 +477,49 @@ def test_riesz_outside_hypothesis_reports_only():
                                  margin_tol=TOLERANCES["riesz_margin"])
     assert not rep["in_hypothesis"] and rep["pass"] == ""
     assert np.isfinite(rep["lambda_min"])
+
+
+def test_residual_gate_holds_at_huge_scales(monkeypatch):
+    """Blocks 2^900 times a moderate Gram's, whose sums of squares overflow:
+    the extreme pairs' residuals are still measured against ||G||, so a
+    perturbed eigenvector is caught."""
+    G = gr.assemble_exponential_gram(enumerate_modes(interval(np.pi), 8), 2.5 * np.pi)
+    huge = gr.GramMatrix(tuple(np.ldexp(b, 900) for b in G.blocks), G.phases, G.T, G.classes)
+    assert max(np.max(np.abs(b)) for b in huge.blocks) > np.sqrt(np.finfo(float).max)
+    lam_min = huge.spectrum()["lambda_min"]
+    assert lam_min == pytest.approx(np.ldexp(G.spectrum()["lambda_min"], 900), rel=1e-12)
+    original = gr.jacobi_eigh
+
+    def perturbed(matrix):
+        w, v = original(matrix)
+        return w, v + 1e-3
+
+    monkeypatch.setattr(gr, "jacobi_eigh", perturbed)
+    with pytest.raises(NumericalError, match="residual"):
+        huge.spectrum()
+
+
+_GEOMETRIES = {"interval": interval(np.pi), "rectangle": rectangle(np.pi, 2.0), "disk": disk(1.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_GEOMETRIES)), N=st.integers(1, 64),
+       ratio=st.floats(1.05, 4.0), sampled=st.booleans())
+def test_eigenvalues_and_spectrum_agree_bit_for_bit(kind, N, ratio, sampled):
+    """eigenvalues() and spectrum() read the same class solves, so the
+    extremes of the one are the other's lambda_min and lambda_max exactly,
+    for the exponential Gram and for one sampled on the time rule."""
+    domain = _GEOMETRIES[kind]
+    table = enumerate_modes(domain, N)
+    T = ratio * 2.0 * domain.R
+    if sampled:
+        trule = time_rule(T, table.lambdas[-1])
+        traces = np.exp(1j * np.outer(table.lambdas, trule.nodes[:, 0]))
+        G = gr.assemble_sampled_gram(table, traces, trule)
+    else:
+        G = gr.assemble_exponential_gram(table, T)
+    spec = G.spectrum()
+    assert G.eigenvalues()[[0, -1]].tolist() == [spec["lambda_min"], spec["lambda_max"]]
 
 
 def test_lambda_min_non_increasing_in_N():

@@ -1,11 +1,11 @@
-"""CSV cell formatting: the bytes every artifact's cells are written as."""
+"""Artifact writers: the bytes every CSV cell and JSON value is written as."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from observalab.reports import format_cell, write_csv
+from observalab.reports import format_cell, strip_timestamp, write_csv, write_json
 
 
 @pytest.mark.parametrize("value, text", [
@@ -110,3 +110,24 @@ def test_column_writer_rejects_separators(tmp_path, text):
 def test_column_writer_refuses_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="length"):
         write_csv(tmp_path / "out.csv", {"a": [1, 2], "b": [1.0]})
+
+
+def test_json_writer_pins_numpy_and_complex_values(tmp_path):
+    """numpy scalars as plain numbers, every complex number (numpy's, and
+    those inside an ndarray) as [re, im], tuples as lists, NaN as NaN: the
+    text of the writer that converted the payload before encoding it."""
+    payload = {"f64": np.float64(0.1), "i64": np.int64(-7), "flag": np.bool_(True),
+               "z": complex(1.5, -2.0), "z128": np.complex128(0.25 + 3e-300j),
+               "zarr": np.array([[1 + 2j, 0j]]), "pair": (1, "a", None), "nan": float("nan"),
+               "nested": {"list": [np.float64(-0.0), np.int64(3)], "arr": np.arange(3.0)}}
+    text = strip_timestamp(write_json(tmp_path / "x.json", payload).read_text())
+    assert text == (
+        '{\n  "f64": 0.1,\n  "flag": true,\n  "i64": -7,\n  "nan": NaN,\n'
+        '  "nested": {\n    "arr": [\n      0.0,\n      1.0,\n      2.0\n    ],\n'
+        '    "list": [\n      -0.0,\n      3\n    ]\n  },\n'
+        '  "pair": [\n    1,\n    "a",\n    null\n  ],\n'
+        '  "z": [\n    1.5,\n    -2.0\n  ],\n  "z128": [\n    0.25,\n    3e-300\n  ],\n'
+        '  "zarr": [\n    [\n      [\n        1.0,\n        2.0\n      ],\n'
+        '      [\n        0.0,\n        0.0\n      ]\n    ]\n  ]\n}\n')
+    with pytest.raises(TypeError, match="object"):
+        write_json(tmp_path / "y.json", {"bad": object()})

@@ -703,29 +703,43 @@ def test_fit_gamma_traced_peak_stays_below_twice_the_samples():
     assert peak <= 2 * modes.samples.nbytes
 
 
-def test_fit_sums_work_arrays_stay_below_four_floats_per_block_element():
+def test_fit_sums_work_arrays_stay_below_four_floats_per_block_element(monkeypatch):
     """The fit's pass forms its work arrays in place: the phases and the
     demodulated modes Y, three floats per element of a block, with the
     modulus of Y - y written over the phases; a copy of Y - y would add
-    two more.
+    two more, and so would one kept mean per block where there are many.
 
     At interval N = 128 with polynomial(0.2, 2) at T = 5R a block holds
-    the "modes" budget's 2^18 // 2,576 = 101 modes; the traced peak stays
-    below four floats per element of that block.
+    the "modes" budget's 2^18 // 2,576 = 101 modes (2 blocks), or at a
+    budget of 2^15 12 modes (11 blocks); at each budget the traced peak
+    stays below four floats per element of its block, and the sums are
+    those of one block over every mode, up to rounding.
     """
     domain = interval(np.pi)
     modes = visco.solve_memory_modes(enumerate_modes(domain, 128).lambdas,
                                      visco.polynomial_kernel(0.2, 2.0), 5.0 * domain.R)
     nodes = modes.trule.weights.size
-    block = geometry.block_rows(nodes, "modes") * nodes
-    assert nodes == 2576 and block < modes.samples.size
-    tracemalloc.start()
-    try:
-        visco._fit_sums(modes)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 8 * block
+    assert nodes == 2576
+    sums = []
+    for budget in (geometry.BLOCK_BUDGETS["modes"], 1 << 15):
+        monkeypatch.setattr(geometry, "BLOCK_BUDGETS",
+                            {**geometry.BLOCK_BUDGETS, "modes": budget})
+        block = geometry.block_rows(nodes, "modes") * nodes
+        assert block < modes.samples.size
+        tracemalloc.start()
+        try:
+            sums.append(visco._fit_sums(modes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * block, budget
+    monkeypatch.setattr(geometry, "BLOCK_BUDGETS",
+                        {**geometry.BLOCK_BUDGETS, "modes": modes.samples.size})
+    _, _, mean, L, D = visco._fit_sums(modes)
+    for _, _, blocked_mean, blocked_L, blocked_D in sums:
+        assert np.max(np.abs(blocked_mean - mean)) <= 1e-14 * np.max(np.abs(mean))
+        assert blocked_L == pytest.approx(L, rel=1e-15)
+        assert blocked_D == pytest.approx(D, rel=1e-13)
 
 
 def test_zero_kernel_samples_are_built_in_their_own_array():
